@@ -6,6 +6,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# halvings of the Newton step before a start is given up
+LINE_SEARCH_HALVINGS = 12
+
+# Jacobian entries per call of a batched residual: a whole census of small
+# systems fits in one call, while the stacked Jacobians, SVD factors and
+# third-derivative tensors of the larger augmented systems stay within a few
+# hundred kilobytes
+BATCH_ENTRIES = 1 << 14
+
 
 @dataclass
 class NewtonResult:
@@ -13,6 +22,109 @@ class NewtonResult:
     residual: float
     converged: bool
     iterations: int
+
+
+@dataclass
+class BatchResult:
+    """Lane-wise outcome of ``newton_batch``: one row (or entry) per start."""
+
+    z: np.ndarray               # (B, d)
+    residual: np.ndarray        # (B,)
+    converged: np.ndarray       # (B,) bool
+    iterations: np.ndarray      # (B,) int
+
+
+def vecmat(v, A):
+    """v^T A over leading stack axes: (..., m) and (..., m, n) give (..., n)."""
+    return (v[..., None, :] @ A)[..., 0, :]
+
+
+def min_norm_solve(A, b):
+    """Minimal-norm least-squares solution of A x = b over leading stack axes.
+
+    Singular values at or below ``np.linalg.lstsq``'s default cutoff,
+    eps * max(rows, cols) times the largest one, count as zero, so a stack
+    gives what ``lstsq`` gives lane by lane.  A lane whose SVD does not
+    converge gets NaN.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    try:
+        u, s, vt = np.linalg.svd(A, full_matrices=False)
+    except np.linalg.LinAlgError:
+        if A.ndim == 2:
+            return np.full(A.shape[-1], np.nan)
+        return np.stack([min_norm_solve(Ai, bi) for Ai, bi in zip(A, b)])
+    large = s > np.finfo(float).eps * max(A.shape[-2:]) * s[..., :1]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=large)
+    return vecmat(vecmat(b, u) * inv, vt)
+
+
+def newton_batch(F, Z0, tol=1e-12, max_iter=60):
+    """Damped Newton on a stack of starts, lane by lane.
+
+    ``F`` maps a (k, d) stack of iterates to stacked residuals (k, r) and
+    Jacobians (k, r, d).  Every lane follows ``newton`` with damping: the
+    minimal-norm step, up to twelve halvings until the max-norm residual
+    decreases, and the same stopping rules (converged, non-finite step,
+    failed line search, ``max_iter``).  Lanes only share the calls to ``F``,
+    which see at most ``BATCH_ENTRIES // d**2`` of them at a time.
+    """
+    Z0 = np.array(Z0, dtype=float, ndmin=2)
+    width = max(1, BATCH_ENTRIES // max(1, Z0.shape[1] ** 2))
+    parts = [_newton_lanes(F, Z0[i:i + width], tol, max_iter)
+             for i in range(0, max(len(Z0), 1), width)]
+    return BatchResult(*(np.concatenate([getattr(p, f) for p in parts])
+                         for f in ("z", "residual", "converged", "iterations")))
+
+
+def _newton_lanes(F, Z, tol, max_iter):
+    B = Z.shape[0]
+    converged = np.zeros(B, dtype=bool)
+    iterations = np.full(B, max_iter, dtype=int)
+    if B == 0:
+        return BatchResult(Z, np.zeros(0), converged, iterations)
+    R, J = F(Z)
+    R = np.array(R, dtype=float)
+    J = np.array(J, dtype=float)
+    norm = _max_abs(R)
+    active = np.ones(B, dtype=bool)
+    for it in range(1, max_iter + 1):
+        done = active & (norm <= tol)
+        converged[done] = True
+        iterations[done] = it - 1
+        active &= ~done
+        lanes = np.flatnonzero(active)
+        if lanes.size == 0:
+            break
+        steps = np.full((lanes.size, Z.shape[1]), np.nan)
+        finite = (np.isfinite(R[lanes]).all(axis=1)
+                  & np.isfinite(J[lanes]).all(axis=(1, 2)))
+        steps[finite] = min_norm_solve(J[lanes[finite]], -R[lanes[finite]])
+        good = np.isfinite(steps).all(axis=1)
+        iterations[lanes[~good]] = it
+        active[lanes[~good]] = False
+        lanes, steps = lanes[good], steps[good]
+        scale = 1.0
+        for _ in range(LINE_SEARCH_HALVINGS):
+            if lanes.size == 0:
+                break
+            Z_try = Z[lanes] + scale * steps
+            R_try, J_try = F(Z_try)
+            norm_try = _max_abs(R_try)
+            ok = np.isfinite(norm_try) & (norm_try < norm[lanes])
+            took = lanes[ok]
+            Z[took], R[took], J[took], norm[took] = Z_try[ok], R_try[ok], J_try[ok], norm_try[ok]
+            lanes, steps = lanes[~ok], steps[~ok]
+            scale *= 0.5
+        iterations[lanes] = it
+        active[lanes] = False
+    converged[active] = norm[active] <= tol
+    return BatchResult(Z, norm, converged, iterations)
+
+
+def _max_abs(R):
+    return np.max(np.abs(R), axis=1) if R.shape[1] else np.zeros(R.shape[0])
 
 
 def newton(residual_fn, jacobian_fn, z0, tol=1e-12, max_iter=60, damping=True):
@@ -37,7 +149,7 @@ def newton(residual_fn, jacobian_fn, z0, tol=1e-12, max_iter=60, damping=True):
             return NewtonResult(z, norm, False, it)
         scale = 1.0
         if damping:
-            for _ in range(12):
+            for _ in range(LINE_SEARCH_HALVINGS):
                 z_try = z + scale * step
                 res_try = np.asarray(residual_fn(z_try), dtype=float)
                 norm_try = float(np.max(np.abs(res_try)))
@@ -63,12 +175,6 @@ def nullspace(A, rtol=1e-9):
     return vt[rank:].T
 
 
-def smallest_singular_triplet(A):
-    """(sigma_min, left vector, right vector) of A."""
-    u, s, vt = np.linalg.svd(np.atleast_2d(np.asarray(A, dtype=float)))
-    return float(s[-1]), u[:, len(s) - 1], vt[len(s) - 1]
-
-
 def sign_normalize(v, tol=1e-12):
     """Flip v so its first component larger than tol in magnitude is positive."""
     v = np.asarray(v, dtype=float)
@@ -89,10 +195,32 @@ def dedup_points(points, radius):
     order = np.lexsort(pts.T[::-1])
     kept: list[int] = []
     for idx in order:
-        p = pts[idx]
-        if all(np.linalg.norm(p - pts[j]) > radius for j in kept):
+        if not kept or np.all(np.linalg.norm(pts[kept] - pts[idx], axis=1) > radius):
             kept.append(int(idx))
     return kept
+
+
+def multistart_counters(starts, out: BatchResult, xs, kept, radius) -> dict:
+    """Deterministic counters of one multistart solve.
+
+    ``out`` is the batched Newton over the starts that projected, ``xs`` the
+    base points of its converged lanes and ``kept`` their representatives
+    from ``dedup_points``.  A converged lane hits the first representative
+    within ``radius``; hits are listed largest first.
+    """
+    xs = np.asarray(xs, dtype=float)
+    owner = np.full(len(xs), -1)
+    for r, j in enumerate(kept):
+        owner[(owner < 0) & (np.linalg.norm(xs - xs[j], axis=1) <= radius)] = r
+    hits = np.bincount(owner[owner >= 0], minlength=len(kept))
+    return {
+        "starts": int(starts),
+        "projected": int(len(out.converged)),
+        "converged": int(np.sum(out.converged)),
+        "iterations": int(np.sum(out.iterations)),
+        "distinct": len(kept),
+        "hits": sorted((int(h) for h in hits), reverse=True),
+    }
 
 
 def eig_sign_counts(H, zero_tol_factor=1e-6):

@@ -235,6 +235,23 @@ def explain(report_path) -> str:
                      f"({audits.get('parity_checked', 0)} points)")
     if not audits.get("certificates_cancel", True):
         lines.append("perturbation-pair cancellation: VIOLATED")
+    solver = audits.get("solver", {})
+    if solver:
+        lines.append("multistart Newton (accepted covector for k=0):")
+    # the depth-1 solutions form a curve or surface when n >= 2, so there
+    # every start lands on its own point and hits say nothing
+    for stage, label, isolated in (("depth1", "depth-1 system", data["n"] == 1),
+                                   ("k0", "k=0 census", True)):
+        c = solver.get(stage)
+        if not c:
+            continue
+        hits = f", hits {c['hits']}" if isolated else ""
+        lines.append(f"  {label}: {c['starts']} starts, {c['projected']} projected, "
+                     f"{c['converged']} converged in {c['iterations']} iterations, "
+                     f"{c['distinct']} distinct roots{hits}")
+        if isolated and 1 in c["hits"]:
+            lines.append(f"  warning: a {label} root was reached by only one start; "
+                         f"other roots may have been missed")
     gen = audits.get("genericity", {})
     if gen.get("history"):
         lines.append("resampled covectors before acceptance:")

@@ -275,6 +275,7 @@ def build_report(S: MorinScenario, strat: Stratification, data: MorseData,
         chi_expected_ok = chi_m == S.chi_expected
 
     audits = dict(strat.audits)
+    audits["solver"] = {**audits.get("solver", {}), "k0": data.audits.get("k0_solver", {})}
     audits.update({
         "genericity": {"attempt": attempt, "history": list(history)},
         "parity_checked": data.audits["parity"].checked,

@@ -15,6 +15,7 @@ The text form is a prefix notation used by scenario files, e.g.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 from typing import Sequence, Union
 
 import numpy as np
@@ -267,9 +268,11 @@ def compiled(e: Expr):
 class ExprBlock:
     """Joint float evaluator for a family of expressions over one basis.
 
-    All expressions are expanded over the union of their monomials, so one
-    coefficient-matrix product evaluates the whole family at a point.  This
-    is the hot path of every solver loop.
+    All expressions are expanded over the union of their monomials.  A call
+    takes one point (N,) or a stack of points (B, N) and returns the family's
+    values, (R,) or (B, R): one power table, one gather-product per monomial
+    and one coefficient product cover the whole stack.  This is the hot path
+    of every solver.
     """
 
     def __init__(self, exprs: Sequence[Expr], nvars: int):
@@ -284,17 +287,95 @@ class ExprBlock:
         self.exponents = np.array(basis, dtype=np.int64).reshape(len(basis), nvars)
         self.coeffs = C
         self._max_exp = int(self.exponents.max()) if self.exponents.size else 0
+        self._columns = np.arange(nvars)
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.exponents.shape[0] == 0:
-            return np.zeros(self.coeffs.shape[0])
+            return np.zeros(x.shape[:-1] + (self.coeffs.shape[0],))
         # power table per variable, then one gather-product per monomial
-        table = np.ones((self._max_exp + 1, self.nvars))
+        table = np.ones(x.shape[:-1] + (self._max_exp + 1, self.nvars))
         for e in range(1, self._max_exp + 1):
-            table[e] = table[e - 1] * x
-        powers = np.prod(table[self.exponents, np.arange(self.nvars)], axis=1)
-        return self.coeffs @ powers
+            table[..., e, :] = table[..., e - 1, :] * x
+        powers = np.prod(table[..., self.exponents, self._columns], axis=-1)
+        return powers @ self.coeffs.T
+
+
+class Jet:
+    """Values, gradients and Hessians of a family of polynomials.
+
+    The family, its first partials and its upper-triangle second partials
+    form one ExprBlock.  A call takes a point (N,) or a stack (B, N) and
+    returns (values (..., k), gradients (..., k, N), Hessians (..., k, N, N)).
+    The last evaluation is memoized, so the residual/Jacobian call pairs the
+    solvers issue for one point or stack evaluate the block once.
+    """
+
+    def __init__(self, exprs: Sequence[Expr], nvars: int):
+        exprs = [e.with_nvars(nvars) for e in exprs]
+        self.gradients = tuple(tuple(differentiate(e, i) for i in range(nvars))
+                               for e in exprs)
+        upper = [(i, j) for i in range(nvars) for j in range(i, nvars)]
+        family = list(exprs)
+        family += [d for row in self.gradients for d in row]
+        family += [differentiate(row[i], j) for row in self.gradients for (i, j) in upper]
+        self._block = ExprBlock(family, nvars)
+        self._k = len(exprs)
+        self._ui = np.array([i for i, _ in upper], dtype=np.int64)
+        self._uj = np.array([j for _, j in upper], dtype=np.int64)
+        self._memo = (None, None, None)
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        memo = self._memo          # single read keeps the triple consistent
+        if key == memo[0] and x.shape == memo[1]:
+            return memo[2]
+        k, N, lead = self._k, self._block.nvars, x.shape[:-1]
+        vals = self._block(x)
+        D = vals[..., k:k + k * N].reshape(lead + (k, N))
+        H = np.zeros(lead + (k, N, N))
+        tri = vals[..., k + k * N:].reshape(lead + (k, len(self._ui)))
+        H[..., self._ui, self._uj] = tri
+        H[..., self._uj, self._ui] = tri
+        out = (vals[..., :k], D, H)
+        self._memo = (key, x.shape, out)
+        return out
+
+
+class ThirdJet:
+    """Symmetric third-derivative tensors (..., k, N, N, N) of a family.
+
+    The nonzero partials d^3 e / dx_i dx_j dx_l with i <= j <= l form one
+    ExprBlock; each value is scattered to every index permutation through
+    precomputed index arrays.
+    """
+
+    def __init__(self, exprs: Sequence[Expr], nvars: int):
+        partials, where = [], []
+        for r, e in enumerate(exprs):
+            for i in range(nvars):
+                di = differentiate(e.with_nvars(nvars), i)
+                for j in range(i, nvars):
+                    dij = differentiate(di, j)
+                    for l in range(j, nvars):
+                        dijl = differentiate(dij, l)
+                        if dijl.is_zero():
+                            continue
+                        for perm in sorted(set(permutations((i, j, l)))):
+                            where.append((len(partials), r) + perm)
+                        partials.append(dijl)
+        self._block = ExprBlock(partials, nvars)
+        self._shape = (len(exprs), nvars, nvars, nvars)
+        self._src, self._r, self._i, self._j, self._l = (
+            np.array(where, dtype=np.int64).reshape(-1, 5).T)
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        T = np.zeros(x.shape[:-1] + self._shape)
+        if self._src.size:
+            T[..., self._r, self._i, self._j, self._l] = self._block(x)[..., self._src]
+        return T
 
 
 # -- prefix text form ---------------------------------------------------------

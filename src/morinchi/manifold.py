@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from ._numeric import newton, sign_normalize
+from ._numeric import newton_batch, sign_normalize
 
 RANK_TOL = 1e-8
 FRAME_TOL = 1e-10
@@ -72,47 +72,18 @@ class ImplicitManifold:
         self.chi_expected = chi_expected
         self.compact = bool(compact)
         self.sample_halfwidth = float(sample_halfwidth)
-        grads = [[ex.differentiate(c, i) for i in range(ambient_dim)] for c in constraints]
-        self.constraint_gradients = tuple(tuple(row) for row in grads)
-        N, c = ambient_dim, len(constraints)
-        upper = [(i, j) for i in range(N) for j in range(i, N)]
-        family = list(constraints)
-        family += [row[i] for row in grads for i in range(N)]
-        family += [ex.differentiate(row[i], j) for row in grads for (i, j) in upper]
-        self._block = ex.ExprBlock(family, N)
-        self._upper = upper
-        self._ui = np.array([i for i, _ in upper])
-        self._uj = np.array([j for _, j in upper])
-        self._memo = (None, None)
+        self._jet = ex.Jet(constraints, ambient_dim)
+        self.constraint_gradients = self._jet.gradients
 
-    # numeric evaluators; one basis product per point, memoized for the
-    # residual/jacobian call pairs issued by the solvers
-    def _eval(self, x):
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        memo = self._memo          # single read keeps the pair consistent
-        if key == memo[0]:
-            return memo[1]
-        N, c = self.ambient_dim, len(self.constraints)
-        vals = self._block(x)
-        g = vals[:c]
-        Dg = vals[c:c + c * N].reshape(c, N)
-        Hg = np.zeros((c, N, N))
-        tri = vals[c + c * N:].reshape(c, len(self._upper))
-        Hg[:, self._ui, self._uj] = tri
-        Hg[:, self._uj, self._ui] = tri
-        out = (g, Dg, Hg)
-        self._memo = (key, out)
-        return out
-
+    # numeric evaluators; each takes a point (N,) or a stack (B, N)
     def g(self, x):
-        return self._eval(x)[0]
+        return self._jet(x)[0]
 
     def jacobian(self, x):
-        return self._eval(x)[1]
+        return self._jet(x)[1]
 
     def constraint_hessians(self, x):
-        return self._eval(x)[2]
+        return self._jet(x)[2]
 
     def residual(self, x):
         return float(np.max(np.abs(self.g(x)))) if self.constraints else 0.0
@@ -122,19 +93,25 @@ class ImplicitManifold:
                 f"constraints={[ex.to_prefix(c) for c in self.constraints]})")
 
 
+def project_points(M: ImplicitManifold, X0, residual_tol=1e-12, max_iters=60):
+    """Gauss-Newton projection of a stack of ambient points onto M, lane by lane.
+
+    Returns the ``BatchResult``; rows that did not converge are left where
+    the iteration stopped and are flagged in ``converged``.
+    """
+
+    def F(X):
+        return M.g(X), M.jacobian(X)
+
+    return newton_batch(F, X0, tol=residual_tol, max_iter=max_iters)
+
+
 def project_to_manifold(M: ImplicitManifold, x0, residual_tol=1e-12, max_iters=60):
     """Gauss-Newton projection of an ambient point onto M."""
-
-    def res(z):
-        return M.g(z)
-
-    def jac(z):
-        return M.jacobian(z)
-
-    out = newton(res, jac, np.asarray(x0, dtype=float), tol=residual_tol, max_iter=max_iters)
-    if not out.converged:
-        raise ProjectionError(f"projection stalled at residual {out.residual:.3e}")
-    return out.z
+    out = project_points(M, np.asarray(x0, dtype=float)[None], residual_tol, max_iters)
+    if not out.converged[0]:
+        raise ProjectionError(f"projection stalled at residual {out.residual[0]:.3e}")
+    return out.z[0]
 
 
 def tangent_frame(M: ImplicitManifold, p, tol=FRAME_TOL) -> TangentFrame:
@@ -200,25 +177,16 @@ def validate_regularity(M: ImplicitManifold, count: int, seed: int,
     w = M.sample_halfwidth
     while len(starts) < count:
         starts.append(rng.uniform(-w, w, M.ambient_dim))
-    min_sv = np.inf
-    failures = []
-    checked = 0
-    for x0 in starts[: max(count, len(M.sample_seeds))]:
-        try:
-            p = project_to_manifold(M, x0)
-        except ProjectionError:
-            continue
-        checked += 1
-        sv = np.linalg.svd(M.jacobian(p), compute_uv=False)
-        min_sv = min(min_sv, float(sv[-1]))
-        if sv[-1] < rank_tol:
-            failures.append(tuple(p))
-    if checked == 0:
+    proj = project_points(M, np.array(starts[: max(count, len(M.sample_seeds))]))
+    points = proj.z[proj.converged]
+    if len(points) == 0:
         raise RegularityError("no random point could be projected onto the manifold")
+    sv = np.linalg.svd(M.jacobian(points), compute_uv=False)[:, -1]
+    failures = [tuple(p) for p in points[sv < rank_tol]]
     return RegularityReport(
         ok=not failures,
-        checked=checked,
-        min_singular_value=float(min_sv),
+        checked=len(points),
+        min_singular_value=float(sv.min()),
         failures=tuple(failures),
     )
 

@@ -15,8 +15,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numeric import dedup_points, eig_sign_counts, newton, nullspace
-from .manifold import ProjectionError, RegularityError, project_to_manifold, tangent_frame
+from ._numeric import (
+    dedup_points,
+    eig_sign_counts,
+    min_norm_solve,
+    multistart_counters,
+    newton,
+    newton_batch,
+    nullspace,
+    vecmat,
+)
+from .manifold import project_points, tangent_frame
 from .strata import (
     MorinScenario,
     MorinnessError,
@@ -127,7 +136,10 @@ class MorseData:
 
 
 class _AmbientCriticalSystem:
-    """{g = 0, Df^T a - Dg^T lam = 0} in (x, lam); square."""
+    """{g = 0, Df^T a - Dg^T lam = 0} in (x, lam); square.
+
+    Residual and Jacobian take one point or a stack of them.
+    """
 
     def __init__(self, S: MorinScenario, a):
         self.S = S
@@ -135,19 +147,18 @@ class _AmbientCriticalSystem:
 
     def residual(self, z):
         S = self.S
-        x, lam = z[:S.N], z[S.N:]
-        stat = S.Df(x).T @ self.a - (S.manifold.jacobian(x).T @ lam if S.c else 0.0)
-        return np.concatenate([S.manifold.g(x), stat])
+        x, lam = z[..., :S.N], z[..., S.N:]
+        stat = vecmat(self.a, S.Df(x)) - vecmat(lam, S.manifold.jacobian(x))
+        return np.concatenate([S.manifold.g(x), stat], axis=-1)
 
     def jacobian(self, z):
         S = self.S
-        x, lam = z[:S.N], z[S.N:]
+        x, lam = z[..., :S.N], z[..., S.N:]
         Dg = S.manifold.jacobian(x)
-        W = S.lagrangian_hessian(x, self.a, lam)
-        J = np.zeros((S.c + S.N, S.N + S.c))
-        J[:S.c, :S.N] = Dg
-        J[S.c:, :S.N] = W
-        J[S.c:, S.N:] = -Dg.T
+        J = np.zeros(x.shape[:-1] + (S.c + S.N, S.N + S.c))
+        J[..., :S.c, :S.N] = Dg
+        J[..., S.c:, :S.N] = S.lagrangian_hessian(x, self.a, lam)
+        J[..., S.c:, S.N:] = -np.swapaxes(Dg, -1, -2)
         return J
 
 
@@ -164,27 +175,38 @@ def _index_or_fail(H, zero_tol, what):
     return n_minus
 
 
-def _k0_records(S: MorinScenario, a: Covector) -> list:
+def _k0_starts(S: MorinScenario, a) -> tuple:
+    """(number of seeds, stacked (x, lam) starts of the seeds that project to M).
+
+    lam is the least-squares multiplier of the stationarity equation at x.
+    """
+    X0 = np.array(_multistart_seeds(S, S.tolerances.multistart_density * (S.n + 1), tag=2))
+    proj = project_points(S.manifold, X0)
+    x = proj.z[proj.converged]
+    lam0 = min_norm_solve(np.swapaxes(S.manifold.jacobian(x), -1, -2), vecmat(a, S.Df(x)))
+    return len(X0), np.concatenate([x, lam0], axis=1)
+
+
+def _k0_records(S: MorinScenario, a: Covector, stats=None) -> list:
+    """Critical points of h on M from one batched multistart solve.
+
+    ``stats``, a dict when given, receives the counters of the solve.
+    """
     sys0 = _AmbientCriticalSystem(S, a.a)
     tol = S.tolerances
-    found = []
-    for x0 in _multistart_seeds(S, tol.multistart_density * (S.n + 1), tag=2):
-        try:
-            x = project_to_manifold(S.manifold, x0)
-        except (ProjectionError, RegularityError):
-            continue
-        Dg = S.manifold.jacobian(x)
-        lam0 = np.linalg.lstsq(Dg.T, S.Df(x).T @ a.a, rcond=None)[0] if S.c else np.zeros(0)
-        out = newton(sys0.residual, sys0.jacobian, np.concatenate([x, lam0]),
-                     tol=tol.residual, max_iter=30)
-        if out.converged:
-            found.append((out.z, out.residual))
-    if not found:
+    starts, Z0 = _k0_starts(S, a.a)
+    out = newton_batch(lambda Z: (sys0.residual(Z), sys0.jacobian(Z)), Z0,
+                       tol=tol.residual, max_iter=30)
+    found, residuals = out.z[out.converged], out.residual[out.converged]
+    xs = found[:, :S.N]
+    kept = dedup_points(xs, tol.dedup_radius)
+    if stats is not None:
+        stats.update(multistart_counters(starts, out, xs, kept, tol.dedup_radius))
+    if not kept:
         raise GenericityFailure("no critical points of the functional found on M")
-    xs = np.array([z[:S.N] for z, _ in found])
     records = []
-    for idx in dedup_points(xs, tol.dedup_radius):
-        z, res = found[idx]
+    for idx in kept:
+        z, res = found[idx], residuals[idx]
         x, lam = z[:S.N], z[S.N:]
         Hred = _reduced_hessian_on_M(S, x, a.a, lam)
         index = _index_or_fail(Hred, tol.eigen_zero, f"k=0 point {np.round(x, 6)}")
@@ -222,7 +244,8 @@ class StratumCriticalSystem:
     Unknowns (z, nu) where z solves the singular system F(z) = 0 and nu are
     the multipliers of the stationarity condition grad h = DF^T nu.  The
     Jacobian is analytic; the only second-derivative data it needs beyond
-    the Hessians are the third derivative tensors of f and g.
+    the Hessians are the third derivative tensors of f and g.  Every
+    method but ``reduced_hessian`` takes one point or a stack of them.
     """
 
     def __init__(self, S: MorinScenario, a):
@@ -237,56 +260,53 @@ class StratumCriticalSystem:
     def grad_h(self, z):
         S = self.S
         x, _, _ = self.base.unpack(z)
-        g = np.zeros(self.D)
-        g[:S.N] = S.Df(x).T @ self.a
+        g = np.zeros(x.shape[:-1] + (self.D,))
+        g[..., :S.N] = vecmat(self.a, S.Df(x))
         return g
 
     def residual(self, w):
-        z, nu = w[:self.D], w[self.D:]
+        z, nu = w[..., :self.D], w[..., self.D:]
         return np.concatenate([
             self.base.residual(z),
-            self.grad_h(z) - self.base.jacobian(z).T @ nu,
-        ])
+            self.grad_h(z) - vecmat(nu, self.base.jacobian(z)),
+        ], axis=-1)
 
     def hess_lagrangian(self, z, nu):
         """A = hess_z h - sum_r nu_r hess_z F_r, in (x, u, mu) block form."""
         S = self.S
         N, n, c = S.N, S.n, S.c
         x, u, mu = self.base.unpack(z)
-        nu_g, nu_s, nu_n = nu[:c], nu[c:c + N], nu[c + N]
+        nu_g, nu_s, nu_n = nu[..., :c], nu[..., c:c + N], nu[..., c + N]
         Hf = S.Hf(x)
-        Hg = S.manifold.constraint_hessians(x) if c else np.zeros((0, N, N))
+        Hg = S.manifold.constraint_hessians(x)
         T3f, T3g = S.third_tensors(x)
-        A = np.zeros((self.D, self.D))
-        Axx = np.einsum("l,lpq->pq", self.a, Hf)
-        if c:
-            Axx -= np.einsum("j,jpq->pq", nu_g, Hg)
-        Ms = np.einsum("i,l,lipq->pq", nu_s, u, T3f)
-        if c:
-            Ms -= np.einsum("i,j,jipq->pq", nu_s, mu, T3g)
+        A = np.zeros(x.shape[:-1] + (self.D, self.D))
+        Axx = np.einsum("l,...lpq->...pq", self.a, Hf)
+        Axx -= np.einsum("...j,...jpq->...pq", nu_g, Hg)
+        Ms = np.einsum("...i,...l,...lipq->...pq", nu_s, u, T3f)
+        Ms -= np.einsum("...i,...j,...jipq->...pq", nu_s, mu, T3g)
         Axx -= Ms
-        A[:N, :N] = Axx
-        Axu = -np.einsum("lpi,i->pl", Hf, nu_s)      # column l is -Hf_l nu_s
-        A[:N, N:N + n] = Axu
-        A[N:N + n, :N] = Axu.T
-        if c:
-            Axm = np.einsum("jpi,i->pj", Hg, nu_s)
-            A[:N, N + n:] = Axm
-            A[N + n:, :N] = Axm.T
-        A[N:N + n, N:N + n] = -2.0 * nu_n * np.eye(n)
+        A[..., :N, :N] = Axx
+        Axu = -np.einsum("...lpi,...i->...pl", Hf, nu_s)      # column l is -Hf_l nu_s
+        A[..., :N, N:N + n] = Axu
+        A[..., N:N + n, :N] = np.swapaxes(Axu, -1, -2)
+        Axm = np.einsum("...jpi,...i->...pj", Hg, nu_s)
+        A[..., :N, N + n:] = Axm
+        A[..., N + n:, :N] = np.swapaxes(Axm, -1, -2)
+        A[..., N:N + n, N:N + n] = -2.0 * np.multiply.outer(nu_n, np.eye(n))
         return A
 
     def jacobian(self, w):
-        z, nu = w[:self.D], w[self.D:]
+        z, nu = w[..., :self.D], w[..., self.D:]
         DF = self.base.jacobian(z)
-        J = np.zeros((self.E + self.D, self.D + self.E))
-        J[:self.E, :self.D] = DF
-        J[self.E:, :self.D] = self.hess_lagrangian(z, nu)
-        J[self.E:, self.D:] = -DF.T
+        J = np.zeros(w.shape[:-1] + (self.E + self.D, self.D + self.E))
+        J[..., :self.E, :self.D] = DF
+        J[..., self.E:, :self.D] = self.hess_lagrangian(z, nu)
+        J[..., self.E:, self.D:] = -np.swapaxes(DF, -1, -2)
         return J
 
     def initial_nu(self, z):
-        return np.linalg.lstsq(self.base.jacobian(z).T, self.grad_h(z), rcond=None)[0]
+        return min_norm_solve(np.swapaxes(self.base.jacobian(z), -1, -2), self.grad_h(z))
 
     def reduced_hessian(self, z, nu):
         B = nullspace(self.base.jacobian(z), rtol=1e-8)
@@ -411,32 +431,36 @@ def _critical_points_on_curves(S, a: Covector, strat: Stratification):
 
 
 def _critical_points_on_surface(S, a: Covector, strat: Stratification):
-    """Multistart solve on a stratum of dimension >= 2, seeded by the point cloud."""
+    """Multistart solve on a stratum of dimension >= 2, seeded by the point cloud.
+
+    Every point of the cloud is polished at once, as one batched Newton.
+    """
     tol = S.tolerances
-    base = SingularSystem(S)
-    found = []
-    for p in strat.points:
-        z0 = base.pack(p.x, p.cokernel, p.multiplier)
-        polished = _polish_stratum_critical(S, a.a, z0)
-        if polished is None:
-            continue
-        found.append(polished)
-    if not found:
+    sysc = StratumCriticalSystem(S, a.a)
+    Z = np.array([sysc.base.pack(p.x, p.cokernel, p.multiplier)
+                  for p in strat.points]).reshape(-1, sysc.D)
+    out = newton_batch(lambda W: (sysc.residual(W), sysc.jacobian(W)),
+                       np.concatenate([Z, sysc.initial_nu(Z)], axis=1),
+                       tol=tol.residual)
+    found, residuals = out.z[out.converged], out.residual[out.converged]
+    if len(found) == 0:
         raise GenericityFailure("no critical points found on the singular surface")
-    xs = np.array([sysc.base.unpack(z)[0] for z, _, _, sysc in found])
     records = []
-    for idx in dedup_points(xs, tol.dedup_radius):
-        z, nu, res, sysc = found[idx]
-        records.append(_stratum_record(S, a, z, nu, res, sysc))
+    for idx in dedup_points(found[:, :S.N], tol.dedup_radius):
+        w, res = found[idx], residuals[idx]
+        records.append(_stratum_record(S, a, w[:sysc.D], w[sysc.D:], res, sysc))
     records.sort(key=lambda r: tuple(np.round(r.x, 9)))
     return records
 
 
 def critical_points_on_stratum(S: MorinScenario, a: Covector, k: int,
-                               strat: Stratification | None = None):
-    """Critical records of h on the depth-k stratum (k = 0 means M itself)."""
+                               strat: Stratification | None = None, stats=None):
+    """Critical records of h on the depth-k stratum (k = 0 means M itself).
+
+    For k = 0, ``stats`` (a dict, when given) receives the census counters.
+    """
     if k == 0:
-        return _k0_records(S, a)
+        return _k0_records(S, a, stats)
     if k != 1:
         raise StratificationError("only the depth-1 stratum carries critical solves")
     if strat is None:
@@ -493,6 +517,8 @@ def classify_correctness(S: MorinScenario, a: Covector, rec: CriticalRecord,
         else:
             z0 = _embed_on_curve(S, strat, x)
         land = _plain_correct(system, z0)
+        if not land.converged:
+            raise StratificationError(f"could not land on the singular curve at {np.round(x, 6)}")
         t = _curve_tangent(system, land.z)
         tx = t[:S.N]
         xl = land.z[:S.N]
@@ -640,6 +666,8 @@ def _curve_context_at(S, strat, p):
     system = SingularSystem(S)
     z = system.pack(p.x, p.cokernel, p.multiplier)
     land = _plain_correct(system, z)
+    if not land.converged:
+        raise StratificationError(f"could not land on the singular curve at the cusp {p.x}")
     t = _curve_tangent(system, land.z)
     delta = S.tolerances.curve_step / 2
     sides = {}
@@ -777,8 +805,9 @@ def _boundary_records(S, a: Covector, strat: Stratification, cusp_hits):
 
 
 def compute_morse_data(S: MorinScenario, strat: Stratification, a: Covector) -> MorseData:
-    k0 = critical_points_on_stratum(S, a, 0)
-    audits = {}
+    k0_solver = {}
+    k0 = critical_points_on_stratum(S, a, 0, stats=k0_solver)
+    audits = {"k0_solver": k0_solver}
     if S.n == 1:
         k1 = critical_points_on_stratum(S, a, 1, strat)
         boundary, certs, eta_checks = [], [], []

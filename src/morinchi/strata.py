@@ -12,6 +12,7 @@ by the sign of the kernel-Hessian determinant and refined by bisection.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,16 +22,20 @@ from . import expr as ex
 from ._numeric import (
     dedup_points,
     eig_sign_counts,
+    min_norm_solve,
+    multistart_counters,
     newton,
+    newton_batch,
     nullspace,
     sign_normalize,
-    smallest_singular_triplet,
+    vecmat,
 )
-from .manifold import (
+from .manifold import (  # noqa: F401  (project_to_manifold stays bound here for perfbench)
+    RANK_TOL,
     ImplicitManifold,
     ManifoldError,
-    ProjectionError,
     RegularityError,
+    project_points,
     project_to_manifold,
     tangent_frame,
     validate_regularity,
@@ -49,6 +54,12 @@ class StratificationError(RuntimeError):
     """Structural failure while computing the singular set."""
 
 
+# a trace closes only once a step is shorter than its distance back to the
+# start, deduplication needs a radius, and the solves need at least one start
+# and one covector
+_POSITIVE_TOLERANCES = ("curve_step", "dedup_radius", "multistart_density", "max_resamples")
+
+
 @dataclass(frozen=True)
 class Tolerances:
     residual: float = 1e-12
@@ -63,13 +74,22 @@ class Tolerances:
     @staticmethod
     def from_dict(d: dict) -> "Tolerances":
         base = Tolerances()
-        kwargs = {}
-        for name in base.__dataclass_fields__:
-            if name in d:
-                kwargs[name] = type(getattr(base, name))(d[name])
         unknown = set(d) - set(base.__dataclass_fields__)
         if unknown:
             raise ScenarioFormatError(f"unknown tolerance keys {sorted(unknown)}")
+        kwargs = {}
+        for name in base.__dataclass_fields__:
+            if name not in d:
+                continue
+            try:
+                value = type(getattr(base, name))(d[name])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ScenarioFormatError(f"tolerance {name!r}: {exc}") from exc
+            if not math.isfinite(value):
+                raise ScenarioFormatError(f"tolerance {name!r} must be finite, got {value}")
+            if name in _POSITIVE_TOLERANCES and value <= 0:
+                raise ScenarioFormatError(f"tolerance {name!r} must be positive, got {value}")
+            kwargs[name] = value
         return Tolerances(**kwargs)
 
     def as_dict(self) -> dict:
@@ -99,18 +119,9 @@ class MorinScenario:
         self.tolerances = tolerances or Tolerances()
         self.chi_expected = chi_expected if chi_expected is None else int(chi_expected)
 
-        N = manifold.ambient_dim
-        grads = [[ex.differentiate(c, i) for i in range(N)] for c in self.components]
-        self.component_gradients = tuple(tuple(r) for r in grads)
-        upper = [(i, j) for i in range(N) for j in range(i, N)]
-        family = list(self.components)
-        family += [row[i] for row in grads for i in range(N)]
-        family += [ex.differentiate(row[i], j) for row in grads for (i, j) in upper]
-        self._block = ex.ExprBlock(family, N)
-        self._upper = upper
-        self._ui = np.array([i for i, _ in upper])
-        self._uj = np.array([j for _, j in upper])
-        self._memo = (None, None)
+        self._jet = ex.Jet(self.components, manifold.ambient_dim)
+        self.component_gradients = self._jet.gradients
+        self._third = None          # built on the first third_tensors call
 
     # shorthand dimensions
     @property
@@ -129,69 +140,36 @@ class MorinScenario:
     def c(self):
         return self.N - self.m
 
-    def _eval(self, x):
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        memo = self._memo          # single read keeps the pair consistent
-        if key == memo[0]:
-            return memo[1]
-        N, n = self.N, self.n
-        vals = self._block(x)
-        f = vals[:n]
-        Df = vals[n:n + n * N].reshape(n, N)
-        Hf = np.zeros((n, N, N))
-        tri = vals[n + n * N:].reshape(n, len(self._upper))
-        Hf[:, self._ui, self._uj] = tri
-        Hf[:, self._uj, self._ui] = tri
-        out = (f, Df, Hf)
-        self._memo = (key, out)
-        return out
-
+    # numeric evaluators; each takes a point (N,) or a stack (B, N)
     def f(self, x):
-        return self._eval(x)[0]
+        return self._jet(x)[0]
 
     def Df(self, x):
-        return self._eval(x)[1]
+        return self._jet(x)[1]
 
     def Hf(self, x):
-        return self._eval(x)[2]
+        return self._jet(x)[2]
 
     def lagrangian_hessian(self, x, u, mu):
-        """Ambient Hessian of <u, f> - <mu, g> at x."""
-        W = np.einsum("l,lij->ij", np.asarray(u, dtype=float), self.Hf(x))
+        """Ambient Hessian of <u, f> - <mu, g> at x (or at each point of a stack)."""
+        W = np.einsum("...l,...lij->...ij", np.asarray(u, dtype=float), self.Hf(x))
         if self.c:
-            W = W - np.einsum("k,kij->ij", np.asarray(mu, dtype=float),
+            W = W - np.einsum("...k,...kij->...ij", np.asarray(mu, dtype=float),
                               self.manifold.constraint_hessians(x))
         return W
 
-    def _ensure_third_tensors(self):
-        if hasattr(self, "_t3"):
-            return
-        N = self.N
-        entries = []
-        exprs = list(self.components) + list(self.manifold.constraints)
-        for idx, e in enumerate(exprs):
-            for i in range(N):
-                di = ex.differentiate(e, i)
-                for j in range(i, N):
-                    dij = ex.differentiate(di, j)
-                    for k in range(j, N):
-                        dijk = ex.differentiate(dij, k)
-                        if not dijk.is_zero():
-                            entries.append((idx, i, j, k, ex.compiled(dijk)))
-        self._t3 = entries
-
     def third_tensors(self, x):
-        """Symmetric third-derivative tensors of (f_1..f_n, g_1..g_c) at x."""
-        self._ensure_third_tensors()
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        N = self.N
-        T = np.zeros((self.n + self.c, N, N, N))
-        for idx, i, j, k, fn in self._t3:
-            val = fn(x)
-            for perm in {(i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)}:
-                T[idx][perm] = val
-        return T[:self.n], T[self.n:]
+        """Symmetric third-derivative tensors of (f_1..f_n, g_1..g_c) at x.
+
+        ``x`` is a point or a stack; the evaluator is built on first use, so
+        scenarios that never need third derivatives never differentiate
+        three times.
+        """
+        if self._third is None:
+            self._third = ex.ThirdJet(
+                list(self.components) + list(self.manifold.constraints), self.N)
+        T = self._third(x)
+        return T[..., :self.n, :, :, :], T[..., self.n:, :, :, :]
 
     def __repr__(self):
         comps = [ex.to_prefix(c) for c in self.components]
@@ -292,45 +270,41 @@ class SingularSystem:
         self.n_eqs = c + N if self.reduced else c + N + 1
         self.solution_dim = n - 1
 
+    # pack, unpack, residual and jacobian take one point or a stack of them
+
     def pack(self, x, u, mu):
         if self.reduced:
-            return np.concatenate([x, mu])
-        return np.concatenate([x, u, mu])
+            return np.concatenate([x, mu], axis=-1)
+        return np.concatenate([x, u, mu], axis=-1)
 
     def unpack(self, z):
-        N, n, c = self.S.N, self.S.n, self.S.c
+        N, n = self.S.N, self.S.n
         z = np.asarray(z, dtype=float)
         if self.reduced:
-            return z[:N], np.array([1.0]), z[N:]
-        return z[:N], z[N:N + n], z[N + n:]
+            return z[..., :N], np.ones(z.shape[:-1] + (1,)), z[..., N:]
+        return z[..., :N], z[..., N:N + n], z[..., N + n:]
 
     def residual(self, z):
         S = self.S
         x, u, mu = self.unpack(z)
-        g = S.manifold.g(x)
-        stat = S.Df(x).T @ u - (S.manifold.jacobian(x).T @ mu if S.c else 0.0)
-        if self.reduced:
-            return np.concatenate([g, stat])
-        return np.concatenate([g, stat, [u @ u - 1.0]])
+        stat = vecmat(u, S.Df(x)) - vecmat(mu, S.manifold.jacobian(x))
+        parts = [S.manifold.g(x), stat]
+        if not self.reduced:
+            parts.append((u[..., None, :] @ u[..., :, None])[..., 0] - 1.0)
+        return np.concatenate(parts, axis=-1)
 
     def jacobian(self, z):
         S = self.S
         x, u, mu = self.unpack(z)
         N, n, c = S.N, S.n, S.c
         Dg = S.manifold.jacobian(x)
-        W = S.lagrangian_hessian(x, u, mu)
-        if self.reduced:
-            J = np.zeros((c + N, N + c))
-            J[:c, :N] = Dg
-            J[c:, :N] = W
-            J[c:, N:] = -Dg.T
-            return J
-        J = np.zeros((c + N + 1, N + n + c))
-        J[:c, :N] = Dg
-        J[c:c + N, :N] = W
-        J[c:c + N, N:N + n] = S.Df(x).T
-        J[c:c + N, N + n:] = -Dg.T
-        J[c + N, N:N + n] = 2 * u
+        J = np.zeros(x.shape[:-1] + (self.n_eqs, self.dim_z))
+        J[..., :c, :N] = Dg
+        J[..., c:c + N, :N] = S.lagrangian_hessian(x, u, mu)
+        J[..., c:c + N, self.dim_z - c:] = -np.swapaxes(Dg, -1, -2)
+        if not self.reduced:
+            J[..., c:c + N, N:N + n] = np.swapaxes(S.Df(x), -1, -2)
+            J[..., c + N, N:N + n] = 2 * u
         return J
 
     def describe(self) -> dict:
@@ -435,43 +409,50 @@ def _multistart_seeds(S: MorinScenario, count, tag):
     return pts
 
 
-def _initial_guess(S: MorinScenario, system: SingularSystem, x0):
-    """Project to M and estimate (u, mu) from the smallest singular direction."""
-    x = project_to_manifold(S.manifold, x0)
-    frame = tangent_frame(S.manifold, x)
-    A = S.Df(x) @ frame.tangent.T
-    _, u0, _ = smallest_singular_triplet(A)
-    u0 = sign_normalize(u0)
+def _initial_guesses(S: MorinScenario, system: SingularSystem, X0):
+    """Project a stack of starts to M and estimate (u, mu) at each.
+
+    u is the smallest left singular vector of Df restricted to the tangent
+    space, sign-normalized; it does not depend on the tangent basis, so the
+    basis is the one the SVD of Dg gives.  Starts whose projection fails, or
+    that land where Dg is rank-deficient (where ``tangent_frame`` refuses),
+    are dropped.
+    """
+    proj = project_points(S.manifold, X0)
+    x = proj.z[proj.converged]
     Dg = S.manifold.jacobian(x)
-    rhs = S.Df(x).T @ u0
-    mu0 = np.linalg.lstsq(Dg.T, rhs, rcond=None)[0] if S.c else np.zeros(0)
-    if system.reduced:
-        return system.pack(x, None, mu0)
-    return system.pack(x, u0, mu0)
+    _, s, vt = np.linalg.svd(Dg)
+    regular = s[:, -1] >= RANK_TOL
+    x, Dg, tangent = x[regular], Dg[regular], vt[regular, S.c:]
+    Df = S.Df(x)
+    U = np.linalg.svd(Df @ np.swapaxes(tangent, -1, -2))[0]
+    u0 = np.array([sign_normalize(u) for u in U[:, :, S.n - 1]]).reshape(len(x), S.n)
+    mu0 = min_norm_solve(np.swapaxes(Dg, -1, -2), vecmat(u0, Df))
+    return system.pack(x, None if system.reduced else u0, mu0)
 
 
-def solve_stratum1(S: MorinScenario, density=None) -> list[StratumPoint]:
+def solve_stratum1(S: MorinScenario, density=None, stats=None) -> list[StratumPoint]:
     """Multistart Newton on the singular system, deduplicated by base point.
 
-    Non-converged starts are silently discarded.  An empty result on a
+    All starts run as one lane-wise batched Newton.  Starts that fail to
+    project or to converge are dropped; ``stats``, a dict when given,
+    receives the counters of the solve (starts, projected, converged,
+    iterations, distinct roots, hits per root).  An empty result on a
     compact manifold is an error: any map from a compact manifold with
     m > n must have singular points.
     """
     system = SingularSystem(S)
     tol = S.tolerances
     count = (density or tol.multistart_density) * S.n
-    solutions = []
-    for x0 in _multistart_seeds(S, count, tag=1):
-        try:
-            z0 = _initial_guess(S, system, x0)
-        except (ProjectionError, RegularityError):
-            continue
-        out = newton(system.residual, system.jacobian, z0, tol=tol.residual,
-                     max_iter=30)
-        if not out.converged:
-            continue
-        solutions.append(out.z)
-    points = _points_from_solutions(S, system, solutions)
+    X0 = np.array(_multistart_seeds(S, count, tag=1))
+    out = newton_batch(lambda Z: (system.residual(Z), system.jacobian(Z)),
+                       _initial_guesses(S, system, X0), tol=tol.residual, max_iter=30)
+    solutions = out.z[out.converged]
+    xs = system.unpack(solutions)[0]
+    kept = dedup_points(xs, tol.dedup_radius)
+    if stats is not None:
+        stats.update(multistart_counters(len(X0), out, xs, kept, tol.dedup_radius))
+    points = _points_from_solutions(S, system, solutions, kept)
     if not points and S.manifold.compact:
         raise StratificationError(
             "no singular points found on a compact manifold with m > n; "
@@ -494,11 +475,7 @@ def _normalize_pair(u, mu, tol=1e-12):
     return u, mu
 
 
-def _points_from_solutions(S, system, solutions) -> list[StratumPoint]:
-    if not solutions:
-        return []
-    xs = np.array([system.unpack(z)[0] for z in solutions])
-    kept = dedup_points(xs, S.tolerances.dedup_radius)
+def _points_from_solutions(S, system, solutions, kept) -> list[StratumPoint]:
     points = []
     for idx in kept:
         z = solutions[idx]
@@ -787,6 +764,8 @@ def _locate_cusps(S, system, curve: FoldCurve):
                 za, da = mid.z, dm
         z_cusp = 0.5 * (za + zb)
         land = _plain_correct(system, z_cusp)
+        if not land.converged:
+            raise StratificationError("could not land on the singular curve at a cusp")
         x, u, mu = system.unpack(land.z)
         u, mu = _normalize_pair(u, mu)
         p = _make_point(S, x, u, mu, system)
@@ -879,10 +858,12 @@ def compute_stratification(S: MorinScenario, regularity_count=20) -> Stratificat
         raise RegularityError(
             f"manifold regularity audit failed at {report.failures[0]}"
         )
-    points = solve_stratum1(S)
+    solver = {}
+    points = solve_stratum1(S, stats=solver)
     audits = {
         "regularity_min_singular_value": report.min_singular_value,
         "stratum1_count": len(points),
+        "solver": {"depth1": solver},
     }
 
     curves: list = []

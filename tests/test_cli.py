@@ -140,6 +140,8 @@ def test_explain_cusp_report(tmp_path):
     text = explain(tmp_path / "report.json")
     assert "closed-manifold identity: 0 = 0 [ok]" in text
     assert "fold-only equality: not applicable" in text
+    # the depth-1 starts sample a curve, so their single hits raise no warning
+    assert "depth-1 system: 400 starts" in text and "warning" not in text
 
 
 def test_explain_missing_report(tmp_path):
@@ -208,6 +210,43 @@ def test_tolerance_override_roundtrip(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["tolerances"]["residual"] == 1e-11
     assert report["tolerances"]["max_resamples"] == 8
+
+
+@pytest.mark.parametrize("tolerances", [
+    {"residual": "abc"},
+    {"residual": None},
+    {"eigen_zero": float("nan")},
+    {"correctness": float("inf")},
+    {"multistart_density": "many"},
+    {"max_resamples": float("inf")},
+    {"curve_step": 0},
+    {"curve_step": -0.01},
+    {"dedup_radius": 0.0},
+    {"multistart_density": 0},
+    {"max_resamples": -1},
+])
+def test_malformed_tolerances_exit_64(tmp_path, capsys, tolerances):
+    data = json.loads(Path(str(scenario_path("s2-height"))).read_text())
+    data["tolerances"] = tolerances
+    path = write_scenario(tmp_path, data)
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == EXIT_FORMAT
+    assert "tolerance" in capsys.readouterr().err
+
+
+def test_explain_prints_solver_counters(tmp_path):
+    # on s4-height one fold point is reached by a single depth-1 start
+    assert run(RunConfig(scenario=str(scenario_path("s4-height")), out_dir=str(tmp_path))) == EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text())
+    solver = report["audits"]["solver"]
+    assert set(solver) == {"depth1", "k0"}
+    for counters in solver.values():
+        assert counters["starts"] >= counters["projected"] >= counters["converged"]
+        assert sum(counters["hits"]) == counters["converged"]
+        assert len(counters["hits"]) == counters["distinct"]
+    text = explain(tmp_path / "report.json")
+    assert "depth-1 system: 200 starts, 200 projected, 200 converged" in text
+    assert "k=0 census: 400 starts" in text
+    assert "warning: a depth-1 system root was reached by only one start" in text
 
 
 def test_bad_max_resamples_rejected():

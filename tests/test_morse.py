@@ -3,9 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from morinchi._numeric import fd_jacobian
+from morinchi import morse, strata
+from morinchi._numeric import NewtonResult, fd_jacobian
 from morinchi.morse import (
     Covector,
+    CriticalRecord,
     GenericityAudit,
     GenericityExhausted,
     MorseAuditError,
@@ -22,6 +24,7 @@ from morinchi.morse import (
     xi_sign,
 )
 from morinchi.strata import (
+    FoldCurve,
     SingularSystem,
     StratificationError,
     _make_point,
@@ -341,3 +344,31 @@ def test_seed_changes_covector_but_not_results(s2_height):
         a, data, audit, hist = run_with_genericity(s, st)
         outcomes.append(sorted(r.morse_index for r in data.k0_records))
     assert outcomes[0] == outcomes[1] == [0, 2]
+
+
+def test_unconverged_landing_is_a_stratification_error(flat_cusp, monkeypatch):
+    S = flat_cusp
+    p = _make_point(S, np.zeros(4), np.array([0.0, 1.0]), np.array([0.0]))
+    system = SingularSystem(S)
+    z = system.pack(p.x, p.cokernel, p.multiplier)
+
+    def stalled(system, z0):
+        return NewtonResult(np.asarray(z0, dtype=float), 1.0, False, 60)
+
+    monkeypatch.setattr(morse, "_plain_correct", stalled)
+    rec = CriticalRecord(x=p.x, stratum_depth=2, on_closure_of=1, morse_index=0,
+                         index_basis_dim=0)
+    with pytest.raises(StratificationError, match="land"):
+        classify_correctness(S, sample_covector(2, [0, 0]), rec, closure_depth=1, point=p)
+    with pytest.raises(StratificationError, match="land"):
+        morse._curve_context_at(S, None, p)
+
+    # the cusp bisection converges at once, then the landing on the cusp stalls
+    converges = iter([True, False])
+    monkeypatch.setattr(strata, "_plain_correct", lambda system, z0: NewtonResult(
+        np.asarray(z0, dtype=float), 0.0, next(converges), 1))
+    monkeypatch.setattr(strata, "_node_metrics", lambda S, system, z: (0.0, 0, 0))
+    curve = FoldCurve(nodes=np.array([z, z + 0.01]), closed=True, closure_error=0.0,
+                      det_values=np.array([1.0, -1.0]), parities=np.array([0, 1]))
+    with pytest.raises(StratificationError, match="land"):
+        strata._locate_cusps(S, system, curve)
