@@ -60,6 +60,15 @@ def min_norm_solve(A, b):
     return vecmat(vecmat(b, u) * inv, vt)
 
 
+def batch_width(d):
+    """Lanes per call for stacked work on d-dimensional systems.
+
+    A lane carries about d**2 entries (its Jacobian, SVD factors and jets),
+    so this many lanes keep a call within ``BATCH_ENTRIES``.
+    """
+    return max(1, BATCH_ENTRIES // max(1, d ** 2))
+
+
 def newton_batch(F, Z0, tol=1e-12, max_iter=60):
     """Damped Newton on a stack of starts, lane by lane.
 
@@ -71,7 +80,7 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60):
     which see at most ``BATCH_ENTRIES // d**2`` of them at a time.
     """
     Z0 = np.array(Z0, dtype=float, ndmin=2)
-    width = max(1, BATCH_ENTRIES // max(1, Z0.shape[1] ** 2))
+    width = batch_width(Z0.shape[1])
     parts = [_newton_lanes(F, Z0[i:i + width], tol, max_iter)
              for i in range(0, max(len(Z0), 1), width)]
     return BatchResult(*(np.concatenate([getattr(p, f) for p in parts])
@@ -176,12 +185,17 @@ def nullspace(A, rtol=1e-9):
 
 
 def sign_normalize(v, tol=1e-12):
-    """Flip v so its first component larger than tol in magnitude is positive."""
+    """Flip v so its first component larger than tol in magnitude is positive.
+
+    ``v`` is a vector or a stack of them along the last axis, each flipped
+    on its own.
+    """
     v = np.asarray(v, dtype=float)
-    for c in v:
-        if abs(c) > tol:
-            return v if c > 0 else -v
-    return v
+    if v.shape[-1] == 0:
+        return v
+    big = np.abs(v) > tol
+    lead = np.take_along_axis(v, np.argmax(big, axis=-1)[..., None], axis=-1)[..., 0]
+    return np.where((big.any(axis=-1) & (lead < 0))[..., None], -v, v)
 
 
 def dedup_points(points, radius):

@@ -252,6 +252,12 @@ def explain(report_path) -> str:
         if isolated and 1 in c["hits"]:
             lines.append(f"  warning: a {label} root was reached by only one start; "
                          f"other roots may have been missed")
+    if solver.get("curves"):
+        lines.append("curve continuation:")
+    for i, c in enumerate(solver.get("curves", ())):
+        lines.append(f"  curve {i}: {c['nodes']} nodes, {c['corrector_iterations']} corrector "
+                     f"iterations, {c['half_steps']} half-step fallbacks, "
+                     f"{c['bisection_steps']} cusp-bisection steps")
     gen = audits.get("genericity", {})
     if gen.get("history"):
         lines.append("resampled covectors before acceptance:")

@@ -15,7 +15,6 @@ from . import expr as ex
 from ._numeric import newton_batch, sign_normalize
 
 RANK_TOL = 1e-8
-FRAME_TOL = 1e-10
 
 
 class ManifoldError(ValueError):
@@ -32,11 +31,17 @@ class ProjectionError(ManifoldError):
 
 @dataclass(frozen=True)
 class TangentFrame:
-    """Orthonormal bases of T_pM (rows of ``tangent``) and its normal space."""
+    """Orthonormal bases of T_pM (rows of ``tangent``) and its normal space.
+
+    Frames of a stack of points carry a leading lane axis on every field.
+    """
 
     point: np.ndarray
     tangent: np.ndarray
     normal: np.ndarray
+
+    def lane(self, i) -> "TangentFrame":
+        return TangentFrame(self.point[i], self.tangent[i], self.normal[i])
 
 
 @dataclass(frozen=True)
@@ -114,52 +119,87 @@ def project_to_manifold(M: ImplicitManifold, x0, residual_tol=1e-12, max_iters=6
     return out.z[0]
 
 
-def tangent_frame(M: ImplicitManifold, p, tol=FRAME_TOL) -> TangentFrame:
+def tangent_frame(M: ImplicitManifold, p) -> TangentFrame:
     """Deterministic orthonormal frames at a point satisfying the constraints.
 
     The tangent basis is the coordinate basis projected to ker Dg(p) and
     orthonormalized in fixed index order; the normal basis comes from the
-    constraint gradients in declaration order.
+    constraint gradients in declaration order.  One lane of ``tangent_frames``.
     """
-    p = np.asarray(p, dtype=float)
-    if M.residual(p) > 1e-8:
-        raise ManifoldError(f"point off the manifold (residual {M.residual(p):.3e})")
-    J = M.jacobian(p)
-    sv = np.linalg.svd(J, compute_uv=False)
-    if sv[-1] < RANK_TOL:
-        raise RegularityError(f"constraint Jacobian rank-deficient at {p}")
+    frame, failures = tangent_frames(M, p)
+    if failures:
+        raise failures[0]
+    return frame.lane(0)
 
-    normal = []
-    for row in J:
-        v = row.copy()
-        for q in normal:
-            v -= (v @ q) * q
-        norm = np.linalg.norm(v)
-        if norm < RANK_TOL:
-            raise RegularityError("constraint gradients numerically dependent")
-        normal.append(v / norm)
-    normal = np.array(normal)
 
-    tangent = []
-    for i in range(M.ambient_dim):
-        v = np.zeros(M.ambient_dim)
-        v[i] = 1.0
-        for q in normal:
-            v -= (v @ q) * q
-        for q in tangent:
-            v -= (v @ q) * q
-        norm = np.linalg.norm(v)
-        if norm > 1e-6:
-            tangent.append(sign_normalize(v / norm))
-        if len(tangent) == M.intrinsic_dim:
-            break
-    if len(tangent) != M.intrinsic_dim:
-        raise RegularityError("could not complete a tangent basis")
-    tangent = np.array(tangent)
+def _dot(a, b):
+    """Lane-wise dot products of two (B, d) stacks, each summed as ``a[i] @ b[i]`` is."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
-    if float(np.max(np.abs(J @ tangent.T))) > 1e-6:
-        raise RegularityError("tangent basis fails the constraint Jacobian test")
-    return TangentFrame(point=p, tangent=tangent, normal=normal)
+
+def tangent_frames(M: ImplicitManifold, X):
+    """``tangent_frame`` at a point (N,) or at each point of a stack (B, N).
+
+    Returns the frames with a lane axis (B = 1 for a point; tangent (B, m, N),
+    normal (B, c, N)) and a dict from lane to the first error ``tangent_frame``
+    raises there.  A failing lane gets a placeholder frame so the other lanes
+    can go on.
+    """
+    X = np.asarray(X, dtype=float)
+    N, m = M.ambient_dim, M.intrinsic_dim
+    residual = np.max(np.abs(M.g(X)), axis=-1).reshape(-1)
+    J = M.jacobian(X).reshape(-1, N - m, N)
+    X = X.reshape(-1, N)
+    failures = {}
+
+    def fail(lanes, error):
+        for i in np.flatnonzero(lanes):
+            failures.setdefault(int(i), error(int(i)))
+        return lanes
+
+    placeholder = np.eye(N - m, N)
+    bad = fail(~(residual <= 1e-8), lambda i: ManifoldError(
+        f"point off the manifold (residual {residual[i]:.3e})"))
+    J = np.where(bad[:, None, None], placeholder, J)
+    sv = np.linalg.svd(J, compute_uv=False)[:, -1]
+    bad = fail(sv < RANK_TOL, lambda i: RegularityError(
+        f"constraint Jacobian rank-deficient at {X[i]}"))
+    J = np.where(bad[:, None, None], placeholder, J)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        normal = np.empty_like(J)
+        for r in range(N - m):
+            v = J[:, r].copy()
+            for q in normal[:, :r].transpose(1, 0, 2):
+                v -= _dot(v, q)[:, None] * q
+            norm = np.sqrt(_dot(v, v))
+            fail(norm < RANK_TOL, lambda i: RegularityError(
+                "constraint gradients numerically dependent"))
+            normal[:, r] = v / norm[:, None]
+
+        tangent = np.zeros((len(X), m, N))
+        count = np.zeros(len(X), dtype=int)
+        for i in range(N):
+            if np.all(count == m):
+                break
+            v = np.zeros((len(X), N))
+            v[:, i] = 1.0
+            for q in normal.transpose(1, 0, 2):
+                v -= _dot(v, q)[:, None] * q
+            for j in range(int(count.max())):
+                q = tangent[:, j]
+                v = np.where((j < count)[:, None], v - _dot(v, q)[:, None] * q, v)
+            norm = np.sqrt(_dot(v, v))
+            take = np.flatnonzero((norm > 1e-6) & (count < m))
+            tangent[take, count[take]] = v[take] / norm[take, None]
+            count[take] += 1
+    # the projections above do not depend on the signs of the basis vectors
+    tangent = sign_normalize(tangent)
+    fail(count != m, lambda i: RegularityError("could not complete a tangent basis"))
+    test = np.max(np.abs(J @ np.swapaxes(tangent, -1, -2)), axis=(-2, -1))
+    fail(test > 1e-6, lambda i: RegularityError(
+        "tangent basis fails the constraint Jacobian test"))
+    return TangentFrame(point=X, tangent=tangent, normal=normal), failures
 
 
 def validate_regularity(M: ImplicitManifold, count: int, seed: int,

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._numeric import (
+    batch_width,
     dedup_points,
     eig_sign_counts,
     min_norm_solve,
@@ -347,18 +348,11 @@ def _stratum_record(S, a, z, nu, res, sysc) -> CriticalRecord:
 
 
 def _curve_phi_values(S, a, curve):
-    """Derivative of h along the curve at every node, with a consistent orientation."""
-    system = SingularSystem(S)
-    phis = []
-    tangents = []
-    prev = None
-    for z in curve.nodes:
-        t = _curve_tangent(system, z, prev=prev)
-        x = z[:S.N]
-        phis.append(float((S.Df(x).T @ a) @ t[:S.N]))
-        tangents.append(t)
-        prev = t
-    return np.array(phis), tangents
+    """Derivative of h along the curve at every node, in the trace's orientation."""
+    X = curve.x_nodes(S.N)
+    width = batch_width(curve.nodes.shape[1])
+    Df = np.concatenate([S.Df(X[i:i + width]) for i in range(0, len(X), width)])
+    return np.einsum("l,kli,ki->k", a, Df, curve.tangents[:, :S.N])
 
 
 def _bisect_phi_zero(S, a, system, za, zb, phi_a):
@@ -386,7 +380,7 @@ def _critical_points_on_curves(S, a: Covector, strat: Stratification):
     fold_zeros = []
     cusp_hits = {}
     for curve in strat.curves:
-        phis, _ = _curve_phi_values(S, a.a, curve)
+        phis = _curve_phi_values(S, a.a, curve)
         K = len(phis)
         for i in range(K):
             j = (i + 1) % K

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import expr as ex
 from ._numeric import (
+    batch_width,
     dedup_points,
     eig_sign_counts,
     min_norm_solve,
@@ -37,7 +38,7 @@ from .manifold import (  # noqa: F401  (project_to_manifold stays bound here for
     RegularityError,
     project_points,
     project_to_manifold,
-    tangent_frame,
+    tangent_frames,
     validate_regularity,
 )
 
@@ -52,12 +53,6 @@ class MorinnessError(RuntimeError):
 
 class StratificationError(RuntimeError):
     """Structural failure while computing the singular set."""
-
-
-# a trace closes only once a step is shorter than its distance back to the
-# start, deduplication needs a radius, and the solves need at least one start
-# and one covector
-_POSITIVE_TOLERANCES = ("curve_step", "dedup_radius", "multistart_density", "max_resamples")
 
 
 @dataclass(frozen=True)
@@ -87,7 +82,9 @@ class Tolerances:
                 raise ScenarioFormatError(f"tolerance {name!r}: {exc}") from exc
             if not math.isfinite(value):
                 raise ScenarioFormatError(f"tolerance {name!r} must be finite, got {value}")
-            if name in _POSITIVE_TOLERANCES and value <= 0:
+            # every tolerance is a threshold, radius, step or count that is
+            # meaningless at zero or below
+            if value <= 0:
                 raise ScenarioFormatError(f"tolerance {name!r} must be positive, got {value}")
             kwargs[name] = value
         return Tolerances(**kwargs)
@@ -329,28 +326,42 @@ def singular_system(scenario: MorinScenario) -> SingularSystem:
 # -- pointwise stratum data ---------------------------------------------------
 
 
-def _kernel_data(S: MorinScenario, x, u):
-    """Orthonormal ambient kernel basis of d(f|M)(x) at a corank-1 point."""
-    frame = tangent_frame(S.manifold, x)
-    A = S.Df(x) @ frame.tangent.T            # (n, m) differential in the frame
+def _kernel_data(S: MorinScenario, x):
+    """Orthonormal ambient kernel basis of d(f|M) at a corank-1 point.
+
+    ``x`` is a point (N,) or a stack (B, N); a stack gives stacked bases
+    (B, N, m - n + 1).  Every check runs lane by lane, and the error raised
+    is the first failing lane's, as a loop over the points would raise it.
+    """
+    K, failures = _kernel_lanes(S, x)
+    if failures:
+        raise failures[min(failures)]
+    return K[0] if np.ndim(x) == 1 else K
+
+
+def _kernel_lanes(S: MorinScenario, x):
+    """Kernel bases with a lane axis, and the error of each failing lane
+    (a dict from lane to the first error ``_kernel_data`` reports there)."""
+    frame, failures = tangent_frames(S.manifold, x)
+    T = frame.tangent                        # (B, m, N)
+    A = S.Df(x).reshape(-1, S.n, S.N) @ np.swapaxes(T, -1, -2)   # differential in the frame
+    A[list(failures)] = 0.0                  # placeholder lanes, already failed
     svals = np.linalg.svd(A, compute_uv=False)
-    scale = max(float(svals[0]) if len(svals) else 1.0, 1.0)
-    corank = int(np.sum(svals < 1e-7 * scale)) if len(svals) else S.n
-    if corank == 0:
-        raise StratificationError("point is not singular (full-rank differential)")
-    if corank > 1:
-        raise MorinnessError(f"corank {corank} > 1 at {x}: map is not Morin there")
+    scale = np.maximum(svals[:, 0], 1.0)
+    corank = np.sum(svals < 1e-7 * scale[:, None], axis=1)
+    for i in np.flatnonzero(corank == 0):
+        failures.setdefault(int(i), StratificationError(
+            "point is not singular (full-rank differential)"))
+    for i in np.flatnonzero(corank > 1):
+        failures.setdefault(int(i), MorinnessError(
+            f"corank {corank[i]} > 1 at {frame.point[i]}: map is not Morin there"))
     # kernel in frame coordinates, then back to ambient; with full_matrices the
     # trailing right-singular vectors span the null space of the rank-(n-1) map
     _, _, vt = np.linalg.svd(A, full_matrices=True)
-    kdim = S.m - (S.n - 1)
-    K_frame = vt[S.n - 1:].T
-    K = frame.tangent.T @ K_frame
+    K = np.swapaxes(T, -1, -2) @ np.swapaxes(vt[:, S.n - 1:], -1, -2)
     # deterministic column signs
-    K = np.column_stack([sign_normalize(K[:, j]) for j in range(K.shape[1])])
-    if K.shape[1] != kdim:
-        raise StratificationError(f"kernel dimension {K.shape[1]} != {kdim}")
-    return frame, K
+    K = np.swapaxes(sign_normalize(np.swapaxes(K, -1, -2)), -1, -2)
+    return K, failures
 
 
 def kernel_hessian(S: MorinScenario, p: StratumPoint) -> QuadraticSignature:
@@ -426,7 +437,7 @@ def _initial_guesses(S: MorinScenario, system: SingularSystem, X0):
     x, Dg, tangent = x[regular], Dg[regular], vt[regular, S.c:]
     Df = S.Df(x)
     U = np.linalg.svd(Df @ np.swapaxes(tangent, -1, -2))[0]
-    u0 = np.array([sign_normalize(u) for u in U[:, :, S.n - 1]]).reshape(len(x), S.n)
+    u0 = sign_normalize(U[:, :, S.n - 1])
     mu0 = min_norm_solve(np.swapaxes(Dg, -1, -2), vecmat(u0, Df))
     return system.pack(x, None if system.reduced else u0, mu0)
 
@@ -476,25 +487,38 @@ def _normalize_pair(u, mu, tol=1e-12):
 
 
 def _points_from_solutions(S, system, solutions, kept) -> list[StratumPoint]:
+    """Stratum points at the kept solutions, in order; a point whose kernel
+    data fails as a non-singular or irregular point is skipped.
+
+    The kernel bases come from one stacked call (``batch_width`` lanes at a
+    time); every other error raises at its point, as in a loop.
+    """
+    kept = list(kept)
+    width = batch_width(system.dim_z)
+    lanes = [_kernel_lanes(S, system.unpack(solutions[kept[i:i + width]])[0])
+             for i in range(0, len(kept), width)]
     points = []
-    for idx in kept:
-        z = solutions[idx]
-        x, u, mu = system.unpack(z)
-        u, mu = _normalize_pair(u, mu)
-        try:
-            p = _make_point(S, x, u, mu, system)
-        except (StratificationError, RegularityError):
+    for j, idx in enumerate(kept):
+        K, failures = lanes[j // width]
+        error = failures.get(j % width)
+        if isinstance(error, (StratificationError, RegularityError)):
             continue
-        points.append(p)
+        if error is not None:
+            raise error
+        x, u, mu = system.unpack(solutions[idx])
+        u, mu = _normalize_pair(u, mu)
+        points.append(_make_point(S, x, u, mu, system, K[j % width]))
     points.sort(key=lambda p: tuple(np.round(p.x, 9)))
     return points
 
 
-def _make_point(S, x, u, mu, system=None) -> StratumPoint:
+def _make_point(S, x, u, mu, system=None, K=None) -> StratumPoint:
+    """Depth-1 stratum point at a solution; ``K``, when given, is its kernel basis."""
     system = system or SingularSystem(S)
     z = system.pack(x, None if system.reduced else u, mu)
     res = float(np.max(np.abs(system.residual(z))))
-    _, K = _kernel_data(S, x, u)
+    if K is None:
+        K = _kernel_data(S, x)
     p = StratumPoint(
         x=np.asarray(x, dtype=float),
         depth=1,
@@ -552,7 +576,7 @@ def _curve_tangent(system, z, prev=None):
 
 def _near_zero_eig(S, x, u, mu):
     """The smallest-magnitude eigenvalue of the kernel Hessian (signed)."""
-    _, K = _kernel_data(S, x, u)
+    K = _kernel_data(S, x)
     HK = K.T @ S.lagrangian_hessian(x, u, mu) @ K
     vals = np.linalg.eigvalsh(0.5 * (HK + HK.T))
     return float(vals[np.argmin(np.abs(vals))])
@@ -658,26 +682,31 @@ class FoldCurve:
     closure_error: float
     det_values: np.ndarray          # det of kernel Hessian per node
     parities: np.ndarray            # negative-eigenvalue parity per node (0/1)
+    tangents: np.ndarray            # (K, dim_z) unit tangents, one orientation
     cusps: list = field(default_factory=list)       # StratumPoint, depth 2
     cusp_positions: list = field(default_factory=list)  # fractional node index
     arcs: list = field(default_factory=list)
+    solver: dict = field(default_factory=dict)      # deterministic tracing counters
 
     def x_nodes(self, N):
         return self.nodes[:, :N]
 
 
 def _node_metrics(S, system, z):
+    """Determinant and negative-eigenvalue parity of the kernel Hessian at a
+    node (dim_z,) or at each node of a stack (B, dim_z)."""
     x, u, mu = system.unpack(z)
-    _, K = _kernel_data(S, x, u)
-    HK = K.T @ S.lagrangian_hessian(x, u, mu) @ K
-    HK = 0.5 * (HK + HK.T)
+    K = _kernel_data(S, x)
+    HK = np.swapaxes(K, -1, -2) @ S.lagrangian_hessian(x, u, mu) @ K
+    HK = 0.5 * (HK + np.swapaxes(HK, -1, -2))
     vals = np.linalg.eigvalsh(HK)
-    det = float(np.prod(vals))
+    det = np.prod(vals, axis=-1)
     # strict sign count: near a cusp the crossing eigenvalue must contribute
     # its side's sign rather than falling into the zero bucket
-    parity = int(np.sum(vals < 0)) % 2
-    n_zero = eig_sign_counts(HK, S.tolerances.eigen_zero)[2]
-    return det, parity, n_zero
+    parity = np.sum(vals < 0, axis=-1) % 2
+    if np.ndim(z) == 1:
+        return float(det), int(parity)
+    return det, parity
 
 
 def trace_fold_curve(S: MorinScenario, z_start, max_steps=200000) -> FoldCurve:
@@ -699,12 +728,16 @@ def trace_fold_curve(S: MorinScenario, z_start, max_steps=200000) -> FoldCurve:
     t = _curve_tangent(system, z0)
     nodes = [z0]
     tangents = [t]
+    half_steps = iterations = 0
     z, closed, closure_error = z0, False, np.inf
     for step in range(max_steps):
         out = _corrector(system, z + h * t, t)
+        iterations += out.iterations
         if not out.converged:
             # halve the step locally rather than failing the whole trace
+            half_steps += 1
             out = _corrector(system, z + 0.5 * h * t, t)
+            iterations += out.iterations
             if not out.converged:
                 raise StratificationError("continuation corrector failed")
         z_new = out.z
@@ -712,6 +745,7 @@ def trace_fold_curve(S: MorinScenario, z_start, max_steps=200000) -> FoldCurve:
         if step > 2 and np.linalg.norm(z_new - z0) < h:
             # land the returning branch on the plane through the start point
             snap = _snap_to_plane(system, z_new, z0, tangents[0])
+            iterations += snap.iterations
             closure_error = float(np.linalg.norm(snap.z - z0)) if snap.converged else np.inf
             closed = True
             break
@@ -722,17 +756,18 @@ def trace_fold_curve(S: MorinScenario, z_start, max_steps=200000) -> FoldCurve:
         raise StratificationError("trace did not close (open curve or step budget hit)")
 
     nodes = np.array(nodes)
-    dets, pars = [], []
-    for zn in nodes:
-        det, par, _ = _node_metrics(S, system, zn)
-        dets.append(det)
-        pars.append(par)
+    width = batch_width(system.dim_z)
+    metrics = [_node_metrics(S, system, nodes[i:i + width])
+               for i in range(0, len(nodes), width)]
     curve = FoldCurve(
         nodes=nodes,
         closed=True,
         closure_error=closure_error,
-        det_values=np.array(dets),
-        parities=np.array(pars, dtype=int),
+        det_values=np.concatenate([det for det, _ in metrics]),
+        parities=np.concatenate([par for _, par in metrics]),
+        tangents=np.array(tangents),
+        solver={"nodes": len(nodes), "half_steps": half_steps,
+                "corrector_iterations": iterations},
     )
     _locate_cusps(S, system, curve)
     _build_arcs(S, curve)
@@ -742,6 +777,7 @@ def trace_fold_curve(S: MorinScenario, z_start, max_steps=200000) -> FoldCurve:
 def _locate_cusps(S, system, curve: FoldCurve):
     dets = curve.det_values
     K = len(dets)
+    steps = 0
     for i in range(K):
         j = (i + 1) % K
         if dets[i] == 0.0:
@@ -751,10 +787,11 @@ def _locate_cusps(S, system, curve: FoldCurve):
         za, zb = curve.nodes[i], curve.nodes[j]
         da = dets[i]
         for _ in range(60):
+            steps += 1
             mid = _plain_correct(system, 0.5 * (za + zb))
             if not mid.converged:
                 raise StratificationError("cusp bisection lost the curve")
-            dm, _, _ = _node_metrics(S, system, mid.z)
+            dm, _ = _node_metrics(S, system, mid.z)
             if dm == 0.0 or np.linalg.norm(zb - za) < 1e-14:
                 za = zb = mid.z
                 break
@@ -780,6 +817,7 @@ def _locate_cusps(S, system, curve: FoldCurve):
             )
         curve.cusps.append(p)
         curve.cusp_positions.append(i + 0.5)
+    curve.solver["bisection_steps"] = steps
     # a cokernel that returns to minus itself makes the trace cover the base
     # curve twice; cusp bookkeeping would then double-count, so fail loudly
     for i in range(len(curve.cusps)):
@@ -882,6 +920,7 @@ def compute_stratification(S: MorinScenario, regularity_count=20) -> Stratificat
             cusps.extend(curve.cusps)
         cusps.sort(key=lambda p: tuple(np.round(p.x, 9)))
         _classify_cloud(S, points, cusps)
+        audits["solver"]["curves"] = [curve.solver for curve in curves]
         audits["curve_count"] = len(curves)
         audits["closure_errors"] = [c.closure_error for c in curves]
         audits["cusp_count"] = len(cusps)

@@ -1,8 +1,9 @@
-"""Stacked jets and the lane-wise batched Newton against their references.
+"""Stacked jets, the lane-wise batched Newton and the stacked kernel geometry
+against their references.
 
-The single-point jets and the scalar ``newton`` are the references: a stack
-must give what a loop over its points gives, up to the rounding of a
-different summation order.
+The single-point jets, the scalar ``newton`` and the per-point frames, node
+metrics and tangents are the references: a stack must give what a loop over
+its points gives, up to the rounding of a different summation order.
 """
 
 from __future__ import annotations
@@ -14,8 +15,33 @@ import pytest
 
 from morinchi import expr as ex
 from morinchi._numeric import newton, newton_batch
-from morinchi.morse import StratumCriticalSystem, _AmbientCriticalSystem, _k0_starts, sample_covector
-from morinchi.strata import SingularSystem, _initial_guesses, _multistart_seeds, solve_stratum1
+from morinchi.manifold import (
+    ImplicitManifold,
+    ManifoldError,
+    RegularityError,
+    project_points,
+    tangent_frame,
+    tangent_frames,
+)
+from morinchi.morse import (
+    StratumCriticalSystem,
+    _AmbientCriticalSystem,
+    _curve_phi_values,
+    _k0_starts,
+    sample_covector,
+)
+from morinchi.strata import (
+    SingularSystem,
+    StratificationError,
+    _curve_tangent,
+    _initial_guesses,
+    _kernel_data,
+    _multistart_seeds,
+    _node_metrics,
+    compute_stratification,
+    load_scenario,
+    solve_stratum1,
+)
 from tests.conftest import bundled
 
 ALL_SCENARIOS = ["s2-height", "torus-height", "s3-proj", "s4-height",
@@ -122,3 +148,91 @@ def test_newton_batch_stops_failing_lanes_like_newton():
     out = _agree_lane_by_lane(residual, jacobian, Z0, 1e-12, 20)
     assert out.converged.tolist() == [True, True, False]
     assert out.iterations[1] == 0
+
+
+# -- stacked kernel geometry ------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ALL_SCENARIOS)
+def test_tangent_frames_match_tangent_frame(name):
+    S = bundled(name)
+    w = S.manifold.sample_halfwidth
+    X = np.random.default_rng([7, S.N]).uniform(-w, w, (200, S.N))
+    proj = project_points(S.manifold, X)
+    P = proj.z[proj.converged]
+    assert len(P) > 100
+    frames, failures = tangent_frames(S.manifold, P)
+    assert not failures
+    single = [tangent_frame(S.manifold, p) for p in P]
+    _assert_close(frames.tangent, np.array([f.tangent for f in single]))
+    _assert_close(frames.normal, np.array([f.normal for f in single]))
+
+
+def test_tangent_frames_report_every_failing_lane():
+    # a cone: its apex lies on M, where the constraint gradient vanishes
+    cone = ImplicitManifold(3, [ex.parse_prefix("(+ (^ x0 2) (^ x1 2) (* -1 (^ x2 2)))", 3)],
+                            2, compact=False)
+    on, apex, off = np.array([0.6, 0.8, 1.0]), np.zeros(3), np.array([0.0, 0.0, 3.0])
+    frames, failures = tangent_frames(cone, np.array([on, off, apex, on]))
+    assert frames.tangent.shape == (4, 2, 3)
+    assert sorted(failures) == [1, 2]
+    assert type(failures[1]) is ManifoldError and "off the manifold" in str(failures[1])
+    assert type(failures[2]) is RegularityError and "rank-deficient" in str(failures[2])
+    for lane in (0, 3):
+        assert np.array_equal(frames.lane(lane).tangent, tangent_frame(cone, on).tangent)
+    with pytest.raises(RegularityError, match="rank-deficient"):
+        tangent_frame(cone, apex)
+
+
+def test_stacked_kernel_data_raises_for_the_first_failing_lane():
+    cone = load_scenario({
+        "name": "cone", "ambient_dim": 3, "intrinsic_dim": 2,
+        "constraints": ["(+ (^ x0 2) (^ x1 2) (* -1 (^ x2 2)))"],
+        "target_dim": 1, "components": ["x2"], "compact": False,
+    })
+    # on the cone the height has a full-rank differential, off the apex
+    on, apex, off = np.array([0.6, 0.8, 1.0]), np.zeros(3), np.array([0.0, 0.0, 3.0])
+    with pytest.raises(ManifoldError, match="off the manifold") as info:
+        _kernel_data(cone, np.array([off, apex, on]))
+    assert info.type is ManifoldError
+    with pytest.raises(RegularityError, match="rank-deficient"):
+        _kernel_data(cone, np.array([apex, off, on]))
+    with pytest.raises(StratificationError, match="not singular"):
+        _kernel_data(cone, np.array([on, off, apex]))
+
+
+@pytest.fixture(scope="module")
+def fold_curves():
+    """The traced curves of the two bundled n = 2 scenarios."""
+    return {name: (bundled(name), compute_stratification(bundled(name)).curves)
+            for name in ("s3-proj", "s3-cusps")}
+
+
+@pytest.mark.parametrize("name", ["s3-proj", "s3-cusps"])
+def test_stacked_node_metrics_match_the_node_loop(fold_curves, name):
+    S, curves = fold_curves[name]
+    system = SingularSystem(S)
+    for curve in curves:
+        det, parity = _node_metrics(S, system, curve.nodes)
+        loop = [_node_metrics(S, system, z) for z in curve.nodes]
+        want = np.array([d for d, _ in loop])
+        assert parity.tolist() == [p for _, p in loop] == curve.parities.tolist()
+        for got in (det, curve.det_values):
+            assert np.array_equal(np.sign(got), np.sign(want))
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["s3-proj", "s3-cusps"])
+def test_curve_tangents_are_the_tangent_chain(fold_curves, name):
+    S, curves = fold_curves[name]
+    system = SingularSystem(S)
+    a = sample_covector(S.n, [S.seed, 0]).a
+    for curve in curves:
+        prev, phis = None, []
+        for z, t in zip(curve.nodes, curve.tangents):
+            prev = _curve_tangent(system, z, prev=prev)
+            assert np.array_equal(t, prev)
+            phis.append(float((S.Df(z[:S.N]).T @ a) @ prev[:S.N]))
+        stacked = _curve_phi_values(S, a, curve)
+        assert np.array_equal(np.sign(stacked), np.sign(phis))
+        _assert_close(stacked, phis)

@@ -224,6 +224,12 @@ def test_tolerance_override_roundtrip(tmp_path):
     {"dedup_radius": 0.0},
     {"multistart_density": 0},
     {"max_resamples": -1},
+    # non-positive thresholds: a negative residual made the multistart find
+    # nothing (exit 66), the others ran to a verdict
+    {"residual": -1e-12},
+    {"correctness": -1},
+    {"eigen_zero": 0},
+    {"depth_slope": 0.0},
 ])
 def test_malformed_tolerances_exit_64(tmp_path, capsys, tolerances):
     data = json.loads(Path(str(scenario_path("s2-height"))).read_text())
@@ -247,6 +253,26 @@ def test_explain_prints_solver_counters(tmp_path):
     assert "depth-1 system: 200 starts, 200 projected, 200 converged" in text
     assert "k=0 census: 400 starts" in text
     assert "warning: a depth-1 system root was reached by only one start" in text
+
+
+def test_report_counts_curve_tracing_work(tmp_path):
+    d1, d2 = tmp_path / "a", tmp_path / "b"
+    for d in (d1, d2):
+        assert run(RunConfig(scenario=str(scenario_path("s3-cusps")), out_dir=str(d))) == EXIT_OK
+    assert (d1 / "report.json").read_bytes() == (d2 / "report.json").read_bytes()
+    curves = json.loads((d1 / "report.json").read_text())["audits"]["solver"]["curves"]
+    with open(d1 / "curves.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [c["nodes"] for c in curves] == [sum(r[0] == str(i) for r in rows)
+                                            for i in range(len(curves))]
+    (c,) = curves
+    assert set(c) == {"nodes", "half_steps", "corrector_iterations", "bisection_steps"}
+    # every step needs a corrector iteration; each of the two cusps is bisected
+    assert c["corrector_iterations"] >= c["nodes"] and c["bisection_steps"] >= 2
+    text = explain(d1 / "report.json")
+    assert (f"curve 0: {c['nodes']} nodes, {c['corrector_iterations']} corrector iterations, "
+            f"{c['half_steps']} half-step fallbacks, {c['bisection_steps']} cusp-bisection "
+            f"steps") in text
 
 
 def test_bad_max_resamples_rejected():

@@ -367,8 +367,9 @@ def test_unconverged_landing_is_a_stratification_error(flat_cusp, monkeypatch):
     converges = iter([True, False])
     monkeypatch.setattr(strata, "_plain_correct", lambda system, z0: NewtonResult(
         np.asarray(z0, dtype=float), 0.0, next(converges), 1))
-    monkeypatch.setattr(strata, "_node_metrics", lambda S, system, z: (0.0, 0, 0))
+    monkeypatch.setattr(strata, "_node_metrics", lambda S, system, z: (0.0, 0))
     curve = FoldCurve(nodes=np.array([z, z + 0.01]), closed=True, closure_error=0.0,
-                      det_values=np.array([1.0, -1.0]), parities=np.array([0, 1]))
+                      det_values=np.array([1.0, -1.0]), parities=np.array([0, 1]),
+                      tangents=np.zeros((2, len(z))))
     with pytest.raises(StratificationError, match="land"):
         strata._locate_cusps(S, system, curve)

@@ -198,9 +198,8 @@ def test_corank_two_point_rejected(s3_proj):
         "compact": False,
     })
     x = np.array([0.0, 0.0, 1.0, 0.0])
-    u = np.array([1.0, -1.0]) / np.sqrt(2)
     with pytest.raises(MorinnessError, match="corank"):
-        _kernel_data(bad, x, u)
+        _kernel_data(bad, x)
 
 
 # -- fold curve tracing ---------------------------------------------------------
