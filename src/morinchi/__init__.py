@@ -7,135 +7,15 @@ quadratic form, runs Morse theory (with boundary corrections) on every
 stratum, and machine-checks the resulting Euler characteristic identities
 against independent point/arc/circle counting oracles.
 
-Typical entry points: ``strata.load_scenario`` to read a scenario file,
-``cli.run_pipeline`` for the full verification, or the ``morinchi`` command
-line tool.
+Entry points: ``load_scenario`` to read a scenario file, ``run_pipeline``
+for the full verification, or the ``morinchi`` command line tool.  The
+modules (``expr``, ``manifold``, ``strata``, ``morse``, ``euler``, ``cli``)
+hold the layers.
 """
 
-from .expr import (
-    DimensionMismatch,
-    Expr,
-    ExprError,
-    differentiate,
-    directional_derivative,
-    evaluate,
-    gradient,
-    parse_prefix,
-    to_prefix,
-)
-from .manifold import (
-    ImplicitManifold,
-    ManifoldError,
-    ProjectionError,
-    RegularityError,
-    TangentFrame,
-    project_to_manifold,
-    standard_manifold,
-    tangent_frame,
-    validate_regularity,
-)
-from .strata import (
-    MorinScenario,
-    MorinnessError,
-    QuadraticSignature,
-    ScenarioFormatError,
-    Stratification,
-    StratificationError,
-    StratumPoint,
-    Tolerances,
-    classify_depth,
-    compute_stratification,
-    kernel_hessian,
-    load_scenario,
-    sign_split,
-    singular_system,
-    solve_stratum1,
-)
-from .morse import (
-    Covector,
-    CriticalRecord,
-    GenericityExhausted,
-    GenericityFailure,
-    MorseData,
-    PerturbationCertificate,
-    check_fold_index_parity,
-    classify_correctness,
-    critical_points_on_stratum,
-    eta_sign,
-    perturbation_certificate,
-    run_with_genericity,
-    sample_covector,
-    validate_genericity,
-    xi_sign,
-)
-from .euler import (
-    EulerReport,
-    build_report,
-    chi_closed_morse,
-    chi_stratum_oracle,
-    chi_stratum_via_morse,
-    chi_with_boundary,
-    verify_fold_equality,
-    verify_mod2_congruence,
-)
+from .cli import run_pipeline
+from .strata import load_scenario
 
-__all__ = [
-    "Covector",
-    "CriticalRecord",
-    "DimensionMismatch",
-    "EulerReport",
-    "Expr",
-    "ExprError",
-    "GenericityExhausted",
-    "GenericityFailure",
-    "ImplicitManifold",
-    "ManifoldError",
-    "MorinScenario",
-    "MorinnessError",
-    "MorseData",
-    "PerturbationCertificate",
-    "ProjectionError",
-    "QuadraticSignature",
-    "RegularityError",
-    "ScenarioFormatError",
-    "Stratification",
-    "StratificationError",
-    "StratumPoint",
-    "TangentFrame",
-    "Tolerances",
-    "build_report",
-    "check_fold_index_parity",
-    "chi_closed_morse",
-    "chi_stratum_oracle",
-    "chi_stratum_via_morse",
-    "chi_with_boundary",
-    "classify_correctness",
-    "classify_depth",
-    "compute_stratification",
-    "critical_points_on_stratum",
-    "differentiate",
-    "directional_derivative",
-    "eta_sign",
-    "evaluate",
-    "gradient",
-    "kernel_hessian",
-    "load_scenario",
-    "parse_prefix",
-    "perturbation_certificate",
-    "project_to_manifold",
-    "run_with_genericity",
-    "sample_covector",
-    "sign_split",
-    "singular_system",
-    "solve_stratum1",
-    "standard_manifold",
-    "tangent_frame",
-    "to_prefix",
-    "validate_genericity",
-    "validate_regularity",
-    "verify_fold_equality",
-    "verify_mod2_congruence",
-    "xi_sign",
-]
+__all__ = ["load_scenario", "run_pipeline", "__version__"]
 
 __version__ = "0.1.0"

@@ -136,12 +136,13 @@ def _max_abs(R):
     return np.max(np.abs(R), axis=1) if R.shape[1] else np.zeros(R.shape[0])
 
 
-def newton(residual_fn, jacobian_fn, z0, tol=1e-12, max_iter=60, damping=True):
-    """Newton iteration on a square or rectangular system via least squares.
+def newton(residual_fn, jacobian_fn, z0, tol=1e-12, max_iter=60):
+    """Damped Newton iteration on a square or rectangular system via least squares.
 
     Rectangular systems are solved in the minimal-norm / least-squares sense,
     which keeps iterates near the starting sheet of a positive-dimensional
-    solution set.
+    solution set.  The step is halved up to ``LINE_SEARCH_HALVINGS`` times
+    until the max-norm residual decreases.
     """
     z = np.asarray(z0, dtype=float).copy()
     res = np.asarray(residual_fn(z), dtype=float)
@@ -157,21 +158,16 @@ def newton(residual_fn, jacobian_fn, z0, tol=1e-12, max_iter=60, damping=True):
         if not np.all(np.isfinite(step)):
             return NewtonResult(z, norm, False, it)
         scale = 1.0
-        if damping:
-            for _ in range(LINE_SEARCH_HALVINGS):
-                z_try = z + scale * step
-                res_try = np.asarray(residual_fn(z_try), dtype=float)
-                norm_try = float(np.max(np.abs(res_try)))
-                if np.isfinite(norm_try) and (norm_try < norm or norm <= tol):
-                    break
-                scale *= 0.5
-            else:
-                return NewtonResult(z, norm, False, it)
-            z, res, norm = z_try, res_try, norm_try
+        for _ in range(LINE_SEARCH_HALVINGS):
+            z_try = z + scale * step
+            res_try = np.asarray(residual_fn(z_try), dtype=float)
+            norm_try = float(np.max(np.abs(res_try)))
+            if np.isfinite(norm_try) and (norm_try < norm or norm <= tol):
+                break
+            scale *= 0.5
         else:
-            z = z + step
-            res = np.asarray(residual_fn(z), dtype=float)
-            norm = float(np.max(np.abs(res)))
+            return NewtonResult(z, norm, False, it)
+        z, res, norm = z_try, res_try, norm_try
     return NewtonResult(z, norm, norm <= tol, max_iter)
 
 
@@ -250,20 +246,6 @@ def eig_sign_counts(H, zero_tol_factor=1e-6):
     n_plus = int(np.sum(vals >= cut))
     n_minus = int(np.sum(vals <= -cut))
     return n_plus, n_minus, n_zero
-
-
-def fd_hessian(grad_fn, z, step=1e-5):
-    """Symmetric finite-difference Hessian from an analytic gradient."""
-    z = np.asarray(z, dtype=float)
-    d = len(z)
-    H = np.empty((d, d))
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = step
-        gp = np.asarray(grad_fn(z + e), dtype=float)
-        gm = np.asarray(grad_fn(z - e), dtype=float)
-        H[i] = (gp - gm) / (2 * step)
-    return 0.5 * (H + H.T)
 
 
 def fd_jacobian(fn, z, step=1e-7):

@@ -47,7 +47,6 @@ class RunConfig:
     out_dir: str = "."
     tol_residual: float | None = None
     max_resamples: int | None = None
-    emit: tuple = ("report.json", "strata.csv", "critical.csv", "curves.csv")
     tolerance_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -104,14 +103,10 @@ def run(config: RunConfig) -> int:
 
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if "report.json" in config.emit:
-        (out / "report.json").write_text(report.to_json())
-    if "strata.csv" in config.emit:
-        _write_strata_csv(out / "strata.csv", S, strat)
-    if "critical.csv" in config.emit:
-        _write_critical_csv(out / "critical.csv", S, data)
-    if "curves.csv" in config.emit:
-        _write_curves_csv(out / "curves.csv", S, strat)
+    (out / "report.json").write_text(report.to_json())
+    _write_strata_csv(out / "strata.csv", S, strat)
+    _write_critical_csv(out / "critical.csv", S, data)
+    _write_curves_csv(out / "curves.csv", S, strat)
 
     print(_verdict_line(report))
     return EXIT_OK if report.all_ok else EXIT_IDENTITY
@@ -170,21 +165,27 @@ def bundled_scenarios():
 
 
 def list_scenarios(extra_dir=None) -> str:
-    """Table of bundled (and optionally user-supplied) scenarios."""
+    """Table of bundled (and optionally user-supplied) scenarios.
+
+    A file that is not a scenario (unreadable, not JSON, or without its
+    dimensions) raises ScenarioFormatError.
+    """
     rows = []
     sources = list(bundled_scenarios())
     if extra_dir:
         sources += sorted(Path(extra_dir).glob("*.json"))
     for src in sources:
-        data = json.loads(src.read_text() if hasattr(src, "read_text")
-                          else Path(src).read_text())
-        rows.append((
-            data.get("name", getattr(src, "name", str(src))),
-            data["intrinsic_dim"],
-            data["target_dim"],
-            data.get("chi_expected", "?"),
-            data.get("description", ""),
-        ))
+        try:
+            data = json.loads(src.read_text())
+            rows.append((
+                data.get("name", src.name),
+                data["intrinsic_dim"],
+                data["target_dim"],
+                data.get("chi_expected", "?"),
+                data.get("description", ""),
+            ))
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ScenarioFormatError(f"{src}: not a scenario file ({exc!r})") from exc
     header = f"{'name':<14} {'m':>2} {'n':>2} {'chi':>4}  description"
     lines = [header, "-" * len(header)]
     for name, m, n, chi, desc in rows:
@@ -216,11 +217,11 @@ def explain(report_path) -> str:
                  f"{data['identity_rhs']} [{ok(data['identity_ok'])}]")
     lines.append(f"mod-2 congruence of closure characteristics: "
                  f"[{ok(data['mod2_congruence_ok'])}]")
-    if data["fold_equality_ok"] is None:
-        lines.append("fold-only equality: not applicable (deeper strata present)")
-    else:
-        lines.append(f"fold-only equality: [{ok(data['fold_equality_ok'])}]")
-    lines.append(f"boundary telescoping: [{ok(data['telescoping_ok'])}]")
+    for key, label, why in (("fold_equality_ok", "fold-only equality", "deeper strata present"),
+                            ("telescoping_ok", "boundary telescoping",
+                             "no depth-3 strata in scope")):
+        verdict = f"not applicable ({why})" if data[key] is None else f"[{ok(data[key])}]"
+        lines.append(f"{label}: {verdict}")
     lines.append(f"route agreement (morse vs cell counting): "
                  f"[{ok(data['route_agreement_ok'])}]")
     if data["chi_M_expected"] is not None:
@@ -302,13 +303,21 @@ def main(argv=None) -> int:
             return EXIT_FORMAT
         return run(config)
     if args.command == "list":
-        print(list_scenarios(args.dir))
+        try:
+            print(list_scenarios(args.dir))
+        except ScenarioFormatError as exc:
+            print(f"scenario error: {exc}", file=sys.stderr)
+            return EXIT_FORMAT
         return EXIT_OK
     if args.command == "explain":
         try:
             print(explain(args.report))
         except FileNotFoundError as exc:
             print(str(exc), file=sys.stderr)
+            return EXIT_FORMAT
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            # valid JSON that lacks or mistypes a report field
+            print(f"not a morinchi report: {type(exc).__name__}: {exc}", file=sys.stderr)
             return EXIT_FORMAT
         return EXIT_OK
     return EXIT_FORMAT

@@ -33,12 +33,12 @@ from .strata import (
     SingularSystem,
     Stratification,
     StratificationError,
-    _corrector,
-    _curve_tangent,
-    _make_point,
     _multistart_seeds,
-    _normalize_pair,
-    _plain_correct,
+    bisect_on_curve,
+    correct_in_plane,
+    curve_tangent,
+    land,
+    stratum_point,
 )
 
 
@@ -103,8 +103,6 @@ class CriticalRecord:
     seed: int = 0
     fold_sign: str | None = None    # plus/minus membership of x when depth 1
     closure_index: int | None = None  # index of h on the 1-dim closure (cusps)
-    kernel_zero_gap: float | None = None
-    hessian_eigs: tuple = ()
 
 
 @dataclass
@@ -136,33 +134,6 @@ class MorseData:
 # -- k = 0: critical points of h on M itself ------------------------------------
 
 
-class _AmbientCriticalSystem:
-    """{g = 0, Df^T a - Dg^T lam = 0} in (x, lam); square.
-
-    Residual and Jacobian take one point or a stack of them.
-    """
-
-    def __init__(self, S: MorinScenario, a):
-        self.S = S
-        self.a = np.asarray(a, dtype=float)
-
-    def residual(self, z):
-        S = self.S
-        x, lam = z[..., :S.N], z[..., S.N:]
-        stat = vecmat(self.a, S.Df(x)) - vecmat(lam, S.manifold.jacobian(x))
-        return np.concatenate([S.manifold.g(x), stat], axis=-1)
-
-    def jacobian(self, z):
-        S = self.S
-        x, lam = z[..., :S.N], z[..., S.N:]
-        Dg = S.manifold.jacobian(x)
-        J = np.zeros(x.shape[:-1] + (S.c + S.N, S.N + S.c))
-        J[..., :S.c, :S.N] = Dg
-        J[..., S.c:, :S.N] = S.lagrangian_hessian(x, self.a, lam)
-        J[..., S.c:, S.N:] = -np.swapaxes(Dg, -1, -2)
-        return J
-
-
 def _reduced_hessian_on_M(S, x, a, lam):
     frame = tangent_frame(S.manifold, x)
     W = S.lagrangian_hessian(x, a, lam)
@@ -189,11 +160,12 @@ def _k0_starts(S: MorinScenario, a) -> tuple:
 
 
 def _k0_records(S: MorinScenario, a: Covector, stats=None) -> list:
-    """Critical points of h on M from one batched multistart solve.
+    """Critical points of h on M from one batched multistart solve of the
+    singular system with its cokernel fixed to a, in (x, lam).
 
     ``stats``, a dict when given, receives the counters of the solve.
     """
-    sys0 = _AmbientCriticalSystem(S, a.a)
+    sys0 = SingularSystem(S, a.a)
     tol = S.tolerances
     starts, Z0 = _k0_starts(S, a.a)
     out = newton_batch(lambda Z: (sys0.residual(Z), sys0.jacobian(Z)), Z0,
@@ -212,8 +184,7 @@ def _k0_records(S: MorinScenario, a: Covector, stats=None) -> list:
         Hred = _reduced_hessian_on_M(S, x, a.a, lam)
         index = _index_or_fail(Hred, tol.eigen_zero, f"k=0 point {np.round(x, 6)}")
         # every critical point of h lies on the depth-1 stratum with cokernel a
-        u, mu = _normalize_pair(a.a, lam)
-        p = _make_point(S, x, u, mu)
+        p = stratum_point(S, x, a.a, lam)
         if p.signature.n_zero:
             raise GenericityFailure(
                 f"critical point of the functional sits on the depth-2 closure at {x}"
@@ -228,8 +199,6 @@ def _k0_records(S: MorinScenario, a: Covector, stats=None) -> list:
             residual=float(res),
             seed=a.seed,
             fold_sign=p.sign,
-            kernel_zero_gap=p.residuals.get("kernel_hessian_zero_gap"),
-            hessian_eigs=tuple(np.linalg.eigvalsh(Hred)),
         )
         records.append(rec)
     records.sort(key=lambda r: tuple(np.round(r.x, 9)))
@@ -327,11 +296,10 @@ def _polish_stratum_critical(S, a, z_guess):
 
 def _stratum_record(S, a, z, nu, res, sysc) -> CriticalRecord:
     x, u, mu = sysc.base.unpack(z)
-    u, mu = _normalize_pair(u, mu)
     Hred = sysc.reduced_hessian(z, nu)
     index = _index_or_fail(Hred, S.tolerances.eigen_zero,
                            f"stratum critical point {np.round(x, 6)}")
-    p = _make_point(S, x, u, mu)
+    p = stratum_point(S, x, u, mu)
     return CriticalRecord(
         x=np.asarray(x, dtype=float),
         stratum_depth=p.depth,
@@ -342,8 +310,6 @@ def _stratum_record(S, a, z, nu, res, sysc) -> CriticalRecord:
         residual=float(res),
         seed=a.seed,
         fold_sign=p.sign if p.depth == 1 else None,
-        kernel_zero_gap=p.residuals.get("kernel_hessian_zero_gap"),
-        hessian_eigs=tuple(np.linalg.eigvalsh(Hred)),
     )
 
 
@@ -355,22 +321,11 @@ def _curve_phi_values(S, a, curve):
     return np.einsum("l,kli,ki->k", a, Df, curve.tangents[:, :S.N])
 
 
-def _bisect_phi_zero(S, a, system, za, zb, phi_a):
-    for _ in range(60):
-        mid = _plain_correct(system, 0.5 * (za + zb))
-        if not mid.converged:
-            raise StratificationError("lost the curve while refining a critical point")
-        seg = zb - za
-        t_mid = _curve_tangent(system, mid.z, prev=seg / np.linalg.norm(seg))
-        x = mid.z[:S.N]
-        phi_m = float((S.Df(x).T @ a) @ t_mid[:S.N])
-        if np.linalg.norm(zb - za) < 1e-13 or phi_m == 0.0:
-            return mid.z
-        if phi_a * phi_m < 0:
-            zb = mid.z
-        else:
-            za, phi_a = mid.z, phi_m
-    return 0.5 * (za + zb)
+def _cusp_near(S, cusps, x):
+    """Index of the first cusp close enough to x to count as a hit, or None."""
+    radius = max(10 * S.tolerances.dedup_radius, 1e-5)
+    return next((ci for ci, cp in enumerate(cusps) if np.linalg.norm(cp.x - x) < radius),
+                None)
 
 
 def _critical_points_on_curves(S, a: Covector, strat: Stratification):
@@ -379,6 +334,11 @@ def _critical_points_on_curves(S, a: Covector, strat: Stratification):
     tol = S.tolerances
     fold_zeros = []
     cusp_hits = {}
+
+    def dh_ds(z, chord):
+        t = curve_tangent(system, z, prev=chord / np.linalg.norm(chord))
+        return float((S.Df(z[:S.N]).T @ a.a) @ t[:S.N])
+
     for curve in strat.curves:
         phis = _curve_phi_values(S, a.a, curve)
         K = len(phis)
@@ -388,32 +348,21 @@ def _critical_points_on_curves(S, a: Covector, strat: Stratification):
                 raise GenericityFailure("exact zero derivative at a trace node")
             if phis[i] * phis[j] > 0:
                 continue
-            z_star = _bisect_phi_zero(S, a.a, system, curve.nodes[i].copy(),
-                                      curve.nodes[j].copy(), phis[i])
-            x_star = z_star[:S.N]
-            near_cusp = None
-            for ci, cp in enumerate(strat.cusps):
-                if np.linalg.norm(cp.x - x_star) < max(10 * tol.dedup_radius, 1e-5):
-                    near_cusp = ci
-                    break
-            if near_cusp is not None:
-                cusp_hits[near_cusp] = z_star
-                continue
-            polished = _polish_stratum_critical(S, a.a, z_star)
-            if polished is None:
-                raise GenericityFailure("stratum critical point failed to polish")
-            # the cusp itself solves the augmented system; a polish that slid
-            # into it is a cusp hit, not an interior critical point
-            x_pol = polished[0][:S.N]
-            slid = None
-            for ci, cp in enumerate(strat.cusps):
-                if np.linalg.norm(cp.x - x_pol) < max(10 * tol.dedup_radius, 1e-5):
-                    slid = ci
-                    break
-            if slid is not None:
-                cusp_hits[slid] = polished[0]
-                continue
-            fold_zeros.append(polished)
+            z_star, _ = bisect_on_curve(system, curve.nodes[i], curve.nodes[j], phis[i],
+                                        dh_ds, gap=1e-13)
+            hit = _cusp_near(S, strat.cusps, z_star[:S.N])
+            if hit is None:
+                polished = _polish_stratum_critical(S, a.a, z_star)
+                if polished is None:
+                    raise GenericityFailure("stratum critical point failed to polish")
+                # the cusp itself solves the augmented system; a polish that
+                # slid into it is a cusp hit, not an interior critical point
+                z_star = polished[0]
+                hit = _cusp_near(S, strat.cusps, z_star[:S.N])
+                if hit is None:
+                    fold_zeros.append(polished)
+                    continue
+            cusp_hits[hit] = z_star
     records = []
     if fold_zeros:
         xs = np.array([sysc.base.unpack(z)[0] for z, _, _, sysc in fold_zeros])
@@ -489,12 +438,12 @@ def _gradient_scale(S, a, x):
 
 
 def classify_correctness(S: MorinScenario, a: Covector, rec: CriticalRecord,
-                         closure_depth: int, strat: Stratification | None = None,
-                         point=None, boundary_critical=False):
+                         closure_depth: int, point=None, boundary_critical=False):
     """Correctness of a critical point with respect to the given closure.
 
     Correct means the gradient of h restricted to the closure manifold does
-    not vanish at the point.  When the point is known to be a critical point
+    not vanish at the point.  For closure depth 1, ``point`` is the located
+    stratum point at rec.x.  When the point is known to be a critical point
     of the boundary restriction, the numeric verdict is cross-checked
     against the structural dichotomy: points two levels deeper than the
     closure are correct, points one level deeper are not.
@@ -505,17 +454,12 @@ def classify_correctness(S: MorinScenario, a: Covector, rec: CriticalRecord,
         grad_norm = float(np.linalg.norm(_tangential_gradient_on_M(S, a.a, x)))
     elif closure_depth == 1:
         system = SingularSystem(S)
-        if point is not None:
-            # the located point solves the curve system already; use it as is
-            z0 = system.pack(point.x, point.cokernel, point.multiplier)
-        else:
-            z0 = _embed_on_curve(S, strat, x)
-        land = _plain_correct(system, z0)
-        if not land.converged:
+        landed = land(system, system.pack(point.x, point.cokernel, point.multiplier))
+        if not landed.converged:
             raise StratificationError(f"could not land on the singular curve at {np.round(x, 6)}")
-        t = _curve_tangent(system, land.z)
+        t = curve_tangent(system, landed.z)
         tx = t[:S.N]
-        xl = land.z[:S.N]
+        xl = landed.z[:S.N]
         grad_norm = abs(float((S.Df(xl).T @ a.a) @ tx)) / max(np.linalg.norm(tx), 1e-12)
     else:
         raise StratificationError("correctness beyond closure depth 1 is out of scope")
@@ -537,23 +481,7 @@ def classify_correctness(S: MorinScenario, a: Covector, rec: CriticalRecord,
     return rec
 
 
-def _embed_on_curve(S, strat, x):
-    best = None
-    best_d = np.inf
-    for curve in strat.curves:
-        d = np.linalg.norm(curve.x_nodes(S.N) - x, axis=1)
-        i = int(np.argmin(d))
-        if d[i] < best_d:
-            best_d = d[i]
-            best = curve.nodes[i].copy()
-    if best is None:
-        raise StratificationError("no traced curve to embed the point into")
-    # replace the base point, keep (u, mu) from the nearest node as the guess
-    best[:S.N] = x
-    return best
-
-
-def eta_sign(S: MorinScenario, a: Covector, p, strat: Stratification) -> int:
+def eta_sign(S: MorinScenario, a: Covector, p) -> int:
     """Sign of the factor linking the closure gradient of h to the gradient of
     the next degeneracy function at a depth-2 point (closure depth 0).
 
@@ -582,26 +510,6 @@ def eta_sign(S: MorinScenario, a: Covector, p, strat: Stratification) -> int:
     return int(np.sign(cosang) * np.sign(p.eig_slope))
 
 
-def xi_sign(S: MorinScenario, a: Covector, p, strat: Stratification) -> int:
-    """Specialization of the eta comparison to deepest-stratum points (odd n).
-
-    For n = 1 the pairing manifold does not exist, and for n >= 3 the deeper
-    strata are rejected upstream of this call, so in certified scope the
-    operation is exercised only vacuously.
-    """
-    if S.n % 2 == 0:
-        raise StratificationError("xi is defined for odd target dimensions only")
-    if p.depth != S.n:
-        raise StratificationError("xi applies to points of the deepest stratum")
-    if S.n == 1:
-        raise StratificationError(
-            "xi needs the closure two levels up, which does not exist for n = 1"
-        )
-    raise MorinnessError(
-        "deepest-stratum points with n >= 3 are outside the certified scope"
-    )
-
-
 # -- the index-parity audit --------------------------------------------------------
 
 
@@ -627,7 +535,8 @@ def check_fold_index_parity(S: MorinScenario, a: Covector, k0_records,
         if S.n == 1:
             on_idx = 0
         else:
-            partner = _nearest_record(stratum_records, rec.x)
+            partner = min(stratum_records, key=lambda r: float(np.linalg.norm(r.x - rec.x)),
+                          default=None)
             if partner is None or np.linalg.norm(partner.x - rec.x) > 1e-6:
                 violations.append((tuple(rec.x), "no on-stratum partner"))
                 continue
@@ -643,44 +552,31 @@ def check_fold_index_parity(S: MorinScenario, a: Covector, k0_records,
     return ParityAudit(checked=len(k0_records), violations=violations)
 
 
-def _nearest_record(records, x):
-    best, best_d = None, np.inf
-    for r in records:
-        d = float(np.linalg.norm(r.x - x))
-        if d < best_d:
-            best, best_d = r, d
-    return best
-
-
 # -- cusp boundary records and perturbation certificates ----------------------------
 
 
-def _curve_context_at(S, strat, p):
-    """(curve, oriented tangent into the plus arc, h'' along the curve) at a cusp."""
+def _curve_context_at(S, p):
+    """(system, landed cusp, curve tangent oriented into the plus arc)."""
     system = SingularSystem(S)
-    z = system.pack(p.x, p.cokernel, p.multiplier)
-    land = _plain_correct(system, z)
-    if not land.converged:
+    landed = land(system, system.pack(p.x, p.cokernel, p.multiplier))
+    if not landed.converged:
         raise StratificationError(f"could not land on the singular curve at the cusp {p.x}")
-    t = _curve_tangent(system, land.z)
+    t = curve_tangent(system, landed.z)
     delta = S.tolerances.curve_step / 2
-    sides = {}
+    signs = {}
     for s in (-delta, delta):
-        out = _corrector(system, land.z + s * t, t)
+        out = correct_in_plane(system, landed.z + s * t, None, t)
         if not out.converged:
             raise StratificationError("could not sample the two arcs at a cusp")
-        x, u, mu = system.unpack(out.z)
-        u, mu = _normalize_pair(u, mu)
-        q = _make_point(S, x, u, mu)
+        q = stratum_point(S, *system.unpack(out.z))
         if q.depth != 1:
             raise StratificationError("arc sample at a cusp is not a fold point")
-        sides[np.sign(s)] = (q.sign, out.z)
-    if sides[-1.0][0] == sides[1.0][0]:
+        signs[s] = q.sign
+    if signs[-delta] == signs[delta]:
         raise MorseAuditError(f"arcs adjacent to the cusp at {p.x} carry equal signs")
-    if sides[1.0][0] != "plus":
+    if signs[delta] != "plus":
         t = -t
-        sides = {-k: v for k, v in sides.items()}
-    return system, land.z, t, sides
+    return system, landed.z, t
 
 
 def _h_second_derivative_along(S, a, system, z_c, t, delta):
@@ -689,7 +585,7 @@ def _h_second_derivative_along(S, a, system, z_c, t, delta):
         if s == 0.0:
             z = z_c
         else:
-            out = _corrector(system, z_c + s * t, t)
+            out = correct_in_plane(system, z_c + s * t, None, t)
             if not out.converged:
                 raise StratificationError("curve sampling failed near a cusp")
             z = out.z
@@ -706,7 +602,7 @@ def perturbation_certificate(S: MorinScenario, a: Covector, p,
     into the plus side, and moves the old interior criticality to a fold
     point on the side determined by the closure Hessian sign.
     """
-    system, z_c, t, sides = _curve_context_at(S, strat, p)
+    system, z_c, t = _curve_context_at(S, p)
     delta = S.tolerances.curve_step / 2
     h2 = _h_second_derivative_along(S, a.a, system, z_c, t, delta)
     thr = S.tolerances.correctness * _gradient_scale(S, a.a, p.x)
@@ -717,7 +613,7 @@ def perturbation_certificate(S: MorinScenario, a: Covector, p,
     tilde = None
     for _ in range(8):
         s_tilde = -eps / h2
-        out = _corrector(system, z_c + s_tilde * t, t)
+        out = correct_in_plane(system, z_c + s_tilde * t, None, t)
         if out.converged:
             x_t = out.z[:S.N]
             if np.linalg.norm(x_t - p.x) > S.tolerances.dedup_radius:
@@ -726,9 +622,7 @@ def perturbation_certificate(S: MorinScenario, a: Covector, p,
         eps *= 0.5
     if tilde is None:
         raise StratificationError(f"no separated interior partner at the cusp {p.x}")
-    x_t, u_t, mu_t = system.unpack(tilde)
-    u_t, mu_t = _normalize_pair(u_t, mu_t)
-    q = _make_point(S, x_t, u_t, mu_t)
+    q = stratum_point(S, *system.unpack(tilde))
     if q.depth != 1:
         raise StratificationError("interior partner is not a fold point")
     sign_xnk = 1 if q.sign == "plus" else -1
@@ -750,31 +644,30 @@ def perturbation_certificate(S: MorinScenario, a: Covector, p,
 
 
 def _boundary_records(S, a: Covector, strat: Stratification, cusp_hits):
-    """Cusps as critical points of h on the depth-1 closure (all non-correct)."""
+    """Cusps as critical points of h on the depth-1 closure (all non-correct).
+
+    The index of h on the closure at a cusp is the index of its certified
+    interior partner, so the certificate supplies it.
+    """
     records = []
     certificates = []
     eta_checks = []
-    system = SingularSystem(S)
     for ci, p in enumerate(strat.cusps):
         if ci not in cusp_hits:
             raise MorseAuditError(
                 f"cusp at {np.round(p.x, 6)} is not a critical point of the "
                 f"restricted functional (boundary-criticality equivalence fails)"
             )
-        _, z_c, t, _ = _curve_context_at(S, strat, p)
-        delta = S.tolerances.curve_step / 2
-        h2 = _h_second_derivative_along(S, a.a, system, z_c, t, delta)
-        closure_index = 1 if h2 < 0 else 0
+        cert = perturbation_certificate(S, a, p, strat)
+        closure_index = cert.interior_index
         rec = CriticalRecord(
             x=p.x, stratum_depth=2, on_closure_of=1,
             morse_index=0, index_basis_dim=0,
             residual=p.residuals.get("system", 0.0), seed=a.seed,
             closure_index=closure_index,
         )
-        classify_correctness(S, a, rec, closure_depth=1, strat=strat, point=p,
-                             boundary_critical=True)
-        eta = eta_sign(S, a, p, strat)
-        rec.eta_sign = eta
+        classify_correctness(S, a, rec, closure_depth=1, point=p, boundary_critical=True)
+        rec.eta_sign = eta_sign(S, a, p)
         # closure-gradient on M is nonzero at a cusp: correct for closure depth 0
         rec0 = CriticalRecord(
             x=p.x, stratum_depth=2, on_closure_of=0,
@@ -782,14 +675,12 @@ def _boundary_records(S, a: Covector, strat: Stratification, cusp_hits):
             residual=rec.residual, seed=a.seed,
         )
         classify_correctness(S, a, rec0, closure_depth=0, boundary_critical=True)
-        expected_eta = -((-1) ** closure_index) * ((-1) ** 0)
         eta_checks.append({
             "x": tuple(p.x),
-            "eta": eta,
+            "eta": rec.eta_sign,
             "closure_index": closure_index,
-            "identity_ok": eta == expected_eta,
+            "identity_ok": rec.eta_sign == -((-1) ** closure_index),
         })
-        cert = perturbation_certificate(S, a, p, strat)
         records.append(rec)
         certificates.append(cert)
     return records, certificates, eta_checks
@@ -891,8 +782,6 @@ def validate_genericity(S: MorinScenario, a: Covector, strat: Stratification,
             f"{sep.unmatched_k1}"
         )
     for rec in data.k0_records:
-        if rec.kernel_zero_gap is not None and rec.kernel_zero_gap < S.tolerances.eigen_zero:
-            failures.append(f"critical point on the deeper closure at {tuple(rec.x)}")
         for cusp in strat.cusps:
             if np.linalg.norm(rec.x - cusp.x) < 10 * S.tolerances.dedup_radius:
                 failures.append(f"critical point of h collides with a cusp at {tuple(rec.x)}")

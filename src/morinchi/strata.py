@@ -7,6 +7,9 @@ strata are read off the kernel Hessian of <u, f> corrected by the constraint
 multipliers.  For two-dimensional targets the depth-1 set is a union of
 closed curves, traced by pseudo-arclength continuation; cusps are bracketed
 by the sign of the kernel-Hessian determinant and refined by bisection.
+The continuation routines (``land``, ``correct_in_plane``,
+``curve_tangent``, ``bisect_on_curve``) also serve the Morse walk along the
+fold curves in ``morse``.
 """
 
 from __future__ import annotations
@@ -190,16 +193,21 @@ def load_scenario(source) -> MorinScenario:
         constraints = [ex.parse_prefix(s, N) for s in data["constraints"]]
         components = [ex.parse_prefix(s, N) for s in data["components"]]
         n = int(data["target_dim"])
-    except (KeyError, TypeError, ex.ExprError) as exc:
+        seed = int(data.get("seed", 0))
+        chi = data.get("chi_expected")
+        chi = None if chi is None else int(chi)
+        halfwidth = float(data.get("sample_halfwidth", 1.5))
+        sample_seeds = [tuple(float(c) for c in s) for s in data.get("sample_seeds", ())]
+    except (KeyError, TypeError, ValueError, ex.ExprError) as exc:
         raise ScenarioFormatError(f"bad scenario fields: {exc}") from exc
+    if any(len(s) != N for s in sample_seeds):
+        raise ScenarioFormatError(f"every sample seed needs ambient_dim = {N} coordinates")
+    if not (math.isfinite(halfwidth) and halfwidth > 0):
+        raise ScenarioFormatError(f"sample_halfwidth must be finite and positive, got {halfwidth}")
     try:
-        manifold = ImplicitManifold(
-            N, constraints, m,
-            sample_seeds=data.get("sample_seeds", ()),
-            chi_expected=data.get("chi_expected"),
-            compact=data.get("compact", True),
-            sample_halfwidth=data.get("sample_halfwidth", 1.5),
-        )
+        manifold = ImplicitManifold(N, constraints, m, sample_seeds=sample_seeds,
+                                    chi_expected=chi, compact=data.get("compact", True),
+                                    sample_halfwidth=halfwidth)
     except ManifoldError as exc:
         raise ScenarioFormatError(str(exc)) from exc
     return MorinScenario(
@@ -207,9 +215,9 @@ def load_scenario(source) -> MorinScenario:
         manifold=manifold,
         target_dim=n,
         components=components,
-        seed=data.get("seed", 0),
+        seed=seed,
         tolerances=Tolerances.from_dict(data.get("tolerances", {})),
-        chi_expected=data.get("chi_expected"),
+        chi_expected=chi,
     )
 
 
@@ -243,9 +251,6 @@ class StratumPoint:
     depth_verified: bool = True
     eig_slope: float | None = None
 
-    def as_row(self):
-        return tuple(self.x) + (self.depth, self.sign, self.residuals.get("system", 0.0))
-
 
 # -- the singular system ------------------------------------------------------
 
@@ -254,20 +259,27 @@ class SingularSystem:
     """The system {g = 0, Df^T u - Dg^T mu = 0, |u|^2 = 1} in z = (x, u, mu).
 
     Its solution set projects onto the depth-1 closure; the expected solution
-    dimension is n - 1.  For n = 1 a reduced chart with u fixed to (1,) is
-    used, since the unit 0-sphere is the discrete set {+1, -1} and the two
-    points give identical stratification data.
+    dimension is n - 1.  A fixed ``cokernel`` gives the reduced chart in
+    z = (x, mu), without the normalization: with cokernel a it is the
+    square system of the critical points of <a, f> on M.  For n = 1 the
+    reduced chart with u = (1,) is the default, since the unit 0-sphere is
+    the discrete set {+1, -1} and the two points give identical
+    stratification data.
     """
 
-    def __init__(self, scenario: MorinScenario):
+    def __init__(self, scenario: MorinScenario, cokernel=None):
         self.S = scenario
-        self.reduced = scenario.n == 1
+        if cokernel is None and scenario.n == 1:
+            cokernel = (1.0,)
+        self.cokernel = None if cokernel is None else np.asarray(cokernel, dtype=float)
+        self.reduced = self.cokernel is not None
         N, n, c = scenario.N, scenario.n, scenario.c
         self.dim_z = N + c if self.reduced else N + n + c
         self.n_eqs = c + N if self.reduced else c + N + 1
         self.solution_dim = n - 1
 
-    # pack, unpack, residual and jacobian take one point or a stack of them
+    # pack, unpack, residual and jacobian take one point or a stack of them;
+    # a fixed cokernel comes out of unpack unstacked and broadcasts
 
     def pack(self, x, u, mu):
         if self.reduced:
@@ -278,7 +290,7 @@ class SingularSystem:
         N, n = self.S.N, self.S.n
         z = np.asarray(z, dtype=float)
         if self.reduced:
-            return z[..., :N], np.ones(z.shape[:-1] + (1,)), z[..., N:]
+            return z[..., :N], self.cokernel, z[..., N:]
         return z[..., :N], z[..., N:N + n], z[..., N + n:]
 
     def residual(self, z):
@@ -317,10 +329,6 @@ class SingularSystem:
             "normalization": None if self.reduced else "|u|^2 = 1",
             "solution_dim": self.solution_dim,
         }
-
-
-def singular_system(scenario: MorinScenario) -> SingularSystem:
-    return SingularSystem(scenario)
 
 
 # -- pointwise stratum data ---------------------------------------------------
@@ -383,14 +391,7 @@ def kernel_hessian(S: MorinScenario, p: StratumPoint) -> QuadraticSignature:
         vals, vecs = np.linalg.eigh(0.5 * (HK + HK.T))
         j = int(np.argmin(np.abs(vals)))
         p.degenerate_direction = sign_normalize(p.kernel_basis @ vecs[:, j])
-    p.residuals["kernel_hessian_zero_gap"] = _zero_gap(HK, S.tolerances.eigen_zero)
     return sig
-
-
-def _zero_gap(HK, factor):
-    vals = np.abs(np.linalg.eigvalsh(0.5 * (HK + HK.T)))
-    scale = max(float(vals.max()) if vals.size else 0.0, 1.0)
-    return float(vals.min() / scale) if vals.size else 0.0
 
 
 def sign_split(S: MorinScenario, p: StratumPoint) -> str:
@@ -439,7 +440,7 @@ def _initial_guesses(S: MorinScenario, system: SingularSystem, X0):
     U = np.linalg.svd(Df @ np.swapaxes(tangent, -1, -2))[0]
     u0 = sign_normalize(U[:, :, S.n - 1])
     mu0 = min_norm_solve(np.swapaxes(Dg, -1, -2), vecmat(u0, Df))
-    return system.pack(x, None if system.reduced else u0, mu0)
+    return system.pack(x, u0, mu0)
 
 
 def solve_stratum1(S: MorinScenario, density=None, stats=None) -> list[StratumPoint]:
@@ -472,20 +473,6 @@ def solve_stratum1(S: MorinScenario, density=None, stats=None) -> list[StratumPo
     return points
 
 
-def _normalize_pair(u, mu, tol=1e-12):
-    """Flip (u, mu) together so the first significant cokernel entry is positive.
-
-    The stationarity equations are linear in the pair, so only a joint flip
-    preserves them (and the Lagrangian Hessian built from them).
-    """
-    u = np.asarray(u, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    for c in u:
-        if abs(c) > tol:
-            return (u, mu) if c > 0 else (-u, -mu)
-    return u, mu
-
-
 def _points_from_solutions(S, system, solutions, kept) -> list[StratumPoint]:
     """Stratum points at the kept solutions, in order; a point whose kernel
     data fails as a non-singular or irregular point is skipped.
@@ -506,45 +493,61 @@ def _points_from_solutions(S, system, solutions, kept) -> list[StratumPoint]:
         if error is not None:
             raise error
         x, u, mu = system.unpack(solutions[idx])
-        u, mu = _normalize_pair(u, mu)
-        points.append(_make_point(S, x, u, mu, system, K[j % width]))
+        points.append(stratum_point(S, x, u, mu, system, K[j % width]))
     points.sort(key=lambda p: tuple(np.round(p.x, 9)))
     return points
 
 
-def _make_point(S, x, u, mu, system=None, K=None) -> StratumPoint:
-    """Depth-1 stratum point at a solution; ``K``, when given, is its kernel basis."""
+def stratum_point(S, x, u, mu, system=None, K=None) -> StratumPoint:
+    """Depth-1 stratum point at a solution (x, u, mu) of the singular system.
+
+    (u, mu) is flipped as a pair so that the first cokernel entry above
+    1e-12 in magnitude is positive: the stationarity equations are linear in
+    the pair, so only a joint flip preserves them (and the Lagrangian Hessian
+    built from them).  ``K``, when given, is the kernel basis at x.
+    """
+    u, mu = np.asarray(u, dtype=float), np.asarray(mu, dtype=float)
+    lead = u[np.abs(u) > 1e-12]
+    if lead.size and lead[0] < 0:
+        u, mu = -u, -mu
     system = system or SingularSystem(S)
-    z = system.pack(x, None if system.reduced else u, mu)
-    res = float(np.max(np.abs(system.residual(z))))
+    res = float(np.max(np.abs(system.residual(system.pack(x, u, mu)))))
     if K is None:
         K = _kernel_data(S, x)
     p = StratumPoint(
         x=np.asarray(x, dtype=float),
         depth=1,
-        cokernel=np.asarray(u, dtype=float),
-        multiplier=np.asarray(mu, dtype=float),
+        cokernel=u,
+        multiplier=mu,
         kernel_basis=K,
         residuals={"system": res},
     )
     kernel_hessian(S, p)
     if p.signature.n_zero == 0:
         # a nondegenerate kernel form already certifies depth 1
-        p.depth = 1
-        p.sign = "plus" if p.signature.n_minus % 2 == 0 else "minus"
+        sign_split(S, p)
     return p
 
 
-# -- depth classification -------------------------------------------------------
+# -- continuation on the solution curve (n = 2) ---------------------------------
+#
+# A predictor-corrector layout after Allgower & Georg, Introduction to
+# Numerical Continuation Methods (SIAM 2003): a step along the tangent, then
+# Newton back to the curve inside the plane normal to it.  The trace below
+# and the Morse walk along the fold curves in ``morse`` share these routines.
 
 
-def _corrector(system, z_pred, t):
-    """Newton step back to the curve inside the plane through z_pred normal to t."""
-    return _snap_to_plane(system, z_pred, z_pred, t)
+def land(system, z):
+    """Newton from z onto the solution set of ``system``."""
+    return newton(system.residual, system.jacobian, z,
+                  tol=system.S.tolerances.residual, max_iter=60)
 
 
-def _snap_to_plane(system, z_start, anchor, t):
-    """Newton from z_start onto {F = 0} intersected with the plane through anchor."""
+def correct_in_plane(system, z_start, anchor, t):
+    """Newton from z_start onto the solution set cut by the plane through
+    ``anchor`` normal to t.  ``anchor`` None means z_start itself: the
+    corrector of a predictor step along t."""
+    anchor = z_start if anchor is None else anchor
 
     def res(w):
         return np.concatenate([system.residual(w), [t @ (w - anchor)]])
@@ -556,12 +559,9 @@ def _snap_to_plane(system, z_start, anchor, t):
                   tol=system.S.tolerances.residual, max_iter=40)
 
 
-def _plain_correct(system, z0):
-    return newton(system.residual, system.jacobian, z0,
-                  tol=system.S.tolerances.residual, max_iter=60)
-
-
-def _curve_tangent(system, z, prev=None):
+def curve_tangent(system, z, prev=None):
+    """Unit tangent of the solution curve at z, oriented along ``prev`` when
+    given and sign-normalized otherwise; a nullity other than 1 is rejected."""
     ns = nullspace(system.jacobian(z), rtol=1e-8)
     if ns.shape[1] != 1:
         raise MorinnessError(
@@ -574,6 +574,32 @@ def _curve_tangent(system, z, prev=None):
     return sign_normalize(t) if prev is None else t
 
 
+def bisect_on_curve(system, za, zb, fa, value, gap):
+    """Bisect a sign change of a scalar along the curve between za and zb.
+
+    Every midpoint is landed on the curve and ``value(z, chord)`` is
+    evaluated there, ``chord`` being the current bracket zb - za; ``fa`` is
+    the value at za.  Stops at a landed midpoint whose value is exactly zero
+    or whose bracket is shorter than ``gap``, and returns the bracket
+    midpoint after 60 halvings.  Returns (z, number of midpoints landed).
+    """
+    for steps in range(1, 61):
+        mid = land(system, 0.5 * (za + zb))
+        if not mid.converged:
+            raise StratificationError("bisection lost the curve")
+        fm = value(mid.z, zb - za)
+        if fm == 0.0 or np.linalg.norm(zb - za) < gap:
+            return mid.z, steps
+        if fa * fm < 0:
+            zb = mid.z
+        else:
+            za, fa = mid.z, fm
+    return 0.5 * (za + zb), steps
+
+
+# -- depth classification -------------------------------------------------------
+
+
 def _near_zero_eig(S, x, u, mu):
     """The smallest-magnitude eigenvalue of the kernel Hessian (signed)."""
     K = _kernel_data(S, x)
@@ -582,7 +608,7 @@ def _near_zero_eig(S, x, u, mu):
     return float(vals[np.argmin(np.abs(vals))])
 
 
-def degenerate_eigenvalue_slope(S: MorinScenario, p: StratumPoint, delta=None):
+def degenerate_eigenvalue_slope(S: MorinScenario, p: StratumPoint):
     """Arc-length slope and curvature of the flattening kernel eigenvalue at p.
 
     Moving along the depth-1 curve in the direction of the degenerate kernel
@@ -596,7 +622,7 @@ def degenerate_eigenvalue_slope(S: MorinScenario, p: StratumPoint, delta=None):
         raise StratificationError("no degenerate direction at this point")
     system = SingularSystem(S)
     z = system.pack(p.x, p.cokernel, p.multiplier)
-    t = _curve_tangent(system, z)
+    t = curve_tangent(system, z)
     # orient the curve tangent along the degenerate kernel direction
     x_dir = t[:S.N]
     align = float(x_dir @ p.degenerate_direction)
@@ -606,13 +632,13 @@ def degenerate_eigenvalue_slope(S: MorinScenario, p: StratumPoint, delta=None):
         )
     if align < 0:
         t = -t
-    delta = delta or S.tolerances.curve_step / 4
+    delta = S.tolerances.curve_step / 4
     vals = []
     for s in (-delta, 0.0, delta):
         if s == 0.0:
             vals.append(_near_zero_eig(S, p.x, p.cokernel, p.multiplier))
             continue
-        out = _corrector(system, z + s * t, t)
+        out = correct_in_plane(system, z + s * t, None, t)
         if not out.converged:
             raise StratificationError("could not sample the curve near the point")
         xx, uu, mm = system.unpack(out.z)
@@ -721,30 +747,30 @@ def trace_fold_curve(S: MorinScenario, z_start, max_steps=200000) -> FoldCurve:
     if system.solution_dim != 1:
         raise StratificationError("curve tracing requires a 1-dimensional stratum")
     h = S.tolerances.curve_step
-    start = _plain_correct(system, np.asarray(z_start, dtype=float))
+    start = land(system, np.asarray(z_start, dtype=float))
     if not start.converged:
         raise StratificationError("could not land on the singular curve")
     z0 = start.z
-    t = _curve_tangent(system, z0)
+    t = curve_tangent(system, z0)
     nodes = [z0]
     tangents = [t]
     half_steps = iterations = 0
     z, closed, closure_error = z0, False, np.inf
     for step in range(max_steps):
-        out = _corrector(system, z + h * t, t)
+        out = correct_in_plane(system, z + h * t, None, t)
         iterations += out.iterations
         if not out.converged:
             # halve the step locally rather than failing the whole trace
             half_steps += 1
-            out = _corrector(system, z + 0.5 * h * t, t)
+            out = correct_in_plane(system, z + 0.5 * h * t, None, t)
             iterations += out.iterations
             if not out.converged:
                 raise StratificationError("continuation corrector failed")
         z_new = out.z
-        t_new = _curve_tangent(system, z_new, prev=t)
+        t_new = curve_tangent(system, z_new, prev=t)
         if step > 2 and np.linalg.norm(z_new - z0) < h:
             # land the returning branch on the plane through the start point
-            snap = _snap_to_plane(system, z_new, z0, tangents[0])
+            snap = correct_in_plane(system, z_new, z0, tangents[0])
             iterations += snap.iterations
             closure_error = float(np.linalg.norm(snap.z - z0)) if snap.converged else np.inf
             closed = True
@@ -784,28 +810,15 @@ def _locate_cusps(S, system, curve: FoldCurve):
             raise StratificationError("exact zero determinant at a trace node")
         if dets[i] * dets[j] > 0:
             continue
-        za, zb = curve.nodes[i], curve.nodes[j]
-        da = dets[i]
-        for _ in range(60):
-            steps += 1
-            mid = _plain_correct(system, 0.5 * (za + zb))
-            if not mid.converged:
-                raise StratificationError("cusp bisection lost the curve")
-            dm, _ = _node_metrics(S, system, mid.z)
-            if dm == 0.0 or np.linalg.norm(zb - za) < 1e-14:
-                za = zb = mid.z
-                break
-            if da * dm < 0:
-                zb = mid.z
-            else:
-                za, da = mid.z, dm
-        z_cusp = 0.5 * (za + zb)
-        land = _plain_correct(system, z_cusp)
-        if not land.converged:
+        z_cusp, n = bisect_on_curve(system, curve.nodes[i], curve.nodes[j], dets[i],
+                                    lambda z, chord: _node_metrics(S, system, z)[0],
+                                    gap=1e-14)
+        steps += n
+        landed = land(system, z_cusp)
+        if not landed.converged:
             raise StratificationError("could not land on the singular curve at a cusp")
-        x, u, mu = system.unpack(land.z)
-        u, mu = _normalize_pair(u, mu)
-        p = _make_point(S, x, u, mu, system)
+        x, u, mu = system.unpack(landed.z)
+        p = stratum_point(S, x, u, mu, system)
         if p.signature.n_zero != 1:
             # determinant changed sign yet no flat direction: conditioning issue
             raise MorinnessError(f"inconsistent degeneracy at cusp candidate {x}")
@@ -1004,7 +1017,7 @@ def _dimension_audit(S, points):
     system = SingularSystem(S)
     nullities = set()
     for p in points[: min(len(points), 10)]:
-        z = system.pack(p.x, None if system.reduced else p.cokernel, p.multiplier)
+        z = system.pack(p.x, p.cokernel, p.multiplier)
         ns = nullspace(system.jacobian(z), rtol=1e-8)
         nullities.add(ns.shape[1])
     return sorted(nullities)

@@ -25,7 +25,6 @@ from morinchi.manifold import (
 )
 from morinchi.morse import (
     StratumCriticalSystem,
-    _AmbientCriticalSystem,
     _curve_phi_values,
     _k0_starts,
     sample_covector,
@@ -33,12 +32,12 @@ from morinchi.morse import (
 from morinchi.strata import (
     SingularSystem,
     StratificationError,
-    _curve_tangent,
     _initial_guesses,
     _kernel_data,
     _multistart_seeds,
     _node_metrics,
     compute_stratification,
+    curve_tangent,
     load_scenario,
     solve_stratum1,
 )
@@ -110,7 +109,7 @@ def _agree_lane_by_lane(residual_fn, jacobian_fn, Z0, tol, max_iter):
 def test_newton_batch_matches_newton_on_the_torus_k0_census():
     S = bundled("torus-height")
     a = sample_covector(S.n, [S.seed, 0])
-    sys0 = _AmbientCriticalSystem(S, a.a)
+    sys0 = SingularSystem(S, a.a)
     _, Z0 = _k0_starts(S, a.a)
     out = _agree_lane_by_lane(sys0.residual, sys0.jacobian, Z0, S.tolerances.residual, 30)
     assert 0 < out.converged.sum() < len(Z0)        # both outcomes are covered
@@ -230,7 +229,7 @@ def test_curve_tangents_are_the_tangent_chain(fold_curves, name):
     for curve in curves:
         prev, phis = None, []
         for z, t in zip(curve.nodes, curve.tangents):
-            prev = _curve_tangent(system, z, prev=prev)
+            prev = curve_tangent(system, z, prev=prev)
             assert np.array_equal(t, prev)
             phis.append(float((S.Df(z[:S.N]).T @ a) @ prev[:S.N]))
         stacked = _curve_phi_values(S, a, curve)

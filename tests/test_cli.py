@@ -132,6 +132,7 @@ def test_explain_passing_report(tmp_path):
     assert "closed-manifold identity: 2 = 2 [ok]" in text
     assert "mod-2 congruence" in text
     assert "fold-only equality: [ok]" in text
+    assert "boundary telescoping: not applicable (no depth-3 strata in scope)" in text
     assert "index-parity audit: ok" in text
 
 
@@ -147,6 +148,39 @@ def test_explain_cusp_report(tmp_path):
 def test_explain_missing_report(tmp_path):
     with pytest.raises(FileNotFoundError):
         explain(tmp_path / "nope.json")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", "abc"),
+    ("chi_expected", "x"),
+    ("sample_halfwidth", "wide"),
+    ("sample_halfwidth", "inf"),
+    ("sample_seeds", [["a", 0, 0]]),
+    ("sample_seeds", [[1.0, 0.0, 0.0], [0.0, 1.0]]),   # two coordinates on R^3
+])
+def test_malformed_scenario_field_exits_64(tmp_path, capsys, field, value):
+    data = json.loads(scenario_path("s2-height").read_text())
+    data[field] = value
+    path = write_scenario(tmp_path, data)
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == EXIT_FORMAT
+    assert "scenario error" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("content", ["{}", "[]", '"report"'])
+def test_explain_of_json_that_is_not_a_report_exits_64(tmp_path, capsys, content):
+    path = tmp_path / "report.json"
+    path.write_text(content)
+    assert main(["explain", str(path)]) == EXIT_FORMAT
+    assert "not a morinchi report" in capsys.readouterr().err
+
+
+def test_list_of_a_dir_with_a_broken_scenario_exits_64(tmp_path, capsys):
+    data = json.loads(scenario_path("s2-height").read_text())
+    del data["intrinsic_dim"]
+    write_scenario(tmp_path, data, name="no-dim.json")
+    assert main(["list", "--dir", str(tmp_path)]) == EXIT_FORMAT
+    assert "no-dim.json: not a scenario file" in capsys.readouterr().err
 
 
 def test_reports_byte_identical_across_runs(tmp_path):

@@ -21,16 +21,15 @@ from morinchi.morse import (
     run_with_genericity,
     sample_covector,
     validate_genericity,
-    xi_sign,
 )
 from morinchi.strata import (
     FoldCurve,
     SingularSystem,
     StratificationError,
-    _make_point,
     classify_depth,
     compute_stratification,
     load_scenario,
+    stratum_point,
 )
 
 
@@ -203,12 +202,11 @@ def test_eta_identity_at_every_cusp(cusp_ctx):
 
 def test_eta_sign_flat_model(flat_cusp):
     # at the flat model cusp the eta factor equals the first covector entry
-    p = _make_point(flat_cusp, np.zeros(4), np.array([0.0, 1.0]), np.array([0.0]))
+    p = stratum_point(flat_cusp, np.zeros(4), np.array([0.0, 1.0]), np.array([0.0]))
     classify_depth(flat_cusp, p)
-    strat = None
     for a1 in (0.6, -0.6):
         a = Covector(a=np.array([a1, np.sqrt(1 - a1**2)]), seed=0)
-        assert eta_sign(flat_cusp, a, p, strat) == (1 if a1 > 0 else -1)
+        assert eta_sign(flat_cusp, a, p) == (1 if a1 > 0 else -1)
 
 
 def test_certificates_cancel(cusp_ctx):
@@ -229,17 +227,6 @@ def test_certificate_det_sign_bookkeeping(cusp_ctx):
         # boundary factor is minus epsilon times the empty boundary Hessian
         assert cert.det_sign_boundary == -1
         assert cert.sign_xnk == cert.det_sign_closure * cert.det_sign_boundary
-
-
-def test_xi_vacuous_paths(s2_height, s4_proj, cusp_ctx):
-    S, strat, a, data, audit = cusp_ctx
-    p = strat.cusps[0]
-    with pytest.raises(StratificationError):
-        xi_sign(S, a, p, strat)  # n = 2 is even
-    a1 = sample_covector(1, 0)
-    strat1 = compute_stratification(s2_height)
-    with pytest.raises(StratificationError):
-        xi_sign(s2_height, a1, strat1.points[0], strat1)  # n = 1 has no pair
 
 
 # -- audits --------------------------------------------------------------------------
@@ -348,24 +335,24 @@ def test_seed_changes_covector_but_not_results(s2_height):
 
 def test_unconverged_landing_is_a_stratification_error(flat_cusp, monkeypatch):
     S = flat_cusp
-    p = _make_point(S, np.zeros(4), np.array([0.0, 1.0]), np.array([0.0]))
+    p = stratum_point(S, np.zeros(4), np.array([0.0, 1.0]), np.array([0.0]))
     system = SingularSystem(S)
     z = system.pack(p.x, p.cokernel, p.multiplier)
 
     def stalled(system, z0):
         return NewtonResult(np.asarray(z0, dtype=float), 1.0, False, 60)
 
-    monkeypatch.setattr(morse, "_plain_correct", stalled)
+    monkeypatch.setattr(morse, "land", stalled)
     rec = CriticalRecord(x=p.x, stratum_depth=2, on_closure_of=1, morse_index=0,
                          index_basis_dim=0)
     with pytest.raises(StratificationError, match="land"):
         classify_correctness(S, sample_covector(2, [0, 0]), rec, closure_depth=1, point=p)
     with pytest.raises(StratificationError, match="land"):
-        morse._curve_context_at(S, None, p)
+        morse._curve_context_at(S, p)
 
     # the cusp bisection converges at once, then the landing on the cusp stalls
     converges = iter([True, False])
-    monkeypatch.setattr(strata, "_plain_correct", lambda system, z0: NewtonResult(
+    monkeypatch.setattr(strata, "land", lambda system, z0: NewtonResult(
         np.asarray(z0, dtype=float), 0.0, next(converges), 1))
     monkeypatch.setattr(strata, "_node_metrics", lambda S, system, z: (0.0, 0))
     curve = FoldCurve(nodes=np.array([z, z + 0.01]), closed=True, closure_error=0.0,

@@ -9,16 +9,17 @@ from morinchi.strata import (
     ScenarioFormatError,
     SingularSystem,
     StratificationError,
+    StratumPoint,
     Tolerances,
     _kernel_data,
-    _make_point,
+    bisect_on_curve,
     classify_depth,
     compute_stratification,
     kernel_hessian,
     load_scenario,
     sign_split,
-    singular_system,
     solve_stratum1,
+    stratum_point,
     trace_fold_curve,
 )
 
@@ -84,7 +85,7 @@ def test_tolerance_overrides_roundtrip():
 
 
 def test_singular_system_shape_and_solution_dim(s3_proj):
-    sys2 = singular_system(s3_proj)
+    sys2 = SingularSystem(s3_proj)
     assert sys2.solution_dim == 1
     assert sys2.dim_z == 4 + 2 + 1
     assert sys2.n_eqs == 1 + 4 + 1
@@ -95,7 +96,7 @@ def test_singular_system_shape_and_solution_dim(s3_proj):
 
 def test_singular_system_solution_projects_to_circle(s3_proj):
     # solutions of the projection scenario lie on {x2 = x3 = 0}
-    sys2 = singular_system(s3_proj)
+    sys2 = SingularSystem(s3_proj)
     theta = 0.7
     x = np.array([np.cos(theta), np.sin(theta), 0.0, 0.0])
     u = np.array([np.cos(theta), np.sin(theta)])
@@ -106,7 +107,7 @@ def test_singular_system_solution_projects_to_circle(s3_proj):
 
 def test_singular_system_total_for_regular_points(s3_proj):
     # construction is total: the residual is defined away from the circle too
-    sys2 = singular_system(s3_proj)
+    sys2 = SingularSystem(s3_proj)
     z = sys2.pack(np.array([0.5, 0.5, 0.5, 0.5]), np.array([1.0, 0.0]), np.array([0.3]))
     assert np.all(np.isfinite(sys2.residual(z)))
     assert float(np.max(np.abs(sys2.residual(z)))) > 1e-3
@@ -114,12 +115,14 @@ def test_singular_system_total_for_regular_points(s3_proj):
 
 def test_jacobian_matches_finite_differences(s3_cusps):
     from morinchi._numeric import fd_jacobian
-    sys2 = singular_system(s3_cusps)
     rng = np.random.default_rng(3)
-    z = rng.uniform(-0.7, 0.7, sys2.dim_z)
-    J = sys2.jacobian(z)
-    Jfd = fd_jacobian(sys2.residual, z)
-    assert np.allclose(J, Jfd, atol=1e-6)
+    # the full system, and the reduced chart of a fixed cokernel (the k = 0 system)
+    for sys2 in (SingularSystem(s3_cusps), SingularSystem(s3_cusps, (0.6, -0.8))):
+        z = rng.uniform(-0.7, 0.7, sys2.dim_z)
+        J = sys2.jacobian(z)
+        Jfd = fd_jacobian(sys2.residual, z)
+        assert J.shape == (sys2.n_eqs, sys2.dim_z)
+        assert np.allclose(J, Jfd, atol=1e-6)
 
 
 # -- depth-1 solving ------------------------------------------------------------
@@ -185,9 +188,14 @@ def test_kernel_dimension_bookkeeping(s3_strat, s3_proj):
 
 def test_sign_split_invariant_under_cokernel_flip(torus_strat, torus_height):
     for p in torus_strat.points:
-        flipped = _make_point(torus_height, p.x, -p.cokernel, -p.multiplier)
-        flipped.depth = 1
+        # built directly: stratum_point would normalize the flip away
+        flipped = StratumPoint(x=p.x, depth=1, cokernel=-p.cokernel,
+                               multiplier=-p.multiplier, kernel_basis=p.kernel_basis)
         assert sign_split(torus_height, flipped) == p.sign
+        assert flipped.signature.n_minus == p.signature.n_plus
+        # and stratum_point flips the pair back
+        again = stratum_point(torus_height, p.x, -p.cokernel, -p.multiplier)
+        assert np.array_equal(again.cokernel, p.cokernel) and again.sign == p.sign
 
 
 def test_corank_two_point_rejected(s3_proj):
@@ -216,6 +224,40 @@ def test_s3_projection_single_closed_curve(s3_strat, s3_proj):
     assert len(curve.cusps) == 0
     assert len(curve.arcs) == 1
     assert curve.arcs[0].sign == "plus"
+
+
+def test_bisect_on_curve_stops_like_the_loops_it_replaced():
+    # a flat "curve" every point lies on, so each landing is the point itself
+    class Line:
+        class S:
+            tolerances = Tolerances()
+
+        def residual(self, z):
+            return np.zeros(1)
+
+        def jacobian(self, z):
+            return np.zeros((1, 1))
+
+    def value(z, chord):
+        return float(z[0]) - target
+
+    za, zb = np.array([0.0]), np.array([1.0])
+    target = 0.5                        # the first midpoint is an exact zero
+    assert bisect_on_curve(Line(), za, zb, -0.5, value, gap=1e-13) == (0.5, 1)
+    target = 0.3                        # stops once the bracket is below the gap
+    z, steps = bisect_on_curve(Line(), za, zb, -0.3, value, gap=1e-13)
+    assert abs(z[0] - 0.3) < 1e-13 and steps < 60
+    # a value that is never exactly zero runs all 60 halvings
+    z, steps = bisect_on_curve(Line(), za, zb, -1.0,
+                               lambda z, chord: 1.0 if z[0] >= 0.3 else -1.0, gap=0.0)
+    assert steps == 60 and abs(z[0] - 0.3) < 1e-15    # the bracket midpoint
+
+    class Lost(Line):
+        def residual(self, z):
+            return np.ones(1)
+
+    with pytest.raises(StratificationError, match="lost the curve"):
+        bisect_on_curve(Lost(), za, zb, -0.3, value, gap=1e-13)
 
 
 def test_open_curve_does_not_close(flat_cusp):
@@ -266,7 +308,7 @@ def test_flat_model_fold_signs(flat_cusp):
 
 
 def test_flat_model_cusp_depth_and_slope(flat_cusp):
-    p = _make_point(flat_cusp, np.zeros(4), np.array([0.0, 1.0]), np.array([0.0]))
+    p = stratum_point(flat_cusp, np.zeros(4), np.array([0.0, 1.0]), np.array([0.0]))
     assert p.signature.n_zero == 1
     assert classify_depth(flat_cusp, p) == 2
     # the intrinsic leading coefficient of the depth-2 normal form is 6
@@ -276,6 +318,6 @@ def test_flat_model_cusp_depth_and_slope(flat_cusp):
 def test_flat_model_fold_depth(flat_cusp):
     x = np.array([-3 * 0.4**2, 0.4, 0.0, 0.0])
     u = np.array([-0.4, 1.0]) / np.sqrt(1 + 0.16)
-    p = _make_point(flat_cusp, x, u, np.array([0.0]))
+    p = stratum_point(flat_cusp, x, u, np.array([0.0]))
     assert classify_depth(flat_cusp, p) == 1
     assert p.signature.n_zero == 0
