@@ -168,8 +168,7 @@ def _k0_records(S: MorinScenario, a: Covector, stats=None) -> list:
     sys0 = SingularSystem(S, a.a)
     tol = S.tolerances
     starts, Z0 = _k0_starts(S, a.a)
-    out = newton_batch(lambda Z: (sys0.residual(Z), sys0.jacobian(Z)), Z0,
-                       tol=tol.residual, max_iter=30)
+    out = newton_batch(sys0.evaluate, Z0, tol=tol.residual, max_iter=30)
     found, residuals = out.z[out.converged], out.residual[out.converged]
     xs = found[:, :S.N]
     kept = dedup_points(xs, tol.dedup_radius)
@@ -247,8 +246,8 @@ class StratumCriticalSystem:
         N, n, c = S.N, S.n, S.c
         x, u, mu = self.base.unpack(z)
         nu_g, nu_s, nu_n = nu[..., :c], nu[..., c:c + N], nu[..., c + N]
-        Hf = S.Hf(x)
-        Hg = S.manifold.constraint_hessians(x)
+        H = S.jet(x)[2]
+        Hf, Hg = H[..., :n, :, :], H[..., n:, :, :]
         T3f, T3g = S.third_tensors(x)
         A = np.zeros(x.shape[:-1] + (self.D, self.D))
         Axx = np.einsum("l,...lpq->...pq", self.a, Hf)
@@ -265,6 +264,10 @@ class StratumCriticalSystem:
         A[..., N + n:, :N] = np.swapaxes(Axm, -1, -2)
         A[..., N:N + n, N:N + n] = -2.0 * np.multiply.outer(nu_n, np.eye(n))
         return A
+
+    def evaluate(self, w):
+        """(residual, Jacobian) at w; both read one evaluation of the base system."""
+        return self.residual(w), self.jacobian(w)
 
     def jacobian(self, w):
         z, nu = w[..., :self.D], w[..., self.D:]
@@ -382,8 +385,7 @@ def _critical_points_on_surface(S, a: Covector, strat: Stratification):
     sysc = StratumCriticalSystem(S, a.a)
     Z = np.array([sysc.base.pack(p.x, p.cokernel, p.multiplier)
                   for p in strat.points]).reshape(-1, sysc.D)
-    out = newton_batch(lambda W: (sysc.residual(W), sysc.jacobian(W)),
-                       np.concatenate([Z, sysc.initial_nu(Z)], axis=1),
+    out = newton_batch(sysc.evaluate, np.concatenate([Z, sysc.initial_nu(Z)], axis=1),
                        tol=tol.residual)
     found, residuals = out.z[out.converged], out.residual[out.converged]
     if len(found) == 0:
@@ -593,8 +595,7 @@ def _h_second_derivative_along(S, a, system, z_c, t, delta):
     return (vals[0] - 2 * vals[1] + vals[2]) / delta**2
 
 
-def perturbation_certificate(S: MorinScenario, a: Covector, p,
-                             strat: Stratification) -> PerturbationCertificate:
+def perturbation_certificate(S: MorinScenario, a: Covector, p) -> PerturbationCertificate:
     """Pair a non-correct cusp with the unique nearby interior critical point.
 
     The construction follows the local picture: adding eps times the inward
@@ -658,7 +659,7 @@ def _boundary_records(S, a: Covector, strat: Stratification, cusp_hits):
                 f"cusp at {np.round(p.x, 6)} is not a critical point of the "
                 f"restricted functional (boundary-criticality equivalence fails)"
             )
-        cert = perturbation_certificate(S, a, p, strat)
+        cert = perturbation_certificate(S, a, p)
         closure_index = cert.interior_index
         rec = CriticalRecord(
             x=p.x, stratum_depth=2, on_closure_of=1,

@@ -119,8 +119,7 @@ class MorinScenario:
         self.tolerances = tolerances or Tolerances()
         self.chi_expected = chi_expected if chi_expected is None else int(chi_expected)
 
-        self._jet = ex.Jet(self.components, manifold.ambient_dim)
-        self.component_gradients = self._jet.gradients
+        self._jet = None            # built on the first use of ``jet``
         self._third = None          # built on the first third_tensors call
 
     # shorthand dimensions
@@ -140,22 +139,41 @@ class MorinScenario:
     def c(self):
         return self.N - self.m
 
+    @property
+    def jet(self) -> ex.Jet:
+        """One jet of (f_1..f_n, g_1..g_c), built on first use.
+
+        A call at a point (N,) or a stack (B, N) gives values, gradients and
+        Hessians of the map and the constraints together; the evaluators
+        below slice it.  The manifold keeps its own constraint jet for
+        projections and frames.
+        """
+        if self._jet is None:
+            self._jet = ex.Jet(list(self.components) + list(self.manifold.constraints),
+                               self.N)
+        return self._jet
+
+    @property
+    def component_gradients(self):
+        return self.jet.gradients[:self.n]
+
     # numeric evaluators; each takes a point (N,) or a stack (B, N)
     def f(self, x):
-        return self._jet(x)[0]
+        return self.jet(x)[0][..., :self.n]
 
     def Df(self, x):
-        return self._jet(x)[1]
+        return self.jet(x)[1][..., :self.n, :]
 
     def Hf(self, x):
-        return self._jet(x)[2]
+        return self.jet(x)[2][..., :self.n, :, :]
 
     def lagrangian_hessian(self, x, u, mu):
         """Ambient Hessian of <u, f> - <mu, g> at x (or at each point of a stack)."""
-        W = np.einsum("...l,...lij->...ij", np.asarray(u, dtype=float), self.Hf(x))
+        H, n = self.jet(x)[2], self.n
+        W = np.einsum("...l,...lij->...ij", np.asarray(u, dtype=float), H[..., :n, :, :])
         if self.c:
             W = W - np.einsum("...k,...kij->...ij", np.asarray(mu, dtype=float),
-                              self.manifold.constraint_hessians(x))
+                              H[..., n:, :, :])
         return W
 
     def third_tensors(self, x):
@@ -200,13 +218,16 @@ def load_scenario(source) -> MorinScenario:
         sample_seeds = [tuple(float(c) for c in s) for s in data.get("sample_seeds", ())]
     except (KeyError, TypeError, ValueError, ex.ExprError) as exc:
         raise ScenarioFormatError(f"bad scenario fields: {exc}") from exc
+    compact = data.get("compact", True)
+    if not isinstance(compact, bool):
+        raise ScenarioFormatError(f"compact must be true or false, got {compact!r}")
     if any(len(s) != N for s in sample_seeds):
         raise ScenarioFormatError(f"every sample seed needs ambient_dim = {N} coordinates")
     if not (math.isfinite(halfwidth) and halfwidth > 0):
         raise ScenarioFormatError(f"sample_halfwidth must be finite and positive, got {halfwidth}")
     try:
         manifold = ImplicitManifold(N, constraints, m, sample_seeds=sample_seeds,
-                                    chi_expected=chi, compact=data.get("compact", True),
+                                    chi_expected=chi, compact=compact,
                                     sample_halfwidth=halfwidth)
     except ManifoldError as exc:
         raise ScenarioFormatError(str(exc)) from exc
@@ -277,9 +298,10 @@ class SingularSystem:
         self.dim_z = N + c if self.reduced else N + n + c
         self.n_eqs = c + N if self.reduced else c + N + 1
         self.solution_dim = n - 1
+        self._memo = (None, None, None)
 
-    # pack, unpack, residual and jacobian take one point or a stack of them;
-    # a fixed cokernel comes out of unpack unstacked and broadcasts
+    # pack, unpack, evaluate, residual and jacobian take one point or a stack
+    # of them; a fixed cokernel comes out of unpack unstacked and broadcasts
 
     def pack(self, x, u, mu):
         if self.reduced:
@@ -293,28 +315,43 @@ class SingularSystem:
             return z[..., :N], self.cokernel, z[..., N:]
         return z[..., :N], z[..., N:N + n], z[..., N + n:]
 
-    def residual(self, z):
+    def evaluate(self, z):
+        """(residual, Jacobian) at z from one joint jet of (f, g).
+
+        The last evaluation is memoized, keyed by the bytes and the shape of
+        z, so a solver's residual and Jacobian at one iterate cost one jet
+        call; the memoized arrays are read-only.
+        """
+        z = np.asarray(z, dtype=float)
+        key = z.tobytes()
+        memo = self._memo          # single read keeps the triple consistent
+        if key == memo[0] and z.shape == memo[1]:
+            return memo[2]
         S = self.S
+        N, n, c = S.N, S.n, S.c
         x, u, mu = self.unpack(z)
-        stat = vecmat(u, S.Df(x)) - vecmat(mu, S.manifold.jacobian(x))
-        parts = [S.manifold.g(x), stat]
+        g, D, _ = S.jet(x)
+        Df, Dg = D[..., :n, :], D[..., n:, :]
+        parts = [g[..., n:], vecmat(u, Df) - vecmat(mu, Dg)]
         if not self.reduced:
             parts.append((u[..., None, :] @ u[..., :, None])[..., 0] - 1.0)
-        return np.concatenate(parts, axis=-1)
-
-    def jacobian(self, z):
-        S = self.S
-        x, u, mu = self.unpack(z)
-        N, n, c = S.N, S.n, S.c
-        Dg = S.manifold.jacobian(x)
+        R = np.concatenate(parts, axis=-1)
         J = np.zeros(x.shape[:-1] + (self.n_eqs, self.dim_z))
         J[..., :c, :N] = Dg
         J[..., c:c + N, :N] = S.lagrangian_hessian(x, u, mu)
         J[..., c:c + N, self.dim_z - c:] = -np.swapaxes(Dg, -1, -2)
         if not self.reduced:
-            J[..., c:c + N, N:N + n] = np.swapaxes(S.Df(x), -1, -2)
+            J[..., c:c + N, N:N + n] = np.swapaxes(Df, -1, -2)
             J[..., c + N, N:N + n] = 2 * u
-        return J
+        R.flags.writeable = J.flags.writeable = False
+        self._memo = (key, z.shape, (R, J))
+        return R, J
+
+    def residual(self, z):
+        return self.evaluate(z)[0]
+
+    def jacobian(self, z):
+        return self.evaluate(z)[1]
 
     def describe(self) -> dict:
         """Symbolic description of the equation groups (prefix strings)."""
@@ -457,8 +494,8 @@ def solve_stratum1(S: MorinScenario, density=None, stats=None) -> list[StratumPo
     tol = S.tolerances
     count = (density or tol.multistart_density) * S.n
     X0 = np.array(_multistart_seeds(S, count, tag=1))
-    out = newton_batch(lambda Z: (system.residual(Z), system.jacobian(Z)),
-                       _initial_guesses(S, system, X0), tol=tol.residual, max_iter=30)
+    out = newton_batch(system.evaluate, _initial_guesses(S, system, X0),
+                       tol=tol.residual, max_iter=30)
     solutions = out.z[out.converged]
     xs = system.unpack(solutions)[0]
     kept = dedup_points(xs, tol.dedup_radius)
@@ -533,8 +570,9 @@ def stratum_point(S, x, u, mu, system=None, K=None) -> StratumPoint:
 #
 # A predictor-corrector layout after Allgower & Georg, Introduction to
 # Numerical Continuation Methods (SIAM 2003): a step along the tangent, then
-# Newton back to the curve inside the plane normal to it.  The trace below
-# and the Morse walk along the fold curves in ``morse`` share these routines.
+# Newton back to the curve inside the plane normal to it (the trace starts
+# that Newton from a second-order predictor).  The trace below and the Morse
+# walk along the fold curves in ``morse`` share these routines.
 
 
 def land(system, z):
@@ -696,9 +734,6 @@ def classify_depth(S: MorinScenario, p: StratumPoint) -> int:
 @dataclass
 class Arc:
     sign: str
-    start_cusp: int | None          # indices into FoldCurve.cusps, None on circles
-    end_cusp: int | None
-    node_span: tuple                # (start node pos, end node pos), cyclic
 
 
 @dataclass
@@ -755,9 +790,14 @@ def trace_fold_curve(S: MorinScenario, z_start, max_steps=200000) -> FoldCurve:
     nodes = [z0]
     tangents = [t]
     half_steps = iterations = 0
-    z, closed, closure_error = z0, False, np.inf
+    z, t_prev, closed, closure_error = z0, None, False, np.inf
     for step in range(max_steps):
-        out = correct_in_plane(system, z + h * t, None, t)
+        anchor = z + h * t
+        # second-order predictor: the tangent's turn over the last step
+        # estimates the curvature term (h^2/2) z''; the corrector plane stays
+        # through z + h t, so the node is the same curve point either way
+        start = anchor if t_prev is None else anchor + 0.5 * h * (t - t_prev)
+        out = correct_in_plane(system, start, anchor, t)
         iterations += out.iterations
         if not out.converged:
             # halve the step locally rather than failing the whole trace
@@ -777,7 +817,7 @@ def trace_fold_curve(S: MorinScenario, z_start, max_steps=200000) -> FoldCurve:
             break
         nodes.append(z_new)
         tangents.append(t_new)
-        z, t = z_new, t_new
+        z, t, t_prev = z_new, t_new, t
     if not closed:
         raise StratificationError("trace did not close (open curve or step budget hit)")
 
@@ -849,8 +889,7 @@ def _build_arcs(S, curve: FoldCurve):
         if len(set(curve.parities.tolist())) != 1:
             raise MorinnessError("kernel index parity changed without a cusp")
         sign = "plus" if curve.parities[0] == 0 else "minus"
-        curve.arcs.append(Arc(sign=sign, start_cusp=None, end_cusp=None,
-                              node_span=(0, K)))
+        curve.arcs.append(Arc(sign=sign))
         return
     order = np.argsort(curve.cusp_positions)
     positions = [curve.cusp_positions[i] for i in order]
@@ -867,8 +906,7 @@ def _build_arcs(S, curve: FoldCurve):
         if len(par) != 1:
             raise MorinnessError("parity not constant along an arc between cusps")
         sign = "plus" if par.pop() == 0 else "minus"
-        curve.arcs.append(Arc(sign=sign, start_cusp=a, end_cusp=b,
-                              node_span=(start, end)))
+        curve.arcs.append(Arc(sign=sign))
 
 
 def _nodes_between(K, start, end):

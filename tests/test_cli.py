@@ -157,6 +157,8 @@ def test_explain_missing_report(tmp_path):
     ("sample_halfwidth", "inf"),
     ("sample_seeds", [["a", 0, 0]]),
     ("sample_seeds", [[1.0, 0.0, 0.0], [0.0, 1.0]]),   # two coordinates on R^3
+    ("compact", "false"),
+    ("compact", 0),
 ])
 def test_malformed_scenario_field_exits_64(tmp_path, capsys, field, value):
     data = json.loads(scenario_path("s2-height").read_text())

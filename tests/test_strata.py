@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from morinchi import expr as ex
 from morinchi._numeric import eig_sign_counts
 from morinchi.strata import (
     MorinnessError,
@@ -15,6 +18,7 @@ from morinchi.strata import (
     bisect_on_curve,
     classify_depth,
     compute_stratification,
+    correct_in_plane,
     kernel_hessian,
     load_scenario,
     sign_split,
@@ -22,6 +26,7 @@ from morinchi.strata import (
     stratum_point,
     trace_fold_curve,
 )
+from tests.conftest import bundled
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +130,67 @@ def test_jacobian_matches_finite_differences(s3_cusps):
         assert np.allclose(J, Jfd, atol=1e-6)
 
 
+def _componentwise(system, z):
+    """Residual and Jacobian of the singular system entry by entry, from the
+    symbolic partials of f and g evaluated one by one."""
+    S = system.S
+    N, n, c = S.N, S.n, S.c
+    x, u, mu = system.unpack(z)
+    fs, gs = S.components, S.manifold.constraints
+
+    def val(e, *idx):
+        for i in idx:
+            e = ex.differentiate(e, i)
+        return ex.compiled(e)(x)
+
+    R = [val(g) for g in gs]
+    R += [sum(u[l] * val(fs[l], i) for l in range(n))
+          - sum(mu[j] * val(gs[j], i) for j in range(c)) for i in range(N)]
+    J = np.zeros((system.n_eqs, system.dim_z))
+    for j in range(c):
+        J[j, :N] = [val(gs[j], i) for i in range(N)]
+    for i in range(N):
+        for k in range(N):
+            J[c + i, k] = (sum(u[l] * val(fs[l], i, k) for l in range(n))
+                           - sum(mu[j] * val(gs[j], i, k) for j in range(c)))
+        J[c + i, system.dim_z - c:] = [-val(gs[j], i) for j in range(c)]
+    if not system.reduced:
+        R.append(float(u @ u) - 1.0)
+        for i in range(N):
+            J[c + i, N:N + n] = [val(fs[l], i) for l in range(n)]
+        J[c + N, N:N + n] = 2 * u
+    return np.array(R), J
+
+
+@pytest.mark.parametrize("chart", ["full", "reduced"])
+def test_evaluate_matches_the_componentwise_system(s3_cusps, chart):
+    system = SingularSystem(s3_cusps, None if chart == "full" else (0.6, -0.8))
+    Z = np.random.default_rng(5).uniform(-1.0, 1.0, (4, system.dim_z))
+    want = [_componentwise(system, z) for z in Z]
+    R, J = system.evaluate(Z)
+    assert R.shape == (4, system.n_eqs) and J.shape == (4, system.n_eqs, system.dim_z)
+    for b, (Rw, Jw) in enumerate(want):
+        R1, J1 = system.evaluate(Z[b])
+        for got in (R1, R[b], system.residual(Z[b])):
+            assert np.max(np.abs(got - Rw)) <= 1e-13
+        for got in (J1, J[b], system.jacobian(Z[b])):
+            assert np.max(np.abs(got - Jw)) <= 1e-13
+
+
+def test_evaluate_memo_is_keyed_by_shape(s3_cusps):
+    system = SingularSystem(s3_cusps)
+    z = np.random.default_rng(6).uniform(-1.0, 1.0, system.dim_z)
+    R, J = system.evaluate(z)
+    assert R.shape == (system.n_eqs,) and J.shape == (system.n_eqs, system.dim_z)
+    # z[None] has the same bytes as z
+    R1, J1 = system.evaluate(z[None])
+    assert R1.shape == (1, system.n_eqs) and J1.shape == (1, system.n_eqs, system.dim_z)
+    assert system.residual(z).shape == (system.n_eqs,)
+    assert np.array_equal(R1[0], R) and np.array_equal(J1[0], J)
+    # the memoized arrays cannot be changed behind the memo's back
+    assert not R.flags.writeable and not J.flags.writeable
+
+
 # -- depth-1 solving ------------------------------------------------------------
 
 
@@ -224,6 +290,27 @@ def test_s3_projection_single_closed_curve(s3_strat, s3_proj):
     assert len(curve.cusps) == 0
     assert len(curve.arcs) == 1
     assert curve.arcs[0].sign == "plus"
+
+
+@pytest.mark.parametrize("name", ["s3-proj", "s3-cusps"])
+def test_trace_takes_one_newton_step_per_node(name):
+    S = bundled(name)
+    S.tolerances = dataclasses.replace(S.tolerances, curve_step=2.5e-3)
+    h = S.tolerances.curve_step
+    system = SingularSystem(S)
+    p = solve_stratum1(S)[0]
+    curve = trace_fold_curve(S, system.pack(p.x, p.cokernel, p.multiplier))
+    nodes = len(curve.nodes)
+    assert nodes > 3000 and curve.solver["half_steps"] == 0
+    assert curve.solver["corrector_iterations"] <= 1.01 * nodes
+    # the second-order predictor only moves the corrector's start: every node
+    # is still where the plain predictor's step from the node before lands,
+    # on the plane through z + h t normal to t
+    for i in range(1, nodes):
+        z, t = curve.nodes[i - 1], curve.tangents[i - 1]
+        plain = correct_in_plane(system, z + h * t, None, t)
+        assert plain.converged
+        assert np.max(np.abs(plain.z - curve.nodes[i])) <= 1e-11, i
 
 
 def test_bisect_on_curve_stops_like_the_loops_it_replaced():
