@@ -17,7 +17,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib.resources import files
 from pathlib import Path
 
@@ -28,6 +28,7 @@ from .strata import (
     MorinnessError,
     ScenarioFormatError,
     StratificationError,
+    Tolerances,
     compute_stratification,
     load_scenario,
 )
@@ -47,21 +48,15 @@ class RunConfig:
     out_dir: str = "."
     tol_residual: float | None = None
     max_resamples: int | None = None
-    tolerance_overrides: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.max_resamples is not None and self.max_resamples < 1:
-            raise ScenarioFormatError("max_resamples must be at least 1")
 
 
 def _apply_config(S, config: RunConfig):
-    overrides = dict(config.tolerance_overrides)
+    overrides = {}
     if config.tol_residual is not None:
         overrides["residual"] = config.tol_residual
     if config.max_resamples is not None:
         overrides["max_resamples"] = config.max_resamples
     if overrides:
-        from .strata import Tolerances
         merged = S.tolerances.as_dict()
         merged.update(overrides)
         S.tolerances = Tolerances.from_dict(merged)
@@ -219,11 +214,11 @@ def explain(report_path) -> str:
                  f"[{ok(data['mod2_congruence_ok'])}]")
     for key, label, why in (("fold_equality_ok", "fold-only equality", "deeper strata present"),
                             ("telescoping_ok", "boundary telescoping",
-                             "no depth-3 strata in scope")):
+                             "no depth-3 strata in scope"),
+                            ("route_agreement_ok", "route agreement (morse vs cell counting)",
+                             "one route only unless n = 2")):
         verdict = f"not applicable ({why})" if data[key] is None else f"[{ok(data[key])}]"
         lines.append(f"{label}: {verdict}")
-    lines.append(f"route agreement (morse vs cell counting): "
-                 f"[{ok(data['route_agreement_ok'])}]")
     if data["chi_M_expected"] is not None:
         lines.append(f"expected chi(M) = {data['chi_M_expected']}: "
                      f"[{ok(data['chi_expected_ok'])}]")
@@ -231,6 +226,8 @@ def explain(report_path) -> str:
     if audits.get("parity_violations"):
         lines.append("index-parity audit: VIOLATED at "
                      f"{audits['parity_violations']}")
+    elif audits.get("parity_checked", 0) is None:
+        lines.append("index-parity audit: not applicable (n = 1)")
     else:
         lines.append(f"index-parity audit: ok "
                      f"({audits.get('parity_checked', 0)} points)")
@@ -290,18 +287,13 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "run":
-        try:
-            config = RunConfig(
-                scenario=args.scenario,
-                seed=args.seed,
-                out_dir=args.out,
-                tol_residual=args.tol_residual,
-                max_resamples=args.max_resamples,
-            )
-        except ScenarioFormatError as exc:
-            print(f"bad configuration: {exc}", file=sys.stderr)
-            return EXIT_FORMAT
-        return run(config)
+        return run(RunConfig(
+            scenario=args.scenario,
+            seed=args.seed,
+            out_dir=args.out,
+            tol_residual=args.tol_residual,
+            max_resamples=args.max_resamples,
+        ))
     if args.command == "list":
         try:
             print(list_scenarios(args.dir))

@@ -168,7 +168,9 @@ class EulerReport:
     # terms with signed index sums on the depth-3 strata; in scope every cusp
     # is non-correct and depth 3 is rejected, so the check does not apply
     telescoping_ok: bool | None
-    route_agreement_ok: bool
+    # only n = 2 has two independent routes: with n = 1 both count the same
+    # points by sign, and with n = 3 both read the empty depth-3 list
+    route_agreement_ok: bool | None
     chi_expected_ok: bool | None
     audits: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
@@ -215,13 +217,10 @@ def build_report(S: MorinScenario, strat: Stratification, data: MorseData,
 
     table = []
     chi_signed = {}
-    route_ok = True
     for k in range(1, S.n + 1, 2):
         for sign in ("plus", "minus"):
             cm = chi_stratum_via_morse(S, strat, data, k, sign)
             co = chi_stratum_oracle(S, strat, k, sign)
-            if co is not None and co != cm:
-                route_ok = False
             chi_signed[(k, sign)] = cm
             arcs, circles = _oracle_cells(strat, sign) if (S.n == 2 and k == 1) else (0, 0)
             pts = (len([p for p in strat.stratum_points(k) if p.sign == sign])
@@ -242,6 +241,8 @@ def build_report(S: MorinScenario, strat: Stratification, data: MorseData,
             "points": len(strat.stratum_points(k)),
         })
 
+    route_ok = (all(row["chi_oracle"] == row["chi_morse_boundary"]
+                    for row in table if row["k"] == 1) if S.n == 2 else None)
     rhs = sum(chi_signed[(k, "plus")] - chi_signed[(k, "minus")]
               for k in range(1, S.n + 1, 2))
     identity_ok = chi_m == rhs
@@ -267,10 +268,12 @@ def build_report(S: MorinScenario, strat: Stratification, data: MorseData,
 
     audits = dict(strat.audits)
     audits["solver"] = {**audits.get("solver", {}), "k0": data.audits.get("k0_solver", {})}
+    parity = data.audits["parity"]          # None where the audit does not apply (n = 1)
     audits.update({
         "genericity": {"attempt": attempt, "history": list(history)},
-        "parity_checked": data.audits["parity"].checked,
-        "parity_violations": [list(map(float, v[0])) for v in data.audits["parity"].violations],
+        "parity_checked": None if parity is None else parity.checked,
+        "parity_violations": None if parity is None else [list(map(float, v[0]))
+                                                          for v in parity.violations],
         "separation_matched": data.audits["separation"].matched,
         "separation_max_distance": data.audits["separation"].max_distance,
         "eta_checks": data.audits["eta_checks"],
@@ -295,7 +298,7 @@ def build_report(S: MorinScenario, strat: Stratification, data: MorseData,
         mod2_congruence_ok=bool(mod2_ok),
         fold_equality_ok=fold_eq,
         telescoping_ok=None,
-        route_agreement_ok=bool(route_ok),
+        route_agreement_ok=route_ok,
         chi_expected_ok=chi_expected_ok,
         audits=_jsonable(audits),
         tolerances=S.tolerances.as_dict(),

@@ -152,11 +152,6 @@ class Expr:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(m) for m in self.terms)
-
     def sorted_terms(self):
         """Monomials in the canonical order: total degree descending, then lex."""
         return sorted(self.terms.items(), key=lambda kv: (-sum(kv[0]), kv[0]))
@@ -218,51 +213,7 @@ def gradient(e: Expr) -> tuple:
     return tuple(differentiate(e, i) for i in range(e.nvars))
 
 
-def directional_derivative(e: Expr, x: Sequence, v: Sequence, order: int):
-    """d^order/dt^order of e(x + t v) at t = 0.
-
-    Computed by repeated symbolic differentiation contracted with v; floats
-    in v are converted to exact binary rationals first, so the contraction
-    itself is exact and the only rounding is the final evaluation at x.
-    """
-    if order < 1:
-        raise ExprError("order must be a positive integer")
-    if len(v) != e.nvars:
-        raise DimensionMismatch(f"direction has dimension {len(v)}, expression has {e.nvars}")
-    vfrac = [Fraction(c) if not isinstance(c, Fraction) else c for c in v]
-    if all(c == 0 for c in vfrac):
-        raise ExprError("direction must be nonzero")
-    cur = e
-    for _ in range(order):
-        acc = Expr.constant(0, e.nvars)
-        for i, ci in enumerate(vfrac):
-            if ci != 0:
-                acc = acc + differentiate(cur, i) * ci
-        cur = acc
-    return evaluate(cur, x)
-
-
 # -- fast numeric evaluation --------------------------------------------------
-
-
-def compiled(e: Expr):
-    """Return a float evaluator x -> e(x) backed by numpy arrays.
-
-    Used at solver boundaries where exactness is not needed.
-    """
-    if not e.terms:
-        zero = 0.0
-        return lambda x: zero
-    monos = np.array(sorted(e.terms), dtype=np.int64)
-    coeffs = np.array([float(e.terms[tuple(m)]) for m in monos], dtype=float)
-    if monos.size == 0 or not monos.any():
-        const = float(coeffs.sum())
-        return lambda x: const
-
-    def _eval(x, _m=monos, _c=coeffs):
-        return float(_c @ np.prod(np.asarray(x, dtype=float) ** _m, axis=1))
-
-    return _eval
 
 
 class ExprBlock:
@@ -313,12 +264,11 @@ class Jet:
 
     def __init__(self, exprs: Sequence[Expr], nvars: int):
         exprs = [e.with_nvars(nvars) for e in exprs]
-        self.gradients = tuple(tuple(differentiate(e, i) for i in range(nvars))
-                               for e in exprs)
+        gradients = [[differentiate(e, i) for i in range(nvars)] for e in exprs]
         upper = [(i, j) for i in range(nvars) for j in range(i, nvars)]
         family = list(exprs)
-        family += [d for row in self.gradients for d in row]
-        family += [differentiate(row[i], j) for row in self.gradients for (i, j) in upper]
+        family += [d for row in gradients for d in row]
+        family += [differentiate(row[i], j) for row in gradients for (i, j) in upper]
         self._block = ExprBlock(family, nvars)
         self._k = len(exprs)
         self._ui = np.array([i for i, _ in upper], dtype=np.int64)
@@ -385,7 +335,7 @@ def _tokenize(text: str):
     return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
-def _parse_atom(token: str, nvars_hint: int | None):
+def _parse_atom(token: str):
     if token.startswith("x") and token[1:].isdigit():
         idx = int(token[1:])
         return ("var", idx)
@@ -405,7 +355,7 @@ def _parse(tokens: list, pos: int):
     if tok == ")":
         raise ExprError("unexpected ')'")
     if tok != "(":
-        kind, val = _parse_atom(tok, None)
+        kind, val = _parse_atom(tok)
         return (kind, val), pos + 1
     op = tokens[pos + 1]
     if op not in ("+", "*", "-", "^"):

@@ -78,7 +78,6 @@ class ImplicitManifold:
         self.compact = bool(compact)
         self.sample_halfwidth = float(sample_halfwidth)
         self._jet = ex.Jet(constraints, ambient_dim)
-        self.constraint_gradients = self._jet.gradients
 
     # numeric evaluators; each takes a point (N,) or a stack (B, N)
     def g(self, x):
@@ -86,9 +85,6 @@ class ImplicitManifold:
 
     def jacobian(self, x):
         return self._jet(x)[1]
-
-    def constraint_hessians(self, x):
-        return self._jet(x)[2]
 
     def residual(self, x):
         return float(np.max(np.abs(self.g(x)))) if self.constraints else 0.0

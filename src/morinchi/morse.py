@@ -21,7 +21,7 @@ from ._numeric import (
     eig_sign_counts,
     min_norm_solve,
     multistart_counters,
-    newton,
+    newton,  # noqa: F401  (stays bound here for perfbench)
     newton_batch,
     nullspace,
     vecmat,
@@ -29,7 +29,6 @@ from ._numeric import (
 from .manifold import project_points, tangent_frame
 from .strata import (
     MorinScenario,
-    MorinnessError,
     SingularSystem,
     Stratification,
     StratificationError,
@@ -155,7 +154,8 @@ def _k0_starts(S: MorinScenario, a) -> tuple:
     X0 = np.array(_multistart_seeds(S, S.tolerances.multistart_density * (S.n + 1), tag=2))
     proj = project_points(S.manifold, X0)
     x = proj.z[proj.converged]
-    lam0 = min_norm_solve(np.swapaxes(S.manifold.jacobian(x), -1, -2), vecmat(a, S.Df(x)))
+    D = S.jet(x)[1]
+    lam0 = min_norm_solve(np.swapaxes(D[:, S.n:], -1, -2), vecmat(a, D[:, :S.n]))
     return len(X0), np.concatenate([x, lam0], axis=1)
 
 
@@ -233,13 +233,6 @@ class StratumCriticalSystem:
         g[..., :S.N] = vecmat(self.a, S.Df(x))
         return g
 
-    def residual(self, w):
-        z, nu = w[..., :self.D], w[..., self.D:]
-        return np.concatenate([
-            self.base.residual(z),
-            self.grad_h(z) - vecmat(nu, self.base.jacobian(z)),
-        ], axis=-1)
-
     def hess_lagrangian(self, z, nu):
         """A = hess_z h - sum_r nu_r hess_z F_r, in (x, u, mu) block form."""
         S = self.S
@@ -267,16 +260,20 @@ class StratumCriticalSystem:
 
     def evaluate(self, w):
         """(residual, Jacobian) at w; both read one evaluation of the base system."""
-        return self.residual(w), self.jacobian(w)
-
-    def jacobian(self, w):
         z, nu = w[..., :self.D], w[..., self.D:]
-        DF = self.base.jacobian(z)
+        F, DF = self.base.evaluate(z)
+        R = np.concatenate([F, self.grad_h(z) - vecmat(nu, DF)], axis=-1)
         J = np.zeros(w.shape[:-1] + (self.E + self.D, self.D + self.E))
         J[..., :self.E, :self.D] = DF
         J[..., self.E:, :self.D] = self.hess_lagrangian(z, nu)
         J[..., self.E:, self.D:] = -np.swapaxes(DF, -1, -2)
-        return J
+        return R, J
+
+    def residual(self, w):
+        return self.evaluate(w)[0]
+
+    def jacobian(self, w):
+        return self.evaluate(w)[1]
 
     def initial_nu(self, z):
         return min_norm_solve(np.swapaxes(self.base.jacobian(z), -1, -2), self.grad_h(z))
@@ -290,11 +287,11 @@ class StratumCriticalSystem:
 def _polish_stratum_critical(S, a, z_guess):
     sysc = StratumCriticalSystem(S, a)
     w0 = np.concatenate([z_guess, sysc.initial_nu(z_guess)])
-    out = newton(sysc.residual, sysc.jacobian, w0, tol=S.tolerances.residual)
-    if not out.converged:
+    out = newton_batch(sysc.evaluate, w0, tol=S.tolerances.residual)
+    if not out.converged[0]:
         return None
-    z, nu = out.z[:sysc.D], out.z[sysc.D:]
-    return z, nu, out.residual, sysc
+    w = out.z[0]
+    return w[:sysc.D], w[sysc.D:], out.residual[0], sysc
 
 
 def _stratum_record(S, a, z, nu, res, sysc) -> CriticalRecord:
@@ -403,6 +400,8 @@ def critical_points_on_stratum(S: MorinScenario, a: Covector, k: int,
     """Critical records of h on the depth-k stratum (k = 0 means M itself).
 
     For k = 0, ``stats`` (a dict, when given) receives the census counters.
+    For k = 1 and n = 2, use ``_critical_points_on_curves``, which also
+    returns the cusp hits.
     """
     if k == 0:
         return _k0_records(S, a, stats)
@@ -419,9 +418,6 @@ def critical_points_on_stratum(S: MorinScenario, a: Covector, k: int,
                 residual=p.residuals.get("system", 0.0), seed=a.seed,
                 fold_sign=p.sign,
             ))
-        return records
-    if S.n == 2:
-        records, _ = _critical_points_on_curves(S, a, strat)
         return records
     return _critical_points_on_surface(S, a, strat)
 
@@ -479,7 +475,6 @@ def classify_correctness(S: MorinScenario, a: Covector, rec: CriticalRecord,
             f"{'correct' if expected else 'non-correct'}"
         )
     rec.correct = verdict
-    rec.residual = max(rec.residual, 0.0)
     return rec
 
 
@@ -531,18 +526,17 @@ def check_fold_index_parity(S: MorinScenario, a: Covector, k0_records,
 
     On the plus side the parities agree, on the minus side they differ by one;
     a violation is a hard failure of either the numerics or the hypotheses.
+    The audit applies for n >= 2: with n = 1 the kernel of d(f|M) is all of
+    T_xM and m is even, so the parities agree by construction.
     """
     violations = []
     for rec in k0_records:
-        if S.n == 1:
-            on_idx = 0
-        else:
-            partner = min(stratum_records, key=lambda r: float(np.linalg.norm(r.x - rec.x)),
-                          default=None)
-            if partner is None or np.linalg.norm(partner.x - rec.x) > 1e-6:
-                violations.append((tuple(rec.x), "no on-stratum partner"))
-                continue
-            on_idx = partner.morse_index
+        partner = min(stratum_records, key=lambda r: float(np.linalg.norm(r.x - rec.x)),
+                      default=None)
+        if partner is None or np.linalg.norm(partner.x - rec.x) > 1e-6:
+            violations.append((tuple(rec.x), "no on-stratum partner"))
+            continue
+        on_idx = partner.morse_index
         if rec.fold_sign == "plus":
             ok = (rec.morse_index - on_idx) % 2 == 0
         else:
@@ -558,14 +552,15 @@ def check_fold_index_parity(S: MorinScenario, a: Covector, k0_records,
 
 
 def _curve_context_at(S, p):
-    """(system, landed cusp, curve tangent oriented into the plus arc)."""
+    """(system, landed cusp, curve tangent t oriented into the plus arc, and
+    the arc samples at -t and +t, curve_step/2 away along the curve)."""
     system = SingularSystem(S)
     landed = land(system, system.pack(p.x, p.cokernel, p.multiplier))
     if not landed.converged:
         raise StratificationError(f"could not land on the singular curve at the cusp {p.x}")
     t = curve_tangent(system, landed.z)
     delta = S.tolerances.curve_step / 2
-    signs = {}
+    samples, signs = [], []
     for s in (-delta, delta):
         out = correct_in_plane(system, landed.z + s * t, None, t)
         if not out.converged:
@@ -573,26 +568,13 @@ def _curve_context_at(S, p):
         q = stratum_point(S, *system.unpack(out.z))
         if q.depth != 1:
             raise StratificationError("arc sample at a cusp is not a fold point")
-        signs[s] = q.sign
-    if signs[-delta] == signs[delta]:
+        samples.append(out.z)
+        signs.append(q.sign)
+    if signs[0] == signs[1]:
         raise MorseAuditError(f"arcs adjacent to the cusp at {p.x} carry equal signs")
-    if signs[delta] != "plus":
-        t = -t
-    return system, landed.z, t
-
-
-def _h_second_derivative_along(S, a, system, z_c, t, delta):
-    vals = []
-    for s in (-delta, 0.0, delta):
-        if s == 0.0:
-            z = z_c
-        else:
-            out = correct_in_plane(system, z_c + s * t, None, t)
-            if not out.converged:
-                raise StratificationError("curve sampling failed near a cusp")
-            z = out.z
-        vals.append(float(a @ S.f(z[:S.N])))
-    return (vals[0] - 2 * vals[1] + vals[2]) / delta**2
+    if signs[1] != "plus":
+        t, samples = -t, samples[::-1]
+    return system, landed.z, t, samples
 
 
 def perturbation_certificate(S: MorinScenario, a: Covector, p) -> PerturbationCertificate:
@@ -603,9 +585,9 @@ def perturbation_certificate(S: MorinScenario, a: Covector, p) -> PerturbationCe
     into the plus side, and moves the old interior criticality to a fold
     point on the side determined by the closure Hessian sign.
     """
-    system, z_c, t = _curve_context_at(S, p)
-    delta = S.tolerances.curve_step / 2
-    h2 = _h_second_derivative_along(S, a.a, system, z_c, t, delta)
+    system, z_c, t, (z_minus, z_plus) = _curve_context_at(S, p)
+    h = [float(a.a @ S.f(z[:S.N])) for z in (z_minus, z_c, z_plus)]
+    h2 = (h[0] - 2 * h[1] + h[2]) / (S.tolerances.curve_step / 2) ** 2
     thr = S.tolerances.correctness * _gradient_scale(S, a.a, p.x)
     if abs(h2) < thr:
         raise GenericityFailure(f"degenerate closure Hessian at the cusp {p.x}")
@@ -694,20 +676,14 @@ def compute_morse_data(S: MorinScenario, strat: Stratification, a: Covector) -> 
     k0_solver = {}
     k0 = critical_points_on_stratum(S, a, 0, stats=k0_solver)
     audits = {"k0_solver": k0_solver}
-    if S.n == 1:
-        k1 = critical_points_on_stratum(S, a, 1, strat)
-        boundary, certs, eta_checks = [], [], []
-    elif S.n == 2:
+    if S.n == 2:
         k1, cusp_hits = _critical_points_on_curves(S, a, strat)
         boundary, certs, eta_checks = _boundary_records(S, a, strat, cusp_hits)
     else:
         k1 = critical_points_on_stratum(S, a, 1, strat)
         boundary, certs, eta_checks = [], [], []
-        if strat.cusps:
-            raise MorinnessError("deep strata with n >= 3 are outside certified scope")
-    parity = check_fold_index_parity(S, a, k0, k1)
     audits["eta_checks"] = eta_checks
-    audits["parity"] = parity
+    audits["parity"] = check_fold_index_parity(S, a, k0, k1) if S.n > 1 else None
     audits["separation"] = _boundary_equivalence_audit(S, k0, k1, strat)
     audits["block_hessian_ok"] = all(c["identity_ok"] for c in eta_checks)
     return MorseData(
@@ -786,8 +762,9 @@ def validate_genericity(S: MorinScenario, a: Covector, strat: Stratification,
         for cusp in strat.cusps:
             if np.linalg.norm(rec.x - cusp.x) < 10 * S.tolerances.dedup_radius:
                 failures.append(f"critical point of h collides with a cusp at {tuple(rec.x)}")
-    if not data.audits["parity"].ok:
-        failures.append(f"index parity: {data.audits['parity'].violations}")
+    parity = data.audits["parity"]
+    if parity is not None and not parity.ok:
+        failures.append(f"index parity: {parity.violations}")
     if not data.audits["block_hessian_ok"]:
         failures.append("block Hessian sign identity failed at a cusp")
     for cert in data.certificates:

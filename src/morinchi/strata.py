@@ -153,10 +153,6 @@ class MorinScenario:
                                self.N)
         return self._jet
 
-    @property
-    def component_gradients(self):
-        return self.jet.gradients[:self.n]
-
     # numeric evaluators; each takes a point (N,) or a stack (B, N)
     def f(self, x):
         return self.jet(x)[0][..., :self.n]
@@ -353,20 +349,6 @@ class SingularSystem:
     def jacobian(self, z):
         return self.evaluate(z)[1]
 
-    def describe(self) -> dict:
-        """Symbolic description of the equation groups (prefix strings)."""
-        S = self.S
-        return {
-            "constraints": [ex.to_prefix(g) for g in S.manifold.constraints],
-            "map_gradients": [[ex.to_prefix(g) for g in row]
-                              for row in S.component_gradients],
-            "constraint_gradients": [[ex.to_prefix(g) for g in row]
-                                     for row in S.manifold.constraint_gradients],
-            "stationarity": "sum_l u_l * d f_l / d x_i - sum_j mu_j * d g_j / d x_i = 0",
-            "normalization": None if self.reduced else "|u|^2 = 1",
-            "solution_dim": self.solution_dim,
-        }
-
 
 # -- pointwise stratum data ---------------------------------------------------
 
@@ -409,14 +391,23 @@ def _kernel_lanes(S: MorinScenario, x):
     return K, failures
 
 
+def _kernel_form(S: MorinScenario, x, u, mu, K=None):
+    """The symmetrized kernel Hessian K^T W K of <u, f> - <mu, g>, W its
+    ambient Hessian, at a point or at each point of a stack.  ``K`` defaults
+    to the kernel basis at x."""
+    if K is None:
+        K = _kernel_data(S, x)
+    HK = np.swapaxes(K, -1, -2) @ S.lagrangian_hessian(x, u, mu) @ K
+    return 0.5 * (HK + np.swapaxes(HK, -1, -2))
+
+
 def kernel_hessian(S: MorinScenario, p: StratumPoint) -> QuadraticSignature:
     """Sign counts of the kernel Hessian of <u, f> - <mu, g> at p.
 
     Rejects the scenario when more than one eigenvalue is numerically zero,
     since a corank-1 chain admits at most one degenerate kernel direction.
     """
-    W = S.lagrangian_hessian(p.x, p.cokernel, p.multiplier)
-    HK = p.kernel_basis.T @ W @ p.kernel_basis
+    HK = _kernel_form(S, p.x, p.cokernel, p.multiplier, p.kernel_basis)
     n_plus, n_minus, n_zero = eig_sign_counts(HK, S.tolerances.eigen_zero)
     sig = QuadraticSignature(n_plus, n_minus, n_zero)
     if n_zero > 1:
@@ -425,7 +416,7 @@ def kernel_hessian(S: MorinScenario, p: StratumPoint) -> QuadraticSignature:
         )
     p.signature = sig
     if n_zero == 1:
-        vals, vecs = np.linalg.eigh(0.5 * (HK + HK.T))
+        vals, vecs = np.linalg.eigh(HK)
         j = int(np.argmin(np.abs(vals)))
         p.degenerate_direction = sign_normalize(p.kernel_basis @ vecs[:, j])
     return sig
@@ -469,11 +460,11 @@ def _initial_guesses(S: MorinScenario, system: SingularSystem, X0):
     """
     proj = project_points(S.manifold, X0)
     x = proj.z[proj.converged]
-    Dg = S.manifold.jacobian(x)
-    _, s, vt = np.linalg.svd(Dg)
+    D = S.jet(x)[1]
+    _, s, vt = np.linalg.svd(D[:, S.n:])
     regular = s[:, -1] >= RANK_TOL
-    x, Dg, tangent = x[regular], Dg[regular], vt[regular, S.c:]
-    Df = S.Df(x)
+    x, D, tangent = x[regular], D[regular], vt[regular, S.c:]
+    Df, Dg = D[:, :S.n], D[:, S.n:]
     U = np.linalg.svd(Df @ np.swapaxes(tangent, -1, -2))[0]
     u0 = sign_normalize(U[:, :, S.n - 1])
     mu0 = min_norm_solve(np.swapaxes(Dg, -1, -2), vecmat(u0, Df))
@@ -640,9 +631,7 @@ def bisect_on_curve(system, za, zb, fa, value, gap):
 
 def _near_zero_eig(S, x, u, mu):
     """The smallest-magnitude eigenvalue of the kernel Hessian (signed)."""
-    K = _kernel_data(S, x)
-    HK = K.T @ S.lagrangian_hessian(x, u, mu) @ K
-    vals = np.linalg.eigvalsh(0.5 * (HK + HK.T))
+    vals = np.linalg.eigvalsh(_kernel_form(S, x, u, mu))
     return float(vals[np.argmin(np.abs(vals))])
 
 
@@ -756,11 +745,7 @@ class FoldCurve:
 def _node_metrics(S, system, z):
     """Determinant and negative-eigenvalue parity of the kernel Hessian at a
     node (dim_z,) or at each node of a stack (B, dim_z)."""
-    x, u, mu = system.unpack(z)
-    K = _kernel_data(S, x)
-    HK = np.swapaxes(K, -1, -2) @ S.lagrangian_hessian(x, u, mu) @ K
-    HK = 0.5 * (HK + np.swapaxes(HK, -1, -2))
-    vals = np.linalg.eigvalsh(HK)
+    vals = np.linalg.eigvalsh(_kernel_form(S, *system.unpack(z)))
     det = np.prod(vals, axis=-1)
     # strict sign count: near a cusp the crossing eigenvalue must contribute
     # its side's sign rather than falling into the zero bucket
@@ -957,15 +942,7 @@ def compute_stratification(S: MorinScenario, regularity_count=20) -> Stratificat
 
     curves: list = []
     cusps: list = []
-    if S.n == 1:
-        for p in points:
-            if p.signature.n_zero != 0:
-                raise MorinnessError(
-                    f"degenerate critical point at {p.x} with n = 1: not Morin"
-                )
-            p.depth = 1
-            sign_split(S, p)
-    elif S.n == 2:
+    if S.n == 2:
         curves = _trace_all_curves(S, points)
         for curve in curves:
             cusps.extend(curve.cusps)
@@ -980,11 +957,12 @@ def compute_stratification(S: MorinScenario, regularity_count=20) -> Stratificat
         for p in points:
             if p.signature.n_zero != 0:
                 raise MorinnessError(
-                    "degenerate singular points with a target dimension above 2 "
-                    "are out of certified scope; scenario rejected"
+                    f"degenerate singular point at {p.x} with n = {S.n}: not Morin "
+                    f"or out of certified scope; scenario rejected"
                 )
             p.depth = 1
             sign_split(S, p)
+    if S.n > 2:
         nullities = _dimension_audit(S, points)
         audits["dimension_nullity"] = nullities
         if nullities and nullities != [S.n - 1]:

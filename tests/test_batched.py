@@ -50,7 +50,7 @@ ALL_SCENARIOS = ["s2-height", "torus-height", "s3-proj", "s4-height",
 def _jets(S, x):
     """Every jet the solvers use, at a point or a stack."""
     M = S.manifold
-    return (S.f(x), S.Df(x), S.Hf(x), M.g(x), M.jacobian(x), M.constraint_hessians(x),
+    return (S.f(x), S.Df(x), S.Hf(x), M.g(x), M.jacobian(x), S.jet(x)[2][..., S.n:, :, :],
             *S.third_tensors(x))
 
 

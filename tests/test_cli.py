@@ -133,7 +133,9 @@ def test_explain_passing_report(tmp_path):
     assert "mod-2 congruence" in text
     assert "fold-only equality: [ok]" in text
     assert "boundary telescoping: not applicable (no depth-3 strata in scope)" in text
-    assert "index-parity audit: ok" in text
+    # with n = 1 both routes count the same points, and the parities agree by construction
+    assert "route agreement (morse vs cell counting): not applicable" in text
+    assert "index-parity audit: not applicable (n = 1)" in text
 
 
 def test_explain_cusp_report(tmp_path):
@@ -141,6 +143,8 @@ def test_explain_cusp_report(tmp_path):
     text = explain(tmp_path / "report.json")
     assert "closed-manifold identity: 0 = 0 [ok]" in text
     assert "fold-only equality: not applicable" in text
+    assert "route agreement (morse vs cell counting): [ok]" in text
+    assert "index-parity audit: ok (" in text
     # the depth-1 starts sample a curve, so their single hits raise no warning
     assert "depth-1 system: 400 starts" in text and "warning" not in text
 
@@ -311,6 +315,8 @@ def test_report_counts_curve_tracing_work(tmp_path):
             f"steps") in text
 
 
-def test_bad_max_resamples_rejected():
-    with pytest.raises(Exception):
-        RunConfig(scenario="x.json", max_resamples=0)
+def test_bad_max_resamples_rejected(tmp_path, capsys):
+    assert main(["run", "--scenario", str(scenario_path("s2-height")), "--out", str(tmp_path),
+                 "--max-resamples", "0"]) == EXIT_FORMAT
+    assert "max_resamples" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from morinchi.expr import (
     DimensionMismatch,
     Expr,
+    ExprBlock,
     ExprError,
-    compiled,
+    Jet,
     differentiate,
-    directional_derivative,
     evaluate,
     gradient,
     parse_prefix,
@@ -91,28 +91,6 @@ def test_gradient_linear_is_constant_vector():
     assert [evaluate(gi, (9, 9, 9)) for gi in g] == [2, -5, 1]
 
 
-def test_directional_derivative_pure_cubic():
-    e = x(0, 1) ** 3
-    assert directional_derivative(e, (0,), (1,), 3) == 6
-
-
-def test_directional_derivative_quartic_leading_term():
-    # x_n^(k+3) with k=1: order 2 vanishes at 0, order 4 is 24
-    e = x(0, 1) ** 4
-    assert directional_derivative(e, (0,), (1,), 2) == 0
-    assert directional_derivative(e, (0,), (1,), 4) == 24
-
-
-def test_directional_derivative_rejects_order_zero():
-    with pytest.raises(ExprError):
-        directional_derivative(x(0, 1), (0,), (1,), 0)
-
-
-def test_directional_derivative_rejects_zero_direction():
-    with pytest.raises(ExprError):
-        directional_derivative(x(0, 2) * x(1, 2), (0, 0), (0, 0), 1)
-
-
 def _random_cubic(rng, n):
     e = Expr.constant(0, n)
     for _ in range(8):
@@ -124,18 +102,18 @@ def _random_cubic(rng, n):
 
 
 def test_directional_derivative_matches_finite_difference():
+    # the second directional derivative v^T H v from the jet's Hessian
     rng = np.random.default_rng(7)
     n = 3
     e = _random_cubic(rng, n)
-    f = compiled(e)
+    jet = Jet([e], n)
     for _ in range(20):
         pt = rng.uniform(-1, 1, n)
         v = rng.uniform(-1, 1, n)
         v /= np.linalg.norm(v)
         h = 1e-4
-        fd = (f(pt + h * v) - 2 * f(pt) + f(pt - h * v)) / h**2
-        sym = directional_derivative(e, tuple(pt), tuple(v), 2)
-        assert sym == pytest.approx(fd, rel=1e-6, abs=1e-6)
+        fd = (evaluate(e, pt + h * v) - 2 * evaluate(e, pt) + evaluate(e, pt - h * v)) / h**2
+        assert v @ jet(pt)[2][0] @ v == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
 @st.composite
@@ -152,17 +130,6 @@ def polys(draw, n=3, max_terms=6):
 @settings(max_examples=60, deadline=None)
 def test_mixed_partials_commute(e, i, j):
     assert differentiate(differentiate(e, i), j) == differentiate(differentiate(e, j), i)
-
-
-@given(polys(), st.tuples(*(st.integers(-4, 4) for _ in range(3))),
-       st.tuples(*(st.fractions(min_value=-3, max_value=3) for _ in range(3))))
-@settings(max_examples=60, deadline=None)
-def test_order_one_directional_equals_gradient_dot(e, pt, v):
-    if all(c == 0 for c in v):
-        v = (Fraction(1), Fraction(0), Fraction(0))
-    lhs = directional_derivative(e, pt, v, 1)
-    rhs = sum(evaluate(g, pt) * c for g, c in zip(gradient(e), v))
-    assert lhs == rhs
 
 
 @given(polys())
@@ -197,8 +164,7 @@ def test_float_coefficients_rejected():
         x(0, 1) * 0.5  # type: ignore[operator]
 
 
-def test_compiled_matches_evaluate():
+def test_expr_block_matches_evaluate():
     e = parse_prefix("(+ (* 3 (^ x0 2) x1) (* -1/2 x2) 4)", 3)
-    f = compiled(e)
     pt = (0.3, -1.2, 2.5)
-    assert f(pt) == pytest.approx(float(evaluate(e, pt)), rel=1e-14)
+    assert ExprBlock([e], 3)(pt)[0] == pytest.approx(float(evaluate(e, pt)), rel=1e-14)

@@ -235,12 +235,16 @@ def test_certificate_det_sign_bookkeeping(cusp_ctx):
 def test_parity_audit_all_scenarios(s2_ctx, torus_ctx, s3_ctx, cusp_ctx):
     for S, strat, a, data, audit in (s2_ctx, torus_ctx, s3_ctx, cusp_ctx):
         parity = data.audits["parity"]
+        if S.n == 1:
+            # the kernel form is the reduced Hessian up to sign: nothing to check
+            assert parity is None
+            continue
         assert parity.ok, parity.violations
         assert parity.checked == len(data.k0_records)
 
 
-def test_parity_audit_detects_violation(torus_ctx):
-    S, strat, a, data, audit = torus_ctx
+def test_parity_audit_detects_violation(s3_ctx):
+    S, strat, a, data, audit = s3_ctx
     import copy
     broken = copy.deepcopy(data.k0_records)
     broken[0].morse_index += 1

@@ -94,9 +94,6 @@ def test_singular_system_shape_and_solution_dim(s3_proj):
     assert sys2.solution_dim == 1
     assert sys2.dim_z == 4 + 2 + 1
     assert sys2.n_eqs == 1 + 4 + 1
-    desc = sys2.describe()
-    assert desc["normalization"] == "|u|^2 = 1"
-    assert len(desc["map_gradients"]) == 2
 
 
 def test_singular_system_solution_projects_to_circle(s3_proj):
@@ -141,7 +138,7 @@ def _componentwise(system, z):
     def val(e, *idx):
         for i in idx:
             e = ex.differentiate(e, i)
-        return ex.compiled(e)(x)
+        return ex.evaluate(e, x)
 
     R = [val(g) for g in gs]
     R += [sum(u[l] * val(fs[l], i) for l in range(n))
