@@ -1,8 +1,11 @@
 """Implicit manifolds M = {x in R^N : g(x) = 0} and their tangent geometry.
 
 Manifolds are always presented by polynomial constraints, never by charts.
-Tangent and normal frames are produced deterministically so point indices
-and signs are reproducible across runs.
+The tangent space T_xM = ker Dg(x) is given by an orthonormal basis.  Every
+quantity built from it (the inertia of T W T^T, the projector T^T T, the
+det and parity of K^T W K) is invariant under a change of orthonormal
+basis, so any basis will do; the one here is deterministic, which keeps
+reports byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -27,21 +30,6 @@ class RegularityError(ManifoldError):
 
 class ProjectionError(ManifoldError):
     """Gauss-Newton projection failed to reach the manifold."""
-
-
-@dataclass(frozen=True)
-class TangentFrame:
-    """Orthonormal bases of T_pM (rows of ``tangent``) and its normal space.
-
-    Frames of a stack of points carry a leading lane axis on every field.
-    """
-
-    point: np.ndarray
-    tangent: np.ndarray
-    normal: np.ndarray
-
-    def lane(self, i) -> "TangentFrame":
-        return TangentFrame(self.point[i], self.tangent[i], self.normal[i])
 
 
 @dataclass(frozen=True)
@@ -115,31 +103,23 @@ def project_to_manifold(M: ImplicitManifold, x0, residual_tol=1e-12, max_iters=6
     return out.z[0]
 
 
-def tangent_frame(M: ImplicitManifold, p) -> TangentFrame:
-    """Deterministic orthonormal frames at a point satisfying the constraints.
-
-    The tangent basis is the coordinate basis projected to ker Dg(p) and
-    orthonormalized in fixed index order; the normal basis comes from the
-    constraint gradients in declaration order.  One lane of ``tangent_frames``.
-    """
-    frame, failures = tangent_frames(M, p)
+def tangent_frame(M: ImplicitManifold, p):
+    """Orthonormal basis of T_pM, as the rows of an (m, N) array, at a point
+    on M.  One lane of ``tangent_frames``; raises that lane's error."""
+    tangent, failures = tangent_frames(M, p)
     if failures:
         raise failures[0]
-    return frame.lane(0)
-
-
-def _dot(a, b):
-    """Lane-wise dot products of two (B, d) stacks, each summed as ``a[i] @ b[i]`` is."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    return tangent[0]
 
 
 def tangent_frames(M: ImplicitManifold, X):
-    """``tangent_frame`` at a point (N,) or at each point of a stack (B, N).
+    """Tangent bases at a point (N,) or at each point of a stack (B, N).
 
-    Returns the frames with a lane axis (B = 1 for a point; tangent (B, m, N),
-    normal (B, c, N)) and a dict from lane to the first error ``tangent_frame``
-    raises there.  A failing lane gets a placeholder frame so the other lanes
-    can go on.
+    The basis is the trailing m right-singular vectors of Dg, sign-normalized:
+    an orthonormal basis of ker Dg = T_xM.  Returns the bases with a lane
+    axis, (B, m, N) with B = 1 for a point, and a dict from lane to the first
+    error ``tangent_frame`` raises there.  A lane off M gets a placeholder
+    Jacobian so the other lanes can go on.
     """
     X = np.asarray(X, dtype=float)
     N, m = M.ambient_dim, M.intrinsic_dim
@@ -151,51 +131,18 @@ def tangent_frames(M: ImplicitManifold, X):
     def fail(lanes, error):
         for i in np.flatnonzero(lanes):
             failures.setdefault(int(i), error(int(i)))
-        return lanes
 
-    placeholder = np.eye(N - m, N)
-    bad = fail(~(residual <= 1e-8), lambda i: ManifoldError(
-        f"point off the manifold (residual {residual[i]:.3e})"))
-    J = np.where(bad[:, None, None], placeholder, J)
-    sv = np.linalg.svd(J, compute_uv=False)[:, -1]
-    bad = fail(sv < RANK_TOL, lambda i: RegularityError(
+    off = ~(residual <= 1e-8)
+    fail(off, lambda i: ManifoldError(f"point off the manifold (residual {residual[i]:.3e})"))
+    J = np.where(off[:, None, None], np.eye(N - m, N), J)
+    _, s, vt = np.linalg.svd(J)
+    fail(s[:, -1] < RANK_TOL, lambda i: RegularityError(
         f"constraint Jacobian rank-deficient at {X[i]}"))
-    J = np.where(bad[:, None, None], placeholder, J)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        normal = np.empty_like(J)
-        for r in range(N - m):
-            v = J[:, r].copy()
-            for q in normal[:, :r].transpose(1, 0, 2):
-                v -= _dot(v, q)[:, None] * q
-            norm = np.sqrt(_dot(v, v))
-            fail(norm < RANK_TOL, lambda i: RegularityError(
-                "constraint gradients numerically dependent"))
-            normal[:, r] = v / norm[:, None]
-
-        tangent = np.zeros((len(X), m, N))
-        count = np.zeros(len(X), dtype=int)
-        for i in range(N):
-            if np.all(count == m):
-                break
-            v = np.zeros((len(X), N))
-            v[:, i] = 1.0
-            for q in normal.transpose(1, 0, 2):
-                v -= _dot(v, q)[:, None] * q
-            for j in range(int(count.max())):
-                q = tangent[:, j]
-                v = np.where((j < count)[:, None], v - _dot(v, q)[:, None] * q, v)
-            norm = np.sqrt(_dot(v, v))
-            take = np.flatnonzero((norm > 1e-6) & (count < m))
-            tangent[take, count[take]] = v[take] / norm[take, None]
-            count[take] += 1
-    # the projections above do not depend on the signs of the basis vectors
-    tangent = sign_normalize(tangent)
-    fail(count != m, lambda i: RegularityError("could not complete a tangent basis"))
+    tangent = sign_normalize(vt[:, N - m:])
     test = np.max(np.abs(J @ np.swapaxes(tangent, -1, -2)), axis=(-2, -1))
     fail(test > 1e-6, lambda i: RegularityError(
         "tangent basis fails the constraint Jacobian test"))
-    return TangentFrame(point=X, tangent=tangent, normal=normal), failures
+    return tangent, failures
 
 
 def validate_regularity(M: ImplicitManifold, count: int, seed: int,

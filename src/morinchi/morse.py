@@ -134,9 +134,8 @@ class MorseData:
 
 
 def _reduced_hessian_on_M(S, x, a, lam):
-    frame = tangent_frame(S.manifold, x)
-    W = S.lagrangian_hessian(x, a, lam)
-    return frame.tangent @ W @ frame.tangent.T
+    T = tangent_frame(S.manifold, x)
+    return T @ S.lagrangian_hessian(x, a, lam) @ T.T
 
 
 def _index_or_fail(H, zero_tol, what):
@@ -400,13 +399,16 @@ def critical_points_on_stratum(S: MorinScenario, a: Covector, k: int,
     """Critical records of h on the depth-k stratum (k = 0 means M itself).
 
     For k = 0, ``stats`` (a dict, when given) receives the census counters.
-    For k = 1 and n = 2, use ``_critical_points_on_curves``, which also
-    returns the cusp hits.
+    k = 1 with n = 2 is refused: ``_critical_points_on_curves`` walks the
+    fold curves for it and also returns the cusp hits.
     """
     if k == 0:
         return _k0_records(S, a, stats)
     if k != 1:
         raise StratificationError("only the depth-1 stratum carries critical solves")
+    if S.n == 2:
+        raise StratificationError(
+            "depth-1 critical points for n = 2 come from the walk along the fold curves")
     if strat is None:
         raise ValueError("stratification required for stratum-level solves")
     if S.n == 1:
@@ -426,9 +428,8 @@ def critical_points_on_stratum(S: MorinScenario, a: Covector, k: int,
 
 
 def _tangential_gradient_on_M(S, a, x):
-    frame = tangent_frame(S.manifold, x)
-    w = S.Df(x).T @ a
-    return frame.tangent.T @ (frame.tangent @ w)
+    T = tangent_frame(S.manifold, x)
+    return T.T @ (T @ (S.Df(x).T @ a))
 
 
 def _gradient_scale(S, a, x):
@@ -490,10 +491,10 @@ def eta_sign(S: MorinScenario, a: Covector, p) -> int:
     if p.degenerate_direction is None or p.eig_slope is None:
         raise StratificationError("eta needs a classified depth-2 point")
     x, v = p.x, p.degenerate_direction
-    frame = tangent_frame(S.manifold, x)
+    T = tangent_frame(S.manifold, x)
     w_l = _tangential_gradient_on_M(S, a.a, x)
     W = S.lagrangian_hessian(x, p.cokernel, p.multiplier)
-    w_d = frame.tangent.T @ (frame.tangent @ (W @ v))
+    w_d = T.T @ (T @ (W @ v))
     nl, nd = np.linalg.norm(w_l), np.linalg.norm(w_d)
     if nl < 1e-10 or nd < 1e-10:
         raise MorseAuditError(f"vanishing gradient in the eta comparison at {x}")

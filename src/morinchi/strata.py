@@ -35,7 +35,6 @@ from ._numeric import (
     vecmat,
 )
 from .manifold import (  # noqa: F401  (project_to_manifold stays bound here for perfbench)
-    RANK_TOL,
     ImplicitManifold,
     ManifoldError,
     RegularityError,
@@ -369,11 +368,12 @@ def _kernel_data(S: MorinScenario, x):
 def _kernel_lanes(S: MorinScenario, x):
     """Kernel bases with a lane axis, and the error of each failing lane
     (a dict from lane to the first error ``_kernel_data`` reports there)."""
-    frame, failures = tangent_frames(S.manifold, x)
-    T = frame.tangent                        # (B, m, N)
+    T, failures = tangent_frames(S.manifold, x)          # (B, m, N)
     A = S.Df(x).reshape(-1, S.n, S.N) @ np.swapaxes(T, -1, -2)   # differential in the frame
     A[list(failures)] = 0.0                  # placeholder lanes, already failed
-    svals = np.linalg.svd(A, compute_uv=False)
+    # with full_matrices the trailing right-singular vectors span the null
+    # space of the rank-(n-1) map: the kernel in frame coordinates
+    _, svals, vt = np.linalg.svd(A, full_matrices=True)
     scale = np.maximum(svals[:, 0], 1.0)
     corank = np.sum(svals < 1e-7 * scale[:, None], axis=1)
     for i in np.flatnonzero(corank == 0):
@@ -381,10 +381,7 @@ def _kernel_lanes(S: MorinScenario, x):
             "point is not singular (full-rank differential)"))
     for i in np.flatnonzero(corank > 1):
         failures.setdefault(int(i), MorinnessError(
-            f"corank {corank[i]} > 1 at {frame.point[i]}: map is not Morin there"))
-    # kernel in frame coordinates, then back to ambient; with full_matrices the
-    # trailing right-singular vectors span the null space of the rank-(n-1) map
-    _, _, vt = np.linalg.svd(A, full_matrices=True)
+            f"corank {corank[i]} > 1 at {np.reshape(x, (-1, S.N))[i]}: map is not Morin there"))
     K = np.swapaxes(T, -1, -2) @ np.swapaxes(vt[:, S.n - 1:], -1, -2)
     # deterministic column signs
     K = np.swapaxes(sign_normalize(np.swapaxes(K, -1, -2)), -1, -2)
@@ -453,18 +450,17 @@ def _initial_guesses(S: MorinScenario, system: SingularSystem, X0):
     """Project a stack of starts to M and estimate (u, mu) at each.
 
     u is the smallest left singular vector of Df restricted to the tangent
-    space, sign-normalized; it does not depend on the tangent basis, so the
-    basis is the one the SVD of Dg gives.  Starts whose projection fails, or
-    that land where Dg is rank-deficient (where ``tangent_frame`` refuses),
-    are dropped.
+    space, sign-normalized; it does not depend on the tangent basis.  Starts
+    whose projection fails, or where ``tangent_frames`` refuses (Dg
+    rank-deficient), are dropped.
     """
     proj = project_points(S.manifold, X0)
     x = proj.z[proj.converged]
-    D = S.jet(x)[1]
-    _, s, vt = np.linalg.svd(D[:, S.n:])
-    regular = s[:, -1] >= RANK_TOL
-    x, D, tangent = x[regular], D[regular], vt[regular, S.c:]
-    Df, Dg = D[:, :S.n], D[:, S.n:]
+    tangent, failures = tangent_frames(S.manifold, x)
+    regular = np.ones(len(x), dtype=bool)
+    regular[list(failures)] = False
+    x, tangent = x[regular], tangent[regular]
+    Df, Dg = np.split(S.jet(x)[1], [S.n], axis=1)
     U = np.linalg.svd(Df @ np.swapaxes(tangent, -1, -2))[0]
     u0 = sign_normalize(U[:, :, S.n - 1])
     mu0 = min_norm_solve(np.swapaxes(Dg, -1, -2), vecmat(u0, Df))
@@ -960,8 +956,6 @@ def compute_stratification(S: MorinScenario, regularity_count=20) -> Stratificat
                     f"degenerate singular point at {p.x} with n = {S.n}: not Morin "
                     f"or out of certified scope; scenario rejected"
                 )
-            p.depth = 1
-            sign_split(S, p)
     if S.n > 2:
         nullities = _dimension_audit(S, points)
         audits["dimension_nullity"] = nullities
@@ -1001,11 +995,9 @@ def _trace_all_curves(S, points):
 
 
 def _classify_cloud(S, points, cusps):
+    # nondegenerate points already carry depth 1 and their sign (stratum_point)
     for p in points:
-        if p.signature.n_zero == 0:
-            p.depth = 1
-            sign_split(S, p)
-        else:
+        if p.signature.n_zero != 0:
             # a multistart point that landed on (or next to) a cusp
             near = min((float(np.linalg.norm(p.x - q.x)) for q in cusps), default=np.inf)
             if near > 10 * S.tolerances.dedup_radius:

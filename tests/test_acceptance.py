@@ -221,3 +221,39 @@ def test_criterion_8b_seed_independence(seeded_runs):
             _line(f"criterion 8b ({name})", False, f"{chis}")
     assert _line("criterion 8b (chi values independent of the seed)", ok,
                  f"{len(SEEDS)} accepted seeds per scenario")
+
+
+@pytest.mark.parametrize("name", ["torus-height", "s3-cusps"])
+def test_reports_do_not_depend_on_the_tangent_basis(monkeypatch, name):
+    # every lane's tangent basis turned by one fixed orthogonal matrix: the
+    # inertias, projectors and kernel dets the pipeline reads are invariant
+    from morinchi import manifold, strata
+
+    def summary():
+        S, strat, data, report, _ = _run(name)
+        table = [(r["k"], r["sign"], r["chi_morse_boundary"], r["chi_oracle"])
+                 for r in report.strata_table]
+        chi = (report.chi_M_morse, report.identity_lhs, report.identity_rhs,
+               report.all_ok, table)
+        points = [(p.depth, p.sign) for p in strat.points]
+        indices = [r.morse_index for r in data.k0_records]
+        parities = [list(c.parities) for c in strat.curves]
+        dets = np.concatenate([c.det_values for c in strat.curves] or [np.zeros(0)])
+        return S, chi, points, indices, parities, dets
+
+    S, *want = summary()
+    q = np.linalg.qr(np.random.default_rng(11).standard_normal((S.m, S.m)))[0]
+    frames = manifold.tangent_frames
+
+    def turned(M, X):
+        T, failures = frames(M, X)
+        return q @ T, failures
+
+    monkeypatch.setattr(manifold, "tangent_frames", turned)
+    monkeypatch.setattr(strata, "tangent_frames", turned)
+    _, *got = summary()
+    assert got[:4] == want[:4]
+    assert got[4].shape == want[4].shape
+    assert np.all(np.abs(got[4] - want[4]) <= 1e-9 * np.abs(want[4]))
+    assert _line(f"tangent-basis invariance ({name})", True,
+                 f"{len(want[2])} k=0 indices, {len(want[4])} curve nodes")

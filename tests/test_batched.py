@@ -160,11 +160,12 @@ def test_tangent_frames_match_tangent_frame(name):
     proj = project_points(S.manifold, X)
     P = proj.z[proj.converged]
     assert len(P) > 100
-    frames, failures = tangent_frames(S.manifold, P)
+    T, failures = tangent_frames(S.manifold, P)
     assert not failures
-    single = [tangent_frame(S.manifold, p) for p in P]
-    _assert_close(frames.tangent, np.array([f.tangent for f in single]))
-    _assert_close(frames.normal, np.array([f.normal for f in single]))
+    assert T.shape == (len(P), S.m, S.N)
+    _assert_close(T, np.array([tangent_frame(S.manifold, p) for p in P]))
+    _assert_close(T @ np.swapaxes(T, -1, -2), np.broadcast_to(np.eye(S.m), (len(P), S.m, S.m)))
+    assert np.max(np.abs(S.manifold.jacobian(P) @ np.swapaxes(T, -1, -2))) <= 1e-10
 
 
 def test_tangent_frames_report_every_failing_lane():
@@ -172,13 +173,13 @@ def test_tangent_frames_report_every_failing_lane():
     cone = ImplicitManifold(3, [ex.parse_prefix("(+ (^ x0 2) (^ x1 2) (* -1 (^ x2 2)))", 3)],
                             2, compact=False)
     on, apex, off = np.array([0.6, 0.8, 1.0]), np.zeros(3), np.array([0.0, 0.0, 3.0])
-    frames, failures = tangent_frames(cone, np.array([on, off, apex, on]))
-    assert frames.tangent.shape == (4, 2, 3)
+    T, failures = tangent_frames(cone, np.array([on, off, apex, on]))
+    assert T.shape == (4, 2, 3)
     assert sorted(failures) == [1, 2]
     assert type(failures[1]) is ManifoldError and "off the manifold" in str(failures[1])
     assert type(failures[2]) is RegularityError and "rank-deficient" in str(failures[2])
     for lane in (0, 3):
-        assert np.array_equal(frames.lane(lane).tangent, tangent_frame(cone, on).tangent)
+        assert np.array_equal(T[lane], tangent_frame(cone, on))
     with pytest.raises(RegularityError, match="rank-deficient"):
         tangent_frame(cone, apex)
 

@@ -66,34 +66,32 @@ def test_projection_torus_residual_and_idempotence(torus):
 
 
 def test_tangent_frame_north_pole(sphere2):
-    fr = tangent_frame(sphere2, (0.0, 0.0, 1.0))
-    assert fr.tangent.shape == (2, 3)
-    assert np.allclose(fr.tangent[:, 2], 0, atol=1e-12)
-    assert np.allclose(np.abs(fr.normal), [[0, 0, 1]], atol=1e-12)
+    T = tangent_frame(sphere2, (0.0, 0.0, 1.0))
+    assert T.shape == (2, 3)
+    assert np.allclose(T[:, 2], 0, atol=1e-12)
+    assert np.allclose(T @ T.T, np.eye(2), atol=1e-12)
 
 
 def test_tangent_frame_s3_pole():
     M = standard_manifold("sphere", m=3)
-    fr = tangent_frame(M, (1.0, 0.0, 0.0, 0.0))
-    assert np.allclose(fr.tangent[:, 0], 0, atol=1e-12)
-    assert fr.tangent.shape[0] + fr.normal.shape[0] == 4
+    T = tangent_frame(M, (1.0, 0.0, 0.0, 0.0))
+    assert T.shape == (3, 4)
+    assert np.allclose(T[:, 0], 0, atol=1e-12)
+    assert np.allclose(T @ T.T, np.eye(3), atol=1e-12)
 
 
 def test_tangent_frame_torus_orthogonality(torus):
     p = project_to_manifold(torus, (1.7, 1.2, 0.4))
-    fr = tangent_frame(torus, p)
+    T = tangent_frame(torus, p)
     J = torus.jacobian(p)
-    assert float(np.max(np.abs(J @ fr.tangent.T))) <= 1e-10
-    gram = fr.tangent @ fr.tangent.T
+    assert float(np.max(np.abs(J @ T.T))) <= 1e-10
+    gram = T @ T.T
     assert np.allclose(gram, np.eye(2), atol=1e-10)
 
 
 def test_frame_deterministic(torus):
     p = project_to_manifold(torus, (1.7, 1.2, 0.4))
-    f1 = tangent_frame(torus, p)
-    f2 = tangent_frame(torus, p)
-    assert np.array_equal(f1.tangent, f2.tangent)
-    assert np.array_equal(f1.normal, f2.normal)
+    assert np.array_equal(tangent_frame(torus, p), tangent_frame(torus, p))
 
 
 def test_frame_rejects_off_manifold_point(sphere2):
@@ -129,5 +127,7 @@ def test_custom_manifold_from_prefix():
 def test_dimension_bookkeeping():
     M = standard_manifold("product_of_spheres", a=1, b=2)
     p = project_to_manifold(M, (1.0, 0.2, 0.9, 0.1, -0.2))
-    fr = tangent_frame(M, p)
-    assert fr.tangent.shape[0] + fr.normal.shape[0] == M.ambient_dim
+    T = tangent_frame(M, p)
+    assert T.shape == (M.intrinsic_dim, M.ambient_dim)
+    assert np.allclose(T @ T.T, np.eye(M.intrinsic_dim), atol=1e-12)
+    assert float(np.max(np.abs(M.jacobian(p) @ T.T))) <= 1e-10

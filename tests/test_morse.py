@@ -133,6 +133,14 @@ def test_stratum_records_n1_are_points(torus_ctx):
     assert all(r.morse_index == 0 and r.index_basis_dim == 0 for r in k1)
 
 
+def test_stratum_solve_refuses_fold_curves(cusp_ctx):
+    # n = 2: the depth-1 critical points come from the curve walk, not the
+    # surface solve on the depth-1 cloud
+    S, strat, a, data, audit = cusp_ctx
+    with pytest.raises(StratificationError, match="fold curves"):
+        critical_points_on_stratum(S, a, 1, strat)
+
+
 def test_augmented_jacobian_matches_fd(s3_cusps):
     strat_cloud = compute_stratification(s3_cusps)
     a = sample_covector(2, [s3_cusps.seed, 0])
@@ -311,11 +319,10 @@ def test_reduced_index_invariant_under_frame_rotation(torus_ctx):
     for rec in data.k0_records:
         lam = np.linalg.lstsq(S.manifold.jacobian(rec.x).T,
                               S.Df(rec.x).T @ a.a, rcond=None)[0]
-        frame = tangent_frame(S.manifold, rec.x)
         W = S.lagrangian_hessian(rec.x, a.a, lam)
         q, _ = np.linalg.qr(rng.standard_normal((S.m, S.m)))
-        B1 = frame.tangent
-        B2 = q @ frame.tangent
+        B1 = tangent_frame(S.manifold, rec.x)
+        B2 = q @ B1
         idx1 = eig_sign_counts(B1 @ W @ B1.T, 1e-6)[1]
         idx2 = eig_sign_counts(B2 @ W @ B2.T, 1e-6)[1]
         assert idx1 == idx2 == rec.morse_index
