@@ -24,14 +24,22 @@ class NewtonResult:
     iterations: int
 
 
+# why a lane of ``newton_batch`` stopped, indexed by ``BatchResult.stop``
+STOP_REASONS = ("converged", "nonfinite_step", "line_search_failed", "iteration_cap")
+
+
 @dataclass
 class BatchResult:
     """Lane-wise outcome of ``newton_batch``: one row (or entry) per start."""
 
     z: np.ndarray               # (B, d)
     residual: np.ndarray        # (B,)
-    converged: np.ndarray       # (B,) bool
     iterations: np.ndarray      # (B,) int
+    stop: np.ndarray            # (B,) int, index into STOP_REASONS
+
+    @property
+    def converged(self):
+        return self.stop == STOP_REASONS.index("converged")
 
 
 def vecmat(v, A):
@@ -44,17 +52,44 @@ def min_norm_solve(A, b):
 
     Singular values at or below ``np.linalg.lstsq``'s default cutoff,
     eps * max(rows, cols) times the largest one, count as zero, so a stack
-    gives what ``lstsq`` gives lane by lane.  A lane whose SVD does not
-    converge gets NaN.
+    gives what ``lstsq`` gives lane by lane.  A square lane is solved by its
+    inverse unless d * kappa_1(A) >= 1 / (eps * d): below that bound
+    kappa_2 <= d * kappa_1 keeps every singular value above the cutoff, so
+    the minimal-norm solution is A^-1 b.  The other lanes, and the whole
+    stack when ``inv`` finds an exactly singular lane, take the SVD.  A lane
+    whose SVD does not converge gets NaN.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
+    lead, (r, d) = A.shape[:-2], A.shape[-2:]
+    A, b = A.reshape(-1, r, d), b.reshape(-1, r)
+    if r != d or d == 0:
+        return _svd_solve(A, b).reshape(lead + (d,))
+    try:
+        inv = np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        return _svd_solve(A, b).reshape(lead + (d,))
+    x = (inv @ b[..., None])[..., 0]
+    eps = np.finfo(float).eps
+    # NaN or inf in kappa fails the test too
+    wide = ~(d * _norm1(A) * _norm1(inv) < 1.0 / (eps * d))
+    if wide.any():
+        x[wide] = _svd_solve(A[wide], b[wide])
+    return x.reshape(lead + (d,))
+
+
+def _norm1(A):
+    return np.max(np.sum(np.abs(A), axis=-2), axis=-1)
+
+
+def _svd_solve(A, b):
+    """``min_norm_solve`` of a (k, r, d) stack by its SVD."""
     try:
         u, s, vt = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError:
-        if A.ndim == 2:
-            return np.full(A.shape[-1], np.nan)
-        return np.stack([min_norm_solve(Ai, bi) for Ai, bi in zip(A, b)])
+        if len(A) == 1:
+            return np.full((1, A.shape[-1]), np.nan)
+        return np.concatenate([_svd_solve(A[i:i + 1], b[i:i + 1]) for i in range(len(A))])
     large = s > np.finfo(float).eps * max(A.shape[-2:]) * s[..., :1]
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=large)
     return vecmat(vecmat(b, u) * inv, vt)
@@ -70,66 +105,72 @@ def batch_width(d):
 
 
 def newton_batch(F, Z0, tol=1e-12, max_iter=60):
-    """Damped Newton on a stack of starts, lane by lane.
+    """Damped Newton on a stack of starts, all lanes in lockstep.
 
     ``F`` maps a (k, d) stack of iterates to stacked residuals (k, r) and
     Jacobians (k, r, d).  Every lane follows ``newton`` with damping: the
     minimal-norm step, up to twelve halvings until the max-norm residual
     decreases, and the same stopping rules (converged, non-finite step,
-    failed line search, ``max_iter``).  Lanes only share the calls to ``F``,
-    which see at most ``BATCH_ENTRIES // d**2`` of them at a time.
+    failed line search, ``max_iter``), recorded in ``BatchResult.stop``.
+    Lanes only share the calls to ``F`` and the stacked step solves: each
+    iteration, and each halving of it, pools the lanes still at work across
+    the whole stack into calls of at most ``batch_width(d)`` lanes.
     """
-    Z0 = np.array(Z0, dtype=float, ndmin=2)
-    width = batch_width(Z0.shape[1])
-    parts = [_newton_lanes(F, Z0[i:i + width], tol, max_iter)
-             for i in range(0, max(len(Z0), 1), width)]
-    return BatchResult(*(np.concatenate([getattr(p, f) for p in parts])
-                         for f in ("z", "residual", "converged", "iterations")))
-
-
-def _newton_lanes(F, Z, tol, max_iter):
-    B = Z.shape[0]
-    converged = np.zeros(B, dtype=bool)
+    Z = np.array(Z0, dtype=float, ndmin=2)
+    B, d = Z.shape
+    width = batch_width(d)
     iterations = np.full(B, max_iter, dtype=int)
+    stop = np.full(B, STOP_REASONS.index("iteration_cap"))
     if B == 0:
-        return BatchResult(Z, np.zeros(0), converged, iterations)
-    R, J = F(Z)
-    R = np.array(R, dtype=float)
-    J = np.array(J, dtype=float)
+        return BatchResult(Z, np.zeros(0), iterations, stop)
+    R = J = None
+    for i in range(0, B, width):
+        R_i, J_i = F(Z[i:i + width])
+        if R is None:
+            R = np.empty((B,) + np.shape(R_i)[1:])
+            J = np.empty((B,) + np.shape(J_i)[1:])
+        R[i:i + width], J[i:i + width] = R_i, J_i
     norm = _max_abs(R)
     active = np.ones(B, dtype=bool)
     for it in range(1, max_iter + 1):
-        done = active & (norm <= tol)
-        converged[done] = True
-        iterations[done] = it - 1
-        active &= ~done
+        _retire(active & (norm <= tol), "converged", it - 1, active, iterations, stop)
         lanes = np.flatnonzero(active)
         if lanes.size == 0:
             break
-        steps = np.full((lanes.size, Z.shape[1]), np.nan)
-        finite = (np.isfinite(R[lanes]).all(axis=1)
-                  & np.isfinite(J[lanes]).all(axis=(1, 2)))
-        steps[finite] = min_norm_solve(J[lanes[finite]], -R[lanes[finite]])
+        steps = np.full((lanes.size, d), np.nan)
+        for i in range(0, lanes.size, width):
+            part = lanes[i:i + width]
+            finite = np.isfinite(R[part]).all(axis=1) & np.isfinite(J[part]).all(axis=(1, 2))
+            steps[i:i + width][finite] = min_norm_solve(J[part[finite]], -R[part[finite]])
         good = np.isfinite(steps).all(axis=1)
-        iterations[lanes[~good]] = it
-        active[lanes[~good]] = False
+        _retire(lanes[~good], "nonfinite_step", it, active, iterations, stop)
         lanes, steps = lanes[good], steps[good]
         scale = 1.0
         for _ in range(LINE_SEARCH_HALVINGS):
             if lanes.size == 0:
                 break
-            Z_try = Z[lanes] + scale * steps
-            R_try, J_try = F(Z_try)
-            norm_try = _max_abs(R_try)
-            ok = np.isfinite(norm_try) & (norm_try < norm[lanes])
-            took = lanes[ok]
-            Z[took], R[took], J[took], norm[took] = Z_try[ok], R_try[ok], J_try[ok], norm_try[ok]
+            ok = np.zeros(lanes.size, dtype=bool)
+            for i in range(0, lanes.size, width):
+                part = lanes[i:i + width]
+                Z_try = Z[part] + scale * steps[i:i + width]
+                R_try, J_try = F(Z_try)
+                norm_try = _max_abs(R_try)
+                took = np.isfinite(norm_try) & (norm_try < norm[part])
+                ok[i:i + width] = took
+                lane = part[took]
+                Z[lane], R[lane], J[lane], norm[lane] = (Z_try[took], R_try[took], J_try[took],
+                                                         norm_try[took])
             lanes, steps = lanes[~ok], steps[~ok]
             scale *= 0.5
-        iterations[lanes] = it
-        active[lanes] = False
-    converged[active] = norm[active] <= tol
-    return BatchResult(Z, norm, converged, iterations)
+        _retire(lanes, "line_search_failed", it, active, iterations, stop)
+    stop[active & (norm <= tol)] = STOP_REASONS.index("converged")
+    return BatchResult(Z, norm, iterations, stop)
+
+
+def _retire(lanes, reason, it, active, iterations, stop):
+    iterations[lanes] = it
+    active[lanes] = False
+    stop[lanes] = STOP_REASONS.index(reason)
 
 
 def _max_abs(R):
@@ -216,7 +257,8 @@ def multistart_counters(starts, out: BatchResult, xs, kept, radius) -> dict:
     ``out`` is the batched Newton over the starts that projected, ``xs`` the
     base points of its converged lanes and ``kept`` their representatives
     from ``dedup_points``.  A converged lane hits the first representative
-    within ``radius``; hits are listed largest first.
+    within ``radius``; hits are listed largest first.  ``stops`` counts the
+    lanes by the reason they stopped.
     """
     xs = np.asarray(xs, dtype=float)
     owner = np.full(len(xs), -1)
@@ -230,6 +272,8 @@ def multistart_counters(starts, out: BatchResult, xs, kept, radius) -> dict:
         "iterations": int(np.sum(out.iterations)),
         "distinct": len(kept),
         "hits": sorted((int(h) for h in hits), reverse=True),
+        "stops": dict(zip(STOP_REASONS, map(int, np.bincount(out.stop,
+                                                              minlength=len(STOP_REASONS))))),
     }
 
 

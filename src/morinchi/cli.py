@@ -235,19 +235,22 @@ def explain(report_path) -> str:
         lines.append("perturbation-pair cancellation: VIOLATED")
     solver = audits.get("solver", {})
     if solver:
-        lines.append("multistart Newton (accepted covector for k=0):")
-    # the depth-1 solutions form a curve or surface when n >= 2, so there
-    # every start lands on its own point and hits say nothing
-    for stage, label, isolated in (("depth1", "depth-1 system", data["n"] == 1),
-                                   ("k0", "k=0 census", True)):
+        lines.append("multistart Newton (accepted covector for k=0 and the fold surface):")
+    # hits are reported only where the roots are isolated: the depth-1
+    # solutions form a curve or surface when n >= 2
+    for stage, label in (("depth1", "depth-1 system"), ("k0", "k=0 census"),
+                         ("surface", "fold-surface polish")):
         c = solver.get(stage)
         if not c:
             continue
-        hits = f", hits {c['hits']}" if isolated else ""
+        hits = f", hits {c['hits']}" if "hits" in c else ""
         lines.append(f"  {label}: {c['starts']} starts, {c['projected']} projected, "
                      f"{c['converged']} converged in {c['iterations']} iterations, "
                      f"{c['distinct']} distinct roots{hits}")
-        if isolated and 1 in c["hits"]:
+        if "stops" in c:
+            lines.append("    stops: " + ", ".join(f"{k} {reason.replace('_', ' ')}"
+                                                   for reason, k in c["stops"].items()))
+        if 1 in c.get("hits", ()):
             lines.append(f"  warning: a {label} root was reached by only one start; "
                          f"other roots may have been missed")
     if solver.get("curves"):

@@ -268,6 +268,8 @@ def build_report(S: MorinScenario, strat: Stratification, data: MorseData,
 
     audits = dict(strat.audits)
     audits["solver"] = {**audits.get("solver", {}), "k0": data.audits.get("k0_solver", {})}
+    if data.audits.get("surface_solver"):
+        audits["solver"]["surface"] = data.audits["surface_solver"]
     parity = data.audits["parity"]          # None where the audit does not apply (n = 1)
     audits.update({
         "genericity": {"attempt": attempt, "history": list(history)},

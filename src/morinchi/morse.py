@@ -372,10 +372,11 @@ def _critical_points_on_curves(S, a: Covector, strat: Stratification):
     return records, cusp_hits
 
 
-def _critical_points_on_surface(S, a: Covector, strat: Stratification):
+def _critical_points_on_surface(S, a: Covector, strat: Stratification, stats=None):
     """Multistart solve on a stratum of dimension >= 2, seeded by the point cloud.
 
     Every point of the cloud is polished at once, as one batched Newton.
+    ``stats``, a dict when given, receives the counters of the polish.
     """
     tol = S.tolerances
     sysc = StratumCriticalSystem(S, a.a)
@@ -384,10 +385,13 @@ def _critical_points_on_surface(S, a: Covector, strat: Stratification):
     out = newton_batch(sysc.evaluate, np.concatenate([Z, sysc.initial_nu(Z)], axis=1),
                        tol=tol.residual)
     found, residuals = out.z[out.converged], out.residual[out.converged]
+    kept = dedup_points(found[:, :S.N], tol.dedup_radius)
+    if stats is not None:
+        stats.update(multistart_counters(len(Z), out, found[:, :S.N], kept, tol.dedup_radius))
     if len(found) == 0:
         raise GenericityFailure("no critical points found on the singular surface")
     records = []
-    for idx in dedup_points(found[:, :S.N], tol.dedup_radius):
+    for idx in kept:
         w, res = found[idx], residuals[idx]
         records.append(_stratum_record(S, a, w[:sysc.D], w[sysc.D:], res, sysc))
     records.sort(key=lambda r: tuple(np.round(r.x, 9)))
@@ -398,7 +402,8 @@ def critical_points_on_stratum(S: MorinScenario, a: Covector, k: int,
                                strat: Stratification | None = None, stats=None):
     """Critical records of h on the depth-k stratum (k = 0 means M itself).
 
-    For k = 0, ``stats`` (a dict, when given) receives the census counters.
+    ``stats`` (a dict, when given) receives the counters of the k=0 census
+    or, for n >= 3, of the polish on the fold surface.
     k = 1 with n = 2 is refused: ``_critical_points_on_curves`` walks the
     fold curves for it and also returns the cusp hits.
     """
@@ -421,7 +426,7 @@ def critical_points_on_stratum(S: MorinScenario, a: Covector, k: int,
                 fold_sign=p.sign,
             ))
         return records
-    return _critical_points_on_surface(S, a, strat)
+    return _critical_points_on_surface(S, a, strat, stats)
 
 
 # -- correctness, eta, xi ---------------------------------------------------------
@@ -674,14 +679,14 @@ def _boundary_records(S, a: Covector, strat: Stratification, cusp_hits):
 
 
 def compute_morse_data(S: MorinScenario, strat: Stratification, a: Covector) -> MorseData:
-    k0_solver = {}
+    k0_solver, surface_solver = {}, {}
     k0 = critical_points_on_stratum(S, a, 0, stats=k0_solver)
-    audits = {"k0_solver": k0_solver}
+    audits = {"k0_solver": k0_solver, "surface_solver": surface_solver}
     if S.n == 2:
         k1, cusp_hits = _critical_points_on_curves(S, a, strat)
         boundary, certs, eta_checks = _boundary_records(S, a, strat, cusp_hits)
     else:
-        k1 = critical_points_on_stratum(S, a, 1, strat)
+        k1 = critical_points_on_stratum(S, a, 1, strat, stats=surface_solver)
         boundary, certs, eta_checks = [], [], []
     audits["eta_checks"] = eta_checks
     audits["parity"] = check_fold_index_parity(S, a, k0, k1) if S.n > 1 else None

@@ -473,7 +473,9 @@ def solve_stratum1(S: MorinScenario, density=None, stats=None) -> list[StratumPo
     All starts run as one lane-wise batched Newton.  Starts that fail to
     project or to converge are dropped; ``stats``, a dict when given,
     receives the counters of the solve (starts, projected, converged,
-    iterations, distinct roots, hits per root).  An empty result on a
+    iterations, distinct roots, stop reasons, and for n = 1 hits per root:
+    for n >= 2 the solutions form a curve or a surface, so every start lands
+    on its own point and hits say nothing).  An empty result on a
     compact manifold is an error: any map from a compact manifold with
     m > n must have singular points.
     """
@@ -488,6 +490,8 @@ def solve_stratum1(S: MorinScenario, density=None, stats=None) -> list[StratumPo
     kept = dedup_points(xs, tol.dedup_radius)
     if stats is not None:
         stats.update(multistart_counters(len(X0), out, xs, kept, tol.dedup_radius))
+        if S.n > 1:
+            del stats["hits"]
     points = _points_from_solutions(S, system, solutions, kept)
     if not points and S.manifold.compact:
         raise StratificationError(

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from morinchi import expr as ex
-from morinchi._numeric import newton, newton_batch
+from morinchi._numeric import batch_width, min_norm_solve, newton, newton_batch
 from morinchi.manifold import (
     ImplicitManifold,
     ManifoldError,
@@ -123,13 +123,70 @@ def test_newton_batch_matches_newton_on_the_s4_height_depth1_system():
     _agree_lane_by_lane(system.residual, system.jacobian, Z0, S.tolerances.residual, 30)
 
 
-def test_newton_batch_matches_newton_on_the_s4_proj_augmented_system():
+@pytest.fixture(scope="module")
+def s4_proj_polish():
+    """The augmented system and the starts of the fold-surface polish of s4-proj
+    for the first covector of its default seed."""
     S = bundled("s4-proj")
-    points = solve_stratum1(S)
     sysc = StratumCriticalSystem(S, sample_covector(S.n, [S.seed, 0]).a)
-    Z = np.array([sysc.base.pack(p.x, p.cokernel, p.multiplier) for p in points[::4]])
-    W0 = np.concatenate([Z, sysc.initial_nu(Z)], axis=1)
-    _agree_lane_by_lane(sysc.residual, sysc.jacobian, W0, S.tolerances.residual, 60)
+    Z = np.array([sysc.base.pack(p.x, p.cokernel, p.multiplier) for p in solve_stratum1(S)])
+    return S, sysc, np.concatenate([Z, sysc.initial_nu(Z)], axis=1)
+
+
+def test_newton_batch_matches_newton_on_the_s4_proj_augmented_system(s4_proj_polish):
+    S, sysc, W0 = s4_proj_polish
+    _agree_lane_by_lane(sysc.residual, sysc.jacobian, W0[::4], S.tolerances.residual, 60)
+
+
+def test_newton_batch_pools_lanes_within_the_batch_width(s4_proj_polish):
+    # the lanes still searching are pooled across the whole stack, yet no
+    # call of F sees more lanes than the memory bound allows
+    S, sysc, W0 = s4_proj_polish
+    sizes = []
+
+    def F(W):
+        sizes.append(len(W))
+        return sysc.evaluate(W)
+
+    out = newton_batch(F, W0, tol=S.tolerances.residual)
+    assert max(sizes) == batch_width(W0.shape[1]) < len(W0)
+    assert len(sizes) <= 1000           # 2,460 calls with one stack per 64 lanes
+    assert out.converged.sum() > len(W0) // 2
+
+
+def test_newton_batch_lanes_do_not_depend_on_their_order(s4_proj_polish):
+    S, sysc, W0 = s4_proj_polish
+    out = newton_batch(sysc.evaluate, W0, tol=S.tolerances.residual)
+    rev = newton_batch(sysc.evaluate, W0[::-1], tol=S.tolerances.residual)
+    assert np.array_equal(rev.converged[::-1], out.converged)
+    assert np.array_equal(rev.iterations[::-1], out.iterations)
+    assert np.array_equal(rev.stop[::-1], out.stop)
+    assert np.max(np.abs(rev.z[::-1] - out.z)) <= 1e-12
+
+
+def test_min_norm_solve_matches_lstsq_lane_by_lane():
+    # square lanes below lstsq's cutoff take the inverse, the others the SVD
+    rng = np.random.default_rng(11)
+    d = 7
+    well = rng.standard_normal((5, d, d))
+    U, _, Vt = np.linalg.svd(rng.standard_normal((3, d, d)))
+    near = U @ (np.array([1.0, 0.7, 0.5, 0.3, 0.2, 0.1, 1e-16])[:, None] * Vt)   # kappa 1e16
+    deficient = rng.standard_normal((3, d, d - 2)) @ rng.standard_normal((3, d - 2, d))
+    zero_row = rng.standard_normal((1, d, d))
+    zero_row[0, 3] = 0.0                                    # LU meets a zero pivot
+    for A in (np.concatenate([well, near, deficient]),
+              np.concatenate([well, near, zero_row, deficient]),     # inv raises
+              rng.standard_normal((6, 4, 9)), rng.standard_normal((6, 9, 4))):
+        b = rng.standard_normal(A.shape[:2])
+        got = min_norm_solve(A, b)
+        assert got.shape == (len(A), A.shape[2])
+        for Ai, bi, x in zip(A, b, got):
+            want = np.linalg.lstsq(Ai, bi, rcond=None)[0]
+            assert np.max(np.abs(x - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
+            assert np.max(np.abs(min_norm_solve(Ai, bi) - want)) <= 1e-9 * max(
+                1.0, np.max(np.abs(want)))
+    ranks = [np.linalg.lstsq(Ai, np.ones(d), rcond=None)[2] for Ai in (*near, *deficient)]
+    assert ranks == [d - 1] * 3 + [d - 2] * 3           # the cutoff is exercised
 
 
 def test_newton_batch_stops_failing_lanes_like_newton():

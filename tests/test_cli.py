@@ -295,6 +295,25 @@ def test_explain_prints_solver_counters(tmp_path):
     assert "warning: a depth-1 system root was reached by only one start" in text
 
 
+def test_explain_prints_fold_surface_counters_and_stop_reasons(tmp_path):
+    assert run(RunConfig(scenario=str(scenario_path("s4-proj")), out_dir=str(tmp_path))) == EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text())
+    solver = report["audits"]["solver"]
+    assert set(solver) == {"depth1", "k0", "surface"}
+    # the depth-1 solutions of n = 3 form a surface, so there are no hits to count
+    assert "hits" not in solver["depth1"] and "hits" in solver["surface"]
+    for counters in solver.values():
+        assert sum(counters["stops"].values()) == counters["projected"]
+        assert counters["stops"]["converged"] == counters["converged"]
+    surface = solver["surface"]
+    assert surface["starts"] == report["audits"]["stratum1_count"]
+    assert surface["distinct"] == report["audits"]["stratum1_critical_count"]
+    text = explain(tmp_path / "report.json")
+    assert f"fold-surface polish: {surface['starts']} starts" in text
+    assert f"    stops: {surface['stops']['converged']} converged, " in text
+    assert "warning" not in text
+
+
 def test_report_counts_curve_tracing_work(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     for d in (d1, d2):
