@@ -270,9 +270,13 @@ class Jet:
         family += [d for row in gradients for d in row]
         family += [differentiate(row[i], j) for row in gradients for (i, j) in upper]
         self._block = ExprBlock(family, nvars)
-        self._k = len(exprs)
-        self._ui = np.array([i for i, _ in upper], dtype=np.int64)
-        self._uj = np.array([j for _, j in upper], dtype=np.int64)
+        self._k = k = len(exprs)
+        # H[..., r, i, j] is the value of the upper-triangle partial (min, max)
+        # of row r: one precomputed gather from the value vector
+        slot = np.zeros((nvars, nvars), dtype=np.int64)
+        for s, (i, j) in enumerate(upper):
+            slot[i, j] = slot[j, i] = s
+        self._hessian_index = k + k * nvars + len(upper) * np.arange(k)[:, None, None] + slot
         self._memo = (None, None, None)
 
     def __call__(self, x):
@@ -284,11 +288,7 @@ class Jet:
         k, N, lead = self._k, self._block.nvars, x.shape[:-1]
         vals = self._block(x)
         D = vals[..., k:k + k * N].reshape(lead + (k, N))
-        H = np.zeros(lead + (k, N, N))
-        tri = vals[..., k + k * N:].reshape(lead + (k, len(self._ui)))
-        H[..., self._ui, self._uj] = tri
-        H[..., self._uj, self._ui] = tri
-        out = (vals[..., :k], D, H)
+        out = (vals[..., :k], D, vals[..., self._hessian_index])
         self._memo = (key, x.shape, out)
         return out
 

@@ -23,6 +23,9 @@ import numpy as np
 
 from . import expr as ex
 from ._numeric import (
+    BATCH_ENTRIES,
+    LINE_SEARCH_HALVINGS,
+    NewtonResult,
     batch_width,
     dedup_points,
     eig_sign_counts,
@@ -164,12 +167,7 @@ class MorinScenario:
 
     def lagrangian_hessian(self, x, u, mu):
         """Ambient Hessian of <u, f> - <mu, g> at x (or at each point of a stack)."""
-        H, n = self.jet(x)[2], self.n
-        W = np.einsum("...l,...lij->...ij", np.asarray(u, dtype=float), H[..., :n, :, :])
-        if self.c:
-            W = W - np.einsum("...k,...kij->...ij", np.asarray(mu, dtype=float),
-                              H[..., n:, :, :])
-        return W
+        return _lagrangian_hessian(self.jet(x)[2], u, mu)
 
     def third_tensors(self, x):
         """Symmetric third-derivative tensors of (f_1..f_n, g_1..g_c) at x.
@@ -187,6 +185,19 @@ class MorinScenario:
     def __repr__(self):
         comps = [ex.to_prefix(c) for c in self.components]
         return f"MorinScenario({self.name!r}, m={self.m}, n={self.n}, f={comps})"
+
+
+def _lagrangian_hessian(H, u, mu):
+    """sum_r w_r H_r with w = (u, -mu), H the (..., n + c, N, N) Hessians of
+    (f, g): one product over the flattened Hessians.  A fixed u or mu
+    broadcasts over a stack of the other."""
+    u, mu = np.asarray(u, dtype=float), np.asarray(mu, dtype=float)
+    n = u.shape[-1]
+    w = np.empty(max(u.shape[:-1], mu.shape[:-1], key=len) + (n + mu.shape[-1],))
+    w[..., :n] = u
+    np.negative(mu, out=w[..., n:])
+    W = vecmat(w, H.reshape(H.shape[:-2] + (-1,)))
+    return W.reshape(W.shape[:-1] + H.shape[-2:])
 
 
 def load_scenario(source) -> MorinScenario:
@@ -294,6 +305,22 @@ class SingularSystem:
         self.n_eqs = c + N if self.reduced else c + N + 1
         self.solution_dim = n - 1
         self._memo = (None, None, None)
+        # J is one gather from the source (z, D, W, 0), with D the (n + c, N)
+        # gradients of (f, g) and W the Lagrangian Hessian, and fixed signs
+        d, k = self.dim_z, n + c
+        grad = d + np.arange(k * N).reshape(k, N)
+        hess = d + k * N + np.arange(N * N).reshape(N, N)
+        index = np.full((self.n_eqs, d), d + k * N + N * N)
+        coef = np.ones((self.n_eqs, d))
+        index[:c, :N] = grad[n:]
+        index[c:c + N, :N] = hess
+        index[c:c + N, d - c:] = grad[n:].T
+        coef[c:c + N, d - c:] = -1.0
+        if not self.reduced:
+            index[c:c + N, N:N + n] = grad[:n].T
+            index[c + N, N:N + n] = N + np.arange(n)        # u, read from z
+            coef[c + N, N:N + n] = 2.0
+        self._jacobian_index, self._jacobian_coef = index, coef
 
     # pack, unpack, evaluate, residual and jacobian take one point or a stack
     # of them; a fixed cokernel comes out of unpack unstacked and broadcasts
@@ -322,22 +349,17 @@ class SingularSystem:
         memo = self._memo          # single read keeps the triple consistent
         if key == memo[0] and z.shape == memo[1]:
             return memo[2]
-        S = self.S
-        N, n, c = S.N, S.n, S.c
+        n, lead = self.S.n, z.shape[:-1]
         x, u, mu = self.unpack(z)
-        g, D, _ = S.jet(x)
-        Df, Dg = D[..., :n, :], D[..., n:, :]
-        parts = [g[..., n:], vecmat(u, Df) - vecmat(mu, Dg)]
+        g, D, H = self.S.jet(x)
+        parts = [g[..., n:], vecmat(u, D[..., :n, :]) - vecmat(mu, D[..., n:, :])]
         if not self.reduced:
             parts.append((u[..., None, :] @ u[..., :, None])[..., 0] - 1.0)
         R = np.concatenate(parts, axis=-1)
-        J = np.zeros(x.shape[:-1] + (self.n_eqs, self.dim_z))
-        J[..., :c, :N] = Dg
-        J[..., c:c + N, :N] = S.lagrangian_hessian(x, u, mu)
-        J[..., c:c + N, self.dim_z - c:] = -np.swapaxes(Dg, -1, -2)
-        if not self.reduced:
-            J[..., c:c + N, N:N + n] = np.swapaxes(Df, -1, -2)
-            J[..., c + N, N:N + n] = 2 * u
+        W = _lagrangian_hessian(H, u, mu)
+        source = np.concatenate([z, D.reshape(lead + (-1,)), W.reshape(lead + (-1,)),
+                                 np.zeros(lead + (1,))], axis=-1)
+        J = self._jacobian_coef * source[..., self._jacobian_index]
         R.flags.writeable = J.flags.writeable = False
         self._memo = (key, z.shape, (R, J))
         return R, J
@@ -560,10 +582,17 @@ def stratum_point(S, x, u, mu, system=None, K=None) -> StratumPoint:
 # -- continuation on the solution curve (n = 2) ---------------------------------
 #
 # A predictor-corrector layout after Allgower & Georg, Introduction to
-# Numerical Continuation Methods (SIAM 2003): a step along the tangent, then
-# Newton back to the curve inside the plane normal to it (the trace starts
-# that Newton from a second-order predictor).  The trace below and the Morse
-# walk along the fold curves in ``morse`` share these routines.
+# Numerical Continuation Methods (SIAM 2003): a step along the tangent t,
+# then Newton back to the curve inside the plane normal to t (the trace starts
+# that Newton from a second-order predictor).  The bordered matrix [J; t] is
+# square, and it is nonsingular wherever the curve is smooth and t is not
+# normal to it, so the corrector steps by LU.  The trace's next tangent is
+# the one [J(z_new); t] induces (the solution of [J; t] tau = e_last,
+# normalized), oriented along t since t . tau = 1; only the first node, cusps
+# and the Morse walk take it from the null space by SVD (``curve_tangent``).
+# The trace audits the nullity of J at every node afterwards, in stacks.  The
+# trace below and the Morse walk along the fold curves in ``morse`` share
+# these routines.
 
 
 def land(system, z):
@@ -575,17 +604,53 @@ def land(system, z):
 def correct_in_plane(system, z_start, anchor, t):
     """Newton from z_start onto the solution set cut by the plane through
     ``anchor`` normal to t.  ``anchor`` None means z_start itself: the
-    corrector of a predictor step along t."""
-    anchor = z_start if anchor is None else anchor
+    corrector of a predictor step along t.
 
-    def res(w):
-        return np.concatenate([system.residual(w), [t @ (w - anchor)]])
+    Damping and stopping rules are ``newton``'s; each step is one LU solve of
+    the square bordered system.  An exactly singular bordered matrix or a
+    non-finite step ends it unconverged.
+    """
+    z = np.array(z_start, dtype=float)
+    anchor = z if anchor is None else anchor        # z is rebound, never written
+    tol = system.S.tolerances.residual
+    A = np.empty((z.size, z.size))
+    A[-1] = t
+    res, res_try = np.empty(z.size), np.empty(z.size)
 
-    def jac(w):
-        return np.vstack([system.jacobian(w), t])
+    def bordered_norm(w, out):
+        out[:-1] = system.residual(w)
+        out[-1] = t @ (w - anchor)
+        return float(np.max(np.abs(out)))
 
-    return newton(res, jac, np.asarray(z_start, dtype=float),
-                  tol=system.S.tolerances.residual, max_iter=40)
+    norm = bordered_norm(z, res)
+    for it in range(1, 41):
+        if norm <= tol:
+            return NewtonResult(z, norm, True, it - 1)
+        A[:-1] = system.jacobian(z)
+        try:
+            step = np.linalg.solve(A, -res)
+        except np.linalg.LinAlgError:
+            return NewtonResult(z, norm, False, it)
+        if not np.all(np.isfinite(step)):
+            return NewtonResult(z, norm, False, it)
+        scale = 1.0
+        for _ in range(LINE_SEARCH_HALVINGS):
+            z_try = z + scale * step
+            norm_try = bordered_norm(z_try, res_try)
+            if np.isfinite(norm_try) and norm_try < norm:
+                break
+            scale *= 0.5
+        else:
+            return NewtonResult(z, norm, False, it)
+        z, norm, res, res_try = z_try, norm_try, res_try, res
+    return NewtonResult(z, norm, norm <= tol, 40)
+
+
+def _nullity_error(nullity):
+    return MorinnessError(
+        f"singular-set dimension audit failed: nullity {nullity} != 1 "
+        f"(solution variety is not a smooth curve here)"
+    )
 
 
 def curve_tangent(system, z, prev=None):
@@ -593,14 +658,44 @@ def curve_tangent(system, z, prev=None):
     given and sign-normalized otherwise; a nullity other than 1 is rejected."""
     ns = nullspace(system.jacobian(z), rtol=1e-8)
     if ns.shape[1] != 1:
-        raise MorinnessError(
-            f"singular-set dimension audit failed: nullity {ns.shape[1]} != 1 "
-            f"(solution variety is not a smooth curve here)"
-        )
+        raise _nullity_error(ns.shape[1])
     t = ns[:, 0]
     if prev is not None and t @ prev < 0:
         t = -t
     return sign_normalize(t) if prev is None else t
+
+
+def _chain_tangent(system, z, t):
+    """Unit tangent at z induced by [J(z); t]: the solution of
+    [J(z); t] tau = e_last, normalized, so it points along t.  An exactly
+    singular bordered matrix falls back to ``curve_tangent``, which rejects
+    a nullity other than 1."""
+    e_last = np.zeros(t.size)
+    e_last[-1] = 1.0
+    try:
+        tau = np.linalg.solve(np.vstack([system.jacobian(z), t]), e_last)
+    except np.linalg.LinAlgError:
+        return curve_tangent(system, z, prev=t)
+    return tau / np.linalg.norm(tau)
+
+
+def _nullities(system, Z):
+    """Nullity of the Jacobian at each point of a stack (B, dim_z), by the
+    rank rule of ``nullspace(J, rtol=1e-8)``."""
+    s = np.linalg.svd(system.jacobian(Z), compute_uv=False)
+    cutoff = np.maximum(1e-8 * s[:, :1], np.finfo(float).tiny)
+    return system.dim_z - np.sum(s > cutoff, axis=1)
+
+
+def _audit_curve_nullity(system, Z):
+    """Reject the first point of Z (in order) where the solution set is not
+    a smooth curve, as ``curve_tangent`` there would."""
+    width = batch_width(system.dim_z)
+    for i in range(0, len(Z), width):
+        nullity = _nullities(system, Z[i:i + width])
+        bad = np.flatnonzero(nullity != 1)
+        if bad.size:
+            raise _nullity_error(nullity[bad[0]])
 
 
 def bisect_on_curve(system, za, zb, fa, value, gap):
@@ -775,7 +870,7 @@ def trace_fold_curve(S: MorinScenario, z_start, max_steps=200000) -> FoldCurve:
     nodes = [z0]
     tangents = [t]
     half_steps = iterations = 0
-    z, t_prev, closed, closure_error = z0, None, False, np.inf
+    z, t_prev = z0, None
     for step in range(max_steps):
         anchor = z + h * t
         # second-order predictor: the tangent's turn over the last step
@@ -790,22 +885,25 @@ def trace_fold_curve(S: MorinScenario, z_start, max_steps=200000) -> FoldCurve:
             out = correct_in_plane(system, z + 0.5 * h * t, None, t)
             iterations += out.iterations
             if not out.converged:
+                _audit_curve_nullity(system, np.array(nodes))
                 raise StratificationError("continuation corrector failed")
         z_new = out.z
-        t_new = curve_tangent(system, z_new, prev=t)
         if step > 2 and np.linalg.norm(z_new - z0) < h:
             # land the returning branch on the plane through the start point
             snap = correct_in_plane(system, z_new, z0, tangents[0])
             iterations += snap.iterations
             closure_error = float(np.linalg.norm(snap.z - z0)) if snap.converged else np.inf
-            closed = True
             break
+        t_new = _chain_tangent(system, z_new, t)
         nodes.append(z_new)
         tangents.append(t_new)
         z, t, t_prev = z_new, t_new, t
-    if not closed:
+    else:
+        _audit_curve_nullity(system, np.array(nodes))
         raise StratificationError("trace did not close (open curve or step budget hit)")
 
+    # every node and the returning point, in trace order, before any metric
+    _audit_curve_nullity(system, np.array(nodes + [z_new]))
     nodes = np.array(nodes)
     width = batch_width(system.dim_z)
     metrics = [_node_metrics(S, system, nodes[i:i + width])
@@ -986,16 +1084,27 @@ def _trace_all_curves(S, points):
         z0 = system.pack(p0.x, p0.cokernel, p0.multiplier)
         curve = trace_fold_curve(S, z0)
         curves.append(curve)
-        covered = curve.x_nodes(S.N)
-        still = []
-        for p in remaining:
-            d = float(np.min(np.linalg.norm(covered - p.x, axis=1)))
-            if d > 2 * h:
-                still.append(p)
-        if len(still) == len(remaining):
+        near = _nearest_distances(np.array([p.x for p in remaining]), curve.x_nodes(S.N))
+        if np.all(near > 2 * h):
             raise StratificationError("trace did not cover its own starting point")
-        remaining = still
+        remaining = [p for p, d in zip(remaining, near) if d > 2 * h]
     return curves
+
+
+def _nearest_distances(X, nodes):
+    """Distance from each point of X to its nearest node, bit for bit what
+    min |nodes - x| gives: squares summed in coordinate order, for a block
+    of points at a time (about 4 * BATCH_ENTRIES differences per block)."""
+    columns = nodes.T.copy()
+    rows = max(1, 4 * BATCH_ENTRIES // len(nodes))
+    near = []
+    for i in range(0, len(X), rows):
+        block, squares = X[i:i + rows], 0.0
+        for j, column in enumerate(columns):
+            d = column - block[:, j, None]
+            squares = squares + d * d
+        near.append(np.sqrt(np.min(squares, axis=1)))
+    return np.concatenate(near)
 
 
 def _classify_cloud(S, points, cusps):
@@ -1027,12 +1136,8 @@ def _alternation_violations(curves):
 
 def _dimension_audit(S, points):
     system = SingularSystem(S)
-    nullities = set()
-    for p in points[: min(len(points), 10)]:
-        z = system.pack(p.x, p.cokernel, p.multiplier)
-        ns = nullspace(system.jacobian(z), rtol=1e-8)
-        nullities.add(ns.shape[1])
-    return sorted(nullities)
+    Z = [system.pack(p.x, p.cokernel, p.multiplier) for p in points[:10]]
+    return sorted(set(_nullities(system, np.array(Z)).tolist())) if Z else []
 
 
 def _nesting_audit(S, cusps):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from morinchi import expr as ex
-from morinchi._numeric import eig_sign_counts
+from morinchi._numeric import eig_sign_counts, newton
 from morinchi.strata import (
     MorinnessError,
     ScenarioFormatError,
@@ -302,12 +302,46 @@ def test_trace_takes_one_newton_step_per_node(name):
     assert curve.solver["corrector_iterations"] <= 1.01 * nodes
     # the second-order predictor only moves the corrector's start: every node
     # is still where the plain predictor's step from the node before lands,
-    # on the plane through z + h t normal to t
+    # on the plane through z + h t normal to t.  The reference corrector is
+    # scalar ``newton`` (least-squares steps) on the bordered system.
     for i in range(1, nodes):
         z, t = curve.nodes[i - 1], curve.tangents[i - 1]
-        plain = correct_in_plane(system, z + h * t, None, t)
+        anchor = z + h * t
+        plain = newton(lambda w: np.append(system.residual(w), t @ (w - anchor)),
+                       lambda w: np.vstack([system.jacobian(w), t]), anchor,
+                       tol=S.tolerances.residual, max_iter=40)
         assert plain.converged
         assert np.max(np.abs(plain.z - curve.nodes[i])) <= 1e-11, i
+
+
+def test_correct_in_plane_on_a_singular_border_stops_unconverged(s3_proj):
+    system = SingularSystem(s3_proj)
+    p = solve_stratum1(s3_proj, density=10)[0]
+    z = system.pack(p.x, p.cokernel, p.multiplier)
+    # t = 0 makes the last row of the bordered matrix zero: LU finds it singular
+    out = correct_in_plane(system, z + 1e-3, None, np.zeros(system.dim_z))
+    assert not out.converged and out.iterations == 1
+    np.testing.assert_array_equal(out.z, z + 1e-3)
+
+
+def test_trace_rejects_a_node_of_nullity_two(s3_proj, monkeypatch):
+    system = SingularSystem(s3_proj)
+    p = solve_stratum1(s3_proj, density=10)[0]
+    z0 = system.pack(p.x, p.cokernel, p.multiplier)
+    evaluate = SingularSystem.evaluate
+
+    def rank_deficient_stacks(self, z):
+        # the stacked audit sees one lane whose Jacobian lost a rank; every
+        # single-point evaluation the trace itself makes is left alone
+        R, J = evaluate(self, z)
+        if np.ndim(z) == 2 and len(z) > 5:
+            J = J.copy()
+            J[5, -1] = J[5, -2]
+        return R, J
+
+    monkeypatch.setattr(SingularSystem, "evaluate", rank_deficient_stacks)
+    with pytest.raises(MorinnessError, match="dimension audit failed: nullity 2 != 1"):
+        trace_fold_curve(s3_proj, z0)
 
 
 def test_bisect_on_curve_stops_like_the_loops_it_replaced():
