@@ -290,15 +290,3 @@ def eig_sign_counts(H, zero_tol_factor=1e-6):
     n_plus = int(np.sum(vals >= cut))
     n_minus = int(np.sum(vals <= -cut))
     return n_plus, n_minus, n_zero
-
-
-def fd_jacobian(fn, z, step=1e-7):
-    """Central-difference Jacobian of a vector function."""
-    z = np.asarray(z, dtype=float)
-    f0 = np.asarray(fn(z), dtype=float)
-    J = np.empty((len(f0), len(z)))
-    for i in range(len(z)):
-        e = np.zeros(len(z))
-        e[i] = step
-        J[:, i] = (np.asarray(fn(z + e), dtype=float) - np.asarray(fn(z - e), dtype=float)) / (2 * step)
-    return J

@@ -20,6 +20,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from ._numeric import BATCH_ENTRIES
+
 Rational = Union[int, Fraction]
 
 
@@ -223,7 +225,9 @@ class ExprBlock:
     takes one point (N,) or a stack of points (B, N) and returns the family's
     values, (R,) or (B, R): one power table, one gather-product per monomial
     and one coefficient product cover the whole stack.  This is the hot path
-    of every solver.
+    of every solver.  A stack is evaluated ``chunk`` points at a time, so the
+    gathered (points, monomials, factors) array stays within
+    ``BATCH_ENTRIES``.
     """
 
     def __init__(self, exprs: Sequence[Expr], nvars: int):
@@ -235,20 +239,32 @@ class ExprBlock:
             for m, c in e.terms.items():
                 C[r, index[m]] = float(c)
         self.nvars = nvars
-        self.exponents = np.array(basis, dtype=np.int64).reshape(len(basis), nvars)
         self.coeffs = C
-        self._max_exp = int(self.exponents.max()) if self.exponents.size else 0
-        self._columns = np.arange(nvars)
+        self._max_exp = max((e for m in basis for e in m), default=0)
+        # a monomial multiplies the powers of the variables it uses, by flat
+        # index into the (max_exp + 1, nvars) power table, in variable order
+        # and padded with entry 0 (x0^0 = 1)
+        width = max((sum(e > 0 for e in m) for m in basis), default=0)
+        self._factors = np.zeros((len(basis), width), dtype=np.int64)
+        for i, m in enumerate(basis):
+            used = [e * nvars + j for j, e in enumerate(m) if e]
+            self._factors[i, :len(used)] = used
+        self.chunk = max(1, BATCH_ENTRIES // max(1, self._factors.size))
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self.exponents.shape[0] == 0:
-            return np.zeros(x.shape[:-1] + (self.coeffs.shape[0],))
+        if x.ndim > 1 and x.shape[0] > self.chunk:
+            return np.concatenate([self._eval(x[i:i + self.chunk])
+                                   for i in range(0, x.shape[0], self.chunk)])
+        return self._eval(x)
+
+    def _eval(self, x):
         # power table per variable, then one gather-product per monomial
-        table = np.ones(x.shape[:-1] + (self._max_exp + 1, self.nvars))
+        lead = x.shape[:-1]
+        table = np.ones(lead + (self._max_exp + 1, self.nvars))
         for e in range(1, self._max_exp + 1):
             table[..., e, :] = table[..., e - 1, :] * x
-        powers = np.prod(table[..., self.exponents, self._columns], axis=-1)
+        powers = np.prod(table.reshape(lead + (-1,))[..., self._factors], axis=-1)
         return powers @ self.coeffs.T
 
 

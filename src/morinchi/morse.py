@@ -268,12 +268,6 @@ class StratumCriticalSystem:
         J[..., self.E:, self.D:] = -np.swapaxes(DF, -1, -2)
         return R, J
 
-    def residual(self, w):
-        return self.evaluate(w)[0]
-
-    def jacobian(self, w):
-        return self.evaluate(w)[1]
-
     def initial_nu(self, z):
         return min_norm_solve(np.swapaxes(self.base.jacobian(z), -1, -2), self.grad_h(z))
 

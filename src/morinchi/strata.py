@@ -81,12 +81,18 @@ class Tolerances:
         for name in base.__dataclass_fields__:
             if name not in d:
                 continue
+            raw, count = d[name], isinstance(getattr(base, name), int)
             try:
-                value = type(getattr(base, name))(d[name])
+                value = float(raw)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ScenarioFormatError(f"tolerance {name!r}: {exc}") from exc
             if not math.isfinite(value):
                 raise ScenarioFormatError(f"tolerance {name!r} must be finite, got {value}")
+            # a boolean is not a number, and a count is never truncated
+            if isinstance(raw, bool) or (count and not value.is_integer()):
+                raise ScenarioFormatError(
+                    f"tolerance {name!r} must be a {'whole ' * count}number, got {raw!r}")
+            value = int(value) if count else value
             # every tolerance is a threshold, radius, step or count that is
             # meaningless at zero or below
             if value <= 0:
@@ -123,6 +129,7 @@ class MorinScenario:
 
         self._jet = None            # built on the first use of ``jet``
         self._third = None          # built on the first third_tensors call
+        self._singular = None       # built on the first use of ``singular_block``
 
     # shorthand dimensions
     @property
@@ -166,8 +173,37 @@ class MorinScenario:
         return self.jet(x)[2][..., :self.n, :, :]
 
     def lagrangian_hessian(self, x, u, mu):
-        """Ambient Hessian of <u, f> - <mu, g> at x (or at each point of a stack)."""
-        return _lagrangian_hessian(self.jet(x)[2], u, mu)
+        """Ambient Hessian of <u, f> - <mu, g> at x (or at each point of a
+        stack): sum_r w_r H_r with w = (u, -mu) and H the Hessians of (f, g),
+        one product over the flattened Hessians.  A fixed u or mu broadcasts
+        over a stack of the other."""
+        H = self.jet(x)[2]
+        u, mu = np.asarray(u, dtype=float), np.asarray(mu, dtype=float)
+        w = np.empty(max(u.shape[:-1], mu.shape[:-1], key=len) + (self.n + self.c,))
+        w[..., :self.n] = u
+        np.negative(mu, out=w[..., self.n:])
+        W = vecmat(w, H.reshape(H.shape[:-2] + (-1,)))
+        return W.reshape(W.shape[:-1] + H.shape[-2:])
+
+    @property
+    def singular_block(self):
+        """The full chart of ``SingularSystem`` as one ExprBlock over
+        z = (x, u, mu), built on first use: the c + N + 1 residual entries,
+        then every nonzero partial of them, whose (row, column) arrays come
+        with it.  Each coefficient is exact until the block rounds it."""
+        if self._singular is None:
+            N, n, c = self.N, self.n, self.c
+            z = [ex.Expr.variable(i, N + n + c) for i in range(N + n + c)]
+            f = [e.with_nvars(N + n + c) for e in self.components]
+            g = [e.with_nvars(N + n + c) for e in self.manifold.constraints]
+            R = g + [sum(z[N + l] * ex.differentiate(f[l], i) for l in range(n))
+                     - sum(z[N + n + j] * ex.differentiate(g[j], i) for j in range(c))
+                     for i in range(N)]
+            R.append(sum(z[N + l] ** 2 for l in range(n)) - 1)
+            partials = [(r, k, ex.differentiate(e, k)) for r, e in enumerate(R) for k in range(len(z))]
+            rows, cols, partials = zip(*(p for p in partials if not p[2].is_zero()))
+            self._singular = ex.ExprBlock(R + list(partials), len(z)), np.array(rows), np.array(cols)
+        return self._singular
 
     def third_tensors(self, x):
         """Symmetric third-derivative tensors of (f_1..f_n, g_1..g_c) at x.
@@ -185,19 +221,6 @@ class MorinScenario:
     def __repr__(self):
         comps = [ex.to_prefix(c) for c in self.components]
         return f"MorinScenario({self.name!r}, m={self.m}, n={self.n}, f={comps})"
-
-
-def _lagrangian_hessian(H, u, mu):
-    """sum_r w_r H_r with w = (u, -mu), H the (..., n + c, N, N) Hessians of
-    (f, g): one product over the flattened Hessians.  A fixed u or mu
-    broadcasts over a stack of the other."""
-    u, mu = np.asarray(u, dtype=float), np.asarray(mu, dtype=float)
-    n = u.shape[-1]
-    w = np.empty(max(u.shape[:-1], mu.shape[:-1], key=len) + (n + mu.shape[-1],))
-    w[..., :n] = u
-    np.negative(mu, out=w[..., n:])
-    W = vecmat(w, H.reshape(H.shape[:-2] + (-1,)))
-    return W.reshape(W.shape[:-1] + H.shape[-2:])
 
 
 def load_scenario(source) -> MorinScenario:
@@ -305,22 +328,16 @@ class SingularSystem:
         self.n_eqs = c + N if self.reduced else c + N + 1
         self.solution_dim = n - 1
         self._memo = (None, None, None)
-        # J is one gather from the source (z, D, W, 0), with D the (n + c, N)
-        # gradients of (f, g) and W the Lagrangian Hessian, and fixed signs
-        d, k = self.dim_z, n + c
-        grad = d + np.arange(k * N).reshape(k, N)
-        hess = d + k * N + np.arange(N * N).reshape(N, N)
-        index = np.full((self.n_eqs, d), d + k * N + N * N)
-        coef = np.ones((self.n_eqs, d))
-        index[:c, :N] = grad[n:]
-        index[c:c + N, :N] = hess
-        index[c:c + N, d - c:] = grad[n:].T
-        coef[c:c + N, d - c:] = -1.0
-        if not self.reduced:
-            index[c:c + N, N:N + n] = grad[:n].T
-            index[c + N, N:N + n] = N + np.arange(n)        # u, read from z
-            coef[c + N, N:N + n] = 2.0
-        self._jacobian_index, self._jacobian_coef = index, coef
+        # R is the head of one block evaluation and J is scattered from its
+        # partials; a reduced chart inserts the cokernel as u and drops the
+        # normalization row and the u columns
+        self._block, rows, cols = scenario.singular_block
+        src = c + N + 1 + np.arange(rows.size)
+        if self.reduced:
+            keep = (rows < c + N) & ((cols < N) | (cols >= N + n))
+            rows, cols, src = rows[keep], np.where(cols < N, cols, cols - n)[keep], src[keep]
+            self._free = np.r_[:N, N + n:N + n + c]
+        self._src, self._dst = src, rows * self.dim_z + cols
 
     # pack, unpack, evaluate, residual and jacobian take one point or a stack
     # of them; a fixed cokernel comes out of unpack unstacked and broadcasts
@@ -338,10 +355,10 @@ class SingularSystem:
         return z[..., :N], z[..., N:N + n], z[..., N + n:]
 
     def evaluate(self, z):
-        """(residual, Jacobian) at z from one joint jet of (f, g).
+        """(residual, Jacobian) at z from one call of the scenario's block.
 
         The last evaluation is memoized, keyed by the bytes and the shape of
-        z, so a solver's residual and Jacobian at one iterate cost one jet
+        z, so a solver's residual and Jacobian at one iterate cost one block
         call; the memoized arrays are read-only.
         """
         z = np.asarray(z, dtype=float)
@@ -349,17 +366,17 @@ class SingularSystem:
         memo = self._memo          # single read keeps the triple consistent
         if key == memo[0] and z.shape == memo[1]:
             return memo[2]
-        n, lead = self.S.n, z.shape[:-1]
-        x, u, mu = self.unpack(z)
-        g, D, H = self.S.jet(x)
-        parts = [g[..., n:], vecmat(u, D[..., :n, :]) - vecmat(mu, D[..., n:, :])]
-        if not self.reduced:
-            parts.append((u[..., None, :] @ u[..., :, None])[..., 0] - 1.0)
-        R = np.concatenate(parts, axis=-1)
-        W = _lagrangian_hessian(H, u, mu)
-        source = np.concatenate([z, D.reshape(lead + (-1,)), W.reshape(lead + (-1,)),
-                                 np.zeros(lead + (1,))], axis=-1)
-        J = self._jacobian_coef * source[..., self._jacobian_index]
+        N, n, lead = self.S.N, self.S.n, z.shape[:-1]
+        if self.reduced:
+            full = np.empty(lead + (self._block.nvars,))
+            full[..., N:N + n] = self.cokernel
+            full[..., self._free] = z
+            vals = self._block(full)
+        else:
+            vals = self._block(z)
+        J = np.zeros(lead + (self.n_eqs * self.dim_z,))
+        J[..., self._dst] = vals[..., self._src]
+        R, J = vals[..., :self.n_eqs], J.reshape(lead + (self.n_eqs, self.dim_z))
         R.flags.writeable = J.flags.writeable = False
         self._memo = (key, z.shape, (R, J))
         return R, J
@@ -994,14 +1011,8 @@ def _build_arcs(S, curve: FoldCurve):
 
 def _nodes_between(K, start, end):
     """Integer node positions strictly between two cyclic fractional positions."""
-    if end <= start:
-        end += K
-    ids = []
-    i = int(np.ceil(start))
-    while i < end:
-        ids.append(i % K)
-        i += 1
-    return ids
+    end = end if end > start else end + K
+    return [i % K for i in range(math.ceil(start), math.ceil(end))]
 
 
 # -- bundle ---------------------------------------------------------------------
@@ -1016,11 +1027,7 @@ class Stratification:
     audits: dict = field(default_factory=dict)
 
     def stratum_points(self, depth):
-        if depth == 1:
-            return self.points
-        if depth == 2:
-            return self.cusps
-        return []
+        return {1: self.points, 2: self.cusps}.get(depth, [])
 
 
 def compute_stratification(S: MorinScenario, regularity_count=20) -> Stratification:
@@ -1122,16 +1129,9 @@ def _classify_cloud(S, points, cusps):
 
 
 def _alternation_violations(curves):
-    bad = 0
-    for curve in curves:
-        k = len(curve.arcs)
-        if k <= 1:
-            continue
-        for a in range(k):
-            b = (a + 1) % k
-            if curve.arcs[a].sign == curve.arcs[b].sign:
-                bad += 1
-    return bad
+    """Cyclically adjacent arcs of one sign, over every curve of two or more arcs."""
+    return sum(a.sign == b.sign for c in curves if len(c.arcs) > 1
+               for a, b in zip(c.arcs, c.arcs[1:] + c.arcs[:1]))
 
 
 def _dimension_audit(S, points):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from importlib.resources import files
 
+import numpy as np
 import pytest
 
 from morinchi.strata import load_scenario
@@ -13,6 +14,17 @@ def scenario_path(name):
 
 def bundled(name):
     return load_scenario(scenario_path(name))
+
+
+def fd_jacobian(fn, z, step=1e-7):
+    """Central-difference Jacobian of a vector function."""
+    z = np.asarray(z, dtype=float)
+    J = np.empty((len(fn(z)), len(z)))
+    for i in range(len(z)):
+        e = np.zeros(len(z))
+        e[i] = step
+        J[:, i] = (fn(z + e) - fn(z - e)) / (2 * step)
+    return J
 
 
 @pytest.fixture(scope="session")

@@ -270,6 +270,12 @@ def test_tolerance_override_roundtrip(tmp_path):
     {"correctness": -1},
     {"eigen_zero": 0},
     {"depth_slope": 0.0},
+    # a boolean is not a number (true became 1.0 and s2-height ended in exit
+    # 66), and a count is never truncated (2.5 became 2)
+    {"residual": True},
+    {"max_resamples": True},
+    {"max_resamples": 2.5},
+    {"multistart_density": 150.7},
 ])
 def test_malformed_tolerances_exit_64(tmp_path, capsys, tolerances):
     data = json.loads(Path(str(scenario_path("s2-height"))).read_text())

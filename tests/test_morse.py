@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from morinchi import morse, strata
-from morinchi._numeric import NewtonResult, fd_jacobian
+from morinchi._numeric import NewtonResult
 from morinchi.morse import (
     Covector,
     CriticalRecord,
@@ -31,6 +31,7 @@ from morinchi.strata import (
     load_scenario,
     stratum_point,
 )
+from tests.conftest import fd_jacobian
 
 
 @pytest.fixture(scope="module")
@@ -148,8 +149,8 @@ def test_augmented_jacobian_matches_fd(s3_cusps):
     p = strat_cloud.points[0]
     z = sysc.base.pack(p.x, p.cokernel, p.multiplier)
     w = np.concatenate([z, sysc.initial_nu(z)])
-    J = sysc.jacobian(w)
-    Jfd = fd_jacobian(sysc.residual, w)
+    J = sysc.evaluate(w)[1]
+    Jfd = fd_jacobian(lambda v: sysc.evaluate(v)[0], w)
     assert np.allclose(J, Jfd, atol=5e-6)
 
 

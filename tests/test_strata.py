@@ -26,7 +26,7 @@ from morinchi.strata import (
     stratum_point,
     trace_fold_curve,
 )
-from tests.conftest import bundled
+from tests.conftest import bundled, fd_jacobian
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +82,9 @@ def test_component_count_mismatch_rejected():
 def test_tolerance_overrides_roundtrip():
     t = Tolerances.from_dict({"residual": 1e-10, "dedup_radius": 1e-5})
     assert t.residual == 1e-10 and t.dedup_radius == 1e-5
+    # a whole-number float is a count
+    t = Tolerances.from_dict({"max_resamples": 8.0})
+    assert t.max_resamples == 8 and isinstance(t.max_resamples, int)
     with pytest.raises(ScenarioFormatError):
         Tolerances.from_dict({"bogus": 1})
 
@@ -116,7 +119,6 @@ def test_singular_system_total_for_regular_points(s3_proj):
 
 
 def test_jacobian_matches_finite_differences(s3_cusps):
-    from morinchi._numeric import fd_jacobian
     rng = np.random.default_rng(3)
     # the full system, and the reduced chart of a fixed cokernel (the k = 0 system)
     for sys2 in (SingularSystem(s3_cusps), SingularSystem(s3_cusps, (0.6, -0.8))):
@@ -159,19 +161,55 @@ def _componentwise(system, z):
     return np.array(R), J
 
 
-@pytest.mark.parametrize("chart", ["full", "reduced"])
-def test_evaluate_matches_the_componentwise_system(s3_cusps, chart):
-    system = SingularSystem(s3_cusps, None if chart == "full" else (0.6, -0.8))
-    Z = np.random.default_rng(5).uniform(-1.0, 1.0, (4, system.dim_z))
-    want = [_componentwise(system, z) for z in Z]
+BUNDLED = ("s2-height", "torus-height", "s4-height", "s3-proj", "s3-cusps", "s4-proj")
+
+
+def _close(got, want):
+    return np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("name, chart", [pytest.param(name, chart, id=f"{name}-{chart}")
+                                         for name in BUNDLED for chart in ("full", "reduced")])
+def test_evaluate_matches_the_componentwise_system(request, name, chart):
+    # "full" is the default chart, which for n = 1 is the reduced chart of
+    # u = (1,); "reduced" fixes another unit cokernel
+    S = request.getfixturevalue(name.replace("-", "_"))
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=S.n)
+    system = SingularSystem(S, None if chart == "full" else a / np.linalg.norm(a))
+    # a stack longer than one chunk of the block, so a chunk boundary is crossed
+    chunk = S.singular_block[0].chunk
+    Z = rng.uniform(-1.0, 1.0, (chunk + 3, system.dim_z))
     R, J = system.evaluate(Z)
-    assert R.shape == (4, system.n_eqs) and J.shape == (4, system.n_eqs, system.dim_z)
-    for b, (Rw, Jw) in enumerate(want):
+    assert R.shape == (len(Z), system.n_eqs) and J.shape == (len(Z), system.n_eqs, system.dim_z)
+    for b in range(len(Z)):
         R1, J1 = system.evaluate(Z[b])
-        for got in (R1, R[b], system.residual(Z[b])):
-            assert np.max(np.abs(got - Rw)) <= 1e-13
-        for got in (J1, J[b], system.jacobian(Z[b])):
-            assert np.max(np.abs(got - Jw)) <= 1e-13
+        assert _close(R[b], R1) and _close(J[b], J1)
+    for b in (0, chunk - 1, chunk, len(Z) - 1):
+        Rw, Jw = _componentwise(system, Z[b])
+        for got in (R[b], system.evaluate(Z[b])[0], system.residual(Z[b])):
+            assert _close(got, Rw)
+        for got in (J[b], system.evaluate(Z[b])[1], system.jacobian(Z[b])):
+            assert _close(got, Jw)
+
+
+@pytest.mark.parametrize("name", ["s3-proj", "s3-cusps", "s4-proj"])
+def test_reduced_chart_is_the_full_chart_at_its_cokernel(request, name):
+    # both charts evaluate one block, so at u = a they agree bit for bit
+    S = request.getfixturevalue(name.replace("-", "_"))
+    N, n = S.N, S.n
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=n)
+    a /= np.linalg.norm(a)
+    full, reduced = SingularSystem(S), SingularSystem(S, a)
+    Z = rng.uniform(-1.0, 1.0, (S.singular_block[0].chunk + 3, full.dim_z))
+    Z[:, N:N + n] = a
+    Zr = np.delete(Z, np.s_[N:N + n], axis=1)
+    for z, zr in ((Z, Zr), (Z[0], Zr[0])):
+        R, J = full.evaluate(z)
+        Rr, Jr = reduced.evaluate(zr)
+        assert np.array_equal(Rr, R[..., :-1])
+        assert np.array_equal(Jr, np.delete(J[..., :-1, :], np.s_[N:N + n], axis=-1))
 
 
 def test_evaluate_memo_is_keyed_by_shape(s3_cusps):
