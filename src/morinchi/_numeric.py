@@ -16,30 +16,30 @@ LINE_SEARCH_HALVINGS = 12
 BATCH_ENTRIES = 1 << 14
 
 
-@dataclass
-class NewtonResult:
-    z: np.ndarray
-    residual: float
-    converged: bool
-    iterations: int
-
-
-# why a lane of ``newton_batch`` stopped, indexed by ``BatchResult.stop``
+# why a Newton solve stopped, indexed by ``NewtonResult.stop``
 STOP_REASONS = ("converged", "nonfinite_step", "line_search_failed", "iteration_cap")
 
 
 @dataclass
-class BatchResult:
-    """Lane-wise outcome of ``newton_batch``: one row (or entry) per start."""
+class NewtonResult:
+    """Outcome of ``newton`` (scalars) or of ``newton_batch`` (one entry or
+    row per start)."""
 
-    z: np.ndarray               # (B, d)
-    residual: np.ndarray        # (B,)
-    iterations: np.ndarray      # (B,) int
-    stop: np.ndarray            # (B,) int, index into STOP_REASONS
+    z: np.ndarray               # (d,) or (B, d)
+    residual: float             # max-norm residual at z; (B,) from newton_batch
+    iterations: int             # (B,) int from newton_batch
+    stop: int                   # index into STOP_REASONS; (B,) from newton_batch
 
     @property
     def converged(self):
         return self.stop == STOP_REASONS.index("converged")
+
+
+def _accepts(norm_try, norm):
+    """The damped Newton loops' test of a trial step, on floats or on stacks
+    of them: its max-norm residual is below the current one.  That also
+    refuses a NaN or infinite trial, since a max-norm is never negative."""
+    return norm_try < norm
 
 
 def vecmat(v, A):
@@ -108,10 +108,10 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60):
     """Damped Newton on a stack of starts, all lanes in lockstep.
 
     ``F`` maps a (k, d) stack of iterates to stacked residuals (k, r) and
-    Jacobians (k, r, d).  Every lane follows ``newton`` with damping: the
-    minimal-norm step, up to twelve halvings until the max-norm residual
-    decreases, and the same stopping rules (converged, non-finite step,
-    failed line search, ``max_iter``), recorded in ``BatchResult.stop``.
+    Jacobians (k, r, d).  Every lane follows ``newton`` with its default
+    solve: the minimal-norm step (``min_norm_solve``), up to twelve halvings
+    until ``_accepts`` the trial, and the same stopping rules, recorded lane
+    by lane in ``NewtonResult.stop``.
     Lanes only share the calls to ``F`` and the stacked step solves: each
     iteration, and each halving of it, pools the lanes still at work across
     the whole stack into calls of at most ``batch_width(d)`` lanes.
@@ -122,7 +122,7 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60):
     iterations = np.full(B, max_iter, dtype=int)
     stop = np.full(B, STOP_REASONS.index("iteration_cap"))
     if B == 0:
-        return BatchResult(Z, np.zeros(0), iterations, stop)
+        return NewtonResult(Z, np.zeros(0), iterations, stop)
     R = J = None
     for i in range(0, B, width):
         R_i, J_i = F(Z[i:i + width])
@@ -155,7 +155,7 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60):
                 Z_try = Z[part] + scale * steps[i:i + width]
                 R_try, J_try = F(Z_try)
                 norm_try = _max_abs(R_try)
-                took = np.isfinite(norm_try) & (norm_try < norm[part])
+                took = _accepts(norm_try, norm[part])
                 ok[i:i + width] = took
                 lane = part[took]
                 Z[lane], R[lane], J[lane], norm[lane] = (Z_try[took], R_try[took], J_try[took],
@@ -164,7 +164,7 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60):
             scale *= 0.5
         _retire(lanes, "line_search_failed", it, active, iterations, stop)
     stop[active & (norm <= tol)] = STOP_REASONS.index("converged")
-    return BatchResult(Z, norm, iterations, stop)
+    return NewtonResult(Z, norm, iterations, stop)
 
 
 def _retire(lanes, reason, it, active, iterations, stop):
@@ -177,39 +177,48 @@ def _max_abs(R):
     return np.max(np.abs(R), axis=1) if R.shape[1] else np.zeros(R.shape[0])
 
 
-def newton(residual_fn, jacobian_fn, z0, tol=1e-12, max_iter=60):
-    """Damped Newton iteration on a square or rectangular system via least squares.
+def _lstsq(J, r):
+    return np.linalg.lstsq(J, r, rcond=None)[0]
 
-    Rectangular systems are solved in the minimal-norm / least-squares sense,
-    which keeps iterates near the starting sheet of a positive-dimensional
-    solution set.  The step is halved up to ``LINE_SEARCH_HALVINGS`` times
-    until the max-norm residual decreases.
+
+def newton(residual_fn, jacobian_fn, z0, tol=1e-12, max_iter=60, solve=_lstsq):
+    """Damped Newton iteration on one square or rectangular system.
+
+    Each step is ``solve(J, -r)``; the default, least squares, solves
+    rectangular systems in the minimal-norm sense, which keeps iterates near
+    the starting sheet of a positive-dimensional solution set.  A square
+    system may pass an LU solve.  The step is halved up to
+    ``LINE_SEARCH_HALVINGS`` times until ``_accepts`` the trial.  Why the
+    iteration stopped is recorded in ``NewtonResult.stop``; a ``LinAlgError``
+    from ``solve`` counts as a non-finite step.  ``residual_fn`` returns a
+    fresh array on every call: the accepted residual is kept across trials.
     """
     z = np.asarray(z0, dtype=float).copy()
     res = np.asarray(residual_fn(z), dtype=float)
     norm = float(np.max(np.abs(res))) if res.size else 0.0
     for it in range(1, max_iter + 1):
         if norm <= tol:
-            return NewtonResult(z, norm, True, it - 1)
+            return NewtonResult(z, norm, it - 1, STOP_REASONS.index("converged"))
         J = np.asarray(jacobian_fn(z), dtype=float)
         try:
-            step = np.linalg.lstsq(J, -res, rcond=None)[0]
+            step = solve(J, -res)
         except np.linalg.LinAlgError:
-            return NewtonResult(z, norm, False, it)
+            step = np.nan
         if not np.all(np.isfinite(step)):
-            return NewtonResult(z, norm, False, it)
+            return NewtonResult(z, norm, it, STOP_REASONS.index("nonfinite_step"))
         scale = 1.0
         for _ in range(LINE_SEARCH_HALVINGS):
             z_try = z + scale * step
             res_try = np.asarray(residual_fn(z_try), dtype=float)
             norm_try = float(np.max(np.abs(res_try)))
-            if np.isfinite(norm_try) and (norm_try < norm or norm <= tol):
+            if _accepts(norm_try, norm):
                 break
             scale *= 0.5
         else:
-            return NewtonResult(z, norm, False, it)
+            return NewtonResult(z, norm, it, STOP_REASONS.index("line_search_failed"))
         z, res, norm = z_try, res_try, norm_try
-    return NewtonResult(z, norm, norm <= tol, max_iter)
+    return NewtonResult(z, norm, max_iter,
+                        STOP_REASONS.index("converged" if norm <= tol else "iteration_cap"))
 
 
 def nullspace(A, rtol=1e-9):
@@ -251,7 +260,7 @@ def dedup_points(points, radius):
     return kept
 
 
-def multistart_counters(starts, out: BatchResult, xs, kept, radius) -> dict:
+def multistart_counters(starts, out: NewtonResult, xs, kept, radius) -> dict:
     """Deterministic counters of one multistart solve.
 
     ``out`` is the batched Newton over the starts that projected, ``xs`` the

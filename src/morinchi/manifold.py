@@ -85,8 +85,8 @@ class ImplicitManifold:
 def project_points(M: ImplicitManifold, X0, residual_tol=1e-12, max_iters=60):
     """Gauss-Newton projection of a stack of ambient points onto M, lane by lane.
 
-    Returns the ``BatchResult``; rows that did not converge are left where
-    the iteration stopped and are flagged in ``converged``.
+    Returns ``newton_batch``'s ``NewtonResult``; rows that did not converge
+    are left where the iteration stopped and are flagged in ``converged``.
     """
 
     def F(X):

@@ -24,8 +24,6 @@ import numpy as np
 from . import expr as ex
 from ._numeric import (
     BATCH_ENTRIES,
-    LINE_SEARCH_HALVINGS,
-    NewtonResult,
     batch_width,
     dedup_points,
     eig_sign_counts,
@@ -60,6 +58,15 @@ class StratificationError(RuntimeError):
     """Structural failure while computing the singular set."""
 
 
+def _whole_number(raw, what):
+    """``raw`` as an int: a JSON integer, or a float with no fractional part.
+    Booleans, strings and non-integral numbers are refused, never truncated."""
+    if isinstance(raw, bool) or not (
+            isinstance(raw, int) or isinstance(raw, float) and raw.is_integer()):
+        raise ScenarioFormatError(f"{what} must be a whole number, got {raw!r}")
+    return int(raw)
+
+
 @dataclass(frozen=True)
 class Tolerances:
     residual: float = 1e-12
@@ -81,18 +88,17 @@ class Tolerances:
         for name in base.__dataclass_fields__:
             if name not in d:
                 continue
-            raw, count = d[name], isinstance(getattr(base, name), int)
-            try:
-                value = float(raw)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ScenarioFormatError(f"tolerance {name!r}: {exc}") from exc
-            if not math.isfinite(value):
-                raise ScenarioFormatError(f"tolerance {name!r} must be finite, got {value}")
-            # a boolean is not a number, and a count is never truncated
-            if isinstance(raw, bool) or (count and not value.is_integer()):
-                raise ScenarioFormatError(
-                    f"tolerance {name!r} must be a {'whole ' * count}number, got {raw!r}")
-            value = int(value) if count else value
+            raw = d[name]
+            if isinstance(getattr(base, name), int):
+                value = _whole_number(raw, f"tolerance {name!r}")
+            else:
+                try:
+                    value = float(raw)
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise ScenarioFormatError(f"tolerance {name!r}: {exc}") from exc
+                if isinstance(raw, bool) or not math.isfinite(value):
+                    raise ScenarioFormatError(
+                        f"tolerance {name!r} must be a finite number, got {raw!r}")
             # every tolerance is a threshold, radius, step or count that is
             # meaningless at zero or below
             if value <= 0:
@@ -235,14 +241,14 @@ def load_scenario(source) -> MorinScenario:
         data = dict(source)
         default_name = "scenario"
     try:
-        N = int(data["ambient_dim"])
-        m = int(data["intrinsic_dim"])
+        N = _whole_number(data["ambient_dim"], "ambient_dim")
+        m = _whole_number(data["intrinsic_dim"], "intrinsic_dim")
         constraints = [ex.parse_prefix(s, N) for s in data["constraints"]]
         components = [ex.parse_prefix(s, N) for s in data["components"]]
-        n = int(data["target_dim"])
-        seed = int(data.get("seed", 0))
+        n = _whole_number(data["target_dim"], "target_dim")
+        seed = _whole_number(data.get("seed", 0), "seed")
         chi = data.get("chi_expected")
-        chi = None if chi is None else int(chi)
+        chi = None if chi is None else _whole_number(chi, "chi_expected")
         halfwidth = float(data.get("sample_halfwidth", 1.5))
         sample_seeds = [tuple(float(c) for c in s) for s in data.get("sample_seeds", ())]
     except (KeyError, TypeError, ValueError, ex.ExprError) as exc:
@@ -601,10 +607,12 @@ def stratum_point(S, x, u, mu, system=None, K=None) -> StratumPoint:
 # A predictor-corrector layout after Allgower & Georg, Introduction to
 # Numerical Continuation Methods (SIAM 2003): a step along the tangent t,
 # then Newton back to the curve inside the plane normal to t (the trace starts
-# that Newton from a second-order predictor).  The bordered matrix [J; t] is
-# square, and it is nonsingular wherever the curve is smooth and t is not
-# normal to it, so the corrector steps by LU.  The trace's next tangent is
-# the one [J(z_new); t] induces (the solution of [J; t] tau = e_last,
+# that Newton from a second-order predictor).  Landing and the corrector are
+# both ``newton``, with its damping and stopping rules.  Landing takes
+# least-squares steps on the curve equations.  The corrector's bordered
+# matrix [J; t] is square, and nonsingular wherever the curve is smooth and t
+# is not normal to it, so it passes ``newton`` an LU solve.  The trace's next
+# tangent is the one [J(z_new); t] induces (the solution of [J; t] tau = e_last,
 # normalized), oriented along t since t . tau = 1; only the first node, cusps
 # and the Morse walk take it from the null space by SVD (``curve_tangent``).
 # The trace audits the nullity of J at every node afterwards, in stacks.  The
@@ -623,44 +631,20 @@ def correct_in_plane(system, z_start, anchor, t):
     ``anchor`` normal to t.  ``anchor`` None means z_start itself: the
     corrector of a predictor step along t.
 
-    Damping and stopping rules are ``newton``'s; each step is one LU solve of
-    the square bordered system.  An exactly singular bordered matrix or a
-    non-finite step ends it unconverged.
+    ``newton`` on the bordered system, whose square matrix [J; t] takes one
+    LU solve per step; an exactly singular one stops it as a non-finite step.
     """
-    z = np.array(z_start, dtype=float)
-    anchor = z if anchor is None else anchor        # z is rebound, never written
-    tol = system.S.tolerances.residual
-    A = np.empty((z.size, z.size))
-    A[-1] = t
-    res, res_try = np.empty(z.size), np.empty(z.size)
+    z = np.asarray(z_start, dtype=float)
+    anchor = z if anchor is None else anchor
+    return newton(lambda w: np.concatenate((system.residual(w), [t @ (w - anchor)])),
+                  lambda w: _bordered(system, w, t), z,
+                  tol=system.S.tolerances.residual, max_iter=40, solve=np.linalg.solve)
 
-    def bordered_norm(w, out):
-        out[:-1] = system.residual(w)
-        out[-1] = t @ (w - anchor)
-        return float(np.max(np.abs(out)))
 
-    norm = bordered_norm(z, res)
-    for it in range(1, 41):
-        if norm <= tol:
-            return NewtonResult(z, norm, True, it - 1)
-        A[:-1] = system.jacobian(z)
-        try:
-            step = np.linalg.solve(A, -res)
-        except np.linalg.LinAlgError:
-            return NewtonResult(z, norm, False, it)
-        if not np.all(np.isfinite(step)):
-            return NewtonResult(z, norm, False, it)
-        scale = 1.0
-        for _ in range(LINE_SEARCH_HALVINGS):
-            z_try = z + scale * step
-            norm_try = bordered_norm(z_try, res_try)
-            if np.isfinite(norm_try) and norm_try < norm:
-                break
-            scale *= 0.5
-        else:
-            return NewtonResult(z, norm, False, it)
-        z, norm, res, res_try = z_try, norm_try, res_try, res
-    return NewtonResult(z, norm, norm <= tol, 40)
+def _bordered(system, z, t):
+    """The bordered matrix [J(z); t] of the curve equations and the plane
+    normal to t."""
+    return np.concatenate((system.jacobian(z), t[None]))
 
 
 def _nullity_error(nullity):
@@ -690,7 +674,7 @@ def _chain_tangent(system, z, t):
     e_last = np.zeros(t.size)
     e_last[-1] = 1.0
     try:
-        tau = np.linalg.solve(np.vstack([system.jacobian(z), t]), e_last)
+        tau = np.linalg.solve(_bordered(system, z, t), e_last)
     except np.linalg.LinAlgError:
         return curve_tangent(system, z, prev=t)
     return tau / np.linalg.norm(tau)

@@ -14,7 +14,14 @@ import numpy as np
 import pytest
 
 from morinchi import expr as ex
-from morinchi._numeric import batch_width, min_norm_solve, newton, newton_batch
+from morinchi._numeric import (
+    STOP_REASONS,
+    _accepts,
+    batch_width,
+    min_norm_solve,
+    newton,
+    newton_batch,
+)
 from morinchi.manifold import (
     ImplicitManifold,
     ManifoldError,
@@ -101,7 +108,8 @@ def _agree_lane_by_lane(residual_fn, jacobian_fn, Z0, tol, max_iter):
     batch = newton_batch(lambda Z: (residual_fn(Z), jacobian_fn(Z)), Z0, tol, max_iter)
     for i, z0 in enumerate(Z0):
         one = newton(residual_fn, jacobian_fn, z0, tol=tol, max_iter=max_iter)
-        assert (batch.converged[i], batch.iterations[i]) == (one.converged, one.iterations), i
+        assert ((batch.converged[i], batch.iterations[i], batch.stop[i])
+                == (one.converged, one.iterations, one.stop)), i
         if one.converged:
             assert np.max(np.abs(batch.z[i] - one.z)) <= 1e-10
     return batch
@@ -205,7 +213,15 @@ def test_newton_batch_stops_failing_lanes_like_newton():
     Z0 = np.array([[1.0, 0.5, -1.0], [0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]])
     out = _agree_lane_by_lane(residual, jacobian, Z0, 1e-12, 20)
     assert out.converged.tolist() == [True, True, False]
+    assert [STOP_REASONS[k] for k in out.stop] == ["converged", "converged", "nonfinite_step"]
     assert out.iterations[1] == 0
+
+
+def test_trial_test_refuses_nan_and_inf_on_floats_and_stacks():
+    tries = [np.nan, np.inf, 1.0, 0.5]
+    assert [bool(_accepts(x, 1.0)) for x in tries] == [False, False, False, True]
+    assert _accepts(np.array(tries), np.ones(4)).tolist() == [False, False, False, True]
+    assert not _accepts(np.inf, np.inf)
 
 
 # -- stacked kernel geometry ------------------------------------------------------

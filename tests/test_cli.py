@@ -163,6 +163,12 @@ def test_explain_missing_report(tmp_path):
     ("sample_seeds", [[1.0, 0.0, 0.0], [0.0, 1.0]]),   # two coordinates on R^3
     ("compact", "false"),
     ("compact", 0),
+    # a whole-number field is never truncated or read from a boolean or a
+    # string (2.5 became seed 2, true seed 1 and 2.9 chi_expected 2)
+    ("seed", 2.5),
+    ("seed", True),
+    ("seed", "2"),
+    ("chi_expected", 2.9),
 ])
 def test_malformed_scenario_field_exits_64(tmp_path, capsys, field, value):
     data = json.loads(scenario_path("s2-height").read_text())
@@ -276,6 +282,7 @@ def test_tolerance_override_roundtrip(tmp_path):
     {"max_resamples": True},
     {"max_resamples": 2.5},
     {"multistart_density": 150.7},
+    {"max_resamples": "8"},
 ])
 def test_malformed_tolerances_exit_64(tmp_path, capsys, tolerances):
     data = json.loads(Path(str(scenario_path("s2-height"))).read_text())

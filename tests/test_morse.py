@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from morinchi import morse, strata
-from morinchi._numeric import NewtonResult
+from morinchi._numeric import STOP_REASONS, NewtonResult
 from morinchi.morse import (
     Covector,
     CriticalRecord,
@@ -352,7 +352,8 @@ def test_unconverged_landing_is_a_stratification_error(flat_cusp, monkeypatch):
     z = system.pack(p.x, p.cokernel, p.multiplier)
 
     def stalled(system, z0):
-        return NewtonResult(np.asarray(z0, dtype=float), 1.0, False, 60)
+        return NewtonResult(np.asarray(z0, dtype=float), 1.0, 60,
+                            STOP_REASONS.index("iteration_cap"))
 
     monkeypatch.setattr(morse, "land", stalled)
     rec = CriticalRecord(x=p.x, stratum_depth=2, on_closure_of=1, morse_index=0,
@@ -363,9 +364,9 @@ def test_unconverged_landing_is_a_stratification_error(flat_cusp, monkeypatch):
         morse._curve_context_at(S, p)
 
     # the cusp bisection converges at once, then the landing on the cusp stalls
-    converges = iter([True, False])
+    stops = iter([STOP_REASONS.index("converged"), STOP_REASONS.index("line_search_failed")])
     monkeypatch.setattr(strata, "land", lambda system, z0: NewtonResult(
-        np.asarray(z0, dtype=float), 0.0, next(converges), 1))
+        np.asarray(z0, dtype=float), 0.0, 1, next(stops)))
     monkeypatch.setattr(strata, "_node_metrics", lambda S, system, z: (0.0, 0))
     curve = FoldCurve(nodes=np.array([z, z + 0.01]), closed=True, closure_error=0.0,
                       det_values=np.array([1.0, -1.0]), parities=np.array([0, 1]),

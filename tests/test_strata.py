@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from morinchi import expr as ex
-from morinchi._numeric import eig_sign_counts, newton
+from morinchi._numeric import STOP_REASONS, eig_sign_counts, newton
 from morinchi.strata import (
     MorinnessError,
     ScenarioFormatError,
@@ -359,6 +359,7 @@ def test_correct_in_plane_on_a_singular_border_stops_unconverged(s3_proj):
     # t = 0 makes the last row of the bordered matrix zero: LU finds it singular
     out = correct_in_plane(system, z + 1e-3, None, np.zeros(system.dim_z))
     assert not out.converged and out.iterations == 1
+    assert out.stop == STOP_REASONS.index("nonfinite_step")
     np.testing.assert_array_equal(out.z, z + 1e-3)
 
 
