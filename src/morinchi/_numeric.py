@@ -29,6 +29,7 @@ class NewtonResult:
     residual: float             # max-norm residual at z; (B,) from newton_batch
     iterations: int             # (B,) int from newton_batch
     stop: int                   # index into STOP_REASONS; (B,) from newton_batch
+    jacobian: np.ndarray | None = None  # newton_batch: the Jacobians (B, r, d) at z
 
     @property
     def converged(self):
@@ -104,7 +105,7 @@ def batch_width(d):
     return max(1, BATCH_ENTRIES // max(1, d ** 2))
 
 
-def newton_batch(F, Z0, tol=1e-12, max_iter=60):
+def newton_batch(F, Z0, tol=1e-12, max_iter=60, indexed=False):
     """Damped Newton on a stack of starts, all lanes in lockstep.
 
     ``F`` maps a (k, d) stack of iterates to stacked residuals (k, r) and
@@ -115,17 +116,21 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60):
     Lanes only share the calls to ``F`` and the stacked step solves: each
     iteration, and each halving of it, pools the lanes still at work across
     the whole stack into calls of at most ``batch_width(d)`` lanes.
+    With ``indexed``, ``F`` also receives the rows of ``Z0`` that the stack
+    holds, ``F(Z, rows)``, for systems whose equations differ by lane.
     """
     Z = np.array(Z0, dtype=float, ndmin=2)
     B, d = Z.shape
     width = batch_width(d)
+    rows = np.arange(B)
+    call = F if indexed else (lambda Z_part, part: F(Z_part))
     iterations = np.full(B, max_iter, dtype=int)
     stop = np.full(B, STOP_REASONS.index("iteration_cap"))
     if B == 0:
         return NewtonResult(Z, np.zeros(0), iterations, stop)
     R = J = None
     for i in range(0, B, width):
-        R_i, J_i = F(Z[i:i + width])
+        R_i, J_i = call(Z[i:i + width], rows[i:i + width])
         if R is None:
             R = np.empty((B,) + np.shape(R_i)[1:])
             J = np.empty((B,) + np.shape(J_i)[1:])
@@ -153,7 +158,7 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60):
             for i in range(0, lanes.size, width):
                 part = lanes[i:i + width]
                 Z_try = Z[part] + scale * steps[i:i + width]
-                R_try, J_try = F(Z_try)
+                R_try, J_try = call(Z_try, part)
                 norm_try = _max_abs(R_try)
                 took = _accepts(norm_try, norm[part])
                 ok[i:i + width] = took
@@ -164,7 +169,7 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60):
             scale *= 0.5
         _retire(lanes, "line_search_failed", it, active, iterations, stop)
     stop[active & (norm <= tol)] = STOP_REASONS.index("converged")
-    return NewtonResult(Z, norm, iterations, stop)
+    return NewtonResult(Z, norm, iterations, stop, J)
 
 
 def _retire(lanes, reason, it, active, iterations, stop):

@@ -256,9 +256,11 @@ def explain(report_path) -> str:
     if solver.get("curves"):
         lines.append("curve continuation:")
     for i, c in enumerate(solver.get("curves", ())):
-        lines.append(f"  curve {i}: {c['nodes']} nodes, {c['corrector_iterations']} corrector "
-                     f"iterations, {c['half_steps']} half-step fallbacks, "
-                     f"{c['bisection_steps']} cusp-bisection steps")
+        lines.append(f"  curve {i}: {c['nodes']} nodes in {c['segments']} segments, "
+                     f"{c['corrector_iterations']} corrector iterations, {c['half_steps']} "
+                     f"half-step fallbacks, {c['bisection_steps']} cusp-bisection steps")
+        lines.append("    stops: " + ", ".join(f"{k} {reason.replace('_', ' ')}"
+                                               for reason, k in c["stops"].items()))
     gen = audits.get("genericity", {})
     if gen.get("history"):
         lines.append("resampled covectors before acceptance:")

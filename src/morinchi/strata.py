@@ -24,6 +24,7 @@ import numpy as np
 from . import expr as ex
 from ._numeric import (
     BATCH_ENTRIES,
+    STOP_REASONS,
     batch_width,
     dedup_points,
     eig_sign_counts,
@@ -67,6 +68,20 @@ def _whole_number(raw, what):
     return int(raw)
 
 
+def _real_number(raw, what):
+    """``raw`` as a finite float: a JSON integer or real number.  Booleans,
+    strings and non-finite numbers are refused, never converted."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ScenarioFormatError(f"{what} must be a number, got {raw!r}")
+    try:
+        value = float(raw)
+    except OverflowError as exc:
+        raise ScenarioFormatError(f"{what}: {exc}") from exc
+    if not math.isfinite(value):
+        raise ScenarioFormatError(f"{what} must be a finite number, got {raw!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Tolerances:
     residual: float = 1e-12
@@ -88,17 +103,8 @@ class Tolerances:
         for name in base.__dataclass_fields__:
             if name not in d:
                 continue
-            raw = d[name]
-            if isinstance(getattr(base, name), int):
-                value = _whole_number(raw, f"tolerance {name!r}")
-            else:
-                try:
-                    value = float(raw)
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise ScenarioFormatError(f"tolerance {name!r}: {exc}") from exc
-                if isinstance(raw, bool) or not math.isfinite(value):
-                    raise ScenarioFormatError(
-                        f"tolerance {name!r} must be a finite number, got {raw!r}")
+            read = _whole_number if isinstance(getattr(base, name), int) else _real_number
+            value = read(d[name], f"tolerance {name!r}")
             # every tolerance is a threshold, radius, step or count that is
             # meaningless at zero or below
             if value <= 0:
@@ -249,8 +255,9 @@ def load_scenario(source) -> MorinScenario:
         seed = _whole_number(data.get("seed", 0), "seed")
         chi = data.get("chi_expected")
         chi = None if chi is None else _whole_number(chi, "chi_expected")
-        halfwidth = float(data.get("sample_halfwidth", 1.5))
-        sample_seeds = [tuple(float(c) for c in s) for s in data.get("sample_seeds", ())]
+        halfwidth = _real_number(data.get("sample_halfwidth", 1.5), "sample_halfwidth")
+        sample_seeds = [tuple(_real_number(c, "a sample seed coordinate") for c in s)
+                        for s in data.get("sample_seeds", ())]
     except (KeyError, TypeError, ValueError, ex.ExprError) as exc:
         raise ScenarioFormatError(f"bad scenario fields: {exc}") from exc
     compact = data.get("compact", True)
@@ -258,8 +265,8 @@ def load_scenario(source) -> MorinScenario:
         raise ScenarioFormatError(f"compact must be true or false, got {compact!r}")
     if any(len(s) != N for s in sample_seeds):
         raise ScenarioFormatError(f"every sample seed needs ambient_dim = {N} coordinates")
-    if not (math.isfinite(halfwidth) and halfwidth > 0):
-        raise ScenarioFormatError(f"sample_halfwidth must be finite and positive, got {halfwidth}")
+    if halfwidth <= 0:
+        raise ScenarioFormatError(f"sample_halfwidth must be positive, got {halfwidth}")
     try:
         manifold = ImplicitManifold(N, constraints, m, sample_seeds=sample_seeds,
                                     chi_expected=chi, compact=compact,
@@ -607,15 +614,17 @@ def stratum_point(S, x, u, mu, system=None, K=None) -> StratumPoint:
 # A predictor-corrector layout after Allgower & Georg, Introduction to
 # Numerical Continuation Methods (SIAM 2003): a step along the tangent t,
 # then Newton back to the curve inside the plane normal to t (the trace starts
-# that Newton from a second-order predictor).  Landing and the corrector are
-# both ``newton``, with its damping and stopping rules.  Landing takes
-# least-squares steps on the curve equations.  The corrector's bordered
-# matrix [J; t] is square, and nonsingular wherever the curve is smooth and t
-# is not normal to it, so it passes ``newton`` an LU solve.  The trace's next
-# tangent is the one [J(z_new); t] induces (the solution of [J; t] tau = e_last,
-# normalized), oriented along t since t . tau = 1; only the first node, cusps
-# and the Morse walk take it from the null space by SVD (``curve_tangent``).
-# The trace audits the nullity of J at every node afterwards, in stacks.  The
+# that Newton from a second-order predictor).  Landing takes least-squares
+# steps of ``newton`` on the curve equations.  The corrector's bordered matrix
+# [J; t] is square, and nonsingular wherever the curve is smooth and t is not
+# normal to it: one point is corrected by ``newton`` with an LU solve
+# (``correct_in_plane``), a stack of them, each in its own plane, by one
+# ``newton_batch`` (``correct_in_planes``), whose square stacks take the
+# inverse, the LU step up to rounding.  The trace's next tangent is the one
+# [J(z_new); t] induces (the solution of [J; t] tau = e_last, normalized),
+# oriented along t since t . tau = 1; only the seeds of a trace, cusps and the
+# Morse walk take it from the null space by SVD (``curve_tangent``).  The
+# trace audits the nullity of J at every node afterwards, in stacks.  The
 # trace below and the Morse walk along the fold curves in ``morse`` share
 # these routines.
 
@@ -637,14 +646,28 @@ def correct_in_plane(system, z_start, anchor, t):
     z = np.asarray(z_start, dtype=float)
     anchor = z if anchor is None else anchor
     return newton(lambda w: np.concatenate((system.residual(w), [t @ (w - anchor)])),
-                  lambda w: _bordered(system, w, t), z,
+                  lambda w: _bordered(system.jacobian(w), t), z,
                   tol=system.S.tolerances.residual, max_iter=40, solve=np.linalg.solve)
 
 
-def _bordered(system, z, t):
-    """The bordered matrix [J(z); t] of the curve equations and the plane
-    normal to t."""
-    return np.concatenate((system.jacobian(z), t[None]))
+def correct_in_planes(system, Z, anchors, normals):
+    """``correct_in_plane`` for a stack of starts (B, dim_z), start i in the
+    plane through anchors[i] normal to normals[i]: one ``newton_batch``,
+    whose lanes each see their own plane row."""
+    def bordered(W, rows):
+        R, J = system.evaluate(W)
+        t = normals[rows]
+        plane = np.sum((W - anchors[rows]) * t, axis=1)
+        return np.concatenate((R, plane[:, None]), axis=1), _bordered(J, t)
+
+    return newton_batch(bordered, Z, tol=system.S.tolerances.residual, max_iter=40,
+                        indexed=True)
+
+
+def _bordered(J, t):
+    """The bordered matrix [J; t] of the curve equations and the plane
+    normal to t, for one point or a stack."""
+    return np.concatenate((J, t[..., None, :]), axis=-2)
 
 
 def _nullity_error(nullity):
@@ -674,18 +697,41 @@ def _chain_tangent(system, z, t):
     e_last = np.zeros(t.size)
     e_last[-1] = 1.0
     try:
-        tau = np.linalg.solve(_bordered(system, z, t), e_last)
+        tau = np.linalg.solve(_bordered(system.jacobian(z), t), e_last)
     except np.linalg.LinAlgError:
         return curve_tangent(system, z, prev=t)
     return tau / np.linalg.norm(tau)
 
 
-def _nullities(system, Z):
+def _chain_tangents(system, Z, T, bordered):
+    """``_chain_tangent`` at each point of a stack, given the bordered
+    matrices [J(Z); T], ``batch_width`` points per solve; a stack with an
+    exactly singular one goes point by point."""
+    width = batch_width(system.dim_z)
+    out = np.empty_like(T)
+    for i in range(0, len(Z), width):
+        e_last = np.zeros(T[i:i + width].shape + (1,))
+        e_last[:, -1] = 1.0
+        try:
+            tau = np.linalg.solve(bordered[i:i + width], e_last)[..., 0]
+        except np.linalg.LinAlgError:
+            out[i:i + width] = [_chain_tangent(system, *zt)
+                                for zt in zip(Z[i:i + width], T[i:i + width])]
+            continue
+        out[i:i + width] = tau / np.linalg.norm(tau, axis=1, keepdims=True)
+    return out
+
+
+def _nullities(system, Z, tangents=False):
     """Nullity of the Jacobian at each point of a stack (B, dim_z), by the
-    rank rule of ``nullspace(J, rtol=1e-8)``."""
-    s = np.linalg.svd(system.jacobian(Z), compute_uv=False)
+    rank rule of ``nullspace(J, rtol=1e-8)``; with ``tangents`` also the
+    last right-singular vector of each, the null vector where the nullity
+    is 1."""
+    svd = np.linalg.svd(system.jacobian(Z), compute_uv=tangents)
+    s = svd[1] if tangents else svd
     cutoff = np.maximum(1e-8 * s[:, :1], np.finfo(float).tiny)
-    return system.dim_z - np.sum(s > cutoff, axis=1)
+    nullity = system.dim_z - np.sum(s > cutoff, axis=1)
+    return (nullity, svd[2][:, -1]) if tangents else nullity
 
 
 def _audit_curve_nullity(system, Z):
@@ -697,6 +743,20 @@ def _audit_curve_nullity(system, Z):
         bad = np.flatnonzero(nullity != 1)
         if bad.size:
             raise _nullity_error(nullity[bad[0]])
+
+
+def _seed_tangents(system, Z):
+    """Sign-normalized unit tangents at a stack of curve points: the SVD
+    null vectors of J, as ``curve_tangent`` gives them, with one stacked SVD
+    per ``batch_width`` points; a nullity other than 1 is rejected."""
+    width = batch_width(system.dim_z)
+    T = np.empty_like(Z)
+    for i in range(0, len(Z), width):
+        nullity, T[i:i + width] = _nullities(system, Z[i:i + width], tangents=True)
+        bad = np.flatnonzero(nullity != 1)
+        if bad.size:
+            raise _nullity_error(nullity[bad[0]])
+    return sign_normalize(T)
 
 
 def bisect_on_curve(system, za, zb, fa, value, gap):
@@ -833,6 +893,8 @@ class FoldCurve:
     cusp_positions: list = field(default_factory=list)  # fractional node index
     arcs: list = field(default_factory=list)
     solver: dict = field(default_factory=dict)      # deterministic tracing counters
+    segments: np.ndarray | None = None  # node index of each segment's seed
+    members: np.ndarray | None = None   # the trace's seeds this curve passes
 
     def x_nodes(self, N):
         return self.nodes[:, :N]
@@ -851,77 +913,264 @@ def _node_metrics(S, system, z):
     return det, parity
 
 
-def trace_fold_curve(S: MorinScenario, z_start, max_steps=200000) -> FoldCurve:
-    """Pseudo-arclength trace of one closed component of the singular curve.
+def trace_fold_curve(S: MorinScenario, z_start, cloud=None, max_steps=200000) -> FoldCurve:
+    """Pseudo-arclength trace of the closed component of the singular curve
+    through z_start, from all of its seeds at once.
 
-    The cokernel may return to minus itself after one loop of the base curve;
-    tracing continues until the full (x, u, mu) state closes, so each
-    geometric point appears once or twice and duplicates are cleaned up by
-    the caller via the base-point dedup radius.
+    The seeds are z_start, landed first, and the rows of ``cloud``, other
+    solutions of the singular system such as the depth-1 cloud.  Each seed
+    starts two lanes, along +t and -t (``_Lanes``).  The curve is the cycle
+    of lane segments from z_start along its sign-normalized tangent, joined
+    at the seeds where they arrive until the full (x, u, mu) state closes.
+    The cokernel may return to minus itself after one loop of the base
+    curve; the cycle then covers it twice, so each geometric point appears
+    once or twice and duplicates are cleaned up by the caller via the
+    base-point dedup radius.  ``closure_error`` is the largest distance of a
+    snapped arrival from its seed, and ``members`` lists the seeds the cycle
+    passes (0 for z_start, i + 1 for cloud[i]).  Lanes off the cycle are cut
+    when it closes.  ``max_steps`` bounds the lockstep steps.
     """
     system = SingularSystem(S)
     if system.solution_dim != 1:
         raise StratificationError("curve tracing requires a 1-dimensional stratum")
-    h = S.tolerances.curve_step
     start = land(system, np.asarray(z_start, dtype=float))
     if not start.converged:
         raise StratificationError("could not land on the singular curve")
-    z0 = start.z
-    t = curve_tangent(system, z0)
-    nodes = [z0]
-    tangents = [t]
-    half_steps = iterations = 0
-    z, t_prev = z0, None
-    for step in range(max_steps):
+    seeds = start.z[None]
+    if cloud is not None:
+        seeds = np.concatenate((seeds, np.reshape(cloud, (-1, system.dim_z))))
+    fields, checked = _Lanes(system, seeds).trace(max_steps)
+    # every node and every lane's arrival, in trace order, before any metric
+    _audit_curve_nullity(system, checked)
+    nodes = fields["nodes"]
+    width = batch_width(system.dim_z)
+    metrics = [_node_metrics(S, system, nodes[i:i + width])
+               for i in range(0, len(nodes), width)]
+    curve = FoldCurve(closed=True, det_values=np.concatenate([det for det, _ in metrics]),
+                      parities=np.concatenate([par for _, par in metrics]), **fields)
+    _locate_cusps(S, system, curve)
+    _build_arcs(S, curve)
+    return curve
+
+
+class _Lanes:
+    """Two lanes per seed of a trace, advanced in lockstep.
+
+    Lane 2q starts at seed q along its SVD tangent t_q, lane 2q + 1 along
+    -t_q.  Each ``step`` moves every active lane by the trace's predictor
+    and one batched corrector, with a local half step for a lane whose
+    corrector fails.  A lane arrives where its step crosses the normal plane
+    of a target within h = curve_step of it: a seed, or the sheet image
+    sigma(z) = (x, -u, -mu) of one, since seeds are sign-normalized and can
+    sit on either sheet of the lifted curve.  Its own seed counts only after
+    more than two steps, so a lone seed closes its loop as one lane.  The
+    arrival is snapped onto that plane.  ``advance`` follows the arrived
+    lanes from lane 0 and records the cycle as (lane, flip) pairs, flip
+    meaning the lane enters it as its sheet image.
+    """
+
+    def __init__(self, system, seeds):
+        self.system, self.h = system, system.S.tolerances.curve_step
+        k, d = seeds.shape
+        T = _seed_tangents(system, seeds)
+        self.sigma = np.where(np.arange(d) < system.S.N, 1.0, -1.0)
+        # target q is seed q, target k + q its sheet image
+        self.targets = np.concatenate((seeds, seeds * self.sigma))
+        self.normals = np.concatenate((T, T * self.sigma))
+        self.columns = seeds[:, :system.S.N].T.copy()     # base points, by coordinate
+        self.seed = np.repeat(np.arange(k), 2)
+        self.z = seeds[self.seed]
+        self.t = T[self.seed] * np.tile([1.0, -1.0], k)[:, None]
+        self.t_prev = self.t.copy()
+        lanes = 2 * k
+        self.steps = np.zeros(lanes, dtype=int)
+        # x-distance a lane may still move before another seed can come within h
+        self.budget = np.full(lanes, -1.0)
+        self.active = np.ones(lanes, dtype=bool)
+        self.failed = np.zeros(lanes, dtype=bool)
+        self.arrival = np.full(lanes, -1)       # target index
+        self.along = np.zeros(lanes, dtype=bool)  # crossed along the target's normal
+        self.last = np.zeros((lanes, d))        # the arriving step's point, unsnapped
+        self.snap_error = np.zeros(lanes)
+        self.iterations = np.zeros(lanes, dtype=int)
+        self.half_steps = np.zeros(lanes, dtype=int)
+        self.stops = np.zeros((lanes, len(STOP_REASONS)), dtype=int)
+        self.history = [(np.arange(lanes), self.z.copy(), self.t.copy())]
+        self.cycle, self.lane, self.flip = [], 0, False
+        self.seen = {(0, False)}
+
+    def trace(self, max_steps):
+        """Step until the cycle closes.  Returns the ``FoldCurve`` fields of
+        the cycle, and for the nullity audit its nodes with each segment's
+        arrival after them."""
+        for _ in range(max_steps):
+            self.step()
+            if self.advance():
+                break
+            if self.failed[self.lane]:
+                self._fail("continuation corrector failed")
+        else:
+            self._fail("trace did not close (open curve or step budget hit)")
+        nodes, tangents, segments = self.nodes(self.cycle)
+        used = np.array([lane for lane, _ in self.cycle])
+        flips = np.array([flip for _, flip in self.cycle])
+        arrivals = self.last[used] * np.where(flips[:, None], self.sigma, 1.0)
+        fields = {
+            "nodes": nodes, "tangents": tangents, "segments": segments,
+            "closure_error": float(np.max(self.snap_error[used])),
+            "members": np.flatnonzero(np.bincount(self.seed[used])),
+            "solver": {"nodes": len(nodes), "segments": len(used),
+                       "half_steps": int(np.sum(self.half_steps[used])),
+                       "corrector_iterations": int(np.sum(self.iterations[used])),
+                       "stops": dict(zip(STOP_REASONS,
+                                         map(int, np.sum(self.stops[used], axis=0))))},
+        }
+        return fields, np.insert(nodes, np.r_[segments[1:], len(nodes)], arrivals, axis=0)
+
+    def _fail(self, message):
+        """Audit the nodes of the cycle so far and of the lane it waits on,
+        then raise ``message``."""
+        _audit_curve_nullity(self.system, self.nodes(self.cycle + [(self.lane, self.flip)])[0])
+        raise StratificationError(message)
+
+    def _correct(self, lanes, Z, anchors, normals):
+        out = correct_in_planes(self.system, Z, anchors, normals)
+        self.iterations[lanes] += out.iterations
+        np.add.at(self.stops, (lanes, out.stop), 1)
+        return out
+
+    def step(self):
+        A = np.flatnonzero(self.active)
+        z, t, h = self.z[A], self.t[A], self.h
         anchor = z + h * t
         # second-order predictor: the tangent's turn over the last step
         # estimates the curvature term (h^2/2) z''; the corrector plane stays
         # through z + h t, so the node is the same curve point either way
-        start = anchor if t_prev is None else anchor + 0.5 * h * (t - t_prev)
-        out = correct_in_plane(system, start, anchor, t)
-        iterations += out.iterations
-        if not out.converged:
-            # halve the step locally rather than failing the whole trace
-            half_steps += 1
-            out = correct_in_plane(system, z + 0.5 * h * t, None, t)
-            iterations += out.iterations
-            if not out.converged:
-                _audit_curve_nullity(system, np.array(nodes))
-                raise StratificationError("continuation corrector failed")
-        z_new = out.z
-        if step > 2 and np.linalg.norm(z_new - z0) < h:
-            # land the returning branch on the plane through the start point
-            snap = correct_in_plane(system, z_new, z0, tangents[0])
-            iterations += snap.iterations
-            closure_error = float(np.linalg.norm(snap.z - z0)) if snap.converged else np.inf
-            break
-        t_new = _chain_tangent(system, z_new, t)
-        nodes.append(z_new)
-        tangents.append(t_new)
-        z, t, t_prev = z_new, t_new, t
-    else:
-        _audit_curve_nullity(system, np.array(nodes))
-        raise StratificationError("trace did not close (open curve or step budget hit)")
+        out = self._correct(A, anchor + 0.5 * h * (t - self.t_prev[A]), anchor, t)
+        z_new, bordered = out.z, out.jacobian       # [J(z_new); t] on a converged lane
+        retry = np.flatnonzero(~out.converged)
+        if retry.size:
+            # halve the step locally rather than failing the lane
+            half = z[retry] + 0.5 * h * t[retry]
+            again = self._correct(A[retry], half, half, t[retry])
+            self.half_steps[A[retry]] += 1
+            z_new[retry], bordered[retry] = again.z, again.jacobian
+            lost = retry[~again.converged]
+            self.failed[A[lost]] = True
+            self.active[A[lost]] = False
+            keep = np.ones(len(A), dtype=bool)
+            keep[lost] = False
+            A, z, t, z_new, bordered = A[keep], z[keep], t[keep], z_new[keep], bordered[keep]
+        target, along = self._arrivals(A, z, z_new)
+        hit = target >= 0
+        if hit.any():
+            lanes, p = A[hit], target[hit]
+            snap = self._correct(lanes, z_new[hit], self.targets[p], self.normals[p])
+            self.snap_error[lanes] = np.where(
+                snap.converged, np.linalg.norm(snap.z - self.targets[p], axis=1), np.inf)
+            self.arrival[lanes], self.along[lanes], self.last[lanes] = p, along[hit], z_new[hit]
+            self.active[lanes] = False
+            A, t, z_new, bordered = A[~hit], t[~hit], z_new[~hit], bordered[~hit]
+        t_new = _chain_tangents(self.system, z_new, t, bordered)
+        self.history.append((A, z_new, t_new))
+        self.z[A], self.t_prev[A], self.t[A] = z_new, t, t_new
+        self.steps[self.active] += 1
 
-    # every node and the returning point, in trace order, before any metric
-    _audit_curve_nullity(system, np.array(nodes + [z_new]))
-    nodes = np.array(nodes)
-    width = batch_width(system.dim_z)
-    metrics = [_node_metrics(S, system, nodes[i:i + width])
-               for i in range(0, len(nodes), width)]
-    curve = FoldCurve(
-        nodes=nodes,
-        closed=True,
-        closure_error=closure_error,
-        det_values=np.concatenate([det for det, _ in metrics]),
-        parities=np.concatenate([par for _, par in metrics]),
-        tangents=np.array(tangents),
-        solver={"nodes": len(nodes), "half_steps": half_steps,
-                "corrector_iterations": iterations},
-    )
-    _locate_cusps(S, system, curve)
-    _build_arcs(S, curve)
-    return curve
+    def _arrivals(self, A, z, z_new):
+        """For the step z -> z_new of each lane of A, the first target whose
+        normal plane it crosses, with z or z_new within h of the target (-1
+        for none), and whether it crosses along the target's normal.
+
+        A target within h is within h in x, and a target and its sheet image
+        share x, so the search runs over the seeds' base points.  A lane
+        searches them only once its budget is spent: the x-distance to the
+        nearest other seed at its last search, less h, less the x-distance it
+        has moved since, bounds how far every other seed still is.  Its own
+        seed, which it starts on, and that seed's image are checked every
+        step instead.  A search takes ``BATCH_ENTRIES`` distances at a time,
+        summed coordinate by coordinate.
+        """
+        h, k, N = self.h, len(self.columns[0]), self.system.S.N
+        own = self.seed[A]
+        moved = np.linalg.norm(z_new[:, :N] - z[:, :N], axis=1)
+        self.budget[A] -= moved
+        later = np.flatnonzero(self.steps[A] > 2)
+        lanes = [later, np.arange(len(A))]
+        targets = [own[later], own + k]
+        due = np.flatnonzero(self.budget[A] < 0)
+        rows = max(1, BATCH_ENTRIES // k)
+        for i in range(0, due.size, rows):
+            block = due[i:i + rows]
+            near = 0.0
+            for j, column in enumerate(self.columns):
+                a = column - z_new[block, j, None]
+                near = near + a * a
+            near[np.arange(block.size), own[block]] = np.inf
+            self.budget[A[block]] = np.sqrt(np.min(near, axis=1)) - h
+            r, q = np.nonzero(near < ((h + moved[block]) ** 2)[:, None])
+            lanes += [block[r], block[r]]
+            targets += [q, q + k]
+        lane, p = np.concatenate(lanes), np.concatenate(targets)
+        P, T = self.targets[p], self.normals[p]
+        close = np.minimum(np.linalg.norm(z[lane] - P, axis=1),
+                           np.linalg.norm(z_new[lane] - P, axis=1)) < h
+        d0 = np.sum((z[lane] - P) * T, axis=1)
+        d1 = np.sum((z_new[lane] - P) * T, axis=1)
+        crossed = close & ((d0 < 0) != (d1 < 0))
+        lane, p, d0, d1 = lane[crossed], p[crossed], d0[crossed], d1[crossed]
+        # the first crossing along the step; ties go to the lower target
+        order = np.lexsort((p, d0 / (d0 - d1), lane))
+        lane, p, d1 = lane[order], p[order], d1[order]
+        first = np.diff(lane, prepend=-1) != 0
+        target = np.full(len(A), -1)
+        along = np.zeros(len(A), dtype=bool)
+        target[lane[first]], along[lane[first]] = p[first], d1[first] >= 0
+        return target, along
+
+    def advance(self):
+        """Extend the cycle along the lanes that have arrived; True once it is
+        back at seed 0, on its own sheet, along +t_0."""
+        k = len(self.seed) // 2
+        while self.arrival[self.lane] >= 0:
+            self.cycle.append((self.lane, self.flip))
+            p, along = self.arrival[self.lane], self.along[self.lane]
+            q, self.flip = p % k, self.flip != (p >= k)
+            if q == 0 and not self.flip and along:
+                return True
+            self.lane = 2 * q + (0 if along else 1)
+            if (self.lane, self.flip) in self.seen:
+                raise StratificationError("trace did not close (its lanes cycle without "
+                                          "returning to the start)")
+            self.seen.add((self.lane, self.flip))
+        return False
+
+    def nodes(self, path):
+        """Nodes and tangents of the lanes of ``path``, (lane, flip) pairs, in
+        order and each on the sheet of its flip (a doubly covered curve takes
+        a lane twice), and the node index where each lane's segment starts.
+        Consumes the history."""
+        lanes = sorted({lane for lane, _ in path})
+        slot = np.full(len(self.seed), -1)
+        slot[lanes] = np.arange(len(lanes))
+        where, Z, T = [], [], []
+        self.history.reverse()
+        while self.history:
+            ids, z, t = self.history.pop()
+            keep = slot[ids] >= 0
+            where.append(slot[ids][keep])
+            Z.append(z[keep])
+            T.append(t[keep])
+        where = np.concatenate(where)
+        order = np.argsort(where, kind="stable")    # each lane's nodes stay in step order
+        bounds = np.searchsorted(where[order], np.arange(len(lanes) + 1))
+        rows = [order[bounds[slot[lane]]:bounds[slot[lane] + 1]] for lane, _ in path]
+        sizes = [len(r) for r in rows]
+        flipped = np.repeat([flip for _, flip in path], sizes)
+        rows = np.concatenate(rows)
+        Z, T = np.concatenate(Z)[rows], np.concatenate(T)[rows]
+        Z[flipped] *= self.sigma
+        T[flipped] *= self.sigma
+        return Z, T, np.cumsum([0] + sizes[:-1])
 
 
 def _locate_cusps(S, system, curve: FoldCurve):
@@ -1064,38 +1313,16 @@ def compute_stratification(S: MorinScenario, regularity_count=20) -> Stratificat
 
 
 def _trace_all_curves(S, points):
-    if not points:
-        return []
+    """One ``trace_fold_curve`` per curve: the first point not yet on a curve
+    starts the cycle, and every such point seeds lanes."""
     system = SingularSystem(S)
+    Z = np.array([system.pack(p.x, p.cokernel, p.multiplier) for p in points])
     curves = []
-    h = S.tolerances.curve_step
-    remaining = list(points)
-    while remaining:
-        p0 = remaining[0]
-        z0 = system.pack(p0.x, p0.cokernel, p0.multiplier)
-        curve = trace_fold_curve(S, z0)
+    while len(Z):
+        curve = trace_fold_curve(S, Z[0], Z[1:])
         curves.append(curve)
-        near = _nearest_distances(np.array([p.x for p in remaining]), curve.x_nodes(S.N))
-        if np.all(near > 2 * h):
-            raise StratificationError("trace did not cover its own starting point")
-        remaining = [p for p, d in zip(remaining, near) if d > 2 * h]
+        Z = np.delete(Z, curve.members, axis=0)
     return curves
-
-
-def _nearest_distances(X, nodes):
-    """Distance from each point of X to its nearest node, bit for bit what
-    min |nodes - x| gives: squares summed in coordinate order, for a block
-    of points at a time (about 4 * BATCH_ENTRIES differences per block)."""
-    columns = nodes.T.copy()
-    rows = max(1, 4 * BATCH_ENTRIES // len(nodes))
-    near = []
-    for i in range(0, len(X), rows):
-        block, squares = X[i:i + rows], 0.0
-        for j, column in enumerate(columns):
-            d = column - block[:, j, None]
-            squares = squares + d * d
-        near.append(np.sqrt(np.min(squares, axis=1)))
-    return np.concatenate(near)
 
 
 def _classify_cloud(S, points, cusps):

@@ -42,7 +42,6 @@ from morinchi.strata import (
     _initial_guesses,
     _kernel_data,
     _multistart_seeds,
-    _nearest_distances,
     _node_metrics,
     compute_stratification,
     curve_tangent,
@@ -309,13 +308,17 @@ def test_curve_tangents_are_the_tangent_chain(fold_curves, name):
     a = sample_covector(S.n, [S.seed, 0]).a
     e_last = np.eye(system.dim_z)[-1]
     for curve in curves:
-        # the first tangent is the null vector of J, every later one the
-        # solution of [J(z_i); t_(i-1)] tau = e_last, normalized
-        assert np.array_equal(curve.tangents[0], curve_tangent(system, curve.nodes[0]))
+        # a segment's seed takes the null vector of J, oriented along the
+        # trace; every later node the solution of [J(z_i); t_(i-1)] tau =
+        # e_last, normalized
+        seeds = set(curve.segments.tolist())
+        _assert_close(curve.tangents[0], curve_tangent(system, curve.nodes[0]))
         null_vectors = [curve.tangents[0]]
-        for z, prev, t in zip(curve.nodes[1:], curve.tangents, curve.tangents[1:]):
-            tau = np.linalg.solve(np.vstack([system.jacobian(z), prev]), e_last)
-            assert np.array_equal(t, tau / np.linalg.norm(tau))
+        for i in range(1, len(curve.nodes)):
+            z, prev, t = curve.nodes[i], curve.tangents[i - 1], curve.tangents[i]
+            if i not in seeds:
+                tau = np.linalg.solve(np.vstack([system.jacobian(z), prev]), e_last)
+                _assert_close(t, tau / np.linalg.norm(tau))
             # the null vector of J(z) oriented along the previous tangent
             null_vectors.append(curve_tangent(system, z, prev=prev))
             assert np.max(np.abs(t - null_vectors[-1])) <= 1e-12
@@ -325,17 +328,3 @@ def test_curve_tangents_are_the_tangent_chain(fold_curves, name):
         assert np.array_equal(np.sign(stacked), np.sign(phis))
         assert np.array_equal(np.sign(stacked), np.sign(svd_phis))
         _assert_close(stacked, phis)
-
-
-@pytest.mark.parametrize("name", ["s3-proj", "s3-cusps"])
-def test_nearest_distances_match_the_loop_bit_for_bit(fold_curves, name):
-    # the covering rule of the curve trace drops a cloud point within 2 h of
-    # a node; the blocked distances must decide exactly as the loop did
-    S, curves = fold_curves[name]
-    rng = np.random.default_rng(3)
-    nodes = curves[0].x_nodes(S.N)
-    cloud = np.concatenate([nodes[::7] + rng.normal(scale=1e-3, size=(len(nodes[::7]), S.N)),
-                            rng.uniform(-1.5, 1.5, (100, S.N))])
-    for X, Y in ((cloud, nodes), (rng.normal(size=(60, 5)) * 1e3, rng.normal(size=(9000, 5)))):
-        loop = [float(np.min(np.linalg.norm(Y - x, axis=1))) for x in X]
-        assert np.array_equal(_nearest_distances(X, Y), loop)

@@ -17,6 +17,7 @@ from morinchi.cli import (
     main,
     run,
 )
+from morinchi._numeric import STOP_REASONS
 from tests.conftest import scenario_path
 
 
@@ -169,6 +170,14 @@ def test_explain_missing_report(tmp_path):
     ("seed", True),
     ("seed", "2"),
     ("chi_expected", 2.9),
+    # a real-valued field is never read from a string or a boolean ("2"
+    # became halfwidth 2.0, and [true, "0", 0] the seed (1.0, 0.0, 0.0))
+    ("sample_halfwidth", "2"),
+    ("sample_halfwidth", True),
+    ("sample_halfwidth", 0),
+    ("sample_halfwidth", 10 ** 400),
+    ("sample_seeds", [[True, 0, 0]]),
+    ("sample_seeds", [[1, "0", 0]]),
 ])
 def test_malformed_scenario_field_exits_64(tmp_path, capsys, field, value):
     data = json.loads(scenario_path("s2-height").read_text())
@@ -283,6 +292,9 @@ def test_tolerance_override_roundtrip(tmp_path):
     {"max_resamples": 2.5},
     {"multistart_density": 150.7},
     {"max_resamples": "8"},
+    # nor a real-valued one from a string ("1e-10" became 1e-10)
+    {"residual": "1e-10"},
+    {"curve_step": "0.01"},
 ])
 def test_malformed_tolerances_exit_64(tmp_path, capsys, tolerances):
     data = json.loads(Path(str(scenario_path("s2-height"))).read_text())
@@ -338,13 +350,20 @@ def test_report_counts_curve_tracing_work(tmp_path):
     assert [c["nodes"] for c in curves] == [sum(r[0] == str(i) for r in rows)
                                             for i in range(len(curves))]
     (c,) = curves
-    assert set(c) == {"nodes", "half_steps", "corrector_iterations", "bisection_steps"}
-    # every step needs a corrector iteration; each of the two cusps is bisected
-    assert c["corrector_iterations"] >= c["nodes"] and c["bisection_steps"] >= 2
+    assert set(c) == {"nodes", "segments", "half_steps", "corrector_iterations", "stops",
+                      "bisection_steps"}
+    # every node but a segment's seed needs a corrector iteration; each of the
+    # two cusps is bisected
+    assert c["corrector_iterations"] >= c["nodes"] - c["segments"] > 0
+    assert c["bisection_steps"] >= 2
+    assert list(c["stops"]) == list(STOP_REASONS)
+    assert c["stops"]["converged"] == sum(c["stops"].values()) > c["segments"]
     text = explain(d1 / "report.json")
-    assert (f"curve 0: {c['nodes']} nodes, {c['corrector_iterations']} corrector iterations, "
-            f"{c['half_steps']} half-step fallbacks, {c['bisection_steps']} cusp-bisection "
-            f"steps") in text
+    assert (f"curve 0: {c['nodes']} nodes in {c['segments']} segments, "
+            f"{c['corrector_iterations']} corrector iterations, {c['half_steps']} half-step "
+            f"fallbacks, {c['bisection_steps']} cusp-bisection steps\n"
+            f"    stops: {c['stops']['converged']} converged, 0 nonfinite step, "
+            f"0 line search failed, 0 iteration cap") in text
 
 
 def test_bad_max_resamples_rejected(tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from morinchi import expr as ex
+from morinchi import strata
 from morinchi._numeric import STOP_REASONS, eig_sign_counts, newton
 from morinchi.strata import (
     MorinnessError,
@@ -327,22 +328,45 @@ def test_s3_projection_single_closed_curve(s3_strat, s3_proj):
     assert curve.arcs[0].sign == "plus"
 
 
+@pytest.fixture(scope="module")
+def fine_traces():
+    """Each n = 2 scenario at curve_step 2.5e-3, with its singular system,
+    its depth-1 cloud packed as z = (x, u, mu), and its trace from the whole
+    cloud and from the first cloud point alone."""
+    out = {}
+    for name in ("s3-proj", "s3-cusps"):
+        S = bundled(name)
+        S.tolerances = dataclasses.replace(S.tolerances, curve_step=2.5e-3)
+        system = SingularSystem(S)
+        Z = np.array([system.pack(p.x, p.cokernel, p.multiplier) for p in solve_stratum1(S)])
+        out[name] = (S, system, Z, trace_fold_curve(S, Z[0], Z[1:]), trace_fold_curve(S, Z[0]))
+    return out
+
+
 @pytest.mark.parametrize("name", ["s3-proj", "s3-cusps"])
-def test_trace_takes_one_newton_step_per_node(name):
-    S = bundled(name)
-    S.tolerances = dataclasses.replace(S.tolerances, curve_step=2.5e-3)
+def test_trace_takes_one_newton_step_per_node(fine_traces, name):
+    S, system, Z, curve, _ = fine_traces[name]
     h = S.tolerances.curve_step
-    system = SingularSystem(S)
-    p = solve_stratum1(S)[0]
-    curve = trace_fold_curve(S, system.pack(p.x, p.cokernel, p.multiplier))
-    nodes = len(curve.nodes)
+    nodes, segments = len(curve.nodes), curve.solver["segments"]
     assert nodes > 3000 and curve.solver["half_steps"] == 0
-    assert curve.solver["corrector_iterations"] <= 1.01 * nodes
+    assert segments == len(curve.segments) == len(Z)
+    # one iteration per corrected node; each segment adds the plain first
+    # step from its seed, the step that arrives and the snap of the arrival
+    assert nodes - segments <= curve.solver["corrector_iterations"]
+    assert curve.solver["corrector_iterations"] <= 1.01 * (nodes - segments) + 6 * segments
+    assert curve.solver["stops"]["converged"] == sum(curve.solver["stops"].values())
     # the second-order predictor only moves the corrector's start: every node
-    # is still where the plain predictor's step from the node before lands,
-    # on the plane through z + h t normal to t.  The reference corrector is
-    # scalar ``newton`` (least-squares steps) on the bordered system.
+    # a corrector produced is still where the plain predictor's step from the
+    # node before lands, on the plane through z + h t normal to t.  The
+    # reference corrector is scalar ``newton`` (least-squares steps) on the
+    # bordered system.  A segment starts at a seed, or at the seed's sheet
+    # image (x, -u, -mu), which is exempt.
+    sheets = np.concatenate((Z, Z * np.where(np.arange(system.dim_z) < S.N, 1, -1)))
+    seeds = set(curve.segments.tolist())
     for i in range(1, nodes):
+        if i in seeds:
+            assert np.min(np.max(np.abs(sheets - curve.nodes[i]), axis=1)) == 0.0
+            continue
         z, t = curve.nodes[i - 1], curve.tangents[i - 1]
         anchor = z + h * t
         plain = newton(lambda w: np.append(system.residual(w), t @ (w - anchor)),
@@ -350,6 +374,43 @@ def test_trace_takes_one_newton_step_per_node(name):
                        tol=S.tolerances.residual, max_iter=40)
         assert plain.converged
         assert np.max(np.abs(plain.z - curve.nodes[i])) <= 1e-11, i
+
+
+@pytest.mark.parametrize("name", ["s3-proj", "s3-cusps"])
+def test_cloud_trace_matches_the_one_seed_trace(fine_traces, name):
+    S, _, Z, curve, single = fine_traces[name]
+    assert single.solver["segments"] == 1 and list(single.members) == [0]
+    assert list(curve.members) == list(range(len(Z)))
+    # the cycle starts where the one-seed trace starts, along the same tangent
+    assert np.array_equal(curve.nodes[0], single.nodes[0])
+    np.testing.assert_allclose(curve.tangents[0], single.tangents[0], rtol=0, atol=1e-12)
+    assert len(curve.cusps) == len(single.cusps)
+    for p, q in zip(curve.cusps, single.cusps):
+        assert np.max(np.abs(p.x - q.x)) <= 1e-10
+    assert [a.sign for a in curve.arcs] == [a.sign for a in single.arcs]
+    assert max(curve.closure_error, single.closure_error) <= 1e-10
+    # every node lies on the curve, and no gap, the junctions at the seeds
+    # and the closing one included, is longer than 2 h
+    for c in (curve, single):
+        res = np.max(np.abs(SingularSystem(S).residual(c.nodes)), axis=1)
+        assert np.all(res <= S.tolerances.residual)
+        gaps = np.linalg.norm(np.roll(c.nodes, -1, axis=0) - c.nodes, axis=1)
+        assert np.max(gaps) <= 2 * S.tolerances.curve_step
+
+
+def test_seeds_on_the_other_sheet_give_the_same_curve(fine_traces):
+    # a seed and its sheet image (x, -u, -mu) lie on the same base curve: a
+    # cloud with every other seed flipped traces the same nodes
+    S, system, Z, curve, _ = fine_traces["s3-cusps"]
+    flipped = Z.copy()
+    flipped[1::2, S.N:] *= -1
+    other = trace_fold_curve(S, flipped[0], flipped[1:])
+    assert other.solver["segments"] == curve.solver["segments"]
+    assert list(other.members) == list(curve.members)
+    assert np.array_equal(other.segments, curve.segments)
+    np.testing.assert_allclose(other.nodes, curve.nodes, rtol=0, atol=1e-12)
+    for p, q in zip(other.cusps, curve.cusps):
+        assert np.max(np.abs(p.x - q.x)) <= 1e-10
 
 
 def test_correct_in_plane_on_a_singular_border_stops_unconverged(s3_proj):
@@ -423,6 +484,57 @@ def test_open_curve_does_not_close(flat_cusp):
     z0 = sys2.pack(pts[0].x, pts[0].cokernel, pts[0].multiplier)
     with pytest.raises(StratificationError):
         trace_fold_curve(flat_cusp, z0, max_steps=300)
+
+
+def test_two_fold_circles_take_one_trace_each():
+    # M is two disjoint 3-spheres, centred at x0 = -2 and x0 = 2, each with
+    # the fold circle of the plane projection: the first trace takes the
+    # cloud points of one circle, the second the rest
+    S = load_scenario({
+        "name": "two-spheres", "ambient_dim": 4, "intrinsic_dim": 3,
+        "constraints": ["(* (+ (^ (+ x0 -2) 2) (^ x1 2) (^ x2 2) (^ x3 2) -1) "
+                        "(+ (^ (+ x0 2) 2) (^ x1 2) (^ x2 2) (^ x3 2) -1))"],
+        "target_dim": 2, "components": ["x1", "x2"], "sample_halfwidth": 3.5,
+    })
+    strat = compute_stratification(S)
+    assert len(strat.curves) == 2
+    assert sum(len(c.members) for c in strat.curves) == len(strat.points)
+    for curve, centre in zip(strat.curves, (-2.0, 2.0)):
+        x = curve.x_nodes(S.N)
+        assert np.max(np.abs(x[:, 0] - centre)) < 1e-10
+        assert np.max(np.abs(np.linalg.norm(x[:, 1:3], axis=1) - 1.0)) < 1e-10
+        assert curve.closure_error <= 1e-10 and [a.sign for a in curve.arcs] == ["plus"]
+
+
+def test_a_lane_whose_corrector_fails_ends_the_trace(s3_proj, monkeypatch):
+    system = SingularSystem(s3_proj)
+    Z = np.array([system.pack(p.x, p.cokernel, p.multiplier)
+                  for p in solve_stratum1(s3_proj, density=10)])
+    correct, calls = strata.correct_in_planes, []
+
+    def failing_after_three(system, Z, anchors, normals):
+        # from the fourth call on, the half-step retries included, every lane
+        # reports a failed line search
+        out = correct(system, Z, anchors, normals)
+        calls.append(len(Z))
+        if len(calls) > 3:
+            out.stop[:] = STOP_REASONS.index("line_search_failed")
+        return out
+
+    monkeypatch.setattr(strata, "correct_in_planes", failing_after_three)
+    with pytest.raises(StratificationError, match="continuation corrector failed"):
+        trace_fold_curve(s3_proj, Z[0], Z[1:])
+
+
+def test_open_curve_lanes_never_arrive(flat_cusp):
+    # from the whole cloud the lanes between seeds arrive, but the two that
+    # leave the outermost seeds run off along the open curve
+    pts = solve_stratum1(flat_cusp, density=10)
+    system = SingularSystem(flat_cusp)
+    Z = np.array([system.pack(p.x, p.cokernel, p.multiplier) for p in pts])
+    assert len(Z) > 1
+    with pytest.raises(StratificationError, match="did not close"):
+        trace_fold_curve(flat_cusp, Z[0], Z[1:], max_steps=300)
 
 
 def test_cusp_scenario_two_cusps_alternating(cusp_strat):
