@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,9 +11,8 @@ import numpy as np
 LINE_SEARCH_HALVINGS = 12
 
 # Jacobian entries per call of a batched residual: a whole census of small
-# systems fits in one call, while the stacked Jacobians, SVD factors and
-# third-derivative tensors of the larger augmented systems stay within a few
-# hundred kilobytes
+# systems fits in one call, while the stacked Jacobians and SVD factors of
+# the larger augmented systems stay within a few hundred kilobytes
 BATCH_ENTRIES = 1 << 14
 
 
@@ -252,40 +252,49 @@ def sign_normalize(v, tol=1e-12):
 def dedup_points(points, radius):
     """Deterministic dedup: lexicographic sort then greedy radius filtering.
 
-    Returns indices into ``points`` of the retained representatives.
+    Returns indices into ``points`` of the retained representatives.  Points
+    come in ascending first coordinate, and a kept point more than 2 * radius
+    below in it is more than radius away even rounded, so it is not measured.
     """
     pts = np.asarray(points, dtype=float)
     if len(pts) == 0:
         return []
     order = np.lexsort(pts.T[::-1])
     kept: list[int] = []
+    first: list[float] = []         # first coordinates of the kept points, ascending
     for idx in order:
-        if not kept or np.all(np.linalg.norm(pts[kept] - pts[idx], axis=1) > radius):
+        x0 = float(pts[idx, 0])
+        near = kept[bisect_left(first, x0 - 2 * radius):]
+        if not near or np.all(np.linalg.norm(pts[near] - pts[idx], axis=1) > radius):
             kept.append(int(idx))
+            first.append(x0)
     return kept
 
 
-def multistart_counters(starts, out: NewtonResult, xs, kept, radius) -> dict:
+def multistart_counters(starts, out: NewtonResult, xs, kept, radius=None) -> dict:
     """Deterministic counters of one multistart solve.
 
     ``out`` is the batched Newton over the starts that projected, ``xs`` the
     base points of its converged lanes and ``kept`` their representatives
-    from ``dedup_points``.  A converged lane hits the first representative
-    within ``radius``; hits are listed largest first.  ``stops`` counts the
-    lanes by the reason they stopped.
+    from ``dedup_points``.  Given a ``radius``, a converged lane hits the
+    first representative within it; hits are listed largest first.  ``stops``
+    counts the lanes by the reason they stopped.
     """
-    xs = np.asarray(xs, dtype=float)
-    owner = np.full(len(xs), -1)
-    for r, j in enumerate(kept):
-        owner[(owner < 0) & (np.linalg.norm(xs - xs[j], axis=1) <= radius)] = r
-    hits = np.bincount(owner[owner >= 0], minlength=len(kept))
+    hits = {}
+    if radius is not None:
+        xs = np.asarray(xs, dtype=float)
+        owner = np.full(len(xs), -1)
+        for r, j in enumerate(kept):
+            owner[(owner < 0) & (np.linalg.norm(xs - xs[j], axis=1) <= radius)] = r
+        hits["hits"] = sorted(map(int, np.bincount(owner[owner >= 0], minlength=len(kept))),
+                              reverse=True)
     return {
         "starts": int(starts),
         "projected": int(len(out.converged)),
         "converged": int(np.sum(out.converged)),
         "iterations": int(np.sum(out.iterations)),
         "distinct": len(kept),
-        "hits": sorted((int(h) for h in hits), reverse=True),
+        **hits,
         "stops": dict(zip(STOP_REASONS, map(int, np.bincount(out.stop,
                                                               minlength=len(STOP_REASONS))))),
     }

@@ -209,11 +209,11 @@ def _k0_records(S: MorinScenario, a: Covector, stats=None) -> list:
 class StratumCriticalSystem:
     """Critical points of h(z) = <a, f(x)> on the singular solution manifold.
 
-    Unknowns (z, nu) where z solves the singular system F(z) = 0 and nu are
-    the multipliers of the stationarity condition grad h = DF^T nu.  The
-    Jacobian is analytic; the only second-derivative data it needs beyond
-    the Hessians are the third derivative tensors of f and g.  Every
-    method but ``reduced_hessian`` takes one point or a stack of them.
+    Unknowns w = (z, nu) where z solves the singular system F(z) = 0 and nu
+    are the multipliers of the stationarity condition grad h = DF^T nu.
+    Residual and exact Jacobian are one call of the scenario's
+    ``augmented_block`` with a in its covector slots.  Every method but
+    ``reduced_hessian`` takes one point or a stack of them.
     """
 
     def __init__(self, S: MorinScenario, a):
@@ -224,57 +224,39 @@ class StratumCriticalSystem:
             raise StratificationError("augmented system needs target dimension >= 2")
         self.D = self.base.dim_z
         self.E = self.base.n_eqs
-
-    def grad_h(self, z):
-        S = self.S
-        x, _, _ = self.base.unpack(z)
-        g = np.zeros(x.shape[:-1] + (self.D,))
-        g[..., :S.N] = vecmat(self.a, S.Df(x))
-        return g
-
-    def hess_lagrangian(self, z, nu):
-        """A = hess_z h - sum_r nu_r hess_z F_r, in (x, u, mu) block form."""
-        S = self.S
-        N, n, c = S.N, S.n, S.c
-        x, u, mu = self.base.unpack(z)
-        nu_g, nu_s, nu_n = nu[..., :c], nu[..., c:c + N], nu[..., c + N]
-        H = S.jet(x)[2]
-        Hf, Hg = H[..., :n, :, :], H[..., n:, :, :]
-        T3f, T3g = S.third_tensors(x)
-        A = np.zeros(x.shape[:-1] + (self.D, self.D))
-        Axx = np.einsum("l,...lpq->...pq", self.a, Hf)
-        Axx -= np.einsum("...j,...jpq->...pq", nu_g, Hg)
-        Ms = np.einsum("...i,...l,...lipq->...pq", nu_s, u, T3f)
-        Ms -= np.einsum("...i,...j,...jipq->...pq", nu_s, mu, T3g)
-        Axx -= Ms
-        A[..., :N, :N] = Axx
-        Axu = -np.einsum("...lpi,...i->...pl", Hf, nu_s)      # column l is -Hf_l nu_s
-        A[..., :N, N:N + n] = Axu
-        A[..., N:N + n, :N] = np.swapaxes(Axu, -1, -2)
-        Axm = np.einsum("...jpi,...i->...pj", Hg, nu_s)
-        A[..., :N, N + n:] = Axm
-        A[..., N + n:, :N] = np.swapaxes(Axm, -1, -2)
-        A[..., N:N + n, N:N + n] = -2.0 * np.multiply.outer(nu_n, np.eye(n))
-        return A
+        self._block, rows, cols = S.augmented_block
+        self._src = self.E + self.D + np.arange(rows.size)
+        self._dst = rows * (self.D + self.E) + cols
 
     def evaluate(self, w):
-        """(residual, Jacobian) at w; both read one evaluation of the base system."""
-        z, nu = w[..., :self.D], w[..., self.D:]
-        F, DF = self.base.evaluate(z)
-        R = np.concatenate([F, self.grad_h(z) - vecmat(nu, DF)], axis=-1)
-        J = np.zeros(w.shape[:-1] + (self.E + self.D, self.D + self.E))
-        J[..., :self.E, :self.D] = DF
-        J[..., self.E:, :self.D] = self.hess_lagrangian(z, nu)
-        J[..., self.E:, self.D:] = -np.swapaxes(DF, -1, -2)
-        return R, J
+        """(residual, Jacobian) at w from one block call, scattered like
+        ``SingularSystem.evaluate``."""
+        lead, d = w.shape[:-1], self.D + self.E
+        full = np.empty(lead + (self._block.nvars,))
+        full[..., :d] = w
+        full[..., d:] = self.a
+        vals = self._block(full)
+        J = np.zeros(lead + (d * d,))
+        J[..., self._dst] = vals[..., self._src]
+        return vals[..., :d], J.reshape(lead + (d, d))
 
     def initial_nu(self, z):
-        return min_norm_solve(np.swapaxes(self.base.jacobian(z), -1, -2), self.grad_h(z))
+        """Least-squares nu of grad h = DF^T nu at z, from the block at nu = 0
+        (where the stationarity rows are grad h), ``batch_width`` lanes a call."""
+        E, D = self.E, self.D
+        W = np.concatenate([z, np.zeros(np.shape(z)[:-1] + (E,))], axis=-1)
+        flat, width = W.reshape(-1, D + E), batch_width(D + E)
+        nu = np.empty((len(flat), E))
+        for i in range(0, len(flat), width):
+            R, J = self.evaluate(flat[i:i + width])
+            nu[i:i + width] = min_norm_solve(np.swapaxes(J[:, :E, :D], -1, -2), R[:, E:])
+        return nu.reshape(W.shape[:-1] + (E,))
 
     def reduced_hessian(self, z, nu):
-        B = nullspace(self.base.jacobian(z), rtol=1e-8)
-        A = self.hess_lagrangian(z, nu)
-        return B.T @ A @ B
+        """The Hessian of the Lagrangian, J[E:, :D], on the kernel of DF at one point."""
+        J = self.evaluate(np.concatenate([z, nu]))[1]
+        B = nullspace(J[:self.E, :self.D], rtol=1e-8)
+        return B.T @ J[self.E:, :self.D] @ B
 
 
 def _polish_stratum_critical(S, a, z_guess):

@@ -142,6 +142,7 @@ class MorinScenario:
         self._jet = None            # built on the first use of ``jet``
         self._third = None          # built on the first third_tensors call
         self._singular = None       # built on the first use of ``singular_block``
+        self._augmented = None      # built on the first use of ``augmented_block``
 
     # shorthand dimensions
     @property
@@ -197,6 +198,19 @@ class MorinScenario:
         W = vecmat(w, H.reshape(H.shape[:-2] + (-1,)))
         return W.reshape(W.shape[:-1] + H.shape[-2:])
 
+    def _singular_rows(self, nvars):
+        """The c + N + 1 residual entries of ``SingularSystem`` as exact
+        expressions whose first N + n + c of ``nvars`` variables are z = (x, u, mu)."""
+        N, n, c = self.N, self.n, self.c
+        z = [ex.Expr.variable(i, nvars) for i in range(N + n + c)]
+        f = [e.with_nvars(nvars) for e in self.components]
+        g = [e.with_nvars(nvars) for e in self.manifold.constraints]
+        R = g + [sum(z[N + l] * ex.differentiate(f[l], i) for l in range(n))
+                 - sum(z[N + n + j] * ex.differentiate(g[j], i) for j in range(c))
+                 for i in range(N)]
+        R.append(sum(z[N + l] ** 2 for l in range(n)) - 1)
+        return R
+
     @property
     def singular_block(self):
         """The full chart of ``SingularSystem`` as one ExprBlock over
@@ -204,25 +218,32 @@ class MorinScenario:
         then every nonzero partial of them, whose (row, column) arrays come
         with it.  Each coefficient is exact until the block rounds it."""
         if self._singular is None:
-            N, n, c = self.N, self.n, self.c
-            z = [ex.Expr.variable(i, N + n + c) for i in range(N + n + c)]
-            f = [e.with_nvars(N + n + c) for e in self.components]
-            g = [e.with_nvars(N + n + c) for e in self.manifold.constraints]
-            R = g + [sum(z[N + l] * ex.differentiate(f[l], i) for l in range(n))
-                     - sum(z[N + n + j] * ex.differentiate(g[j], i) for j in range(c))
-                     for i in range(N)]
-            R.append(sum(z[N + l] ** 2 for l in range(n)) - 1)
-            partials = [(r, k, ex.differentiate(e, k)) for r, e in enumerate(R) for k in range(len(z))]
-            rows, cols, partials = zip(*(p for p in partials if not p[2].is_zero()))
-            self._singular = ex.ExprBlock(R + list(partials), len(z)), np.array(rows), np.array(cols)
+            D = self.N + self.n + self.c
+            self._singular = _block_with_partials(self._singular_rows(D), D, D)
         return self._singular
+
+    @property
+    def augmented_block(self):
+        """The system of ``morse.StratumCriticalSystem`` as one ExprBlock over
+        w = (x, u, mu, nu) followed by the covector a, built on first use: the
+        singular rows F(z), the z-gradient of <a, f> - <nu, F>, then their
+        nonzero partials in w, as in ``singular_block``."""
+        if self._augmented is None:
+            D, E = self.N + self.n + self.c, self.c + self.N + 1
+            nv = D + E + self.n
+            F = self._singular_rows(nv)
+            L = (sum(ex.Expr.variable(D + E + l, nv) * f.with_nvars(nv)
+                     for l, f in enumerate(self.components))
+                 - sum(ex.Expr.variable(D + r, nv) * F[r] for r in range(E)))
+            rows = F + [ex.differentiate(L, k) for k in range(D)]
+            self._augmented = _block_with_partials(rows, nv, D + E)
+        return self._augmented
 
     def third_tensors(self, x):
         """Symmetric third-derivative tensors of (f_1..f_n, g_1..g_c) at x.
 
-        ``x`` is a point or a stack; the evaluator is built on first use, so
-        scenarios that never need third derivatives never differentiate
-        three times.
+        ``x`` is a point or a stack; the evaluator is built on first use.  No
+        solver calls it: the augmented block differentiates exactly instead.
         """
         if self._third is None:
             self._third = ex.ThirdJet(
@@ -233,6 +254,14 @@ class MorinScenario:
     def __repr__(self):
         comps = [ex.to_prefix(c) for c in self.components]
         return f"MorinScenario({self.name!r}, m={self.m}, n={self.n}, f={comps})"
+
+
+def _block_with_partials(rows, nvars, ncols):
+    """ExprBlock of ``rows`` then their nonzero partials in the first ``ncols``
+    variables, with the (row, column) array of each partial."""
+    partials = [(r, k, ex.differentiate(e, k)) for r, e in enumerate(rows) for k in range(ncols)]
+    at, wrt, partials = zip(*(p for p in partials if not p[2].is_zero()))
+    return ex.ExprBlock(list(rows) + list(partials), nvars), np.array(at), np.array(wrt)
 
 
 def load_scenario(source) -> MorinScenario:
@@ -541,9 +570,8 @@ def solve_stratum1(S: MorinScenario, density=None, stats=None) -> list[StratumPo
     xs = system.unpack(solutions)[0]
     kept = dedup_points(xs, tol.dedup_radius)
     if stats is not None:
-        stats.update(multistart_counters(len(X0), out, xs, kept, tol.dedup_radius))
-        if S.n > 1:
-            del stats["hits"]
+        stats.update(multistart_counters(len(X0), out, xs, kept,
+                                         tol.dedup_radius if S.n == 1 else None))
     points = _points_from_solutions(S, system, solutions, kept)
     if not points and S.manifold.compact:
         raise StratificationError(

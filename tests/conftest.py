@@ -5,6 +5,7 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
+from morinchi._numeric import min_norm_solve, nullspace, vecmat
 from morinchi.strata import load_scenario
 
 
@@ -25,6 +26,59 @@ def fd_jacobian(fn, z, step=1e-7):
         e[i] = step
         J[:, i] = (fn(z + e) - fn(z - e)) / (2 * step)
     return J
+
+
+def einsum_augmented(sysc, w):
+    """(residual, Jacobian) of a ``StratumCriticalSystem`` at w, a point or a
+    stack, assembled from one evaluation of the singular system, the jets
+    and the third-derivative tensors, one einsum per block of the Lagrangian
+    Hessian: the evaluator the augmented block replaced."""
+    S, D, E = sysc.S, sysc.D, sysc.E
+    N, n, c = S.N, S.n, S.c
+    z, nu = w[..., :D], w[..., D:]
+    x, u, mu = sysc.base.unpack(z)
+    F, DF = sysc.base.evaluate(z)
+    grad_h = np.zeros(x.shape[:-1] + (D,))
+    grad_h[..., :N] = vecmat(sysc.a, S.Df(x))
+    # A = hess_z h - sum_r nu_r hess_z F_r, in (x, u, mu) block form
+    nu_g, nu_s, nu_n = nu[..., :c], nu[..., c:c + N], nu[..., c + N]
+    H = S.jet(x)[2]
+    Hf, Hg = H[..., :n, :, :], H[..., n:, :, :]
+    T3f, T3g = S.third_tensors(x)
+    A = np.zeros(x.shape[:-1] + (D, D))
+    Axx = np.einsum("l,...lpq->...pq", sysc.a, Hf)
+    Axx -= np.einsum("...j,...jpq->...pq", nu_g, Hg)
+    Ms = np.einsum("...i,...l,...lipq->...pq", nu_s, u, T3f)
+    Ms -= np.einsum("...i,...j,...jipq->...pq", nu_s, mu, T3g)
+    Axx -= Ms
+    A[..., :N, :N] = Axx
+    Axu = -np.einsum("...lpi,...i->...pl", Hf, nu_s)      # column l is -Hf_l nu_s
+    A[..., :N, N:N + n] = Axu
+    A[..., N:N + n, :N] = np.swapaxes(Axu, -1, -2)
+    Axm = np.einsum("...jpi,...i->...pj", Hg, nu_s)
+    A[..., :N, N + n:] = Axm
+    A[..., N + n:, :N] = np.swapaxes(Axm, -1, -2)
+    A[..., N:N + n, N:N + n] = -2.0 * np.multiply.outer(nu_n, np.eye(n))
+    R = np.concatenate([F, grad_h - vecmat(nu, DF)], axis=-1)
+    J = np.zeros(w.shape[:-1] + (E + D, D + E))
+    J[..., :E, :D] = DF
+    J[..., E:, :D] = A
+    J[..., E:, D:] = -np.swapaxes(DF, -1, -2)
+    return R, J
+
+
+def einsum_initial_nu(sysc, z):
+    """``initial_nu`` from ``einsum_augmented``: the least-squares nu of
+    grad h = DF^T nu, whose right side is the stationarity rows at nu = 0."""
+    R, J = einsum_augmented(sysc, np.concatenate([z, np.zeros(z.shape[:-1] + (sysc.E,))], axis=-1))
+    return min_norm_solve(np.swapaxes(J[..., :sysc.E, :sysc.D], -1, -2), R[..., sysc.E:])
+
+
+def einsum_reduced_hessian(sysc, z, nu):
+    """``reduced_hessian`` from ``einsum_augmented`` at one point."""
+    J = einsum_augmented(sysc, np.concatenate([z, nu]))[1]
+    B = nullspace(J[:sysc.E, :sysc.D], rtol=1e-8)
+    return B.T @ J[sysc.E:, :sysc.D] @ B
 
 
 @pytest.fixture(scope="session")

@@ -18,6 +18,7 @@ from morinchi._numeric import (
     STOP_REASONS,
     _accepts,
     batch_width,
+    dedup_points,
     min_norm_solve,
     newton,
     newton_batch,
@@ -48,7 +49,12 @@ from morinchi.strata import (
     load_scenario,
     solve_stratum1,
 )
-from tests.conftest import bundled
+from tests.conftest import (
+    bundled,
+    einsum_augmented,
+    einsum_initial_nu,
+    einsum_reduced_hessian,
+)
 
 ALL_SCENARIOS = ["s2-height", "torus-height", "s3-proj", "s4-height",
                  "s3-cusps", "s4-proj"]
@@ -171,6 +177,85 @@ def test_newton_batch_lanes_do_not_depend_on_their_order(s4_proj_polish):
     assert np.array_equal(rev.iterations[::-1], out.iterations)
     assert np.array_equal(rev.stop[::-1], out.stop)
     assert np.max(np.abs(rev.z[::-1] - out.z)) <= 1e-12
+
+
+@pytest.fixture(scope="module", params=["s3-proj", "s3-cusps", "s4-proj"])
+def augmented_cloud(request):
+    """The augmented system of a scenario for the first covector of its
+    default seed, and its depth-1 cloud as a stack of z."""
+    S = bundled(request.param)
+    sysc = StratumCriticalSystem(S, sample_covector(S.n, [S.seed, 0]).a)
+    Z = np.array([sysc.base.pack(p.x, p.cokernel, p.multiplier) for p in solve_stratum1(S)])
+    return sysc, Z
+
+
+def test_augmented_block_matches_the_einsum_reference(augmented_cloud):
+    # on the cloud with perturbed multipliers, and off the singular set
+    # altogether, at one point and on stacks longer than the block's chunk
+    sysc, Z = augmented_cloud
+    assert len(Z) > sysc._block.chunk
+    rng = np.random.default_rng(12)
+    nu = einsum_initial_nu(sysc, Z) + rng.standard_normal((len(Z), sysc.E))
+    for W in (np.concatenate([Z, nu], axis=1), rng.uniform(-2, 2, (len(Z), sysc.D + sysc.E))):
+        for w in (W, W[0], W[-1]):
+            for got, want in zip(sysc.evaluate(w), einsum_augmented(sysc, w)):
+                _assert_close(got, want)
+    for z, v in zip(Z[::25], nu[::25]):
+        _assert_close(sysc.reduced_hessian(z, v), einsum_reduced_hessian(sysc, z, v))
+
+
+def test_stacked_initial_nu_matches_the_reference_lane_by_lane(augmented_cloud):
+    sysc, Z = augmented_cloud
+    assert len(Z) > batch_width(sysc.D + sysc.E)
+    stacked = sysc.initial_nu(Z)
+    _assert_close(stacked, np.array([einsum_initial_nu(sysc, z) for z in Z]))
+    _assert_close(sysc.initial_nu(Z[7]), stacked[7])
+    assert sysc.initial_nu(Z[:0]).shape == (0, sysc.E)
+
+
+def _dedup_loop(points, radius):
+    """``dedup_points`` before its window: every kept point is measured."""
+    pts = np.asarray(points, dtype=float)
+    kept = []
+    for idx in np.lexsort(pts.T[::-1]):
+        if not kept or np.all(np.linalg.norm(pts[kept] - pts[idx], axis=1) > radius):
+            kept.append(int(idx))
+    return kept
+
+
+def test_dedup_points_matches_the_loop():
+    rng = np.random.default_rng(13)
+    r = 0.25
+    base = rng.uniform(-1, 1, (40, 3))
+    # exact and near duplicates, in shuffled order
+    dups = np.concatenate([base, base, base + rng.uniform(-0.1, 0.1, base.shape)])
+    # pairs exactly radius apart, along the first coordinate or across it,
+    # and a grid spaced radius apart: every pair counts as a duplicate
+    grid = np.array([[i * r, j * r, 0.0] for i in range(-4, 5) for j in range(-4, 5)])
+    exact = np.array([[0.5, 0.0, 0.0], [0.75, 0.0, 0.0], [0.5, 0.25, 0.0], [1.0, 0.0, 0.125]])
+    # first coordinates between radius and 2 radius apart, near in the others
+    window = np.array([[0.0, 0.0, 0.0], [0.3, 0.0, 0.0], [0.4, 0.1, 0.0], [0.45, 0.0, 0.0]])
+    # first coordinates more than radius apart whose difference rounds to it
+    rounded = np.array([[0.008263817764264545, 0.0, 0.0], [0.25826381776426455, 0.0, 0.0]])
+    assert rounded[0, 0] < rounded[1, 0] - r and rounded[1, 0] - rounded[0, 0] == r
+    for pts in (dups[rng.permutation(len(dups))], grid, exact, window, rounded,
+                np.concatenate([grid, exact, window, rounded, dups])):
+        for radius in (r, np.nextafter(r, 0.0), 1e-3):
+            assert dedup_points(pts, radius) == _dedup_loop(pts, radius)
+    assert dedup_points(np.zeros((0, 3)), r) == []
+
+
+def test_dedup_points_matches_the_loop_on_the_s4_proj_cloud(s4_proj_polish):
+    S, sysc, W0 = s4_proj_polish
+    radius = S.tolerances.dedup_radius
+    cloud = W0[:, :S.N]
+    kept = dedup_points(cloud, radius)
+    assert len(kept) == len(cloud) == 600
+    assert kept == _dedup_loop(cloud, radius)
+    out = newton_batch(sysc.evaluate, W0, tol=S.tolerances.residual)
+    found = out.z[out.converged, :S.N]
+    assert dedup_points(found, radius) == _dedup_loop(found, radius)
+    assert len(dedup_points(found, radius)) == 2
 
 
 def test_min_norm_solve_matches_lstsq_lane_by_lane():

@@ -304,6 +304,27 @@ def test_malformed_tolerances_exit_64(tmp_path, capsys, tolerances):
     assert "tolerance" in capsys.readouterr().err
 
 
+# the default-seed hits of every bundled scenario: depth-1 hits are reported
+# for n = 1 only, k=0 hits always, surface hits for n = 3
+DEFAULT_HITS = {
+    "s2-height": {"depth1": [101, 97], "k0": [204, 195]},
+    "torus-height": {"depth1": [35, 29, 3, 3], "k0": [64, 38, 7, 5]},
+    "s4-height": {"depth1": [60, 47, 27, 17, 14, 12, 8, 8, 6, 1],
+                  "k0": [97, 69, 52, 51, 51, 46, 18, 9, 4, 3]},
+    "s3-proj": {"k0": [314, 284]},
+    "s3-cusps": {"k0": [271, 202, 52, 43]},
+    "s4-proj": {"k0": [432, 363], "surface": [315, 272]},
+}
+
+
+@pytest.mark.parametrize("name", list(DEFAULT_HITS))
+def test_hits_are_reported_where_the_roots_are_isolated(tmp_path, name):
+    assert run(RunConfig(scenario=str(scenario_path(name)), out_dir=str(tmp_path))) == EXIT_OK
+    solver = json.loads((tmp_path / "report.json").read_text())["audits"]["solver"]
+    assert {stage: solver[stage]["hits"] for stage in ("depth1", "k0", "surface")
+            if "hits" in solver.get(stage, {})} == DEFAULT_HITS[name]
+
+
 def test_explain_prints_solver_counters(tmp_path):
     # on s4-height one fold point is reached by a single depth-1 start
     assert run(RunConfig(scenario=str(scenario_path("s4-height")), out_dir=str(tmp_path))) == EXIT_OK
