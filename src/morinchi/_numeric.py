@@ -37,7 +37,7 @@ class NewtonResult:
 
 
 def _accepts(norm_try, norm):
-    """The damped Newton loops' test of a trial step, on floats or on stacks
+    """The damped Newton loop's test of a trial step, on floats or on stacks
     of them: its max-norm residual is below the current one.  That also
     refuses a NaN or infinite trial, since a max-norm is never negative."""
     return norm_try < norm
@@ -109,10 +109,12 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60, indexed=False):
     """Damped Newton on a stack of starts, all lanes in lockstep.
 
     ``F`` maps a (k, d) stack of iterates to stacked residuals (k, r) and
-    Jacobians (k, r, d).  Every lane follows ``newton`` with its default
-    solve: the minimal-norm step (``min_norm_solve``), up to twelve halvings
-    until ``_accepts`` the trial, and the same stopping rules, recorded lane
-    by lane in ``NewtonResult.stop``.
+    Jacobians (k, r, d).  Every lane takes the minimal-norm step
+    (``min_norm_solve``), halves it up to ``LINE_SEARCH_HALVINGS`` times
+    until ``_accepts`` the trial, and stops on a residual at most ``tol``, a
+    non-finite step, a failed line search or the iteration cap, as recorded
+    lane by lane in ``NewtonResult.stop``.  A non-finite residual or
+    Jacobian counts as a non-finite step.
     Lanes only share the calls to ``F`` and the stacked step solves: each
     iteration, and each halving of it, pools the lanes still at work across
     the whole stack into calls of at most ``batch_width(d)`` lanes.
@@ -182,48 +184,17 @@ def _max_abs(R):
     return np.max(np.abs(R), axis=1) if R.shape[1] else np.zeros(R.shape[0])
 
 
-def _lstsq(J, r):
-    return np.linalg.lstsq(J, r, rcond=None)[0]
+def newton(residual_fn, jacobian_fn, z0, tol=1e-12, max_iter=60):
+    """Damped Newton on one system: ``newton_batch`` on a single lane.
 
-
-def newton(residual_fn, jacobian_fn, z0, tol=1e-12, max_iter=60, solve=_lstsq):
-    """Damped Newton iteration on one square or rectangular system.
-
-    Each step is ``solve(J, -r)``; the default, least squares, solves
-    rectangular systems in the minimal-norm sense, which keeps iterates near
-    the starting sheet of a positive-dimensional solution set.  A square
-    system may pass an LU solve.  The step is halved up to
-    ``LINE_SEARCH_HALVINGS`` times until ``_accepts`` the trial.  Why the
-    iteration stopped is recorded in ``NewtonResult.stop``; a ``LinAlgError``
-    from ``solve`` counts as a non-finite step.  ``residual_fn`` returns a
-    fresh array on every call: the accepted residual is kept across trials.
+    ``residual_fn`` and ``jacobian_fn`` take one point (d,); the result
+    holds z (d,) and the residual, iterations and stop as Python scalars.
     """
-    z = np.asarray(z0, dtype=float).copy()
-    res = np.asarray(residual_fn(z), dtype=float)
-    norm = float(np.max(np.abs(res))) if res.size else 0.0
-    for it in range(1, max_iter + 1):
-        if norm <= tol:
-            return NewtonResult(z, norm, it - 1, STOP_REASONS.index("converged"))
-        J = np.asarray(jacobian_fn(z), dtype=float)
-        try:
-            step = solve(J, -res)
-        except np.linalg.LinAlgError:
-            step = np.nan
-        if not np.all(np.isfinite(step)):
-            return NewtonResult(z, norm, it, STOP_REASONS.index("nonfinite_step"))
-        scale = 1.0
-        for _ in range(LINE_SEARCH_HALVINGS):
-            z_try = z + scale * step
-            res_try = np.asarray(residual_fn(z_try), dtype=float)
-            norm_try = float(np.max(np.abs(res_try)))
-            if _accepts(norm_try, norm):
-                break
-            scale *= 0.5
-        else:
-            return NewtonResult(z, norm, it, STOP_REASONS.index("line_search_failed"))
-        z, res, norm = z_try, res_try, norm_try
-    return NewtonResult(z, norm, max_iter,
-                        STOP_REASONS.index("converged" if norm <= tol else "iteration_cap"))
+    out = newton_batch(lambda Z: (np.asarray(residual_fn(Z[0]), dtype=float)[None],
+                                  np.asarray(jacobian_fn(Z[0]), dtype=float)[None]),
+                       z0, tol, max_iter)
+    return NewtonResult(out.z[0], float(out.residual[0]), int(out.iterations[0]),
+                        int(out.stop[0]))
 
 
 def nullspace(A, rtol=1e-9):

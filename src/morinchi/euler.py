@@ -40,17 +40,17 @@ def chi_with_boundary(interior_records, boundary_records, certificates=()) -> in
     certs = list(certificates)
     for rec in boundary_records:
         if rec.correct is None:
-            raise ReportError(f"boundary record at {tuple(rec.x)} not classified")
+            raise ReportError(f"boundary record at {tuple(map(float, rec.x))} not classified")
         if rec.correct:
             if rec.inward_into == "n/a":
-                raise ReportError(f"correct boundary record at {tuple(rec.x)} "
+                raise ReportError(f"correct boundary record at {tuple(map(float, rec.x))} "
                                   f"lacks an inwardness verdict")
             if rec.inward_into == "inward":
                 chi += (-1) ** rec.morse_index
         else:
             cert = _certificate_for(certs, rec.x)
             if cert is None:
-                raise ReportError(f"non-correct boundary record at {tuple(rec.x)} "
+                raise ReportError(f"non-correct boundary record at {tuple(map(float, rec.x))} "
                                   f"has no perturbation certificate")
             chi += cert.chi_contribution
     return int(chi)

@@ -165,7 +165,7 @@ def validate_regularity(M: ImplicitManifold, count: int, seed: int,
     if len(points) == 0:
         raise RegularityError("no random point could be projected onto the manifold")
     sv = np.linalg.svd(M.jacobian(points), compute_uv=False)[:, -1]
-    failures = [tuple(p) for p in points[sv < rank_tol]]
+    failures = [tuple(map(float, p)) for p in points[sv < rank_tol]]
     return RegularityReport(
         ok=not failures,
         checked=len(points),

@@ -33,8 +33,9 @@ from .strata import (
     Stratification,
     StratificationError,
     _multistart_seeds,
+    _null_tangents,
     bisect_on_curve,
-    correct_in_plane,
+    correct_in_planes,
     curve_tangent,
     land,
     stratum_point,
@@ -310,21 +311,19 @@ def _critical_points_on_curves(S, a: Covector, strat: Stratification):
     fold_zeros = []
     cusp_hits = {}
 
-    def dh_ds(z, chord):
-        t = curve_tangent(system, z, prev=chord / np.linalg.norm(chord))
-        return float((S.Df(z[:S.N]).T @ a.a) @ t[:S.N])
+    def dh_ds(Z, chords):
+        T = _null_tangents(system, Z, prev=chords)
+        return np.einsum("l,kli,ki->k", a.a, S.Df(Z[:, :S.N]), T[:, :S.N])
 
     for curve in strat.curves:
         phis = _curve_phi_values(S, a.a, curve)
-        K = len(phis)
-        for i in range(K):
-            j = (i + 1) % K
-            if phis[i] == 0.0:
-                raise GenericityFailure("exact zero derivative at a trace node")
-            if phis[i] * phis[j] > 0:
-                continue
-            z_star, _ = bisect_on_curve(system, curve.nodes[i], curve.nodes[j], phis[i],
-                                        dh_ds, gap=1e-13)
+        if np.any(phis == 0.0):
+            raise GenericityFailure("exact zero derivative at a trace node")
+        brackets = np.flatnonzero(~(phis * np.roll(phis, -1) > 0))
+        Z_star, _ = bisect_on_curve(system, curve.nodes[brackets],
+                                    curve.nodes[(brackets + 1) % len(phis)], phis[brackets],
+                                    dh_ds, gap=1e-13)
+        for z_star in Z_star:
             hit = _cusp_near(S, strat.cusps, z_star[:S.N])
             if hit is None:
                 polished = _polish_stratum_critical(S, a.a, z_star)
@@ -516,7 +515,7 @@ def check_fold_index_parity(S: MorinScenario, a: Covector, k0_records,
         partner = min(stratum_records, key=lambda r: float(np.linalg.norm(r.x - rec.x)),
                       default=None)
         if partner is None or np.linalg.norm(partner.x - rec.x) > 1e-6:
-            violations.append((tuple(rec.x), "no on-stratum partner"))
+            violations.append((tuple(map(float, rec.x)), "no on-stratum partner"))
             continue
         on_idx = partner.morse_index
         if rec.fold_sign == "plus":
@@ -524,7 +523,7 @@ def check_fold_index_parity(S: MorinScenario, a: Covector, k0_records,
         else:
             ok = (rec.morse_index - on_idx) % 2 == 1
         if not ok:
-            violations.append((tuple(rec.x),
+            violations.append((tuple(map(float, rec.x)),
                                f"ambient {rec.morse_index} vs stratum {on_idx} "
                                f"on {rec.fold_sign}"))
     return ParityAudit(checked=len(k0_records), violations=violations)
@@ -542,15 +541,15 @@ def _curve_context_at(S, p):
         raise StratificationError(f"could not land on the singular curve at the cusp {p.x}")
     t = curve_tangent(system, landed.z)
     delta = S.tolerances.curve_step / 2
-    samples, signs = [], []
-    for s in (-delta, delta):
-        out = correct_in_plane(system, landed.z + s * t, None, t)
-        if not out.converged:
-            raise StratificationError("could not sample the two arcs at a cusp")
-        q = stratum_point(S, *system.unpack(out.z))
+    starts = landed.z + np.outer([-delta, delta], t)
+    out = correct_in_planes(system, starts, starts, np.array([t, t]))
+    if not out.converged.all():
+        raise StratificationError("could not sample the two arcs at a cusp")
+    samples, signs = list(out.z), []
+    for z in samples:
+        q = stratum_point(S, *system.unpack(z))
         if q.depth != 1:
             raise StratificationError("arc sample at a cusp is not a fold point")
-        samples.append(out.z)
         signs.append(q.sign)
     if signs[0] == signs[1]:
         raise MorseAuditError(f"arcs adjacent to the cusp at {p.x} carry equal signs")
@@ -574,19 +573,18 @@ def perturbation_certificate(S: MorinScenario, a: Covector, p) -> PerturbationCe
     if abs(h2) < thr:
         raise GenericityFailure(f"degenerate closure Hessian at the cusp {p.x}")
     interior_index = 1 if h2 < 0 else 0
-    eps = 1e-4 * abs(h2)
-    tilde = None
-    for _ in range(8):
-        s_tilde = -eps / h2
-        out = correct_in_plane(system, z_c + s_tilde * t, None, t)
-        if out.converged:
-            x_t = out.z[:S.N]
-            if np.linalg.norm(x_t - p.x) > S.tolerances.dedup_radius:
-                tilde = out.z
-                break
-        eps *= 0.5
-    if tilde is None:
+    # eps halved up to seven times; the first candidate that converges and
+    # is separated from the cusp is the partner
+    eps = 1e-4 * abs(h2) * 0.5 ** np.arange(8)
+    starts = z_c + np.outer(-eps / h2, t)
+    out = correct_in_planes(system, starts, starts, np.tile(t, (len(eps), 1)))
+    separated = out.converged & (np.linalg.norm(out.z[:, :S.N] - p.x, axis=1)
+                                 > S.tolerances.dedup_radius)
+    if not separated.any():
         raise StratificationError(f"no separated interior partner at the cusp {p.x}")
+    k = int(np.argmax(separated))
+    tilde, eps = out.z[k], float(eps[k])
+    x_t = tilde[:S.N]
     q = stratum_point(S, *system.unpack(tilde))
     if q.depth != 1:
         raise StratificationError("interior partner is not a fold point")
@@ -705,11 +703,12 @@ def _boundary_equivalence_audit(S, k0_records, k1_records, strat) -> SeparationA
             if d < best_d:
                 best_j, best_d = j, d
         if best_j is None or best_d > 1e-6:
-            unmatched_k0.append(tuple(rec.x))
+            unmatched_k0.append(tuple(map(float, rec.x)))
         else:
             used.add(best_j)
             max_d = max(max_d, best_d)
-    unmatched_k1 = [tuple(r.x) for j, r in enumerate(k1_records) if j not in used]
+    unmatched_k1 = [tuple(map(float, r.x))
+                    for j, r in enumerate(k1_records) if j not in used]
     return SeparationAudit(
         matched=len(used),
         max_distance=max_d,
@@ -743,7 +742,8 @@ def validate_genericity(S: MorinScenario, a: Covector, strat: Stratification,
     for rec in data.k0_records:
         for cusp in strat.cusps:
             if np.linalg.norm(rec.x - cusp.x) < 10 * S.tolerances.dedup_radius:
-                failures.append(f"critical point of h collides with a cusp at {tuple(rec.x)}")
+                failures.append("critical point of h collides with a cusp at "
+                                f"{tuple(map(float, rec.x))}")
     parity = data.audits["parity"]
     if parity is not None and not parity.ok:
         failures.append(f"index parity: {parity.violations}")
@@ -751,7 +751,7 @@ def validate_genericity(S: MorinScenario, a: Covector, strat: Stratification,
         failures.append("block Hessian sign identity failed at a cusp")
     for cert in data.certificates:
         if not cert.cancels:
-            failures.append(f"perturbation pair at {tuple(cert.p)} does not cancel")
+            failures.append(f"perturbation pair at {tuple(map(float, cert.p))} does not cancel")
     return GenericityAudit(ok=not failures, failures=failures, attempt=attempt)
 
 

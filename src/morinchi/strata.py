@@ -7,7 +7,7 @@ strata are read off the kernel Hessian of <u, f> corrected by the constraint
 multipliers.  For two-dimensional targets the depth-1 set is a union of
 closed curves, traced by pseudo-arclength continuation; cusps are bracketed
 by the sign of the kernel-Hessian determinant and refined by bisection.
-The continuation routines (``land``, ``correct_in_plane``,
+The continuation routines (``land``, ``correct_in_planes``,
 ``curve_tangent``, ``bisect_on_curve``) also serve the Morse walk along the
 fold curves in ``morse``.
 """
@@ -642,19 +642,20 @@ def stratum_point(S, x, u, mu, system=None, K=None) -> StratumPoint:
 # A predictor-corrector layout after Allgower & Georg, Introduction to
 # Numerical Continuation Methods (SIAM 2003): a step along the tangent t,
 # then Newton back to the curve inside the plane normal to t (the trace starts
-# that Newton from a second-order predictor).  Landing takes least-squares
-# steps of ``newton`` on the curve equations.  The corrector's bordered matrix
+# that Newton from a second-order predictor).  Every solve is ``newton_batch``
+# and takes its minimal-norm step: landing (``land``, one point through
+# ``newton``, and the midpoints of ``bisect_on_curve``, all brackets at once)
+# solves the rectangular curve equations, the corrector (``correct_in_planes``)
+# the curve equations bordered by each start's plane row.  The bordered matrix
 # [J; t] is square, and nonsingular wherever the curve is smooth and t is not
-# normal to it: one point is corrected by ``newton`` with an LU solve
-# (``correct_in_plane``), a stack of them, each in its own plane, by one
-# ``newton_batch`` (``correct_in_planes``), whose square stacks take the
-# inverse, the LU step up to rounding.  The trace's next tangent is the one
-# [J(z_new); t] induces (the solution of [J; t] tau = e_last, normalized),
-# oriented along t since t . tau = 1; only the seeds of a trace, cusps and the
-# Morse walk take it from the null space by SVD (``curve_tangent``).  The
-# trace audits the nullity of J at every node afterwards, in stacks.  The
-# trace below and the Morse walk along the fold curves in ``morse`` share
-# these routines.
+# normal to it; there its inverse gives the step.  The trace's next tangent is
+# the one [J(z_new); t] induces (the solution of [J; t] tau = e_last,
+# normalized), oriented along t since t . tau = 1; the seeds of a trace,
+# cusps, the Morse walk and an exactly singular bordered stack take it from
+# the null space by SVD (``curve_tangent``, ``_null_tangents``).  The trace
+# audits the nullity of J at every node afterwards, in stacks.  The trace
+# below and the Morse walk along the fold curves in ``morse`` share these
+# routines.
 
 
 def land(system, z):
@@ -663,39 +664,20 @@ def land(system, z):
                   tol=system.S.tolerances.residual, max_iter=60)
 
 
-def correct_in_plane(system, z_start, anchor, t):
-    """Newton from z_start onto the solution set cut by the plane through
-    ``anchor`` normal to t.  ``anchor`` None means z_start itself: the
-    corrector of a predictor step along t.
-
-    ``newton`` on the bordered system, whose square matrix [J; t] takes one
-    LU solve per step; an exactly singular one stops it as a non-finite step.
-    """
-    z = np.asarray(z_start, dtype=float)
-    anchor = z if anchor is None else anchor
-    return newton(lambda w: np.concatenate((system.residual(w), [t @ (w - anchor)])),
-                  lambda w: _bordered(system.jacobian(w), t), z,
-                  tol=system.S.tolerances.residual, max_iter=40, solve=np.linalg.solve)
-
-
 def correct_in_planes(system, Z, anchors, normals):
-    """``correct_in_plane`` for a stack of starts (B, dim_z), start i in the
-    plane through anchors[i] normal to normals[i]: one ``newton_batch``,
-    whose lanes each see their own plane row."""
+    """Newton from each start of a stack (B, dim_z) onto the solution set cut
+    by its own plane, start i by the plane through anchors[i] normal to
+    normals[i]: one ``newton_batch`` on the bordered system, whose lanes each
+    see their own plane row."""
     def bordered(W, rows):
         R, J = system.evaluate(W)
         t = normals[rows]
         plane = np.sum((W - anchors[rows]) * t, axis=1)
-        return np.concatenate((R, plane[:, None]), axis=1), _bordered(J, t)
+        return (np.concatenate((R, plane[:, None]), axis=1),
+                np.concatenate((J, t[:, None, :]), axis=1))
 
     return newton_batch(bordered, Z, tol=system.S.tolerances.residual, max_iter=40,
                         indexed=True)
-
-
-def _bordered(J, t):
-    """The bordered matrix [J; t] of the curve equations and the plane
-    normal to t, for one point or a stack."""
-    return np.concatenate((J, t[..., None, :]), axis=-2)
 
 
 def _nullity_error(nullity):
@@ -717,24 +699,13 @@ def curve_tangent(system, z, prev=None):
     return sign_normalize(t) if prev is None else t
 
 
-def _chain_tangent(system, z, t):
-    """Unit tangent at z induced by [J(z); t]: the solution of
-    [J(z); t] tau = e_last, normalized, so it points along t.  An exactly
-    singular bordered matrix falls back to ``curve_tangent``, which rejects
-    a nullity other than 1."""
-    e_last = np.zeros(t.size)
-    e_last[-1] = 1.0
-    try:
-        tau = np.linalg.solve(_bordered(system.jacobian(z), t), e_last)
-    except np.linalg.LinAlgError:
-        return curve_tangent(system, z, prev=t)
-    return tau / np.linalg.norm(tau)
-
-
 def _chain_tangents(system, Z, T, bordered):
-    """``_chain_tangent`` at each point of a stack, given the bordered
-    matrices [J(Z); T], ``batch_width`` points per solve; a stack with an
-    exactly singular one goes point by point."""
+    """Unit tangents at a stack of points Z induced by their bordered
+    matrices [J(Z); T]: the solutions of [J(z); t] tau = e_last, normalized,
+    so each points along its t.  ``batch_width`` points take one solve; a
+    chunk with an exactly singular matrix takes its SVD null vectors
+    instead (``_null_tangents`` along T), which reject a nullity other
+    than 1."""
     width = batch_width(system.dim_z)
     out = np.empty_like(T)
     for i in range(0, len(Z), width):
@@ -743,8 +714,7 @@ def _chain_tangents(system, Z, T, bordered):
         try:
             tau = np.linalg.solve(bordered[i:i + width], e_last)[..., 0]
         except np.linalg.LinAlgError:
-            out[i:i + width] = [_chain_tangent(system, *zt)
-                                for zt in zip(Z[i:i + width], T[i:i + width])]
+            out[i:i + width] = _null_tangents(system, Z[i:i + width], T[i:i + width])
             continue
         out[i:i + width] = tau / np.linalg.norm(tau, axis=1, keepdims=True)
     return out
@@ -773,10 +743,11 @@ def _audit_curve_nullity(system, Z):
             raise _nullity_error(nullity[bad[0]])
 
 
-def _seed_tangents(system, Z):
-    """Sign-normalized unit tangents at a stack of curve points: the SVD
-    null vectors of J, as ``curve_tangent`` gives them, with one stacked SVD
-    per ``batch_width`` points; a nullity other than 1 is rejected."""
+def _null_tangents(system, Z, prev=None):
+    """``curve_tangent`` at each point of a stack: the SVD null vectors of J,
+    one stacked SVD per ``batch_width`` points, each oriented along its row
+    of ``prev`` when given and sign-normalized otherwise; a nullity other
+    than 1 is rejected."""
     width = batch_width(system.dim_z)
     T = np.empty_like(Z)
     for i in range(0, len(Z), width):
@@ -784,30 +755,47 @@ def _seed_tangents(system, Z):
         bad = np.flatnonzero(nullity != 1)
         if bad.size:
             raise _nullity_error(nullity[bad[0]])
-    return sign_normalize(T)
+    if prev is None:
+        return sign_normalize(T)
+    return np.where((np.sum(T * prev, axis=1) < 0)[:, None], -T, T)
 
 
-def bisect_on_curve(system, za, zb, fa, value, gap):
-    """Bisect a sign change of a scalar along the curve between za and zb.
+def bisect_on_curve(system, ZA, ZB, FA, value, gap):
+    """Bisect sign changes of a scalar along the curve, all brackets in
+    lockstep.
 
-    Every midpoint is landed on the curve and ``value(z, chord)`` is
-    evaluated there, ``chord`` being the current bracket zb - za; ``fa`` is
-    the value at za.  Stops at a landed midpoint whose value is exactly zero
-    or whose bracket is shorter than ``gap``, and returns the bracket
-    midpoint after 60 halvings.  Returns (z, number of midpoints landed).
+    Bracket i runs from ZA[i] to ZB[i], and FA[i] is the value at ZA[i].
+    Each round lands the midpoints of the open brackets with one
+    ``newton_batch`` and evaluates ``value(Z, chords)`` there, ``chords``
+    being the current brackets ZB - ZA.  A bracket stops at a landed
+    midpoint whose value is exactly zero or whose bracket is shorter than
+    ``gap``, and returns its bracket midpoint after 60 halvings.  Returns
+    the points (k, dim_z) and the number of midpoints landed per bracket.
     """
-    for steps in range(1, 61):
-        mid = land(system, 0.5 * (za + zb))
-        if not mid.converged:
+    ZA, ZB = np.array(ZA, dtype=float), np.array(ZB, dtype=float)
+    FA = np.array(FA, dtype=float)
+    Z = np.empty_like(ZA)
+    steps = np.zeros(len(ZA), dtype=int)
+    live = np.arange(len(ZA))
+    for step in range(1, 61):
+        if live.size == 0:
+            break
+        mid = newton_batch(system.evaluate, 0.5 * (ZA[live] + ZB[live]),
+                           tol=system.S.tolerances.residual, max_iter=60)
+        if not mid.converged.all():
             raise StratificationError("bisection lost the curve")
-        fm = value(mid.z, zb - za)
-        if fm == 0.0 or np.linalg.norm(zb - za) < gap:
-            return mid.z, steps
-        if fa * fm < 0:
-            zb = mid.z
-        else:
-            za, fa = mid.z, fm
-    return 0.5 * (za + zb), steps
+        chords = ZB[live] - ZA[live]
+        fm = value(mid.z, chords)
+        steps[live] = step
+        done = (fm == 0.0) | (np.linalg.norm(chords, axis=1) < gap)
+        Z[live[done]] = mid.z[done]
+        right = ~done & (FA[live] * fm < 0)
+        left = ~done & ~right
+        ZB[live[right]] = mid.z[right]
+        ZA[live[left]], FA[live[left]] = mid.z[left], fm[left]
+        live = live[~done]
+    Z[live] = 0.5 * (ZA[live] + ZB[live])
+    return Z, steps
 
 
 # -- depth classification -------------------------------------------------------
@@ -844,18 +832,14 @@ def degenerate_eigenvalue_slope(S: MorinScenario, p: StratumPoint):
     if align < 0:
         t = -t
     delta = S.tolerances.curve_step / 4
-    vals = []
-    for s in (-delta, 0.0, delta):
-        if s == 0.0:
-            vals.append(_near_zero_eig(S, p.x, p.cokernel, p.multiplier))
-            continue
-        out = correct_in_plane(system, z + s * t, None, t)
-        if not out.converged:
-            raise StratificationError("could not sample the curve near the point")
-        xx, uu, mm = system.unpack(out.z)
-        if uu @ p.cokernel < 0:
-            uu, mm = -uu, -mm
-        vals.append(_near_zero_eig(S, xx, uu, mm))
+    starts = z + np.outer([-delta, delta], t)
+    out = correct_in_planes(system, starts, starts, np.array([t, t]))
+    if not out.converged.all():
+        raise StratificationError("could not sample the curve near the point")
+    xx, uu, mm = system.unpack(out.z)
+    flip = np.where(uu @ p.cokernel < 0, -1.0, 1.0)[:, None]
+    below, above = (_near_zero_eig(S, *q) for q in zip(xx, uu * flip, mm * flip))
+    vals = [below, _near_zero_eig(S, p.x, p.cokernel, p.multiplier), above]
     # measure per unit arc of the base curve in x-space, not of the lifted
     # curve in (x, u, mu)-space, matching the chart normal-form coefficient
     x_speed = float(np.linalg.norm(t[:S.N]))
@@ -1000,7 +984,7 @@ class _Lanes:
     def __init__(self, system, seeds):
         self.system, self.h = system, system.S.tolerances.curve_step
         k, d = seeds.shape
-        T = _seed_tangents(system, seeds)
+        T = _null_tangents(system, seeds)
         self.sigma = np.where(np.arange(d) < system.S.N, 1.0, -1.0)
         # target q is seed q, target k + q its sheet image
         self.targets = np.concatenate((seeds, seeds * self.sigma))
@@ -1203,18 +1187,13 @@ class _Lanes:
 
 def _locate_cusps(S, system, curve: FoldCurve):
     dets = curve.det_values
-    K = len(dets)
-    steps = 0
-    for i in range(K):
-        j = (i + 1) % K
-        if dets[i] == 0.0:
-            raise StratificationError("exact zero determinant at a trace node")
-        if dets[i] * dets[j] > 0:
-            continue
-        z_cusp, n = bisect_on_curve(system, curve.nodes[i], curve.nodes[j], dets[i],
-                                    lambda z, chord: _node_metrics(S, system, z)[0],
-                                    gap=1e-14)
-        steps += n
+    if np.any(dets == 0.0):
+        raise StratificationError("exact zero determinant at a trace node")
+    brackets = np.flatnonzero(~(dets * np.roll(dets, -1) > 0))
+    Z, steps = bisect_on_curve(system, curve.nodes[brackets],
+                               curve.nodes[(brackets + 1) % len(dets)], dets[brackets],
+                               lambda Z, chords: _node_metrics(S, system, Z)[0], gap=1e-14)
+    for i, z_cusp in zip(brackets.tolist(), Z):
         landed = land(system, z_cusp)
         if not landed.converged:
             raise StratificationError("could not land on the singular curve at a cusp")
@@ -1231,7 +1210,7 @@ def _locate_cusps(S, system, curve: FoldCurve):
             )
         curve.cusps.append(p)
         curve.cusp_positions.append(i + 0.5)
-    curve.solver["bisection_steps"] = steps
+    curve.solver["bisection_steps"] = int(np.sum(steps))
     # a cokernel that returns to minus itself makes the trace cover the base
     # curve twice; cusp bookkeeping would then double-count, so fail loudly
     for i in range(len(curve.cusps)):

@@ -5,7 +5,14 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from morinchi._numeric import min_norm_solve, nullspace, vecmat
+from morinchi._numeric import (
+    LINE_SEARCH_HALVINGS,
+    STOP_REASONS,
+    NewtonResult,
+    min_norm_solve,
+    nullspace,
+    vecmat,
+)
 from morinchi.strata import load_scenario
 
 
@@ -26,6 +33,39 @@ def fd_jacobian(fn, z, step=1e-7):
         e[i] = step
         J[:, i] = (fn(z + e) - fn(z - e)) / (2 * step)
     return J
+
+
+def reference_newton(residual_fn, jacobian_fn, z0, tol=1e-12, max_iter=60):
+    """Damped Newton on one system, one point at a time: the scalar loop
+    ``newton_batch`` replaced.  Each step is ``np.linalg.lstsq``'s
+    minimal-norm solution, halved up to ``LINE_SEARCH_HALVINGS`` times until
+    the trial's max-norm residual is below the current one."""
+    z = np.asarray(z0, dtype=float).copy()
+    res = np.asarray(residual_fn(z), dtype=float)
+    norm = float(np.max(np.abs(res))) if res.size else 0.0
+    for it in range(1, max_iter + 1):
+        if norm <= tol:
+            return NewtonResult(z, norm, it - 1, STOP_REASONS.index("converged"))
+        J = np.asarray(jacobian_fn(z), dtype=float)
+        try:
+            step = np.linalg.lstsq(J, -res, rcond=None)[0]
+        except np.linalg.LinAlgError:
+            step = np.nan
+        if not np.all(np.isfinite(step)):
+            return NewtonResult(z, norm, it, STOP_REASONS.index("nonfinite_step"))
+        scale = 1.0
+        for _ in range(LINE_SEARCH_HALVINGS):
+            z_try = z + scale * step
+            res_try = np.asarray(residual_fn(z_try), dtype=float)
+            norm_try = float(np.max(np.abs(res_try)))
+            if norm_try < norm:
+                break
+            scale *= 0.5
+        else:
+            return NewtonResult(z, norm, it, STOP_REASONS.index("line_search_failed"))
+        z, res, norm = z_try, res_try, norm_try
+    return NewtonResult(z, norm, max_iter,
+                        STOP_REASONS.index("converged" if norm <= tol else "iteration_cap"))
 
 
 def einsum_augmented(sysc, w):

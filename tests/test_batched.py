@@ -1,9 +1,10 @@
 """Stacked jets, the lane-wise batched Newton and the stacked kernel geometry
 against their references.
 
-The single-point jets, the scalar ``newton`` and the per-point frames, node
-metrics and tangents are the references: a stack must give what a loop over
-its points gives, up to the rounding of a different summation order.
+The single-point jets, the scalar Newton loop (``reference_newton``) and the
+per-point frames, node metrics and tangents are the references: a stack must
+give what a loop over its points gives, up to the rounding of a different
+summation order.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from morinchi import expr as ex
+from morinchi import strata
 from morinchi._numeric import (
     STOP_REASONS,
     _accepts,
@@ -54,6 +56,7 @@ from tests.conftest import (
     einsum_augmented,
     einsum_initial_nu,
     einsum_reduced_hessian,
+    reference_newton,
 )
 
 ALL_SCENARIOS = ["s2-height", "torus-height", "s3-proj", "s4-height",
@@ -110,13 +113,20 @@ def test_stacked_jets_match_exact_derivatives(name):
 
 
 def _agree_lane_by_lane(residual_fn, jacobian_fn, Z0, tol, max_iter):
+    # every lane against the scalar reference loop, and ``newton``, one lane
+    # of ``newton_batch``, against the batch with scalars for its counters
     batch = newton_batch(lambda Z: (residual_fn(Z), jacobian_fn(Z)), Z0, tol, max_iter)
     for i, z0 in enumerate(Z0):
-        one = newton(residual_fn, jacobian_fn, z0, tol=tol, max_iter=max_iter)
+        one = reference_newton(residual_fn, jacobian_fn, z0, tol=tol, max_iter=max_iter)
         assert ((batch.converged[i], batch.iterations[i], batch.stop[i])
                 == (one.converged, one.iterations, one.stop)), i
         if one.converged:
             assert np.max(np.abs(batch.z[i] - one.z)) <= 1e-10
+        lane = newton(residual_fn, jacobian_fn, z0, tol=tol, max_iter=max_iter)
+        assert [type(v) for v in (lane.residual, lane.iterations, lane.stop)] == [float, int, int]
+        assert (lane.iterations, lane.stop) == (batch.iterations[i], batch.stop[i]), i
+        if lane.converged:
+            assert np.max(np.abs(lane.z - batch.z[i])) <= 1e-10
     return batch
 
 
@@ -413,3 +423,29 @@ def test_curve_tangents_are_the_tangent_chain(fold_curves, name):
         assert np.array_equal(np.sign(stacked), np.sign(phis))
         assert np.array_equal(np.sign(stacked), np.sign(svd_phis))
         _assert_close(stacked, phis)
+
+
+def test_a_singular_bordered_chunk_takes_the_null_vectors(fold_curves, monkeypatch):
+    # when the solve of one chunk of bordered matrices raises, that chunk's
+    # tangents are the SVD null vectors oriented along the previous tangents
+    S, (curve,) = fold_curves["s3-cusps"]
+    system = SingularSystem(S)
+    Z, T = curve.nodes[1:40], curve.tangents[:39]
+    bordered = np.concatenate((system.jacobian(Z), T[:, None, :]), axis=1)
+    want = strata._chain_tangents(system, Z, T, bordered)
+    solve, calls = np.linalg.solve, []
+
+    def singular_second_chunk(A, b):
+        calls.append(len(A))
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(A, b)
+
+    monkeypatch.setattr(strata, "batch_width", lambda d: 15)
+    monkeypatch.setattr(np.linalg, "solve", singular_second_chunk)
+    got = strata._chain_tangents(system, Z, T, bordered)
+    monkeypatch.undo()
+    assert calls == [15, 15, 9]
+    _assert_close(np.delete(got, np.s_[15:30], axis=0), np.delete(want, np.s_[15:30], axis=0))
+    for z, t, tau in zip(Z[15:30], T[15:30], got[15:30]):
+        assert np.max(np.abs(tau - curve_tangent(system, z, prev=t))) <= 1e-12

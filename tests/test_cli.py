@@ -8,6 +8,7 @@ import pytest
 
 from morinchi.cli import (
     EXIT_FORMAT,
+    EXIT_GENERICITY,
     EXIT_MORIN,
     EXIT_OK,
     EXIT_REGULARITY,
@@ -37,6 +38,16 @@ def test_run_s2_height(tmp_path):
     assert (tmp_path / "strata.csv").exists()
     assert (tmp_path / "critical.csv").exists()
     assert (tmp_path / "curves.csv").exists()
+
+
+def test_genericity_refusal_prints_points_as_plain_floats(tmp_path, capsys):
+    # with this root seed the first covector leaves a depth-1 point unmatched
+    code = main(["run", "--scenario", str(scenario_path("s4-height")), "--seed", "181633",
+                 "--max-resamples", "1", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_GENERICITY
+    assert "genericity exhausted" in err and "unmatched [(-1.0" in err
+    assert "np.float64(" not in err
 
 
 def test_run_rejects_even_codimension(tmp_path, capsys):

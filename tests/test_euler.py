@@ -76,6 +76,15 @@ def test_chi_with_boundary_requires_certificate_for_non_correct():
         chi_with_boundary([], [rec((0.0,), 0, correct=False)])
 
 
+def test_chi_with_boundary_errors_print_points_as_plain_floats():
+    for boundary in ([rec((0.5, -0.25), 0, correct=None)],
+                     [rec((0.5, -0.25), 0, correct=True)],
+                     [rec((0.5, -0.25), 0, correct=False)]):
+        with pytest.raises(ReportError, match=r"at \(0\.5, -0\.25\) ") as info:
+            chi_with_boundary([], boundary)
+        assert "np.float64(" not in str(info.value)
+
+
 def test_chi_with_boundary_uses_certificate_contribution():
     cert = PerturbationCertificate(
         p=np.zeros(1), p_tilde=np.ones(1), eps=1e-4, sign_xnk=-1,

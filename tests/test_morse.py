@@ -280,6 +280,26 @@ def test_validate_genericity_flags_failures(cusp_ctx):
     assert any("cancel" in f for f in bad.failures)
 
 
+def test_audit_messages_print_points_as_plain_floats(cusp_ctx):
+    # numpy 2 writes np.float64(...) for the entries of a tuple of array
+    # elements; every point in a failure message is a tuple of floats
+    S, strat, a, data, audit = cusp_ctx
+    import copy
+    broken = copy.deepcopy(data)
+    broken.k0_records[0].x = strat.cusps[0].x.copy()       # on a cusp, unmatched
+    broken.audits["parity"] = check_fold_index_parity(S, a, broken.k0_records, [])
+    broken.audits["separation"] = morse._boundary_equivalence_audit(
+        S, broken.k0_records, data.stratum_records[1], strat)
+    broken.certificates[0].cancels = False
+    bad = validate_genericity(S, a, strat, broken)
+    kinds = ("boundary-criticality equivalence", "collides with a cusp", "index parity",
+             "does not cancel")
+    assert [k for k in kinds if any(k in f for f in bad.failures)] == list(kinds)
+    assert broken.audits["separation"].unmatched_k0 and broken.audits["separation"].unmatched_k1
+    for failure in bad.failures:
+        assert "np.float64(" not in failure and "(" in failure
+
+
 def test_genericity_exhausted_when_budget_tiny(s3_cusps):
     from morinchi.strata import Tolerances
     import copy
@@ -363,11 +383,11 @@ def test_unconverged_landing_is_a_stratification_error(flat_cusp, monkeypatch):
     with pytest.raises(StratificationError, match="land"):
         morse._curve_context_at(S, p)
 
-    # the cusp bisection converges at once, then the landing on the cusp stalls
-    stops = iter([STOP_REASONS.index("converged"), STOP_REASONS.index("line_search_failed")])
-    monkeypatch.setattr(strata, "land", lambda system, z0: NewtonResult(
-        np.asarray(z0, dtype=float), 0.0, 1, next(stops)))
-    monkeypatch.setattr(strata, "_node_metrics", lambda S, system, z: (0.0, 0))
+    # the cusp bisection stops at its first midpoint, an exact zero of the
+    # determinant, then the landing on the cusp stalls
+    monkeypatch.setattr(strata, "land", stalled)
+    monkeypatch.setattr(strata, "_node_metrics",
+                        lambda S, system, Z: (np.zeros(len(Z)), np.zeros(len(Z), dtype=int)))
     curve = FoldCurve(nodes=np.array([z, z + 0.01]), closed=True, closure_error=0.0,
                       det_values=np.array([1.0, -1.0]), parities=np.array([0, 1]),
                       tangents=np.zeros((2, len(z))))

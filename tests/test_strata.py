@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from morinchi import expr as ex
-from morinchi import strata
-from morinchi._numeric import STOP_REASONS, eig_sign_counts, newton
+from morinchi import morse, strata
+from morinchi._numeric import STOP_REASONS, eig_sign_counts
 from morinchi.strata import (
     MorinnessError,
     ScenarioFormatError,
@@ -16,10 +16,12 @@ from morinchi.strata import (
     StratumPoint,
     Tolerances,
     _kernel_data,
+    _node_metrics,
     bisect_on_curve,
     classify_depth,
     compute_stratification,
-    correct_in_plane,
+    correct_in_planes,
+    curve_tangent,
     kernel_hessian,
     load_scenario,
     sign_split,
@@ -27,7 +29,7 @@ from morinchi.strata import (
     stratum_point,
     trace_fold_curve,
 )
-from tests.conftest import bundled, fd_jacobian
+from tests.conftest import bundled, fd_jacobian, reference_newton
 
 
 @pytest.fixture(scope="module")
@@ -358,9 +360,9 @@ def test_trace_takes_one_newton_step_per_node(fine_traces, name):
     # the second-order predictor only moves the corrector's start: every node
     # a corrector produced is still where the plain predictor's step from the
     # node before lands, on the plane through z + h t normal to t.  The
-    # reference corrector is scalar ``newton`` (least-squares steps) on the
-    # bordered system.  A segment starts at a seed, or at the seed's sheet
-    # image (x, -u, -mu), which is exempt.
+    # reference corrector is the scalar loop ``reference_newton``
+    # (least-squares steps) on the bordered system.  A segment starts at a
+    # seed, or at the seed's sheet image (x, -u, -mu), which is exempt.
     sheets = np.concatenate((Z, Z * np.where(np.arange(system.dim_z) < S.N, 1, -1)))
     seeds = set(curve.segments.tolist())
     for i in range(1, nodes):
@@ -369,9 +371,9 @@ def test_trace_takes_one_newton_step_per_node(fine_traces, name):
             continue
         z, t = curve.nodes[i - 1], curve.tangents[i - 1]
         anchor = z + h * t
-        plain = newton(lambda w: np.append(system.residual(w), t @ (w - anchor)),
-                       lambda w: np.vstack([system.jacobian(w), t]), anchor,
-                       tol=S.tolerances.residual, max_iter=40)
+        plain = reference_newton(lambda w: np.append(system.residual(w), t @ (w - anchor)),
+                                 lambda w: np.vstack([system.jacobian(w), t]), anchor,
+                                 tol=S.tolerances.residual, max_iter=40)
         assert plain.converged
         assert np.max(np.abs(plain.z - curve.nodes[i])) <= 1e-11, i
 
@@ -413,15 +415,18 @@ def test_seeds_on_the_other_sheet_give_the_same_curve(fine_traces):
         assert np.max(np.abs(p.x - q.x)) <= 1e-10
 
 
-def test_correct_in_plane_on_a_singular_border_stops_unconverged(s3_proj):
+def test_correct_in_planes_on_a_singular_border_takes_the_minimal_norm_step(s3_proj):
     system = SingularSystem(s3_proj)
     p = solve_stratum1(s3_proj, density=10)[0]
     z = system.pack(p.x, p.cokernel, p.multiplier)
-    # t = 0 makes the last row of the bordered matrix zero: LU finds it singular
-    out = correct_in_plane(system, z + 1e-3, None, np.zeros(system.dim_z))
-    assert not out.converged and out.iterations == 1
-    assert out.stop == STOP_REASONS.index("nonfinite_step")
-    np.testing.assert_array_equal(out.z, z + 1e-3)
+    # t = 0 makes the last row of the bordered matrix zero, so no plane cuts
+    # the curve: the singular square stack takes the SVD's minimal-norm step,
+    # which lands on the curve as least squares on the curve equations would
+    start = (z + 1e-3)[None]
+    out = correct_in_planes(system, start, start, np.zeros((1, system.dim_z)))
+    assert out.converged[0] and 0 < out.iterations[0] <= 5
+    assert np.max(np.abs(system.residual(out.z[0]))) <= s3_proj.tolerances.residual
+    assert out.residual[0] <= s3_proj.tolerances.residual
 
 
 def test_trace_rejects_a_node_of_nullity_two(s3_proj, monkeypatch):
@@ -444,38 +449,131 @@ def test_trace_rejects_a_node_of_nullity_two(s3_proj, monkeypatch):
         trace_fold_curve(s3_proj, z0)
 
 
+class Line:
+    """A flat "curve" every point lies on, so each landing is the point itself."""
+
+    class S:
+        tolerances = Tolerances()
+
+    def evaluate(self, z):
+        lead = np.shape(z)[:-1]
+        return np.zeros(lead + (1,)), np.zeros(lead + (1, 1))
+
+    def residual(self, z):
+        return self.evaluate(z)[0]
+
+    def jacobian(self, z):
+        return self.evaluate(z)[1]
+
+
+class Lost(Line):
+    def evaluate(self, z):
+        R, J = super().evaluate(z)
+        return R + 1.0, J
+
+
+def _bisect_loop(system, za, zb, fa, value, gap):
+    """The bisection of one bracket that ``bisect_on_curve`` runs for all
+    brackets in lockstep, each midpoint landed by the scalar reference loop,
+    with a scalar ``value(z, chord)``."""
+    for steps in range(1, 61):
+        mid = reference_newton(system.residual, system.jacobian, 0.5 * (za + zb),
+                               tol=system.S.tolerances.residual, max_iter=60)
+        if not mid.converged:
+            raise StratificationError("bisection lost the curve")
+        fm = value(mid.z, zb - za)
+        if fm == 0.0 or np.linalg.norm(zb - za) < gap:
+            return mid.z, steps
+        if fa * fm < 0:
+            zb = mid.z
+        else:
+            za, fa = mid.z, fm
+    return 0.5 * (za + zb), steps
+
+
+def _assert_lockstep_is_the_loop(system, ZA, ZB, FA, value, gap, scalar_value):
+    Z, steps = bisect_on_curve(system, ZA, ZB, FA, value, gap)
+    assert Z.shape == np.shape(ZA) and steps.shape == (len(ZA),)
+    for z, n, za, zb, fa in zip(Z, steps, ZA, ZB, FA):
+        want, m = _bisect_loop(system, za, zb, fa, scalar_value, gap)
+        assert n == m
+        assert np.max(np.abs(z - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    return Z, steps
+
+
+def _linear(target):
+    return lambda Z, chords: Z[:, 0] - target
+
+
 def test_bisect_on_curve_stops_like_the_loops_it_replaced():
-    # a flat "curve" every point lies on, so each landing is the point itself
-    class Line:
-        class S:
-            tolerances = Tolerances()
-
-        def residual(self, z):
-            return np.zeros(1)
-
-        def jacobian(self, z):
-            return np.zeros((1, 1))
-
-    def value(z, chord):
-        return float(z[0]) - target
-
-    za, zb = np.array([0.0]), np.array([1.0])
-    target = 0.5                        # the first midpoint is an exact zero
-    assert bisect_on_curve(Line(), za, zb, -0.5, value, gap=1e-13) == (0.5, 1)
-    target = 0.3                        # stops once the bracket is below the gap
-    z, steps = bisect_on_curve(Line(), za, zb, -0.3, value, gap=1e-13)
-    assert abs(z[0] - 0.3) < 1e-13 and steps < 60
+    za, zb = np.array([[0.0]]), np.array([[1.0]])
+    # the first midpoint is an exact zero
+    Z, steps = bisect_on_curve(Line(), za, zb, [-0.5], _linear(0.5), gap=1e-13)
+    assert Z.tolist() == [[0.5]] and steps.tolist() == [1]
+    # stops once the bracket is below the gap
+    Z, steps = bisect_on_curve(Line(), za, zb, [-0.3], _linear(0.3), gap=1e-13)
+    assert abs(Z[0, 0] - 0.3) < 1e-13 and steps[0] < 60
     # a value that is never exactly zero runs all 60 halvings
-    z, steps = bisect_on_curve(Line(), za, zb, -1.0,
-                               lambda z, chord: 1.0 if z[0] >= 0.3 else -1.0, gap=0.0)
-    assert steps == 60 and abs(z[0] - 0.3) < 1e-15    # the bracket midpoint
-
-    class Lost(Line):
-        def residual(self, z):
-            return np.ones(1)
-
+    Z, steps = bisect_on_curve(Line(), za, zb, [-1.0],
+                               lambda Z, chords: np.where(Z[:, 0] >= 0.3, 1.0, -1.0), gap=0.0)
+    assert steps[0] == 60 and abs(Z[0, 0] - 0.3) < 1e-15    # the bracket midpoint
     with pytest.raises(StratificationError, match="lost the curve"):
-        bisect_on_curve(Lost(), za, zb, -0.3, value, gap=1e-13)
+        bisect_on_curve(Lost(), za, zb, [-0.3], _linear(0.3), gap=1e-13)
+    # no bracket lands nothing
+    Z, steps = bisect_on_curve(Lost(), za[:0], zb[:0], [], _linear(0.3), gap=1e-13)
+    assert Z.shape == (0, 1) and steps.shape == (0,)
+
+
+def test_lockstep_bisection_is_the_bracket_loop_on_lines():
+    # the three stopping rules at once, one bracket each: an exact zero at
+    # the first midpoint, a linear value, and a step that is never zero
+    targets = np.array([0.5, 10.3, 20.3])
+
+    def value(Z, chords):
+        k = (Z[:, 0] // 10).astype(int)
+        v = Z[:, 0] - targets[k]
+        return np.where(k == 2, np.where(v >= 0, 1.0, -1.0), v)
+
+    def scalar(z, chord):
+        return float(value(z[None], chord[None])[0])
+
+    ZA, ZB = np.array([[0.0], [10.0], [20.0]]), np.array([[1.0], [11.0], [21.0]])
+    for gap in (1e-13, 0.0):
+        _, steps = _assert_lockstep_is_the_loop(Line(), ZA, ZB, [-0.5, -0.3, -1.0], value,
+                                                gap, scalar)
+        assert steps[0] == 1 and min(steps[1:]) > 1
+    assert steps[2] == 60
+
+
+def test_lockstep_bisection_is_the_bracket_loop_on_s3_cusps(s3_cusps, monkeypatch):
+    # the determinant brackets of the cusp search and the dh/ds brackets of
+    # the walk along the curve, as the pipeline bisects them
+    calls = []
+
+    def recording(system, ZA, ZB, FA, value, gap):
+        calls.append((system, ZA, ZB, FA, value, gap))
+        return bisect_on_curve(system, ZA, ZB, FA, value, gap)
+
+    monkeypatch.setattr(strata, "bisect_on_curve", recording)
+    monkeypatch.setattr(morse, "bisect_on_curve", recording)
+    S = s3_cusps
+    strat = compute_stratification(S)
+    covector = morse.sample_covector(S.n, [S.seed, 0])
+    morse._critical_points_on_curves(S, covector, strat)
+    system = SingularSystem(S)
+
+    def det(z, chord):
+        return _node_metrics(S, system, z)[0]
+
+    def dh_ds(z, chord):
+        t = curve_tangent(system, z, prev=chord / np.linalg.norm(chord))
+        return float((S.Df(z[:S.N]).T @ covector.a) @ t[:S.N])
+
+    det_call, dh_call = calls
+    assert len(det_call[1]) == len(strat.cusps) == 2 and len(dh_call[1]) >= 2
+    for call, scalar in ((det_call, det), (dh_call, dh_ds)):
+        _, steps = _assert_lockstep_is_the_loop(*call, scalar)
+        assert np.all(steps > 1)
 
 
 def test_open_curve_does_not_close(flat_cusp):
