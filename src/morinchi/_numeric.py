@@ -274,13 +274,17 @@ def multistart_counters(starts, out: NewtonResult, xs, kept, radius=None) -> dic
 def eig_sign_counts(H, zero_tol_factor=1e-6):
     """Counts of (positive, negative, near-zero) eigenvalues of symmetric H.
 
-    An eigenvalue counts as zero when |lambda| < zero_tol_factor * max(|lambda|_max, 1).
+    ``H`` is a matrix or a stack of them; a matrix gives three ints, a stack
+    three int arrays, all eigenvalues coming from one ``eigvalsh``.  An
+    eigenvalue counts as zero when |lambda| < zero_tol_factor *
+    max(|lambda|_max, 1), |lambda|_max being its own matrix's.
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
-    vals = np.linalg.eigvalsh(0.5 * (H + H.T))
-    scale = max(float(np.max(np.abs(vals))) if vals.size else 0.0, 1.0)
-    cut = zero_tol_factor * scale
-    n_zero = int(np.sum(np.abs(vals) < cut))
-    n_plus = int(np.sum(vals >= cut))
-    n_minus = int(np.sum(vals <= -cut))
-    return n_plus, n_minus, n_zero
+    vals = np.linalg.eigvalsh(0.5 * (H + np.swapaxes(H, -1, -2)))
+    scale = np.maximum(np.max(np.abs(vals), axis=-1, initial=0.0), 1.0)
+    cut = zero_tol_factor * scale[..., None]
+    counts = (np.sum(vals >= cut, axis=-1), np.sum(vals <= -cut, axis=-1),
+              np.sum(np.abs(vals) < cut, axis=-1))
+    if H.ndim == 2:
+        return tuple(int(c) for c in counts)
+    return counts

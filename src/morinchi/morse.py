@@ -26,7 +26,7 @@ from ._numeric import (
     nullspace,
     vecmat,
 )
-from .manifold import project_points, tangent_frame
+from .manifold import project_points, tangent_frame, tangent_frames
 from .strata import (
     MorinScenario,
     SingularSystem,
@@ -37,8 +37,8 @@ from .strata import (
     bisect_on_curve,
     correct_in_planes,
     curve_tangent,
-    land,
     stratum_point,
+    stratum_points,
 )
 
 
@@ -134,11 +134,6 @@ class MorseData:
 # -- k = 0: critical points of h on M itself ------------------------------------
 
 
-def _reduced_hessian_on_M(S, x, a, lam):
-    T = tangent_frame(S.manifold, x)
-    return T @ S.lagrangian_hessian(x, a, lam) @ T.T
-
-
 def _index_or_fail(H, zero_tol, what):
     n_plus, n_minus, n_zero = eig_sign_counts(H, zero_tol)
     if n_zero:
@@ -176,30 +171,38 @@ def _k0_records(S: MorinScenario, a: Covector, stats=None) -> list:
         stats.update(multistart_counters(starts, out, xs, kept, tol.dedup_radius))
     if not kept:
         raise GenericityFailure("no critical points of the functional found on M")
+    Z, residuals = found[kept], residuals[kept]
+    x, lam = Z[:, :S.N], Z[:, S.N:]
+    # the reduced Hessians on M, in stacked tangent frames
+    T, frame_failures = tangent_frames(S.manifold, x)
+    _, index, flat = eig_sign_counts(
+        T @ S.lagrangian_hessian(x, a.a, lam) @ np.swapaxes(T, -1, -2), tol.eigen_zero)
+    # every critical point of h lies on the depth-1 stratum with cokernel a
+    points, failures = stratum_points(S, sys0, Z)
     records = []
-    for idx in kept:
-        z, res = found[idx], residuals[idx]
-        x, lam = z[:S.N], z[S.N:]
-        Hred = _reduced_hessian_on_M(S, x, a.a, lam)
-        index = _index_or_fail(Hred, tol.eigen_zero, f"k=0 point {np.round(x, 6)}")
-        # every critical point of h lies on the depth-1 stratum with cokernel a
-        p = stratum_point(S, x, a.a, lam)
+    for j, p in enumerate(points):
+        # each point's checks in the order of a loop over the points
+        if j in frame_failures:
+            raise frame_failures[j]
+        if flat[j]:
+            raise GenericityFailure(f"degenerate reduced Hessian at k=0 point {np.round(x[j], 6)}")
+        if j in failures:
+            raise failures[j]
         if p.signature.n_zero:
             raise GenericityFailure(
-                f"critical point of the functional sits on the depth-2 closure at {x}"
+                f"critical point of the functional sits on the depth-2 closure at {x[j]}"
             )
-        rec = CriticalRecord(
-            x=np.asarray(x, dtype=float),
+        records.append(CriticalRecord(
+            x=x[j],
             stratum_depth=1,
             on_closure_of=0,
-            morse_index=int(index),
+            morse_index=int(index[j]),
             index_basis_dim=S.m,
             correct=None,
-            residual=float(res),
+            residual=float(residuals[j]),
             seed=a.seed,
             fold_sign=p.sign,
-        )
-        records.append(rec)
+        ))
     records.sort(key=lambda r: tuple(np.round(r.x, 9)))
     return records
 
@@ -270,23 +273,32 @@ def _polish_stratum_critical(S, a, z_guess):
     return w[:sysc.D], w[sysc.D:], out.residual[0], sysc
 
 
-def _stratum_record(S, a, z, nu, res, sysc) -> CriticalRecord:
-    x, u, mu = sysc.base.unpack(z)
-    Hred = sysc.reduced_hessian(z, nu)
-    index = _index_or_fail(Hred, S.tolerances.eigen_zero,
-                           f"stratum critical point {np.round(x, 6)}")
-    p = stratum_point(S, x, u, mu)
-    return CriticalRecord(
-        x=np.asarray(x, dtype=float),
-        stratum_depth=p.depth,
-        on_closure_of=1,
-        morse_index=int(index),
-        index_basis_dim=S.n - 1,
-        correct=None,
-        residual=float(res),
-        seed=a.seed,
-        fold_sign=p.sign if p.depth == 1 else None,
-    )
+def _stratum_records(S, a, W, residuals, sysc) -> list:
+    """Records of a stack W of critical points w = (z, nu) of h on the
+    depth-1 stratum, their stratum data from one ``stratum_points`` pass.
+    Each point's checks raise in the order of a loop over the points: its
+    reduced Hessian's, then its stratum data's."""
+    Z = W[:, :sysc.D]
+    points, failures = stratum_points(S, sysc.base, Z)
+    records = []
+    for j, p in enumerate(points):
+        x = Z[j, :S.N]
+        index = _index_or_fail(sysc.reduced_hessian(Z[j], W[j, sysc.D:]),
+                               S.tolerances.eigen_zero, f"stratum critical point {np.round(x, 6)}")
+        if j in failures:
+            raise failures[j]
+        records.append(CriticalRecord(
+            x=x,
+            stratum_depth=1,
+            on_closure_of=1,
+            morse_index=int(index),
+            index_basis_dim=S.n - 1,
+            correct=None,
+            residual=float(residuals[j]),
+            seed=a.seed,
+            fold_sign=p.sign,
+        ))
+    return records
 
 
 def _curve_phi_values(S, a, curve):
@@ -339,10 +351,10 @@ def _critical_points_on_curves(S, a: Covector, strat: Stratification):
             cusp_hits[hit] = z_star
     records = []
     if fold_zeros:
-        xs = np.array([sysc.base.unpack(z)[0] for z, _, _, sysc in fold_zeros])
-        for idx in dedup_points(xs, tol.dedup_radius):
-            z, nu, res, sysc = fold_zeros[idx]
-            records.append(_stratum_record(S, a, z, nu, res, sysc))
+        kept = [fold_zeros[i] for i in dedup_points([z[:S.N] for z, _, _, _ in fold_zeros],
+                                                    tol.dedup_radius)]
+        records = _stratum_records(S, a, np.array([np.concatenate(w[:2]) for w in kept]),
+                                   [res for _, _, res, _ in kept], kept[0][3])
     records.sort(key=lambda r: tuple(np.round(r.x, 9)))
     return records, cusp_hits
 
@@ -365,10 +377,7 @@ def _critical_points_on_surface(S, a: Covector, strat: Stratification, stats=Non
         stats.update(multistart_counters(len(Z), out, found[:, :S.N], kept, tol.dedup_radius))
     if len(found) == 0:
         raise GenericityFailure("no critical points found on the singular surface")
-    records = []
-    for idx in kept:
-        w, res = found[idx], residuals[idx]
-        records.append(_stratum_record(S, a, w[:sysc.D], w[sysc.D:], res, sysc))
+    records = _stratum_records(S, a, found[kept], residuals[kept], sysc)
     records.sort(key=lambda r: tuple(np.round(r.x, 9)))
     return records
 
@@ -432,14 +441,10 @@ def classify_correctness(S: MorinScenario, a: Covector, rec: CriticalRecord,
     if closure_depth == 0:
         grad_norm = float(np.linalg.norm(_tangential_gradient_on_M(S, a.a, x)))
     elif closure_depth == 1:
+        # the located point is already on the curve
         system = SingularSystem(S)
-        landed = land(system, system.pack(point.x, point.cokernel, point.multiplier))
-        if not landed.converged:
-            raise StratificationError(f"could not land on the singular curve at {np.round(x, 6)}")
-        t = curve_tangent(system, landed.z)
-        tx = t[:S.N]
-        xl = landed.z[:S.N]
-        grad_norm = abs(float((S.Df(xl).T @ a.a) @ tx)) / max(np.linalg.norm(tx), 1e-12)
+        tx = curve_tangent(system, system.pack(point.x, point.cokernel, point.multiplier))[:S.N]
+        grad_norm = abs(float((S.Df(point.x).T @ a.a) @ tx)) / max(np.linalg.norm(tx), 1e-12)
     else:
         raise StratificationError("correctness beyond closure depth 1 is out of scope")
     verdict = bool(grad_norm > thr)
@@ -533,21 +538,22 @@ def check_fold_index_parity(S: MorinScenario, a: Covector, k0_records,
 
 
 def _curve_context_at(S, p):
-    """(system, landed cusp, curve tangent t oriented into the plus arc, and
-    the arc samples at -t and +t, curve_step/2 away along the curve)."""
+    """(system, the cusp's z, curve tangent t oriented into the plus arc, and
+    the arc samples at -t and +t, curve_step/2 away along the curve).  The
+    cusp was landed when it was located, so z is its packed (x, u, mu)."""
     system = SingularSystem(S)
-    landed = land(system, system.pack(p.x, p.cokernel, p.multiplier))
-    if not landed.converged:
-        raise StratificationError(f"could not land on the singular curve at the cusp {p.x}")
-    t = curve_tangent(system, landed.z)
+    z = system.pack(p.x, p.cokernel, p.multiplier)
+    t = curve_tangent(system, z)
     delta = S.tolerances.curve_step / 2
-    starts = landed.z + np.outer([-delta, delta], t)
+    starts = z + np.outer([-delta, delta], t)
     out = correct_in_planes(system, starts, starts, np.array([t, t]))
     if not out.converged.all():
         raise StratificationError("could not sample the two arcs at a cusp")
     samples, signs = list(out.z), []
-    for z in samples:
-        q = stratum_point(S, *system.unpack(z))
+    points, failures = stratum_points(S, system, out.z)
+    for j, q in enumerate(points):
+        if j in failures:
+            raise failures[j]
         if q.depth != 1:
             raise StratificationError("arc sample at a cusp is not a fold point")
         signs.append(q.sign)
@@ -555,7 +561,7 @@ def _curve_context_at(S, p):
         raise MorseAuditError(f"arcs adjacent to the cusp at {p.x} carry equal signs")
     if signs[1] != "plus":
         t, samples = -t, samples[::-1]
-    return system, landed.z, t, samples
+    return system, z, t, samples
 
 
 def perturbation_certificate(S: MorinScenario, a: Covector, p) -> PerturbationCertificate:

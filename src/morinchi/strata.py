@@ -479,24 +479,44 @@ def _kernel_form(S: MorinScenario, x, u, mu, K=None):
     return 0.5 * (HK + np.swapaxes(HK, -1, -2))
 
 
-def kernel_hessian(S: MorinScenario, p: StratumPoint) -> QuadraticSignature:
-    """Sign counts of the kernel Hessian of <u, f> - <mu, g> at p.
-
-    Rejects the scenario when more than one eigenvalue is numerically zero,
+def _signatures(S: MorinScenario, HK, K, X):
+    """Signatures of a stack of kernel forms HK (B, k, k), whose bases K
+    (B, N, k) sit at the points X (B, N): the sign counts from one stacked
+    ``eig_sign_counts``, the degenerate direction of each form with exactly
+    one near-zero eigenvalue (its eigenvector, from ``eigh`` of those forms
+    only, in the ambient space and sign-normalized, None elsewhere), and a
+    dict from lane to the ``MorinnessError`` of a form with more than one,
     since a corank-1 chain admits at most one degenerate kernel direction.
     """
+    counts = np.stack(eig_sign_counts(HK, S.tolerances.eigen_zero), axis=-1)
+    signatures = [QuadraticSignature(*map(int, c)) for c in counts]
+    failures = {int(j): MorinnessError(
+        f"kernel Hessian has {counts[j, 2]} near-zero eigenvalues at {X[j]}: not Morin")
+        for j in np.flatnonzero(counts[:, 2] > 1)}
+    directions = [None] * len(HK)
+    flat = np.flatnonzero(counts[:, 2] == 1)
+    if flat.size:
+        vals, vecs = np.linalg.eigh(HK[flat])
+        pick = np.argmin(np.abs(vals), axis=-1)
+        v = vecs[np.arange(flat.size), :, pick]
+        for j, d in zip(flat, sign_normalize((K[flat] @ v[..., None])[..., 0])):
+            directions[j] = d
+    return signatures, directions, failures
+
+
+def kernel_hessian(S: MorinScenario, p: StratumPoint) -> QuadraticSignature:
+    """Sign counts of the kernel Hessian of <u, f> - <mu, g> at p, and its
+    degenerate direction when one eigenvalue is flat: one lane of
+    ``_signatures``, whose error (more than one flat eigenvalue) it raises.
+    """
     HK = _kernel_form(S, p.x, p.cokernel, p.multiplier, p.kernel_basis)
-    n_plus, n_minus, n_zero = eig_sign_counts(HK, S.tolerances.eigen_zero)
-    sig = QuadraticSignature(n_plus, n_minus, n_zero)
-    if n_zero > 1:
-        raise MorinnessError(
-            f"kernel Hessian has {n_zero} near-zero eigenvalues at {p.x}: not Morin"
-        )
+    (sig,), (direction,), failures = _signatures(S, HK[None], p.kernel_basis[None],
+                                                 np.asarray(p.x)[None])
+    if failures:
+        raise failures[0]
     p.signature = sig
-    if n_zero == 1:
-        vals, vecs = np.linalg.eigh(HK)
-        j = int(np.argmin(np.abs(vals)))
-        p.degenerate_direction = sign_normalize(p.kernel_basis @ vecs[:, j])
+    if direction is not None:
+        p.degenerate_direction = direction
     return sig
 
 
@@ -582,59 +602,85 @@ def solve_stratum1(S: MorinScenario, density=None, stats=None) -> list[StratumPo
 
 
 def _points_from_solutions(S, system, solutions, kept) -> list[StratumPoint]:
-    """Stratum points at the kept solutions, in order; a point whose kernel
-    data fails as a non-singular or irregular point is skipped.
-
-    The kernel bases come from one stacked call (``batch_width`` lanes at a
-    time); every other error raises at its point, as in a loop.
-    """
-    kept = list(kept)
-    width = batch_width(system.dim_z)
-    lanes = [_kernel_lanes(S, system.unpack(solutions[kept[i:i + width]])[0])
-             for i in range(0, len(kept), width)]
-    points = []
-    for j, idx in enumerate(kept):
-        K, failures = lanes[j // width]
-        error = failures.get(j % width)
-        if isinstance(error, (StratificationError, RegularityError)):
-            continue
-        if error is not None:
-            raise error
-        x, u, mu = system.unpack(solutions[idx])
-        points.append(stratum_point(S, x, u, mu, system, K[j % width]))
+    """Stratum points at the kept solutions, from one ``stratum_points``
+    pass; a point whose kernel data fails as a non-singular or irregular
+    point is skipped, and any other error raises at the first such point in
+    kept order, as in a loop over the points."""
+    points, failures = stratum_points(S, system, solutions[list(kept)])
+    for lane in sorted(failures):
+        if not isinstance(failures[lane], (StratificationError, RegularityError)):
+            raise failures[lane]
+    points = [p for p in points if p is not None]
     points.sort(key=lambda p: tuple(np.round(p.x, 9)))
     return points
 
 
-def stratum_point(S, x, u, mu, system=None, K=None) -> StratumPoint:
-    """Depth-1 stratum point at a solution (x, u, mu) of the singular system.
+def stratum_points(S, system, Z):
+    """Depth-1 stratum points at a stack Z (B, dim_z) of solutions of the
+    singular ``system``, ``batch_width`` lanes per stacked pass.
 
-    (u, mu) is flipped as a pair so that the first cokernel entry above
-    1e-12 in magnitude is positive: the stationarity equations are linear in
-    the pair, so only a joint flip preserves them (and the Lagrangian Hessian
-    built from them).  ``K``, when given, is the kernel basis at x.
+    At each lane (u, mu) is flipped as a pair so that the first cokernel
+    entry above 1e-12 in magnitude is positive: the stationarity equations
+    are linear in the pair, so only a joint flip preserves them (and the
+    Lagrangian Hessian built from them).  A lane carries its max-norm
+    residual, its kernel basis, its kernel-Hessian signature and degenerate
+    direction (``_signatures``), and, when no eigenvalue is flat, depth 1
+    and its sign.  Returns the points, None at a failing lane, and a dict
+    from lane to its error: the kernel basis's (``_kernel_lanes``), else the
+    signature's.
     """
-    u, mu = np.asarray(u, dtype=float), np.asarray(mu, dtype=float)
-    lead = u[np.abs(u) > 1e-12]
-    if lead.size and lead[0] < 0:
-        u, mu = -u, -mu
+    Z = np.reshape(np.asarray(Z, dtype=float), (-1, system.dim_z))
+    width = batch_width(system.dim_z)
+    points, failures = [], {}
+    for i in range(0, len(Z), width):
+        part, errors = _stratum_lanes(S, system, Z[i:i + width])
+        points += part
+        failures.update((i + j, error) for j, error in errors.items())
+    return points, failures
+
+
+def _stratum_lanes(S, system, Z):
+    """``stratum_points`` on one stack of at most ``batch_width`` lanes."""
+    x, u, mu = system.unpack(Z)
+    u = np.broadcast_to(u, (len(Z), S.n))
+    big = np.abs(u) > 1e-12
+    lead = np.take_along_axis(u, np.argmax(big, axis=1)[:, None], axis=1)[:, 0]
+    flip = np.where(big.any(axis=1) & (lead < 0), -1.0, 1.0)[:, None]
+    u, mu = u * flip, mu * flip
+    # the joint flip negates the stationarity rows and keeps the others, so
+    # the max-norm residual is taken at Z, in any chart
+    res = np.max(np.abs(system.residual(Z)), axis=1)
+    K, failures = _kernel_lanes(S, x)
+    signatures, directions, flat = _signatures(S, _kernel_form(S, x, u, mu, K), K, x)
+    for j, error in flat.items():
+        failures.setdefault(j, error)
+    points = []
+    for j in range(len(Z)):
+        if j in failures:
+            points.append(None)
+            continue
+        p = StratumPoint(x=x[j], depth=1, cokernel=u[j], multiplier=mu[j], kernel_basis=K[j],
+                         signature=signatures[j], degenerate_direction=directions[j],
+                         residuals={"system": float(res[j])})
+        if p.signature.n_zero == 0:
+            # a nondegenerate kernel form already certifies depth 1
+            sign_split(S, p)
+        points.append(p)
+    return points, failures
+
+
+def stratum_point(S, x, u, mu, system=None) -> StratumPoint:
+    """Depth-1 stratum point at a solution (x, u, mu) of the singular system:
+    one lane of ``stratum_points``, raising that lane's error.  A ``system``
+    whose fixed cokernel is not u gives way to the chart with cokernel u."""
     system = system or SingularSystem(S)
-    res = float(np.max(np.abs(system.residual(system.pack(x, u, mu)))))
-    if K is None:
-        K = _kernel_data(S, x)
-    p = StratumPoint(
-        x=np.asarray(x, dtype=float),
-        depth=1,
-        cokernel=u,
-        multiplier=mu,
-        kernel_basis=K,
-        residuals={"system": res},
-    )
-    kernel_hessian(S, p)
-    if p.signature.n_zero == 0:
-        # a nondegenerate kernel form already certifies depth 1
-        sign_split(S, p)
-    return p
+    u = np.asarray(u, dtype=float)
+    if system.reduced and not np.array_equal(u, system.cokernel):
+        system = SingularSystem(S, u)
+    points, failures = stratum_points(S, system, system.pack(x, u, mu))
+    if failures:
+        raise failures[0]
+    return points[0]
 
 
 # -- continuation on the solution curve (n = 2) ---------------------------------
@@ -1193,11 +1239,16 @@ def _locate_cusps(S, system, curve: FoldCurve):
     Z, steps = bisect_on_curve(system, curve.nodes[brackets],
                                curve.nodes[(brackets + 1) % len(dets)], dets[brackets],
                                lambda Z, chords: _node_metrics(S, system, Z)[0], gap=1e-14)
-    for i, z_cusp in zip(brackets.tolist(), Z):
-        landed = land(system, z_cusp)
-        if not landed.converged:
-            raise StratificationError("could not land on the singular curve at a cusp")
-        x, u, mu = system.unpack(landed.z)
+    for i, z_cusp, halvings in zip(brackets.tolist(), Z, steps):
+        if halvings == 60:
+            # after all 60 halvings the bisection may return its unlanded
+            # bracket midpoint; a bracket that stopped sooner returns a
+            # landed midpoint
+            landed = land(system, z_cusp)
+            if not landed.converged:
+                raise StratificationError("could not land on the singular curve at a cusp")
+            z_cusp = landed.z
+        x, u, mu = system.unpack(z_cusp)
         p = stratum_point(S, x, u, mu, system)
         if p.signature.n_zero != 1:
             # determinant changed sign yet no flat direction: conditioning issue

@@ -9,11 +9,25 @@ from morinchi._numeric import (
     LINE_SEARCH_HALVINGS,
     STOP_REASONS,
     NewtonResult,
+    batch_width,
+    eig_sign_counts,
     min_norm_solve,
     nullspace,
+    sign_normalize,
     vecmat,
 )
-from morinchi.strata import load_scenario
+from morinchi.manifold import RegularityError
+from morinchi.strata import (
+    MorinnessError,
+    QuadraticSignature,
+    SingularSystem,
+    StratificationError,
+    StratumPoint,
+    _kernel_data,
+    _kernel_form,
+    _kernel_lanes,
+    load_scenario,
+)
 
 
 def scenario_path(name):
@@ -66,6 +80,60 @@ def reference_newton(residual_fn, jacobian_fn, z0, tol=1e-12, max_iter=60):
         z, res, norm = z_try, res_try, norm_try
     return NewtonResult(z, norm, max_iter,
                         STOP_REASONS.index("converged" if norm <= tol else "iteration_cap"))
+
+
+def reference_stratum_point(S, x, u, mu, system=None, K=None):
+    """Stratum data at one solution (x, u, mu), one point at a time: the
+    per-point rule ``stratum_points`` replaced.  (u, mu) is flipped as a
+    pair by the sign of the first cokernel entry above 1e-12; the residual
+    is taken at the packed flipped point, the signature from
+    ``eig_sign_counts`` of the one kernel form, and the degenerate direction
+    from its ``eigh``."""
+    u, mu = np.asarray(u, dtype=float), np.asarray(mu, dtype=float)
+    lead = u[np.abs(u) > 1e-12]
+    if lead.size and lead[0] < 0:
+        u, mu = -u, -mu
+    system = system or SingularSystem(S)
+    res = float(np.max(np.abs(system.residual(system.pack(x, u, mu)))))
+    if K is None:
+        K = _kernel_data(S, x)
+    HK = _kernel_form(S, x, u, mu, K)
+    n_plus, n_minus, n_zero = eig_sign_counts(HK, S.tolerances.eigen_zero)
+    if n_zero > 1:
+        raise MorinnessError(
+            f"kernel Hessian has {n_zero} near-zero eigenvalues at {x}: not Morin")
+    p = StratumPoint(x=np.asarray(x, dtype=float), depth=1, cokernel=u, multiplier=mu,
+                     kernel_basis=K, residuals={"system": res},
+                     signature=QuadraticSignature(n_plus, n_minus, n_zero))
+    if n_zero == 1:
+        vals, vecs = np.linalg.eigh(HK)
+        p.degenerate_direction = sign_normalize(K @ vecs[:, int(np.argmin(np.abs(vals)))])
+    else:
+        p.sign = "plus" if n_minus % 2 == 0 else "minus"
+    return p
+
+
+def reference_points_from_solutions(S, system, solutions, kept):
+    """The loop over the kept solutions that one ``stratum_points`` pass
+    replaced: kernel bases in stacks of ``batch_width`` lanes, then
+    ``reference_stratum_point`` at each point in kept order, skipping a point
+    whose kernel data fails as non-singular or irregular."""
+    kept = list(kept)
+    width = batch_width(system.dim_z)
+    lanes = [_kernel_lanes(S, system.unpack(solutions[kept[i:i + width]])[0])
+             for i in range(0, len(kept), width)]
+    points = []
+    for j, idx in enumerate(kept):
+        K, failures = lanes[j // width]
+        error = failures.get(j % width)
+        if isinstance(error, (StratificationError, RegularityError)):
+            continue
+        if error is not None:
+            raise error
+        x, u, mu = system.unpack(solutions[idx])
+        points.append(reference_stratum_point(S, x, u, mu, system, K[j % width]))
+    points.sort(key=lambda p: tuple(np.round(p.x, 9)))
+    return points
 
 
 def einsum_augmented(sysc, w):

@@ -21,6 +21,7 @@ from morinchi._numeric import (
     _accepts,
     batch_width,
     dedup_points,
+    eig_sign_counts,
     min_norm_solve,
     newton,
     newton_batch,
@@ -40,23 +41,29 @@ from morinchi.morse import (
     sample_covector,
 )
 from morinchi.strata import (
+    MorinnessError,
     SingularSystem,
     StratificationError,
     _initial_guesses,
     _kernel_data,
     _multistart_seeds,
     _node_metrics,
+    _points_from_solutions,
     compute_stratification,
     curve_tangent,
     load_scenario,
     solve_stratum1,
+    stratum_points,
 )
 from tests.conftest import (
+    FLAT_CUSP,
     bundled,
     einsum_augmented,
     einsum_initial_nu,
     einsum_reduced_hessian,
     reference_newton,
+    reference_points_from_solutions,
+    reference_stratum_point,
 )
 
 ALL_SCENARIOS = ["s2-height", "torus-height", "s3-proj", "s4-height",
@@ -449,3 +456,121 @@ def test_a_singular_bordered_chunk_takes_the_null_vectors(fold_curves, monkeypat
     _assert_close(np.delete(got, np.s_[15:30], axis=0), np.delete(want, np.s_[15:30], axis=0))
     for z, t, tau in zip(Z[15:30], T[15:30], got[15:30]):
         assert np.max(np.abs(tau - curve_tangent(system, z, prev=t))) <= 1e-12
+
+
+# -- stacked stratum data -----------------------------------------------------------
+
+
+def _same_points(got, want):
+    """Stacked stratum points against the per-point reference, in order."""
+    assert len(got) == len(want)
+    for p, q in zip(got, want):
+        assert np.array_equal(p.x, q.x)
+        assert np.array_equal(p.cokernel, q.cokernel)
+        assert np.array_equal(p.multiplier, q.multiplier)
+        _assert_close(p.kernel_basis, q.kernel_basis)
+        assert (p.signature, p.sign, p.depth) == (q.signature, q.sign, q.depth)
+        assert (p.degenerate_direction is None) == (q.degenerate_direction is None)
+        if q.degenerate_direction is not None:
+            _assert_close(p.degenerate_direction, q.degenerate_direction, rtol=1e-10)
+        assert abs(p.residuals["system"] - q.residuals["system"]) <= 1e-15
+
+
+@pytest.mark.parametrize("name", ["s3-proj", "s3-cusps", "s4-proj", "torus-height"])
+def test_stacked_stratum_points_match_the_point_loop(name):
+    # the depth-1 cloud of solve_stratum1, before its stratum data
+    S = bundled(name)
+    system = SingularSystem(S)
+    X0 = np.array(_multistart_seeds(S, S.tolerances.multistart_density * S.n, tag=1))
+    out = newton_batch(system.evaluate, _initial_guesses(S, system, X0),
+                       tol=S.tolerances.residual, max_iter=30)
+    solutions = out.z[out.converged]
+    kept = dedup_points(system.unpack(solutions)[0], S.tolerances.dedup_radius)
+    got = _points_from_solutions(S, system, solutions, kept)
+    want = reference_points_from_solutions(S, system, solutions, kept)
+    _same_points(got, want)
+    # the kernel bases come from the same stacked SVDs
+    for p, q in zip(got, want):
+        assert np.array_equal(p.kernel_basis, q.kernel_basis)
+    assert len(got) == len(kept) > (10 if S.n > 1 else 1)
+
+
+def test_a_stack_longer_than_the_batch_width_matches_the_point_loop(flat_cusp):
+    # points of the flat model's fold curve x0 = -3 t^2 with cokernel
+    # (-t, 1)/|.|, either sign of it, and the cusp t = 0 and its neighbours
+    # within 1e-7 among them, where one kernel eigenvalue is flat
+    S = flat_cusp
+    system = SingularSystem(S)
+    t = np.concatenate([np.linspace(-1.0, 1.0, 500), [0.0, 1e-7, -5e-8]])
+    t = np.tile(t, 2)
+    x = np.stack([-3 * t ** 2, t, 0 * t, 0 * t], axis=1)
+    u = np.stack([-t, np.ones_like(t)], axis=1) / np.sqrt(1 + t ** 2)[:, None]
+    u[::3] *= -1.0
+    Z = system.pack(x, u, np.zeros((len(t), 1)))
+    assert len(Z) > batch_width(system.dim_z)
+    points, failures = stratum_points(S, system, Z)
+    assert not failures
+    want = [reference_stratum_point(S, *system.unpack(z), system) for z in Z]
+    _same_points(points, want)
+    flat = [p for p in points if p.signature.n_zero == 1]
+    assert len(flat) == 6 and all(p.sign == "unsigned" for p in flat)
+    assert {p.sign for p in points} == {"plus", "minus", "unsigned"}
+
+
+def _depth3_model():
+    """The flat model with x2^3 for x2^2: at the origin both kernel
+    eigenvalues of the fold form vanish."""
+    spec = dict(FLAT_CUSP, name="flat-depth3",
+                components=["x0", "(+ (^ x1 3) (* x0 x1) (^ x2 3))"])
+    S = load_scenario(spec)
+    system = SingularSystem(S)
+    u, mu = np.array([0.0, 1.0]), np.zeros(1)
+    lanes = {"not singular": np.array([0.0, 1.0, 0.0, 0.0]),
+             "two flat": np.zeros(4),
+             "off M": np.array([0.0, 0.0, 0.0, 1.0])}
+    return S, system, {k: system.pack(x, u, mu) for k, x in lanes.items()}
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return info.type, str(info.value)
+
+
+@pytest.mark.parametrize("order", [("not singular", "two flat", "off M"),
+                                   ("not singular", "off M", "two flat")])
+def test_stacked_stratum_points_raise_for_the_first_failing_point(order):
+    S, system, lanes = _depth3_model()
+    Z = np.array([lanes[k] for k in order])
+    points, failures = stratum_points(S, system, Z)
+    assert points == [None, None, None]
+    assert [type(failures[i]) for i in range(3)] == [
+        {"not singular": StratificationError, "two flat": MorinnessError,
+         "off M": ManifoldError}[k] for k in order]
+    # the non-singular lane is skipped, and the next one raises as the loop did
+    got = _raised(_points_from_solutions, S, system, Z, range(3))
+    want = _raised(reference_points_from_solutions, S, system, Z, range(3))
+    assert got == want
+    assert got[0] is {"two flat": MorinnessError, "off M": ManifoldError}[order[1]]
+    if order[1] == "two flat":
+        assert got[1] == "kernel Hessian has 2 near-zero eigenvalues at [0. 0. 0. 0.]: not Morin"
+
+
+def test_stacked_sign_counts_scale_each_matrix_by_its_own_eigenvalues():
+    # one spectrum near 1e6 beside ones near 1e-7: a scale shared across the
+    # stack would count 0.5 and the 1e-6 entries as zero
+    rng = np.random.default_rng(11)
+    spectra = [[1e6, 3.0, -1e6], [5e-7, 3e-6, -2e-6], [0.5, 1e-7, -2.0], [2.0, 2.0, -2.0]]
+    H = []
+    for lam in spectra:
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        H.append(q @ np.diag(lam) @ q.T)
+    H = np.array(H)
+    loop = [eig_sign_counts(h, 1e-6) for h in H]
+    assert all(type(c) is int for counts in loop for c in counts)
+    assert loop == [(2, 1, 0), (1, 1, 1), (1, 1, 1), (2, 1, 0)]
+    stacked = eig_sign_counts(H, 1e-6)
+    assert np.stack(stacked, axis=-1).tolist() == [list(c) for c in loop]
+    # any stack shape, each matrix on its own
+    deep = eig_sign_counts(H.reshape(2, 2, 3, 3), 1e-6)
+    assert np.stack(deep, axis=-1).reshape(4, 3).tolist() == [list(c) for c in loop]

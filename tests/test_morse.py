@@ -375,21 +375,36 @@ def test_unconverged_landing_is_a_stratification_error(flat_cusp, monkeypatch):
         return NewtonResult(np.asarray(z0, dtype=float), 1.0, 60,
                             STOP_REASONS.index("iteration_cap"))
 
-    monkeypatch.setattr(morse, "land", stalled)
-    rec = CriticalRecord(x=p.x, stratum_depth=2, on_closure_of=1, morse_index=0,
-                         index_basis_dim=0)
-    with pytest.raises(StratificationError, match="land"):
-        classify_correctness(S, sample_covector(2, [0, 0]), rec, closure_depth=1, point=p)
-    with pytest.raises(StratificationError, match="land"):
-        morse._curve_context_at(S, p)
-
-    # the cusp bisection stops at its first midpoint, an exact zero of the
-    # determinant, then the landing on the cusp stalls
     monkeypatch.setattr(strata, "land", stalled)
-    monkeypatch.setattr(strata, "_node_metrics",
-                        lambda S, system, Z: (np.zeros(len(Z)), np.zeros(len(Z), dtype=int)))
+    # a trace lands its start first
+    with pytest.raises(StratificationError, match="land"):
+        strata.trace_fold_curve(S, z)
+    # a cusp bracket that used all 60 halvings returns its bracket midpoint,
+    # which is landed; the landing stalls
+    monkeypatch.setattr(strata, "bisect_on_curve",
+                        lambda system, ZA, ZB, FA, value, gap: (0.5 * (ZA + ZB),
+                                                                np.full(len(ZA), 60)))
     curve = FoldCurve(nodes=np.array([z, z + 0.01]), closed=True, closure_error=0.0,
                       det_values=np.array([1.0, -1.0]), parities=np.array([0, 1]),
                       tangents=np.zeros((2, len(z))))
     with pytest.raises(StratificationError, match="land"):
         strata._locate_cusps(S, system, curve)
+
+
+def test_located_cusps_are_not_landed_again(s3_cusps, monkeypatch):
+    # the bisection lands every cusp it returns before 60 halvings, and the
+    # correctness check and the arc samples start from the located cusp
+    landed = []
+    land = strata.land
+
+    def counted(system, z0):
+        landed.append(np.array(z0))
+        return land(system, z0)
+
+    monkeypatch.setattr(strata, "land", counted)
+    strat = compute_stratification(s3_cusps)
+    assert len(landed) == len(strat.curves) and len(strat.cusps) == 2
+    landed.clear()
+    a, data, audit, hist = run_with_genericity(s3_cusps, strat)
+    assert audit.ok and len(data.boundary_records) == 2
+    assert landed == []
