@@ -257,6 +257,7 @@ def explain(report_path) -> str:
         lines.append("curve continuation:")
     for i, c in enumerate(solver.get("curves", ())):
         lines.append(f"  curve {i}: {c['nodes']} nodes in {c['segments']} segments, "
+                     f"{c['lane_steps']} lane steps, "
                      f"{c['corrector_iterations']} corrector iterations, {c['half_steps']} "
                      f"half-step fallbacks, {c['bisection_steps']} cusp-bisection steps")
         lines.append("    stops: " + ", ".join(f"{k} {reason.replace('_', ' ')}"

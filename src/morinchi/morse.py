@@ -554,7 +554,7 @@ def _curve_context_at(S, p):
     for j, q in enumerate(points):
         if j in failures:
             raise failures[j]
-        if q.depth != 1:
+        if q.signature.n_zero:
             raise StratificationError("arc sample at a cusp is not a fold point")
         signs.append(q.sign)
     if signs[0] == signs[1]:
@@ -592,7 +592,7 @@ def perturbation_certificate(S: MorinScenario, a: Covector, p) -> PerturbationCe
     tilde, eps = out.z[k], float(eps[k])
     x_t = tilde[:S.N]
     q = stratum_point(S, *system.unpack(tilde))
-    if q.depth != 1:
+    if q.signature.n_zero:
         raise StratificationError("interior partner is not a fold point")
     sign_xnk = 1 if q.sign == "plus" else -1
     det_sign_closure = 1 if h2 > 0 else -1

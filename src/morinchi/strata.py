@@ -699,9 +699,12 @@ def stratum_point(S, x, u, mu, system=None) -> StratumPoint:
 # normalized), oriented along t since t . tau = 1; the seeds of a trace,
 # cusps, the Morse walk and an exactly singular bordered stack take it from
 # the null space by SVD (``curve_tangent``, ``_null_tangents``).  The trace
-# audits the nullity of J at every node afterwards, in stacks.  The trace
-# below and the Morse walk along the fold curves in ``morse`` share these
-# routines.
+# runs two lanes out of every seed, and two lanes that walk one arc toward
+# each other stop where they meet, so each arc between neighbouring seeds is
+# stepped once; a curve is read off its lanes with every other one reversed.
+# The trace audits the nullity of J at every node afterwards, in stacks.  The
+# trace below and the Morse walk along the fold curves in ``morse`` share
+# these routines.
 
 
 def land(system, z):
@@ -952,6 +955,7 @@ class FoldCurve:
     arcs: list = field(default_factory=list)
     solver: dict = field(default_factory=dict)      # deterministic tracing counters
     segments: np.ndarray | None = None  # node index of each segment's seed
+    meetings: np.ndarray | None = None  # node index where each segment's reversed piece starts
     members: np.ndarray | None = None   # the trace's seeds this curve passes
 
     def x_nodes(self, N):
@@ -971,33 +975,41 @@ def _node_metrics(S, system, z):
     return det, parity
 
 
-def trace_fold_curve(S: MorinScenario, z_start, cloud=None, max_steps=200000) -> FoldCurve:
+def trace_fold_curve(S: MorinScenario, z_start, cloud=None, max_steps=200000,
+                     lanes=None) -> FoldCurve:
     """Pseudo-arclength trace of the closed component of the singular curve
     through z_start, from all of its seeds at once.
 
     The seeds are z_start, landed first, and the rows of ``cloud``, other
     solutions of the singular system such as the depth-1 cloud.  Each seed
-    starts two lanes, along +t and -t (``_Lanes``).  The curve is the cycle
-    of lane segments from z_start along its sign-normalized tangent, joined
-    at the seeds where they arrive until the full (x, u, mu) state closes.
-    The cokernel may return to minus itself after one loop of the base
-    curve; the cycle then covers it twice, so each geometric point appears
-    once or twice and duplicates are cleaned up by the caller via the
-    base-point dedup radius.  ``closure_error`` is the largest distance of a
-    snapped arrival from its seed, and ``members`` lists the seeds the cycle
-    passes (0 for z_start, i + 1 for cloud[i]).  Lanes off the cycle are cut
-    when it closes.  ``max_steps`` bounds the lockstep steps.
+    starts two lanes, along +t and -t, and two lanes that walk one arc
+    toward each other stop where they meet (``_Lanes``).  The curve is the
+    cycle of lane pieces from z_start along its sign-normalized tangent, a
+    lane forward from its seed, then the lane it met reversed back to that
+    lane's seed, until the full (x, u, mu) state closes.  The cokernel may
+    return to minus itself after one loop of the base curve; the cycle then
+    covers it twice, so each geometric point appears once or twice and
+    duplicates are cleaned up by the caller via the base-point dedup radius.
+    ``closure_error`` is the largest distance of a snapped arrival from the
+    node it arrived at, and ``members`` lists the seeds the cycle passes (0
+    for z_start, i + 1 for cloud[i]).  ``lanes``, a ``_Lanes`` run with
+    z_start among its seeds, is continued instead, so the lanes of curves
+    traced before keep their steps and z_start is not landed; ``members``
+    then index its seeds.  ``max_steps`` bounds the lockstep steps of the run.
     """
-    system = SingularSystem(S)
+    system = SingularSystem(S) if lanes is None else lanes.system
     if system.solution_dim != 1:
         raise StratificationError("curve tracing requires a 1-dimensional stratum")
-    start = land(system, np.asarray(z_start, dtype=float))
-    if not start.converged:
-        raise StratificationError("could not land on the singular curve")
-    seeds = start.z[None]
-    if cloud is not None:
-        seeds = np.concatenate((seeds, np.reshape(cloud, (-1, system.dim_z))))
-    fields, checked = _Lanes(system, seeds).trace(max_steps)
+    if lanes is None:
+        start = land(system, np.asarray(z_start, dtype=float))
+        if not start.converged:
+            raise StratificationError("could not land on the singular curve")
+        seeds = start.z[None]
+        if cloud is not None:
+            seeds = np.concatenate((seeds, np.reshape(cloud, (-1, system.dim_z))))
+        lanes, z_start = _Lanes(system, seeds), start.z
+    q = int(np.flatnonzero(np.all(lanes.seeds == z_start, axis=1))[0])
+    fields, checked = lanes.cycle(q, max_steps)
     # every node and every lane's arrival, in trace order, before any metric
     _audit_curve_nullity(system, checked)
     nodes = fields["nodes"]
@@ -1012,83 +1024,126 @@ def trace_fold_curve(S: MorinScenario, z_start, cloud=None, max_steps=200000) ->
 
 
 class _Lanes:
-    """Two lanes per seed of a trace, advanced in lockstep.
+    """Two lanes per seed of a trace, advanced in lockstep until they meet.
 
     Lane 2q starts at seed q along its SVD tangent t_q, lane 2q + 1 along
     -t_q.  Each ``step`` moves every active lane by the trace's predictor
     and one batched corrector, with a local half step for a lane whose
-    corrector fails.  A lane arrives where its step crosses the normal plane
-    of a target within h = curve_step of it: a seed, or the sheet image
-    sigma(z) = (x, -u, -mu) of one, since seeds are sign-normalized and can
-    sit on either sheet of the lifted curve.  Its own seed counts only after
-    more than two steps, so a lone seed closes its loop as one lane.  The
-    arrival is snapped onto that plane.  ``advance`` follows the arrived
-    lanes from lane 0 and records the cycle as (lane, flip) pairs, flip
-    meaning the lane enters it as its sheet image.
+    corrector fails; a lane that fails even then ends the trace.  Two lanes
+    that walk one arc toward each other meet in the step in which they pass
+    each other, within h = curve_step (``_meetings``).  A lane's node counts
+    as it is or as its sheet image sigma(z) = (x, -u, -mu), since seeds are
+    sign-normalized and can sit on either sheet of the lifted curve.  A
+    meeting stops both lanes in the same step; their steps are not nodes,
+    and each is snapped onto the normal plane of the other lane's last
+    node, which stays in the curve.  ``cycle`` reads a curve off
+    the meetings as (lane, flip, reversed) pieces, flip meaning the lane
+    enters it as its sheet image: a lane forward from its seed, the lane it
+    met reversed back to that lane's seed, then that lane's sibling out of
+    the same seed, until it is back at its first lane on its own sheet.
     """
 
     def __init__(self, system, seeds):
-        self.system, self.h = system, system.S.tolerances.curve_step
+        self.system, self.h, self.seeds = system, system.S.tolerances.curve_step, seeds
         k, d = seeds.shape
         T = _null_tangents(system, seeds)
         self.sigma = np.where(np.arange(d) < system.S.N, 1.0, -1.0)
-        # target q is seed q, target k + q its sheet image
-        self.targets = np.concatenate((seeds, seeds * self.sigma))
-        self.normals = np.concatenate((T, T * self.sigma))
-        self.columns = seeds[:, :system.S.N].T.copy()     # base points, by coordinate
-        self.seed = np.repeat(np.arange(k), 2)
-        self.z = seeds[self.seed]
-        self.t = T[self.seed] * np.tile([1.0, -1.0], k)[:, None]
-        self.t_prev = self.t.copy()
         lanes = 2 * k
-        self.steps = np.zeros(lanes, dtype=int)
-        # x-distance a lane may still move before another seed can come within h
+        self.z = np.repeat(seeds, 2, axis=0)
+        self.t = np.repeat(T, 2, axis=0) * np.tile([1.0, -1.0], k)[:, None]
+        self.t_prev = self.t.copy()
+        self.count = 0                          # lockstep steps taken
+        # x-distance a lane may still move before another lane's node can come within h
         self.budget = np.full(lanes, -1.0)
         self.active = np.ones(lanes, dtype=bool)
-        self.failed = np.zeros(lanes, dtype=bool)
-        self.arrival = np.full(lanes, -1)       # target index
-        self.along = np.zeros(lanes, dtype=bool)  # crossed along the target's normal
-        self.last = np.zeros((lanes, d))        # the arriving step's point, unsnapped
+        self.partner = np.full(lanes, -1)       # the lane met
+        self.flip = np.zeros(lanes, dtype=bool)   # met as its sheet image
+        self.last = np.zeros((lanes, d))        # the meeting step's point, unsnapped
         self.snap_error = np.zeros(lanes)
         self.iterations = np.zeros(lanes, dtype=int)
         self.half_steps = np.zeros(lanes, dtype=int)
         self.stops = np.zeros((lanes, len(STOP_REASONS)), dtype=int)
         self.history = [(np.arange(lanes), self.z.copy(), self.t.copy())]
-        self.cycle, self.lane, self.flip = [], 0, False
-        self.seen = {(0, False)}
 
-    def trace(self, max_steps):
-        """Step until the cycle closes.  Returns the ``FoldCurve`` fields of
-        the cycle, and for the nullity audit its nodes with each segment's
-        arrival after them."""
-        for _ in range(max_steps):
-            self.step()
-            if self.advance():
-                break
-            if self.failed[self.lane]:
-                self._fail("continuation corrector failed")
-        else:
-            self._fail("trace did not close (open curve or step budget hit)")
-        nodes, tangents, segments = self.nodes(self.cycle)
-        used = np.array([lane for lane, _ in self.cycle])
-        flips = np.array([flip for _, flip in self.cycle])
-        arrivals = self.last[used] * np.where(flips[:, None], self.sigma, 1.0)
+    def cycle(self, q, max_steps):
+        """Step until the cycle from lane 2q closes.  Returns its
+        ``FoldCurve`` fields, and for the nullity audit its nodes with the
+        two arrivals of each meeting where its pieces join."""
+        path, lane, flip = [], 2 * q, False
+        while True:
+            while self.partner[lane] < 0:
+                if self.count >= max_steps:
+                    self._fail("trace did not close (open curve or step budget hit)")
+                self.step()
+            met, flip_met = int(self.partner[lane]), flip != self.flip[lane]
+            path += [(lane, flip, False), (met, flip_met, True)]
+            lane, flip = met ^ 1, flip_met
+            if lane == 2 * q and not flip:
+                return self._fields(path)
+
+    def _fields(self, path):
+        lanes = np.array([lane for lane, _, _ in path])
+        flips = np.array([flip for _, flip, _ in path])
+        used = np.flatnonzero(np.bincount(lanes))
+        Z, T, rows = self._take(used)
+        # a reversed piece runs from the lane's last node back to, but not
+        # onto, its seed, which starts the next piece
+        pieces = [rows[lane][:0:-1] if back else rows[lane] for lane, _, back in path]
+        sizes = [len(r) for r in pieces]
+        order = np.concatenate(pieces)
+        nodes, tangents = Z[order], T[order]
+        tangents[np.repeat([back for *_, back in path], sizes)] *= -1.0
+        flipped = np.repeat(flips, sizes)
+        nodes[flipped] *= self.sigma
+        tangents[flipped] *= self.sigma
+        starts = np.cumsum([0] + sizes[:-1])
+        arrivals = self.last[lanes] * np.where(flips[:, None], self.sigma, 1.0)
+        # each lane's nodes but its seed, counted once also where a doubly
+        # covered curve takes the lane twice
+        lane_steps = len(Z) - len(used)
         fields = {
-            "nodes": nodes, "tangents": tangents, "segments": segments,
-            "closure_error": float(np.max(self.snap_error[used])),
-            "members": np.flatnonzero(np.bincount(self.seed[used])),
-            "solver": {"nodes": len(nodes), "segments": len(used),
-                       "half_steps": int(np.sum(self.half_steps[used])),
-                       "corrector_iterations": int(np.sum(self.iterations[used])),
+            "nodes": nodes, "tangents": tangents, "segments": starts[0::2],
+            "meetings": starts[1::2],
+            "closure_error": float(np.max(self.snap_error[lanes])),
+            "members": np.flatnonzero(np.bincount(lanes // 2)),
+            "solver": {"nodes": len(nodes), "segments": len(path) // 2,
+                       "lane_steps": lane_steps,
+                       "half_steps": int(np.sum(self.half_steps[lanes])),
+                       "corrector_iterations": int(np.sum(self.iterations[lanes])),
                        "stops": dict(zip(STOP_REASONS,
-                                         map(int, np.sum(self.stops[used], axis=0))))},
+                                         map(int, np.sum(self.stops[lanes], axis=0))))},
         }
-        return fields, np.insert(nodes, np.r_[segments[1:], len(nodes)], arrivals, axis=0)
+        return fields, np.insert(nodes, np.repeat(starts[1::2], 2), arrivals, axis=0)
+
+    def _take(self, lanes):
+        """Nodes and tangents of ``lanes`` in step order, and each lane's rows
+        of them in a dict; the history keeps the other lanes' only."""
+        mine = np.zeros(len(self.active), dtype=bool)
+        mine[lanes] = True
+        where, Z, T, rest = [], [], [], []
+        self.history.reverse()
+        while self.history:
+            ids, z, t = self.history.pop()
+            keep = mine[ids]
+            if not keep.all():
+                rest.append((ids[~keep], z[~keep], t[~keep]))
+                ids, z, t = ids[keep], z[keep], t[keep]
+            where.append(ids)
+            Z.append(z)
+            T.append(t)
+        self.history = rest
+        where = np.concatenate(where)
+        order = np.argsort(where, kind="stable")    # each lane's nodes stay in step order
+        bounds = np.searchsorted(where[order], lanes)
+        ends = np.searchsorted(where[order], lanes, side="right")
+        rows = {lane: order[b:e] for lane, b, e in zip(lanes.tolist(), bounds, ends)}
+        return np.concatenate(Z), np.concatenate(T), rows
 
     def _fail(self, message):
-        """Audit the nodes of the cycle so far and of the lane it waits on,
-        then raise ``message``."""
-        _audit_curve_nullity(self.system, self.nodes(self.cycle + [(self.lane, self.flip)])[0])
+        """Audit every node the lanes have traced, in step order, then raise
+        ``message``."""
+        if self.history:
+            _audit_curve_nullity(self.system, np.concatenate([z for _, z, _ in self.history]))
         raise StratificationError(message)
 
     def _correct(self, lanes, Z, anchors, normals):
@@ -1098,6 +1153,7 @@ class _Lanes:
         return out
 
     def step(self):
+        self.count += 1
         A = np.flatnonzero(self.active)
         z, t, h = self.z[A], self.t[A], self.h
         anchor = z + h * t
@@ -1112,123 +1168,95 @@ class _Lanes:
             half = z[retry] + 0.5 * h * t[retry]
             again = self._correct(A[retry], half, half, t[retry])
             self.half_steps[A[retry]] += 1
+            if not again.converged.all():
+                self._fail("continuation corrector failed")
             z_new[retry], bordered[retry] = again.z, again.jacobian
-            lost = retry[~again.converged]
-            self.failed[A[lost]] = True
-            self.active[A[lost]] = False
-            keep = np.ones(len(A), dtype=bool)
-            keep[lost] = False
-            A, z, t, z_new, bordered = A[keep], z[keep], t[keep], z_new[keep], bordered[keep]
-        target, along = self._arrivals(A, z, z_new)
-        hit = target >= 0
-        if hit.any():
-            lanes, p = A[hit], target[hit]
-            snap = self._correct(lanes, z_new[hit], self.targets[p], self.normals[p])
-            self.snap_error[lanes] = np.where(
-                snap.converged, np.linalg.norm(snap.z - self.targets[p], axis=1), np.inf)
-            self.arrival[lanes], self.along[lanes], self.last[lanes] = p, along[hit], z_new[hit]
-            self.active[lanes] = False
-            A, t, z_new, bordered = A[~hit], t[~hit], z_new[~hit], bordered[~hit]
+        a, b, flip = self._meetings(A, z, t, z_new)
+        if a.size:
+            sheet = np.where(flip[:, None], self.sigma, 1.0)
+            P = z[b] * sheet
+            snap = self._correct(A[a], z_new[a], P, t[b] * sheet)
+            self.snap_error[A[a]] = np.where(
+                snap.converged, np.linalg.norm(snap.z - P, axis=1), np.inf)
+            self.partner[A[a]], self.flip[A[a]], self.last[A[a]] = A[b], flip, z_new[a]
+            self.active[A[a]] = False
+            going = self.active[A]
+            A, t, z_new, bordered = A[going], t[going], z_new[going], bordered[going]
         t_new = _chain_tangents(self.system, z_new, t, bordered)
         self.history.append((A, z_new, t_new))
         self.z[A], self.t_prev[A], self.t[A] = z_new, t, t_new
-        self.steps[self.active] += 1
 
-    def _arrivals(self, A, z, z_new):
-        """For the step z -> z_new of each lane of A, the first target whose
-        normal plane it crosses, with z or z_new within h of the target (-1
-        for none), and whether it crosses along the target's normal.
+    def _meetings(self, A, z, t, z_new):
+        """The lanes of A that meet in the step z -> z_new: index pairs
+        (a, b) into A, each pair both ways round, and whether b is met as
+        its sheet image.
 
-        A target within h is within h in x, and a target and its sheet image
-        share x, so the search runs over the seeds' base points.  A lane
-        searches them only once its budget is spent: the x-distance to the
-        nearest other seed at its last search, less h, less the x-distance it
-        has moved since, bounds how far every other seed still is.  Its own
-        seed, which it starts on, and that seed's image are checked every
-        step instead.  A search takes ``BATCH_ENTRIES`` distances at a time,
-        summed coordinate by coordinate.
+        Lane i meets lane j when they pass each other head on: before the
+        step z[i] is ahead of j's node z[j] along j's tangent t[j], after it
+        z_new[i] is not ahead of j's new point z_new[j], and z[i] is within
+        h of z[j] or z_new[i] of z_new[j].  Both lanes move, so a gap
+        between them of up to 2h closes in one step.  j's node counts as it
+        is or as its sheet image, whichever is nearer z[i] (they differ in
+        (u, mu) only).  A lane takes the first such passing
+        along its step.  Pairs that took each other meet first, then the
+        others in lane order while both lanes are free.
+
+        Either distance within h puts z_new[i] within h plus the farthest
+        step of any lane of z[j] in x, and a node and its sheet image share
+        x, so the search runs over base points.  A lane searches only once
+        its budget is spent: the x-distance to the nearest other node at
+        its last search, less h, less the x-distance it has moved since and
+        the farthest any lane has moved in each step since, bounds how far
+        every other node still is.  A search takes ``BATCH_ENTRIES``
+        distances at a time, summed coordinate by coordinate.
         """
-        h, k, N = self.h, len(self.columns[0]), self.system.S.N
-        own = self.seed[A]
+        h, N, n = self.h, self.system.S.N, len(A)
         moved = np.linalg.norm(z_new[:, :N] - z[:, :N], axis=1)
-        self.budget[A] -= moved
-        later = np.flatnonzero(self.steps[A] > 2)
-        lanes = [later, np.arange(len(A))]
-        targets = [own[later], own + k]
+        farthest = float(np.max(moved))
+        self.budget[A] -= moved + farthest
         due = np.flatnonzero(self.budget[A] < 0)
-        rows = max(1, BATCH_ENTRIES // k)
+        columns = z[:, :N].T.copy()                 # base points, by coordinate
+        rows = max(1, BATCH_ENTRIES // n)
+        lanes, targets = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
         for i in range(0, due.size, rows):
             block = due[i:i + rows]
             near = 0.0
-            for j, column in enumerate(self.columns):
-                a = column - z_new[block, j, None]
-                near = near + a * a
-            near[np.arange(block.size), own[block]] = np.inf
-            self.budget[A[block]] = np.sqrt(np.min(near, axis=1)) - h
-            r, q = np.nonzero(near < ((h + moved[block]) ** 2)[:, None])
-            lanes += [block[r], block[r]]
-            targets += [q, q + k]
-        lane, p = np.concatenate(lanes), np.concatenate(targets)
-        P, T = self.targets[p], self.normals[p]
-        close = np.minimum(np.linalg.norm(z[lane] - P, axis=1),
-                           np.linalg.norm(z_new[lane] - P, axis=1)) < h
-        d0 = np.sum((z[lane] - P) * T, axis=1)
-        d1 = np.sum((z_new[lane] - P) * T, axis=1)
-        crossed = close & ((d0 < 0) != (d1 < 0))
-        lane, p, d0, d1 = lane[crossed], p[crossed], d0[crossed], d1[crossed]
-        # the first crossing along the step; ties go to the lower target
-        order = np.lexsort((p, d0 / (d0 - d1), lane))
-        lane, p, d1 = lane[order], p[order], d1[order]
+            for j, column in enumerate(columns):
+                d = column - z_new[block, j, None]
+                near = near + d * d
+            near[np.arange(block.size), block] = np.inf
+            self.budget[A[block]] = np.sqrt(np.min(near, axis=1)) - h - farthest
+            r, q = np.nonzero(near < (h + farthest) ** 2)
+            lanes.append(block[r])
+            targets.append(q)
+        lane, q = np.concatenate(lanes), np.concatenate(targets)
+        if not lane.size:
+            return lane, lane, lane.astype(bool)
+        # of a node and its sheet image, the one nearer z[i] in (u, mu)
+        flip = np.sum(z[lane, N:] * z[q, N:], axis=1) < 0
+        sheet = np.where(flip[:, None], self.sigma, 1.0)
+        before, after = z[lane] - z[q] * sheet, z_new[lane] - z_new[q] * sheet
+        close = np.minimum(np.linalg.norm(before, axis=1), np.linalg.norm(after, axis=1)) < h
+        T = t[q] * sheet
+        d0, d1 = np.sum(before * T, axis=1), np.sum(after * T, axis=1)
+        met = close & (d0 > 0) & (d1 <= 0)
+        lane, q, flip, d0, d1 = lane[met], q[met], flip[met], d0[met], d1[met]
+        # the first passing along the step; ties go to the lower target
+        order = np.lexsort((q, d0 / (d0 - d1), lane))
+        lane, q, flip = lane[order], q[order], flip[order]
         first = np.diff(lane, prepend=-1) != 0
-        target = np.full(len(A), -1)
-        along = np.zeros(len(A), dtype=bool)
-        target[lane[first]], along[lane[first]] = p[first], d1[first] >= 0
-        return target, along
-
-    def advance(self):
-        """Extend the cycle along the lanes that have arrived; True once it is
-        back at seed 0, on its own sheet, along +t_0."""
-        k = len(self.seed) // 2
-        while self.arrival[self.lane] >= 0:
-            self.cycle.append((self.lane, self.flip))
-            p, along = self.arrival[self.lane], self.along[self.lane]
-            q, self.flip = p % k, self.flip != (p >= k)
-            if q == 0 and not self.flip and along:
-                return True
-            self.lane = 2 * q + (0 if along else 1)
-            if (self.lane, self.flip) in self.seen:
-                raise StratificationError("trace did not close (its lanes cycle without "
-                                          "returning to the start)")
-            self.seen.add((self.lane, self.flip))
-        return False
-
-    def nodes(self, path):
-        """Nodes and tangents of the lanes of ``path``, (lane, flip) pairs, in
-        order and each on the sheet of its flip (a doubly covered curve takes
-        a lane twice), and the node index where each lane's segment starts.
-        Consumes the history."""
-        lanes = sorted({lane for lane, _ in path})
-        slot = np.full(len(self.seed), -1)
-        slot[lanes] = np.arange(len(lanes))
-        where, Z, T = [], [], []
-        self.history.reverse()
-        while self.history:
-            ids, z, t = self.history.pop()
-            keep = slot[ids] >= 0
-            where.append(slot[ids][keep])
-            Z.append(z[keep])
-            T.append(t[keep])
-        where = np.concatenate(where)
-        order = np.argsort(where, kind="stable")    # each lane's nodes stay in step order
-        bounds = np.searchsorted(where[order], np.arange(len(lanes) + 1))
-        rows = [order[bounds[slot[lane]]:bounds[slot[lane] + 1]] for lane, _ in path]
-        sizes = [len(r) for r in rows]
-        flipped = np.repeat([flip for _, flip in path], sizes)
-        rows = np.concatenate(rows)
-        Z, T = np.concatenate(Z)[rows], np.concatenate(T)[rows]
-        Z[flipped] *= self.sigma
-        T[flipped] *= self.sigma
-        return Z, T, np.cumsum([0] + sizes[:-1])
+        lane, q, flip = lane[first], q[first], flip[first]
+        choice = np.full(n, -1)
+        choice[lane] = q
+        free = np.ones(n, dtype=bool)
+        pairs = []
+        for i in np.lexsort((lane, choice[q] != lane)):
+            x, y = lane[i], q[i]
+            if free[x] and free[y]:
+                free[x] = free[y] = False
+                pairs.append((x, y, flip[i]))
+        x, y, f = np.array(pairs, dtype=int).reshape(-1, 3).T
+        return np.r_[x, y], np.r_[y, x], np.r_[f, f].astype(bool)
 
 
 def _locate_cusps(S, system, curve: FoldCurve):
@@ -1371,15 +1399,19 @@ def compute_stratification(S: MorinScenario, regularity_count=20) -> Stratificat
 
 
 def _trace_all_curves(S, points):
-    """One ``trace_fold_curve`` per curve: the first point not yet on a curve
-    starts the cycle, and every such point seeds lanes."""
+    """Every curve through the depth-1 cloud from one run of lanes: one
+    ``trace_fold_curve`` per curve, each from the first point not yet on a
+    curve, continuing the run the curves before it stepped."""
+    if not points:
+        return []
     system = SingularSystem(S)
     Z = np.array([system.pack(p.x, p.cokernel, p.multiplier) for p in points])
+    lanes = _Lanes(system, Z)
+    on_curve = np.zeros(len(Z), dtype=bool)
     curves = []
-    while len(Z):
-        curve = trace_fold_curve(S, Z[0], Z[1:])
-        curves.append(curve)
-        Z = np.delete(Z, curve.members, axis=0)
+    while not on_curve.all():
+        curves.append(trace_fold_curve(S, Z[np.argmin(on_curve)], lanes=lanes))
+        on_curve[curves[-1].members] = True
     return curves
 
 

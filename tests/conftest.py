@@ -49,6 +49,15 @@ def fd_jacobian(fn, z, step=1e-7):
     return J
 
 
+def reversed_nodes(curve):
+    """True at the nodes of a traced curve's reversed pieces: from each
+    segment's meeting to the next segment's seed."""
+    back = np.zeros(len(curve.nodes), dtype=bool)
+    for start, end in zip(curve.meetings, np.r_[curve.segments[1:], len(curve.nodes)]):
+        back[start:end] = True
+    return back
+
+
 def reference_newton(residual_fn, jacobian_fn, z0, tol=1e-12, max_iter=60):
     """Damped Newton on one system, one point at a time: the scalar loop
     ``newton_batch`` replaced.  Each step is ``np.linalg.lstsq``'s

@@ -64,6 +64,7 @@ from tests.conftest import (
     reference_newton,
     reference_points_from_solutions,
     reference_stratum_point,
+    reversed_nodes,
 )
 
 ALL_SCENARIOS = ["s2-height", "torus-height", "s3-proj", "s4-height",
@@ -412,15 +413,20 @@ def test_curve_tangents_are_the_tangent_chain(fold_curves, name):
     for curve in curves:
         # a segment's seed takes the null vector of J, oriented along the
         # trace; every later node the solution of [J(z_i); t_(i-1)] tau =
-        # e_last, normalized
+        # e_last, normalized, and a node of a reversed piece, which its lane
+        # stepped to from the node after it along -t_(i+1), minus the
+        # solution of [J(z_i); -t_(i+1)] tau = e_last
         seeds = set(curve.segments.tolist())
+        back = reversed_nodes(curve)
         _assert_close(curve.tangents[0], curve_tangent(system, curve.nodes[0]))
         null_vectors = [curve.tangents[0]]
         for i in range(1, len(curve.nodes)):
             z, prev, t = curve.nodes[i], curve.tangents[i - 1], curve.tangents[i]
             if i not in seeds:
-                tau = np.linalg.solve(np.vstack([system.jacobian(z), prev]), e_last)
-                _assert_close(t, tau / np.linalg.norm(tau))
+                j, sign = ((i + 1) % len(curve.nodes), -1.0) if back[i] else (i - 1, 1.0)
+                tau = np.linalg.solve(np.vstack([system.jacobian(z), sign * curve.tangents[j]]),
+                                      e_last)
+                _assert_close(sign * t, tau / np.linalg.norm(tau))
             # the null vector of J(z) oriented along the previous tangent
             null_vectors.append(curve_tangent(system, z, prev=prev))
             assert np.max(np.abs(t - null_vectors[-1])) <= 1e-12

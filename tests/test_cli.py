@@ -382,16 +382,18 @@ def test_report_counts_curve_tracing_work(tmp_path):
     assert [c["nodes"] for c in curves] == [sum(r[0] == str(i) for r in rows)
                                             for i in range(len(curves))]
     (c,) = curves
-    assert set(c) == {"nodes", "segments", "half_steps", "corrector_iterations", "stops",
-                      "bisection_steps"}
+    assert set(c) == {"nodes", "segments", "lane_steps", "half_steps", "corrector_iterations",
+                      "stops", "bisection_steps"}
     # every node but a segment's seed needs a corrector iteration; each of the
-    # two cusps is bisected
+    # two cusps is bisected; the lanes step each node once
     assert c["corrector_iterations"] >= c["nodes"] - c["segments"] > 0
+    assert 0 < c["lane_steps"] <= c["nodes"]
     assert c["bisection_steps"] >= 2
     assert list(c["stops"]) == list(STOP_REASONS)
     assert c["stops"]["converged"] == sum(c["stops"].values()) > c["segments"]
     text = explain(d1 / "report.json")
     assert (f"curve 0: {c['nodes']} nodes in {c['segments']} segments, "
+            f"{c['lane_steps']} lane steps, "
             f"{c['corrector_iterations']} corrector iterations, {c['half_steps']} half-step "
             f"fallbacks, {c['bisection_steps']} cusp-bisection steps\n"
             f"    stops: {c['stops']['converged']} converged, 0 nonfinite step, "

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,7 @@ from morinchi.strata import (
     load_scenario,
     stratum_point,
 )
-from tests.conftest import fd_jacobian
+from tests.conftest import bundled, fd_jacobian
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +230,52 @@ def test_certificates_cancel(cusp_ctx):
         assert cert.chi_contribution == (1 if cert.interior_index == 0 else 0)
 
 
+def _flat_below(S, system, Z):
+    """S with eigen_zero between the relative sizes of the kernel Hessian's
+    smallest eigenvalue at the two points Z, each measured as
+    ``eig_sign_counts`` measures it, so that one point is flat."""
+    sizes = []
+    for z in Z:
+        vals = np.linalg.eigvalsh(strata._kernel_form(S, *system.unpack(z)))
+        sizes.append(np.min(np.abs(vals)) / max(np.max(np.abs(vals)), 1.0))
+    small, large = sorted(sizes)
+    assert large > 1.001 * small
+    S.tolerances = dataclasses.replace(S.tolerances, eigen_zero=float(np.sqrt(small * large)))
+
+
+def test_an_arc_sample_on_a_flat_point_is_not_a_fold_point():
+    # the kernel eigenvalues of the two arc samples at an s3-cusps cusp
+    # differ in magnitude (about 8.24e-3 and 8.29e-3); with eigen_zero
+    # between them one sample is flat.  Its sign is "unsigned" and the other
+    # sample's is not, so the equal-signs check passes: only the flat count
+    # rejects the sample
+    S = bundled("s3-cusps")
+    cusp = compute_stratification(S).cusps[0]
+    system, _, _, samples = morse._curve_context_at(S, cusp)
+    _flat_below(S, system, samples)
+    points, failures = strata.stratum_points(S, system, np.array(samples))
+    assert not failures and sorted(q.signature.n_zero for q in points) == [0, 1]
+    assert len({q.sign for q in points}) == 2 and {q.depth for q in points} == {1}
+    with pytest.raises(StratificationError, match="arc sample at a cusp is not a fold point"):
+        morse._curve_context_at(S, cusp)
+
+
+def test_a_flat_interior_partner_is_not_a_fold_point(cusp_ctx, monkeypatch):
+    # the certificate's interior partner sits about 1e-4 from the cusp; an
+    # eigen_zero above its kernel eigenvalue makes it flat, while the arc
+    # samples are taken with the default tolerances
+    _, _, a, data, _ = cusp_ctx
+    S = bundled("s3-cusps")
+    cusp = compute_stratification(S).cusps[0]
+    context = morse._curve_context_at(S, cusp)
+    partner = data.certificates[0].p_tilde
+    assert 0 < np.linalg.norm(partner - cusp.x) < 1e-3
+    S.tolerances = dataclasses.replace(S.tolerances, eigen_zero=1e-2)
+    monkeypatch.setattr(morse, "_curve_context_at", lambda S, p: context)
+    with pytest.raises(StratificationError, match="interior partner is not a fold point"):
+        perturbation_certificate(S, a, cusp)
+
+
 def test_certificate_det_sign_bookkeeping(cusp_ctx):
     S, strat, a, data, audit = cusp_ctx
     for cert in data.certificates:
@@ -392,7 +440,8 @@ def test_unconverged_landing_is_a_stratification_error(flat_cusp, monkeypatch):
 
 
 def test_located_cusps_are_not_landed_again(s3_cusps, monkeypatch):
-    # the bisection lands every cusp it returns before 60 halvings, and the
+    # the trace starts from the depth-1 cloud, already on the curve; the
+    # bisection lands every cusp it returns before 60 halvings, and the
     # correctness check and the arc samples start from the located cusp
     landed = []
     land = strata.land
@@ -403,7 +452,7 @@ def test_located_cusps_are_not_landed_again(s3_cusps, monkeypatch):
 
     monkeypatch.setattr(strata, "land", counted)
     strat = compute_stratification(s3_cusps)
-    assert len(landed) == len(strat.curves) and len(strat.cusps) == 2
+    assert landed == [] and len(strat.curves) == 1 and len(strat.cusps) == 2
     landed.clear()
     a, data, audit, hist = run_with_genericity(s3_cusps, strat)
     assert audit.ok and len(data.boundary_records) == 2

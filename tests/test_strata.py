@@ -29,7 +29,7 @@ from morinchi.strata import (
     stratum_point,
     trace_fold_curve,
 )
-from tests.conftest import bundled, fd_jacobian, reference_newton
+from tests.conftest import bundled, fd_jacobian, reference_newton, reversed_nodes
 
 
 @pytest.fixture(scope="module")
@@ -352,24 +352,30 @@ def test_trace_takes_one_newton_step_per_node(fine_traces, name):
     nodes, segments = len(curve.nodes), curve.solver["segments"]
     assert nodes > 3000 and curve.solver["half_steps"] == 0
     assert segments == len(curve.segments) == len(Z)
-    # one iteration per corrected node; each segment adds the plain first
-    # step from its seed, the step that arrives and the snap of the arrival
+    # one iteration per corrected node; each of a segment's two lanes adds
+    # the plain first step from its seed, the step that meets the other lane
+    # and the snap of that step
     assert nodes - segments <= curve.solver["corrector_iterations"]
-    assert curve.solver["corrector_iterations"] <= 1.01 * (nodes - segments) + 6 * segments
+    assert curve.solver["corrector_iterations"] <= 1.01 * (nodes - segments) + 12 * segments
     assert curve.solver["stops"]["converged"] == sum(curve.solver["stops"].values())
     # the second-order predictor only moves the corrector's start: every node
     # a corrector produced is still where the plain predictor's step from the
-    # node before lands, on the plane through z + h t normal to t.  The
-    # reference corrector is the scalar loop ``reference_newton``
-    # (least-squares steps) on the bordered system.  A segment starts at a
-    # seed, or at the seed's sheet image (x, -u, -mu), which is exempt.
+    # node its lane stepped from lands, on the plane through z + h t normal
+    # to t.  That node is the one before along t, or in a reversed piece the
+    # one after along -t.  The reference corrector is the scalar loop
+    # ``reference_newton`` (least-squares steps) on the bordered system.  A
+    # segment starts at a seed, or at the seed's sheet image (x, -u, -mu),
+    # which is exempt.
     sheets = np.concatenate((Z, Z * np.where(np.arange(system.dim_z) < S.N, 1, -1)))
     seeds = set(curve.segments.tolist())
+    back = reversed_nodes(curve)
+    assert back.sum() > 1000 and (~back).sum() > 1000
     for i in range(1, nodes):
         if i in seeds:
             assert np.min(np.max(np.abs(sheets - curve.nodes[i]), axis=1)) == 0.0
             continue
-        z, t = curve.nodes[i - 1], curve.tangents[i - 1]
+        j, sign = ((i + 1) % nodes, -1.0) if back[i] else (i - 1, 1.0)
+        z, t = curve.nodes[j], sign * curve.tangents[j]
         anchor = z + h * t
         plain = reference_newton(lambda w: np.append(system.residual(w), t @ (w - anchor)),
                                  lambda w: np.vstack([system.jacobian(w), t]), anchor,
@@ -402,17 +408,64 @@ def test_cloud_trace_matches_the_one_seed_trace(fine_traces, name):
 
 def test_seeds_on_the_other_sheet_give_the_same_curve(fine_traces):
     # a seed and its sheet image (x, -u, -mu) lie on the same base curve: a
-    # cloud with every other seed flipped traces the same nodes
+    # cloud with every other seed flipped traces the same nodes, its lanes
+    # meeting the same lanes, now each on the other's sheet
     S, system, Z, curve, _ = fine_traces["s3-cusps"]
     flipped = Z.copy()
     flipped[1::2, S.N:] *= -1
     other = trace_fold_curve(S, flipped[0], flipped[1:])
-    assert other.solver["segments"] == curve.solver["segments"]
+    assert other.solver == curve.solver
     assert list(other.members) == list(curve.members)
     assert np.array_equal(other.segments, curve.segments)
+    assert np.array_equal(other.meetings, curve.meetings)
+    assert other.closure_error <= 1e-10
     np.testing.assert_allclose(other.nodes, curve.nodes, rtol=0, atol=1e-12)
     for p, q in zip(other.cusps, curve.cusps):
         assert np.max(np.abs(p.x - q.x)) <= 1e-10
+
+
+def _arc_length(nodes):
+    return float(np.sum(np.linalg.norm(np.diff(nodes, axis=0), axis=1)))
+
+
+@pytest.mark.parametrize("name", ["s3-proj", "s3-cusps"])
+def test_a_lone_seed_meets_itself_on_the_far_side(fine_traces, name):
+    # the two lanes of a lone seed walk the curve both ways and meet half
+    # way round: the cycle is lane 0 forward, then lane 1 reversed
+    S, system, _, _, single = fine_traces[name]
+    h, nodes = S.tolerances.curve_step, single.nodes
+    assert single.segments.tolist() == [0] and single.meetings.size == 1
+    (m,) = single.meetings.tolist()
+    assert single.solver["lane_steps"] == len(nodes) - 1
+    assert abs(_arc_length(nodes[:m]) - _arc_length(np.r_[nodes[m:], nodes[:1]])) <= 2 * h
+    assert np.linalg.norm(nodes[m] - nodes[m - 1]) <= 2 * h
+    assert single.closure_error <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["s3-proj", "s3-cusps"])
+def test_seeds_closer_than_half_a_step_meet_at_once(fine_traces, name):
+    # a second seed h/3 along +t from the first: the first seed's lane 0 and
+    # the second seed's lane heading back pass each other in the first step,
+    # so the first segment is the first seed alone; the other two lanes meet
+    # on the far side
+    S, system, Z, _, single = fine_traces[name]
+    h = S.tolerances.curve_step
+    t = single.tangents[0]
+    near = correct_in_planes(system, (Z[0] + h / 3 * t)[None], (Z[0] + h / 3 * t)[None],
+                             t[None])
+    assert near.converged[0]
+    curve = trace_fold_curve(S, Z[0], near.z)
+    assert curve.segments.tolist() == [0, 1] and curve.meetings[0] == 1
+    assert list(curve.members) == [0, 1]
+    assert np.array_equal(curve.nodes[0], Z[0]) and np.array_equal(curve.nodes[1], near.z[0])
+    assert curve.solver["lane_steps"] == len(curve.nodes) - 2
+    assert curve.closure_error <= 1e-10
+    gaps = np.linalg.norm(np.roll(curve.nodes, -1, axis=0) - curve.nodes, axis=1)
+    assert np.max(gaps) <= 2 * h
+    assert len(curve.cusps) == len(single.cusps)
+    for p, q in zip(curve.cusps, single.cusps):
+        assert np.max(np.abs(p.x - q.x)) <= 1e-10
+    assert [a.sign for a in curve.arcs] == [a.sign for a in single.arcs]
 
 
 def test_correct_in_planes_on_a_singular_border_takes_the_minimal_norm_step(s3_proj):
@@ -584,9 +637,9 @@ def test_open_curve_does_not_close(flat_cusp):
         trace_fold_curve(flat_cusp, z0, max_steps=300)
 
 
-def test_two_fold_circles_take_one_trace_each():
+def test_two_fold_circles_take_one_trace_each(monkeypatch):
     # M is two disjoint 3-spheres, centred at x0 = -2 and x0 = 2, each with
-    # the fold circle of the plane projection: the first trace takes the
+    # the fold circle of the plane projection: the first curve takes the
     # cloud points of one circle, the second the rest
     S = load_scenario({
         "name": "two-spheres", "ambient_dim": 4, "intrinsic_dim": 3,
@@ -594,9 +647,24 @@ def test_two_fold_circles_take_one_trace_each():
                         "(+ (^ (+ x0 2) 2) (^ x1 2) (^ x2 2) (^ x3 2) -1))"],
         "target_dim": 2, "components": ["x1", "x2"], "sample_halfwidth": 3.5,
     })
+    runs, stepped = set(), []
+    step = strata._Lanes.step
+
+    def counted(lanes):
+        runs.add(id(lanes))
+        stepped.append(int(np.sum(lanes.active)))
+        step(lanes)
+
+    monkeypatch.setattr(strata._Lanes, "step", counted)
     strat = compute_stratification(S)
     assert len(strat.curves) == 2
     assert sum(len(c.members) for c in strat.curves) == len(strat.points)
+    # one run of lanes for both curves, and no lane is stepped twice: every
+    # lane's steps are its nodes but its seed and the step that meets
+    assert len(runs) == 1
+    lane_steps = [c.solver["lane_steps"] for c in strat.curves]
+    assert sum(stepped) == sum(lane_steps) + 2 * len(strat.points)
+    assert all(0 < k <= c.solver["nodes"] for k, c in zip(lane_steps, strat.curves))
     for curve, centre in zip(strat.curves, (-2.0, 2.0)):
         x = curve.x_nodes(S.N)
         assert np.max(np.abs(x[:, 0] - centre)) < 1e-10
