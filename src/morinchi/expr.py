@@ -20,8 +20,6 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from ._numeric import BATCH_ENTRIES
-
 Rational = Union[int, Fraction]
 
 
@@ -223,11 +221,11 @@ class ExprBlock:
 
     All expressions are expanded over the union of their monomials.  A call
     takes one point (N,) or a stack of points (B, N) and returns the family's
-    values, (R,) or (B, R): one power table, one gather-product per monomial
+    values, (R,) or (B, R): one power table, one product per factor column
     and one coefficient product cover the whole stack.  This is the hot path
-    of every solver.  A stack is evaluated ``chunk`` points at a time, so the
-    gathered (points, monomials, factors) array stays within
-    ``BATCH_ENTRIES``.
+    of every solver.  The power table holds the points along its last axis,
+    so each gather of a factor column copies whole rows, and no (points,
+    monomials, factors) array is ever built.
     """
 
     def __init__(self, exprs: Sequence[Expr], nvars: int):
@@ -243,29 +241,26 @@ class ExprBlock:
         self._max_exp = max((e for m in basis for e in m), default=0)
         # a monomial multiplies the powers of the variables it uses, by flat
         # index into the (max_exp + 1, nvars) power table, in variable order
-        # and padded with entry 0 (x0^0 = 1)
-        width = max((sum(e > 0 for e in m) for m in basis), default=0)
+        # and padded with entry 0 (x0^0 = 1), at least one factor each
+        width = max([1] + [sum(e > 0 for e in m) for m in basis])
         self._factors = np.zeros((len(basis), width), dtype=np.int64)
         for i, m in enumerate(basis):
             used = [e * nvars + j for j, e in enumerate(m) if e]
             self._factors[i, :len(used)] = used
-        self.chunk = max(1, BATCH_ENTRIES // max(1, self._factors.size))
 
     def __call__(self, x) -> np.ndarray:
+        # each monomial's factors are multiplied left to right, as np.prod would
         x = np.asarray(x, dtype=float)
-        if x.ndim > 1 and x.shape[0] > self.chunk:
-            return np.concatenate([self._eval(x[i:i + self.chunk])
-                                   for i in range(0, x.shape[0], self.chunk)])
-        return self._eval(x)
-
-    def _eval(self, x):
-        # power table per variable, then one gather-product per monomial
-        lead = x.shape[:-1]
-        table = np.ones(lead + (self._max_exp + 1, self.nvars))
+        X = x.reshape(-1, self.nvars).T
+        table = np.ones((self._max_exp + 1,) + X.shape)
         for e in range(1, self._max_exp + 1):
-            table[..., e, :] = table[..., e - 1, :] * x
-        powers = np.prod(table.reshape(lead + (-1,))[..., self._factors], axis=-1)
-        return powers @ self.coeffs.T
+            table[e] = table[e - 1] * X
+        table = table.reshape((self._max_exp + 1) * self.nvars, X.shape[1])
+        factors = self._factors.T
+        powers = table[factors[0]]
+        for column in factors[1:]:
+            powers *= table[column]
+        return (powers.T @ self.coeffs.T).reshape(x.shape[:-1] + (len(self.coeffs),))
 
 
 class Jet:

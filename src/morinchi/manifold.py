@@ -145,6 +145,17 @@ def tangent_frames(M: ImplicitManifold, X):
     return tangent, failures
 
 
+def sample_starts(M: ImplicitManifold, count, key):
+    """Ambient starts (max(count, number of sample seeds), N): the sample
+    seeds, then uniform draws in the box of half-width ``sample_halfwidth``
+    from the generator keyed by ``key``."""
+    seeds = np.array(M.sample_seeds, dtype=float).reshape(-1, M.ambient_dim)
+    w = M.sample_halfwidth
+    draws = np.random.default_rng(key).uniform(
+        -w, w, (max(0, count - len(seeds)), M.ambient_dim))
+    return np.concatenate((seeds, draws))
+
+
 def validate_regularity(M: ImplicitManifold, count: int, seed: int,
                         rank_tol=1e-4) -> RegularityReport:
     """Project seeded random points onto M and check full constraint rank there.
@@ -155,12 +166,7 @@ def validate_regularity(M: ImplicitManifold, count: int, seed: int,
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    rng = np.random.default_rng([int(seed), 11])
-    starts = [np.asarray(s, dtype=float) for s in M.sample_seeds]
-    w = M.sample_halfwidth
-    while len(starts) < count:
-        starts.append(rng.uniform(-w, w, M.ambient_dim))
-    proj = project_points(M, np.array(starts[: max(count, len(M.sample_seeds))]))
+    proj = project_points(M, sample_starts(M, count, [int(seed), 11]))
     points = proj.z[proj.converged]
     if len(points) == 0:
         raise RegularityError("no random point could be projected onto the manifold")

@@ -33,10 +33,9 @@ from .strata import (
     Stratification,
     StratificationError,
     _multistart_seeds,
-    _null_tangents,
     bisect_on_curve,
     correct_in_planes,
-    curve_tangent,
+    curve_tangents,
     stratum_point,
     stratum_points,
 )
@@ -146,7 +145,7 @@ def _k0_starts(S: MorinScenario, a) -> tuple:
 
     lam is the least-squares multiplier of the stationarity equation at x.
     """
-    X0 = np.array(_multistart_seeds(S, S.tolerances.multistart_density * (S.n + 1), tag=2))
+    X0 = _multistart_seeds(S, S.tolerances.multistart_density * (S.n + 1), tag=2)
     proj = project_points(S.manifold, X0)
     x = proj.z[proj.converged]
     D = S.jet(x)[1]
@@ -263,14 +262,14 @@ class StratumCriticalSystem:
         return B.T @ J[self.E:, :self.D] @ B
 
 
-def _polish_stratum_critical(S, a, z_guess):
+def _polish_stratum_critical(S, a, Z):
+    """Newton on the augmented system of h = <a, f> from a stack Z (B, dim_z)
+    of points of the depth-1 set, each with its least-squares nu, as one
+    batched solve.  Returns the system and the ``newton_batch`` result."""
     sysc = StratumCriticalSystem(S, a)
-    w0 = np.concatenate([z_guess, sysc.initial_nu(z_guess)])
-    out = newton_batch(sysc.evaluate, w0, tol=S.tolerances.residual)
-    if not out.converged[0]:
-        return None
-    w = out.z[0]
-    return w[:sysc.D], w[sysc.D:], out.residual[0], sysc
+    out = newton_batch(sysc.evaluate, np.concatenate([Z, sysc.initial_nu(Z)], axis=1),
+                       tol=S.tolerances.residual)
+    return sysc, out
 
 
 def _stratum_records(S, a, W, residuals, sysc) -> list:
@@ -317,14 +316,17 @@ def _cusp_near(S, cusps, x):
 
 
 def _critical_points_on_curves(S, a: Covector, strat: Stratification):
-    """Zeros of dh/ds on every traced curve; cusps come back separately."""
+    """Zeros of dh/ds on every traced curve; cusps come back separately.
+
+    The zeros away from every cusp are polished in one batched solve.  The
+    cusp itself solves the augmented system, so a polish that slid into it
+    is a cusp hit, not an interior critical point.
+    """
     system = SingularSystem(S)
-    tol = S.tolerances
-    fold_zeros = []
-    cusp_hits = {}
+    zeros = [np.zeros((0, system.dim_z))]
 
     def dh_ds(Z, chords):
-        T = _null_tangents(system, Z, prev=chords)
+        T = curve_tangents(system, Z, prev=chords)
         return np.einsum("l,kli,ki->k", a.a, S.Df(Z[:, :S.N]), T[:, :S.N])
 
     for curve in strat.curves:
@@ -332,29 +334,24 @@ def _critical_points_on_curves(S, a: Covector, strat: Stratification):
         if np.any(phis == 0.0):
             raise GenericityFailure("exact zero derivative at a trace node")
         brackets = np.flatnonzero(~(phis * np.roll(phis, -1) > 0))
-        Z_star, _ = bisect_on_curve(system, curve.nodes[brackets],
-                                    curve.nodes[(brackets + 1) % len(phis)], phis[brackets],
-                                    dh_ds, gap=1e-13)
-        for z_star in Z_star:
-            hit = _cusp_near(S, strat.cusps, z_star[:S.N])
-            if hit is None:
-                polished = _polish_stratum_critical(S, a.a, z_star)
-                if polished is None:
-                    raise GenericityFailure("stratum critical point failed to polish")
-                # the cusp itself solves the augmented system; a polish that
-                # slid into it is a cusp hit, not an interior critical point
-                z_star = polished[0]
-                hit = _cusp_near(S, strat.cusps, z_star[:S.N])
-                if hit is None:
-                    fold_zeros.append(polished)
-                    continue
-            cusp_hits[hit] = z_star
-    records = []
-    if fold_zeros:
-        kept = [fold_zeros[i] for i in dedup_points([z[:S.N] for z, _, _, _ in fold_zeros],
-                                                    tol.dedup_radius)]
-        records = _stratum_records(S, a, np.array([np.concatenate(w[:2]) for w in kept]),
-                                   [res for _, _, res, _ in kept], kept[0][3])
+        zeros.append(bisect_on_curve(system, curve.nodes[brackets],
+                                     curve.nodes[(brackets + 1) % len(phis)],
+                                     phis[brackets], dh_ds, gap=1e-13)[0])
+    Z = np.concatenate(zeros)
+    hits = [_cusp_near(S, strat.cusps, z[:S.N]) for z in Z]
+    cusp_hits = {hit: z for hit, z in zip(hits, Z) if hit is not None}
+    sysc, out = _polish_stratum_critical(S, a.a, Z[[hit is None for hit in hits]])
+    if not out.converged.all():
+        raise GenericityFailure("stratum critical point failed to polish")
+    fold = []
+    for j, w in enumerate(out.z):
+        hit = _cusp_near(S, strat.cusps, w[:S.N])
+        if hit is None:
+            fold.append(j)
+        else:
+            cusp_hits[hit] = w[:sysc.D]
+    kept = [fold[i] for i in dedup_points(out.z[fold, :S.N], S.tolerances.dedup_radius)]
+    records = _stratum_records(S, a, out.z[kept], out.residual[kept], sysc)
     records.sort(key=lambda r: tuple(np.round(r.x, 9)))
     return records, cusp_hits
 
@@ -362,15 +359,14 @@ def _critical_points_on_curves(S, a: Covector, strat: Stratification):
 def _critical_points_on_surface(S, a: Covector, strat: Stratification, stats=None):
     """Multistart solve on a stratum of dimension >= 2, seeded by the point cloud.
 
-    Every point of the cloud is polished at once, as one batched Newton.
+    Every point of the cloud is polished at once (``_polish_stratum_critical``).
     ``stats``, a dict when given, receives the counters of the polish.
     """
     tol = S.tolerances
-    sysc = StratumCriticalSystem(S, a.a)
-    Z = np.array([sysc.base.pack(p.x, p.cokernel, p.multiplier)
-                  for p in strat.points]).reshape(-1, sysc.D)
-    out = newton_batch(sysc.evaluate, np.concatenate([Z, sysc.initial_nu(Z)], axis=1),
-                       tol=tol.residual)
+    system = SingularSystem(S)
+    Z = np.array([system.pack(p.x, p.cokernel, p.multiplier)
+                  for p in strat.points]).reshape(-1, system.dim_z)
+    sysc, out = _polish_stratum_critical(S, a.a, Z)
     found, residuals = out.z[out.converged], out.residual[out.converged]
     kept = dedup_points(found[:, :S.N], tol.dedup_radius)
     if stats is not None:
@@ -443,7 +439,8 @@ def classify_correctness(S: MorinScenario, a: Covector, rec: CriticalRecord,
     elif closure_depth == 1:
         # the located point is already on the curve
         system = SingularSystem(S)
-        tx = curve_tangent(system, system.pack(point.x, point.cokernel, point.multiplier))[:S.N]
+        z = system.pack(point.x, point.cokernel, point.multiplier)
+        tx = curve_tangents(system, z[None])[0, :S.N]
         grad_norm = abs(float((S.Df(point.x).T @ a.a) @ tx)) / max(np.linalg.norm(tx), 1e-12)
     else:
         raise StratificationError("correctness beyond closure depth 1 is out of scope")
@@ -543,7 +540,7 @@ def _curve_context_at(S, p):
     cusp was landed when it was located, so z is its packed (x, u, mu)."""
     system = SingularSystem(S)
     z = system.pack(p.x, p.cokernel, p.multiplier)
-    t = curve_tangent(system, z)
+    t = curve_tangents(system, z[None])[0]
     delta = S.tolerances.curve_step / 2
     starts = z + np.outer([-delta, delta], t)
     out = correct_in_planes(system, starts, starts, np.array([t, t]))

@@ -7,9 +7,9 @@ strata are read off the kernel Hessian of <u, f> corrected by the constraint
 multipliers.  For two-dimensional targets the depth-1 set is a union of
 closed curves, traced by pseudo-arclength continuation; cusps are bracketed
 by the sign of the kernel-Hessian determinant and refined by bisection.
-The continuation routines (``land``, ``correct_in_planes``,
-``curve_tangent``, ``bisect_on_curve``) also serve the Morse walk along the
-fold curves in ``morse``.
+Every curve operation takes a stack of points.  The continuation routines
+(``correct_in_planes``, ``curve_tangents``, ``bisect_on_curve``) also serve
+the Morse walk along the fold curves in ``morse``.
 """
 
 from __future__ import annotations
@@ -30,9 +30,8 @@ from ._numeric import (
     eig_sign_counts,
     min_norm_solve,
     multistart_counters,
-    newton,
+    newton,  # noqa: F401  (stays bound here for perfbench)
     newton_batch,
-    nullspace,
     sign_normalize,
     vecmat,
 )
@@ -42,6 +41,7 @@ from .manifold import (  # noqa: F401  (project_to_manifold stays bound here for
     RegularityError,
     project_points,
     project_to_manifold,
+    sample_starts,
     tangent_frames,
     validate_regularity,
 )
@@ -336,7 +336,7 @@ class StratumPoint:
     cokernel: np.ndarray
     multiplier: np.ndarray
     kernel_basis: np.ndarray            # columns span ker d(f|M)(x)
-    signature: QuadraticSignature | None = None
+    signature: QuadraticSignature
     degenerate_direction: np.ndarray | None = None
     sign: str = "unsigned"              # plus | minus | unsigned
     residuals: dict = field(default_factory=dict)
@@ -504,47 +504,13 @@ def _signatures(S: MorinScenario, HK, K, X):
     return signatures, directions, failures
 
 
-def kernel_hessian(S: MorinScenario, p: StratumPoint) -> QuadraticSignature:
-    """Sign counts of the kernel Hessian of <u, f> - <mu, g> at p, and its
-    degenerate direction when one eigenvalue is flat: one lane of
-    ``_signatures``, whose error (more than one flat eigenvalue) it raises.
-    """
-    HK = _kernel_form(S, p.x, p.cokernel, p.multiplier, p.kernel_basis)
-    (sig,), (direction,), failures = _signatures(S, HK[None], p.kernel_basis[None],
-                                                 np.asarray(p.x)[None])
-    if failures:
-        raise failures[0]
-    p.signature = sig
-    if direction is not None:
-        p.degenerate_direction = direction
-    return sig
-
-
-def sign_split(S: MorinScenario, p: StratumPoint) -> str:
-    """Plus/minus split of odd-depth points by kernel-index parity.
-
-    Well defined because m - n + 1 is even: flipping u complements the
-    nondegenerate eigenvalue signs, which preserves the parity of the
-    negative count.
-    """
-    if p.depth % 2 == 0:
-        raise StratificationError("sign split applies to odd depths only")
-    if p.signature is None:
-        kernel_hessian(S, p)
-    p.sign = "plus" if p.signature.n_minus % 2 == 0 else "minus"
-    return p.sign
-
-
 # -- solving ------------------------------------------------------------------
 
 
 def _multistart_seeds(S: MorinScenario, count, tag):
-    rng = np.random.default_rng([S.seed, 23, tag])
-    pts = [np.asarray(s, dtype=float) for s in S.manifold.sample_seeds]
-    w = S.manifold.sample_halfwidth
-    while len(pts) < count:
-        pts.append(rng.uniform(-w, w, S.N))
-    return pts
+    """The multistart's ambient starts, from the generator keyed by the
+    scenario seed, 23 and ``tag``."""
+    return sample_starts(S.manifold, count, [S.seed, 23, tag])
 
 
 def _initial_guesses(S: MorinScenario, system: SingularSystem, X0):
@@ -583,7 +549,7 @@ def solve_stratum1(S: MorinScenario, density=None, stats=None) -> list[StratumPo
     system = SingularSystem(S)
     tol = S.tolerances
     count = (density or tol.multistart_density) * S.n
-    X0 = np.array(_multistart_seeds(S, count, tag=1))
+    X0 = _multistart_seeds(S, count, tag=1)
     out = newton_batch(system.evaluate, _initial_guesses(S, system, X0),
                        tol=tol.residual, max_iter=30)
     solutions = out.z[out.converged]
@@ -624,8 +590,10 @@ def stratum_points(S, system, Z):
     are linear in the pair, so only a joint flip preserves them (and the
     Lagrangian Hessian built from them).  A lane carries its max-norm
     residual, its kernel basis, its kernel-Hessian signature and degenerate
-    direction (``_signatures``), and, when no eigenvalue is flat, depth 1
-    and its sign.  Returns the points, None at a failing lane, and a dict
+    direction (``_signatures``), and, when no eigenvalue is flat, its sign
+    by kernel-index parity.  The sign is well defined because m - n + 1 is
+    even: flipping u complements the nondegenerate eigenvalue signs, which
+    preserves the parity of the negative count.  Returns the points, None at a failing lane, and a dict
     from lane to its error: the kernel basis's (``_kernel_lanes``), else the
     signature's.
     """
@@ -659,13 +627,13 @@ def _stratum_lanes(S, system, Z):
         if j in failures:
             points.append(None)
             continue
-        p = StratumPoint(x=x[j], depth=1, cokernel=u[j], multiplier=mu[j], kernel_basis=K[j],
-                         signature=signatures[j], degenerate_direction=directions[j],
-                         residuals={"system": float(res[j])})
-        if p.signature.n_zero == 0:
-            # a nondegenerate kernel form already certifies depth 1
-            sign_split(S, p)
-        points.append(p)
+        sig = signatures[j]
+        # a nondegenerate kernel form already certifies depth 1 and its sign
+        sign = "unsigned" if sig.n_zero else ("plus", "minus")[sig.n_minus % 2]
+        points.append(StratumPoint(x=x[j], depth=1, cokernel=u[j], multiplier=mu[j],
+                                   kernel_basis=K[j], signature=sig, sign=sign,
+                                   degenerate_direction=directions[j],
+                                   residuals={"system": float(res[j])}))
     return points, failures
 
 
@@ -688,29 +656,23 @@ def stratum_point(S, x, u, mu, system=None) -> StratumPoint:
 # A predictor-corrector layout after Allgower & Georg, Introduction to
 # Numerical Continuation Methods (SIAM 2003): a step along the tangent t,
 # then Newton back to the curve inside the plane normal to t (the trace starts
-# that Newton from a second-order predictor).  Every solve is ``newton_batch``
-# and takes its minimal-norm step: landing (``land``, one point through
-# ``newton``, and the midpoints of ``bisect_on_curve``, all brackets at once)
-# solves the rectangular curve equations, the corrector (``correct_in_planes``)
-# the curve equations bordered by each start's plane row.  The bordered matrix
-# [J; t] is square, and nonsingular wherever the curve is smooth and t is not
-# normal to it; there its inverse gives the step.  The trace's next tangent is
-# the one [J(z_new); t] induces (the solution of [J; t] tau = e_last,
-# normalized), oriented along t since t . tau = 1; the seeds of a trace,
-# cusps, the Morse walk and an exactly singular bordered stack take it from
-# the null space by SVD (``curve_tangent``, ``_null_tangents``).  The trace
-# runs two lanes out of every seed, and two lanes that walk one arc toward
-# each other stop where they meet, so each arc between neighbouring seeds is
-# stepped once; a curve is read off its lanes with every other one reversed.
-# The trace audits the nullity of J at every node afterwards, in stacks.  The
-# trace below and the Morse walk along the fold curves in ``morse`` share
-# these routines.
-
-
-def land(system, z):
-    """Newton from z onto the solution set of ``system``."""
-    return newton(system.residual, system.jacobian, z,
-                  tol=system.S.tolerances.residual, max_iter=60)
+# that Newton from a second-order predictor).  Every routine takes a stack of
+# points and every solve is ``newton_batch`` with its minimal-norm step:
+# landing (the midpoints of ``bisect_on_curve``, all brackets at once, and the
+# cusps it returns unlanded) solves the rectangular curve equations, the
+# corrector (``correct_in_planes``) the curve equations bordered by each
+# start's plane row.  The bordered matrix [J; t] is square, and nonsingular
+# wherever the curve is smooth and t is not normal to it; there its inverse
+# gives the step.  The trace's next tangent is the one [J(z_new); t] induces
+# (the solution of [J; t] tau = e_last, normalized), oriented along t since
+# t . tau = 1; the seeds of a trace, cusps, the Morse walk and an exactly
+# singular bordered stack take it from the null space by SVD
+# (``curve_tangents``).  The trace runs two lanes out of every seed, and two
+# lanes that walk one arc toward each other stop where they meet, so each arc
+# between neighbouring seeds is stepped once; a curve is read off its lanes
+# with every other one reversed.  The trace audits the nullity of J at every
+# node afterwards, in stacks.  The trace below and the Morse walk along the
+# fold curves in ``morse`` share these routines.
 
 
 def correct_in_planes(system, Z, anchors, normals):
@@ -729,31 +691,12 @@ def correct_in_planes(system, Z, anchors, normals):
                         indexed=True)
 
 
-def _nullity_error(nullity):
-    return MorinnessError(
-        f"singular-set dimension audit failed: nullity {nullity} != 1 "
-        f"(solution variety is not a smooth curve here)"
-    )
-
-
-def curve_tangent(system, z, prev=None):
-    """Unit tangent of the solution curve at z, oriented along ``prev`` when
-    given and sign-normalized otherwise; a nullity other than 1 is rejected."""
-    ns = nullspace(system.jacobian(z), rtol=1e-8)
-    if ns.shape[1] != 1:
-        raise _nullity_error(ns.shape[1])
-    t = ns[:, 0]
-    if prev is not None and t @ prev < 0:
-        t = -t
-    return sign_normalize(t) if prev is None else t
-
-
 def _chain_tangents(system, Z, T, bordered):
     """Unit tangents at a stack of points Z induced by their bordered
     matrices [J(Z); T]: the solutions of [J(z); t] tau = e_last, normalized,
     so each points along its t.  ``batch_width`` points take one solve; a
     chunk with an exactly singular matrix takes its SVD null vectors
-    instead (``_null_tangents`` along T), which reject a nullity other
+    instead (``curve_tangents`` along T), which reject a nullity other
     than 1."""
     width = batch_width(system.dim_z)
     out = np.empty_like(T)
@@ -763,7 +706,7 @@ def _chain_tangents(system, Z, T, bordered):
         try:
             tau = np.linalg.solve(bordered[i:i + width], e_last)[..., 0]
         except np.linalg.LinAlgError:
-            out[i:i + width] = _null_tangents(system, Z[i:i + width], T[i:i + width])
+            out[i:i + width] = curve_tangents(system, Z[i:i + width], T[i:i + width])
             continue
         out[i:i + width] = tau / np.linalg.norm(tau, axis=1, keepdims=True)
     return out
@@ -781,29 +724,32 @@ def _nullities(system, Z, tangents=False):
     return (nullity, svd[2][:, -1]) if tangents else nullity
 
 
-def _audit_curve_nullity(system, Z):
-    """Reject the first point of Z (in order) where the solution set is not
-    a smooth curve, as ``curve_tangent`` there would."""
+def _audit_curve_nullity(system, Z, tangents=False):
+    """Reject the first point of a stack Z (in order) where the solution set
+    is not a smooth curve, one stacked SVD per ``batch_width`` points; with
+    ``tangents`` return the null vector of J at every point."""
     width = batch_width(system.dim_z)
+    T = np.empty_like(Z) if tangents else None
     for i in range(0, len(Z), width):
-        nullity = _nullities(system, Z[i:i + width])
+        if tangents:
+            nullity, T[i:i + width] = _nullities(system, Z[i:i + width], tangents=True)
+        else:
+            nullity = _nullities(system, Z[i:i + width])
         bad = np.flatnonzero(nullity != 1)
         if bad.size:
-            raise _nullity_error(nullity[bad[0]])
+            raise MorinnessError(
+                f"singular-set dimension audit failed: nullity {nullity[bad[0]]} != 1 "
+                f"(solution variety is not a smooth curve here)"
+            )
+    return T
 
 
-def _null_tangents(system, Z, prev=None):
-    """``curve_tangent`` at each point of a stack: the SVD null vectors of J,
-    one stacked SVD per ``batch_width`` points, each oriented along its row
-    of ``prev`` when given and sign-normalized otherwise; a nullity other
-    than 1 is rejected."""
-    width = batch_width(system.dim_z)
-    T = np.empty_like(Z)
-    for i in range(0, len(Z), width):
-        nullity, T[i:i + width] = _nullities(system, Z[i:i + width], tangents=True)
-        bad = np.flatnonzero(nullity != 1)
-        if bad.size:
-            raise _nullity_error(nullity[bad[0]])
+def curve_tangents(system, Z, prev=None):
+    """Unit tangents of the solution curve at a stack of points Z (B, dim_z):
+    the SVD null vectors of J, each oriented along its row of ``prev`` when
+    given and sign-normalized otherwise; a nullity other than 1 is
+    rejected."""
+    T = _audit_curve_nullity(system, Z, tangents=True)
     if prev is None:
         return sign_normalize(T)
     return np.where((np.sum(T * prev, axis=1) < 0)[:, None], -T, T)
@@ -850,12 +796,6 @@ def bisect_on_curve(system, ZA, ZB, FA, value, gap):
 # -- depth classification -------------------------------------------------------
 
 
-def _near_zero_eig(S, x, u, mu):
-    """The smallest-magnitude eigenvalue of the kernel Hessian (signed)."""
-    vals = np.linalg.eigvalsh(_kernel_form(S, x, u, mu))
-    return float(vals[np.argmin(np.abs(vals))])
-
-
 def degenerate_eigenvalue_slope(S: MorinScenario, p: StratumPoint):
     """Arc-length slope and curvature of the flattening kernel eigenvalue at p.
 
@@ -870,7 +810,7 @@ def degenerate_eigenvalue_slope(S: MorinScenario, p: StratumPoint):
         raise StratificationError("no degenerate direction at this point")
     system = SingularSystem(S)
     z = system.pack(p.x, p.cokernel, p.multiplier)
-    t = curve_tangent(system, z)
+    t = curve_tangents(system, z[None])[0]
     # orient the curve tangent along the degenerate kernel direction
     x_dir = t[:S.N]
     align = float(x_dir @ p.degenerate_direction)
@@ -885,10 +825,12 @@ def degenerate_eigenvalue_slope(S: MorinScenario, p: StratumPoint):
     out = correct_in_planes(system, starts, starts, np.array([t, t]))
     if not out.converged.all():
         raise StratificationError("could not sample the curve near the point")
-    xx, uu, mm = system.unpack(out.z)
-    flip = np.where(uu @ p.cokernel < 0, -1.0, 1.0)[:, None]
-    below, above = (_near_zero_eig(S, *q) for q in zip(xx, uu * flip, mm * flip))
-    vals = [below, _near_zero_eig(S, p.x, p.cokernel, p.multiplier), above]
+    # the smallest-magnitude kernel-Hessian eigenvalue (signed) below, at
+    # and above p, each sample's (u, mu) on p's sheet
+    x, u, mu = system.unpack(np.stack([out.z[0], z, out.z[1]]))
+    flip = np.where(u @ p.cokernel < 0, -1.0, 1.0)[:, None]
+    vals = np.linalg.eigvalsh(_kernel_form(S, x, u * flip, mu * flip))
+    vals = vals[np.arange(3), np.argmin(np.abs(vals), axis=1)]
     # measure per unit arc of the base curve in x-space, not of the lifted
     # curve in (x, u, mu)-space, matching the chart normal-form coefficient
     x_speed = float(np.linalg.norm(t[:S.N]))
@@ -908,8 +850,6 @@ def classify_depth(S: MorinScenario, p: StratumPoint) -> int:
     every tested order vanishes the classification fails with the measured
     values.
     """
-    if p.signature is None:
-        kernel_hessian(S, p)
     if p.signature.n_zero == 0:
         p.depth = 1
         return 1
@@ -945,7 +885,6 @@ class Arc:
 @dataclass
 class FoldCurve:
     nodes: np.ndarray               # (K, dim_z) ordered along the curve
-    closed: bool
     closure_error: float
     det_values: np.ndarray          # det of kernel Hessian per node
     parities: np.ndarray            # negative-eigenvalue parity per node (0/1)
@@ -975,40 +914,26 @@ def _node_metrics(S, system, z):
     return det, parity
 
 
-def trace_fold_curve(S: MorinScenario, z_start, cloud=None, max_steps=200000,
-                     lanes=None) -> FoldCurve:
+def trace_fold_curve(lanes, q, max_steps=200000) -> FoldCurve:
     """Pseudo-arclength trace of the closed component of the singular curve
-    through z_start, from all of its seeds at once.
+    through seed q of a ``_Lanes`` run, from all of the run's seeds at once.
 
-    The seeds are z_start, landed first, and the rows of ``cloud``, other
-    solutions of the singular system such as the depth-1 cloud.  Each seed
-    starts two lanes, along +t and -t, and two lanes that walk one arc
-    toward each other stop where they meet (``_Lanes``).  The curve is the
-    cycle of lane pieces from z_start along its sign-normalized tangent, a
-    lane forward from its seed, then the lane it met reversed back to that
-    lane's seed, until the full (x, u, mu) state closes.  The cokernel may
-    return to minus itself after one loop of the base curve; the cycle then
-    covers it twice, so each geometric point appears once or twice and
-    duplicates are cleaned up by the caller via the base-point dedup radius.
-    ``closure_error`` is the largest distance of a snapped arrival from the
-    node it arrived at, and ``members`` lists the seeds the cycle passes (0
-    for z_start, i + 1 for cloud[i]).  ``lanes``, a ``_Lanes`` run with
-    z_start among its seeds, is continued instead, so the lanes of curves
-    traced before keep their steps and z_start is not landed; ``members``
-    then index its seeds.  ``max_steps`` bounds the lockstep steps of the run.
+    Each seed starts two lanes, along +t and -t, and two lanes that walk one
+    arc toward each other stop where they meet.  The curve is the cycle of
+    lane pieces from seed q along its sign-normalized tangent, a lane
+    forward from its seed, then the lane it met reversed back to that lane's
+    seed, until the full (x, u, mu) state closes; a trace that does not
+    close raises.  The cokernel may return to minus itself after one loop of
+    the base curve; the cycle then covers it twice, so each geometric point
+    appears once or twice and duplicates are cleaned up by the caller via
+    the base-point dedup radius.  ``closure_error`` is the largest distance
+    of a snapped arrival from the node it arrived at, and ``members`` lists
+    the seeds the cycle passes.  The lanes of curves traced before from the
+    same run keep their steps.  ``max_steps`` bounds the lockstep steps of
+    the run.
     """
-    system = SingularSystem(S) if lanes is None else lanes.system
-    if system.solution_dim != 1:
-        raise StratificationError("curve tracing requires a 1-dimensional stratum")
-    if lanes is None:
-        start = land(system, np.asarray(z_start, dtype=float))
-        if not start.converged:
-            raise StratificationError("could not land on the singular curve")
-        seeds = start.z[None]
-        if cloud is not None:
-            seeds = np.concatenate((seeds, np.reshape(cloud, (-1, system.dim_z))))
-        lanes, z_start = _Lanes(system, seeds), start.z
-    q = int(np.flatnonzero(np.all(lanes.seeds == z_start, axis=1))[0])
+    system = lanes.system
+    S = system.S
     fields, checked = lanes.cycle(q, max_steps)
     # every node and every lane's arrival, in trace order, before any metric
     _audit_curve_nullity(system, checked)
@@ -1016,7 +941,7 @@ def trace_fold_curve(S: MorinScenario, z_start, cloud=None, max_steps=200000,
     width = batch_width(system.dim_z)
     metrics = [_node_metrics(S, system, nodes[i:i + width])
                for i in range(0, len(nodes), width)]
-    curve = FoldCurve(closed=True, det_values=np.concatenate([det for det, _ in metrics]),
+    curve = FoldCurve(det_values=np.concatenate([det for det, _ in metrics]),
                       parities=np.concatenate([par for _, par in metrics]), **fields)
     _locate_cusps(S, system, curve)
     _build_arcs(S, curve)
@@ -1046,7 +971,7 @@ class _Lanes:
     def __init__(self, system, seeds):
         self.system, self.h, self.seeds = system, system.S.tolerances.curve_step, seeds
         k, d = seeds.shape
-        T = _null_tangents(system, seeds)
+        T = curve_tangents(system, seeds)
         self.sigma = np.where(np.arange(d) < system.S.N, 1.0, -1.0)
         lanes = 2 * k
         self.z = np.repeat(seeds, 2, axis=0)
@@ -1267,24 +1192,24 @@ def _locate_cusps(S, system, curve: FoldCurve):
     Z, steps = bisect_on_curve(system, curve.nodes[brackets],
                                curve.nodes[(brackets + 1) % len(dets)], dets[brackets],
                                lambda Z, chords: _node_metrics(S, system, Z)[0], gap=1e-14)
-    for i, z_cusp, halvings in zip(brackets.tolist(), Z, steps):
-        if halvings == 60:
-            # after all 60 halvings the bisection may return its unlanded
-            # bracket midpoint; a bracket that stopped sooner returns a
-            # landed midpoint
-            landed = land(system, z_cusp)
-            if not landed.converged:
-                raise StratificationError("could not land on the singular curve at a cusp")
-            z_cusp = landed.z
-        x, u, mu = system.unpack(z_cusp)
-        p = stratum_point(S, x, u, mu, system)
+    # after all 60 halvings the bisection may return its unlanded bracket
+    # midpoint; a bracket that stopped sooner returns a landed midpoint
+    full = steps == 60
+    landed = newton_batch(system.evaluate, Z[full], tol=S.tolerances.residual, max_iter=60)
+    if not landed.converged.all():
+        raise StratificationError("could not land on the singular curve at a cusp")
+    Z[full] = landed.z
+    points, failures = stratum_points(S, system, Z)
+    for j, (i, p) in enumerate(zip(brackets.tolist(), points)):
+        if j in failures:
+            raise failures[j]
         if p.signature.n_zero != 1:
             # determinant changed sign yet no flat direction: conditioning issue
-            raise MorinnessError(f"inconsistent degeneracy at cusp candidate {x}")
+            raise MorinnessError(f"inconsistent degeneracy at cusp candidate {p.x}")
         classify_depth(S, p)
         if p.depth != 2:
             raise MorinnessError(
-                f"degenerate point at {x} is not a certified depth-2 point "
+                f"degenerate point at {p.x} is not a certified depth-2 point "
                 f"(eigenvalue slope {p.eig_slope})"
             )
         curve.cusps.append(p)
@@ -1405,12 +1330,12 @@ def _trace_all_curves(S, points):
     if not points:
         return []
     system = SingularSystem(S)
-    Z = np.array([system.pack(p.x, p.cokernel, p.multiplier) for p in points])
-    lanes = _Lanes(system, Z)
-    on_curve = np.zeros(len(Z), dtype=bool)
+    lanes = _Lanes(system, np.array([system.pack(p.x, p.cokernel, p.multiplier)
+                                     for p in points]))
+    on_curve = np.zeros(len(points), dtype=bool)
     curves = []
     while not on_curve.all():
-        curves.append(trace_fold_curve(S, Z[np.argmin(on_curve)], lanes=lanes))
+        curves.append(trace_fold_curve(lanes, int(np.argmin(on_curve))))
         on_curve[curves[-1].members] = True
     return curves
 

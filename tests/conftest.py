@@ -12,6 +12,7 @@ from morinchi._numeric import (
     batch_width,
     eig_sign_counts,
     min_norm_solve,
+    newton_batch,
     nullspace,
     sign_normalize,
     vecmat,
@@ -26,7 +27,9 @@ from morinchi.strata import (
     _kernel_data,
     _kernel_form,
     _kernel_lanes,
+    _Lanes,
     load_scenario,
+    trace_fold_curve,
 )
 
 
@@ -47,6 +50,30 @@ def fd_jacobian(fn, z, step=1e-7):
         e[i] = step
         J[:, i] = (fn(z + e) - fn(z - e)) / (2 * step)
     return J
+
+
+def trace(S, seeds, max_steps=200000):
+    """The trace of the curve through the first of ``seeds``, a stack of z,
+    from all of them: the seeds landed on the singular curve by one batched
+    Newton, then one run of lanes."""
+    system = SingularSystem(S)
+    landed = newton_batch(system.evaluate, seeds, tol=S.tolerances.residual, max_iter=60)
+    assert landed.converged.all()
+    return trace_fold_curve(_Lanes(system, landed.z), 0, max_steps)
+
+
+def reference_curve_tangent(system, z, prev=None):
+    """Unit tangent of the solution curve at one point z from ``nullspace``:
+    the per-point rule ``curve_tangents`` replaced.  Oriented along ``prev``
+    when given and sign-normalized otherwise; a nullity other than 1 is
+    rejected."""
+    ns = nullspace(system.jacobian(z), rtol=1e-8)
+    if ns.shape[1] != 1:
+        raise MorinnessError(f"singular-set dimension audit failed: nullity {ns.shape[1]} != 1")
+    t = ns[:, 0]
+    if prev is None:
+        return sign_normalize(t)
+    return -t if t @ prev < 0 else t
 
 
 def reversed_nodes(curve):

@@ -82,7 +82,6 @@ def test_criterion_2_fold_circle(base_runs):
     S, strat, data, report, elapsed = base_runs["s3-proj"]
     curve = strat.curves[0] if strat.curves else None
     good = (len(strat.curves) == 1
-            and curve.closed
             and curve.closure_error <= 1e-6
             and len(strat.cusps) == 0
             and report.identity_lhs == 0

@@ -10,6 +10,7 @@ from morinchi.manifold import (
     ProjectionError,
     RegularityError,
     project_to_manifold,
+    sample_starts,
     standard_manifold,
     tangent_frame,
     validate_regularity,
@@ -37,6 +38,17 @@ def test_torus_regularity(torus):
     report = validate_regularity(torus, count=25, seed=0)
     assert report.ok
     assert report.min_singular_value > 1e-3
+
+
+def test_sample_starts_are_the_seeds_then_one_draw_per_start(torus):
+    # the loop the regularity audit and the multistart seeds each ran: a
+    # draw per start after the sample seeds, from one keyed generator
+    rng = np.random.default_rng([4, 23, 1])
+    want = [np.array(s) for s in torus.sample_seeds]
+    while len(want) < 25:
+        want.append(rng.uniform(-torus.sample_halfwidth, torus.sample_halfwidth, 3))
+    assert np.array_equal(sample_starts(torus, 25, [4, 23, 1]), np.array(want))
+    assert np.array_equal(sample_starts(torus, 1, [4, 23, 1]), np.array(torus.sample_seeds))
 
 
 def test_double_root_constraint_fails_regularity():

@@ -419,20 +419,18 @@ def test_unconverged_landing_is_a_stratification_error(flat_cusp, monkeypatch):
     system = SingularSystem(S)
     z = system.pack(p.x, p.cokernel, p.multiplier)
 
-    def stalled(system, z0):
-        return NewtonResult(np.asarray(z0, dtype=float), 1.0, 60,
-                            STOP_REASONS.index("iteration_cap"))
+    def stalled(F, Z0, tol, max_iter):
+        Z0 = np.array(Z0, dtype=float)
+        return NewtonResult(Z0, np.ones(len(Z0)), np.full(len(Z0), max_iter),
+                            np.full(len(Z0), STOP_REASONS.index("iteration_cap")))
 
-    monkeypatch.setattr(strata, "land", stalled)
-    # a trace lands its start first
-    with pytest.raises(StratificationError, match="land"):
-        strata.trace_fold_curve(S, z)
     # a cusp bracket that used all 60 halvings returns its bracket midpoint,
     # which is landed; the landing stalls
     monkeypatch.setattr(strata, "bisect_on_curve",
                         lambda system, ZA, ZB, FA, value, gap: (0.5 * (ZA + ZB),
                                                                 np.full(len(ZA), 60)))
-    curve = FoldCurve(nodes=np.array([z, z + 0.01]), closed=True, closure_error=0.0,
+    monkeypatch.setattr(strata, "newton_batch", stalled)
+    curve = FoldCurve(nodes=np.array([z, z + 0.01]), closure_error=0.0,
                       det_values=np.array([1.0, -1.0]), parities=np.array([0, 1]),
                       tangents=np.zeros((2, len(z))))
     with pytest.raises(StratificationError, match="land"):
@@ -441,18 +439,33 @@ def test_unconverged_landing_is_a_stratification_error(flat_cusp, monkeypatch):
 
 def test_located_cusps_are_not_landed_again(s3_cusps, monkeypatch):
     # the trace starts from the depth-1 cloud, already on the curve; the
-    # bisection lands every cusp it returns before 60 halvings, and the
-    # correctness check and the arc samples start from the located cusp
-    landed = []
-    land = strata.land
+    # bisection returns every cusp as a landed midpoint before 60 halvings,
+    # so the landing of the cusps gets no lane; the correctness check and
+    # the arc samples start from the located cusp.  A landing is a Newton
+    # on the curve equations alone that does not land a bisection midpoint.
+    landed, bisecting = [], []
+    newton_batch, bisect = strata.newton_batch, strata.bisect_on_curve
 
-    def counted(system, z0):
-        landed.append(np.array(z0))
-        return land(system, z0)
+    def counted(F, Z0, tol=1e-12, max_iter=60, indexed=False):
+        system = getattr(F, "__self__", None)
+        if (isinstance(system, SingularSystem) and not system.reduced and max_iter == 60
+                and not bisecting):
+            landed.append(len(Z0))
+        return newton_batch(F, Z0, tol=tol, max_iter=max_iter, indexed=indexed)
 
-    monkeypatch.setattr(strata, "land", counted)
+    def marked(*args, **kwargs):
+        bisecting.append(True)
+        try:
+            return bisect(*args, **kwargs)
+        finally:
+            bisecting.pop()
+
+    for module in (strata, morse):
+        monkeypatch.setattr(module, "newton_batch", counted)
+        monkeypatch.setattr(module, "bisect_on_curve", marked)
     strat = compute_stratification(s3_cusps)
-    assert landed == [] and len(strat.curves) == 1 and len(strat.cusps) == 2
+    # the one curve's cusp landing, with no lane
+    assert landed == [0] and len(strat.curves) == 1 and len(strat.cusps) == 2
     landed.clear()
     a, data, audit, hist = run_with_genericity(s3_cusps, strat)
     assert audit.ok and len(data.boundary_records) == 2
