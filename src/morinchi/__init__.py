@@ -9,12 +9,14 @@ against independent point/arc/circle counting oracles.
 
 Entry points: ``load_scenario`` to read a scenario file, ``run_pipeline``
 for the full verification, or the ``morinchi`` command line tool.  The
-modules (``expr``, ``manifold``, ``strata``, ``morse``, ``euler``, ``cli``)
-hold the layers.
+modules hold the layers: ``expr`` (polynomials and their evaluators),
+``manifold``, ``scenario`` (scenario files, tolerances and the polynomial
+blocks), ``continuation`` (curve tracing over any system), ``strata``,
+``morse``, ``euler`` and ``cli``.
 """
 
 from .cli import run_pipeline
-from .strata import load_scenario
+from .scenario import load_scenario
 
 __all__ = ["load_scenario", "run_pipeline", "__version__"]
 

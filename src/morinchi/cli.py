@@ -24,14 +24,14 @@ from pathlib import Path
 from .euler import EulerReport, build_report
 from .manifold import ProjectionError, RegularityError
 from .morse import GenericityExhausted, MorseAuditError, run_with_genericity
-from .strata import (
+from .scenario import (
     MorinnessError,
     ScenarioFormatError,
     StratificationError,
     Tolerances,
-    compute_stratification,
     load_scenario,
 )
+from .strata import compute_stratification
 
 EXIT_OK = 0
 EXIT_GENERICITY = 2

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .morse import MorseData
-from .strata import MorinScenario, Stratification
+from .scenario import MorinScenario
+from .strata import Stratification
 
 
 class ReportError(RuntimeError):

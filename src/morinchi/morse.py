@@ -26,19 +26,10 @@ from ._numeric import (
     nullspace,
     vecmat,
 )
+from .continuation import bisect_on_curve, correct_in_planes, curve_tangents
 from .manifold import project_points, tangent_frame, tangent_frames
-from .strata import (
-    MorinScenario,
-    SingularSystem,
-    Stratification,
-    StratificationError,
-    _multistart_seeds,
-    bisect_on_curve,
-    correct_in_planes,
-    curve_tangents,
-    stratum_point,
-    stratum_points,
-)
+from .scenario import BlockChart, MorinScenario, StratificationError
+from .strata import SingularSystem, Stratification, _multistart_seeds, stratum_points
 
 
 class GenericityFailure(RuntimeError):
@@ -209,7 +200,7 @@ def _k0_records(S: MorinScenario, a: Covector, stats=None) -> list:
 # -- on-stratum critical points: the augmented Lagrange system -------------------
 
 
-class StratumCriticalSystem:
+class StratumCriticalSystem(BlockChart):
     """Critical points of h(z) = <a, f(x)> on the singular solution manifold.
 
     Unknowns w = (z, nu) where z solves the singular system F(z) = 0 and nu
@@ -227,21 +218,8 @@ class StratumCriticalSystem:
             raise StratificationError("augmented system needs target dimension >= 2")
         self.D = self.base.dim_z
         self.E = self.base.n_eqs
-        self._block, rows, cols = S.augmented_block
-        self._src = self.E + self.D + np.arange(rows.size)
-        self._dst = rows * (self.D + self.E) + cols
-
-    def evaluate(self, w):
-        """(residual, Jacobian) at w from one block call, scattered like
-        ``SingularSystem.evaluate``."""
-        lead, d = w.shape[:-1], self.D + self.E
-        full = np.empty(lead + (self._block.nvars,))
-        full[..., :d] = w
-        full[..., d:] = self.a
-        vals = self._block(full)
-        J = np.zeros(lead + (d * d,))
-        J[..., self._dst] = vals[..., self._src]
-        return vals[..., :d], J.reshape(lead + (d, d))
+        super().__init__(S.augmented_block, self.D + self.E, S.tolerances.residual,
+                         fixed=self.a, at=self.D + self.E)
 
     def initial_nu(self, z):
         """Least-squares nu of grad h = DF^T nu at z, from the block at nu = 0
@@ -588,7 +566,9 @@ def perturbation_certificate(S: MorinScenario, a: Covector, p) -> PerturbationCe
     k = int(np.argmax(separated))
     tilde, eps = out.z[k], float(eps[k])
     x_t = tilde[:S.N]
-    q = stratum_point(S, *system.unpack(tilde))
+    (q,), failures = stratum_points(S, system, tilde[None])
+    if failures:
+        raise failures[0]
     if q.signature.n_zero:
         raise StratificationError("interior partner is not a fold point")
     sign_xnk = 1 if q.sign == "plus" else -1

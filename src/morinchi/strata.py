@@ -5,23 +5,22 @@ restricted differential; the solution set of the resulting Lagrange-type
 system is the depth-1 closure.  Depth and the plus/minus split of odd-depth
 strata are read off the kernel Hessian of <u, f> corrected by the constraint
 multipliers.  For two-dimensional targets the depth-1 set is a union of
-closed curves, traced by pseudo-arclength continuation; cusps are bracketed
-by the sign of the kernel-Hessian determinant and refined by bisection.
-Every curve operation takes a stack of points.  The continuation routines
-(``correct_in_planes``, ``curve_tangents``, ``bisect_on_curve``) also serve
-the Morse walk along the fold curves in ``morse``.
+closed curves, traced in lockstep lanes by the routines of ``continuation``;
+cusps are bracketed by the sign of the kernel-Hessian determinant and
+refined by bisection.  Every curve operation takes a stack of points.  The
+scenario types come from ``scenario``.  ``load_scenario``, ``Tolerances``,
+``newton`` and ``project_to_manifold`` stay bound here, though nothing here
+calls them, because the benchmark's tracer (``perfbench/tracing.py``)
+rebinds or reads them in this module.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from . import expr as ex
 from ._numeric import (
     BATCH_ENTRIES,
     STOP_REASONS,
@@ -35,9 +34,15 @@ from ._numeric import (
     sign_normalize,
     vecmat,
 )
+from .continuation import (
+    audit_curve_nullity,
+    bisect_on_curve,
+    chain_tangents,
+    correct_in_planes,
+    curve_tangents,
+    nullities,
+)
 from .manifold import (  # noqa: F401  (project_to_manifold stays bound here for perfbench)
-    ImplicitManifold,
-    ManifoldError,
     RegularityError,
     project_points,
     project_to_manifold,
@@ -45,272 +50,14 @@ from .manifold import (  # noqa: F401  (project_to_manifold stays bound here for
     tangent_frames,
     validate_regularity,
 )
-
-
-class ScenarioFormatError(ValueError):
-    """Scenario file fails parsing or the theorem hypotheses."""
-
-
-class MorinnessError(RuntimeError):
-    """The map is not Morin at some located point (or the stratification failed)."""
-
-
-class StratificationError(RuntimeError):
-    """Structural failure while computing the singular set."""
-
-
-def _whole_number(raw, what):
-    """``raw`` as an int: a JSON integer, or a float with no fractional part.
-    Booleans, strings and non-integral numbers are refused, never truncated."""
-    if isinstance(raw, bool) or not (
-            isinstance(raw, int) or isinstance(raw, float) and raw.is_integer()):
-        raise ScenarioFormatError(f"{what} must be a whole number, got {raw!r}")
-    return int(raw)
-
-
-def _real_number(raw, what):
-    """``raw`` as a finite float: a JSON integer or real number.  Booleans,
-    strings and non-finite numbers are refused, never converted."""
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ScenarioFormatError(f"{what} must be a number, got {raw!r}")
-    try:
-        value = float(raw)
-    except OverflowError as exc:
-        raise ScenarioFormatError(f"{what}: {exc}") from exc
-    if not math.isfinite(value):
-        raise ScenarioFormatError(f"{what} must be a finite number, got {raw!r}")
-    return value
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    residual: float = 1e-12
-    dedup_radius: float = 1e-6
-    eigen_zero: float = 1e-6
-    correctness: float = 1e-8
-    curve_step: float = 1e-2
-    depth_slope: float = 1e-4
-    max_resamples: int = 16
-    multistart_density: int = 200
-
-    @staticmethod
-    def from_dict(d: dict) -> "Tolerances":
-        base = Tolerances()
-        unknown = set(d) - set(base.__dataclass_fields__)
-        if unknown:
-            raise ScenarioFormatError(f"unknown tolerance keys {sorted(unknown)}")
-        kwargs = {}
-        for name in base.__dataclass_fields__:
-            if name not in d:
-                continue
-            read = _whole_number if isinstance(getattr(base, name), int) else _real_number
-            value = read(d[name], f"tolerance {name!r}")
-            # every tolerance is a threshold, radius, step or count that is
-            # meaningless at zero or below
-            if value <= 0:
-                raise ScenarioFormatError(f"tolerance {name!r} must be positive, got {value}")
-            kwargs[name] = value
-        return Tolerances(**kwargs)
-
-    def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-
-class MorinScenario:
-    """An implicit manifold together with map components and reproducibility data."""
-
-    def __init__(self, name, manifold: ImplicitManifold, target_dim, components,
-                 seed=0, tolerances: Tolerances | None = None, chi_expected=None):
-        n = int(target_dim)
-        m = manifold.intrinsic_dim
-        if n < 1:
-            raise ScenarioFormatError("target dimension must be at least 1")
-        if m <= n:
-            raise ScenarioFormatError(f"need dim M > target dimension, got m={m}, n={n}")
-        if (m - n) % 2 == 0:
-            raise ScenarioFormatError(f"hypothesis violated: m - n = {m - n} is even")
-        if len(components) != n:
-            raise ScenarioFormatError(f"{n} map components expected, got {len(components)}")
-        self.name = str(name)
-        self.manifold = manifold
-        self.target_dim = n
-        self.components = tuple(c.with_nvars(manifold.ambient_dim) for c in components)
-        self.seed = int(seed)
-        self.tolerances = tolerances or Tolerances()
-        self.chi_expected = chi_expected if chi_expected is None else int(chi_expected)
-
-        self._jet = None            # built on the first use of ``jet``
-        self._third = None          # built on the first third_tensors call
-        self._singular = None       # built on the first use of ``singular_block``
-        self._augmented = None      # built on the first use of ``augmented_block``
-
-    # shorthand dimensions
-    @property
-    def N(self):
-        return self.manifold.ambient_dim
-
-    @property
-    def m(self):
-        return self.manifold.intrinsic_dim
-
-    @property
-    def n(self):
-        return self.target_dim
-
-    @property
-    def c(self):
-        return self.N - self.m
-
-    @property
-    def jet(self) -> ex.Jet:
-        """One jet of (f_1..f_n, g_1..g_c), built on first use.
-
-        A call at a point (N,) or a stack (B, N) gives values, gradients and
-        Hessians of the map and the constraints together; the evaluators
-        below slice it.  The manifold keeps its own constraint jet for
-        projections and frames.
-        """
-        if self._jet is None:
-            self._jet = ex.Jet(list(self.components) + list(self.manifold.constraints),
-                               self.N)
-        return self._jet
-
-    # numeric evaluators; each takes a point (N,) or a stack (B, N)
-    def f(self, x):
-        return self.jet(x)[0][..., :self.n]
-
-    def Df(self, x):
-        return self.jet(x)[1][..., :self.n, :]
-
-    def Hf(self, x):
-        return self.jet(x)[2][..., :self.n, :, :]
-
-    def lagrangian_hessian(self, x, u, mu):
-        """Ambient Hessian of <u, f> - <mu, g> at x (or at each point of a
-        stack): sum_r w_r H_r with w = (u, -mu) and H the Hessians of (f, g),
-        one product over the flattened Hessians.  A fixed u or mu broadcasts
-        over a stack of the other."""
-        H = self.jet(x)[2]
-        u, mu = np.asarray(u, dtype=float), np.asarray(mu, dtype=float)
-        w = np.empty(max(u.shape[:-1], mu.shape[:-1], key=len) + (self.n + self.c,))
-        w[..., :self.n] = u
-        np.negative(mu, out=w[..., self.n:])
-        W = vecmat(w, H.reshape(H.shape[:-2] + (-1,)))
-        return W.reshape(W.shape[:-1] + H.shape[-2:])
-
-    def _singular_rows(self, nvars):
-        """The c + N + 1 residual entries of ``SingularSystem`` as exact
-        expressions whose first N + n + c of ``nvars`` variables are z = (x, u, mu)."""
-        N, n, c = self.N, self.n, self.c
-        z = [ex.Expr.variable(i, nvars) for i in range(N + n + c)]
-        f = [e.with_nvars(nvars) for e in self.components]
-        g = [e.with_nvars(nvars) for e in self.manifold.constraints]
-        R = g + [sum(z[N + l] * ex.differentiate(f[l], i) for l in range(n))
-                 - sum(z[N + n + j] * ex.differentiate(g[j], i) for j in range(c))
-                 for i in range(N)]
-        R.append(sum(z[N + l] ** 2 for l in range(n)) - 1)
-        return R
-
-    @property
-    def singular_block(self):
-        """The full chart of ``SingularSystem`` as one ExprBlock over
-        z = (x, u, mu), built on first use: the c + N + 1 residual entries,
-        then every nonzero partial of them, whose (row, column) arrays come
-        with it.  Each coefficient is exact until the block rounds it."""
-        if self._singular is None:
-            D = self.N + self.n + self.c
-            self._singular = _block_with_partials(self._singular_rows(D), D, D)
-        return self._singular
-
-    @property
-    def augmented_block(self):
-        """The system of ``morse.StratumCriticalSystem`` as one ExprBlock over
-        w = (x, u, mu, nu) followed by the covector a, built on first use: the
-        singular rows F(z), the z-gradient of <a, f> - <nu, F>, then their
-        nonzero partials in w, as in ``singular_block``."""
-        if self._augmented is None:
-            D, E = self.N + self.n + self.c, self.c + self.N + 1
-            nv = D + E + self.n
-            F = self._singular_rows(nv)
-            L = (sum(ex.Expr.variable(D + E + l, nv) * f.with_nvars(nv)
-                     for l, f in enumerate(self.components))
-                 - sum(ex.Expr.variable(D + r, nv) * F[r] for r in range(E)))
-            rows = F + [ex.differentiate(L, k) for k in range(D)]
-            self._augmented = _block_with_partials(rows, nv, D + E)
-        return self._augmented
-
-    def third_tensors(self, x):
-        """Symmetric third-derivative tensors of (f_1..f_n, g_1..g_c) at x.
-
-        ``x`` is a point or a stack; the evaluator is built on first use.  No
-        solver calls it: the augmented block differentiates exactly instead.
-        """
-        if self._third is None:
-            self._third = ex.ThirdJet(
-                list(self.components) + list(self.manifold.constraints), self.N)
-        T = self._third(x)
-        return T[..., :self.n, :, :, :], T[..., self.n:, :, :, :]
-
-    def __repr__(self):
-        comps = [ex.to_prefix(c) for c in self.components]
-        return f"MorinScenario({self.name!r}, m={self.m}, n={self.n}, f={comps})"
-
-
-def _block_with_partials(rows, nvars, ncols):
-    """ExprBlock of ``rows`` then their nonzero partials in the first ``ncols``
-    variables, with the (row, column) array of each partial."""
-    partials = [(r, k, ex.differentiate(e, k)) for r, e in enumerate(rows) for k in range(ncols)]
-    at, wrt, partials = zip(*(p for p in partials if not p[2].is_zero()))
-    return ex.ExprBlock(list(rows) + list(partials), nvars), np.array(at), np.array(wrt)
-
-
-def load_scenario(source) -> MorinScenario:
-    """Build a scenario from a JSON file path or an already-parsed dict."""
-    if isinstance(source, (str, Path)):
-        try:
-            data = json.loads(Path(source).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ScenarioFormatError(f"cannot read scenario: {exc}") from exc
-        default_name = Path(source).stem
-    else:
-        data = dict(source)
-        default_name = "scenario"
-    try:
-        N = _whole_number(data["ambient_dim"], "ambient_dim")
-        m = _whole_number(data["intrinsic_dim"], "intrinsic_dim")
-        constraints = [ex.parse_prefix(s, N) for s in data["constraints"]]
-        components = [ex.parse_prefix(s, N) for s in data["components"]]
-        n = _whole_number(data["target_dim"], "target_dim")
-        seed = _whole_number(data.get("seed", 0), "seed")
-        chi = data.get("chi_expected")
-        chi = None if chi is None else _whole_number(chi, "chi_expected")
-        halfwidth = _real_number(data.get("sample_halfwidth", 1.5), "sample_halfwidth")
-        sample_seeds = [tuple(_real_number(c, "a sample seed coordinate") for c in s)
-                        for s in data.get("sample_seeds", ())]
-    except (KeyError, TypeError, ValueError, ex.ExprError) as exc:
-        raise ScenarioFormatError(f"bad scenario fields: {exc}") from exc
-    compact = data.get("compact", True)
-    if not isinstance(compact, bool):
-        raise ScenarioFormatError(f"compact must be true or false, got {compact!r}")
-    if any(len(s) != N for s in sample_seeds):
-        raise ScenarioFormatError(f"every sample seed needs ambient_dim = {N} coordinates")
-    if halfwidth <= 0:
-        raise ScenarioFormatError(f"sample_halfwidth must be positive, got {halfwidth}")
-    try:
-        manifold = ImplicitManifold(N, constraints, m, sample_seeds=sample_seeds,
-                                    chi_expected=chi, compact=compact,
-                                    sample_halfwidth=halfwidth)
-    except ManifoldError as exc:
-        raise ScenarioFormatError(str(exc)) from exc
-    return MorinScenario(
-        name=data.get("name", default_name),
-        manifold=manifold,
-        target_dim=n,
-        components=components,
-        seed=seed,
-        tolerances=Tolerances.from_dict(data.get("tolerances", {})),
-        chi_expected=chi,
-    )
+from .scenario import (  # noqa: F401  (load_scenario and Tolerances stay bound here for perfbench)
+    BlockChart,
+    MorinnessError,
+    MorinScenario,
+    StratificationError,
+    Tolerances,
+    load_scenario,
+)
 
 
 # -- domain types -------------------------------------------------------------
@@ -347,7 +94,7 @@ class StratumPoint:
 # -- the singular system ------------------------------------------------------
 
 
-class SingularSystem:
+class SingularSystem(BlockChart):
     """The system {g = 0, Df^T u - Dg^T mu = 0, |u|^2 = 1} in z = (x, u, mu).
 
     Its solution set projects onto the depth-1 closure; the expected solution
@@ -356,33 +103,25 @@ class SingularSystem:
     square system of the critical points of <a, f> on M.  For n = 1 the
     reduced chart with u = (1,) is the default, since the unit 0-sphere is
     the discrete set {+1, -1} and the two points give identical
-    stratification data.
+    stratification data.  Both charts read the scenario's ``singular_block``;
+    the reduced one holds its cokernel in the u slots and drops the
+    normalization row.
     """
 
     def __init__(self, scenario: MorinScenario, cokernel=None):
         self.S = scenario
         if cokernel is None and scenario.n == 1:
             cokernel = (1.0,)
-        self.cokernel = None if cokernel is None else np.asarray(cokernel, dtype=float)
-        self.reduced = self.cokernel is not None
-        N, n, c = scenario.N, scenario.n, scenario.c
-        self.dim_z = N + c if self.reduced else N + n + c
-        self.n_eqs = c + N if self.reduced else c + N + 1
-        self.solution_dim = n - 1
-        self._memo = (None, None, None)
-        # R is the head of one block evaluation and J is scattered from its
-        # partials; a reduced chart inserts the cokernel as u and drops the
-        # normalization row and the u columns
-        self._block, rows, cols = scenario.singular_block
-        src = c + N + 1 + np.arange(rows.size)
-        if self.reduced:
-            keep = (rows < c + N) & ((cols < N) | (cols >= N + n))
-            rows, cols, src = rows[keep], np.where(cols < N, cols, cols - n)[keep], src[keep]
-            self._free = np.r_[:N, N + n:N + n + c]
-        self._src, self._dst = src, rows * self.dim_z + cols
+        self.reduced = cokernel is not None
+        self.cokernel = np.asarray(cokernel, dtype=float) if self.reduced else None
+        self.solution_dim = scenario.n - 1
+        N, c = scenario.N, scenario.c
+        super().__init__(scenario.singular_block, c + N if self.reduced else c + N + 1,
+                         scenario.tolerances.residual,
+                         fixed=self.cokernel if self.reduced else (), at=N)
 
-    # pack, unpack, evaluate, residual and jacobian take one point or a stack
-    # of them; a fixed cokernel comes out of unpack unstacked and broadcasts
+    # pack, unpack and evaluate take one point or a stack of them; a fixed
+    # cokernel comes out of unpack unstacked and broadcasts
 
     def pack(self, x, u, mu):
         if self.reduced:
@@ -395,39 +134,6 @@ class SingularSystem:
         if self.reduced:
             return z[..., :N], self.cokernel, z[..., N:]
         return z[..., :N], z[..., N:N + n], z[..., N + n:]
-
-    def evaluate(self, z):
-        """(residual, Jacobian) at z from one call of the scenario's block.
-
-        The last evaluation is memoized, keyed by the bytes and the shape of
-        z, so a solver's residual and Jacobian at one iterate cost one block
-        call; the memoized arrays are read-only.
-        """
-        z = np.asarray(z, dtype=float)
-        key = z.tobytes()
-        memo = self._memo          # single read keeps the triple consistent
-        if key == memo[0] and z.shape == memo[1]:
-            return memo[2]
-        N, n, lead = self.S.N, self.S.n, z.shape[:-1]
-        if self.reduced:
-            full = np.empty(lead + (self._block.nvars,))
-            full[..., N:N + n] = self.cokernel
-            full[..., self._free] = z
-            vals = self._block(full)
-        else:
-            vals = self._block(z)
-        J = np.zeros(lead + (self.n_eqs * self.dim_z,))
-        J[..., self._dst] = vals[..., self._src]
-        R, J = vals[..., :self.n_eqs], J.reshape(lead + (self.n_eqs, self.dim_z))
-        R.flags.writeable = J.flags.writeable = False
-        self._memo = (key, z.shape, (R, J))
-        return R, J
-
-    def residual(self, z):
-        return self.evaluate(z)[0]
-
-    def jacobian(self, z):
-        return self.evaluate(z)[1]
 
 
 # -- pointwise stratum data ---------------------------------------------------
@@ -617,7 +323,7 @@ def _stratum_lanes(S, system, Z):
     u, mu = u * flip, mu * flip
     # the joint flip negates the stationarity rows and keeps the others, so
     # the max-norm residual is taken at Z, in any chart
-    res = np.max(np.abs(system.residual(Z)), axis=1)
+    res = np.max(np.abs(system.evaluate(Z)[0]), axis=1)
     K, failures = _kernel_lanes(S, x)
     signatures, directions, flat = _signatures(S, _kernel_form(S, x, u, mu, K), K, x)
     for j, error in flat.items():
@@ -635,162 +341,6 @@ def _stratum_lanes(S, system, Z):
                                    degenerate_direction=directions[j],
                                    residuals={"system": float(res[j])}))
     return points, failures
-
-
-def stratum_point(S, x, u, mu, system=None) -> StratumPoint:
-    """Depth-1 stratum point at a solution (x, u, mu) of the singular system:
-    one lane of ``stratum_points``, raising that lane's error.  A ``system``
-    whose fixed cokernel is not u gives way to the chart with cokernel u."""
-    system = system or SingularSystem(S)
-    u = np.asarray(u, dtype=float)
-    if system.reduced and not np.array_equal(u, system.cokernel):
-        system = SingularSystem(S, u)
-    points, failures = stratum_points(S, system, system.pack(x, u, mu))
-    if failures:
-        raise failures[0]
-    return points[0]
-
-
-# -- continuation on the solution curve (n = 2) ---------------------------------
-#
-# A predictor-corrector layout after Allgower & Georg, Introduction to
-# Numerical Continuation Methods (SIAM 2003): a step along the tangent t,
-# then Newton back to the curve inside the plane normal to t (the trace starts
-# that Newton from a second-order predictor).  Every routine takes a stack of
-# points and every solve is ``newton_batch`` with its minimal-norm step:
-# landing (the midpoints of ``bisect_on_curve``, all brackets at once, and the
-# cusps it returns unlanded) solves the rectangular curve equations, the
-# corrector (``correct_in_planes``) the curve equations bordered by each
-# start's plane row.  The bordered matrix [J; t] is square, and nonsingular
-# wherever the curve is smooth and t is not normal to it; there its inverse
-# gives the step.  The trace's next tangent is the one [J(z_new); t] induces
-# (the solution of [J; t] tau = e_last, normalized), oriented along t since
-# t . tau = 1; the seeds of a trace, cusps, the Morse walk and an exactly
-# singular bordered stack take it from the null space by SVD
-# (``curve_tangents``).  The trace runs two lanes out of every seed, and two
-# lanes that walk one arc toward each other stop where they meet, so each arc
-# between neighbouring seeds is stepped once; a curve is read off its lanes
-# with every other one reversed.  The trace audits the nullity of J at every
-# node afterwards, in stacks.  The trace below and the Morse walk along the
-# fold curves in ``morse`` share these routines.
-
-
-def correct_in_planes(system, Z, anchors, normals):
-    """Newton from each start of a stack (B, dim_z) onto the solution set cut
-    by its own plane, start i by the plane through anchors[i] normal to
-    normals[i]: one ``newton_batch`` on the bordered system, whose lanes each
-    see their own plane row."""
-    def bordered(W, rows):
-        R, J = system.evaluate(W)
-        t = normals[rows]
-        plane = np.sum((W - anchors[rows]) * t, axis=1)
-        return (np.concatenate((R, plane[:, None]), axis=1),
-                np.concatenate((J, t[:, None, :]), axis=1))
-
-    return newton_batch(bordered, Z, tol=system.S.tolerances.residual, max_iter=40,
-                        indexed=True)
-
-
-def _chain_tangents(system, Z, T, bordered):
-    """Unit tangents at a stack of points Z induced by their bordered
-    matrices [J(Z); T]: the solutions of [J(z); t] tau = e_last, normalized,
-    so each points along its t.  ``batch_width`` points take one solve; a
-    chunk with an exactly singular matrix takes its SVD null vectors
-    instead (``curve_tangents`` along T), which reject a nullity other
-    than 1."""
-    width = batch_width(system.dim_z)
-    out = np.empty_like(T)
-    for i in range(0, len(Z), width):
-        e_last = np.zeros(T[i:i + width].shape + (1,))
-        e_last[:, -1] = 1.0
-        try:
-            tau = np.linalg.solve(bordered[i:i + width], e_last)[..., 0]
-        except np.linalg.LinAlgError:
-            out[i:i + width] = curve_tangents(system, Z[i:i + width], T[i:i + width])
-            continue
-        out[i:i + width] = tau / np.linalg.norm(tau, axis=1, keepdims=True)
-    return out
-
-
-def _nullities(system, Z, tangents=False):
-    """Nullity of the Jacobian at each point of a stack (B, dim_z), by the
-    rank rule of ``nullspace(J, rtol=1e-8)``; with ``tangents`` also the
-    last right-singular vector of each, the null vector where the nullity
-    is 1."""
-    svd = np.linalg.svd(system.jacobian(Z), compute_uv=tangents)
-    s = svd[1] if tangents else svd
-    cutoff = np.maximum(1e-8 * s[:, :1], np.finfo(float).tiny)
-    nullity = system.dim_z - np.sum(s > cutoff, axis=1)
-    return (nullity, svd[2][:, -1]) if tangents else nullity
-
-
-def _audit_curve_nullity(system, Z, tangents=False):
-    """Reject the first point of a stack Z (in order) where the solution set
-    is not a smooth curve, one stacked SVD per ``batch_width`` points; with
-    ``tangents`` return the null vector of J at every point."""
-    width = batch_width(system.dim_z)
-    T = np.empty_like(Z) if tangents else None
-    for i in range(0, len(Z), width):
-        if tangents:
-            nullity, T[i:i + width] = _nullities(system, Z[i:i + width], tangents=True)
-        else:
-            nullity = _nullities(system, Z[i:i + width])
-        bad = np.flatnonzero(nullity != 1)
-        if bad.size:
-            raise MorinnessError(
-                f"singular-set dimension audit failed: nullity {nullity[bad[0]]} != 1 "
-                f"(solution variety is not a smooth curve here)"
-            )
-    return T
-
-
-def curve_tangents(system, Z, prev=None):
-    """Unit tangents of the solution curve at a stack of points Z (B, dim_z):
-    the SVD null vectors of J, each oriented along its row of ``prev`` when
-    given and sign-normalized otherwise; a nullity other than 1 is
-    rejected."""
-    T = _audit_curve_nullity(system, Z, tangents=True)
-    if prev is None:
-        return sign_normalize(T)
-    return np.where((np.sum(T * prev, axis=1) < 0)[:, None], -T, T)
-
-
-def bisect_on_curve(system, ZA, ZB, FA, value, gap):
-    """Bisect sign changes of a scalar along the curve, all brackets in
-    lockstep.
-
-    Bracket i runs from ZA[i] to ZB[i], and FA[i] is the value at ZA[i].
-    Each round lands the midpoints of the open brackets with one
-    ``newton_batch`` and evaluates ``value(Z, chords)`` there, ``chords``
-    being the current brackets ZB - ZA.  A bracket stops at a landed
-    midpoint whose value is exactly zero or whose bracket is shorter than
-    ``gap``, and returns its bracket midpoint after 60 halvings.  Returns
-    the points (k, dim_z) and the number of midpoints landed per bracket.
-    """
-    ZA, ZB = np.array(ZA, dtype=float), np.array(ZB, dtype=float)
-    FA = np.array(FA, dtype=float)
-    Z = np.empty_like(ZA)
-    steps = np.zeros(len(ZA), dtype=int)
-    live = np.arange(len(ZA))
-    for step in range(1, 61):
-        if live.size == 0:
-            break
-        mid = newton_batch(system.evaluate, 0.5 * (ZA[live] + ZB[live]),
-                           tol=system.S.tolerances.residual, max_iter=60)
-        if not mid.converged.all():
-            raise StratificationError("bisection lost the curve")
-        chords = ZB[live] - ZA[live]
-        fm = value(mid.z, chords)
-        steps[live] = step
-        done = (fm == 0.0) | (np.linalg.norm(chords, axis=1) < gap)
-        Z[live[done]] = mid.z[done]
-        right = ~done & (FA[live] * fm < 0)
-        left = ~done & ~right
-        ZB[live[right]] = mid.z[right]
-        ZA[live[left]], FA[live[left]] = mid.z[left], fm[left]
-        live = live[~done]
-    Z[live] = 0.5 * (ZA[live] + ZB[live])
-    return Z, steps
 
 
 # -- depth classification -------------------------------------------------------
@@ -936,7 +486,7 @@ def trace_fold_curve(lanes, q, max_steps=200000) -> FoldCurve:
     S = system.S
     fields, checked = lanes.cycle(q, max_steps)
     # every node and every lane's arrival, in trace order, before any metric
-    _audit_curve_nullity(system, checked)
+    audit_curve_nullity(system, checked)
     nodes = fields["nodes"]
     width = batch_width(system.dim_z)
     metrics = [_node_metrics(S, system, nodes[i:i + width])
@@ -944,7 +494,7 @@ def trace_fold_curve(lanes, q, max_steps=200000) -> FoldCurve:
     curve = FoldCurve(det_values=np.concatenate([det for det, _ in metrics]),
                       parities=np.concatenate([par for _, par in metrics]), **fields)
     _locate_cusps(S, system, curve)
-    _build_arcs(S, curve)
+    _build_arcs(curve)
     return curve
 
 
@@ -969,7 +519,7 @@ class _Lanes:
     """
 
     def __init__(self, system, seeds):
-        self.system, self.h, self.seeds = system, system.S.tolerances.curve_step, seeds
+        self.system, self.h = system, system.S.tolerances.curve_step
         k, d = seeds.shape
         T = curve_tangents(system, seeds)
         self.sigma = np.where(np.arange(d) < system.S.N, 1.0, -1.0)
@@ -1068,7 +618,7 @@ class _Lanes:
         """Audit every node the lanes have traced, in step order, then raise
         ``message``."""
         if self.history:
-            _audit_curve_nullity(self.system, np.concatenate([z for _, z, _ in self.history]))
+            audit_curve_nullity(self.system, np.concatenate([z for _, z, _ in self.history]))
         raise StratificationError(message)
 
     def _correct(self, lanes, Z, anchors, normals):
@@ -1107,7 +657,7 @@ class _Lanes:
             self.active[A[a]] = False
             going = self.active[A]
             A, t, z_new, bordered = A[going], t[going], z_new[going], bordered[going]
-        t_new = _chain_tangents(self.system, z_new, t, bordered)
+        t_new = chain_tangents(self.system, z_new, t, bordered)
         self.history.append((A, z_new, t_new))
         self.z[A], self.t_prev[A], self.t[A] = z_new, t, t_new
 
@@ -1226,31 +776,24 @@ def _locate_cusps(S, system, curve: FoldCurve):
                 )
 
 
-def _build_arcs(S, curve: FoldCurve):
-    K = len(curve.nodes)
-    if not curve.cusps:
-        # a whole circle of constant parity
+def _build_arcs(curve: FoldCurve):
+    """The arcs between cyclically adjacent cusps, which ``_locate_cusps``
+    lists in node order, or the whole circle of a curve without cusps; each
+    takes the sign of the kernel-index parity that must be constant on it."""
+    K, positions = len(curve.nodes), curve.cusp_positions
+    if not positions:
         if len(set(curve.parities.tolist())) != 1:
             raise MorinnessError("kernel index parity changed without a cusp")
-        sign = "plus" if curve.parities[0] == 0 else "minus"
-        curve.arcs.append(Arc(sign=sign))
+        curve.arcs.append(Arc(sign="plus" if curve.parities[0] == 0 else "minus"))
         return
-    order = np.argsort(curve.cusp_positions)
-    positions = [curve.cusp_positions[i] for i in order]
-    curve.cusps = [curve.cusps[i] for i in order]
-    curve.cusp_positions = positions
-    n_cusps = len(positions)
-    for a in range(n_cusps):
-        b = (a + 1) % n_cusps
-        start, end = positions[a], positions[b]
+    for start, end in zip(positions, positions[1:] + positions[:1]):
         node_ids = _nodes_between(K, start, end)
         if not node_ids:
             raise StratificationError("empty arc between adjacent cusps")
         par = {int(curve.parities[i]) for i in node_ids}
         if len(par) != 1:
             raise MorinnessError("parity not constant along an arc between cusps")
-        sign = "plus" if par.pop() == 0 else "minus"
-        curve.arcs.append(Arc(sign=sign))
+        curve.arcs.append(Arc(sign="plus" if par.pop() == 0 else "minus"))
 
 
 def _nodes_between(K, start, end):
@@ -1318,7 +861,9 @@ def compute_stratification(S: MorinScenario, regularity_count=20) -> Stratificat
                 f"expected [{S.n - 1}]"
             )
 
-    audits["nesting_max_residual"] = _nesting_audit(S, cusps)
+    # depth-2 points must satisfy the depth-1 system: the largest full-chart
+    # residual stratum_points recorded at a cusp
+    audits["nesting_max_residual"] = max((p.residuals["system"] for p in cusps), default=0.0)
     return Stratification(scenario=S, points=points, curves=curves, cusps=cusps,
                           audits=audits)
 
@@ -1341,7 +886,7 @@ def _trace_all_curves(S, points):
 
 
 def _classify_cloud(S, points, cusps):
-    # nondegenerate points already carry depth 1 and their sign (stratum_point)
+    # nondegenerate points already carry depth 1 and their sign (stratum_points)
     for p in points:
         if p.signature.n_zero != 0:
             # a multistart point that landed on (or next to) a cusp
@@ -1363,14 +908,4 @@ def _alternation_violations(curves):
 def _dimension_audit(S, points):
     system = SingularSystem(S)
     Z = [system.pack(p.x, p.cokernel, p.multiplier) for p in points[:10]]
-    return sorted(set(_nullities(system, np.array(Z)).tolist())) if Z else []
-
-
-def _nesting_audit(S, cusps):
-    """Depth-2 points must satisfy the depth-1 system within tolerance."""
-    system = SingularSystem(S)
-    worst = 0.0
-    for p in cusps:
-        z = system.pack(p.x, p.cokernel, p.multiplier)
-        worst = max(worst, float(np.max(np.abs(system.residual(z)))))
-    return worst
+    return sorted(set(nullities(system, np.array(Z)).tolist())) if Z else []

@@ -18,17 +18,15 @@ from morinchi._numeric import (
     vecmat,
 )
 from morinchi.manifold import RegularityError
+from morinchi.scenario import MorinnessError, StratificationError, load_scenario
 from morinchi.strata import (
-    MorinnessError,
     QuadraticSignature,
     SingularSystem,
-    StratificationError,
     StratumPoint,
     _kernel_data,
     _kernel_form,
     _kernel_lanes,
     _Lanes,
-    load_scenario,
     trace_fold_curve,
 )
 
@@ -67,7 +65,7 @@ def reference_curve_tangent(system, z, prev=None):
     the per-point rule ``curve_tangents`` replaced.  Oriented along ``prev``
     when given and sign-normalized otherwise; a nullity other than 1 is
     rejected."""
-    ns = nullspace(system.jacobian(z), rtol=1e-8)
+    ns = nullspace(system.evaluate(z)[1], rtol=1e-8)
     if ns.shape[1] != 1:
         raise MorinnessError(f"singular-set dimension audit failed: nullity {ns.shape[1]} != 1")
     t = ns[:, 0]
@@ -130,7 +128,7 @@ def reference_stratum_point(S, x, u, mu, system=None, K=None):
     if lead.size and lead[0] < 0:
         u, mu = -u, -mu
     system = system or SingularSystem(S)
-    res = float(np.max(np.abs(system.residual(system.pack(x, u, mu)))))
+    res = float(np.max(np.abs(system.evaluate(system.pack(x, u, mu))[0])))
     if K is None:
         K = _kernel_data(S, x)
     HK = _kernel_form(S, x, u, mu, K)

@@ -14,8 +14,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from morinchi import continuation
 from morinchi import expr as ex
-from morinchi import strata
 from morinchi._numeric import (
     STOP_REASONS,
     _accepts,
@@ -40,17 +40,15 @@ from morinchi.morse import (
     _k0_starts,
     sample_covector,
 )
+from morinchi.scenario import MorinnessError, StratificationError, load_scenario
 from morinchi.strata import (
-    MorinnessError,
     SingularSystem,
-    StratificationError,
     _initial_guesses,
     _kernel_data,
     _multistart_seeds,
     _node_metrics,
     _points_from_solutions,
     compute_stratification,
-    load_scenario,
     solve_stratum1,
     stratum_points,
 )
@@ -74,7 +72,8 @@ ALL_SCENARIOS = ["s2-height", "torus-height", "s3-proj", "s4-height",
 def _jets(S, x):
     """Every jet the solvers use, at a point or a stack."""
     M = S.manifold
-    return (S.f(x), S.Df(x), S.Hf(x), M.g(x), M.jacobian(x), S.jet(x)[2][..., S.n:, :, :],
+    H = S.jet(x)[2]
+    return (S.f(x), S.Df(x), H[..., :S.n, :, :], M.g(x), M.jacobian(x), H[..., S.n:, :, :],
             *S.third_tensors(x))
 
 
@@ -120,10 +119,17 @@ def test_stacked_jets_match_exact_derivatives(name):
         _assert_close(got, want)
 
 
-def _agree_lane_by_lane(residual_fn, jacobian_fn, Z0, tol, max_iter):
+def _agree_lane_by_lane(evaluate, Z0, tol, max_iter):
     # every lane against the scalar reference loop, and ``newton``, one lane
     # of ``newton_batch``, against the batch with scalars for its counters
-    batch = newton_batch(lambda Z: (residual_fn(Z), jacobian_fn(Z)), Z0, tol, max_iter)
+    batch = newton_batch(evaluate, Z0, tol, max_iter)
+
+    def residual_fn(z):
+        return evaluate(z)[0]
+
+    def jacobian_fn(z):
+        return evaluate(z)[1]
+
     for i, z0 in enumerate(Z0):
         one = reference_newton(residual_fn, jacobian_fn, z0, tol=tol, max_iter=max_iter)
         assert ((batch.converged[i], batch.iterations[i], batch.stop[i])
@@ -143,7 +149,7 @@ def test_newton_batch_matches_newton_on_the_torus_k0_census():
     a = sample_covector(S.n, [S.seed, 0])
     sys0 = SingularSystem(S, a.a)
     _, Z0 = _k0_starts(S, a.a)
-    out = _agree_lane_by_lane(sys0.residual, sys0.jacobian, Z0, S.tolerances.residual, 30)
+    out = _agree_lane_by_lane(sys0.evaluate, Z0, S.tolerances.residual, 30)
     assert 0 < out.converged.sum() < len(Z0)        # both outcomes are covered
 
 
@@ -152,7 +158,7 @@ def test_newton_batch_matches_newton_on_the_s4_height_depth1_system():
     system = SingularSystem(S)
     X0 = np.array(_multistart_seeds(S, S.tolerances.multistart_density * S.n, tag=1))
     Z0 = _initial_guesses(S, system, X0)
-    _agree_lane_by_lane(system.residual, system.jacobian, Z0, S.tolerances.residual, 30)
+    _agree_lane_by_lane(system.evaluate, Z0, S.tolerances.residual, 30)
 
 
 @pytest.fixture(scope="module")
@@ -167,8 +173,7 @@ def s4_proj_polish():
 
 def test_newton_batch_matches_newton_on_the_s4_proj_augmented_system(s4_proj_polish):
     S, sysc, W0 = s4_proj_polish
-    _agree_lane_by_lane(lambda w: sysc.evaluate(w)[0], lambda w: sysc.evaluate(w)[1],
-                        W0[::4], S.tolerances.residual, 60)
+    _agree_lane_by_lane(sysc.evaluate, W0[::4], S.tolerances.residual, 60)
 
 
 def test_newton_batch_pools_lanes_within_the_batch_width(s4_proj_polish):
@@ -312,7 +317,7 @@ def test_newton_batch_stops_failing_lanes_like_newton():
         return J
 
     Z0 = np.array([[1.0, 0.5, -1.0], [0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]])
-    out = _agree_lane_by_lane(residual, jacobian, Z0, 1e-12, 20)
+    out = _agree_lane_by_lane(lambda z: (residual(z), jacobian(z)), Z0, 1e-12, 20)
     assert out.converged.tolist() == [True, True, False]
     assert [STOP_REASONS[k] for k in out.stop] == ["converged", "converged", "nonfinite_step"]
     assert out.iterations[1] == 0
@@ -423,7 +428,7 @@ def test_curve_tangents_are_the_tangent_chain(fold_curves, name):
             z, prev, t = curve.nodes[i], curve.tangents[i - 1], curve.tangents[i]
             if i not in seeds:
                 j, sign = ((i + 1) % len(curve.nodes), -1.0) if back[i] else (i - 1, 1.0)
-                tau = np.linalg.solve(np.vstack([system.jacobian(z), sign * curve.tangents[j]]),
+                tau = np.linalg.solve(np.vstack([system.evaluate(z)[1], sign * curve.tangents[j]]),
                                       e_last)
                 _assert_close(sign * t, tau / np.linalg.norm(tau))
             # the null vector of J(z) oriented along the previous tangent
@@ -443,8 +448,8 @@ def test_a_singular_bordered_chunk_takes_the_null_vectors(fold_curves, monkeypat
     S, (curve,) = fold_curves["s3-cusps"]
     system = SingularSystem(S)
     Z, T = curve.nodes[1:40], curve.tangents[:39]
-    bordered = np.concatenate((system.jacobian(Z), T[:, None, :]), axis=1)
-    want = strata._chain_tangents(system, Z, T, bordered)
+    bordered = np.concatenate((system.evaluate(Z)[1], T[:, None, :]), axis=1)
+    want = continuation.chain_tangents(system, Z, T, bordered)
     solve, calls = np.linalg.solve, []
 
     def singular_second_chunk(A, b):
@@ -453,9 +458,9 @@ def test_a_singular_bordered_chunk_takes_the_null_vectors(fold_curves, monkeypat
             raise np.linalg.LinAlgError("Singular matrix")
         return solve(A, b)
 
-    monkeypatch.setattr(strata, "batch_width", lambda d: 15)
+    monkeypatch.setattr(continuation, "batch_width", lambda d: 15)
     monkeypatch.setattr(np.linalg, "solve", singular_second_chunk)
-    got = strata._chain_tangents(system, Z, T, bordered)
+    got = continuation.chain_tangents(system, Z, T, bordered)
     monkeypatch.undo()
     assert calls == [15, 15, 9]
     _assert_close(np.delete(got, np.s_[15:30], axis=0), np.delete(want, np.s_[15:30], axis=0))

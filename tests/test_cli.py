@@ -306,6 +306,12 @@ def test_tolerance_override_roundtrip(tmp_path):
     # nor a real-valued one from a string ("1e-10" became 1e-10)
     {"residual": "1e-10"},
     {"curve_step": "0.01"},
+    # a tolerances value that is no object: a number, null and a list of
+    # pairs raised a TypeError (exit 1), and an empty list read as the defaults
+    5,
+    None,
+    [["residual", 1]],
+    [],
 ])
 def test_malformed_tolerances_exit_64(tmp_path, capsys, tolerances):
     data = json.loads(Path(str(scenario_path("s2-height"))).read_text())

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from morinchi import morse, strata
+from morinchi import continuation, morse, strata
 from morinchi._numeric import STOP_REASONS, NewtonResult
 from morinchi.morse import (
     Covector,
@@ -24,16 +24,14 @@ from morinchi.morse import (
     sample_covector,
     validate_genericity,
 )
+from morinchi.scenario import StratificationError, load_scenario
 from morinchi.strata import (
     FoldCurve,
     SingularSystem,
-    StratificationError,
     classify_depth,
     compute_stratification,
-    load_scenario,
-    stratum_point,
 )
-from tests.conftest import bundled, fd_jacobian
+from tests.conftest import bundled, fd_jacobian, reference_stratum_point
 
 
 @pytest.fixture(scope="module")
@@ -213,7 +211,7 @@ def test_eta_identity_at_every_cusp(cusp_ctx):
 
 def test_eta_sign_flat_model(flat_cusp):
     # at the flat model cusp the eta factor equals the first covector entry
-    p = stratum_point(flat_cusp, np.zeros(4), np.array([0.0, 1.0]), np.array([0.0]))
+    p = reference_stratum_point(flat_cusp, np.zeros(4), np.array([0.0, 1.0]), np.array([0.0]))
     classify_depth(flat_cusp, p)
     for a1 in (0.6, -0.6):
         a = Covector(a=np.array([a1, np.sqrt(1 - a1**2)]), seed=0)
@@ -415,7 +413,7 @@ def test_seed_changes_covector_but_not_results(s2_height):
 
 def test_unconverged_landing_is_a_stratification_error(flat_cusp, monkeypatch):
     S = flat_cusp
-    p = stratum_point(S, np.zeros(4), np.array([0.0, 1.0]), np.array([0.0]))
+    p = reference_stratum_point(S, np.zeros(4), np.array([0.0, 1.0]), np.array([0.0]))
     system = SingularSystem(S)
     z = system.pack(p.x, p.cokernel, p.multiplier)
 
@@ -460,8 +458,9 @@ def test_located_cusps_are_not_landed_again(s3_cusps, monkeypatch):
         finally:
             bisecting.pop()
 
-    for module in (strata, morse):
+    for module in (strata, morse, continuation):
         monkeypatch.setattr(module, "newton_batch", counted)
+    for module in (strata, morse):
         monkeypatch.setattr(module, "bisect_on_curve", marked)
     strat = compute_stratification(s3_cusps)
     # the one curve's cusp landing, with no lane

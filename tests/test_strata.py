@@ -8,28 +8,30 @@ import pytest
 from morinchi import expr as ex
 from morinchi import morse, strata
 from morinchi._numeric import STOP_REASONS, eig_sign_counts
-from morinchi.strata import (
+from morinchi.continuation import bisect_on_curve, correct_in_planes
+from morinchi.scenario import (
     MorinnessError,
     ScenarioFormatError,
-    SingularSystem,
     StratificationError,
     Tolerances,
+    load_scenario,
+)
+from morinchi.strata import (
+    SingularSystem,
     _kernel_data,
     _kernel_form,
     _node_metrics,
-    bisect_on_curve,
     classify_depth,
     compute_stratification,
-    correct_in_planes,
-    load_scenario,
     solve_stratum1,
-    stratum_point,
+    stratum_points,
 )
 from tests.conftest import (
     bundled,
     fd_jacobian,
     reference_curve_tangent,
     reference_newton,
+    reference_stratum_point,
     reversed_nodes,
     trace,
 )
@@ -113,15 +115,16 @@ def test_singular_system_solution_projects_to_circle(s3_proj):
     u = np.array([np.cos(theta), np.sin(theta)])
     mu = np.array([0.5])
     z = sys2.pack(x, u, mu)
-    assert float(np.max(np.abs(sys2.residual(z)))) < 1e-12
+    assert float(np.max(np.abs(sys2.evaluate(z)[0]))) < 1e-12
 
 
 def test_singular_system_total_for_regular_points(s3_proj):
     # construction is total: the residual is defined away from the circle too
     sys2 = SingularSystem(s3_proj)
     z = sys2.pack(np.array([0.5, 0.5, 0.5, 0.5]), np.array([1.0, 0.0]), np.array([0.3]))
-    assert np.all(np.isfinite(sys2.residual(z)))
-    assert float(np.max(np.abs(sys2.residual(z)))) > 1e-3
+    R = sys2.evaluate(z)[0]
+    assert np.all(np.isfinite(R))
+    assert float(np.max(np.abs(R))) > 1e-3
 
 
 def test_jacobian_matches_finite_differences(s3_cusps):
@@ -129,8 +132,8 @@ def test_jacobian_matches_finite_differences(s3_cusps):
     # the full system, and the reduced chart of a fixed cokernel (the k = 0 system)
     for sys2 in (SingularSystem(s3_cusps), SingularSystem(s3_cusps, (0.6, -0.8))):
         z = rng.uniform(-0.7, 0.7, sys2.dim_z)
-        J = sys2.jacobian(z)
-        Jfd = fd_jacobian(sys2.residual, z)
+        J = sys2.evaluate(z)[1]
+        Jfd = fd_jacobian(lambda w: sys2.evaluate(w)[0], z)
         assert J.shape == (sys2.n_eqs, sys2.dim_z)
         assert np.allclose(J, Jfd, atol=1e-6)
 
@@ -191,9 +194,9 @@ def test_evaluate_matches_the_componentwise_system(request, name, chart):
         assert _close(R[b], R1) and _close(J[b], J1)
     for b in (0, 64, 65, len(Z) - 1):
         Rw, Jw = _componentwise(system, Z[b])
-        for got in (R[b], system.evaluate(Z[b])[0], system.residual(Z[b])):
+        for got in (R[b], system.evaluate(Z[b])[0]):
             assert _close(got, Rw)
-        for got in (J[b], system.evaluate(Z[b])[1], system.jacobian(Z[b])):
+        for got in (J[b], system.evaluate(Z[b])[1]):
             assert _close(got, Jw)
 
 
@@ -216,18 +219,15 @@ def test_reduced_chart_is_the_full_chart_at_its_cokernel(request, name):
         assert np.array_equal(Jr, np.delete(J[..., :-1, :], np.s_[N:N + n], axis=-1))
 
 
-def test_evaluate_memo_is_keyed_by_shape(s3_cusps):
+def test_evaluate_keeps_the_shape_of_its_input(s3_cusps):
+    # z and z[None] hold the same bytes; each comes back in its own shape
     system = SingularSystem(s3_cusps)
     z = np.random.default_rng(6).uniform(-1.0, 1.0, system.dim_z)
     R, J = system.evaluate(z)
     assert R.shape == (system.n_eqs,) and J.shape == (system.n_eqs, system.dim_z)
-    # z[None] has the same bytes as z
     R1, J1 = system.evaluate(z[None])
     assert R1.shape == (1, system.n_eqs) and J1.shape == (1, system.n_eqs, system.dim_z)
-    assert system.residual(z).shape == (system.n_eqs,)
     assert np.array_equal(R1[0], R) and np.array_equal(J1[0], J)
-    # the memoized arrays cannot be changed behind the memo's back
-    assert not R.flags.writeable and not J.flags.writeable
 
 
 # -- depth-1 solving ------------------------------------------------------------
@@ -294,14 +294,17 @@ def test_kernel_dimension_bookkeeping(s3_strat, s3_proj):
 def test_sign_split_invariant_under_cokernel_flip(torus_strat, torus_height):
     S = torus_height
     for p in torus_strat.points:
-        # the kernel form of the flipped pair, which stratum_point would
+        # the kernel form of the flipped pair, which stratum_points would
         # normalize away: its signs are complemented, its parity kept
         HK = _kernel_form(S, p.x, -p.cokernel, -p.multiplier, p.kernel_basis)
         n_plus, n_minus, n_zero = eig_sign_counts(HK, S.tolerances.eigen_zero)
         assert (n_plus, n_minus, n_zero) == (p.signature.n_minus, p.signature.n_plus, 0)
         assert ("plus", "minus")[n_minus % 2] == p.sign
-        # and stratum_point flips the pair back
-        again = stratum_point(torus_height, p.x, -p.cokernel, -p.multiplier)
+        # and stratum_points flips the pair back, in the chart of the
+        # flipped cokernel
+        system = SingularSystem(S, -p.cokernel)
+        (again,), failures = stratum_points(S, system, system.pack(p.x, -p.cokernel, -p.multiplier)[None])
+        assert not failures
         assert np.array_equal(again.cokernel, p.cokernel) and again.sign == p.sign
 
 
@@ -379,8 +382,8 @@ def test_trace_takes_one_newton_step_per_node(fine_traces, name):
         j, sign = ((i + 1) % nodes, -1.0) if back[i] else (i - 1, 1.0)
         z, t = curve.nodes[j], sign * curve.tangents[j]
         anchor = z + h * t
-        plain = reference_newton(lambda w: np.append(system.residual(w), t @ (w - anchor)),
-                                 lambda w: np.vstack([system.jacobian(w), t]), anchor,
+        plain = reference_newton(lambda w: np.append(system.evaluate(w)[0], t @ (w - anchor)),
+                                 lambda w: np.vstack([system.evaluate(w)[1], t]), anchor,
                                  tol=S.tolerances.residual, max_iter=40)
         assert plain.converged
         assert np.max(np.abs(plain.z - curve.nodes[i])) <= 1e-11, i
@@ -402,7 +405,7 @@ def test_cloud_trace_matches_the_one_seed_trace(fine_traces, name):
     # every node lies on the curve, and no gap, the junctions at the seeds
     # and the closing one included, is longer than 2 h
     for c in (curve, single):
-        res = np.max(np.abs(SingularSystem(S).residual(c.nodes)), axis=1)
+        res = np.max(np.abs(SingularSystem(S).evaluate(c.nodes)[0]), axis=1)
         assert np.all(res <= S.tolerances.residual)
         gaps = np.linalg.norm(np.roll(c.nodes, -1, axis=0) - c.nodes, axis=1)
         assert np.max(gaps) <= 2 * S.tolerances.curve_step
@@ -480,7 +483,7 @@ def test_correct_in_planes_on_a_singular_border_takes_the_minimal_norm_step(s3_p
     start = (z + 1e-3)[None]
     out = correct_in_planes(system, start, start, np.zeros((1, system.dim_z)))
     assert out.converged[0] and 0 < out.iterations[0] <= 5
-    assert np.max(np.abs(system.residual(out.z[0]))) <= s3_proj.tolerances.residual
+    assert np.max(np.abs(system.evaluate(out.z[0])[0])) <= s3_proj.tolerances.residual
     assert out.residual[0] <= s3_proj.tolerances.residual
 
 
@@ -507,18 +510,11 @@ def test_trace_rejects_a_node_of_nullity_two(s3_proj, monkeypatch):
 class Line:
     """A flat "curve" every point lies on, so each landing is the point itself."""
 
-    class S:
-        tolerances = Tolerances()
+    dim_z, tol = 1, 1e-12
 
     def evaluate(self, z):
         lead = np.shape(z)[:-1]
         return np.zeros(lead + (1,)), np.zeros(lead + (1, 1))
-
-    def residual(self, z):
-        return self.evaluate(z)[0]
-
-    def jacobian(self, z):
-        return self.evaluate(z)[1]
 
 
 class Lost(Line):
@@ -532,8 +528,8 @@ def _bisect_loop(system, za, zb, fa, value, gap):
     brackets in lockstep, each midpoint landed by the scalar reference loop,
     with a scalar ``value(z, chord)``."""
     for steps in range(1, 61):
-        mid = reference_newton(system.residual, system.jacobian, 0.5 * (za + zb),
-                               tol=system.S.tolerances.residual, max_iter=60)
+        mid = reference_newton(lambda z: system.evaluate(z)[0], lambda z: system.evaluate(z)[1],
+                               0.5 * (za + zb), tol=system.tol, max_iter=60)
         if not mid.converged:
             raise StratificationError("bisection lost the curve")
         fm = value(mid.z, zb - za)
@@ -745,7 +741,7 @@ def test_flat_model_fold_signs(flat_cusp):
 
 
 def test_flat_model_cusp_depth_and_slope(flat_cusp):
-    p = stratum_point(flat_cusp, np.zeros(4), np.array([0.0, 1.0]), np.array([0.0]))
+    p = reference_stratum_point(flat_cusp, np.zeros(4), np.array([0.0, 1.0]), np.array([0.0]))
     assert p.signature.n_zero == 1
     assert classify_depth(flat_cusp, p) == 2
     # the intrinsic leading coefficient of the depth-2 normal form is 6
@@ -755,6 +751,6 @@ def test_flat_model_cusp_depth_and_slope(flat_cusp):
 def test_flat_model_fold_depth(flat_cusp):
     x = np.array([-3 * 0.4**2, 0.4, 0.0, 0.0])
     u = np.array([-0.4, 1.0]) / np.sqrt(1 + 0.16)
-    p = stratum_point(flat_cusp, x, u, np.array([0.0]))
+    p = reference_stratum_point(flat_cusp, x, u, np.array([0.0]))
     assert classify_depth(flat_cusp, p) == 1
     assert p.signature.n_zero == 0
