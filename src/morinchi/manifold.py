@@ -82,8 +82,9 @@ class ImplicitManifold:
                 f"constraints={[ex.to_prefix(c) for c in self.constraints]})")
 
 
-def project_points(M: ImplicitManifold, X0, residual_tol=1e-12, max_iters=60):
-    """Gauss-Newton projection of a stack of ambient points onto M, lane by lane.
+def project_points(M: ImplicitManifold, X0):
+    """Gauss-Newton projection of a stack of ambient points onto M, lane by
+    lane, to a max-norm residual of 1e-12 within 60 iterations.
 
     Returns ``newton_batch``'s ``NewtonResult``; rows that did not converge
     are left where the iteration stopped and are flagged in ``converged``.
@@ -92,12 +93,13 @@ def project_points(M: ImplicitManifold, X0, residual_tol=1e-12, max_iters=60):
     def F(X):
         return M.g(X), M.jacobian(X)
 
-    return newton_batch(F, X0, tol=residual_tol, max_iter=max_iters)
+    return newton_batch(F, X0, tol=1e-12, max_iter=60)
 
 
-def project_to_manifold(M: ImplicitManifold, x0, residual_tol=1e-12, max_iters=60):
-    """Gauss-Newton projection of an ambient point onto M."""
-    out = project_points(M, np.asarray(x0, dtype=float)[None], residual_tol, max_iters)
+def project_to_manifold(M: ImplicitManifold, x0):
+    """Gauss-Newton projection of an ambient point onto M: one lane of
+    ``project_points``."""
+    out = project_points(M, np.asarray(x0, dtype=float)[None])
     if not out.converged[0]:
         raise ProjectionError(f"projection stalled at residual {out.residual[0]:.3e}")
     return out.z[0]
@@ -156,11 +158,11 @@ def sample_starts(M: ImplicitManifold, count, key):
     return np.concatenate((seeds, draws))
 
 
-def validate_regularity(M: ImplicitManifold, count: int, seed: int,
-                        rank_tol=1e-4) -> RegularityReport:
+def validate_regularity(M: ImplicitManifold, count: int, seed: int) -> RegularityReport:
     """Project seeded random points onto M and check full constraint rank there.
 
-    The audit threshold is coarse on purpose: a double root passes the solver
+    A point fails when the smallest singular value of Dg is below 1e-4.  The
+    audit threshold is coarse on purpose: a double root passes the solver
     residual test while its gradient scales like sqrt(residual), so a tight
     threshold would miss it.
     """
@@ -171,7 +173,7 @@ def validate_regularity(M: ImplicitManifold, count: int, seed: int,
     if len(points) == 0:
         raise RegularityError("no random point could be projected onto the manifold")
     sv = np.linalg.svd(M.jacobian(points), compute_uv=False)[:, -1]
-    failures = [tuple(map(float, p)) for p in points[sv < rank_tol]]
+    failures = [tuple(map(float, p)) for p in points[sv < 1e-4]]
     return RegularityReport(
         ok=not failures,
         checked=len(points),

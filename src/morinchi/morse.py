@@ -6,7 +6,11 @@ this module locates the critical points stratum by stratum, computes their
 indices through reduced Hessians, classifies boundary critical points as
 correct or not, determines the side a correct gradient points into, and
 certifies that each non-correct boundary point cancels against its paired
-interior critical point.
+interior critical point.  What the proof reads at a cusp apart from the
+covector (the curve tangent, the plus and minus arcs beside it and the
+slope of the flattening kernel eigenvalue) is the cusp's chart, computed
+once when the cusp is located (``strata._chart_cusps``); a covector attempt
+costs a cusp only its partner search.
 """
 
 from __future__ import annotations
@@ -212,14 +216,13 @@ class StratumCriticalSystem(BlockChart):
 
     def __init__(self, S: MorinScenario, a):
         self.S = S
-        self.a = np.asarray(a, dtype=float)
         self.base = SingularSystem(S)
         if self.base.reduced:
             raise StratificationError("augmented system needs target dimension >= 2")
         self.D = self.base.dim_z
         self.E = self.base.n_eqs
         super().__init__(S.augmented_block, self.D + self.E, S.tolerances.residual,
-                         fixed=self.a, at=self.D + self.E)
+                         fixed=a, at=self.D + self.E)
 
     def initial_nu(self, z):
         """Least-squares nu of grad h = DF^T nu at z, from the block at nu = 0
@@ -405,7 +408,7 @@ def classify_correctness(S: MorinScenario, a: Covector, rec: CriticalRecord,
 
     Correct means the gradient of h restricted to the closure manifold does
     not vanish at the point.  For closure depth 1, ``point`` is the located
-    stratum point at rec.x.  When the point is known to be a critical point
+    cusp at rec.x.  When the point is known to be a critical point
     of the boundary restriction, the numeric verdict is cross-checked
     against the structural dichotomy: points two levels deeper than the
     closure are correct, points one level deeper are not.
@@ -415,10 +418,8 @@ def classify_correctness(S: MorinScenario, a: Covector, rec: CriticalRecord,
     if closure_depth == 0:
         grad_norm = float(np.linalg.norm(_tangential_gradient_on_M(S, a.a, x)))
     elif closure_depth == 1:
-        # the located point is already on the curve
-        system = SingularSystem(S)
-        z = system.pack(point.x, point.cokernel, point.multiplier)
-        tx = curve_tangents(system, z[None])[0, :S.N]
+        # the curve tangent at the located cusp, from its chart
+        tx = point.arc_tangent[:S.N]
         grad_norm = abs(float((S.Df(point.x).T @ a.a) @ tx)) / max(np.linalg.norm(tx), 1e-12)
     else:
         raise StratificationError("correctness beyond closure depth 1 is out of scope")
@@ -512,42 +513,19 @@ def check_fold_index_parity(S: MorinScenario, a: Covector, k0_records,
 # -- cusp boundary records and perturbation certificates ----------------------------
 
 
-def _curve_context_at(S, p):
-    """(system, the cusp's z, curve tangent t oriented into the plus arc, and
-    the arc samples at -t and +t, curve_step/2 away along the curve).  The
-    cusp was landed when it was located, so z is its packed (x, u, mu)."""
-    system = SingularSystem(S)
-    z = system.pack(p.x, p.cokernel, p.multiplier)
-    t = curve_tangents(system, z[None])[0]
-    delta = S.tolerances.curve_step / 2
-    starts = z + np.outer([-delta, delta], t)
-    out = correct_in_planes(system, starts, starts, np.array([t, t]))
-    if not out.converged.all():
-        raise StratificationError("could not sample the two arcs at a cusp")
-    samples, signs = list(out.z), []
-    points, failures = stratum_points(S, system, out.z)
-    for j, q in enumerate(points):
-        if j in failures:
-            raise failures[j]
-        if q.signature.n_zero:
-            raise StratificationError("arc sample at a cusp is not a fold point")
-        signs.append(q.sign)
-    if signs[0] == signs[1]:
-        raise MorseAuditError(f"arcs adjacent to the cusp at {p.x} carry equal signs")
-    if signs[1] != "plus":
-        t, samples = -t, samples[::-1]
-    return system, z, t, samples
-
-
 def perturbation_certificate(S: MorinScenario, a: Covector, p) -> PerturbationCertificate:
     """Pair a non-correct cusp with the unique nearby interior critical point.
 
     The construction follows the local picture: adding eps times the inward
     coordinate makes the cusp a correct boundary point whose gradient points
     into the plus side, and moves the old interior criticality to a fold
-    point on the side determined by the closure Hessian sign.
+    point on the side determined by the closure Hessian sign.  The curve
+    tangent into the plus arc and the two arc samples come from the cusp's
+    chart (``strata._chart_cusps``), so only the partner is solved here.
     """
-    system, z_c, t, (z_minus, z_plus) = _curve_context_at(S, p)
+    system = SingularSystem(S)
+    z_c = system.pack(p.x, p.cokernel, p.multiplier)
+    t, (z_minus, z_plus) = p.arc_tangent, p.arc_samples
     h = [float(a.a @ S.f(z[:S.N])) for z in (z_minus, z_c, z_plus)]
     h2 = (h[0] - 2 * h[1] + h[2]) / (S.tolerances.curve_step / 2) ** 2
     thr = S.tolerances.correctness * _gradient_scale(S, a.a, p.x)

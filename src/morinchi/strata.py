@@ -7,7 +7,10 @@ strata are read off the kernel Hessian of <u, f> corrected by the constraint
 multipliers.  For two-dimensional targets the depth-1 set is a union of
 closed curves, traced in lockstep lanes by the routines of ``continuation``;
 cusps are bracketed by the sign of the kernel-Hessian determinant and
-refined by bisection.  Every curve operation takes a stack of points.  The
+refined by bisection.  Each located cusp gets its chart, from one two-sided
+sample of the curve per cusp: the tangent into the plus arc, the two arc
+samples and the slope of the flattening eigenvalue, which certifies depth 2.
+Every curve operation takes a stack of points.  The
 scenario types come from ``scenario``.  ``load_scenario``, ``Tolerances``,
 ``newton`` and ``project_to_manifold`` stay bound here, though nothing here
 calls them, because the benchmark's tracer (``perfbench/tracing.py``)
@@ -65,15 +68,11 @@ from .scenario import (  # noqa: F401  (load_scenario and Tolerances stay bound 
 
 @dataclass(frozen=True)
 class QuadraticSignature:
-    """Eigenvalue sign counts of the kernel Hessian, and the index parity."""
+    """Eigenvalue sign counts of the kernel Hessian."""
 
     n_plus: int
     n_minus: int
     n_zero: int
-
-    @property
-    def lambda_parity(self) -> str:
-        return "even" if self.n_minus % 2 == 0 else "odd"
 
 
 @dataclass
@@ -87,8 +86,10 @@ class StratumPoint:
     degenerate_direction: np.ndarray | None = None
     sign: str = "unsigned"              # plus | minus | unsigned
     residuals: dict = field(default_factory=dict)
-    depth_verified: bool = True
+    # at a cusp, from its chart (``_chart_cusps``)
     eig_slope: float | None = None
+    arc_tangent: np.ndarray | None = None    # curve tangent in z, into the plus arc
+    arc_samples: np.ndarray | None = None    # (minus, plus) arc samples in z
 
 
 # -- the singular system ------------------------------------------------------
@@ -114,7 +115,6 @@ class SingularSystem(BlockChart):
             cokernel = (1.0,)
         self.reduced = cokernel is not None
         self.cokernel = np.asarray(cokernel, dtype=float) if self.reduced else None
-        self.solution_dim = scenario.n - 1
         N, c = scenario.N, scenario.c
         super().__init__(scenario.singular_block, c + N if self.reduced else c + N + 1,
                          scenario.tolerances.residual,
@@ -240,7 +240,7 @@ def _initial_guesses(S: MorinScenario, system: SingularSystem, X0):
     return system.pack(x, u0, mu0)
 
 
-def solve_stratum1(S: MorinScenario, density=None, stats=None) -> list[StratumPoint]:
+def solve_stratum1(S: MorinScenario, stats=None) -> list[StratumPoint]:
     """Multistart Newton on the singular system, deduplicated by base point.
 
     All starts run as one lane-wise batched Newton.  Starts that fail to
@@ -254,8 +254,7 @@ def solve_stratum1(S: MorinScenario, density=None, stats=None) -> list[StratumPo
     """
     system = SingularSystem(S)
     tol = S.tolerances
-    count = (density or tol.multistart_density) * S.n
-    X0 = _multistart_seeds(S, count, tag=1)
+    X0 = _multistart_seeds(S, tol.multistart_density * S.n, tag=1)
     out = newton_batch(system.evaluate, _initial_guesses(S, system, X0),
                        tol=tol.residual, max_iter=30)
     solutions = out.z[out.converged]
@@ -341,87 +340,6 @@ def _stratum_lanes(S, system, Z):
                                    degenerate_direction=directions[j],
                                    residuals={"system": float(res[j])}))
     return points, failures
-
-
-# -- depth classification -------------------------------------------------------
-
-
-def degenerate_eigenvalue_slope(S: MorinScenario, p: StratumPoint):
-    """Arc-length slope and curvature of the flattening kernel eigenvalue at p.
-
-    Moving along the depth-1 curve in the direction of the degenerate kernel
-    vector, the near-zero eigenvalue crosses zero; its slope is the intrinsic
-    analog of the leading higher-order coefficient of the local normal form
-    (6 for the standard depth-2 model), so a simple transversal crossing
-    certifies depth 2.  The second-order variation separates deeper points
-    from outright classification failures.
-    """
-    if p.degenerate_direction is None:
-        raise StratificationError("no degenerate direction at this point")
-    system = SingularSystem(S)
-    z = system.pack(p.x, p.cokernel, p.multiplier)
-    t = curve_tangents(system, z[None])[0]
-    # orient the curve tangent along the degenerate kernel direction
-    x_dir = t[:S.N]
-    align = float(x_dir @ p.degenerate_direction)
-    if abs(align) < 1e-3 * np.linalg.norm(x_dir):
-        raise MorinnessError(
-            "degenerate kernel direction is not tangent to the singular curve"
-        )
-    if align < 0:
-        t = -t
-    delta = S.tolerances.curve_step / 4
-    starts = z + np.outer([-delta, delta], t)
-    out = correct_in_planes(system, starts, starts, np.array([t, t]))
-    if not out.converged.all():
-        raise StratificationError("could not sample the curve near the point")
-    # the smallest-magnitude kernel-Hessian eigenvalue (signed) below, at
-    # and above p, each sample's (u, mu) on p's sheet
-    x, u, mu = system.unpack(np.stack([out.z[0], z, out.z[1]]))
-    flip = np.where(u @ p.cokernel < 0, -1.0, 1.0)[:, None]
-    vals = np.linalg.eigvalsh(_kernel_form(S, x, u * flip, mu * flip))
-    vals = vals[np.arange(3), np.argmin(np.abs(vals), axis=1)]
-    # measure per unit arc of the base curve in x-space, not of the lifted
-    # curve in (x, u, mu)-space, matching the chart normal-form coefficient
-    x_speed = float(np.linalg.norm(t[:S.N]))
-    slope = (vals[2] - vals[0]) / (2 * delta * x_speed)
-    curvature = (vals[2] - 2 * vals[1] + vals[0]) / (delta * x_speed) ** 2
-    return slope, curvature
-
-
-def classify_depth(S: MorinScenario, p: StratumPoint) -> int:
-    """Depth of a located singular point.
-
-    Depth 1 when the kernel Hessian is nondegenerate.  With exactly one flat
-    direction, a transversal zero crossing of that eigenvalue along the
-    singular curve certifies depth 2.  A vanishing slope with a nonzero
-    second-order variation marks depth 3 and up, reported with
-    depth_verified=False since those numerics are not certified here; when
-    every tested order vanishes the classification fails with the measured
-    values.
-    """
-    if p.signature.n_zero == 0:
-        p.depth = 1
-        return 1
-    if S.n == 1:
-        raise MorinnessError(
-            "degenerate kernel Hessian with a 1-dimensional target: not Morin"
-        )
-    slope, curvature = degenerate_eigenvalue_slope(S, p)
-    p.eig_slope = float(slope)
-    thr = S.tolerances.depth_slope
-    if abs(slope) > thr:
-        p.depth = 2
-        p.depth_verified = True
-        return 2
-    if abs(curvature) > thr:
-        p.depth = 3
-        p.depth_verified = False
-        return 3
-    raise StratificationError(
-        f"depth classification failed at {np.round(p.x, 6)}: eigenvalue slope "
-        f"{slope:.3e} and curvature {curvature:.3e} both below {thr:.1e}"
-    )
 
 
 # -- curve tracing (n = 2) ------------------------------------------------------
@@ -750,20 +668,14 @@ def _locate_cusps(S, system, curve: FoldCurve):
         raise StratificationError("could not land on the singular curve at a cusp")
     Z[full] = landed.z
     points, failures = stratum_points(S, system, Z)
-    for j, (i, p) in enumerate(zip(brackets.tolist(), points)):
+    for j, p in enumerate(points):
         if j in failures:
             raise failures[j]
         if p.signature.n_zero != 1:
             # determinant changed sign yet no flat direction: conditioning issue
             raise MorinnessError(f"inconsistent degeneracy at cusp candidate {p.x}")
-        classify_depth(S, p)
-        if p.depth != 2:
-            raise MorinnessError(
-                f"degenerate point at {p.x} is not a certified depth-2 point "
-                f"(eigenvalue slope {p.eig_slope})"
-            )
-        curve.cusps.append(p)
-        curve.cusp_positions.append(i + 0.5)
+    _chart_cusps(S, system, points)
+    curve.cusps, curve.cusp_positions = points, (brackets + 0.5).tolist()
     curve.solver["bisection_steps"] = int(np.sum(steps))
     # a cokernel that returns to minus itself makes the trace cover the base
     # curve twice; cusp bookkeeping would then double-count, so fail loudly
@@ -774,6 +686,69 @@ def _locate_cusps(S, system, curve: FoldCurve):
                     "singular curve is doubly covered by its cokernel lift; "
                     "this configuration is not supported"
                 )
+
+
+def _chart_cusps(S, system, cusps):
+    """Certify depth 2 at located cusps, and store on each the geometry the
+    Morse theory reads there, for all of them in stacked form.
+
+    At a cusp p, packed as z = (x, u, mu), the curve tangent t comes from one
+    ``curve_tangents`` call for all cusps, the arc samples at
+    z -+ (curve_step/2) t from one ``correct_in_planes`` call of two lanes
+    per cusp, and their stratum data from one ``stratum_points`` pass.  Both
+    samples must be fold points, of opposite signs: p keeps t oriented into
+    the plus arc (``arc_tangent``) and the (minus, plus) samples
+    (``arc_samples``).  Moving along the curve in the direction of the
+    degenerate kernel vector, the flat kernel eigenvalue crosses zero; its
+    slope per unit arc of the base curve in x-space, from the eigenvalues
+    nearest zero at the minus sample, the cusp and the plus sample, is the
+    intrinsic analog of the leading coefficient of the local normal form (6
+    for the standard depth-2 model).  A slope above ``depth_slope``
+    certifies depth 2 (``eig_slope``); the refusal of one at or below it
+    reports the second difference too, which separates deeper points.  The
+    checks raise at the first failing cusp in the given order.
+    """
+    if not cusps:
+        return
+    Z = np.array([system.pack(p.x, p.cokernel, p.multiplier) for p in cusps])
+    k, d = Z.shape
+    T = curve_tangents(system, Z)
+    delta = S.tolerances.curve_step / 2
+    normals = np.repeat(T, 2, axis=0)
+    starts = np.repeat(Z, 2, axis=0) + np.tile([-delta, delta], k)[:, None] * normals
+    out = correct_in_planes(system, starts, starts, normals)
+    samples, failures = stratum_points(S, system, out.z)
+    # the samples were corrected from z, so they are on the cusp's sheet
+    x, u, mu = system.unpack(np.stack([out.z[0::2], Z, out.z[1::2]], axis=1).reshape(-1, d))
+    vals = np.linalg.eigvalsh(_kernel_form(S, x, u, mu, _kernel_lanes(S, x)[0]))
+    vals = vals[np.arange(3 * k), np.argmin(np.abs(vals), axis=1)].reshape(k, 3)
+    x_arc = delta * np.linalg.norm(T[:, :S.N], axis=1)
+    slopes = (vals[:, 2] - vals[:, 0]) / (2 * x_arc)
+    curvatures = (vals[:, 2] - 2 * vals[:, 1] + vals[:, 0]) / x_arc ** 2
+    thr = S.tolerances.depth_slope
+    for j, p in enumerate(cusps):
+        t, pair = T[j], out.z[2 * j:2 * j + 2]
+        align = float(t[:S.N] @ p.degenerate_direction)
+        if abs(align) < 1e-3 * np.linalg.norm(t[:S.N]):
+            raise MorinnessError(f"degenerate kernel direction at the cusp {p.x} is not "
+                                 f"tangent to the singular curve")
+        if not out.converged[2 * j:2 * j + 2].all():
+            raise StratificationError(f"could not sample the two arcs at the cusp {p.x}")
+        for lane in (2 * j, 2 * j + 1):
+            if lane in failures:
+                raise failures[lane]
+            if samples[lane].signature.n_zero:
+                raise StratificationError("arc sample at a cusp is not a fold point")
+        slope = slopes[j] if align > 0 else -slopes[j]
+        if not abs(slope) > thr:
+            raise MorinnessError(
+                f"degenerate point at {p.x} is not a certified depth-2 point: eigenvalue "
+                f"slope {slope:.3e} and curvature {curvatures[j]:.3e}, slope not above {thr:.1e}")
+        signs = [samples[lane].sign for lane in (2 * j, 2 * j + 1)]
+        if signs[0] == signs[1]:
+            raise MorinnessError(f"arcs adjacent to the cusp at {p.x} carry equal signs")
+        p.depth, p.eig_slope = 2, float(slope)
+        p.arc_tangent, p.arc_samples = (t, pair) if signs[1] == "plus" else (-t, pair[::-1])
 
 
 def _build_arcs(curve: FoldCurve):
@@ -817,9 +792,9 @@ class Stratification:
         return {1: self.points, 2: self.cusps}.get(depth, [])
 
 
-def compute_stratification(S: MorinScenario, regularity_count=20) -> Stratification:
+def compute_stratification(S: MorinScenario) -> Stratification:
     """Full stratification pipeline: regularity, depth-1 solve, tracing, audits."""
-    report = validate_regularity(S.manifold, count=regularity_count, seed=S.seed)
+    report = validate_regularity(S.manifold, count=20, seed=S.seed)
     if not report.ok:
         raise RegularityError(
             f"manifold regularity audit failed at {report.failures[0]}"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from importlib.resources import files
 
 import numpy as np
@@ -181,14 +182,14 @@ def einsum_augmented(sysc, w):
     x, u, mu = sysc.base.unpack(z)
     F, DF = sysc.base.evaluate(z)
     grad_h = np.zeros(x.shape[:-1] + (D,))
-    grad_h[..., :N] = vecmat(sysc.a, S.Df(x))
+    grad_h[..., :N] = vecmat(sysc.fixed, S.Df(x))
     # A = hess_z h - sum_r nu_r hess_z F_r, in (x, u, mu) block form
     nu_g, nu_s, nu_n = nu[..., :c], nu[..., c:c + N], nu[..., c + N]
     H = S.jet(x)[2]
     Hf, Hg = H[..., :n, :, :], H[..., n:, :, :]
     T3f, T3g = S.third_tensors(x)
     A = np.zeros(x.shape[:-1] + (D, D))
-    Axx = np.einsum("l,...lpq->...pq", sysc.a, Hf)
+    Axx = np.einsum("l,...lpq->...pq", sysc.fixed, Hf)
     Axx -= np.einsum("...j,...jpq->...pq", nu_g, Hg)
     Ms = np.einsum("...i,...l,...lipq->...pq", nu_s, u, T3f)
     Ms -= np.einsum("...i,...j,...jipq->...pq", nu_s, mu, T3g)
@@ -239,6 +240,13 @@ def s3_proj():
 
 
 @pytest.fixture(scope="session")
+def s3_proj_sparse():
+    """s3-proj drawing 10 depth-1 starts per target dimension."""
+    return load_scenario(dict(json.loads(scenario_path("s3-proj").read_text()),
+                              tolerances={"multistart_density": 10}))
+
+
+@pytest.fixture(scope="session")
 def s4_height():
     return bundled("s4-height")
 
@@ -271,4 +279,11 @@ FLAT_CUSP = {
 
 @pytest.fixture(scope="session")
 def flat_cusp():
-    return load_scenario(FLAT_CUSP)
+    """The flat model drawing 30 depth-1 starts per target dimension."""
+    return load_scenario(dict(FLAT_CUSP, tolerances={"multistart_density": 30}))
+
+
+@pytest.fixture(scope="session")
+def flat_cusp_sparse():
+    """The flat model drawing 10 depth-1 starts per target dimension."""
+    return load_scenario(dict(FLAT_CUSP, tolerances={"multistart_density": 10}))

@@ -87,6 +87,33 @@ def test_run_rejects_non_morin_map(tmp_path):
     assert run(RunConfig(scenario=str(bad), out_dir=str(tmp_path))) == EXIT_MORIN
 
 
+def test_equal_arc_signs_at_a_cusp_exit_66_before_any_covector(tmp_path, capsys, monkeypatch):
+    # every fold point of s3-cusps reads "plus", so the two arcs beside each
+    # cusp carry equal signs: the map is rejected where the cusp is charted,
+    # with no covector sampled, not after the whole resample budget
+    from morinchi import morse, strata
+    lanes, sampled = strata._stratum_lanes, []
+    sample = morse.sample_covector
+
+    def all_plus(S, system, Z):
+        points, failures = lanes(S, system, Z)
+        for q in points:
+            if q is not None and q.sign == "minus":
+                q.sign = "plus"
+        return points, failures
+
+    def counted(n, seed):
+        sampled.append(seed)
+        return sample(n, seed)
+
+    monkeypatch.setattr(strata, "_stratum_lanes", all_plus)
+    monkeypatch.setattr(morse, "sample_covector", counted)
+    code = main(["run", "--scenario", str(scenario_path("s3-cusps")), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_MORIN and sampled == []
+    assert "arcs adjacent to the cusp at [" in err and "carry equal signs" in err
+
+
 def test_exit_codes_documented():
     from morinchi import cli
     assert (cli.EXIT_OK, cli.EXIT_GENERICITY, cli.EXIT_IDENTITY,

@@ -28,7 +28,6 @@ from morinchi.scenario import StratificationError, load_scenario
 from morinchi.strata import (
     FoldCurve,
     SingularSystem,
-    classify_depth,
     compute_stratification,
 )
 from tests.conftest import bundled, fd_jacobian, reference_stratum_point
@@ -212,7 +211,7 @@ def test_eta_identity_at_every_cusp(cusp_ctx):
 def test_eta_sign_flat_model(flat_cusp):
     # at the flat model cusp the eta factor equals the first covector entry
     p = reference_stratum_point(flat_cusp, np.zeros(4), np.array([0.0, 1.0]), np.array([0.0]))
-    classify_depth(flat_cusp, p)
+    strata._chart_cusps(flat_cusp, SingularSystem(flat_cusp), [p])
     for a1 in (0.6, -0.6):
         a = Covector(a=np.array([a1, np.sqrt(1 - a1**2)]), seed=0)
         assert eta_sign(flat_cusp, a, p) == (1 if a1 > 0 else -1)
@@ -245,33 +244,75 @@ def test_an_arc_sample_on_a_flat_point_is_not_a_fold_point():
     # the kernel eigenvalues of the two arc samples at an s3-cusps cusp
     # differ in magnitude (about 8.24e-3 and 8.29e-3); with eigen_zero
     # between them one sample is flat.  Its sign is "unsigned" and the other
-    # sample's is not, so the equal-signs check passes: only the flat count
-    # rejects the sample
+    # sample's is not, so the signs differ: only the flat count rejects the
+    # sample, when the cusp is charted again
     S = bundled("s3-cusps")
     cusp = compute_stratification(S).cusps[0]
-    system, _, _, samples = morse._curve_context_at(S, cusp)
-    _flat_below(S, system, samples)
-    points, failures = strata.stratum_points(S, system, np.array(samples))
+    system = SingularSystem(S)
+    _flat_below(S, system, cusp.arc_samples)
+    points, failures = strata.stratum_points(S, system, cusp.arc_samples)
     assert not failures and sorted(q.signature.n_zero for q in points) == [0, 1]
     assert len({q.sign for q in points}) == 2 and {q.depth for q in points} == {1}
     with pytest.raises(StratificationError, match="arc sample at a cusp is not a fold point"):
-        morse._curve_context_at(S, cusp)
+        strata._chart_cusps(S, system, [cusp])
 
 
-def test_a_flat_interior_partner_is_not_a_fold_point(cusp_ctx, monkeypatch):
+def test_a_flat_interior_partner_is_not_a_fold_point(cusp_ctx):
     # the certificate's interior partner sits about 1e-4 from the cusp; an
-    # eigen_zero above its kernel eigenvalue makes it flat, while the arc
-    # samples are taken with the default tolerances
+    # eigen_zero above its kernel eigenvalue makes it flat, while the cusp
+    # was charted with the default tolerances
     _, _, a, data, _ = cusp_ctx
     S = bundled("s3-cusps")
     cusp = compute_stratification(S).cusps[0]
-    context = morse._curve_context_at(S, cusp)
     partner = data.certificates[0].p_tilde
     assert 0 < np.linalg.norm(partner - cusp.x) < 1e-3
     S.tolerances = dataclasses.replace(S.tolerances, eigen_zero=1e-2)
-    monkeypatch.setattr(morse, "_curve_context_at", lambda S, p: context)
     with pytest.raises(StratificationError, match="interior partner is not a fold point"):
         perturbation_certificate(S, a, cusp)
+
+
+def test_cusp_geometry_is_charted_once_per_pipeline(s3_cusps, monkeypatch):
+    # covector attempt 0 fails the audit and attempt 1 passes: the arc
+    # samples are corrected once, as one stack for the curve, while the
+    # Morse theory corrects only the eight partner candidates of each cusp
+    # on each attempt
+    S = s3_cusps
+    charts, chart_lanes, partner_lanes = [], [], []
+    chart, correct, validate = (strata._chart_cusps, continuation.correct_in_planes,
+                                morse.validate_genericity)
+
+    def charting(S, system, cusps):
+        charts.append(len(cusps))
+        try:
+            return chart(S, system, cusps)
+        finally:
+            charts.append(None)
+
+    def in_chart(system, Z, anchors, normals):
+        # the trace's corrections come before the chart and after no chart
+        if charts and charts[-1] is not None:
+            chart_lanes.append(len(Z))
+        return correct(system, Z, anchors, normals)
+
+    def in_morse(system, Z, anchors, normals):
+        partner_lanes.append(len(Z))
+        return correct(system, Z, anchors, normals)
+
+    def failing_first(S, a, strat, data, attempt=0):
+        if attempt == 0:
+            return GenericityAudit(ok=False, failures=["forced"], attempt=0)
+        return validate(S, a, strat, data, attempt)
+
+    monkeypatch.setattr(strata, "_chart_cusps", charting)
+    monkeypatch.setattr(strata, "correct_in_planes", in_chart)
+    monkeypatch.setattr(morse, "correct_in_planes", in_morse)
+    monkeypatch.setattr(morse, "validate_genericity", failing_first)
+    strat = compute_stratification(S)
+    assert charts == [2, None] and chart_lanes == [4]
+    a, data, audit, history = run_with_genericity(S, strat)
+    assert audit.ok and audit.attempt == 1 and history == ["attempt 0: forced"]
+    assert charts == [2, None] and chart_lanes == [4]
+    assert partner_lanes == [8] * (len(strat.cusps) * 2)
 
 
 def test_certificate_det_sign_bookkeeping(cusp_ctx):

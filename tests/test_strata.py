@@ -8,7 +8,7 @@ import pytest
 from morinchi import expr as ex
 from morinchi import morse, strata
 from morinchi._numeric import STOP_REASONS, eig_sign_counts
-from morinchi.continuation import bisect_on_curve, correct_in_planes
+from morinchi.continuation import bisect_on_curve, correct_in_planes, nullities
 from morinchi.scenario import (
     MorinnessError,
     ScenarioFormatError,
@@ -21,7 +21,6 @@ from morinchi.strata import (
     _kernel_data,
     _kernel_form,
     _node_metrics,
-    classify_depth,
     compute_stratification,
     solve_stratum1,
     stratum_points,
@@ -100,11 +99,13 @@ def test_tolerance_overrides_roundtrip():
 # -- the singular system ------------------------------------------------------
 
 
-def test_singular_system_shape_and_solution_dim(s3_proj):
+def test_singular_system_shape_and_solution_dim(s3_proj, s3_strat):
     sys2 = SingularSystem(s3_proj)
-    assert sys2.solution_dim == 1
     assert sys2.dim_z == 4 + 2 + 1
     assert sys2.n_eqs == 1 + 4 + 1
+    # the solutions form a curve: nullity n - 1 = 1 at every depth-1 solution
+    Z = np.array([sys2.pack(p.x, p.cokernel, p.multiplier) for p in s3_strat.points])
+    assert set(nullities(sys2, Z).tolist()) == {s3_proj.n - 1}
 
 
 def test_singular_system_solution_projects_to_circle(s3_proj):
@@ -279,7 +280,7 @@ def test_s3_fold_circle_definite_signature(s3_strat):
     sig = p.signature
     assert sig.n_zero == 0
     assert sig.n_minus in (0, 2)
-    assert sig.lambda_parity == "even"
+    assert sig.n_minus % 2 == 0
     assert p.sign == "plus"
 
 
@@ -473,9 +474,9 @@ def test_seeds_closer_than_half_a_step_meet_at_once(fine_traces, name):
     assert [a.sign for a in curve.arcs] == [a.sign for a in single.arcs]
 
 
-def test_correct_in_planes_on_a_singular_border_takes_the_minimal_norm_step(s3_proj):
-    system = SingularSystem(s3_proj)
-    p = solve_stratum1(s3_proj, density=10)[0]
+def test_correct_in_planes_on_a_singular_border_takes_the_minimal_norm_step(s3_proj_sparse):
+    system = SingularSystem(s3_proj_sparse)
+    p = solve_stratum1(s3_proj_sparse)[0]
     z = system.pack(p.x, p.cokernel, p.multiplier)
     # t = 0 makes the last row of the bordered matrix zero, so no plane cuts
     # the curve: the singular square stack takes the SVD's minimal-norm step,
@@ -483,13 +484,13 @@ def test_correct_in_planes_on_a_singular_border_takes_the_minimal_norm_step(s3_p
     start = (z + 1e-3)[None]
     out = correct_in_planes(system, start, start, np.zeros((1, system.dim_z)))
     assert out.converged[0] and 0 < out.iterations[0] <= 5
-    assert np.max(np.abs(system.evaluate(out.z[0])[0])) <= s3_proj.tolerances.residual
-    assert out.residual[0] <= s3_proj.tolerances.residual
+    assert np.max(np.abs(system.evaluate(out.z[0])[0])) <= s3_proj_sparse.tolerances.residual
+    assert out.residual[0] <= s3_proj_sparse.tolerances.residual
 
 
-def test_trace_rejects_a_node_of_nullity_two(s3_proj, monkeypatch):
-    system = SingularSystem(s3_proj)
-    p = solve_stratum1(s3_proj, density=10)[0]
+def test_trace_rejects_a_node_of_nullity_two(s3_proj_sparse, monkeypatch):
+    system = SingularSystem(s3_proj_sparse)
+    p = solve_stratum1(s3_proj_sparse)[0]
     z0 = system.pack(p.x, p.cokernel, p.multiplier)
     evaluate = SingularSystem.evaluate
 
@@ -504,7 +505,7 @@ def test_trace_rejects_a_node_of_nullity_two(s3_proj, monkeypatch):
 
     monkeypatch.setattr(SingularSystem, "evaluate", rank_deficient_stacks)
     with pytest.raises(MorinnessError, match="dimension audit failed: nullity 2 != 1"):
-        trace(s3_proj, z0[None])
+        trace(s3_proj_sparse, z0[None])
 
 
 class Line:
@@ -627,12 +628,12 @@ def test_lockstep_bisection_is_the_bracket_loop_on_s3_cusps(s3_cusps, monkeypatc
         assert np.all(steps > 1)
 
 
-def test_open_curve_does_not_close(flat_cusp):
-    pts = solve_stratum1(flat_cusp, density=10)
-    sys2 = SingularSystem(flat_cusp)
+def test_open_curve_does_not_close(flat_cusp_sparse):
+    pts = solve_stratum1(flat_cusp_sparse)
+    sys2 = SingularSystem(flat_cusp_sparse)
     z0 = sys2.pack(pts[0].x, pts[0].cokernel, pts[0].multiplier)
     with pytest.raises(StratificationError):
-        trace(flat_cusp, z0[None], max_steps=300)
+        trace(flat_cusp_sparse, z0[None], max_steps=300)
 
 
 def test_two_fold_circles_take_one_trace_each(monkeypatch):
@@ -670,10 +671,10 @@ def test_two_fold_circles_take_one_trace_each(monkeypatch):
         assert curve.closure_error <= 1e-10 and [a.sign for a in curve.arcs] == ["plus"]
 
 
-def test_a_lane_whose_corrector_fails_ends_the_trace(s3_proj, monkeypatch):
-    system = SingularSystem(s3_proj)
+def test_a_lane_whose_corrector_fails_ends_the_trace(s3_proj_sparse, monkeypatch):
+    system = SingularSystem(s3_proj_sparse)
     Z = np.array([system.pack(p.x, p.cokernel, p.multiplier)
-                  for p in solve_stratum1(s3_proj, density=10)])
+                  for p in solve_stratum1(s3_proj_sparse)])
     correct, calls = strata.correct_in_planes, []
 
     def failing_after_three(system, Z, anchors, normals):
@@ -687,21 +688,22 @@ def test_a_lane_whose_corrector_fails_ends_the_trace(s3_proj, monkeypatch):
 
     monkeypatch.setattr(strata, "correct_in_planes", failing_after_three)
     with pytest.raises(StratificationError, match="continuation corrector failed"):
-        trace(s3_proj, Z)
+        trace(s3_proj_sparse, Z)
 
 
-def test_open_curve_lanes_never_arrive(flat_cusp):
+def test_open_curve_lanes_never_arrive(flat_cusp_sparse):
     # from the whole cloud the lanes between seeds arrive, but the two that
     # leave the outermost seeds run off along the open curve
-    pts = solve_stratum1(flat_cusp, density=10)
-    system = SingularSystem(flat_cusp)
+    pts = solve_stratum1(flat_cusp_sparse)
+    system = SingularSystem(flat_cusp_sparse)
     Z = np.array([system.pack(p.x, p.cokernel, p.multiplier) for p in pts])
     assert len(Z) > 1
     with pytest.raises(StratificationError, match="did not close"):
-        trace(flat_cusp, Z, max_steps=300)
+        trace(flat_cusp_sparse, Z, max_steps=300)
 
 
-def test_cusp_scenario_two_cusps_alternating(cusp_strat):
+def test_cusp_scenario_two_cusps_alternating(cusp_strat, s3_cusps):
+    S = s3_cusps
     assert len(cusp_strat.curves) == 1
     assert len(cusp_strat.cusps) == 2
     curve = cusp_strat.curves[0]
@@ -710,10 +712,18 @@ def test_cusp_scenario_two_cusps_alternating(cusp_strat):
     assert cusp_strat.audits["alternation_violations"] == 0
     for p in cusp_strat.cusps:
         assert p.depth == 2
-        assert p.depth_verified
         assert abs(p.eig_slope) > 1.0
         assert p.signature.n_zero == 1
         assert p.degenerate_direction is not None
+        # the chart: the tangent into the plus arc, and the (minus, plus)
+        # samples half a curve step away along it, on either side
+        h = S.tolerances.curve_step / 2
+        z = SingularSystem(S).pack(p.x, p.cokernel, p.multiplier)
+        t, (z_minus, z_plus) = p.arc_tangent, p.arc_samples
+        assert np.linalg.norm(t) == pytest.approx(1.0)
+        assert (z_plus - z) @ t == pytest.approx(h) and (z_minus - z) @ t == pytest.approx(-h)
+        signs = [q.sign for q in stratum_points(S, SingularSystem(S), p.arc_samples)[0]]
+        assert signs == ["minus", "plus"]
 
 
 def test_cusps_satisfy_depth1_system(cusp_strat):
@@ -724,7 +734,7 @@ def test_cusps_satisfy_depth1_system(cusp_strat):
 
 
 def test_flat_model_singular_curve_shape(flat_cusp):
-    pts = solve_stratum1(flat_cusp, density=30)
+    pts = solve_stratum1(flat_cusp)
     assert pts
     for p in pts:
         x0, x1, x2, x3 = p.x
@@ -733,7 +743,7 @@ def test_flat_model_singular_curve_shape(flat_cusp):
 
 
 def test_flat_model_fold_signs(flat_cusp):
-    pts = solve_stratum1(flat_cusp, density=30)
+    pts = solve_stratum1(flat_cusp)
     for p in pts:
         if abs(p.x[1]) < 1e-3:
             continue
@@ -743,14 +753,18 @@ def test_flat_model_fold_signs(flat_cusp):
 def test_flat_model_cusp_depth_and_slope(flat_cusp):
     p = reference_stratum_point(flat_cusp, np.zeros(4), np.array([0.0, 1.0]), np.array([0.0]))
     assert p.signature.n_zero == 1
-    assert classify_depth(flat_cusp, p) == 2
+    strata._chart_cusps(flat_cusp, SingularSystem(flat_cusp), [p])
+    assert p.depth == 2
     # the intrinsic leading coefficient of the depth-2 normal form is 6
     assert abs(p.eig_slope) == pytest.approx(6.0, rel=1e-3)
+    # the plus arc is x1 > 0
+    assert p.arc_tangent[1] > 0 and p.arc_samples[1, 1] > 0 > p.arc_samples[0, 1]
 
 
 def test_flat_model_fold_depth(flat_cusp):
     x = np.array([-3 * 0.4**2, 0.4, 0.0, 0.0])
     u = np.array([-0.4, 1.0]) / np.sqrt(1 + 0.16)
-    p = reference_stratum_point(flat_cusp, x, u, np.array([0.0]))
-    assert classify_depth(flat_cusp, p) == 1
-    assert p.signature.n_zero == 0
+    system = SingularSystem(flat_cusp)
+    (p,), failures = stratum_points(flat_cusp, system, system.pack(x, u, np.array([0.0])))
+    assert not failures
+    assert p.depth == 1 and p.signature.n_zero == 0
