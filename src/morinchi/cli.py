@@ -128,13 +128,14 @@ def _write_critical_csv(path, S, data):
         w.writerow([f"x{i}" for i in range(S.N)]
                    + ["k", "index", "correct", "inward_into", "eta_sign"])
         rows = ([(r, 0) for r in data.k0_records]
-                + [(r, 1) for r in data.stratum_records.get(1, ())]
+                + [(r, 1) for r in data.k1_records]
                 + [(r, 1) for r in data.boundary_records])
+        # no boundary point in scope is correct, so none has an inward side
         for r, k in rows:
             w.writerow([repr(float(c)) for c in r.x]
                        + [k, r.morse_index,
                           "" if r.correct is None else str(bool(r.correct)),
-                          r.inward_into,
+                          "n/a",
                           "" if r.eta_sign is None else r.eta_sign])
 
 

@@ -1,11 +1,14 @@
-"""Euler characteristics per stratum via two independent routes, and the
-global identities relating them to the Euler characteristic of the manifold.
+"""Euler characteristics of the signed depth-1 closures, and the global
+identities relating them to the Euler characteristic of the manifold.
 
-Route one is Morse-theoretic: alternating index sums over interior critical
-points, plus boundary corrections (inward-pointing correct critical points,
-and certified cancelling pairs at non-correct ones).  Route two is direct
-cell counting on the traced strata: points, arcs (one each), circles (zero
-each).  Every comparison is an exact integer equality.
+Route one is Morse-theoretic: the alternating index sum over the interior
+critical points of one sign, plus the contribution of every cusp's
+perturbation certificate.  The cusps are the boundary critical points of
+both closures, and in scope each is non-correct (``morse._boundary_records``
+checks it), so the certificates are the only boundary terms.  Route two is
+direct cell counting on the traced strata: points for n = 1, and for n = 2
+arcs (one each), circles (zero each) and cusps.  Every comparison is an
+exact integer equality.
 """
 
 from __future__ import annotations
@@ -20,121 +23,60 @@ from .scenario import MorinScenario
 from .strata import Stratification
 
 
-class ReportError(RuntimeError):
-    """Inconsistent or incomplete inputs to the report assembly."""
-
-
 def chi_closed_morse(records) -> int:
     """Euler characteristic of a closed manifold from a Morse index census."""
     return int(sum((-1) ** r.morse_index for r in records))
 
 
-def chi_with_boundary(interior_records, boundary_records, certificates=()) -> int:
-    """Euler characteristic of a compact manifold with boundary.
+def chi_signed_closure(data: MorseData, sign: str) -> int:
+    """Morse-route Euler characteristic of the signed depth-1 closure.
 
-    Interior critical points contribute (-1)^index.  Correct boundary points
-    contribute (-1)^index when the gradient points inward.  Non-correct
-    boundary points must come with a perturbation certificate, which carries
-    the net contribution of the cancelling pair to this side.
+    Each interior critical point of that sign contributes (-1)^index; each
+    cusp is a non-correct boundary point of both closures, and its
+    certificate carries the net contribution of the cancelling pair.
     """
-    chi = sum((-1) ** r.morse_index for r in interior_records)
-    certs = list(certificates)
-    for rec in boundary_records:
-        if rec.correct is None:
-            raise ReportError(f"boundary record at {tuple(map(float, rec.x))} not classified")
-        if rec.correct:
-            if rec.inward_into == "n/a":
-                raise ReportError(f"correct boundary record at {tuple(map(float, rec.x))} "
-                                  f"lacks an inwardness verdict")
-            if rec.inward_into == "inward":
-                chi += (-1) ** rec.morse_index
-        else:
-            cert = _certificate_for(certs, rec.x)
-            if cert is None:
-                raise ReportError(f"non-correct boundary record at {tuple(map(float, rec.x))} "
-                                  f"has no perturbation certificate")
-            chi += cert.chi_contribution
-    return int(chi)
-
-
-def _certificate_for(certs, x):
-    for c in certs:
-        if np.linalg.norm(np.asarray(c.p) - np.asarray(x)) < 1e-9:
-            return c
-    return None
-
-
-def _interior_records(data: MorseData, sign: str):
-    return [r for r in data.stratum_records.get(1, ())
-            if r.stratum_depth == 1 and r.fold_sign == sign]
-
-
-def chi_stratum_via_morse(S: MorinScenario, strat: Stratification, data: MorseData,
-                          k: int, sign: str) -> int:
-    """Morse-route Euler characteristic of a signed depth-k closure."""
-    if k % 2 == 0:
-        raise ReportError("signed closures exist for odd depths only")
-    if k == 1:
-        interior = _interior_records(data, sign)
-        # boundary points of the signed closures are the depth-2 points; for a
-        # two-dimensional target these are the located cusps
-        boundary = []
-        for rec in data.boundary_records:
-            if rec.correct:
-                rec = _with_side_resolved(rec, sign)
-            boundary.append(rec)
-        return chi_with_boundary(interior, boundary, data.certificates)
-    # deeper odd strata: point counts of located points of that sign
-    pts = [p for p in strat.stratum_points(k) if p.sign == sign]
-    return len(pts)
-
-
-def _with_side_resolved(rec, sign):
-    # a correct boundary record stores which signed side its gradient enters;
-    # relabel to inward/outward relative to the side being assembled
-    side = "plus-stratum" if sign == "plus" else "minus-stratum"
-    out = type(rec)(**{f: getattr(rec, f) for f in rec.__dataclass_fields__})
-    out.inward_into = "inward" if rec.inward_into == side else "outward"
-    return out
-
-
-def chi_stratum_oracle(S: MorinScenario, strat: Stratification, k: int,
-                       sign: str | None):
-    """Cell-counting Euler characteristic, available up to stratum dimension 1.
-
-    Dimension 0 counts points; dimension 1 counts arcs (one each) and
-    circles (zero each) from the traced curves.  Returns None when the
-    stratum dimension exceeds 1.
-    """
-    dim = S.n - k
-    if dim < 0:
-        return 0
-    if dim == 0:
-        pts = strat.stratum_points(k)
-        if sign is None:
-            return len(pts)
-        return sum(1 for p in pts if p.sign == sign)
-    if dim == 1 and S.n == 2 and k == 1:
-        return _oracle_cells(strat, sign)[0]  # each arc contributes 1, each circle 0
-    return None
+    return int(sum((-1) ** r.morse_index for r in data.k1_records if r.fold_sign == sign)
+               + sum(c.chi_contribution for c in data.certificates))
 
 
 def _oracle_cells(strat, sign):
-    """(arcs, circles) of the traced curves of the given sign (any, for None)."""
+    """(arcs, circles) of the traced curves of the given sign."""
     arcs = circles = 0
     for curve in strat.curves:
         if not curve.cusps:
-            if sign is None or curve.arcs[0].sign == sign:
+            if curve.arcs[0].sign == sign:
                 circles += 1
         else:
-            arcs += sum(1 for a in curve.arcs if sign is None or a.sign == sign)
+            arcs += sum(1 for a in curve.arcs if a.sign == sign)
     return arcs, circles
 
 
-def verify_mod2_congruence(S: MorinScenario, chi_m: int, chi_by_depth: dict) -> bool:
-    """chi(M) must agree mod 2 with the sum of the closure characteristics."""
-    total = sum(chi_by_depth.get(k, 0) for k in range(1, S.n + 1))
-    return (chi_m - total) % 2 == 0
+def _row(k, sign, morse, oracle, arcs=0, circles=0, points=0) -> dict:
+    return {"k": k, "sign": sign, "chi_morse_boundary": morse, "chi_oracle": oracle,
+            "arcs": arcs, "circles": circles, "points": points}
+
+
+def _strata_table(S: MorinScenario, strat: Stratification, chi_signed: dict) -> list:
+    """One row per stratum in scope, with both routes where both exist.
+
+    The cell-counting oracle reaches stratum dimension 1: points by sign for
+    n = 1, and for n = 2 arcs by sign (one each; circles count zero) and the
+    cusps.  For n = 3 the depth-3 rows read zero by both routes, since
+    depth 3 is rejected, and the oracle of the depth-1 and depth-2 strata is
+    None.
+    """
+    table = []
+    for sign in ("plus", "minus"):
+        arcs, circles = _oracle_cells(strat, sign) if S.n == 2 else (0, 0)
+        points = sum(1 for p in strat.points if p.sign == sign) if S.n == 1 else 0
+        oracle = {1: points, 2: arcs}.get(S.n)
+        table.append(_row(1, sign, chi_signed[sign], oracle, arcs, circles, points))
+    if S.n == 3:
+        table += [_row(3, sign, 0, 0) for sign in ("plus", "minus")]
+    if S.n >= 2:
+        cusps = len(strat.cusps)
+        table.append(_row(2, "unsigned", None, cusps if S.n == 2 else None, points=cusps))
+    return table
 
 
 def verify_fold_equality(S: MorinScenario, strat: Stratification, chi_m: int,
@@ -216,52 +158,16 @@ def build_report(S: MorinScenario, strat: Stratification, data: MorseData,
     """Assemble every identity and audit into the final report."""
     chi_m = chi_closed_morse(data.k0_records)
 
-    table = []
-    chi_signed = {}
-    for k in range(1, S.n + 1, 2):
-        for sign in ("plus", "minus"):
-            cm = chi_stratum_via_morse(S, strat, data, k, sign)
-            co = chi_stratum_oracle(S, strat, k, sign)
-            chi_signed[(k, sign)] = cm
-            arcs, circles = _oracle_cells(strat, sign) if (S.n == 2 and k == 1) else (0, 0)
-            pts = (len([p for p in strat.stratum_points(k) if p.sign == sign])
-                   if S.n - k == 0 else 0)
-            table.append({
-                "k": k, "sign": sign,
-                "chi_morse_boundary": cm,
-                "chi_oracle": co,
-                "arcs": arcs, "circles": circles, "points": pts,
-            })
-    for k in range(2, S.n + 1, 2):
-        co = chi_stratum_oracle(S, strat, k, None)
-        table.append({
-            "k": k, "sign": "unsigned",
-            "chi_morse_boundary": None,
-            "chi_oracle": co,
-            "arcs": 0, "circles": 0,
-            "points": len(strat.stratum_points(k)),
-        })
-
+    chi_signed = {sign: chi_signed_closure(data, sign) for sign in ("plus", "minus")}
+    table = _strata_table(S, strat, chi_signed)
     route_ok = (all(row["chi_oracle"] == row["chi_morse_boundary"]
                     for row in table if row["k"] == 1) if S.n == 2 else None)
-    rhs = sum(chi_signed[(k, "plus")] - chi_signed[(k, "minus")]
-              for k in range(1, S.n + 1, 2))
+    rhs = chi_signed["plus"] - chi_signed["minus"]
     identity_ok = chi_m == rhs
-
-    chi_by_depth = {}
-    for k in range(1, S.n + 1):
-        if k % 2 == 1:
-            deeper = chi_stratum_oracle(S, strat, k + 1, None) if k + 1 <= S.n else 0
-            deeper = 0 if deeper is None else deeper
-            chi_by_depth[k] = (chi_signed[(k, "plus")] + chi_signed[(k, "minus")]
-                               - deeper)
-        else:
-            co = chi_stratum_oracle(S, strat, k, None)
-            chi_by_depth[k] = 0 if co is None else co
-    mod2_ok = verify_mod2_congruence(S, chi_m, chi_by_depth)
-
-    fold_eq = verify_fold_equality(S, strat, chi_m,
-                                   chi_signed[(1, "plus")], chi_signed[(1, "minus")])
+    # the depth-2 closure's chi is subtracted from the depth-1 closures' and
+    # added back as its own term, so the closure sum is chi+ + chi-
+    mod2_ok = (chi_m - chi_signed["plus"] - chi_signed["minus"]) % 2 == 0
+    fold_eq = verify_fold_equality(S, strat, chi_m, chi_signed["plus"], chi_signed["minus"])
 
     chi_expected_ok = None
     if S.chi_expected is not None:
@@ -282,7 +188,7 @@ def build_report(S: MorinScenario, strat: Stratification, data: MorseData,
         "eta_checks": data.audits["eta_checks"],
         "certificates_cancel": all(c.cancels for c in data.certificates),
         "k0_count": len(data.k0_records),
-        "stratum1_critical_count": len(data.stratum_records.get(1, ())),
+        "stratum1_critical_count": len(data.k1_records),
     })
 
     return EulerReport(
@@ -313,12 +219,13 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
+    # bool before int: a Python bool is an int and would be written as 0 or 1
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj]
     return obj

@@ -2,11 +2,13 @@
 
 A unit covector a turns the map into the scalar function h = <a, f>.  For
 almost every a, h and its restrictions to every stratum closure are Morse;
-this module locates the critical points stratum by stratum, computes their
-indices through reduced Hessians, classifies boundary critical points as
-correct or not, determines the side a correct gradient points into, and
-certifies that each non-correct boundary point cancels against its paired
-interior critical point.  What the proof reads at a cusp apart from the
+this module locates the critical points stratum by stratum and computes
+their indices through reduced Hessians.  The boundary of a signed depth-1
+closure is the depth-2 stratum, one level deeper than the closure, so every
+boundary critical point in scope is a non-correct cusp; a correct one would
+sit at depth 3, which is rejected.  ``_boundary_records`` checks this
+dichotomy at every cusp and certifies that the cusp cancels against its
+paired interior critical point.  What the proof reads at a cusp apart from the
 covector (the curve tangent, the plus and minus arcs beside it and the
 slope of the flattening kernel eigenvalue) is the cusp's chart, computed
 once when the cusp is located (``strata._chart_cusps``); a covector attempt
@@ -54,7 +56,6 @@ class MorseAuditError(RuntimeError):
 @dataclass(frozen=True)
 class Covector:
     a: np.ndarray
-    seed: int
 
     def __post_init__(self):
         object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
@@ -75,7 +76,7 @@ def sample_covector(n: int, seed) -> Covector:
     while norm < 1e-12:
         v = rng.standard_normal(int(n))
         norm = np.linalg.norm(v)
-    return Covector(a=v / norm, seed=seed_key[-1])
+    return Covector(a=v / norm)
 
 
 # -- records -------------------------------------------------------------------
@@ -86,17 +87,10 @@ class CriticalRecord:
     """A critical point of h restricted to a stratum (or stratum closure)."""
 
     x: np.ndarray
-    stratum_depth: int              # depth of the stratum containing x
-    on_closure_of: int              # the closure the criticality refers to
     morse_index: int
-    index_basis_dim: int
-    correct: bool | None = None
-    inward_into: str = "n/a"        # plus-stratum | minus-stratum | n/a
-    eta_sign: int | None = None
-    residual: float = 0.0
-    seed: int = 0
     fold_sign: str | None = None    # plus/minus membership of x when depth 1
-    closure_index: int | None = None  # index of h on the 1-dim closure (cusps)
+    correct: bool | None = None     # set at cusps: non-correct for the closure
+    eta_sign: int | None = None
 
 
 @dataclass
@@ -107,9 +101,6 @@ class PerturbationCertificate:
     p_tilde: np.ndarray
     eps: float
     sign_xnk: int                   # side of the partner: +1 plus arc, -1 minus arc
-    det_sign_closure: int
-    det_sign_boundary: int
-    boundary_index: int             # index of h on the boundary stratum (0-dim: 0)
     interior_index: int             # index of h on the closure at the partner
     cancels: bool
     chi_contribution: int           # added to chi of EACH signed closure
@@ -119,7 +110,7 @@ class PerturbationCertificate:
 class MorseData:
     covector: Covector
     k0_records: list
-    stratum_records: dict           # depth -> list[CriticalRecord]
+    k1_records: list                # interior critical points on the depth-1 stratum
     boundary_records: list          # cusps as critical points of the closure
     certificates: list
     audits: dict = field(default_factory=dict)
@@ -158,14 +149,14 @@ def _k0_records(S: MorinScenario, a: Covector, stats=None) -> list:
     tol = S.tolerances
     starts, Z0 = _k0_starts(S, a.a)
     out = newton_batch(sys0.evaluate, Z0, tol=tol.residual, max_iter=30)
-    found, residuals = out.z[out.converged], out.residual[out.converged]
+    found = out.z[out.converged]
     xs = found[:, :S.N]
     kept = dedup_points(xs, tol.dedup_radius)
     if stats is not None:
         stats.update(multistart_counters(starts, out, xs, kept, tol.dedup_radius))
     if not kept:
         raise GenericityFailure("no critical points of the functional found on M")
-    Z, residuals = found[kept], residuals[kept]
+    Z = found[kept]
     x, lam = Z[:, :S.N], Z[:, S.N:]
     # the reduced Hessians on M, in stacked tangent frames
     T, frame_failures = tangent_frames(S.manifold, x)
@@ -186,17 +177,7 @@ def _k0_records(S: MorinScenario, a: Covector, stats=None) -> list:
             raise GenericityFailure(
                 f"critical point of the functional sits on the depth-2 closure at {x[j]}"
             )
-        records.append(CriticalRecord(
-            x=x[j],
-            stratum_depth=1,
-            on_closure_of=0,
-            morse_index=int(index[j]),
-            index_basis_dim=S.m,
-            correct=None,
-            residual=float(residuals[j]),
-            seed=a.seed,
-            fold_sign=p.sign,
-        ))
+        records.append(CriticalRecord(x=x[j], morse_index=int(index[j]), fold_sign=p.sign))
     records.sort(key=lambda r: tuple(np.round(r.x, 9)))
     return records
 
@@ -253,7 +234,7 @@ def _polish_stratum_critical(S, a, Z):
     return sysc, out
 
 
-def _stratum_records(S, a, W, residuals, sysc) -> list:
+def _stratum_records(S, W, sysc) -> list:
     """Records of a stack W of critical points w = (z, nu) of h on the
     depth-1 stratum, their stratum data from one ``stratum_points`` pass.
     Each point's checks raise in the order of a loop over the points: its
@@ -267,17 +248,7 @@ def _stratum_records(S, a, W, residuals, sysc) -> list:
                                S.tolerances.eigen_zero, f"stratum critical point {np.round(x, 6)}")
         if j in failures:
             raise failures[j]
-        records.append(CriticalRecord(
-            x=x,
-            stratum_depth=1,
-            on_closure_of=1,
-            morse_index=int(index),
-            index_basis_dim=S.n - 1,
-            correct=None,
-            residual=float(residuals[j]),
-            seed=a.seed,
-            fold_sign=p.sign,
-        ))
+        records.append(CriticalRecord(x=x, morse_index=int(index), fold_sign=p.sign))
     return records
 
 
@@ -332,7 +303,7 @@ def _critical_points_on_curves(S, a: Covector, strat: Stratification):
         else:
             cusp_hits[hit] = w[:sysc.D]
     kept = [fold[i] for i in dedup_points(out.z[fold, :S.N], S.tolerances.dedup_radius)]
-    records = _stratum_records(S, a, out.z[kept], out.residual[kept], sysc)
+    records = _stratum_records(S, out.z[kept], sysc)
     records.sort(key=lambda r: tuple(np.round(r.x, 9)))
     return records, cusp_hits
 
@@ -348,13 +319,13 @@ def _critical_points_on_surface(S, a: Covector, strat: Stratification, stats=Non
     Z = np.array([system.pack(p.x, p.cokernel, p.multiplier)
                   for p in strat.points]).reshape(-1, system.dim_z)
     sysc, out = _polish_stratum_critical(S, a.a, Z)
-    found, residuals = out.z[out.converged], out.residual[out.converged]
+    found = out.z[out.converged]
     kept = dedup_points(found[:, :S.N], tol.dedup_radius)
     if stats is not None:
         stats.update(multistart_counters(len(Z), out, found[:, :S.N], kept, tol.dedup_radius))
     if len(found) == 0:
         raise GenericityFailure("no critical points found on the singular surface")
-    records = _stratum_records(S, a, found[kept], residuals[kept], sysc)
+    records = _stratum_records(S, found[kept], sysc)
     records.sort(key=lambda r: tuple(np.round(r.x, 9)))
     return records
 
@@ -378,19 +349,11 @@ def critical_points_on_stratum(S: MorinScenario, a: Covector, k: int,
     if strat is None:
         raise ValueError("stratification required for stratum-level solves")
     if S.n == 1:
-        records = []
-        for p in strat.points:
-            records.append(CriticalRecord(
-                x=p.x, stratum_depth=1, on_closure_of=1,
-                morse_index=0, index_basis_dim=0,
-                residual=p.residuals.get("system", 0.0), seed=a.seed,
-                fold_sign=p.sign,
-            ))
-        return records
+        return [CriticalRecord(x=p.x, morse_index=0, fold_sign=p.sign) for p in strat.points]
     return _critical_points_on_surface(S, a, strat, stats)
 
 
-# -- correctness, eta, xi ---------------------------------------------------------
+# -- gradients and eta ---------------------------------------------------------
 
 
 def _tangential_gradient_on_M(S, a, x):
@@ -400,44 +363,6 @@ def _tangential_gradient_on_M(S, a, x):
 
 def _gradient_scale(S, a, x):
     return float(np.linalg.norm(a)) * max(1.0, float(np.linalg.norm(S.Df(x))))
-
-
-def classify_correctness(S: MorinScenario, a: Covector, rec: CriticalRecord,
-                         closure_depth: int, point=None, boundary_critical=False):
-    """Correctness of a critical point with respect to the given closure.
-
-    Correct means the gradient of h restricted to the closure manifold does
-    not vanish at the point.  For closure depth 1, ``point`` is the located
-    cusp at rec.x.  When the point is known to be a critical point
-    of the boundary restriction, the numeric verdict is cross-checked
-    against the structural dichotomy: points two levels deeper than the
-    closure are correct, points one level deeper are not.
-    """
-    x = rec.x
-    thr = S.tolerances.correctness * _gradient_scale(S, a.a, x)
-    if closure_depth == 0:
-        grad_norm = float(np.linalg.norm(_tangential_gradient_on_M(S, a.a, x)))
-    elif closure_depth == 1:
-        # the curve tangent at the located cusp, from its chart
-        tx = point.arc_tangent[:S.N]
-        grad_norm = abs(float((S.Df(point.x).T @ a.a) @ tx)) / max(np.linalg.norm(tx), 1e-12)
-    else:
-        raise StratificationError("correctness beyond closure depth 1 is out of scope")
-    verdict = bool(grad_norm > thr)
-    expected = None
-    if boundary_critical:
-        if rec.stratum_depth == closure_depth + 2:
-            expected = True
-        elif rec.stratum_depth == closure_depth + 1:
-            expected = False
-    if expected is not None and verdict != expected:
-        raise MorseAuditError(
-            f"correctness dichotomy violated at {np.round(x, 6)}: numeric "
-            f"gradient {grad_norm:.3e} vs threshold {thr:.3e}, expected "
-            f"{'correct' if expected else 'non-correct'}"
-        )
-    rec.correct = verdict
-    return rec
 
 
 def eta_sign(S: MorinScenario, a: Covector, p) -> int:
@@ -550,28 +475,35 @@ def perturbation_certificate(S: MorinScenario, a: Covector, p) -> PerturbationCe
     if q.signature.n_zero:
         raise StratificationError("interior partner is not a fold point")
     sign_xnk = 1 if q.sign == "plus" else -1
-    det_sign_closure = 1 if h2 > 0 else -1
-    det_sign_boundary = -1          # -eps times the (empty) boundary Hessian
-    predicted = (-1) ** (0 + 1) * (-1) ** interior_index
+    predicted = -(-1) ** interior_index     # det sign of closure Hessian times -eps
     return PerturbationCertificate(
         p=p.x,
         p_tilde=x_t,
         eps=eps,
         sign_xnk=sign_xnk,
-        det_sign_closure=det_sign_closure,
-        det_sign_boundary=det_sign_boundary,
-        boundary_index=0,
         interior_index=interior_index,
         cancels=(sign_xnk == predicted),
         chi_contribution=1 if interior_index == 0 else 0,
     )
 
 
-def _boundary_records(S, a: Covector, strat: Stratification, cusp_hits):
-    """Cusps as critical points of h on the depth-1 closure (all non-correct).
+def _dichotomy_violation(x, grad_norm, thr, expected):
+    return MorseAuditError(
+        f"correctness dichotomy violated at {np.round(x, 6)}: numeric "
+        f"gradient {grad_norm:.3e} vs threshold {thr:.3e}, expected {expected}"
+    )
 
-    The index of h on the closure at a cusp is the index of its certified
-    interior partner, so the certificate supplies it.
+
+def _boundary_records(S, a: Covector, strat: Stratification, cusp_hits):
+    """Cusps as critical points of h on the depth-1 closure, with their
+    perturbation certificates, one of each per cusp.
+
+    A cusp is one level deeper than the depth-1 closure, so it is a
+    non-correct boundary point: h's derivative along the curve vanishes
+    there, and the certified interior partner supplies the closure index.
+    Two levels deeper than M, it is correct for M: h's tangential gradient
+    on M does not vanish.  Both halves of this dichotomy are checked against
+    the correctness threshold; a failure raises ``MorseAuditError``.
     """
     records = []
     certificates = []
@@ -584,28 +516,23 @@ def _boundary_records(S, a: Covector, strat: Stratification, cusp_hits):
             )
         cert = perturbation_certificate(S, a, p)
         closure_index = cert.interior_index
-        rec = CriticalRecord(
-            x=p.x, stratum_depth=2, on_closure_of=1,
-            morse_index=0, index_basis_dim=0,
-            residual=p.residuals.get("system", 0.0), seed=a.seed,
-            closure_index=closure_index,
-        )
-        classify_correctness(S, a, rec, closure_depth=1, point=p, boundary_critical=True)
-        rec.eta_sign = eta_sign(S, a, p)
-        # closure-gradient on M is nonzero at a cusp: correct for closure depth 0
-        rec0 = CriticalRecord(
-            x=p.x, stratum_depth=2, on_closure_of=0,
-            morse_index=closure_index, index_basis_dim=1,
-            residual=rec.residual, seed=a.seed,
-        )
-        classify_correctness(S, a, rec0, closure_depth=0, boundary_critical=True)
+        thr = S.tolerances.correctness * _gradient_scale(S, a.a, p.x)
+        # the curve tangent at the located cusp, from its chart
+        tx = p.arc_tangent[:S.N]
+        along = abs(float((S.Df(p.x).T @ a.a) @ tx)) / max(np.linalg.norm(tx), 1e-12)
+        if along > thr:
+            raise _dichotomy_violation(p.x, along, thr, "non-correct")
+        eta = eta_sign(S, a, p)
+        on_M = float(np.linalg.norm(_tangential_gradient_on_M(S, a.a, p.x)))
+        if on_M <= thr:
+            raise _dichotomy_violation(p.x, on_M, thr, "correct")
         eta_checks.append({
             "x": tuple(p.x),
-            "eta": rec.eta_sign,
+            "eta": eta,
             "closure_index": closure_index,
-            "identity_ok": rec.eta_sign == -((-1) ** closure_index),
+            "identity_ok": eta == -((-1) ** closure_index),
         })
-        records.append(rec)
+        records.append(CriticalRecord(x=p.x, morse_index=0, correct=False, eta_sign=eta))
         certificates.append(cert)
     return records, certificates, eta_checks
 
@@ -630,7 +557,7 @@ def compute_morse_data(S: MorinScenario, strat: Stratification, a: Covector) -> 
     return MorseData(
         covector=a,
         k0_records=k0,
-        stratum_records={1: k1},
+        k1_records=k1,
         boundary_records=boundary,
         certificates=certs,
         audits=audits,

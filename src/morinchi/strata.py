@@ -788,9 +788,6 @@ class Stratification:
     cusps: list                     # depth-2 points in deterministic order
     audits: dict = field(default_factory=dict)
 
-    def stratum_points(self, depth):
-        return {1: self.points, 2: self.cusps}.get(depth, [])
-
 
 def compute_stratification(S: MorinScenario) -> Stratification:
     """Full stratification pipeline: regularity, depth-1 solve, tracing, audits."""

@@ -1,29 +1,28 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from morinchi.euler import (
-    ReportError,
     build_report,
     chi_closed_morse,
-    chi_stratum_oracle,
-    chi_stratum_via_morse,
-    chi_with_boundary,
+    chi_signed_closure,
     verify_fold_equality,
-    verify_mod2_congruence,
 )
-from morinchi.morse import CriticalRecord, PerturbationCertificate, run_with_genericity
+from morinchi.morse import (
+    CriticalRecord,
+    MorseData,
+    PerturbationCertificate,
+    run_with_genericity,
+    sample_covector,
+)
 from morinchi.strata import compute_stratification
 
-
-def rec(x, index, correct=None, inward="n/a", depth=1, closure=1):
-    return CriticalRecord(
-        x=np.asarray(x, dtype=float), stratum_depth=depth, on_closure_of=closure,
-        morse_index=index, index_basis_dim=1, correct=correct, inward_into=inward,
-    )
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 @pytest.fixture(scope="module")
@@ -39,59 +38,21 @@ def contexts(s2_height, torus_height, s3_proj, s4_height, s3_cusps, s4_proj):
 # -- chi building blocks -------------------------------------------------------
 
 
-def test_chi_closed_interval_example():
-    # interval [0,1] with the coordinate function: both ends are boundary
-    # critical points, only the lower one points inward
-    boundary = [
-        rec((0.0,), 0, correct=True, inward="inward"),
-        rec((1.0,), 0, correct=True, inward="outward"),
-    ]
-    assert chi_with_boundary([], boundary) == 1
-
-
-def test_chi_disk_examples():
-    # tilted radial function on a disk: one interior minimum, both boundary
-    # critical points outward
-    interior = [rec((0.0, 0.0), 0)]
-    boundary = [
-        rec((0.0, 1.0), 1, correct=True, inward="outward"),
-        rec((0.0, -1.0), 0, correct=True, inward="outward"),
-    ]
-    assert chi_with_boundary(interior, boundary) == 1
-    # plain height on the disk: no interior points, the minimum end inward
-    boundary = [
-        rec((0.0, 1.0), 1, correct=True, inward="outward"),
-        rec((0.0, -1.0), 0, correct=True, inward="inward"),
-    ]
-    assert chi_with_boundary([], boundary) == 1
-
-
-def test_chi_with_boundary_requires_classification():
-    with pytest.raises(ReportError, match="not classified"):
-        chi_with_boundary([], [rec((0.0,), 0, correct=None)])
-
-
-def test_chi_with_boundary_requires_certificate_for_non_correct():
-    with pytest.raises(ReportError, match="certificate"):
-        chi_with_boundary([], [rec((0.0,), 0, correct=False)])
-
-
-def test_chi_with_boundary_errors_print_points_as_plain_floats():
-    for boundary in ([rec((0.5, -0.25), 0, correct=None)],
-                     [rec((0.5, -0.25), 0, correct=True)],
-                     [rec((0.5, -0.25), 0, correct=False)]):
-        with pytest.raises(ReportError, match=r"at \(0\.5, -0\.25\) ") as info:
-            chi_with_boundary([], boundary)
-        assert "np.float64(" not in str(info.value)
-
-
 def test_chi_with_boundary_uses_certificate_contribution():
+    # a signed closure is a manifold with boundary; every certificate adds
+    # its contribution to both signs
     cert = PerturbationCertificate(
         p=np.zeros(1), p_tilde=np.ones(1), eps=1e-4, sign_xnk=-1,
-        det_sign_closure=1, det_sign_boundary=-1, boundary_index=0,
         interior_index=0, cancels=True, chi_contribution=1,
     )
-    assert chi_with_boundary([], [rec((0.0,), 0, correct=False)], [cert]) == 1
+    data = MorseData(
+        covector=sample_covector(1, 0), k0_records=[],
+        k1_records=[CriticalRecord(x=np.full(1, 0.5), morse_index=1, fold_sign="plus")],
+        boundary_records=[CriticalRecord(x=np.zeros(1), morse_index=0, correct=False)],
+        certificates=[cert],
+    )
+    assert chi_signed_closure(data, "plus") == 0
+    assert chi_signed_closure(data, "minus") == 1
 
 
 def test_chi_closed_morse_values(contexts):
@@ -105,54 +66,79 @@ def test_chi_closed_morse_values(contexts):
 # -- per-stratum routes -----------------------------------------------------------
 
 
+def _rows(ctx):
+    S, strat, data, audit, hist = ctx
+    return {(r["k"], r["sign"]): r
+            for r in build_report(S, strat, data, audit.attempt, hist).strata_table}
+
+
 def test_signed_chi_s2(contexts):
-    S, strat, data, _, _ = contexts["s2-height"]
-    assert chi_stratum_via_morse(S, strat, data, 1, "plus") == 2
-    assert chi_stratum_via_morse(S, strat, data, 1, "minus") == 0
-    assert chi_stratum_oracle(S, strat, 1, "plus") == 2
-    assert chi_stratum_oracle(S, strat, 1, "minus") == 0
+    data = contexts["s2-height"][2]
+    assert chi_signed_closure(data, "plus") == 2
+    assert chi_signed_closure(data, "minus") == 0
+    rows = _rows(contexts["s2-height"])
+    assert rows[(1, "plus")]["chi_oracle"] == 2
+    assert rows[(1, "minus")]["chi_oracle"] == 0
 
 
 def test_signed_chi_s3_circle(contexts):
-    S, strat, data, _, _ = contexts["s3-proj"]
-    assert chi_stratum_via_morse(S, strat, data, 1, "plus") == 0
-    assert chi_stratum_via_morse(S, strat, data, 1, "minus") == 0
-    assert chi_stratum_oracle(S, strat, 1, "plus") == 0
+    data = contexts["s3-proj"][2]
+    assert chi_signed_closure(data, "plus") == 0
+    assert chi_signed_closure(data, "minus") == 0
+    assert _rows(contexts["s3-proj"])[(1, "plus")]["chi_oracle"] == 0
 
 
 def test_signed_chi_cusp_arcs(contexts):
-    S, strat, data, _, _ = contexts["s3-cusps"]
+    data = contexts["s3-cusps"][2]
     # each signed closure is one arc: chi = 1 by both routes
-    assert chi_stratum_via_morse(S, strat, data, 1, "plus") == 1
-    assert chi_stratum_via_morse(S, strat, data, 1, "minus") == 1
-    assert chi_stratum_oracle(S, strat, 1, "plus") == 1
-    assert chi_stratum_oracle(S, strat, 1, "minus") == 1
+    assert chi_signed_closure(data, "plus") == 1
+    assert chi_signed_closure(data, "minus") == 1
+    rows = _rows(contexts["s3-cusps"])
+    assert rows[(1, "plus")]["chi_oracle"] == 1
+    assert rows[(1, "minus")]["chi_oracle"] == 1
     # the depth-2 stratum is the two cusp points
-    assert chi_stratum_oracle(S, strat, 2, None) == 2
+    assert rows[(2, "unsigned")]["chi_oracle"] == 2
 
 
 def test_oracle_unavailable_beyond_dimension_one(contexts):
-    S, strat, data, _, _ = contexts["s4-proj"]
-    assert chi_stratum_oracle(S, strat, 1, "plus") is None
+    assert _rows(contexts["s4-proj"])[(1, "plus")]["chi_oracle"] is None
 
 
 def test_deepest_stratum_counts(contexts):
-    S, strat, data, _, _ = contexts["s4-height"]
-    assert chi_stratum_via_morse(S, strat, data, 1, "plus") == 6
-    assert chi_stratum_via_morse(S, strat, data, 1, "minus") == 4
+    data = contexts["s4-height"][2]
+    assert chi_signed_closure(data, "plus") == 6
+    assert chi_signed_closure(data, "minus") == 4
+
+
+def test_strata_tables_match_the_benchmark_reference(contexts):
+    # every bundled scenario runs at its own seed, 0, as the reference does
+    reference = json.loads(REFERENCE.read_text())
+    assert set(reference) == set(contexts)
+    for name, (S, strat, data, audit, hist) in contexts.items():
+        assert S.seed == 0, name
+        report = build_report(S, strat, data, audit.attempt, hist)
+        assert report.chi_M_morse == reference[name]["chi_M"], name
+        assert report.strata_table == reference[name]["strata"], name
+
+
+def test_audit_booleans_are_written_as_booleans(contexts):
+    S, strat, data, audit, hist = contexts["s3-cusps"]
+    audits = json.loads(build_report(S, strat, data, audit.attempt, hist).to_json())["audits"]
+    assert audits["certificates_cancel"] is True
+    assert len(audits["eta_checks"]) == 2
+    assert all(c["identity_ok"] is True for c in audits["eta_checks"])
 
 
 # -- global identities --------------------------------------------------------------
 
 
-def test_mod2_congruence_examples():
-    class Fake:
-        n = 1
-    assert verify_mod2_congruence(Fake, 2, {1: 2})     # sphere: 2 and 2
-    assert verify_mod2_congruence(Fake, 0, {1: 4})     # torus: 0 and 4
-    Fake.n = 2
-    assert verify_mod2_congruence(Fake, 0, {1: 0, 2: 0})
-    assert not verify_mod2_congruence(Fake, 1, {1: 0, 2: 0})
+def test_mod2_congruence_examples(contexts):
+    # s2-height: chi(M) = 2 and chi+ + chi- = 2; without one point of the
+    # k=0 census chi(M) is odd
+    S, strat, data, audit, hist = contexts["s2-height"]
+    assert build_report(S, strat, data, audit.attempt, hist).mod2_congruence_ok is True
+    short = dataclasses.replace(data, k0_records=data.k0_records[1:])
+    assert build_report(S, strat, short, audit.attempt, hist).mod2_congruence_ok is False
 
 
 def test_reports_all_scenarios(contexts):

@@ -15,7 +15,6 @@ from morinchi.morse import (
     MorseAuditError,
     StratumCriticalSystem,
     check_fold_index_parity,
-    classify_correctness,
     compute_morse_data,
     critical_points_on_stratum,
     eta_sign,
@@ -89,7 +88,7 @@ def test_sample_covector_n1_is_sign():
 
 def test_covector_rejects_non_unit():
     with pytest.raises(ValueError):
-        Covector(a=np.array([1.0, 1.0]), seed=0)
+        Covector(a=np.array([1.0, 1.0]))
 
 
 # -- critical points on M (k = 0) -------------------------------------------------
@@ -120,17 +119,16 @@ def test_k0_records_lie_on_stratum(torus_ctx):
 
 def test_s3_fold_circle_two_critical_points(s3_ctx):
     S, strat, a, data, audit = s3_ctx
-    k1 = data.stratum_records[1]
+    k1 = data.k1_records
     assert len(k1) == 2
     assert sorted(r.morse_index for r in k1) == [0, 1]
-    assert all(r.index_basis_dim == 1 for r in k1)
 
 
 def test_stratum_records_n1_are_points(torus_ctx):
     S, strat, a, data, audit = torus_ctx
-    k1 = data.stratum_records[1]
+    k1 = data.k1_records
     assert len(k1) == 4
-    assert all(r.morse_index == 0 and r.index_basis_dim == 0 for r in k1)
+    assert all(r.morse_index == 0 for r in k1)
 
 
 def test_stratum_solve_refuses_fold_curves(cusp_ctx):
@@ -156,12 +154,11 @@ def test_augmented_jacobian_matches_fd(s3_cusps):
 def test_surface_critical_points_s4_proj(s4_proj):
     strat = compute_stratification(s4_proj)
     a, data, audit, hist = run_with_genericity(s4_proj, strat)
-    k1 = data.stratum_records[1]
+    k1 = data.k1_records
     # a generic linear functional on the fold 2-sphere has exactly two
     # critical points, indices 0 and 2
     assert len(k1) == 2
     assert sorted(r.morse_index for r in k1) == [0, 2]
-    assert all(r.index_basis_dim == 2 for r in k1)
     assert all(r.fold_sign == "plus" for r in k1)
 
 
@@ -173,31 +170,69 @@ def test_cusps_are_non_correct_for_the_curve(cusp_ctx):
     assert len(data.boundary_records) == 2
     for rec in data.boundary_records:
         assert rec.correct is False
-        assert rec.stratum_depth == 2
-        assert rec.on_closure_of == 1
+
+
+def _every_cusp_hit(strat):
+    return {ci: p.x for ci, p in enumerate(strat.cusps)}
 
 
 def test_cusps_are_correct_for_the_manifold(cusp_ctx):
+    # the boundary records pass the dichotomy check, whose half on M asks
+    # for a tangential gradient above the correctness threshold
     S, strat, a, data, audit = cusp_ctx
+    records, _, _ = morse._boundary_records(S, a, strat, _every_cusp_hit(strat))
+    assert [r.correct for r in records] == [False] * len(strat.cusps)
     for p in strat.cusps:
-        rec = critical_record_stub(p)
-        classify_correctness(S, a, rec, closure_depth=0)
-        assert rec.correct is True
+        thr = S.tolerances.correctness * morse._gradient_scale(S, a.a, p.x)
+        assert np.linalg.norm(morse._tangential_gradient_on_M(S, a.a, p.x)) > 1e3 * thr
 
 
-def critical_record_stub(p):
-    from morinchi.morse import CriticalRecord
-    return CriticalRecord(x=p.x, stratum_depth=p.depth, on_closure_of=0,
-                          morse_index=0, index_basis_dim=1)
+def _history_of_one_attempt(S, strat, monkeypatch):
+    monkeypatch.setattr(S, "tolerances", dataclasses.replace(S.tolerances, max_resamples=1))
+    with pytest.raises(GenericityExhausted) as info:
+        run_with_genericity(S, strat)
+    return str(info.value)
 
 
-def test_interior_points_correct_for_manifold(cusp_ctx):
-    # any interior stratum point with nonvanishing manifold gradient is correct
+def test_a_cusp_with_a_derivative_along_the_curve_violates_the_dichotomy(
+        s3_cusps, monkeypatch):
+    # each cusp's tangent turned to h's tangential gradient on M, along
+    # which h has a clear derivative; the certificates still read the
+    # charted tangents, so only the dichotomy sees the turned ones
+    S = s3_cusps
+    strat = compute_stratification(S)
+    a = sample_covector(S.n, [S.seed, 0])
+    turned = []
+    for p in strat.cusps:
+        t = np.zeros_like(p.arc_tangent)
+        t[:S.N] = morse._tangential_gradient_on_M(S, a.a, p.x)
+        turned.append(dataclasses.replace(p, arc_tangent=t))
+    charted = {id(q): p for q, p in zip(turned, strat.cusps)}
+    certificate = morse.perturbation_certificate
+    monkeypatch.setattr(morse, "perturbation_certificate",
+                        lambda S, a, q: certificate(S, a, charted[id(q)]))
+    strat = dataclasses.replace(strat, cusps=turned)
+    with pytest.raises(MorseAuditError,
+                       match="correctness dichotomy violated.*expected non-correct"):
+        morse._boundary_records(S, a, strat, _every_cusp_hit(strat))
+    history = _history_of_one_attempt(S, strat, monkeypatch)
+    assert "attempt 0: correctness dichotomy violated" in history
+    assert "expected non-correct" in history
+
+
+def test_a_cusp_with_no_gradient_on_the_manifold_violates_the_dichotomy(
+        cusp_ctx, monkeypatch):
+    # eta reads the same tangential gradient and would refuse first, so it
+    # is set to a constant: only the dichotomy's half on M is under test
     S, strat, a, data, audit = cusp_ctx
-    p = next(q for q in strat.points if q.depth == 1)
-    rec = critical_record_stub(p)
-    classify_correctness(S, a, rec, closure_depth=0)
-    assert rec.correct is True
+    monkeypatch.setattr(morse, "_tangential_gradient_on_M",
+                        lambda S, a, x: np.zeros(S.N))
+    monkeypatch.setattr(morse, "eta_sign", lambda S, a, p: 1)
+    with pytest.raises(MorseAuditError,
+                       match="correctness dichotomy violated.*expected correct"):
+        morse._boundary_records(S, a, strat, _every_cusp_hit(strat))
+    history = _history_of_one_attempt(S, strat, monkeypatch)
+    assert "correctness dichotomy violated" in history and "expected correct" in history
 
 
 def test_eta_identity_at_every_cusp(cusp_ctx):
@@ -213,7 +248,7 @@ def test_eta_sign_flat_model(flat_cusp):
     p = reference_stratum_point(flat_cusp, np.zeros(4), np.array([0.0, 1.0]), np.array([0.0]))
     strata._chart_cusps(flat_cusp, SingularSystem(flat_cusp), [p])
     for a1 in (0.6, -0.6):
-        a = Covector(a=np.array([a1, np.sqrt(1 - a1**2)]), seed=0)
+        a = Covector(a=np.array([a1, np.sqrt(1 - a1**2)]))
         assert eta_sign(flat_cusp, a, p) == (1 if a1 > 0 else -1)
 
 
@@ -222,7 +257,7 @@ def test_certificates_cancel(cusp_ctx):
     assert len(data.certificates) == 2
     for cert in data.certificates:
         assert cert.cancels
-        assert cert.sign_xnk == (-1) ** (cert.boundary_index + 1) * (-1) ** cert.interior_index
+        assert cert.sign_xnk == -(-1) ** cert.interior_index
         assert np.linalg.norm(cert.p_tilde - cert.p) > S.tolerances.dedup_radius
         assert cert.chi_contribution == (1 if cert.interior_index == 0 else 0)
 
@@ -315,16 +350,6 @@ def test_cusp_geometry_is_charted_once_per_pipeline(s3_cusps, monkeypatch):
     assert partner_lanes == [8] * (len(strat.cusps) * 2)
 
 
-def test_certificate_det_sign_bookkeeping(cusp_ctx):
-    S, strat, a, data, audit = cusp_ctx
-    for cert in data.certificates:
-        # closure determinant sign carries the interior index parity
-        assert cert.det_sign_closure == (-1) ** cert.interior_index
-        # boundary factor is minus epsilon times the empty boundary Hessian
-        assert cert.det_sign_boundary == -1
-        assert cert.sign_xnk == cert.det_sign_closure * cert.det_sign_boundary
-
-
 # -- audits --------------------------------------------------------------------------
 
 
@@ -344,7 +369,7 @@ def test_parity_audit_detects_violation(s3_ctx):
     import copy
     broken = copy.deepcopy(data.k0_records)
     broken[0].morse_index += 1
-    parity = check_fold_index_parity(S, a, broken, data.stratum_records[1])
+    parity = check_fold_index_parity(S, a, broken, data.k1_records)
     assert not parity.ok
 
 
@@ -376,7 +401,7 @@ def test_audit_messages_print_points_as_plain_floats(cusp_ctx):
     broken.k0_records[0].x = strat.cusps[0].x.copy()       # on a cusp, unmatched
     broken.audits["parity"] = check_fold_index_parity(S, a, broken.k0_records, [])
     broken.audits["separation"] = morse._boundary_equivalence_audit(
-        S, broken.k0_records, data.stratum_records[1], strat)
+        S, broken.k0_records, data.k1_records, strat)
     broken.certificates[0].cancels = False
     bad = validate_genericity(S, a, strat, broken)
     kinds = ("boundary-criticality equivalence", "collides with a cusp", "index parity",
