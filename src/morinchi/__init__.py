@@ -15,9 +15,17 @@ blocks), ``continuation`` (curve tracing over any system), ``strata``,
 ``morse``, ``euler`` and ``cli``.
 """
 
-from .cli import run_pipeline
 from .scenario import load_scenario
 
 __all__ = ["load_scenario", "run_pipeline", "__version__"]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # ``cli`` is imported on first use, not with the package, so that
+    # ``python -m morinchi.cli`` finds no copy of it already imported
+    if name == "run_pipeline":
+        from .cli import run_pipeline
+        return run_pipeline
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

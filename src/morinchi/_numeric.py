@@ -242,33 +242,35 @@ def dedup_points(points, radius):
     return kept
 
 
-def multistart_counters(starts, out: NewtonResult, xs, kept, radius=None) -> dict:
-    """Deterministic counters of one multistart solve.
+def census(starts, out: NewtonResult, N, radius, hits=True):
+    """The distinct roots and the deterministic counters of one multistart.
 
-    ``out`` is the batched Newton over the starts that projected, ``xs`` the
-    base points of its converged lanes and ``kept`` their representatives
-    from ``dedup_points``.  Given a ``radius``, a converged lane hits the
-    first representative within it; hits are listed largest first.  ``stops``
-    counts the lanes by the reason they stopped.
+    ``out`` is the batched Newton over the starts that projected, from
+    ``starts`` seeds.  Its converged lanes are deduplicated by their base
+    points, the first N coordinates (``dedup_points``); the kept roots come
+    back in dedup order.  With ``hits``, a converged lane hits the first
+    kept root within ``radius``, and hits are listed largest first.
+    ``stops`` counts the lanes by the reason they stopped.
     """
-    hits = {}
-    if radius is not None:
-        xs = np.asarray(xs, dtype=float)
+    found = out.z[out.converged]
+    xs = found[:, :N]
+    kept = dedup_points(xs, radius)
+    counters = {
+        "starts": int(starts),
+        "projected": int(len(out.converged)),
+        "converged": len(found),
+        "iterations": int(np.sum(out.iterations)),
+        "distinct": len(kept),
+    }
+    if hits:
         owner = np.full(len(xs), -1)
         for r, j in enumerate(kept):
             owner[(owner < 0) & (np.linalg.norm(xs - xs[j], axis=1) <= radius)] = r
-        hits["hits"] = sorted(map(int, np.bincount(owner[owner >= 0], minlength=len(kept))),
-                              reverse=True)
-    return {
-        "starts": int(starts),
-        "projected": int(len(out.converged)),
-        "converged": int(np.sum(out.converged)),
-        "iterations": int(np.sum(out.iterations)),
-        "distinct": len(kept),
-        **hits,
-        "stops": dict(zip(STOP_REASONS, map(int, np.bincount(out.stop,
-                                                              minlength=len(STOP_REASONS))))),
-    }
+        counters["hits"] = sorted(map(int, np.bincount(owner[owner >= 0],
+                                                       minlength=len(kept))), reverse=True)
+    counters["stops"] = dict(zip(STOP_REASONS, map(int, np.bincount(
+        out.stop, minlength=len(STOP_REASONS)))))
+    return found[kept], counters
 
 
 def eig_sign_counts(H, zero_tol_factor=1e-6):

@@ -15,7 +15,6 @@ The text form is a prefix notation used by scenario files, e.g.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 from typing import Sequence, Union
 
 import numpy as np
@@ -302,41 +301,6 @@ class Jet:
         out = (vals[..., :k], D, vals[..., self._hessian_index])
         self._memo = (key, x.shape, out)
         return out
-
-
-class ThirdJet:
-    """Symmetric third-derivative tensors (..., k, N, N, N) of a family.
-
-    The nonzero partials d^3 e / dx_i dx_j dx_l with i <= j <= l form one
-    ExprBlock; each value is scattered to every index permutation through
-    precomputed index arrays.
-    """
-
-    def __init__(self, exprs: Sequence[Expr], nvars: int):
-        partials, where = [], []
-        for r, e in enumerate(exprs):
-            for i in range(nvars):
-                di = differentiate(e.with_nvars(nvars), i)
-                for j in range(i, nvars):
-                    dij = differentiate(di, j)
-                    for l in range(j, nvars):
-                        dijl = differentiate(dij, l)
-                        if dijl.is_zero():
-                            continue
-                        for perm in sorted(set(permutations((i, j, l)))):
-                            where.append((len(partials), r) + perm)
-                        partials.append(dijl)
-        self._block = ExprBlock(partials, nvars)
-        self._shape = (len(exprs), nvars, nvars, nvars)
-        self._src, self._r, self._i, self._j, self._l = (
-            np.array(where, dtype=np.int64).reshape(-1, 5).T)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        T = np.zeros(x.shape[:-1] + self._shape)
-        if self._src.size:
-            T[..., self._r, self._i, self._j, self._l] = self._block(x)[..., self._src]
-        return T
 
 
 # -- prefix text form ---------------------------------------------------------

@@ -23,19 +23,18 @@ import numpy as np
 
 from ._numeric import (
     batch_width,
+    census,
     dedup_points,
     eig_sign_counts,
     min_norm_solve,
-    multistart_counters,
     newton,  # noqa: F401  (stays bound here for perfbench)
     newton_batch,
     nullspace,
-    vecmat,
 )
 from .continuation import bisect_on_curve, correct_in_planes, curve_tangents
-from .manifold import project_points, tangent_frame, tangent_frames
-from .scenario import BlockChart, MorinScenario, StratificationError
-from .strata import SingularSystem, Stratification, _multistart_seeds, stratum_points
+from .manifold import tangent_frame, tangent_frames
+from .scenario import BlockChart, MorinnessError, MorinScenario, StratificationError
+from .strata import SingularSystem, Stratification, multistart_starts, stratum_points
 
 
 class GenericityFailure(RuntimeError):
@@ -119,65 +118,52 @@ class MorseData:
 # -- k = 0: critical points of h on M itself ------------------------------------
 
 
-def _index_or_fail(H, zero_tol, what):
-    n_plus, n_minus, n_zero = eig_sign_counts(H, zero_tol)
-    if n_zero:
-        raise GenericityFailure(f"degenerate reduced Hessian at {what}")
-    return n_minus
-
-
-def _k0_starts(S: MorinScenario, a) -> tuple:
-    """(number of seeds, stacked (x, lam) starts of the seeds that project to M).
-
-    lam is the least-squares multiplier of the stationarity equation at x.
-    """
-    X0 = _multistart_seeds(S, S.tolerances.multistart_density * (S.n + 1), tag=2)
-    proj = project_points(S.manifold, X0)
-    x = proj.z[proj.converged]
-    D = S.jet(x)[1]
-    lam0 = min_norm_solve(np.swapaxes(D[:, S.n:], -1, -2), vecmat(a, D[:, :S.n]))
-    return len(X0), np.concatenate([x, lam0], axis=1)
-
-
 def _k0_records(S: MorinScenario, a: Covector, stats=None) -> list:
     """Critical points of h on M from one batched multistart solve of the
     singular system with its cokernel fixed to a, in (x, lam).
 
-    ``stats``, a dict when given, receives the counters of the solve.
+    ``stats``, a dict when given, receives the counters of the ``census``.
     """
     sys0 = SingularSystem(S, a.a)
     tol = S.tolerances
-    starts, Z0 = _k0_starts(S, a.a)
+    starts, Z0 = multistart_starts(S, sys0, tol.multistart_density * (S.n + 1), tag=2)
     out = newton_batch(sys0.evaluate, Z0, tol=tol.residual, max_iter=30)
-    found = out.z[out.converged]
-    xs = found[:, :S.N]
-    kept = dedup_points(xs, tol.dedup_radius)
+    Z, counters = census(starts, out, S.N, tol.dedup_radius)
     if stats is not None:
-        stats.update(multistart_counters(starts, out, xs, kept, tol.dedup_radius))
-    if not kept:
+        stats.update(counters)
+    if not len(Z):
         raise GenericityFailure("no critical points of the functional found on M")
-    Z = found[kept]
     x, lam = Z[:, :S.N], Z[:, S.N:]
     # the reduced Hessians on M, in stacked tangent frames
-    T, frame_failures = tangent_frames(S.manifold, x)
+    T, failures = tangent_frames(S.manifold, x)
     _, index, flat = eig_sign_counts(
         T @ S.lagrangian_hessian(x, a.a, lam) @ np.swapaxes(T, -1, -2), tol.eigen_zero)
+    for j in np.flatnonzero(flat):
+        failures.setdefault(int(j), GenericityFailure(
+            f"degenerate reduced Hessian at k=0 point {np.round(x[j], 6)}"))
     # every critical point of h lies on the depth-1 stratum with cokernel a
-    points, failures = stratum_points(S, sys0, Z)
+    return _records(S, sys0, Z, index, failures, lambda x: GenericityFailure(
+        f"critical point of the functional sits on the depth-2 closure at {x}"))
+
+
+def _records(S, system, Z, index, failures, flat) -> list:
+    """Critical records at a stack Z of roots in the chart of the singular
+    ``system``, with Morse indices ``index``, their stratum data from one
+    ``stratum_points`` pass, sorted by rounded x.
+
+    Each point's checks raise in the order of a loop over the points: its
+    index error (``failures``, a dict from lane to error), then its stratum
+    data's, then ``flat(x)`` where its kernel form is flat.
+    """
+    points, errors = stratum_points(S, system, Z)
     records = []
     for j, p in enumerate(points):
-        # each point's checks in the order of a loop over the points
-        if j in frame_failures:
-            raise frame_failures[j]
-        if flat[j]:
-            raise GenericityFailure(f"degenerate reduced Hessian at k=0 point {np.round(x[j], 6)}")
-        if j in failures:
-            raise failures[j]
-        if p.signature.n_zero:
-            raise GenericityFailure(
-                f"critical point of the functional sits on the depth-2 closure at {x[j]}"
-            )
-        records.append(CriticalRecord(x=x[j], morse_index=int(index[j]), fold_sign=p.sign))
+        error = failures.get(j, errors.get(j))
+        if error is None and p.signature.n_zero:
+            error = flat(p.x)
+        if error is not None:
+            raise error
+        records.append(CriticalRecord(x=p.x, morse_index=int(index[j]), fold_sign=p.sign))
     records.sort(key=lambda r: tuple(np.round(r.x, 9)))
     return records
 
@@ -235,21 +221,26 @@ def _polish_stratum_critical(S, a, Z):
 
 
 def _stratum_records(S, W, sysc) -> list:
-    """Records of a stack W of critical points w = (z, nu) of h on the
-    depth-1 stratum, their stratum data from one ``stratum_points`` pass.
-    Each point's checks raise in the order of a loop over the points: its
-    reduced Hessian's, then its stratum data's."""
+    """Records (``_records``) of a stack W of critical points w = (z, nu) of
+    h on the depth-1 stratum, their indices from their reduced Hessians.
+
+    A point whose kernel form is flat is a depth-2 point away from every
+    located cusp: the walk along a fold curve takes the points near a cusp
+    as cusp hits, and for n >= 3 no cusp curve is located.
+    """
     Z = W[:, :sysc.D]
-    points, failures = stratum_points(S, sysc.base, Z)
-    records = []
-    for j, p in enumerate(points):
-        x = Z[j, :S.N]
-        index = _index_or_fail(sysc.reduced_hessian(Z[j], W[j, sysc.D:]),
-                               S.tolerances.eigen_zero, f"stratum critical point {np.round(x, 6)}")
-        if j in failures:
-            raise failures[j]
-        records.append(CriticalRecord(x=x, morse_index=int(index), fold_sign=p.sign))
-    return records
+    index, failures = [], {}
+    for j, w in enumerate(W):
+        _, n_minus, n_zero = eig_sign_counts(sysc.reduced_hessian(Z[j], w[sysc.D:]),
+                                             S.tolerances.eigen_zero)
+        index.append(n_minus)
+        if n_zero:
+            failures[j] = GenericityFailure(
+                f"degenerate reduced Hessian at stratum critical point {np.round(Z[j, :S.N], 6)}")
+    return _records(S, sysc.base, Z, index, failures, lambda x: MorinnessError(
+        f"critical point of the functional at {np.round(x, 6)} is a depth-2 point away "
+        f"from every located cusp" + ("; cusp curves for n = 3 are not supported"
+                                     if S.n == 3 else "")))
 
 
 def _curve_phi_values(S, a, curve):
@@ -303,9 +294,7 @@ def _critical_points_on_curves(S, a: Covector, strat: Stratification):
         else:
             cusp_hits[hit] = w[:sysc.D]
     kept = [fold[i] for i in dedup_points(out.z[fold, :S.N], S.tolerances.dedup_radius)]
-    records = _stratum_records(S, out.z[kept], sysc)
-    records.sort(key=lambda r: tuple(np.round(r.x, 9)))
-    return records, cusp_hits
+    return _stratum_records(S, out.z[kept], sysc), cusp_hits
 
 
 def _critical_points_on_surface(S, a: Covector, strat: Stratification, stats=None):
@@ -314,20 +303,16 @@ def _critical_points_on_surface(S, a: Covector, strat: Stratification, stats=Non
     Every point of the cloud is polished at once (``_polish_stratum_critical``).
     ``stats``, a dict when given, receives the counters of the polish.
     """
-    tol = S.tolerances
     system = SingularSystem(S)
     Z = np.array([system.pack(p.x, p.cokernel, p.multiplier)
                   for p in strat.points]).reshape(-1, system.dim_z)
     sysc, out = _polish_stratum_critical(S, a.a, Z)
-    found = out.z[out.converged]
-    kept = dedup_points(found[:, :S.N], tol.dedup_radius)
+    roots, counters = census(len(Z), out, S.N, S.tolerances.dedup_radius)
     if stats is not None:
-        stats.update(multistart_counters(len(Z), out, found[:, :S.N], kept, tol.dedup_radius))
-    if len(found) == 0:
+        stats.update(counters)
+    if not len(roots):
         raise GenericityFailure("no critical points found on the singular surface")
-    records = _stratum_records(S, found[kept], sysc)
-    records.sort(key=lambda r: tuple(np.round(r.x, 9)))
-    return records
+    return _stratum_records(S, roots, sysc)
 
 
 def critical_points_on_stratum(S: MorinScenario, a: Covector, k: int,

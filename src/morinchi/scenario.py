@@ -215,15 +215,18 @@ class MorinScenario:
         return self._augmented
 
     def third_tensors(self, x):
-        """Symmetric third-derivative tensors of (f_1..f_n, g_1..g_c) at x.
+        """Symmetric third-derivative tensors of (f_1..f_n, g_1..g_c) at x:
+        the Hessians of one ``Jet`` of their gradients, built on first use.
 
-        ``x`` is a point or a stack; the evaluator is built on first use.  No
-        solver calls it: the augmented block differentiates exactly instead.
+        ``x`` is a point or a stack.  No solver calls it: the augmented block
+        differentiates exactly instead.
         """
         if self._third is None:
-            self._third = ex.ThirdJet(
-                list(self.components) + list(self.manifold.constraints), self.N)
-        T = self._third(x)
+            self._third = ex.Jet([ex.differentiate(e, i)
+                                  for e in self.components + self.manifold.constraints
+                                  for i in range(self.N)], self.N)
+        H = self._third(x)[2]
+        T = H.reshape(H.shape[:-3] + (-1, self.N) + H.shape[-2:])
         return T[..., :self.n, :, :, :], T[..., self.n:, :, :, :]
 
     def __repr__(self):

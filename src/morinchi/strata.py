@@ -28,10 +28,9 @@ from ._numeric import (
     BATCH_ENTRIES,
     STOP_REASONS,
     batch_width,
-    dedup_points,
+    census,
     eig_sign_counts,
     min_norm_solve,
-    multistart_counters,
     newton,  # noqa: F401  (stays bound here for perfbench)
     newton_batch,
     sign_normalize,
@@ -219,14 +218,18 @@ def _multistart_seeds(S: MorinScenario, count, tag):
     return sample_starts(S.manifold, count, [S.seed, 23, tag])
 
 
-def _initial_guesses(S: MorinScenario, system: SingularSystem, X0):
-    """Project a stack of starts to M and estimate (u, mu) at each.
+def multistart_starts(S: MorinScenario, system: SingularSystem, count, tag):
+    """The number of seeds drawn for a multistart of ``system``, and the
+    starts (x, u, mu) in its chart of those that project to M.
 
-    u is the smallest left singular vector of Df restricted to the tangent
-    space, sign-normalized; it does not depend on the tangent basis.  Starts
-    whose projection fails, or where ``tangent_frames`` refuses (Dg
-    rank-deficient), are dropped.
+    The seeds come from ``_multistart_seeds``.  A seed whose projection
+    fails, or where ``tangent_frames`` refuses (Dg rank-deficient), is
+    dropped.  u is the fixed cokernel of a reduced chart, else the smallest
+    left singular vector of Df restricted to the tangent space,
+    sign-normalized, which does not depend on the tangent basis; mu is the
+    least-squares multiplier of the stationarity equation for that u.
     """
+    X0 = _multistart_seeds(S, count, tag)
     proj = project_points(S.manifold, X0)
     x = proj.z[proj.converged]
     tangent, failures = tangent_frames(S.manifold, x)
@@ -234,10 +237,12 @@ def _initial_guesses(S: MorinScenario, system: SingularSystem, X0):
     regular[list(failures)] = False
     x, tangent = x[regular], tangent[regular]
     Df, Dg = np.split(S.jet(x)[1], [S.n], axis=1)
-    U = np.linalg.svd(Df @ np.swapaxes(tangent, -1, -2))[0]
-    u0 = sign_normalize(U[:, :, S.n - 1])
-    mu0 = min_norm_solve(np.swapaxes(Dg, -1, -2), vecmat(u0, Df))
-    return system.pack(x, u0, mu0)
+    if system.reduced:
+        u = system.cokernel
+    else:
+        u = sign_normalize(np.linalg.svd(Df @ np.swapaxes(tangent, -1, -2))[0][:, :, S.n - 1])
+    mu = min_norm_solve(np.swapaxes(Dg, -1, -2), vecmat(u, Df))
+    return len(X0), system.pack(x, u, mu)
 
 
 def solve_stratum1(S: MorinScenario, stats=None) -> list[StratumPoint]:
@@ -245,8 +250,7 @@ def solve_stratum1(S: MorinScenario, stats=None) -> list[StratumPoint]:
 
     All starts run as one lane-wise batched Newton.  Starts that fail to
     project or to converge are dropped; ``stats``, a dict when given,
-    receives the counters of the solve (starts, projected, converged,
-    iterations, distinct roots, stop reasons, and for n = 1 hits per root:
+    receives the counters of the ``census`` (for n = 1 with hits per root:
     for n >= 2 the solutions form a curve or a surface, so every start lands
     on its own point and hits say nothing).  An empty result on a
     compact manifold is an error: any map from a compact manifold with
@@ -254,16 +258,12 @@ def solve_stratum1(S: MorinScenario, stats=None) -> list[StratumPoint]:
     """
     system = SingularSystem(S)
     tol = S.tolerances
-    X0 = _multistart_seeds(S, tol.multistart_density * S.n, tag=1)
-    out = newton_batch(system.evaluate, _initial_guesses(S, system, X0),
-                       tol=tol.residual, max_iter=30)
-    solutions = out.z[out.converged]
-    xs = system.unpack(solutions)[0]
-    kept = dedup_points(xs, tol.dedup_radius)
+    starts, Z0 = multistart_starts(S, system, tol.multistart_density * S.n, tag=1)
+    out = newton_batch(system.evaluate, Z0, tol=tol.residual, max_iter=30)
+    roots, counters = census(starts, out, S.N, tol.dedup_radius, hits=S.n == 1)
     if stats is not None:
-        stats.update(multistart_counters(len(X0), out, xs, kept,
-                                         tol.dedup_radius if S.n == 1 else None))
-    points = _points_from_solutions(S, system, solutions, kept)
+        stats.update(counters)
+    points = _points_from_solutions(S, system, roots)
     if not points and S.manifold.compact:
         raise StratificationError(
             "no singular points found on a compact manifold with m > n; "
@@ -272,12 +272,13 @@ def solve_stratum1(S: MorinScenario, stats=None) -> list[StratumPoint]:
     return points
 
 
-def _points_from_solutions(S, system, solutions, kept) -> list[StratumPoint]:
-    """Stratum points at the kept solutions, from one ``stratum_points``
-    pass; a point whose kernel data fails as a non-singular or irregular
-    point is skipped, and any other error raises at the first such point in
-    kept order, as in a loop over the points."""
-    points, failures = stratum_points(S, system, solutions[list(kept)])
+def _points_from_solutions(S, system, Z) -> list[StratumPoint]:
+    """Stratum points at a stack Z of kept solutions, from one
+    ``stratum_points`` pass; a point whose kernel data fails as a
+    non-singular or irregular point is skipped, and any other error raises
+    at the first such point in the order of Z, as in a loop over the
+    points."""
+    points, failures = stratum_points(S, system, Z)
     for lane in sorted(failures):
         if not isinstance(failures[lane], (StratificationError, RegularityError)):
             raise failures[lane]

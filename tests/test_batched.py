@@ -37,18 +37,16 @@ from morinchi.manifold import (
 from morinchi.morse import (
     StratumCriticalSystem,
     _curve_phi_values,
-    _k0_starts,
     sample_covector,
 )
 from morinchi.scenario import MorinnessError, StratificationError, load_scenario
 from morinchi.strata import (
     SingularSystem,
-    _initial_guesses,
     _kernel_data,
-    _multistart_seeds,
     _node_metrics,
     _points_from_solutions,
     compute_stratification,
+    multistart_starts,
     solve_stratum1,
     stratum_points,
 )
@@ -148,7 +146,7 @@ def test_newton_batch_matches_newton_on_the_torus_k0_census():
     S = bundled("torus-height")
     a = sample_covector(S.n, [S.seed, 0])
     sys0 = SingularSystem(S, a.a)
-    _, Z0 = _k0_starts(S, a.a)
+    _, Z0 = multistart_starts(S, sys0, S.tolerances.multistart_density * (S.n + 1), tag=2)
     out = _agree_lane_by_lane(sys0.evaluate, Z0, S.tolerances.residual, 30)
     assert 0 < out.converged.sum() < len(Z0)        # both outcomes are covered
 
@@ -156,8 +154,7 @@ def test_newton_batch_matches_newton_on_the_torus_k0_census():
 def test_newton_batch_matches_newton_on_the_s4_height_depth1_system():
     S = bundled("s4-height")
     system = SingularSystem(S)
-    X0 = np.array(_multistart_seeds(S, S.tolerances.multistart_density * S.n, tag=1))
-    Z0 = _initial_guesses(S, system, X0)
+    _, Z0 = multistart_starts(S, system, S.tolerances.multistart_density * S.n, tag=1)
     _agree_lane_by_lane(system.evaluate, Z0, S.tolerances.residual, 30)
 
 
@@ -382,6 +379,26 @@ def test_stacked_kernel_data_raises_for_the_first_failing_lane():
         _kernel_data(cone, np.array([on, off, apex]))
 
 
+def test_a_seed_at_a_singular_point_of_M_is_dropped_from_every_multistart():
+    # the cone's apex lies on the cone: it projects onto itself, where Dg
+    # vanishes, so it has no tangent frame and no multiplier
+    apex, on = [0.0, 0.0, 0.0], [0.6, 0.8, 1.0]
+    cone = load_scenario({
+        "name": "cone", "ambient_dim": 3, "intrinsic_dim": 2,
+        "constraints": ["(+ (^ x0 2) (^ x1 2) (* -1 (^ x2 2)))"],
+        "target_dim": 1, "components": ["x2"], "compact": False,
+        "sample_seeds": [apex, on],
+    })
+    assert project_points(cone.manifold, np.array([apex])).converged.all()
+    a = sample_covector(cone.n, [cone.seed, 0])
+    # two seeds draw nothing but the sample seeds: the k=0 census's and the
+    # depth-1 solve's starts
+    for system, tag in ((SingularSystem(cone, a.a), 2), (SingularSystem(cone), 1)):
+        seeds, Z0 = multistart_starts(cone, system, 2, tag)
+        assert seeds == 2
+        assert np.array_equal(Z0[:, :3], [on])
+
+
 @pytest.fixture(scope="module")
 def fold_curves():
     """The traced curves of the two bundled n = 2 scenarios."""
@@ -491,12 +508,11 @@ def test_stacked_stratum_points_match_the_point_loop(name):
     # the depth-1 cloud of solve_stratum1, before its stratum data
     S = bundled(name)
     system = SingularSystem(S)
-    X0 = np.array(_multistart_seeds(S, S.tolerances.multistart_density * S.n, tag=1))
-    out = newton_batch(system.evaluate, _initial_guesses(S, system, X0),
-                       tol=S.tolerances.residual, max_iter=30)
+    _, Z0 = multistart_starts(S, system, S.tolerances.multistart_density * S.n, tag=1)
+    out = newton_batch(system.evaluate, Z0, tol=S.tolerances.residual, max_iter=30)
     solutions = out.z[out.converged]
     kept = dedup_points(system.unpack(solutions)[0], S.tolerances.dedup_radius)
-    got = _points_from_solutions(S, system, solutions, kept)
+    got = _points_from_solutions(S, system, solutions[kept])
     want = reference_points_from_solutions(S, system, solutions, kept)
     _same_points(got, want)
     # the kernel bases come from the same stacked SVDs
@@ -558,7 +574,7 @@ def test_stacked_stratum_points_raise_for_the_first_failing_point(order):
         {"not singular": StratificationError, "two flat": MorinnessError,
          "off M": ManifoldError}[k] for k in order]
     # the non-singular lane is skipped, and the next one raises as the loop did
-    got = _raised(_points_from_solutions, S, system, Z, range(3))
+    got = _raised(_points_from_solutions, S, system, Z[[0, 1, 2]])
     want = _raised(reference_points_from_solutions, S, system, Z, range(3))
     assert got == want
     assert got[0] is {"two flat": MorinnessError, "off M": ManifoldError}[order[1]]

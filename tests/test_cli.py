@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +22,7 @@ from morinchi.cli import (
     main,
     run,
 )
+import morinchi
 from morinchi._numeric import STOP_REASONS
 from tests.conftest import scenario_path
 
@@ -112,6 +117,41 @@ def test_equal_arc_signs_at_a_cusp_exit_66_before_any_covector(tmp_path, capsys,
     err = capsys.readouterr().err
     assert code == EXIT_MORIN and sampled == []
     assert "arcs adjacent to the cusp at [" in err and "carry equal signs" in err
+
+
+# S^4 in R^5 with the map of s3-cusps suspended by x3: its fold surface
+# carries a cusp curve, which no stage of the pipeline locates
+CUSP_CURVE_PROBE = {
+    "name": "s4-cusp-curve", "ambient_dim": 5, "intrinsic_dim": 4,
+    "constraints": ["(+ (^ x0 2) (^ x1 2) (^ x2 2) (^ x3 2) (^ x4 2) -1)"],
+    "target_dim": 3,
+    "components": ["x0", "(+ x1 (* 4/5 (^ x2 2)) (* 3/10 x0 x2))", "x3"],
+    "sample_seeds": [[1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0],
+                     [0.0, -1.0, 0.0, 0.0, 0.0]],
+}
+
+
+def test_a_surface_polish_on_a_cusp_curve_exits_66(tmp_path, capsys):
+    # with seed 0 the first covector's polish lands on the cusp curve; the
+    # point's kernel form is flat, so it is refused, not counted unsigned
+    path = write_scenario(tmp_path, CUSP_CURVE_PROBE)
+    code = main(["run", "--scenario", str(path), "--seed", "0", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_MORIN
+    assert re.search(r"critical point of the functional at \[[-0-9. ]+\] is a depth-2 point "
+                     r"away from every located cusp", err), err
+    assert "genericity" not in err
+
+
+def test_module_run_writes_nothing_to_stderr():
+    src = str(Path(morinchi.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-m", "morinchi.cli", "list"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == EXIT_OK
+    assert "s2-height" in out.stdout
+    assert out.stderr == ""
 
 
 def test_exit_codes_documented():
