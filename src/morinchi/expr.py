@@ -251,6 +251,12 @@ class ExprBlock:
         # each monomial's factors are multiplied left to right, as np.prod would
         x = np.asarray(x, dtype=float)
         X = x.reshape(-1, self.nvars).T
+        # one point is evaluated as a stack of two copies of it: a one-row
+        # coefficient product is a matrix-vector product, which rounds
+        # differently, and a lane's values must not depend on its neighbours
+        one = X.shape[1] == 1
+        if one:
+            X = np.repeat(X, 2, axis=1)
         table = np.ones((self._max_exp + 1,) + X.shape)
         for e in range(1, self._max_exp + 1):
             table[e] = table[e - 1] * X
@@ -259,7 +265,8 @@ class ExprBlock:
         powers = table[factors[0]]
         for column in factors[1:]:
             powers *= table[column]
-        return (powers.T @ self.coeffs.T).reshape(x.shape[:-1] + (len(self.coeffs),))
+        values = powers.T @ self.coeffs.T
+        return (values[:1] if one else values).reshape(x.shape[:-1] + (len(self.coeffs),))
 
 
 class Jet:

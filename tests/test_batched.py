@@ -117,6 +117,23 @@ def test_stacked_jets_match_exact_derivatives(name):
         _assert_close(got, want)
 
 
+@pytest.mark.parametrize("name", ["torus-height", "s4-proj"])
+def test_one_point_values_equal_its_row_of_a_stack_bit_for_bit(name):
+    # a point, a one-point stack and a row of a larger stack round alike, so
+    # a Newton lane's values do not depend on the lanes that share its call
+    S = bundled(name)
+    rng = np.random.default_rng([7, S.N])
+    singular, augmented = S.singular_block[0], S.augmented_block[0]
+    for evaluate, dim in ((singular, singular.nvars), (augmented, augmented.nvars),
+                          (lambda x: np.concatenate([v.reshape(x.shape[:-1] + (-1,))
+                                                     for v in S.jet(x)], axis=-1), S.N)):
+        Z = rng.uniform(-1.5, 1.5, (50, dim))
+        stacked = evaluate(Z)
+        for i in range(len(Z)):
+            assert np.array_equal(evaluate(Z[i]), stacked[i]), (name, i)
+            assert np.array_equal(evaluate(Z[i:i + 1]), stacked[i:i + 1]), (name, i)
+
+
 def _agree_lane_by_lane(evaluate, Z0, tol, max_iter):
     # every lane against the scalar reference loop, and ``newton``, one lane
     # of ``newton_batch``, against the batch with scalars for its counters
