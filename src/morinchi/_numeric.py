@@ -10,6 +10,12 @@ import numpy as np
 # halvings of the Newton step before a start is given up
 LINE_SEARCH_HALVINGS = 12
 
+# the line search tries the scales 1, 1/2, ..., 2**-(LINE_SEARCH_HALVINGS - 1)
+# in rounds of 1, 2, 4 and the remaining 5: a lane takes the largest accepted
+# scale of the first round that accepts one, which is the scale that trying
+# them one by one reaches, in at most four residual rounds
+_HALVING_ROUNDS = np.split(0.5 ** np.arange(LINE_SEARCH_HALVINGS), [1, 3, 7])
+
 # Jacobian entries per call of a batched residual: a whole census of small
 # systems fits in one call, while the stacked Jacobians and SVD factors of
 # the larger augmented systems stay within a few hundred kilobytes
@@ -115,15 +121,22 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60, indexed=False):
     non-finite step, a failed line search or the iteration cap, as recorded
     lane by lane in ``NewtonResult.stop``.  A non-finite residual or
     Jacobian counts as a non-finite step.
+    The halvings run in stacked rounds (``_HALVING_ROUNDS``): a round
+    evaluates every scale of it for every lane still searching, and a lane
+    takes the largest accepted one, so it takes the step that halving one
+    scale at a time would take.
     Lanes only share the calls to ``F`` and the stacked step solves: each
-    iteration, and each halving of it, pools the lanes still at work across
-    the whole stack into calls of at most ``batch_width(d)`` lanes.
+    iteration, and each round of it, pools the lanes still at work across
+    the whole stack into calls of at most ``batch_width(d)`` rows.
     With ``indexed``, ``F`` also receives the rows of ``Z0`` that the stack
     holds, ``F(Z, rows)``, for systems whose equations differ by lane.
     """
     Z = np.array(Z0, dtype=float, ndmin=2)
     B, d = Z.shape
     width = batch_width(d)
+    # no round of trials takes more than ``width`` rows of one lane
+    rounds = [part for scales in _HALVING_ROUNDS
+              for part in np.array_split(scales, -(-scales.size // width))]
     rows = np.arange(B)
     call = F if indexed else (lambda Z_part, part: F(Z_part))
     iterations = np.full(B, max_iter, dtype=int)
@@ -152,23 +165,26 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60, indexed=False):
         good = np.isfinite(steps).all(axis=1)
         _retire(lanes[~good], "nonfinite_step", it, active, iterations, stop)
         lanes, steps = lanes[good], steps[good]
-        scale = 1.0
-        for _ in range(LINE_SEARCH_HALVINGS):
+        for scales in rounds:
             if lanes.size == 0:
                 break
+            # lane j of a call tries its scales in rows j*k .. j*k + k - 1
+            k = scales.size
+            per = width // k
             ok = np.zeros(lanes.size, dtype=bool)
-            for i in range(0, lanes.size, width):
-                part = lanes[i:i + width]
-                Z_try = Z[part] + scale * steps[i:i + width]
-                R_try, J_try = call(Z_try, part)
+            for i in range(0, lanes.size, per):
+                part = lanes[i:i + per]
+                Z_try = (Z[part][:, None, :]
+                         + scales[:, None] * steps[i:i + per][:, None, :]).reshape(-1, d)
+                R_try, J_try = call(Z_try, np.repeat(part, k))
                 norm_try = _max_abs(R_try)
-                took = _accepts(norm_try, norm[part])
-                ok[i:i + width] = took
-                lane = part[took]
-                Z[lane], R[lane], J[lane], norm[lane] = (Z_try[took], R_try[took], J_try[took],
-                                                         norm_try[took])
+                took = _accepts(norm_try.reshape(-1, k), norm[part][:, None])
+                hit = ok[i:i + per] = took.any(axis=1)
+                row = (np.arange(part.size) * k + np.argmax(took, axis=1))[hit]
+                lane = part[hit]
+                Z[lane], R[lane], J[lane], norm[lane] = (Z_try[row], R_try[row], J_try[row],
+                                                         norm_try[row])
             lanes, steps = lanes[~ok], steps[~ok]
-            scale *= 0.5
         _retire(lanes, "line_search_failed", it, active, iterations, stop)
     stop[active & (norm <= tol)] = STOP_REASONS.index("converged")
     return NewtonResult(Z, norm, iterations, stop, J)
@@ -190,8 +206,8 @@ def newton(residual_fn, jacobian_fn, z0, tol=1e-12, max_iter=60):
     ``residual_fn`` and ``jacobian_fn`` take one point (d,); the result
     holds z (d,) and the residual, iterations and stop as Python scalars.
     """
-    out = newton_batch(lambda Z: (np.asarray(residual_fn(Z[0]), dtype=float)[None],
-                                  np.asarray(jacobian_fn(Z[0]), dtype=float)[None]),
+    out = newton_batch(lambda Z: (np.array([residual_fn(z) for z in Z], dtype=float),
+                                  np.array([jacobian_fn(z) for z in Z], dtype=float)),
                        z0, tol, max_iter)
     return NewtonResult(out.z[0], float(out.residual[0]), int(out.iterations[0]),
                         int(out.stop[0]))

@@ -17,6 +17,7 @@ import pytest
 from morinchi import continuation
 from morinchi import expr as ex
 from morinchi._numeric import (
+    LINE_SEARCH_HALVINGS,
     STOP_REASONS,
     _accepts,
     batch_width,
@@ -159,13 +160,38 @@ def _agree_lane_by_lane(evaluate, Z0, tol, max_iter):
     return batch
 
 
-def test_newton_batch_matches_newton_on_the_torus_k0_census():
+@pytest.fixture(scope="module")
+def torus_k0():
+    """The system and the starts of the k=0 census of torus-height for the
+    first covector of its default seed."""
     S = bundled("torus-height")
-    a = sample_covector(S.n, [S.seed, 0])
-    sys0 = SingularSystem(S, a.a)
+    sys0 = SingularSystem(S, sample_covector(S.n, [S.seed, 0]).a)
     _, Z0 = multistart_starts(S, sys0, S.tolerances.multistart_density * (S.n + 1), tag=2)
+    return S, sys0, Z0
+
+
+def test_newton_batch_matches_newton_on_the_torus_k0_census(torus_k0):
+    S, sys0, Z0 = torus_k0
     out = _agree_lane_by_lane(sys0.evaluate, Z0, S.tolerances.residual, 30)
     assert 0 < out.converged.sum() < len(Z0)        # both outcomes are covered
+
+
+def test_newton_batch_tries_the_halvings_in_four_rounds(torus_k0):
+    # an iteration evaluates its trial steps in at most four rounds, and a
+    # round of a chunk of lanes in one call of at most batch_width rows; one
+    # halving per call took 361 calls here
+    S, sys0, Z0 = torus_k0
+    sizes = []
+
+    def F(Z):
+        sizes.append(len(Z))
+        return sys0.evaluate(Z)
+
+    out = newton_batch(F, Z0, S.tolerances.residual, 30)
+    width = batch_width(Z0.shape[1])
+    chunks = -(-len(Z0) * (LINE_SEARCH_HALVINGS - 7) // width)    # of the last round
+    assert max(sizes) <= width
+    assert len(sizes) <= 1 + 4 * chunks * out.iterations.max()
 
 
 def test_newton_batch_matches_newton_on_the_s4_height_depth1_system():
