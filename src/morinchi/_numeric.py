@@ -59,29 +59,46 @@ def min_norm_solve(A, b):
 
     Singular values at or below ``np.linalg.lstsq``'s default cutoff,
     eps * max(rows, cols) times the largest one, count as zero, so a stack
-    gives what ``lstsq`` gives lane by lane.  A square lane is solved by its
-    inverse unless d * kappa_1(A) >= 1 / (eps * d): below that bound
-    kappa_2 <= d * kappa_1 keeps every singular value above the cutoff, so
-    the minimal-norm solution is A^-1 b.  The other lanes, and the whole
-    stack when ``inv`` finds an exactly singular lane, take the SVD.  A lane
-    whose SVD does not converge gets NaN.
+    gives what ``lstsq`` gives lane by lane.
+
+    Each lane is solved through the inverse of one s x s matrix G, s the
+    smaller side of A: G = A itself when A is square (x = A^-1 b), the Gram
+    matrix A A^T when A is wide (x = A^T G^-1 b) and A^T A when it is tall
+    (x = G^-1 A^T b).  The inverse is trusted below a bound on
+    s * kappa_1(G), since kappa_2(G) <= s * kappa_1(G):
+
+    - square, s * kappa_1(A) < 1 / (eps * s): kappa_2(A) stays below
+      1 / (eps * s), so no singular value reaches the cutoff and the
+      minimal-norm solution is A^-1 b;
+    - rectangular, s * kappa_1(G) < eps^-1/2: kappa_2(A)^2 = kappa_2(G) stays
+      below eps^-1/2, so A has full rank s well above the cutoff, and the
+      normal equations' relative error, about eps * kappa_2(A)^2, stays
+      below sqrt(eps).
+
+    The other lanes, and the whole stack when ``inv`` finds an exactly
+    singular G, take the SVD.  A lane whose SVD does not converge gets NaN.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     lead, (r, d) = A.shape[:-2], A.shape[-2:]
     A, b = A.reshape(-1, r, d), b.reshape(-1, r)
-    if r != d or d == 0:
+    s = min(r, d)
+    if s == 0:
         return _svd_solve(A, b).reshape(lead + (d,))
+    At = np.swapaxes(A, -1, -2)
+    G = A @ At if r < d else At @ A if r > d else A
     try:
-        inv = np.linalg.inv(A)
+        inv = np.linalg.inv(G)
     except np.linalg.LinAlgError:
         return _svd_solve(A, b).reshape(lead + (d,))
-    x = (inv @ b[..., None])[..., 0]
+    x = inv @ (At @ b[..., None] if r > d else b[..., None])
+    x = (At @ x if r < d else x)[..., 0]
     eps = np.finfo(float).eps
+    bound = 1.0 / (eps * s) if r == d else eps ** -0.5
     # NaN or inf in kappa fails the test too
-    wide = ~(d * _norm1(A) * _norm1(inv) < 1.0 / (eps * d))
-    if wide.any():
-        x[wide] = _svd_solve(A[wide], b[wide])
+    svd = ~(s * _norm1(G) * _norm1(inv) < bound)
+    if svd.any():
+        x[svd] = _svd_solve(A[svd], b[svd])
     return x.reshape(lead + (d,))
 
 

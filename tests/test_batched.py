@@ -14,12 +14,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from morinchi import continuation
+from morinchi import _numeric, continuation
 from morinchi import expr as ex
 from morinchi._numeric import (
     LINE_SEARCH_HALVINGS,
     STOP_REASONS,
     _accepts,
+    _svd_solve,
     batch_width,
     dedup_points,
     eig_sign_counts,
@@ -320,8 +321,9 @@ def test_dedup_points_matches_the_loop_on_the_s4_proj_cloud(s4_proj_polish):
     assert len(dedup_points(found, radius)) == 2
 
 
-def test_min_norm_solve_matches_lstsq_lane_by_lane():
-    # square lanes below lstsq's cutoff take the inverse, the others the SVD
+def test_min_norm_solve_matches_lstsq_lane_by_lane(monkeypatch):
+    # lanes whose square matrix or Gram matrix passes the conditioning gate
+    # take its inverse, the others the SVD; every lane gives what lstsq gives
     rng = np.random.default_rng(11)
     d = 7
     well = rng.standard_normal((5, d, d))
@@ -330,19 +332,45 @@ def test_min_norm_solve_matches_lstsq_lane_by_lane():
     deficient = rng.standard_normal((3, d, d - 2)) @ rng.standard_normal((3, d - 2, d))
     zero_row = rng.standard_normal((1, d, d))
     zero_row[0, 3] = 0.0                                    # LU meets a zero pivot
-    for A in (np.concatenate([well, near, deficient]),
-              np.concatenate([well, near, zero_row, deficient]),     # inv raises
-              rng.standard_normal((6, 4, 9)), rng.standard_normal((6, 9, 4))):
+    # wide 4 x 9 lanes: kappa 1e2 passes the gate (kappa(G) = 1e4), kappa 1e9
+    # and rank 2 do not; their transposes are the tall lanes
+    U, _, Vt = np.linalg.svd(rng.standard_normal((6, 4, 9)), full_matrices=False)
+    sigma = np.array([[1.0, 0.7, 0.5, 1e-2]] * 3 + [[1.0, 0.7, 0.5, 1e-9]] * 3)
+    wide = np.concatenate([rng.standard_normal((3, 4, 9)), U @ (sigma[..., None] * Vt),
+                           rng.standard_normal((3, 4, 2)) @ rng.standard_normal((3, 2, 9))])
+    wide_zero = rng.standard_normal((2, 4, 9))
+    wide_zero[1, 2] = 0.0                                   # A A^T has a zero row
+    rows = rng.standard_normal((6, 1, 9))                   # a hypersurface's gradients
+    rows_zero = np.concatenate([rows, np.zeros((1, 1, 9))])
+    cases = [(np.concatenate([well, near, deficient]), [False] * 5 + [True] * 6),
+             (np.concatenate([well, near, zero_row, deficient]), [True] * 12),  # inv raises
+             (wide, [False] * 6 + [True] * 6),
+             (np.swapaxes(wide, 1, 2), [False] * 6 + [True] * 6),
+             (wide_zero, [True] * 2), (np.swapaxes(wide_zero, 1, 2), [True] * 2),
+             (rows, [False] * 6), (rows_zero, [True] * 7),
+             (rng.standard_normal((6, 4, 9)), [False] * 6),
+             (rng.standard_normal((6, 9, 4)), [False] * 6)]
+    svd_lanes = []
+
+    def svd_solve(A, b):
+        svd_lanes.extend(A)
+        return _svd_solve(A, b)
+
+    monkeypatch.setattr(_numeric, "_svd_solve", svd_solve)
+    for A, by_svd in cases:
         b = rng.standard_normal(A.shape[:2])
+        svd_lanes.clear()
         got = min_norm_solve(A, b)
+        assert [any(np.array_equal(Ai, S) for S in svd_lanes) for Ai in A] == by_svd
         assert got.shape == (len(A), A.shape[2])
         for Ai, bi, x in zip(A, b, got):
             want = np.linalg.lstsq(Ai, bi, rcond=None)[0]
             assert np.max(np.abs(x - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
             assert np.max(np.abs(min_norm_solve(Ai, bi) - want)) <= 1e-9 * max(
                 1.0, np.max(np.abs(want)))
-    ranks = [np.linalg.lstsq(Ai, np.ones(d), rcond=None)[2] for Ai in (*near, *deficient)]
-    assert ranks == [d - 1] * 3 + [d - 2] * 3           # the cutoff is exercised
+    ranks = [np.linalg.lstsq(Ai, np.ones(len(Ai)), rcond=None)[2]
+             for Ai in (*near, *deficient, *wide[3:], *np.swapaxes(wide[3:], 1, 2))]
+    assert ranks == [d - 1] * 3 + [d - 2] * 3 + ([4] * 6 + [2] * 3) * 2   # the cutoff is exercised
 
 
 def test_newton_batch_stops_failing_lanes_like_newton():
