@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,22 +255,26 @@ def sign_normalize(v, tol=1e-12):
 def dedup_points(points, radius):
     """Deterministic dedup: lexicographic sort then greedy radius filtering.
 
-    Returns indices into ``points`` of the retained representatives.  Points
-    come in ascending first coordinate, and a kept point more than 2 * radius
-    below in it is more than radius away even rounded, so it is not measured.
+    Returns indices into ``points`` of the retained representatives, in
+    sorted order.  The first point not yet dropped is kept, and drops every
+    later point within ``radius`` of it.  Points come in ascending first
+    coordinate, and a later point more than 2 * radius above in it is more
+    than radius away even rounded, so it is not measured.
     """
     pts = np.asarray(points, dtype=float)
     if len(pts) == 0:
         return []
     order = np.lexsort(pts.T[::-1])
+    first = pts[order, 0]
+    ends = np.searchsorted(first, first + 2 * radius, side="right")
+    dropped = np.zeros(len(order) + 1, dtype=bool)      # the last entry stops the scan
     kept: list[int] = []
-    first: list[float] = []         # first coordinates of the kept points, ascending
-    for idx in order:
-        x0 = float(pts[idx, 0])
-        near = kept[bisect_left(first, x0 - 2 * radius):]
-        if not near or np.all(np.linalg.norm(pts[near] - pts[idx], axis=1) > radius):
-            kept.append(int(idx))
-            first.append(x0)
+    j = 0
+    while j < len(order):
+        kept.append(int(order[j]))
+        near = slice(j + 1, ends[j])
+        dropped[near] |= ~(np.linalg.norm(pts[order[near]] - pts[order[j]], axis=1) > radius)
+        j += 1 + int(np.argmin(dropped[j + 1:]))
     return kept
 
 

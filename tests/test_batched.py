@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morinchi import _numeric, continuation
 from morinchi import expr as ex
@@ -306,6 +308,21 @@ def test_dedup_points_matches_the_loop():
         for radius in (r, np.nextafter(r, 0.0), 1e-3):
             assert dedup_points(pts, radius) == _dedup_loop(pts, radius)
     assert dedup_points(np.zeros((0, 3)), r) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(centers=st.lists(st.tuples(*[st.integers(-6, 6)] * 3), min_size=1, max_size=6),
+       offsets=st.lists(st.tuples(st.integers(0, 5), *[st.floats(-1.0, 1.0)] * 3),
+                        max_size=40),
+       radius=st.sampled_from([0.25, 0.1, 1e-3]))
+def test_dedup_points_matches_the_loop_on_clusters(centers, offsets, radius):
+    # roots on a grid spaced one radius apart, each hit by a cluster of
+    # points at most one radius away per coordinate: exact duplicates, exact
+    # radius steps and near ties all occur
+    C = radius * np.array(centers, dtype=float)
+    pts = np.array([C[i % len(C)] + radius * np.array(o) for i, *o in offsets]).reshape(-1, 3)
+    pts = np.concatenate([C, pts])
+    assert dedup_points(pts, radius) == _dedup_loop(pts, radius)
 
 
 def test_dedup_points_matches_the_loop_on_the_s4_proj_cloud(s4_proj_polish):
