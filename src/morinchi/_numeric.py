@@ -137,20 +137,20 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60, indexed=False):
     non-finite step, a failed line search or the iteration cap, as recorded
     lane by lane in ``NewtonResult.stop``.  A non-finite residual or
     Jacobian counts as a non-finite step.
-    The halvings run in stacked rounds (``_HALVING_ROUNDS``): a round
-    evaluates every scale of it for every lane still searching, and a lane
-    takes the largest accepted one, so it takes the step that halving one
-    scale at a time would take.
+    The halvings run in the stacked rounds of ``_HALVING_ROUNDS``: a round
+    tries each of its scales on every lane still searching.
     Lanes only share the calls to ``F`` and the stacked step solves: each
     iteration, and each round of it, pools the lanes still at work across
     the whole stack into calls of at most ``batch_width(d)`` rows.
-    With ``indexed``, ``F`` also receives the rows of ``Z0`` that the stack
-    holds, ``F(Z, rows)``, for systems whose equations differ by lane.
+    With ``indexed``, ``F`` also receives, for each row of the stack, the
+    row of ``Z0`` whose lane it belongs to, ``F(Z, rows)``, for systems whose
+    equations differ by lane.
     """
     Z = np.array(Z0, dtype=float, ndmin=2)
     B, d = Z.shape
     width = batch_width(d)
-    # no round of trials takes more than ``width`` rows of one lane
+    # a round of more than ``width`` scales is split, so that every lane's
+    # trials of a round fit in one call
     rounds = [part for scales in _HALVING_ROUNDS
               for part in np.array_split(scales, -(-scales.size // width))]
     rows = np.arange(B)
@@ -255,8 +255,8 @@ def sign_normalize(v, tol=1e-12):
 def dedup_points(points, radius):
     """Deterministic dedup: lexicographic sort then greedy radius filtering.
 
-    Returns indices into ``points`` of the retained representatives, in
-    sorted order.  The first point not yet dropped is kept, and drops every
+    Returns indices into ``points`` of the retained representatives, in the
+    order of the sort.  The first point not yet dropped is kept, and drops every
     later point within ``radius`` of it.  Points come in ascending first
     coordinate, and a later point more than 2 * radius above in it is more
     than radius away even rounded, so it is not measured.
