@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from morinchi import _numeric, continuation
 from morinchi import expr as ex
 from morinchi._numeric import (
-    LINE_SEARCH_HALVINGS,
     STOP_REASONS,
+    _HALVING_ROUNDS,
     _accepts,
     _svd_solve,
     batch_width,
@@ -192,7 +192,7 @@ def test_newton_batch_tries_the_halvings_in_four_rounds(torus_k0):
 
     out = newton_batch(F, Z0, S.tolerances.residual, 30)
     width = batch_width(Z0.shape[1])
-    chunks = -(-len(Z0) * (LINE_SEARCH_HALVINGS - 7) // width)    # of the last round
+    chunks = -(-len(Z0) // (width // _HALVING_ROUNDS[-1].size))   # calls of the widest round
     assert max(sizes) <= width
     assert len(sizes) <= 1 + 4 * chunks * out.iterations.max()
 
