@@ -19,6 +19,10 @@ from typing import Sequence, Union
 
 import numpy as np
 
+# the row count of every coefficient product is a multiple of this, so that
+# the gemm kernels' row blocks are all full (see ExprBlock.__call__)
+_ROW_BLOCK = 16
+
 Rational = Union[int, Fraction]
 
 
@@ -251,12 +255,15 @@ class ExprBlock:
         # each monomial's factors are multiplied left to right, as np.prod would
         x = np.asarray(x, dtype=float)
         X = x.reshape(-1, self.nvars).T
-        # one point is evaluated as a stack of two copies of it: a one-row
-        # coefficient product is a matrix-vector product, which rounds
-        # differently, and a lane's values must not depend on its neighbours
-        one = X.shape[1] == 1
-        if one:
-            X = np.repeat(X, 2, axis=1)
+        # the stack is padded with copies of its last point to a multiple of
+        # _ROW_BLOCK rows: a one-row coefficient product is a matrix-vector
+        # product, and a gemm kernel takes an edge path for the rows past its
+        # last full block, both of which round differently, and a lane's
+        # values must not depend on its neighbours
+        k = X.shape[1]
+        pad = -k % _ROW_BLOCK
+        if pad:
+            X = np.concatenate((X, np.repeat(X[:, -1:], pad, axis=1)), axis=1)
         table = np.ones((self._max_exp + 1,) + X.shape)
         for e in range(1, self._max_exp + 1):
             table[e] = table[e - 1] * X
@@ -266,7 +273,7 @@ class ExprBlock:
         for column in factors[1:]:
             powers *= table[column]
         values = powers.T @ self.coeffs.T
-        return (values[:1] if one else values).reshape(x.shape[:-1] + (len(self.coeffs),))
+        return values[:k].reshape(x.shape[:-1] + (len(self.coeffs),))
 
 
 class Jet:
