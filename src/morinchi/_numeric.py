@@ -1,4 +1,4 @@
-"""Shared numerical routines: Newton solves, null spaces, deduplication."""
+"""Shared numerical routines: Newton solves, deduplication, eigenvalue signs."""
 
 from __future__ import annotations
 
@@ -227,15 +227,6 @@ def newton(residual_fn, jacobian_fn, z0, tol=1e-12, max_iter=60):
                        z0, tol, max_iter)
     return NewtonResult(out.z[0], float(out.residual[0]), int(out.iterations[0]),
                         int(out.stop[0]))
-
-
-def nullspace(A, rtol=1e-9):
-    """Orthonormal basis (columns) of the null space of A."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    _, s, vt = np.linalg.svd(A)
-    cutoff = rtol * (s[0] if s.size else 1.0)
-    rank = int(np.sum(s > max(cutoff, np.finfo(float).tiny)))
-    return vt[rank:].T
 
 
 def sign_normalize(v, tol=1e-12):

@@ -13,8 +13,14 @@ step.  Along a chain of steps the next tangent is the one [J(z_new); t]
 induces (``chain_tangents``: the solution of [J; t] tau = e_last,
 normalized), oriented along t since t . tau = 1; a point with no
 predecessor, and an exactly singular bordered stack, take it from the null
-space by SVD (``curve_tangents``), which also audits the nullity of J
-(``audit_curve_nullity``).
+space by SVD (``curve_tangents``).
+
+Smoothness rests on one rank rule, ``nullities``, applied by
+``audit_nullity`` to a stack of Jacobians where they are computed: the
+fold-curve trace audits every corrected node from the corrector's own
+Jacobians in the step that makes it, ``curve_tangents`` the Jacobians it
+evaluates, and the Morse theory on a stratum each root's DF together with
+its reduced Hessian.
 
 A system is anything with ``evaluate(Z) -> (R, J)`` on a stack Z
 (B, dim_z), its ``dim_z`` and ``tol``, the residual tolerance its solves
@@ -51,8 +57,7 @@ def chain_tangents(system, Z, T, bordered):
     matrices [J(Z); T]: the solutions of [J(z); t] tau = e_last, normalized,
     so each points along its t.  ``batch_width`` points take one solve; a
     chunk with an exactly singular matrix takes its SVD null vectors
-    instead (``curve_tangents`` along T), which reject a nullity other
-    than 1."""
+    instead (``curve_tangents`` along T)."""
     width = batch_width(system.dim_z)
     out = np.empty_like(T)
     for i in range(0, len(Z), width):
@@ -67,44 +72,44 @@ def chain_tangents(system, Z, T, bordered):
     return out
 
 
-def nullities(system, Z, tangents=False):
-    """Nullity of the Jacobian at each point of a stack (B, dim_z), by the
-    rank rule of ``nullspace(J, rtol=1e-8)``; with ``tangents`` also the
-    last right-singular vector of each, the null vector where the nullity
-    is 1."""
-    svd = np.linalg.svd(system.evaluate(Z)[1], compute_uv=tangents)
-    s = svd[1] if tangents else svd
+def nullities(J, k=0):
+    """The rank rule of every dimension audit, on a stack of Jacobians J
+    (B, r, d): the nullity of each is d less its number of singular values
+    above 1e-8 sigma_max and above ``tiny``.  With k > 0 also returns the
+    last k right-singular vectors of each (B, k, d), an orthonormal basis
+    of its null space where the nullity is k."""
+    svd = np.linalg.svd(J, compute_uv=k > 0)
+    s = svd[1] if k else svd
     cutoff = np.maximum(1e-8 * s[:, :1], np.finfo(float).tiny)
-    nullity = system.dim_z - np.sum(s > cutoff, axis=1)
-    return (nullity, svd[2][:, -1]) if tangents else nullity
+    nullity = J.shape[-1] - np.sum(s > cutoff, axis=1)
+    return (nullity, svd[2][:, J.shape[-1] - k:]) if k else nullity
 
 
-def audit_curve_nullity(system, Z, tangents=False):
-    """Reject the first point of a stack Z (in order) where the solution set
-    is not a smooth curve, one stacked SVD per ``batch_width`` points; with
-    ``tangents`` return the null vector of J at every point."""
-    width = batch_width(system.dim_z)
-    T = np.empty_like(Z) if tangents else None
-    for i in range(0, len(Z), width):
-        if tangents:
-            nullity, T[i:i + width] = nullities(system, Z[i:i + width], tangents=True)
-        else:
-            nullity = nullities(system, Z[i:i + width])
-        bad = np.flatnonzero(nullity != 1)
-        if bad.size:
-            raise MorinnessError(
-                f"singular-set dimension audit failed: nullity {nullity[bad[0]]} != 1 "
-                f"(solution variety is not a smooth curve here)"
-            )
-    return T
+def audit_nullity(J, dim=1, k=0):
+    """Reject the first Jacobian of a stack J whose nullity is not ``dim``,
+    where the solution set is not a smooth manifold of dimension dim;
+    with k > 0 returns the null space bases of ``nullities(J, k)``."""
+    out = nullities(J, k)
+    nullity = out[0] if k else out
+    bad = np.flatnonzero(nullity != dim)
+    if bad.size:
+        shape = "curve" if dim == 1 else f"{dim}-manifold"
+        raise MorinnessError(
+            f"singular-set dimension audit failed: nullity {nullity[bad[0]]} != {dim} "
+            f"(solution variety is not a smooth {shape} here)"
+        )
+    return out[1] if k else None
 
 
 def curve_tangents(system, Z, prev=None):
     """Unit tangents of the solution curve at a stack of points Z (B, dim_z):
     the SVD null vectors of J, each oriented along its row of ``prev`` when
-    given and sign-normalized otherwise; a nullity other than 1 is
-    rejected."""
-    T = audit_curve_nullity(system, Z, tangents=True)
+    given and sign-normalized otherwise, one stacked SVD per ``batch_width``
+    points; a nullity other than 1 is rejected (``audit_nullity``)."""
+    width = batch_width(system.dim_z)
+    T = np.empty_like(Z)
+    for i in range(0, len(Z), width):
+        T[i:i + width] = audit_nullity(system.evaluate(Z[i:i + width])[1], k=1)[:, 0]
     if prev is None:
         return sign_normalize(T)
     return np.where((np.sum(T * prev, axis=1) < 0)[:, None], -T, T)

@@ -29,9 +29,8 @@ from ._numeric import (
     min_norm_solve,
     newton,  # noqa: F401  (stays bound here for perfbench)
     newton_batch,
-    nullspace,
 )
-from .continuation import bisect_on_curve, correct_in_planes, curve_tangents
+from .continuation import audit_nullity, bisect_on_curve, correct_in_planes, curve_tangents
 from .manifold import tangent_frame, tangent_frames
 from .scenario import BlockChart, MorinnessError, MorinScenario, StratificationError
 from .strata import SingularSystem, Stratification, multistart_starts, stratum_points
@@ -177,8 +176,9 @@ class StratumCriticalSystem(BlockChart):
     Unknowns w = (z, nu) where z solves the singular system F(z) = 0 and nu
     are the multipliers of the stationarity condition grad h = DF^T nu.
     Residual and exact Jacobian are one call of the scenario's
-    ``augmented_block`` with a in its covector slots.  Every method but
-    ``reduced_hessian`` takes one point or a stack of them.
+    ``augmented_block`` with a in its covector slots.  Every method takes
+    one point or a stack of them but ``reduced_hessian``, which takes a
+    stack.
     """
 
     def __init__(self, S: MorinScenario, a):
@@ -203,11 +203,15 @@ class StratumCriticalSystem(BlockChart):
             nu[i:i + width] = min_norm_solve(np.swapaxes(J[:, :E, :D], -1, -2), R[:, E:])
         return nu.reshape(W.shape[:-1] + (E,))
 
-    def reduced_hessian(self, z, nu):
-        """The Hessian of the Lagrangian, J[E:, :D], on the kernel of DF at one point."""
-        J = self.evaluate(np.concatenate([z, nu]))[1]
-        B = nullspace(J[:self.E, :self.D], rtol=1e-8)
-        return B.T @ J[self.E:, :self.D] @ B
+    def reduced_hessian(self, W):
+        """The Hessians of the Lagrangian, J[E:, :D], on the kernels of DF at
+        a stack W (B, D + E), in the null space bases of ``audit_nullity``:
+        a point where DF has a nullity other than n - 1, so that the
+        solution set is not a smooth (n - 1)-manifold there, is refused."""
+        J = self.evaluate(W)[1]
+        k = self.S.n - 1
+        V = audit_nullity(J[:, :self.E, :self.D], dim=k, k=k)
+        return V @ J[:, self.E:, :self.D] @ np.swapaxes(V, -1, -2)
 
 
 def _polish_stratum_critical(S, a, Z):
@@ -229,14 +233,10 @@ def _stratum_records(S, W, sysc) -> list:
     as cusp hits, and for n >= 3 no cusp curve is located.
     """
     Z = W[:, :sysc.D]
-    index, failures = [], {}
-    for j, w in enumerate(W):
-        _, n_minus, n_zero = eig_sign_counts(sysc.reduced_hessian(Z[j], w[sysc.D:]),
-                                             S.tolerances.eigen_zero)
-        index.append(n_minus)
-        if n_zero:
-            failures[j] = GenericityFailure(
-                f"degenerate reduced Hessian at stratum critical point {np.round(Z[j, :S.N], 6)}")
+    _, index, flat = eig_sign_counts(sysc.reduced_hessian(W), S.tolerances.eigen_zero)
+    failures = {int(j): GenericityFailure(
+        f"degenerate reduced Hessian at stratum critical point {np.round(Z[j, :S.N], 6)}")
+        for j in np.flatnonzero(flat)}
     return _records(S, sysc.base, Z, index, failures, lambda x: MorinnessError(
         f"critical point of the functional at {np.round(x, 6)} is a depth-2 point away "
         f"from every located cusp" + ("; cusp curves for n = 3 are not supported"

@@ -37,7 +37,7 @@ from ._numeric import (
     vecmat,
 )
 from .continuation import (
-    audit_curve_nullity,
+    audit_nullity,
     bisect_on_curve,
     chain_tangents,
     correct_in_planes,
@@ -403,9 +403,7 @@ def trace_fold_curve(lanes, q, max_steps=200000) -> FoldCurve:
     """
     system = lanes.system
     S = system.S
-    fields, checked = lanes.cycle(q, max_steps)
-    # every node and every lane's arrival, in trace order, before any metric
-    audit_curve_nullity(system, checked)
+    fields = lanes.cycle(q, max_steps)
     nodes = fields["nodes"]
     width = batch_width(system.dim_z)
     metrics = [_node_metrics(S, system, nodes[i:i + width])
@@ -423,7 +421,9 @@ class _Lanes:
     Lane 2q starts at seed q along its SVD tangent t_q, lane 2q + 1 along
     -t_q.  Each ``step`` moves every active lane by the trace's predictor
     and one batched corrector, with a local half step for a lane whose
-    corrector fails; a lane that fails even then ends the trace.  Two lanes
+    corrector fails; a lane that fails even then ends the trace.  The step
+    audits the nullity of J at every point it makes (``audit_nullity``),
+    from the corrector's own Jacobians, before any meeting.  Two lanes
     that walk one arc toward each other meet in the step in which they pass
     each other, within h = curve_step (``_meetings``).  A lane's node counts
     as it is or as its sheet image sigma(z) = (x, -u, -mu), since seeds are
@@ -452,7 +452,6 @@ class _Lanes:
         self.active = np.ones(lanes, dtype=bool)
         self.partner = np.full(lanes, -1)       # the lane met
         self.flip = np.zeros(lanes, dtype=bool)   # met as its sheet image
-        self.last = np.zeros((lanes, d))        # the meeting step's point, unsnapped
         self.snap_error = np.zeros(lanes)
         self.iterations = np.zeros(lanes, dtype=int)
         self.half_steps = np.zeros(lanes, dtype=int)
@@ -461,13 +460,13 @@ class _Lanes:
 
     def cycle(self, q, max_steps):
         """Step until the cycle from lane 2q closes.  Returns its
-        ``FoldCurve`` fields, and for the nullity audit its nodes with the
-        two arrivals of each meeting where its pieces join."""
+        ``FoldCurve`` fields."""
         path, lane, flip = [], 2 * q, False
         while True:
             while self.partner[lane] < 0:
                 if self.count >= max_steps:
-                    self._fail("trace did not close (open curve or step budget hit)")
+                    raise StratificationError(
+                        "trace did not close (open curve or step budget hit)")
                 self.step()
             met, flip_met = int(self.partner[lane]), flip != self.flip[lane]
             path += [(lane, flip, False), (met, flip_met, True)]
@@ -491,11 +490,10 @@ class _Lanes:
         nodes[flipped] *= self.sigma
         tangents[flipped] *= self.sigma
         starts = np.cumsum([0] + sizes[:-1])
-        arrivals = self.last[lanes] * np.where(flips[:, None], self.sigma, 1.0)
         # each lane's nodes but its seed, counted once also where a doubly
         # covered curve takes the lane twice
         lane_steps = len(Z) - len(used)
-        fields = {
+        return {
             "nodes": nodes, "tangents": tangents, "segments": starts[0::2],
             "meetings": starts[1::2],
             "closure_error": float(np.max(self.snap_error[lanes])),
@@ -507,7 +505,6 @@ class _Lanes:
                        "stops": dict(zip(STOP_REASONS,
                                          map(int, np.sum(self.stops[lanes], axis=0))))},
         }
-        return fields, np.insert(nodes, np.repeat(starts[1::2], 2), arrivals, axis=0)
 
     def _take(self, lanes):
         """Nodes and tangents of ``lanes`` in step order, and each lane's rows
@@ -533,13 +530,6 @@ class _Lanes:
         rows = {lane: order[b:e] for lane, b, e in zip(lanes.tolist(), bounds, ends)}
         return np.concatenate(Z), np.concatenate(T), rows
 
-    def _fail(self, message):
-        """Audit every node the lanes have traced, in step order, then raise
-        ``message``."""
-        if self.history:
-            audit_curve_nullity(self.system, np.concatenate([z for _, z, _ in self.history]))
-        raise StratificationError(message)
-
     def _correct(self, lanes, Z, anchors, normals):
         out = correct_in_planes(self.system, Z, anchors, normals)
         self.iterations[lanes] += out.iterations
@@ -563,8 +553,10 @@ class _Lanes:
             again = self._correct(A[retry], half, half, t[retry])
             self.half_steps[A[retry]] += 1
             if not again.converged.all():
-                self._fail("continuation corrector failed")
+                raise StratificationError("continuation corrector failed")
             z_new[retry], bordered[retry] = again.z, again.jacobian
+        # every node, and every meeting's arrival before it is snapped
+        audit_nullity(bordered[:, :-1])
         a, b, flip = self._meetings(A, z, t, z_new)
         if a.size:
             sheet = np.where(flip[:, None], self.sigma, 1.0)
@@ -572,7 +564,7 @@ class _Lanes:
             snap = self._correct(A[a], z_new[a], P, t[b] * sheet)
             self.snap_error[A[a]] = np.where(
                 snap.converged, np.linalg.norm(snap.z - P, axis=1), np.inf)
-            self.partner[A[a]], self.flip[A[a]], self.last[A[a]] = A[b], flip, z_new[a]
+            self.partner[A[a]], self.flip[A[a]] = A[b], flip
             self.active[A[a]] = False
             going = self.active[A]
             A, t, z_new, bordered = A[going], t[going], z_new[going], bordered[going]
@@ -881,4 +873,4 @@ def _alternation_violations(curves):
 def _dimension_audit(S, points):
     system = SingularSystem(S)
     Z = [system.pack(p.x, p.cokernel, p.multiplier) for p in points[:10]]
-    return sorted(set(nullities(system, np.array(Z)).tolist())) if Z else []
+    return sorted(set(nullities(system.evaluate(np.array(Z))[1]).tolist())) if Z else []

@@ -14,7 +14,6 @@ from morinchi._numeric import (
     eig_sign_counts,
     min_norm_solve,
     newton_batch,
-    nullspace,
     sign_normalize,
     vecmat,
 )
@@ -59,6 +58,16 @@ def trace(S, seeds, max_steps=200000):
     landed = newton_batch(system.evaluate, seeds, tol=S.tolerances.residual, max_iter=60)
     assert landed.converged.all()
     return trace_fold_curve(_Lanes(system, landed.z), 0, max_steps)
+
+
+def nullspace(A, rtol=1e-9):
+    """Orthonormal basis (columns) of the null space of one matrix A: the
+    per-matrix rank rule that ``continuation.nullities`` replaced."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    _, s, vt = np.linalg.svd(A)
+    cutoff = rtol * (s[0] if s.size else 1.0)
+    rank = int(np.sum(s > max(cutoff, np.finfo(float).tiny)))
+    return vt[rank:].T
 
 
 def reference_curve_tangent(system, z, prev=None):

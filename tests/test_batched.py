@@ -41,6 +41,7 @@ from morinchi.manifold import (
 from morinchi.morse import (
     StratumCriticalSystem,
     _curve_phi_values,
+    _stratum_records,
     sample_covector,
 )
 from morinchi.scenario import MorinnessError, StratificationError, load_scenario
@@ -271,8 +272,34 @@ def test_augmented_block_matches_the_einsum_reference(augmented_cloud):
         for w in (W, W[0], W[-1]):
             for got, want in zip(sysc.evaluate(w), einsum_augmented(sysc, w)):
                 _assert_close(got, want)
-    for z, v in zip(Z[::25], nu[::25]):
-        _assert_close(sysc.reduced_hessian(z, v), einsum_reduced_hessian(sysc, z, v))
+    # the reduced Hessians of the whole cloud as one stack, point by point
+    k = sysc.S.n - 1
+    stack = sysc.reduced_hessian(np.concatenate([Z, nu], axis=1))
+    assert stack.shape == (len(Z), k, k)
+    for z, v, H in zip(Z, nu, stack):
+        _assert_close(H, einsum_reduced_hessian(sysc, z, v))
+    assert sysc.reduced_hessian(np.zeros((0, sysc.D + sysc.E))).shape == (0, k, k)
+
+
+def test_reduced_hessian_refuses_a_root_where_df_lost_rank(augmented_cloud, monkeypatch):
+    # one root of the stack whose DF repeats a row has nullity n, not n - 1:
+    # the stratum is not a smooth (n - 1)-manifold there, so no index is
+    # read off its n x n form; the audit's error exits 66
+    sysc, Z = augmented_cloud
+    n = sysc.S.n
+    W = np.concatenate([Z[:6], sysc.initial_nu(Z[:6])], axis=1)
+    evaluate = sysc.evaluate
+
+    def lost_rank(W):
+        R, J = evaluate(W)
+        J[3, 1, :sysc.D] = J[3, 0, :sysc.D]
+        return R, J
+
+    monkeypatch.setattr(sysc, "evaluate", lost_rank)
+    with pytest.raises(MorinnessError, match=f"dimension audit failed: nullity {n} != {n - 1}"):
+        sysc.reduced_hessian(W)
+    with pytest.raises(MorinnessError, match=f"nullity {n} != {n - 1}"):
+        _stratum_records(sysc.S, W, sysc)
 
 
 def test_stacked_initial_nu_matches_the_reference_lane_by_lane(augmented_cloud):

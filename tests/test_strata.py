@@ -105,7 +105,7 @@ def test_singular_system_shape_and_solution_dim(s3_proj, s3_strat):
     assert sys2.n_eqs == 1 + 4 + 1
     # the solutions form a curve: nullity n - 1 = 1 at every depth-1 solution
     Z = np.array([sys2.pack(p.x, p.cokernel, p.multiplier) for p in s3_strat.points])
-    assert set(nullities(sys2, Z).tolist()) == {s3_proj.n - 1}
+    assert set(nullities(sys2.evaluate(Z)[1]).tolist()) == {s3_proj.n - 1}
 
 
 def test_singular_system_solution_projects_to_circle(s3_proj):
@@ -488,24 +488,47 @@ def test_correct_in_planes_on_a_singular_border_takes_the_minimal_norm_step(s3_p
     assert out.residual[0] <= s3_proj_sparse.tolerances.residual
 
 
+def _lone_seed(S):
+    """The lanes of a trace from the first depth-1 point of S alone."""
+    system = SingularSystem(S)
+    p = solve_stratum1(S)[0]
+    return strata._Lanes(system, system.pack(p.x, p.cokernel, p.multiplier)[None])
+
+
+def _lower_rank_at(monkeypatch, step, lane):
+    """Make the corrector Jacobians of ``lane`` in lockstep step ``step``,
+    which that step audits, repeat a row of J: nullity 2."""
+    correct = strata._Lanes._correct
+
+    def lowered(self, lanes, Z, anchors, normals):
+        out = correct(self, lanes, Z, anchors, normals)
+        if self.count == step:
+            mine = lanes == lane
+            # the bordered matrix [J; t]: J's last row repeats the one before
+            out.jacobian[mine, -2] = out.jacobian[mine, -3]
+        return out
+
+    monkeypatch.setattr(strata._Lanes, "_correct", lowered)
+
+
 def test_trace_rejects_a_node_of_nullity_two(s3_proj_sparse, monkeypatch):
-    system = SingularSystem(s3_proj_sparse)
-    p = solve_stratum1(s3_proj_sparse)[0]
-    z0 = system.pack(p.x, p.cokernel, p.multiplier)
-    evaluate = SingularSystem.evaluate
-
-    def rank_deficient_stacks(self, z):
-        # the stacked audit sees one lane whose Jacobian lost a rank; every
-        # single-point evaluation the trace itself makes is left alone
-        R, J = evaluate(self, z)
-        if np.ndim(z) == 2 and len(z) > 5:
-            J = J.copy()
-            J[5, -1] = J[5, -2]
-        return R, J
-
-    monkeypatch.setattr(SingularSystem, "evaluate", rank_deficient_stacks)
+    # the step audits each node from the corrector's own Jacobians, in the
+    # step that makes it
+    _lower_rank_at(monkeypatch, 3, 1)
     with pytest.raises(MorinnessError, match="dimension audit failed: nullity 2 != 1"):
-        trace(s3_proj_sparse, z0[None])
+        strata.trace_fold_curve(_lone_seed(s3_proj_sparse), 0)
+
+
+def test_trace_rejects_an_arrival_of_nullity_two(s3_proj_sparse, monkeypatch):
+    # the two lanes of a lone seed meet each other in the last step; lane
+    # 0's point of that step is an arrival, snapped onto lane 1's plane and
+    # never a node, and the step audits it before the meeting search
+    lanes = _lone_seed(s3_proj_sparse)
+    strata.trace_fold_curve(lanes, 0)
+    assert lanes.partner.tolist() == [1, 0] and lanes.count > 3
+    _lower_rank_at(monkeypatch, lanes.count, 0)
+    with pytest.raises(MorinnessError, match="dimension audit failed: nullity 2 != 1"):
+        strata.trace_fold_curve(_lone_seed(s3_proj_sparse), 0)
 
 
 class Line:
