@@ -74,8 +74,8 @@ def min_norm_solve(A, b):
       normal equations' relative error, about eps * kappa_2(A)^2, stays
       below sqrt(eps).
 
-    The other lanes, and the whole stack when ``inv`` finds an exactly
-    singular G, take the SVD.  A lane whose SVD does not converge gets NaN.
+    The other lanes, and the lanes whose G is exactly singular (``inv``
+    raises), take the SVD.  A lane whose SVD does not converge gets NaN.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -89,7 +89,11 @@ def min_norm_solve(A, b):
     try:
         inv = np.linalg.inv(G)
     except np.linalg.LinAlgError:
-        return _svd_solve(A, b).reshape(lead + (d,))
+        # getrf met an exactly zero pivot: those lanes, the ones of zero (or
+        # non-finite) determinant, take the SVD through the gate below
+        singular = ~(np.abs(np.linalg.det(G)) > 0)
+        inv = np.full_like(G, np.nan)
+        inv[~singular] = np.linalg.inv(G[~singular])
     x = inv @ (At @ b[..., None] if r > d else b[..., None])
     x = (At @ x if r < d else x)[..., 0]
     eps = np.finfo(float).eps

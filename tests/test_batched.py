@@ -373,8 +373,10 @@ def test_dedup_points_matches_the_loop_on_the_s4_proj_cloud(s4_proj_polish):
 
 def test_min_norm_solve_matches_lstsq_lane_by_lane(monkeypatch):
     # lanes whose square matrix or Gram matrix passes the conditioning gate
-    # take its inverse, the others the SVD; every lane gives what lstsq gives,
-    # to 1e-9 relative, or to sqrt(eps) relative for the lanes near the gate
+    # take its inverse, the others the SVD, and so do the lanes whose matrix
+    # is exactly singular, where inv raises, without their neighbours; every
+    # lane gives what lstsq gives, to 1e-9 relative, or to sqrt(eps)
+    # relative for the lanes near the gate
     rng = np.random.default_rng(11)
     d = 7
     well = rng.standard_normal((5, d, d))
@@ -399,12 +401,17 @@ def test_min_norm_solve_matches_lstsq_lane_by_lane(monkeypatch):
     U, _, Vt = np.linalg.svd(rng.standard_normal((6, 4, 9)), full_matrices=False)
     edge = U @ (np.array([1.0, 0.7, 0.5, 5e-4])[:, None] * Vt)
     loose = np.finfo(float).eps ** 0.5
+    # a whole census's square stack in which one lane's Jacobian has a zero row
+    census = np.random.default_rng(111).standard_normal((400, d, d))
+    census[123, 2] = 0.0
     cases = [(np.concatenate([well, near, deficient]), [False] * 5 + [True] * 6, 1e-9),
-             (np.concatenate([well, near, zero_row, deficient]), [True] * 12, 1e-9),  # inv raises
+             (np.concatenate([well, near, zero_row, deficient]),  # inv raises
+              [False] * 5 + [True] * 7, 1e-9),
+             (census, [i == 123 for i in range(400)], 1e-9),
              (wide, [False] * 6 + [True] * 6, 1e-9),
              (np.swapaxes(wide, 1, 2), [False] * 6 + [True] * 6, 1e-9),
-             (wide_zero, [True] * 2, 1e-9), (np.swapaxes(wide_zero, 1, 2), [True] * 2, 1e-9),
-             (rows, [False] * 6, 1e-9), (rows_zero, [True] * 7, 1e-9),
+             (wide_zero, [False, True], 1e-9), (np.swapaxes(wide_zero, 1, 2), [False, True], 1e-9),
+             (rows, [False] * 6, 1e-9), (rows_zero, [False] * 6 + [True], 1e-9),
              (rng.standard_normal((6, 4, 9)), [False] * 6, 1e-9),
              (rng.standard_normal((6, 9, 4)), [False] * 6, 1e-9),
              (edge, [False] * 6, loose), (np.swapaxes(edge, 1, 2), [False] * 6, loose)]
