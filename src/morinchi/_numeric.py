@@ -304,20 +304,23 @@ def census(starts, out: NewtonResult, N, radius, hits=True):
     return found[kept], counters
 
 
-def eig_sign_counts(H, zero_tol_factor=1e-6):
-    """Counts of (positive, negative, near-zero) eigenvalues of symmetric H.
-
-    ``H`` is a matrix or a stack of them; a matrix gives three ints, a stack
-    three int arrays, all eigenvalues coming from one ``eigvalsh``.  An
+def sign_counts(vals, zero_tol_factor=1e-6):
+    """Counts of (positive, negative, near-zero) eigenvalues in spectra
+    ``vals`` along the last axis, as int arrays over the leading axes.  An
     eigenvalue counts as zero when |lambda| < zero_tol_factor *
-    max(|lambda|_max, 1), |lambda|_max being its own matrix's.
-    """
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    vals = np.linalg.eigvalsh(0.5 * (H + np.swapaxes(H, -1, -2)))
+    max(|lambda|_max, 1), |lambda|_max being its own spectrum's."""
     scale = np.maximum(np.max(np.abs(vals), axis=-1, initial=0.0), 1.0)
     cut = zero_tol_factor * scale[..., None]
-    counts = (np.sum(vals >= cut, axis=-1), np.sum(vals <= -cut, axis=-1),
-              np.sum(np.abs(vals) < cut, axis=-1))
+    return (np.sum(vals >= cut, axis=-1), np.sum(vals <= -cut, axis=-1),
+            np.sum(np.abs(vals) < cut, axis=-1))
+
+
+def eig_sign_counts(H, zero_tol_factor=1e-6):
+    """``sign_counts`` of symmetric H, a matrix (three ints) or a stack of
+    them (three int arrays), from one ``eigvalsh`` of its symmetric part."""
+    H = np.atleast_2d(np.asarray(H, dtype=float))
+    counts = sign_counts(np.linalg.eigvalsh(0.5 * (H + np.swapaxes(H, -1, -2))),
+                         zero_tol_factor)
     if H.ndim == 2:
         return tuple(int(c) for c in counts)
     return counts

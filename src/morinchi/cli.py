@@ -5,10 +5,10 @@ Exit codes for ``run``: 0 all identities hold, 2 genericity budget exhausted,
 65 manifold regularity failure, 66 stratification rejected (the map is not
 Morin at the required depths, or the singular set could not be computed).
 
-Reproducibility: one root seed drives everything.  Derived generators use
-fixed purpose tags (regularity sampling 11, multistart 23, covectors 7 with
-the resample attempt appended), so a report is byte-identical across runs
-for the same scenario, seed, and tolerances.
+Reproducibility: one non-negative root seed drives everything.  Derived
+generators use fixed purpose tags (regularity sampling 11, multistart 23,
+covectors 7 with the resample attempt appended), so a report is
+byte-identical across runs for the same scenario, seed, and tolerances.
 """
 
 from __future__ import annotations
@@ -61,6 +61,8 @@ def _apply_config(S, config: RunConfig):
         merged.update(overrides)
         S.tolerances = Tolerances.from_dict(merged)
     if config.seed is not None:
+        if config.seed < 0:
+            raise ScenarioFormatError(f"seed must be non-negative, got {config.seed}")
         S.seed = int(config.seed)
     return S
 

@@ -9,10 +9,11 @@ boundary critical point in scope is a non-correct cusp; a correct one would
 sit at depth 3, which is rejected.  ``_boundary_records`` checks this
 dichotomy at every cusp and certifies that the cusp cancels against its
 paired interior critical point.  What the proof reads at a cusp apart from the
-covector (the curve tangent, the plus and minus arcs beside it and the
-slope of the flattening kernel eigenvalue) is the cusp's chart, computed
-once when the cusp is located (``strata._chart_cusps``); a covector attempt
-costs a cusp only its partner search.
+covector (the curve tangent, the plus and minus arcs beside it, the
+degenerate kernel direction and the slope of the flattening kernel
+eigenvalue) is the cusp's chart, computed once when the cusp is located
+(``strata._chart_cusps``); a covector attempt costs a cusp only its partner
+search.
 """
 
 from __future__ import annotations
@@ -259,7 +260,8 @@ def _cusp_near(S, cusps, x):
 
 
 def _critical_points_on_curves(S, a: Covector, strat: Stratification):
-    """Zeros of dh/ds on every traced curve; cusps come back separately.
+    """Zeros of dh/ds on every traced curve, as records, and the set of the
+    indices of the cusps they hit.
 
     The zeros away from every cusp are polished in one batched solve.  The
     cusp itself solves the augmented system, so a polish that slid into it
@@ -282,7 +284,7 @@ def _critical_points_on_curves(S, a: Covector, strat: Stratification):
                                      phis[brackets], dh_ds, gap=1e-13)[0])
     Z = np.concatenate(zeros)
     hits = [_cusp_near(S, strat.cusps, z[:S.N]) for z in Z]
-    cusp_hits = {hit: z for hit, z in zip(hits, Z) if hit is not None}
+    cusp_hits = {hit for hit in hits if hit is not None}
     sysc, out = _polish_stratum_critical(S, a.a, Z[[hit is None for hit in hits]])
     if not out.converged.all():
         raise GenericityFailure("stratum critical point failed to polish")
@@ -292,7 +294,7 @@ def _critical_points_on_curves(S, a: Covector, strat: Stratification):
         if hit is None:
             fold.append(j)
         else:
-            cusp_hits[hit] = w[:sysc.D]
+            cusp_hits.add(hit)
     kept = [fold[i] for i in dedup_points(out.z[fold, :S.N], S.tolerances.dedup_radius)]
     return _stratum_records(S, out.z[kept], sysc), cusp_hits
 
@@ -537,7 +539,7 @@ def compute_morse_data(S: MorinScenario, strat: Stratification, a: Covector) -> 
         boundary, certs, eta_checks = [], [], []
     audits["eta_checks"] = eta_checks
     audits["parity"] = check_fold_index_parity(S, a, k0, k1) if S.n > 1 else None
-    audits["separation"] = _boundary_equivalence_audit(S, k0, k1, strat)
+    audits["separation"] = _boundary_equivalence_audit(k0, k1)
     audits["block_hessian_ok"] = all(c["identity_ok"] for c in eta_checks)
     return MorseData(
         covector=a,
@@ -561,7 +563,7 @@ class SeparationAudit:
         return not self.unmatched_k0 and not self.unmatched_k1
 
 
-def _boundary_equivalence_audit(S, k0_records, k1_records, strat) -> SeparationAudit:
+def _boundary_equivalence_audit(k0_records, k1_records) -> SeparationAudit:
     """Critical points of h on M and interior critical points of h on the
     depth-1 stratum must be the same set, point for point."""
     used = set()

@@ -312,6 +312,8 @@ def load_scenario(source) -> MorinScenario:
         raise ScenarioFormatError(f"compact must be true or false, got {compact!r}")
     if any(len(s) != N for s in sample_seeds):
         raise ScenarioFormatError(f"every sample seed needs ambient_dim = {N} coordinates")
+    if seed < 0:
+        raise ScenarioFormatError(f"seed must be non-negative, got {seed}")
     if halfwidth <= 0:
         raise ScenarioFormatError(f"sample_halfwidth must be positive, got {halfwidth}")
     try:

@@ -4,17 +4,20 @@ A point is singular when some unit covector u annihilates the image of the
 restricted differential; the solution set of the resulting Lagrange-type
 system is the depth-1 closure.  Depth and the plus/minus split of odd-depth
 strata are read off the kernel Hessian of <u, f> corrected by the constraint
-multipliers.  For two-dimensional targets the depth-1 set is a union of
-closed curves, traced in lockstep lanes by the routines of ``continuation``;
-cusps are bracketed by the sign of the kernel-Hessian determinant and
-refined by bisection.  Each located cusp gets its chart, from one two-sided
-sample of the curve per cusp: the tangent into the plus arc, the two arc
-samples and the slope of the flattening eigenvalue, which certifies depth 2.
-Every curve operation takes a stack of points.  The
-scenario types come from ``scenario``.  ``load_scenario``, ``Tolerances``,
-``newton`` and ``project_to_manifold`` stay bound here, though nothing here
-calls them, because the benchmark's tracer (``perfbench/tracing.py``)
-rebinds or reads them in this module.
+multipliers.  Every reading of it takes the spectra of one stacked
+``eigvalsh`` (``_kernel_spectra``), split by sign with the one counting rule
+``_numeric.sign_counts``.  For two-dimensional targets the depth-1 set is a
+union of closed curves, traced in lockstep lanes by the routines of
+``continuation``; cusps are bracketed by the sign of the kernel-Hessian
+determinant and refined by bisection.  Each located cusp gets its chart,
+from one two-sided sample of the curve per cusp and one spectra pass over
+the samples and the cusp: the tangent into the plus arc, the two arc
+samples, the degenerate kernel direction and the slope of the flattening
+eigenvalue, which certifies depth 2.  Every curve operation takes a stack
+of points.  The scenario types come from ``scenario``.  ``load_scenario``,
+``Tolerances``, ``newton`` and ``project_to_manifold`` stay bound here,
+though nothing here calls them, because the benchmark's tracer
+(``perfbench/tracing.py``) rebinds or reads them in this module.
 """
 
 from __future__ import annotations
@@ -29,10 +32,10 @@ from ._numeric import (
     STOP_REASONS,
     batch_width,
     census,
-    eig_sign_counts,
     min_norm_solve,
     newton,  # noqa: F401  (stays bound here for perfbench)
     newton_batch,
+    sign_counts,
     sign_normalize,
     vecmat,
 )
@@ -82,10 +85,10 @@ class StratumPoint:
     multiplier: np.ndarray
     kernel_basis: np.ndarray            # columns span ker d(f|M)(x)
     signature: QuadraticSignature
-    degenerate_direction: np.ndarray | None = None
     sign: str = "unsigned"              # plus | minus | unsigned
     residuals: dict = field(default_factory=dict)
     # at a cusp, from its chart (``_chart_cusps``)
+    degenerate_direction: np.ndarray | None = None   # ambient, sign-normalized
     eig_slope: float | None = None
     arc_tangent: np.ndarray | None = None    # curve tangent in z, into the plus arc
     arc_samples: np.ndarray | None = None    # (minus, plus) arc samples in z
@@ -138,22 +141,10 @@ class SingularSystem(BlockChart):
 # -- pointwise stratum data ---------------------------------------------------
 
 
-def _kernel_data(S: MorinScenario, x):
-    """Orthonormal ambient kernel basis of d(f|M) at a corank-1 point.
-
-    ``x`` is a point (N,) or a stack (B, N); a stack gives stacked bases
-    (B, N, m - n + 1).  Every check runs lane by lane, and the error raised
-    is the first failing lane's, as a loop over the points would raise it.
-    """
-    K, failures = _kernel_lanes(S, x)
-    if failures:
-        raise failures[min(failures)]
-    return K[0] if np.ndim(x) == 1 else K
-
-
 def _kernel_lanes(S: MorinScenario, x):
-    """Kernel bases with a lane axis, and the error of each failing lane
-    (a dict from lane to the first error ``_kernel_data`` reports there)."""
+    """Orthonormal ambient kernel bases of d(f|M) at a stack of corank-1
+    points (B, N), as (B, N, m - n + 1), and a dict from each failing lane
+    to its first error.  Every check runs lane by lane."""
     T, failures = tangent_frames(S.manifold, x)          # (B, m, N)
     A = S.Df(x).reshape(-1, S.n, S.N) @ np.swapaxes(T, -1, -2)   # differential in the frame
     A[list(failures)] = 0.0                  # placeholder lanes, already failed
@@ -174,39 +165,33 @@ def _kernel_lanes(S: MorinScenario, x):
     return K, failures
 
 
-def _kernel_form(S: MorinScenario, x, u, mu, K=None):
+def _kernel_form(S: MorinScenario, x, u, mu, K):
     """The symmetrized kernel Hessian K^T W K of <u, f> - <mu, g>, W its
-    ambient Hessian, at a point or at each point of a stack.  ``K`` defaults
-    to the kernel basis at x."""
-    if K is None:
-        K = _kernel_data(S, x)
+    ambient Hessian, at a point or at each point of a stack."""
     HK = np.swapaxes(K, -1, -2) @ S.lagrangian_hessian(x, u, mu) @ K
     return 0.5 * (HK + np.swapaxes(HK, -1, -2))
 
 
-def _signatures(S: MorinScenario, HK, K, X):
-    """Signatures of a stack of kernel forms HK (B, k, k), whose bases K
-    (B, N, k) sit at the points X (B, N): the sign counts from one stacked
-    ``eig_sign_counts``, the degenerate direction of each form with exactly
-    one near-zero eigenvalue (its eigenvector, from ``eigh`` of those forms
-    only, in the ambient space and sign-normalized, None elsewhere), and a
-    dict from lane to the ``MorinnessError`` of a form with more than one,
-    since a corank-1 chain admits at most one degenerate kernel direction.
-    """
-    counts = np.stack(eig_sign_counts(HK, S.tolerances.eigen_zero), axis=-1)
-    signatures = [QuadraticSignature(*map(int, c)) for c in counts]
-    failures = {int(j): MorinnessError(
-        f"kernel Hessian has {counts[j, 2]} near-zero eigenvalues at {X[j]}: not Morin")
-        for j in np.flatnonzero(counts[:, 2] > 1)}
-    directions = [None] * len(HK)
-    flat = np.flatnonzero(counts[:, 2] == 1)
-    if flat.size:
-        vals, vecs = np.linalg.eigh(HK[flat])
-        pick = np.argmin(np.abs(vals), axis=-1)
-        v = vecs[np.arange(flat.size), :, pick]
-        for j, d in zip(flat, sign_normalize((K[flat] @ v[..., None])[..., 0])):
-            directions[j] = d
-    return signatures, directions, failures
+def _kernel_spectra(S: MorinScenario, x, u, mu):
+    """The kernel bases K (``_kernel_lanes``), the kernel forms HK
+    (``_kernel_form``) and their ascending eigenvalues, from one stacked
+    ``eigvalsh``, at a stack of points x (B, N), with the dict of failing
+    lanes.  Every reading of the kernel Hessian starts here."""
+    K, failures = _kernel_lanes(S, x)
+    HK = _kernel_form(S, x, u, mu, K)
+    return K, HK, np.linalg.eigvalsh(HK), failures
+
+
+def _signature_counts(S: MorinScenario, vals, x, failures):
+    """The (n_plus, n_minus, n_zero) rows (B, 3) of a stack of kernel
+    spectra at the points x; a lane with more than one near-zero eigenvalue
+    gets its ``MorinnessError`` in ``failures``, unless it failed before,
+    since a corank-1 chain admits at most one degenerate kernel direction."""
+    counts = np.stack(sign_counts(vals, S.tolerances.eigen_zero), axis=-1)
+    for j in np.flatnonzero(counts[:, 2] > 1):
+        failures.setdefault(int(j), MorinnessError(
+            f"kernel Hessian has {counts[j, 2]} near-zero eigenvalues at {x[j]}: not Morin"))
+    return counts
 
 
 # -- solving ------------------------------------------------------------------
@@ -295,13 +280,13 @@ def stratum_points(S, system, Z):
     entry above 1e-12 in magnitude is positive: the stationarity equations
     are linear in the pair, so only a joint flip preserves them (and the
     Lagrangian Hessian built from them).  A lane carries its max-norm
-    residual, its kernel basis, its kernel-Hessian signature and degenerate
-    direction (``_signatures``), and, when no eigenvalue is flat, its sign
-    by kernel-index parity.  The sign is well defined because m - n + 1 is
-    even: flipping u complements the nondegenerate eigenvalue signs, which
-    preserves the parity of the negative count.  Returns the points, None at a failing lane, and a dict
-    from lane to its error: the kernel basis's (``_kernel_lanes``), else the
-    signature's.
+    residual, its kernel basis, its kernel-Hessian signature
+    (``_signature_counts`` of ``_kernel_spectra``), and, when no eigenvalue
+    is flat, its sign by kernel-index parity.  The sign is well defined
+    because m - n + 1 is even: flipping u complements the nondegenerate
+    eigenvalue signs, which preserves the parity of the negative count.
+    Returns the points, None at a failing lane, and a dict from lane to its
+    error: the kernel basis's (``_kernel_lanes``), else the signature's.
     """
     Z = np.reshape(np.asarray(Z, dtype=float), (-1, system.dim_z))
     width = batch_width(system.dim_z)
@@ -324,21 +309,18 @@ def _stratum_lanes(S, system, Z):
     # the joint flip negates the stationarity rows and keeps the others, so
     # the max-norm residual is taken at Z, in any chart
     res = np.max(np.abs(system.evaluate(Z)[0]), axis=1)
-    K, failures = _kernel_lanes(S, x)
-    signatures, directions, flat = _signatures(S, _kernel_form(S, x, u, mu, K), K, x)
-    for j, error in flat.items():
-        failures.setdefault(j, error)
+    K, _, vals, failures = _kernel_spectra(S, x, u, mu)
+    counts = _signature_counts(S, vals, x, failures)
     points = []
     for j in range(len(Z)):
         if j in failures:
             points.append(None)
             continue
-        sig = signatures[j]
+        sig = QuadraticSignature(*map(int, counts[j]))
         # a nondegenerate kernel form already certifies depth 1 and its sign
         sign = "unsigned" if sig.n_zero else ("plus", "minus")[sig.n_minus % 2]
         points.append(StratumPoint(x=x[j], depth=1, cokernel=u[j], multiplier=mu[j],
                                    kernel_basis=K[j], signature=sig, sign=sign,
-                                   degenerate_direction=directions[j],
                                    residuals={"system": float(res[j])}))
     return points, failures
 
@@ -370,17 +352,16 @@ class FoldCurve:
         return self.nodes[:, :N]
 
 
-def _node_metrics(S, system, z):
-    """Determinant and negative-eigenvalue parity of the kernel Hessian at a
-    node (dim_z,) or at each node of a stack (B, dim_z)."""
-    vals = np.linalg.eigvalsh(_kernel_form(S, *system.unpack(z)))
-    det = np.prod(vals, axis=-1)
+def _node_metrics(S, system, Z):
+    """Determinant and negative-eigenvalue parity of the kernel Hessian at
+    each node of a stack Z (B, dim_z).  A failing lane raises, the first
+    one's error first, as a loop over the nodes would."""
+    _, _, vals, failures = _kernel_spectra(S, *system.unpack(Z))
+    if failures:
+        raise failures[min(failures)]
     # strict sign count: near a cusp the crossing eigenvalue must contribute
     # its side's sign rather than falling into the zero bucket
-    parity = np.sum(vals < 0, axis=-1) % 2
-    if np.ndim(z) == 1:
-        return float(det), int(parity)
-    return det, parity
+    return np.prod(vals, axis=-1), np.sum(vals < 0, axis=-1) % 2
 
 
 def trace_fold_curve(lanes, q, max_steps=200000) -> FoldCurve:
@@ -686,20 +667,23 @@ def _chart_cusps(S, system, cusps):
     Morse theory reads there, for all of them in stacked form.
 
     At a cusp p, packed as z = (x, u, mu), the curve tangent t comes from one
-    ``curve_tangents`` call for all cusps, the arc samples at
+    ``curve_tangents`` call for all cusps, and the arc samples at
     z -+ (curve_step/2) t from one ``correct_in_planes`` call of two lanes
-    per cusp, and their stratum data from one ``stratum_points`` pass.  Both
-    samples must be fold points, of opposite signs: p keeps t oriented into
-    the plus arc (``arc_tangent``) and the (minus, plus) samples
-    (``arc_samples``).  Moving along the curve in the direction of the
-    degenerate kernel vector, the flat kernel eigenvalue crosses zero; its
-    slope per unit arc of the base curve in x-space, from the eigenvalues
-    nearest zero at the minus sample, the cusp and the plus sample, is the
-    intrinsic analog of the leading coefficient of the local normal form (6
-    for the standard depth-2 model).  A slope above ``depth_slope``
-    certifies depth 2 (``eig_slope``); the refusal of one at or below it
-    reports the second difference too, which separates deeper points.  The
-    checks raise at the first failing cusp in the given order.
+    per cusp.  One ``_kernel_spectra`` pass over the (minus sample, cusp,
+    plus sample) triples gives the rest.  Both samples must be fold points,
+    of opposite signs: p keeps t oriented into the plus arc
+    (``arc_tangent``) and the (minus, plus) samples (``arc_samples``).  The
+    degenerate direction (``degenerate_direction``) is the eigenvector of
+    the cusp's flat kernel eigenvalue, from ``eigh`` of the cusp forms only,
+    in the ambient space and sign-normalized.  Moving along the curve in
+    that direction, the flat eigenvalue crosses zero; its slope per unit
+    arc of the base curve in x-space, from the eigenvalues nearest zero at
+    the minus sample, the cusp and the plus sample, is the intrinsic analog
+    of the leading coefficient of the local normal form (6 for the standard
+    depth-2 model).  A slope above ``depth_slope`` certifies depth 2
+    (``eig_slope``); the refusal of one at or below it reports the second
+    difference too, which separates deeper points.  The checks raise at the
+    first failing cusp in the given order.
     """
     if not cusps:
         return
@@ -710,10 +694,14 @@ def _chart_cusps(S, system, cusps):
     normals = np.repeat(T, 2, axis=0)
     starts = np.repeat(Z, 2, axis=0) + np.tile([-delta, delta], k)[:, None] * normals
     out = correct_in_planes(system, starts, starts, normals)
-    samples, failures = stratum_points(S, system, out.z)
-    # the samples were corrected from z, so they are on the cusp's sheet
+    # the samples were corrected from z, so they are on the cusp's sheet,
+    # and a sample's flatness and kernel-index parity do not depend on it
     x, u, mu = system.unpack(np.stack([out.z[0::2], Z, out.z[1::2]], axis=1).reshape(-1, d))
-    vals = np.linalg.eigvalsh(_kernel_form(S, x, u, mu, _kernel_lanes(S, x)[0]))
+    K, HK, vals, failures = _kernel_spectra(S, x, u, mu)
+    counts = _signature_counts(S, vals, x, failures).reshape(k, 3, 3)
+    cusp_vals, vecs = np.linalg.eigh(HK[1::3])
+    v = vecs[np.arange(k), :, np.argmin(np.abs(cusp_vals), axis=-1)]
+    directions = sign_normalize((K[1::3] @ v[..., None])[..., 0])
     vals = vals[np.arange(3 * k), np.argmin(np.abs(vals), axis=1)].reshape(k, 3)
     x_arc = delta * np.linalg.norm(T[:, :S.N], axis=1)
     slopes = (vals[:, 2] - vals[:, 0]) / (2 * x_arc)
@@ -721,27 +709,28 @@ def _chart_cusps(S, system, cusps):
     thr = S.tolerances.depth_slope
     for j, p in enumerate(cusps):
         t, pair = T[j], out.z[2 * j:2 * j + 2]
-        align = float(t[:S.N] @ p.degenerate_direction)
+        align = float(t[:S.N] @ directions[j])
         if abs(align) < 1e-3 * np.linalg.norm(t[:S.N]):
             raise MorinnessError(f"degenerate kernel direction at the cusp {p.x} is not "
                                  f"tangent to the singular curve")
         if not out.converged[2 * j:2 * j + 2].all():
             raise StratificationError(f"could not sample the two arcs at the cusp {p.x}")
-        for lane in (2 * j, 2 * j + 1):
-            if lane in failures:
-                raise failures[lane]
-            if samples[lane].signature.n_zero:
+        for lane in (0, 2):
+            if 3 * j + lane in failures:
+                raise failures[3 * j + lane]
+            if counts[j, lane, 2]:
                 raise StratificationError("arc sample at a cusp is not a fold point")
         slope = slopes[j] if align > 0 else -slopes[j]
         if not abs(slope) > thr:
             raise MorinnessError(
                 f"degenerate point at {p.x} is not a certified depth-2 point: eigenvalue "
                 f"slope {slope:.3e} and curvature {curvatures[j]:.3e}, slope not above {thr:.1e}")
-        signs = [samples[lane].sign for lane in (2 * j, 2 * j + 1)]
-        if signs[0] == signs[1]:
+        # kernel-index parity of the (minus, plus) samples: 0 on a plus arc
+        minus, plus = counts[j, [0, 2], 1] % 2
+        if minus == plus:
             raise MorinnessError(f"arcs adjacent to the cusp at {p.x} carry equal signs")
-        p.depth, p.eig_slope = 2, float(slope)
-        p.arc_tangent, p.arc_samples = (t, pair) if signs[1] == "plus" else (-t, pair[::-1])
+        p.depth, p.eig_slope, p.degenerate_direction = 2, float(slope), directions[j]
+        p.arc_tangent, p.arc_samples = (t, pair) if plus == 0 else (-t, pair[::-1])
 
 
 def _build_arcs(curve: FoldCurve):

@@ -23,7 +23,6 @@ from morinchi.strata import (
     QuadraticSignature,
     SingularSystem,
     StratumPoint,
-    _kernel_data,
     _kernel_form,
     _kernel_lanes,
     _Lanes,
@@ -130,9 +129,9 @@ def reference_stratum_point(S, x, u, mu, system=None, K=None):
     """Stratum data at one solution (x, u, mu), one point at a time: the
     per-point rule ``stratum_points`` replaced.  (u, mu) is flipped as a
     pair by the sign of the first cokernel entry above 1e-12; the residual
-    is taken at the packed flipped point, the signature from
-    ``eig_sign_counts`` of the one kernel form, and the degenerate direction
-    from its ``eigh``."""
+    is taken at the packed flipped point, and the signature from
+    ``eig_sign_counts`` of the one kernel form.  ``K`` defaults to the
+    kernel basis at x, and its first failure raises."""
     u, mu = np.asarray(u, dtype=float), np.asarray(mu, dtype=float)
     lead = u[np.abs(u) > 1e-12]
     if lead.size and lead[0] < 0:
@@ -140,7 +139,9 @@ def reference_stratum_point(S, x, u, mu, system=None, K=None):
     system = system or SingularSystem(S)
     res = float(np.max(np.abs(system.evaluate(system.pack(x, u, mu))[0])))
     if K is None:
-        K = _kernel_data(S, x)
+        (K,), failures = _kernel_lanes(S, np.asarray(x, dtype=float)[None])
+        if failures:
+            raise failures[0]
     HK = _kernel_form(S, x, u, mu, K)
     n_plus, n_minus, n_zero = eig_sign_counts(HK, S.tolerances.eigen_zero)
     if n_zero > 1:
@@ -149,12 +150,19 @@ def reference_stratum_point(S, x, u, mu, system=None, K=None):
     p = StratumPoint(x=np.asarray(x, dtype=float), depth=1, cokernel=u, multiplier=mu,
                      kernel_basis=K, residuals={"system": res},
                      signature=QuadraticSignature(n_plus, n_minus, n_zero))
-    if n_zero == 1:
-        vals, vecs = np.linalg.eigh(HK)
-        p.degenerate_direction = sign_normalize(K @ vecs[:, int(np.argmin(np.abs(vals)))])
-    else:
+    if n_zero == 0:
         p.sign = "plus" if n_minus % 2 == 0 else "minus"
     return p
+
+
+def reference_degenerate_direction(S, p):
+    """The degenerate kernel direction that the chart of the cusp p sets,
+    one cusp at a time: the eigenvector of the eigenvalue nearest zero of
+    its kernel form, from its own ``eigh``, in the ambient space and
+    sign-normalized."""
+    HK = _kernel_form(S, p.x, p.cokernel, p.multiplier, p.kernel_basis)
+    vals, vecs = np.linalg.eigh(HK)
+    return sign_normalize(p.kernel_basis @ vecs[:, int(np.argmin(np.abs(vals)))])
 
 
 def reference_points_from_solutions(S, system, solutions, kept):

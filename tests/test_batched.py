@@ -47,7 +47,7 @@ from morinchi.morse import (
 from morinchi.scenario import MorinnessError, StratificationError, load_scenario
 from morinchi.strata import (
     SingularSystem,
-    _kernel_data,
+    _kernel_lanes,
     _node_metrics,
     _points_from_solutions,
     compute_stratification,
@@ -62,6 +62,7 @@ from tests.conftest import (
     einsum_initial_nu,
     einsum_reduced_hessian,
     reference_curve_tangent,
+    reference_degenerate_direction,
     reference_newton,
     reference_points_from_solutions,
     reference_stratum_point,
@@ -498,21 +499,24 @@ def test_tangent_frames_report_every_failing_lane():
         tangent_frame(cone, apex)
 
 
-def test_stacked_kernel_data_raises_for_the_first_failing_lane():
+def test_stacked_node_metrics_raise_for_the_first_failing_lane():
     cone = load_scenario({
         "name": "cone", "ambient_dim": 3, "intrinsic_dim": 2,
         "constraints": ["(+ (^ x0 2) (^ x1 2) (* -1 (^ x2 2)))"],
         "target_dim": 1, "components": ["x2"], "compact": False,
     })
+    system = SingularSystem(cone)
     # on the cone the height has a full-rank differential, off the apex
     on, apex, off = np.array([0.6, 0.8, 1.0]), np.zeros(3), np.array([0.0, 0.0, 3.0])
-    with pytest.raises(ManifoldError, match="off the manifold") as info:
-        _kernel_data(cone, np.array([off, apex, on]))
-    assert info.type is ManifoldError
-    with pytest.raises(RegularityError, match="rank-deficient"):
-        _kernel_data(cone, np.array([apex, off, on]))
-    with pytest.raises(StratificationError, match="not singular"):
-        _kernel_data(cone, np.array([on, off, apex]))
+    _, failures = _kernel_lanes(cone, np.array([off, apex, on]))
+    assert [type(failures[i]) for i in range(3)] == [
+        ManifoldError, RegularityError, StratificationError]
+    for X, error, match in (([off, apex, on], ManifoldError, "off the manifold"),
+                            ([apex, off, on], RegularityError, "rank-deficient"),
+                            ([on, off, apex], StratificationError, "not singular")):
+        with pytest.raises(error, match=match) as info:
+            _node_metrics(cone, system, system.pack(np.array(X), None, np.zeros((3, 1))))
+        assert info.type is error
 
 
 def test_a_seed_at_a_singular_point_of_M_is_dropped_from_every_multistart():
@@ -548,9 +552,9 @@ def test_stacked_node_metrics_match_the_node_loop(fold_curves, name):
     system = SingularSystem(S)
     for curve in curves:
         det, parity = _node_metrics(S, system, curve.nodes)
-        loop = [_node_metrics(S, system, z) for z in curve.nodes]
-        want = np.array([d for d, _ in loop])
-        assert parity.tolist() == [p for _, p in loop] == curve.parities.tolist()
+        loop = [_node_metrics(S, system, z[None]) for z in curve.nodes]
+        want = np.concatenate([d for d, _ in loop])
+        assert parity.tolist() == [int(p[0]) for _, p in loop] == curve.parities.tolist()
         for got in (det, curve.det_values):
             assert np.array_equal(np.sign(got), np.sign(want))
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
@@ -637,6 +641,21 @@ def _same_points(got, want):
         if q.degenerate_direction is not None:
             _assert_close(p.degenerate_direction, q.degenerate_direction, rtol=1e-10)
         assert abs(p.residuals["system"] - q.residuals["system"]) <= 1e-15
+
+
+def test_chart_directions_match_the_cusp_loop(fold_curves):
+    # the chart sets each cusp's degenerate direction from one eigh of the
+    # stacked cusp forms; stratum_points sets none, also on a flat lane
+    S, curves = fold_curves["s3-cusps"]
+    cusps = [p for curve in curves for p in curve.cusps]
+    assert len(cusps) == 2
+    for p in cusps:
+        _assert_close(p.degenerate_direction, reference_degenerate_direction(S, p), rtol=1e-10)
+    system = SingularSystem(S)
+    Z = np.array([system.pack(p.x, p.cokernel, p.multiplier) for p in cusps])
+    points, failures = stratum_points(S, system, Z)
+    assert not failures and [q.signature.n_zero for q in points] == [1, 1]
+    assert all(q.degenerate_direction is None for q in points)
 
 
 @pytest.mark.parametrize("name", ["s3-proj", "s3-cusps", "s4-proj", "torus-height"])

@@ -97,21 +97,19 @@ def test_equal_arc_signs_at_a_cusp_exit_66_before_any_covector(tmp_path, capsys,
     # cusp carry equal signs: the map is rejected where the cusp is charted,
     # with no covector sampled, not after the whole resample budget
     from morinchi import morse, strata
-    lanes, sampled = strata._stratum_lanes, []
+    counts, sampled = strata.sign_counts, []
     sample = morse.sample_covector
 
-    def all_plus(S, system, Z):
-        points, failures = lanes(S, system, Z)
-        for q in points:
-            if q is not None and q.sign == "minus":
-                q.sign = "plus"
-        return points, failures
+    def all_plus(vals, tol):
+        # every negative count reads even, the odd one moved to the positives
+        n_plus, n_minus, n_zero = counts(vals, tol)
+        return n_plus + n_minus % 2, n_minus - n_minus % 2, n_zero
 
     def counted(n, seed):
         sampled.append(seed)
         return sample(n, seed)
 
-    monkeypatch.setattr(strata, "_stratum_lanes", all_plus)
+    monkeypatch.setattr(strata, "sign_counts", all_plus)
     monkeypatch.setattr(morse, "sample_covector", counted)
     code = main(["run", "--scenario", str(scenario_path("s3-cusps")), "--out", str(tmp_path)])
     err = capsys.readouterr().err
@@ -386,6 +384,25 @@ def test_malformed_tolerances_exit_64(tmp_path, capsys, tolerances):
     path = write_scenario(tmp_path, data)
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == EXIT_FORMAT
     assert "tolerance" in capsys.readouterr().err
+
+
+def test_negative_root_seed_on_the_command_line_exits_64(tmp_path, capsys):
+    # the seeded generators refuse a negative key: a negative root seed is a
+    # scenario error, not an untyped ValueError
+    code = main(["run", "--scenario", str(scenario_path("s2-height")), "--seed=-1",
+                 "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_FORMAT
+    assert "seed must be non-negative, got -1" in err and "Traceback" not in err
+
+
+def test_negative_root_seed_in_a_scenario_exits_64(tmp_path, capsys):
+    data = json.loads(Path(str(scenario_path("s2-height"))).read_text())
+    data["seed"] = -3
+    path = write_scenario(tmp_path, data)
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert "seed must be non-negative, got -3" in err and "Traceback" not in err
 
 
 # the default-seed hits of every bundled scenario: depth-1 hits are reported

@@ -18,8 +18,8 @@ from morinchi.scenario import (
 )
 from morinchi.strata import (
     SingularSystem,
-    _kernel_data,
     _kernel_form,
+    _kernel_lanes,
     _node_metrics,
     compute_stratification,
     solve_stratum1,
@@ -317,8 +317,9 @@ def test_corank_two_point_rejected(s3_proj):
         "compact": False,
     })
     x = np.array([0.0, 0.0, 1.0, 0.0])
-    with pytest.raises(MorinnessError, match="corank"):
-        _kernel_data(bad, x)
+    _, failures = _kernel_lanes(bad, x[None])
+    assert list(failures) == [0] and type(failures[0]) is MorinnessError
+    assert "corank 2 > 1" in str(failures[0])
 
 
 # -- fold curve tracing ---------------------------------------------------------
@@ -638,7 +639,7 @@ def test_lockstep_bisection_is_the_bracket_loop_on_s3_cusps(s3_cusps, monkeypatc
     system = SingularSystem(S)
 
     def det(z, chord):
-        return _node_metrics(S, system, z)[0]
+        return _node_metrics(S, system, z[None])[0][0]
 
     def dh_ds(z, chord):
         t = reference_curve_tangent(system, z, prev=chord / np.linalg.norm(chord))
