@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -153,10 +154,7 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60, indexed=False):
     Z = np.array(Z0, dtype=float, ndmin=2)
     B, d = Z.shape
     width = batch_width(d)
-    # a round of more than ``width`` scales is split, so that every lane's
-    # trials of a round fit in one call
-    rounds = [part for scales in _HALVING_ROUNDS
-              for part in np.array_split(scales, -(-scales.size // width))]
+    rounds = _rounds(width)
     rows = np.arange(B)
     call = F if indexed else (lambda Z_part, part: F(Z_part))
     iterations = np.full(B, max_iter, dtype=int)
@@ -208,6 +206,18 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60, indexed=False):
         _retire(lanes, "line_search_failed", it, active, iterations, stop)
     stop[active & (norm <= tol)] = STOP_REASONS.index("converged")
     return NewtonResult(Z, norm, iterations, stop, J)
+
+
+@lru_cache(maxsize=None)
+def _rounds(width):
+    """The halving rounds of ``newton_batch`` at ``width`` rows per call: a
+    round of more than ``width`` scales is split, so that every lane's
+    trials of a round fit in one call.  Built once per width; read-only."""
+    rounds = tuple(part for scales in _HALVING_ROUNDS
+                   for part in np.array_split(scales, -(-scales.size // width)))
+    for part in rounds:
+        part.flags.writeable = False
+    return rounds
 
 
 def _retire(lanes, reason, it, active, iterations, stop):

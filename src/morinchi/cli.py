@@ -61,9 +61,7 @@ def _apply_config(S, config: RunConfig):
         merged.update(overrides)
         S.tolerances = Tolerances.from_dict(merged)
     if config.seed is not None:
-        if config.seed < 0:
-            raise ScenarioFormatError(f"seed must be non-negative, got {config.seed}")
-        S.seed = int(config.seed)
+        S.seed = config.seed
     return S
 
 

@@ -20,7 +20,10 @@ Smoothness rests on one rank rule, ``nullities``, applied by
 fold-curve trace audits every corrected node from the corrector's own
 Jacobians in the step that makes it, ``curve_tangents`` the Jacobians it
 evaluates, and the Morse theory on a stratum each root's DF together with
-its reduced Hessian.
+its reduced Hessian.  The trace reaches the rule through
+``audit_bordered``, a certificate from the determinant of each bordered
+matrix that clears a well-conditioned node without an SVD and sends every
+other node to the rule.
 
 A system is anything with ``evaluate(Z) -> (R, J)`` on a stack Z
 (B, dim_z), its ``dim_z`` and ``tol``, the residual tolerance its solves
@@ -99,6 +102,28 @@ def audit_nullity(J, dim=1, k=0):
             f"(solution variety is not a smooth {shape} here)"
         )
     return out[1] if k else None
+
+
+def audit_bordered(B):
+    """``audit_nullity`` of the Jacobians J = B[:, :-1] of a stack of square
+    bordered matrices B = [J; t] (k, d, d), by a certificate first.
+
+    J is B less its last row, so by interlacing sigma_{d-1}(J) >=
+    sigma_min(B), and sigma_max(J) <= ||B||_F.  Hong & Pan (Linear Algebra
+    Appl. 172, 1992) bound sigma_min(B) >= |det B| ((d-1)/||B||_F^2)^((d-1)/2).
+    A lane whose bound exceeds 1e-6 ||B||_F therefore has every singular
+    value of J above 1e-8 sigma_max(J): nullity 1 under the rule, with a
+    margin of 100 for the rounding of det.  Every other lane (a small bound,
+    det 0, NaN or inf) goes to ``audit_nullity``, which raises for the first
+    lane the rule rejects.
+    """
+    d = B.shape[-1]
+    with np.errstate(all="ignore"):         # a NaN bound is doubt
+        frobenius2 = np.sum(B * B, axis=(1, 2))
+        bound = np.abs(np.linalg.det(B)) * ((d - 1) / frobenius2) ** ((d - 1) / 2)
+        doubt = ~(bound > 1e-6 * np.sqrt(frobenius2))
+    if doubt.any():
+        audit_nullity(B[doubt, :-1])
 
 
 def curve_tangents(system, Z, prev=None):

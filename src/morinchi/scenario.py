@@ -99,6 +99,7 @@ class MorinScenario:
 
     def __init__(self, name, manifold: ImplicitManifold, target_dim, components,
                  seed=0, tolerances: Tolerances | None = None, chi_expected=None):
+        self.seed = seed
         n = int(target_dim)
         m = manifold.intrinsic_dim
         if n < 1:
@@ -113,7 +114,6 @@ class MorinScenario:
         self.manifold = manifold
         self.target_dim = n
         self.components = tuple(c.with_nvars(manifold.ambient_dim) for c in components)
-        self.seed = int(seed)
         self.tolerances = tolerances or Tolerances()
         self.chi_expected = chi_expected if chi_expected is None else int(chi_expected)
 
@@ -121,6 +121,19 @@ class MorinScenario:
         self._third = None          # built on the first third_tensors call
         self._singular = None       # built on the first use of ``singular_block``
         self._augmented = None      # built on the first use of ``augmented_block``
+
+    @property
+    def seed(self):
+        """The root seed of every seeded generator of a run."""
+        return self._seed
+
+    @seed.setter
+    def seed(self, value):
+        # the seeded generators refuse a negative key with an untyped error
+        seed = int(value)
+        if seed < 0:
+            raise ScenarioFormatError(f"seed must be non-negative, got {seed}")
+        self._seed = seed
 
     # shorthand dimensions
     @property
@@ -312,8 +325,6 @@ def load_scenario(source) -> MorinScenario:
         raise ScenarioFormatError(f"compact must be true or false, got {compact!r}")
     if any(len(s) != N for s in sample_seeds):
         raise ScenarioFormatError(f"every sample seed needs ambient_dim = {N} coordinates")
-    if seed < 0:
-        raise ScenarioFormatError(f"seed must be non-negative, got {seed}")
     if halfwidth <= 0:
         raise ScenarioFormatError(f"sample_halfwidth must be positive, got {halfwidth}")
     try:

@@ -40,7 +40,7 @@ from ._numeric import (
     vecmat,
 )
 from .continuation import (
-    audit_nullity,
+    audit_bordered,
     bisect_on_curve,
     chain_tangents,
     correct_in_planes,
@@ -403,8 +403,8 @@ class _Lanes:
     -t_q.  Each ``step`` moves every active lane by the trace's predictor
     and one batched corrector, with a local half step for a lane whose
     corrector fails; a lane that fails even then ends the trace.  The step
-    audits the nullity of J at every point it makes (``audit_nullity``),
-    from the corrector's own Jacobians, before any meeting.  Two lanes
+    audits the nullity of J at every point it makes (``audit_bordered``),
+    from the corrector's own bordered matrices, before any meeting.  Two lanes
     that walk one arc toward each other meet in the step in which they pass
     each other, within h = curve_step (``_meetings``).  A lane's node counts
     as it is or as its sheet image sigma(z) = (x, -u, -mu), since seeds are
@@ -428,8 +428,6 @@ class _Lanes:
         self.t = np.repeat(T, 2, axis=0) * np.tile([1.0, -1.0], k)[:, None]
         self.t_prev = self.t.copy()
         self.count = 0                          # lockstep steps taken
-        # x-distance a lane may still move before another lane's node can come within h
-        self.budget = np.full(lanes, -1.0)
         self.active = np.ones(lanes, dtype=bool)
         self.partner = np.full(lanes, -1)       # the lane met
         self.flip = np.zeros(lanes, dtype=bool)   # met as its sheet image
@@ -537,7 +535,7 @@ class _Lanes:
                 raise StratificationError("continuation corrector failed")
             z_new[retry], bordered[retry] = again.z, again.jacobian
         # every node, and every meeting's arrival before it is snapped
-        audit_nullity(bordered[:, :-1])
+        audit_bordered(bordered)
         a, b, flip = self._meetings(A, z, t, z_new)
         if a.size:
             sheet = np.where(flip[:, None], self.sigma, 1.0)
@@ -568,34 +566,35 @@ class _Lanes:
         along its step.  Pairs that took each other meet first, then the
         others in lane order while both lanes are free.
 
-        Either distance within h puts z_new[i] within h plus the farthest
-        step of any lane of z[j] in x, and a node and its sheet image share
-        x, so the search runs over base points.  A lane searches only once
-        its budget is spent: the x-distance to the nearest other node at
-        its last search, less h, less the x-distance it has moved since and
-        the farthest any lane has moved in each step since, bounds how far
-        every other node still is.  A search takes ``BATCH_ENTRIES``
-        distances at a time, summed coordinate by coordinate.
+        Either distance within h puts z_new[i] within r = h plus the
+        farthest step of any lane of z[j] in x, and a node and its sheet
+        image share x, so the search runs over base points.  A pair within r
+        is within r in every coordinate, so only the nodes within 2r of
+        z_new[i] in the coordinate of largest spread, a window of the nodes
+        sorted by it, are candidates; they are the same pairs as over all
+        nodes.  The candidates' distances are taken ``BATCH_ENTRIES`` at a
+        time, summed coordinate by coordinate.
         """
         h, N, n = self.h, self.system.S.N, len(A)
-        moved = np.linalg.norm(z_new[:, :N] - z[:, :N], axis=1)
-        farthest = float(np.max(moved))
-        self.budget[A] -= moved + farthest
-        due = np.flatnonzero(self.budget[A] < 0)
-        columns = z[:, :N].T.copy()                 # base points, by coordinate
-        rows = max(1, BATCH_ENTRIES // n)
+        r = h + float(np.max(np.linalg.norm(z_new[:, :N] - z[:, :N], axis=1)))
+        c = int(np.argmax(np.ptp(z[:, :N], axis=0)))
+        order = np.argsort(z[:, c], kind="stable")
+        keys = z[order, c]
+        lo = np.searchsorted(keys, z_new[:, c] - 2 * r)
+        hi = np.searchsorted(keys, z_new[:, c] + 2 * r, side="right")
+        ends = np.cumsum(hi - lo)                   # candidates up to each lane's last
         lanes, targets = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-        for i in range(0, due.size, rows):
-            block = due[i:i + rows]
+        for e in range(0, int(ends[-1]), BATCH_ENTRIES):
+            entry = np.arange(e, min(e + BATCH_ENTRIES, int(ends[-1])))
+            lane = np.searchsorted(ends, entry, side="right")
+            q = order[hi[lane] - ends[lane] + entry]
             near = 0.0
-            for j, column in enumerate(columns):
-                d = column - z_new[block, j, None]
+            for j in range(N):
+                d = z[q, j] - z_new[lane, j]
                 near = near + d * d
-            near[np.arange(block.size), block] = np.inf
-            self.budget[A[block]] = np.sqrt(np.min(near, axis=1)) - h - farthest
-            r, q = np.nonzero(near < (h + farthest) ** 2)
-            lanes.append(block[r])
-            targets.append(q)
+            hit = (near < r ** 2) & (q != lane)
+            lanes.append(lane[hit])
+            targets.append(q[hit])
         lane, q = np.concatenate(lanes), np.concatenate(targets)
         if not lane.size:
             return lane, lane, lane.astype(bool)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from morinchi._numeric import (
+    BATCH_ENTRIES,
     LINE_SEARCH_HALVINGS,
     STOP_REASONS,
     NewtonResult,
@@ -81,6 +82,54 @@ def reference_curve_tangent(system, z, prev=None):
     if prev is None:
         return sign_normalize(t)
     return -t if t @ prev < 0 else t
+
+
+def reference_meetings(lanes, A, z, t, z_new):
+    """``_Lanes._meetings`` by an all-pairs search: the x-distances of every
+    lane to every node, in blocks of ``BATCH_ENTRIES`` entries, then the
+    same passing test and pairing.  The block search the sorted window
+    replaced."""
+    h, N, n = lanes.h, lanes.system.S.N, len(A)
+    r = h + float(np.max(np.linalg.norm(z_new[:, :N] - z[:, :N], axis=1)))
+    columns = z[:, :N].T.copy()
+    rows = max(1, BATCH_ENTRIES // n)
+    found, targets = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    for i in range(0, n, rows):
+        block = np.arange(i, min(i + rows, n))
+        near = 0.0
+        for j, column in enumerate(columns):
+            d = column - z_new[block, j, None]
+            near = near + d * d
+        near[np.arange(block.size), block] = np.inf
+        b, q = np.nonzero(near < r ** 2)
+        found.append(block[b])
+        targets.append(q)
+    lane, q = np.concatenate(found), np.concatenate(targets)
+    if not lane.size:
+        return lane, lane, lane.astype(bool)
+    flip = np.sum(z[lane, N:] * z[q, N:], axis=1) < 0
+    sheet = np.where(flip[:, None], lanes.sigma, 1.0)
+    before, after = z[lane] - z[q] * sheet, z_new[lane] - z_new[q] * sheet
+    close = np.minimum(np.linalg.norm(before, axis=1), np.linalg.norm(after, axis=1)) < h
+    T = t[q] * sheet
+    d0, d1 = np.sum(before * T, axis=1), np.sum(after * T, axis=1)
+    met = close & (d0 > 0) & (d1 <= 0)
+    lane, q, flip, d0, d1 = lane[met], q[met], flip[met], d0[met], d1[met]
+    order = np.lexsort((q, d0 / (d0 - d1), lane))
+    lane, q, flip = lane[order], q[order], flip[order]
+    first = np.diff(lane, prepend=-1) != 0
+    lane, q, flip = lane[first], q[first], flip[first]
+    choice = np.full(n, -1)
+    choice[lane] = q
+    free = np.ones(n, dtype=bool)
+    pairs = []
+    for i in np.lexsort((lane, choice[q] != lane)):
+        x, y = lane[i], q[i]
+        if free[x] and free[y]:
+            free[x] = free[y] = False
+            pairs.append((x, y, flip[i]))
+    x, y, f = np.array(pairs, dtype=int).reshape(-1, 3).T
+    return np.r_[x, y], np.r_[y, x], np.r_[f, f].astype(bool)
 
 
 def reversed_nodes(curve):

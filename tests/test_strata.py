@@ -1,16 +1,24 @@
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from morinchi import continuation, morse, strata
 from morinchi import expr as ex
-from morinchi import morse, strata
 from morinchi._numeric import STOP_REASONS, eig_sign_counts
-from morinchi.continuation import bisect_on_curve, correct_in_planes, nullities
+from morinchi.continuation import (
+    audit_bordered,
+    audit_nullity,
+    bisect_on_curve,
+    correct_in_planes,
+    nullities,
+)
 from morinchi.scenario import (
     MorinnessError,
+    MorinScenario,
     ScenarioFormatError,
     StratificationError,
     Tolerances,
@@ -29,6 +37,7 @@ from tests.conftest import (
     bundled,
     fd_jacobian,
     reference_curve_tangent,
+    reference_meetings,
     reference_newton,
     reference_stratum_point,
     reversed_nodes,
@@ -94,6 +103,20 @@ def test_tolerance_overrides_roundtrip():
     assert t.max_resamples == 8 and isinstance(t.max_resamples, int)
     with pytest.raises(ScenarioFormatError):
         Tolerances.from_dict({"bogus": 1})
+
+
+def test_a_negative_seed_is_refused_by_the_scenario():
+    # the one check of the root seed, for a file, the command line and the
+    # Python API alike: the seeded generators would refuse a negative key
+    # with an untyped error
+    S = bundled("s2-height")
+    with pytest.raises(ScenarioFormatError, match="seed must be non-negative, got -2"):
+        MorinScenario(S.name, S.manifold, S.target_dim, S.components, seed=-2)
+    with pytest.raises(ScenarioFormatError, match="seed must be non-negative, got -1"):
+        S.seed = -1
+    assert S.seed == 0
+    S.seed = 7.0
+    assert S.seed == 7 and isinstance(S.seed, int)
 
 
 # -- the singular system ------------------------------------------------------
@@ -579,6 +602,147 @@ def _assert_lockstep_is_the_loop(system, ZA, ZB, FA, value, gap, scalar_value):
 
 def _linear(target):
     return lambda Z, chords: Z[:, 0] - target
+
+
+def _cloud(rng, n, d, N, h, scale):
+    """A fake lane state: n lanes at z in a box of sides ``scale`` (per
+    coordinate), each stepping about h along a random unit tangent t that
+    runs mostly along +-x0."""
+    z = rng.uniform(0.0, 1.0, size=(n, d)) * scale
+    t = 0.3 * rng.normal(size=(n, d))
+    t[:, 0] += rng.choice([-1.0, 1.0], size=n)
+    t /= np.linalg.norm(t, axis=1, keepdims=True)
+    z_new = z + h * t + 0.1 * h * rng.normal(size=(n, d))
+    lanes = SimpleNamespace(h=h, sigma=np.where(np.arange(d) < N, 1.0, -1.0),
+                            system=SimpleNamespace(S=SimpleNamespace(N=N)))
+    return lanes, z, t, z_new
+
+
+def _zero_spread(z, z_new, h):
+    # s3-proj's fold circle has x2 = x3 = 0 at every node
+    z[:, 2:4] = z_new[:, 2:4] = 0.0
+
+
+def _tied_keys(z, z_new, h):
+    # the sort coordinate x0 on a grid of h/3: about four nodes share a key
+    z[:, 0] = np.round(3 * z[:, 0] / h) * h / 3
+
+
+@pytest.mark.parametrize("case, scale, batch", [
+    ("line", [3.0] + [0.01] * 6, None),
+    ("line", [3.0] + [0.01] * 6, 37),
+    ("dense", [0.05] * 7, None),
+    ("dense", [0.05] * 7, 50),
+    ("zero spread", [3.0] + [0.01] * 6, None),
+    ("tied keys", [1.0] + [0.01] * 6, None),
+])
+def test_meetings_are_the_all_pairs_search(monkeypatch, case, scale, batch):
+    # the sorted window finds every pair the all-pairs search finds, so the
+    # meetings, their order and their flips are the same
+    if batch is not None:
+        monkeypatch.setattr(strata, "BATCH_ENTRIES", batch)
+    rng = np.random.default_rng(len(case) + (batch or 0))
+    h = 0.03
+    lanes, z, t, z_new = _cloud(rng, 400, 7, 4, h, np.array(scale))
+    {"zero spread": _zero_spread, "tied keys": _tied_keys}.get(case, lambda *a: None)(z, z_new, h)
+    # half the lanes on the other sheet
+    z[::2, 4:] *= -1.0
+    z_new[::2, 4:] *= -1.0
+    A = np.arange(400)
+    got = strata._Lanes._meetings(lanes, A, z, t, z_new)
+    want = reference_meetings(lanes, A, z, t, z_new)
+    assert got[0].size > 20 and got[2].any() and not got[2].all()
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_meetings_along_a_trace_are_the_all_pairs_search(monkeypatch):
+    S = bundled("s3-proj")
+    S.tolerances = dataclasses.replace(S.tolerances, curve_step=2.5e-3, multistart_density=10)
+    meetings, steps = strata._Lanes._meetings, []
+
+    def checked(self, A, z, t, z_new):
+        got = meetings(self, A, z, t, z_new)
+        want = reference_meetings(self, A, z, t, z_new)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        steps.append(got[0].size)
+        return got
+
+    monkeypatch.setattr(strata._Lanes, "_meetings", checked)
+    system = SingularSystem(S)
+    Z = np.array([system.pack(p.x, p.cokernel, p.multiplier) for p in solve_stratum1(S)])
+    curve = trace(S, Z)
+    assert sum(steps) == 2 * len(Z) and len(steps) > 20
+    assert curve.solver["lane_steps"] <= len(curve.nodes)
+
+
+def test_a_sparse_trace_sends_no_step_lane_to_the_svd(s3_proj_sparse, monkeypatch):
+    # the determinant certificate clears every node of a smooth trace: the
+    # step lanes never reach the rank rule's SVD (the seeds' tangents do,
+    # through curve_tangents, with k = 1)
+    certified, doubted = [], []
+    bordered, audit = strata.audit_bordered, continuation.audit_nullity
+
+    def counting_bordered(B):
+        certified.append(len(B))
+        return bordered(B)
+
+    def counting_audit(J, dim=1, k=0):
+        if k == 0:
+            doubted.append(len(J))
+        return audit(J, dim, k)
+
+    monkeypatch.setattr(strata, "audit_bordered", counting_bordered)
+    monkeypatch.setattr(continuation, "audit_nullity", counting_audit)
+    system = SingularSystem(s3_proj_sparse)
+    Z = np.array([system.pack(p.x, p.cokernel, p.multiplier)
+                  for p in solve_stratum1(s3_proj_sparse)])
+    curve = trace(s3_proj_sparse, Z)
+    assert sum(certified) >= len(curve.nodes) - len(Z) > 100
+    assert doubted == []
+
+
+def _bordered_stack(ratios, rng, d=7):
+    """Bordered matrices [J; t] (k, d, d), one per entry of ``ratios``: J
+    (d-1, d) with singular values 1, ..., 1, ratio (two of them ratio when
+    it is a pair) in random orthonormal frames, t its unit null vector."""
+    B = np.empty((len(ratios), d, d))
+    for i, ratio in enumerate(ratios):
+        U = np.linalg.qr(rng.normal(size=(d - 1, d - 1)))[0]
+        V = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        s = np.ones(d - 1)
+        s[-np.size(ratio):] = ratio
+        B[i, :-1] = (U * s) @ V[:, :-1].T
+        B[i, -1] = V[:, -1]
+    return B
+
+
+def _outcome(audit, stack):
+    try:
+        audit(stack)
+    except Exception as exc:  # noqa: BLE001  (the two audits must fail alike)
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("ratios, edit, raises", [
+    ([1.0] * 5, None, False),
+    ([1.0, 1e-7, 1.0, 1e-7], None, False),
+    ([1.0, 1e-9, 1.0], None, True),
+    ([1.0, (1e-10, 1e-10), 1e-9], None, True),
+    ([1.0, 1.0, 1.0], "repeated row", True),
+    ([1.0, 1.0, 1.0], "nan", True),
+])
+def test_audit_bordered_is_the_rank_rule(ratios, edit, raises):
+    # the certificate clears only lanes the rule passes; every other lane
+    # goes to the rule, which raises for the first lane it rejects
+    B = _bordered_stack(ratios, np.random.default_rng(len(ratios)))
+    if edit == "repeated row":
+        B[1, -2] = B[1, -3]
+    elif edit == "nan":
+        B[2, 0, 0] = np.nan
+    got, want = _outcome(audit_bordered, B), _outcome(audit_nullity, B[:, :-1])
+    assert got == want and (got is not None) == raises
 
 
 def test_bisect_on_curve_stops_like_the_loops_it_replaced():
