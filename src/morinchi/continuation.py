@@ -23,7 +23,8 @@ evaluates, and the Morse theory on a stratum each root's DF together with
 its reduced Hessian.  The trace reaches the rule through
 ``audit_bordered``, a certificate from the determinant of each bordered
 matrix that clears a well-conditioned node without an SVD and sends every
-other node to the rule.
+other node to the rule; the sign of that determinant, which it returns,
+flips where a chain of steps passes a bifurcation point.
 
 A system is anything with ``evaluate(Z) -> (R, J)`` on a stack Z
 (B, dim_z), its ``dim_z`` and ``tol``, the residual tolerance its solves
@@ -106,7 +107,8 @@ def audit_nullity(J, dim=1, k=0):
 
 def audit_bordered(B):
     """``audit_nullity`` of the Jacobians J = B[:, :-1] of a stack of square
-    bordered matrices B = [J; t] (k, d, d), by a certificate first.
+    bordered matrices B = [J; t] (k, d, d), by a certificate first; returns
+    the sign of each det B (0.0 where it is exactly 0).
 
     J is B less its last row, so by interlacing sigma_{d-1}(J) >=
     sigma_min(B), and sigma_max(J) <= ||B||_F.  Hong & Pan (Linear Algebra
@@ -116,14 +118,23 @@ def audit_bordered(B):
     margin of 100 for the rounding of det.  Every other lane (a small bound,
     det 0, NaN or inf) goes to ``audit_nullity``, which raises for the first
     lane the rule rejects.
+
+    Where J has a one-dimensional kernel spanned by n, det [J; v] =
+    (v . n) det [J; n], so along a chain of steps, whose tangents keep their
+    orientation (``chain_tangents``), the sign of det B is the sign of the
+    augmented determinant: constant along a smooth branch, and flipped
+    where the chain passes a simple bifurcation point (Allgower & Georg,
+    ch. 8; Keller, 1977).
     """
     d = B.shape[-1]
     with np.errstate(all="ignore"):         # a NaN bound is doubt
+        det = np.linalg.det(B)
         frobenius2 = np.sum(B * B, axis=(1, 2))
-        bound = np.abs(np.linalg.det(B)) * ((d - 1) / frobenius2) ** ((d - 1) / 2)
+        bound = np.abs(det) * ((d - 1) / frobenius2) ** ((d - 1) / 2)
         doubt = ~(bound > 1e-6 * np.sqrt(frobenius2))
     if doubt.any():
         audit_nullity(B[doubt, :-1])
+    return np.sign(det)
 
 
 def curve_tangents(system, Z, prev=None):

@@ -364,27 +364,30 @@ def _node_metrics(S, system, Z):
     return np.prod(vals, axis=-1), np.sum(vals < 0, axis=-1) % 2
 
 
-def trace_fold_curve(lanes, q, max_steps=200000) -> FoldCurve:
+MAX_LOCKSTEP_STEPS = 200000     # the lanes' step budget, the backstop for an open curve
+
+
+def trace_fold_curve(lanes, q) -> FoldCurve:
     """Pseudo-arclength trace of the closed component of the singular curve
     through seed q of a ``_Lanes`` run, from all of the run's seeds at once.
 
     Each seed starts two lanes, along +t and -t, and two lanes that walk one
-    arc toward each other stop where they meet.  The curve is the cycle of
-    lane pieces from seed q along its sign-normalized tangent, a lane
-    forward from its seed, then the lane it met reversed back to that lane's
-    seed, until the full (x, u, mu) state closes; a trace that does not
-    close raises.  The cokernel may return to minus itself after one loop of
-    the base curve; the cycle then covers it twice, so each geometric point
-    appears once or twice and duplicates are cleaned up by the caller via
-    the base-point dedup radius.  ``closure_error`` is the largest distance
-    of a snapped arrival from the node it arrived at, and ``members`` lists
-    the seeds the cycle passes.  The lanes of curves traced before from the
-    same run keep their steps.  ``max_steps`` bounds the lockstep steps of
-    the run.
+    arc toward each other stop where they meet.  The first curve read from a
+    run steps it, every lane until it has met another (``_Lanes.run``), so
+    later curves only read it.  The curve is the cycle of lane pieces from
+    seed q along its sign-normalized tangent, a lane forward from its seed,
+    then the lane it met reversed back to that lane's seed, until the full
+    (x, u, mu) state closes.  The cokernel may return to minus itself after
+    one loop of the base curve; the cycle then covers it twice, so each
+    geometric point appears once or twice and duplicates are cleaned up by
+    the caller via the base-point dedup radius.  ``closure_error`` is the
+    largest distance of a snapped arrival from the node it arrived at, and
+    ``members`` lists the seeds the cycle passes.
     """
+    lanes.run()
     system = lanes.system
     S = system.S
-    fields = lanes.cycle(q, max_steps)
+    fields = lanes.cycle(q)
     nodes = fields["nodes"]
     width = batch_width(system.dim_z)
     metrics = [_node_metrics(S, system, nodes[i:i + width])
@@ -397,25 +400,31 @@ def trace_fold_curve(lanes, q, max_steps=200000) -> FoldCurve:
 
 
 class _Lanes:
-    """Two lanes per seed of a trace, advanced in lockstep until they meet.
+    """Two lanes per seed of a trace, run in lockstep until they meet, then
+    read curve by curve.
 
     Lane 2q starts at seed q along its SVD tangent t_q, lane 2q + 1 along
     -t_q.  Each ``step`` moves every active lane by the trace's predictor
     and one batched corrector, with a local half step for a lane whose
     corrector fails; a lane that fails even then ends the trace.  The step
     audits the nullity of J at every point it makes (``audit_bordered``),
-    from the corrector's own bordered matrices, before any meeting.  Two lanes
-    that walk one arc toward each other meet in the step in which they pass
-    each other, within h = curve_step (``_meetings``).  A lane's node counts
-    as it is or as its sheet image sigma(z) = (x, -u, -mu), since seeds are
-    sign-normalized and can sit on either sheet of the lifted curve.  A
-    meeting stops both lanes in the same step; their steps are not nodes,
-    and each is snapped onto the normal plane of the other lane's last
-    node, which stays in the curve.  ``cycle`` reads a curve off
-    the meetings as (lane, flip, reversed) pieces, flip meaning the lane
-    enters it as its sheet image: a lane forward from its seed, the lane it
-    met reversed back to that lane's seed, then that lane's sibling out of
-    the same seed, until it is back at its first lane on its own sheet.
+    from the corrector's own bordered matrices, before any meeting, and
+    keeps each lane's last nonzero sign of det [J; t]: a lane whose sign
+    flips has passed a crossing of the singular set, and the map is refused
+    there.  Two lanes that walk one arc toward each other meet in the step
+    in which they pass each other, from a gap below 2h, h = curve_step
+    (``_meetings``).  A lane's node counts as it is or as its sheet image
+    sigma(z) = (x, -u, -mu), since seeds are sign-normalized and can sit on
+    either sheet of the lifted curve.  A meeting stops both lanes in the
+    same step; their steps are not nodes, and each is snapped onto the
+    normal plane of the other lane's last node, which stays in the curve.
+
+    ``run`` steps until every lane has met another, then indexes the nodes
+    by lane and drops the per-step history.  ``cycle`` reads a curve off the
+    meetings as (lane, flip, reversed) pieces, flip meaning the lane enters
+    it as its sheet image: a lane forward from its seed, the lane it met
+    reversed back to that lane's seed, then that lane's sibling out of the
+    same seed, until it is back at its first lane on its own sheet.
     """
 
     def __init__(self, system, seeds):
@@ -431,22 +440,36 @@ class _Lanes:
         self.active = np.ones(lanes, dtype=bool)
         self.partner = np.full(lanes, -1)       # the lane met
         self.flip = np.zeros(lanes, dtype=bool)   # met as its sheet image
+        self.sign = np.zeros(lanes)             # last nonzero sign of det [J; t]
         self.snap_error = np.zeros(lanes)
         self.iterations = np.zeros(lanes, dtype=int)
         self.half_steps = np.zeros(lanes, dtype=int)
         self.stops = np.zeros((lanes, len(STOP_REASONS)), dtype=int)
         self.history = [(np.arange(lanes), self.z.copy(), self.t.copy())]
 
-    def cycle(self, q, max_steps):
-        """Step until the cycle from lane 2q closes.  Returns its
-        ``FoldCurve`` fields."""
+    def run(self):
+        """Step until every lane has met another, at most
+        ``MAX_LOCKSTEP_STEPS`` steps, then index the nodes and tangents of
+        the steps by lane: ``rows[bounds[i]:bounds[i + 1]]`` are lane i's
+        rows of Z and T, in step order.  Once run, it does nothing."""
+        if self.history is None:
+            return
+        while self.active.any():
+            if self.count >= MAX_LOCKSTEP_STEPS:
+                raise StratificationError(
+                    "trace did not close (open curve or step budget hit)")
+            self.step()
+        ids = np.concatenate([lanes for lanes, _, _ in self.history])
+        self.Z = np.concatenate([z for _, z, _ in self.history])
+        self.T = np.concatenate([t for _, _, t in self.history])
+        self.history = None
+        self.rows = np.argsort(ids, kind="stable")  # each lane's nodes stay in step order
+        self.bounds = np.r_[0, np.cumsum(np.bincount(ids, minlength=len(self.active)))]
+
+    def cycle(self, q):
+        """The ``FoldCurve`` fields of the cycle from lane 2q of the run."""
         path, lane, flip = [], 2 * q, False
         while True:
-            while self.partner[lane] < 0:
-                if self.count >= max_steps:
-                    raise StratificationError(
-                        "trace did not close (open curve or step budget hit)")
-                self.step()
             met, flip_met = int(self.partner[lane]), flip != self.flip[lane]
             path += [(lane, flip, False), (met, flip_met, True)]
             lane, flip = met ^ 1, flip_met
@@ -456,14 +479,13 @@ class _Lanes:
     def _fields(self, path):
         lanes = np.array([lane for lane, _, _ in path])
         flips = np.array([flip for _, flip, _ in path])
-        used = np.flatnonzero(np.bincount(lanes))
-        Z, T, rows = self._take(used)
+        rows = [self.rows[self.bounds[lane]:self.bounds[lane + 1]] for lane in lanes]
         # a reversed piece runs from the lane's last node back to, but not
         # onto, its seed, which starts the next piece
-        pieces = [rows[lane][:0:-1] if back else rows[lane] for lane, _, back in path]
+        pieces = [r[:0:-1] if back else r for r, (_, _, back) in zip(rows, path)]
         sizes = [len(r) for r in pieces]
         order = np.concatenate(pieces)
-        nodes, tangents = Z[order], T[order]
+        nodes, tangents = self.Z[order], self.T[order]
         tangents[np.repeat([back for *_, back in path], sizes)] *= -1.0
         flipped = np.repeat(flips, sizes)
         nodes[flipped] *= self.sigma
@@ -471,7 +493,8 @@ class _Lanes:
         starts = np.cumsum([0] + sizes[:-1])
         # each lane's nodes but its seed, counted once also where a doubly
         # covered curve takes the lane twice
-        lane_steps = len(Z) - len(used)
+        used = np.flatnonzero(np.bincount(lanes))
+        lane_steps = int(np.sum(np.diff(self.bounds)[used])) - len(used)
         return {
             "nodes": nodes, "tangents": tangents, "segments": starts[0::2],
             "meetings": starts[1::2],
@@ -484,30 +507,6 @@ class _Lanes:
                        "stops": dict(zip(STOP_REASONS,
                                          map(int, np.sum(self.stops[lanes], axis=0))))},
         }
-
-    def _take(self, lanes):
-        """Nodes and tangents of ``lanes`` in step order, and each lane's rows
-        of them in a dict; the history keeps the other lanes' only."""
-        mine = np.zeros(len(self.active), dtype=bool)
-        mine[lanes] = True
-        where, Z, T, rest = [], [], [], []
-        self.history.reverse()
-        while self.history:
-            ids, z, t = self.history.pop()
-            keep = mine[ids]
-            if not keep.all():
-                rest.append((ids[~keep], z[~keep], t[~keep]))
-                ids, z, t = ids[keep], z[keep], t[keep]
-            where.append(ids)
-            Z.append(z)
-            T.append(t)
-        self.history = rest
-        where = np.concatenate(where)
-        order = np.argsort(where, kind="stable")    # each lane's nodes stay in step order
-        bounds = np.searchsorted(where[order], lanes)
-        ends = np.searchsorted(where[order], lanes, side="right")
-        rows = {lane: order[b:e] for lane, b, e in zip(lanes.tolist(), bounds, ends)}
-        return np.concatenate(Z), np.concatenate(T), rows
 
     def _correct(self, lanes, Z, anchors, normals):
         out = correct_in_planes(self.system, Z, anchors, normals)
@@ -535,7 +534,15 @@ class _Lanes:
                 raise StratificationError("continuation corrector failed")
             z_new[retry], bordered[retry] = again.z, again.jacobian
         # every node, and every meeting's arrival before it is snapped
-        audit_bordered(bordered)
+        sign, last = audit_bordered(bordered), self.sign[A]
+        crossed = np.flatnonzero(sign * last < 0)
+        if crossed.size:
+            i, N = crossed[0], self.system.S.N
+            raise MorinnessError(
+                f"lane {A[i]} passes a crossing of the singular set between "
+                f"{z[i, :N].tolist()} and {z_new[i, :N].tolist()}: det [J; t] changes "
+                f"sign, so the singular set is not a fold curve there")
+        self.sign[A] = np.where(sign == 0.0, last, sign)
         a, b, flip = self._meetings(A, z, t, z_new)
         if a.size:
             sheet = np.where(flip[:, None], self.sigma, 1.0)
@@ -557,31 +564,29 @@ class _Lanes:
         its sheet image.
 
         Lane i meets lane j when they pass each other head on: before the
-        step z[i] is ahead of j's node z[j] along j's tangent t[j], after it
-        z_new[i] is not ahead of j's new point z_new[j], and z[i] is within
-        h of z[j] or z_new[i] of z_new[j].  Both lanes move, so a gap
-        between them of up to 2h closes in one step.  j's node counts as it
-        is or as its sheet image, whichever is nearer z[i] (they differ in
-        (u, mu) only).  A lane takes the first such passing
-        along its step.  Pairs that took each other meet first, then the
-        others in lane order while both lanes are free.
+        step z[i] is ahead of j's node z[j] along j's tangent t[j] and
+        within 2h of it, and after it z_new[i] is not ahead of j's new point
+        z_new[j].  Both lanes move by about h, so a gap between them of up
+        to 2h closes in one step.  j's node counts as it is or as its sheet
+        image, whichever is nearer z[i] (they differ in (u, mu) only).  A
+        lane takes the first such passing along its step.  Pairs that took
+        each other meet first, then the others in lane order while both
+        lanes are free.
 
-        Either distance within h puts z_new[i] within r = h plus the
-        farthest step of any lane of z[j] in x, and a node and its sheet
-        image share x, so the search runs over base points.  A pair within r
-        is within r in every coordinate, so only the nodes within 2r of
-        z_new[i] in the coordinate of largest spread, a window of the nodes
-        sorted by it, are candidates; they are the same pairs as over all
-        nodes.  The candidates' distances are taken ``BATCH_ENTRIES`` at a
-        time, summed coordinate by coordinate.
+        A gap below r = 2h puts z[i] within r of z[j] in x, and a node and
+        its sheet image share x, so the search runs over base points.  A
+        pair within r is within r in every coordinate, so only the nodes
+        within 2r of z[i] in the coordinate of largest spread, a window of
+        the nodes sorted by it, are candidates; they are the same pairs as
+        over all nodes.  The candidates' distances are taken
+        ``BATCH_ENTRIES`` at a time, summed coordinate by coordinate.
         """
-        h, N, n = self.h, self.system.S.N, len(A)
-        r = h + float(np.max(np.linalg.norm(z_new[:, :N] - z[:, :N], axis=1)))
+        r, N, n = 2 * self.h, self.system.S.N, len(A)
         c = int(np.argmax(np.ptp(z[:, :N], axis=0)))
         order = np.argsort(z[:, c], kind="stable")
         keys = z[order, c]
-        lo = np.searchsorted(keys, z_new[:, c] - 2 * r)
-        hi = np.searchsorted(keys, z_new[:, c] + 2 * r, side="right")
+        lo = np.searchsorted(keys, z[:, c] - 2 * r)
+        hi = np.searchsorted(keys, z[:, c] + 2 * r, side="right")
         ends = np.cumsum(hi - lo)                   # candidates up to each lane's last
         lanes, targets = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
         for e in range(0, int(ends[-1]), BATCH_ENTRIES):
@@ -590,7 +595,7 @@ class _Lanes:
             q = order[hi[lane] - ends[lane] + entry]
             near = 0.0
             for j in range(N):
-                d = z[q, j] - z_new[lane, j]
+                d = z[q, j] - z[lane, j]
                 near = near + d * d
             hit = (near < r ** 2) & (q != lane)
             lanes.append(lane[hit])
@@ -602,10 +607,9 @@ class _Lanes:
         flip = np.sum(z[lane, N:] * z[q, N:], axis=1) < 0
         sheet = np.where(flip[:, None], self.sigma, 1.0)
         before, after = z[lane] - z[q] * sheet, z_new[lane] - z_new[q] * sheet
-        close = np.minimum(np.linalg.norm(before, axis=1), np.linalg.norm(after, axis=1)) < h
         T = t[q] * sheet
         d0, d1 = np.sum(before * T, axis=1), np.sum(after * T, axis=1)
-        met = close & (d0 > 0) & (d1 <= 0)
+        met = (np.linalg.norm(before, axis=1) < r) & (d0 > 0) & (d1 <= 0)
         lane, q, flip, d0, d1 = lane[met], q[met], flip[met], d0[met], d1[met]
         # the first passing along the step; ties go to the lower target
         order = np.lexsort((q, d0 / (d0 - d1), lane))
@@ -824,7 +828,7 @@ def compute_stratification(S: MorinScenario) -> Stratification:
 def _trace_all_curves(S, points):
     """Every curve through the depth-1 cloud from one run of lanes: one
     ``trace_fold_curve`` per curve, each from the first point not yet on a
-    curve, continuing the run the curves before it stepped."""
+    curve; the first one runs the lanes, and every one reads the run."""
     if not points:
         return []
     system = SingularSystem(S)

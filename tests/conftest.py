@@ -50,14 +50,14 @@ def fd_jacobian(fn, z, step=1e-7):
     return J
 
 
-def trace(S, seeds, max_steps=200000):
+def trace(S, seeds):
     """The trace of the curve through the first of ``seeds``, a stack of z,
     from all of them: the seeds landed on the singular curve by one batched
     Newton, then one run of lanes."""
     system = SingularSystem(S)
     landed = newton_batch(system.evaluate, seeds, tol=S.tolerances.residual, max_iter=60)
     assert landed.converged.all()
-    return trace_fold_curve(_Lanes(system, landed.z), 0, max_steps)
+    return trace_fold_curve(_Lanes(system, landed.z), 0)
 
 
 def nullspace(A, rtol=1e-9):
@@ -86,11 +86,11 @@ def reference_curve_tangent(system, z, prev=None):
 
 def reference_meetings(lanes, A, z, t, z_new):
     """``_Lanes._meetings`` by an all-pairs search: the x-distances of every
-    lane to every node, in blocks of ``BATCH_ENTRIES`` entries, then the
-    same passing test and pairing.  The block search the sorted window
-    replaced."""
+    lane's new point to every node, in blocks of ``BATCH_ENTRIES`` entries,
+    then the same passing test and pairing.  The block search the sorted
+    window replaced, with the gap of a meeting below 2h before the step."""
     h, N, n = lanes.h, lanes.system.S.N, len(A)
-    r = h + float(np.max(np.linalg.norm(z_new[:, :N] - z[:, :N], axis=1)))
+    r = 2 * h + float(np.max(np.linalg.norm(z_new[:, :N] - z[:, :N], axis=1)))
     columns = z[:, :N].T.copy()
     rows = max(1, BATCH_ENTRIES // n)
     found, targets = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
@@ -110,7 +110,7 @@ def reference_meetings(lanes, A, z, t, z_new):
     flip = np.sum(z[lane, N:] * z[q, N:], axis=1) < 0
     sheet = np.where(flip[:, None], lanes.sigma, 1.0)
     before, after = z[lane] - z[q] * sheet, z_new[lane] - z_new[q] * sheet
-    close = np.minimum(np.linalg.norm(before, axis=1), np.linalg.norm(after, axis=1)) < h
+    close = np.linalg.norm(before, axis=1) < 2 * h
     T = t[q] * sheet
     d0, d1 = np.sum(before * T, axis=1), np.sum(after * T, axis=1)
     met = close & (d0 > 0) & (d1 <= 0)

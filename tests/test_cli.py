@@ -81,8 +81,18 @@ def test_run_rejects_irregular_constraint(tmp_path, capsys):
     assert run(RunConfig(scenario=str(bad), out_dir=str(tmp_path))) == EXIT_REGULARITY
 
 
-def test_run_rejects_non_morin_map(tmp_path):
-    # the even component makes the degenerate locus a crossing, not a fold
+def test_run_rejects_non_morin_map(tmp_path, capsys, monkeypatch):
+    # the even component makes the degenerate locus a crossing, not a fold;
+    # a lane refuses it in the step that passes it, long before the step
+    # budget of an open curve
+    from morinchi import strata
+    step, runs = strata._Lanes.step, []
+
+    def counted(lanes):
+        runs.append(lanes)
+        step(lanes)
+
+    monkeypatch.setattr(strata._Lanes, "step", counted)
     bad = write_scenario(tmp_path, {
         "name": "non-morin", "ambient_dim": 4, "intrinsic_dim": 3,
         "constraints": ["(+ (^ x0 2) (^ x1 2) (^ x2 2) (^ x3 2) -1)"],
@@ -90,6 +100,9 @@ def test_run_rejects_non_morin_map(tmp_path):
         "components": ["x0", "(+ x1 (* 3 x1 (^ x2 2)))"],
     })
     assert run(RunConfig(scenario=str(bad), out_dir=str(tmp_path))) == EXIT_MORIN
+    assert 0 < runs[-1].count < 100
+    err = capsys.readouterr().err
+    assert "passes a crossing of the singular set" in err and "np.float64(" not in err
 
 
 def test_equal_arc_signs_at_a_cusp_exit_66_before_any_covector(tmp_path, capsys, monkeypatch):

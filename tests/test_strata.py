@@ -555,6 +555,48 @@ def test_trace_rejects_an_arrival_of_nullity_two(s3_proj_sparse, monkeypatch):
         strata.trace_fold_curve(_lone_seed(s3_proj_sparse), 0)
 
 
+def test_a_run_keeps_no_step_history_and_steps_once(s3_proj_sparse, monkeypatch):
+    # run steps every lane to its meeting and indexes the nodes by lane; a
+    # second run, and every curve read after it, steps nothing
+    lanes = _lone_seed(s3_proj_sparse)
+    lanes.run()
+    count = lanes.count
+    assert lanes.history is None and not lanes.active.any() and count > 3
+    assert lanes.bounds[-1] == len(lanes.rows) == len(lanes.Z) == len(lanes.T)
+
+    def refused(self):
+        raise AssertionError("stepped after the run")
+
+    monkeypatch.setattr(strata._Lanes, "step", refused)
+    lanes.run()
+    curve = strata.trace_fold_curve(lanes, 0)
+    assert lanes.count == count and curve.solver["lane_steps"] == len(lanes.Z) - 2
+
+
+@pytest.mark.parametrize("edit", ["zero", "flip"])
+def test_a_lane_whose_det_sign_flips_is_refused(s3_proj_sparse, monkeypatch, edit):
+    # lane 1's det [J; t] reads 0 in step 3, which keeps its last sign, or
+    # flips in step 4 as where a lane passes a crossing: refused in that step
+    lanes = _lone_seed(s3_proj_sparse)
+    bordered = strata.audit_bordered
+
+    def edited(B):
+        sign = bordered(B)
+        if edit == "zero" and lanes.count == 3:
+            sign[1] = 0.0
+        if edit == "flip" and lanes.count == 4:
+            sign[1] *= -1.0
+        return sign
+
+    monkeypatch.setattr(strata, "audit_bordered", edited)
+    if edit == "zero":
+        assert strata.trace_fold_curve(lanes, 0).closure_error <= 1e-10
+        return
+    with pytest.raises(MorinnessError, match="lane 1 passes a crossing") as info:
+        strata.trace_fold_curve(lanes, 0)
+    assert lanes.count == 4 and "np.float64(" not in str(info.value)
+
+
 class Line:
     """A flat "curve" every point lies on, so each landing is the point itself."""
 
@@ -654,6 +696,37 @@ def test_meetings_are_the_all_pairs_search(monkeypatch, case, scale, batch):
     assert got[0].size > 20 and got[2].any() and not got[2].all()
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+def test_lanes_head_on_at_a_gap_just_above_h_meet():
+    # the two lanes pass each other head on, a gap of h (1 + 1e-6) apart
+    # before the step and after it: a gap below 2h closes in one step
+    h, d, N = 0.01, 7, 4
+    lanes = SimpleNamespace(h=h, sigma=np.where(np.arange(d) < N, 1.0, -1.0),
+                            system=SimpleNamespace(S=SimpleNamespace(N=N)))
+    gap = h * (1 + 1e-6)
+    z = np.zeros((2, d))
+    z[:, 4] = 1.0
+    z[1, :2] = h, np.sqrt(gap ** 2 - h ** 2)
+    t = np.zeros((2, d))
+    t[:, 0] = 1.0, -1.0
+    z_new = z + h * t
+    assert np.linalg.norm(z[0] - z[1]) > h and np.linalg.norm(z_new[0] - z_new[1]) > h
+    A = np.arange(2)
+    for got in (strata._Lanes._meetings(lanes, A, z, t, z_new),
+                reference_meetings(lanes, A, z, t, z_new)):
+        assert [g.tolist() for g in got] == [[0, 1], [1, 0], [False, False]]
+
+
+def test_s3_cusps_seed_21_is_one_curve_traced_once():
+    # two lanes of this cloud pass each other head on about h apart; if they
+    # do not meet there, they walk round the curve and meet on the far side,
+    # and the curve is read twice over (exit 66, "doubly covered")
+    S = bundled("s3-cusps")
+    S.seed = 21
+    strat = compute_stratification(S)
+    assert len(strat.curves) == 1 and len(strat.cusps) == 2
+    assert len(strat.curves[0].nodes) < 1500
 
 
 def test_meetings_along_a_trace_are_the_all_pairs_search(monkeypatch):
@@ -816,12 +889,13 @@ def test_lockstep_bisection_is_the_bracket_loop_on_s3_cusps(s3_cusps, monkeypatc
         assert np.all(steps > 1)
 
 
-def test_open_curve_does_not_close(flat_cusp_sparse):
+def test_open_curve_does_not_close(flat_cusp_sparse, monkeypatch):
+    monkeypatch.setattr(strata, "MAX_LOCKSTEP_STEPS", 300)
     pts = solve_stratum1(flat_cusp_sparse)
     sys2 = SingularSystem(flat_cusp_sparse)
     z0 = sys2.pack(pts[0].x, pts[0].cokernel, pts[0].multiplier)
     with pytest.raises(StratificationError):
-        trace(flat_cusp_sparse, z0[None], max_steps=300)
+        trace(flat_cusp_sparse, z0[None])
 
 
 def test_two_fold_circles_take_one_trace_each(monkeypatch):
@@ -879,15 +953,16 @@ def test_a_lane_whose_corrector_fails_ends_the_trace(s3_proj_sparse, monkeypatch
         trace(s3_proj_sparse, Z)
 
 
-def test_open_curve_lanes_never_arrive(flat_cusp_sparse):
+def test_open_curve_lanes_never_arrive(flat_cusp_sparse, monkeypatch):
     # from the whole cloud the lanes between seeds arrive, but the two that
     # leave the outermost seeds run off along the open curve
+    monkeypatch.setattr(strata, "MAX_LOCKSTEP_STEPS", 300)
     pts = solve_stratum1(flat_cusp_sparse)
     system = SingularSystem(flat_cusp_sparse)
     Z = np.array([system.pack(p.x, p.cokernel, p.multiplier) for p in pts])
     assert len(Z) > 1
     with pytest.raises(StratificationError, match="did not close"):
-        trace(flat_cusp_sparse, Z, max_steps=300)
+        trace(flat_cusp_sparse, Z)
 
 
 def test_cusp_scenario_two_cusps_alternating(cusp_strat, s3_cusps):
