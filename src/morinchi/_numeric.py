@@ -22,6 +22,11 @@ _HALVING_ROUNDS = np.split(0.5 ** np.arange(LINE_SEARCH_HALVINGS), [1, 3, 7])
 BATCH_ENTRIES = 1 << 14
 
 
+# ``dedup_points`` measures a window of at most this many later points pair
+# by pair: a depth-1 cloud's windows hold 0 or 1, a converged census's
+# clusters hundreds
+_DEDUP_PAIRS = 8
+
 # why a Newton solve stopped, indexed by ``NewtonResult.stop``
 STOP_REASONS = ("converged", "nonfinite_step", "line_search_failed", "iteration_cap")
 
@@ -42,11 +47,16 @@ class NewtonResult:
         return self.stop == STOP_REASONS.index("converged")
 
 
-def _accepts(norm_try, norm):
-    """The damped Newton loop's test of a trial step, on floats or on stacks
-    of them: its max-norm residual is below the current one.  That also
-    refuses a NaN or infinite trial, since a max-norm is never negative."""
-    return norm_try < norm
+def _accepts(norm_try, norm, bar=np.nan, step=np.nan):
+    """The damped Newton loop's test of a trial z + lambda * Delta, on floats
+    or on stacks of them: its max-norm residual ``norm_try`` is below the
+    current one ``norm``, or else the max-norm ``bar`` of its simplified
+    Newton correction J(z)^+ F(z + lambda * Delta) is below the max-norm
+    ``step`` of Delta (Deuflhard's natural monotonicity test, which does not
+    weigh rows of F by their units).  ``bar`` defaults to NaN, not measured,
+    which leaves the residual test alone.  Both tests refuse a NaN or
+    infinite trial, since a max-norm is never negative."""
+    return (norm_try < norm) | (bar < step)
 
 
 def vecmat(v, A):
@@ -143,7 +153,12 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60, indexed=False):
     lane by lane in ``NewtonResult.stop``.  A non-finite residual or
     Jacobian counts as a non-finite step.
     The halvings run in the stacked rounds of ``_HALVING_ROUNDS``: a round
-    tries each of its scales on every lane still searching.
+    tries each of its scales on every lane still searching.  A trial whose
+    residual is not below the current one, at its scale and at every larger
+    scale of its round, then takes the natural test: its simplified Newton
+    correction, ``min_norm_solve`` of the current Jacobian against the
+    trial's residual, must be smaller in max norm than the step.  A lane
+    whose residual drops at full step solves nothing more.
     Lanes only share the calls to ``F`` and the stacked step solves: each
     iteration, and each round of it, pools the lanes still at work across
     the whole stack into calls of at most ``batch_width(d)`` rows.
@@ -183,6 +198,7 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60, indexed=False):
         good = np.isfinite(steps).all(axis=1)
         _retire(lanes[~good], "nonfinite_step", it, active, iterations, stop)
         lanes, steps = lanes[good], steps[good]
+        sizes = _max_abs(steps)
         for scales in rounds:
             if lanes.size == 0:
                 break
@@ -195,14 +211,22 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60, indexed=False):
                 Z_try = (Z[part][:, None, :]
                          + scales[:, None] * steps[i:i + per][:, None, :]).reshape(-1, d)
                 R_try, J_try = call(Z_try, np.repeat(part, k))
-                norm_try = _max_abs(R_try)
-                took = _accepts(norm_try.reshape(-1, k), norm[part][:, None])
+                norm_try = _max_abs(R_try).reshape(-1, k)
+                took = _accepts(norm_try, norm[part][:, None])
+                # the natural test, on the finite trials before a lane's first
+                # residual drop of the round
+                need = ~np.logical_or.accumulate(took, axis=1) & np.isfinite(norm_try)
+                if need.any():
+                    bar = np.full(took.shape, np.nan)
+                    bar[need] = _max_abs(min_norm_solve(J[part[np.nonzero(need)[0]]],
+                                                        R_try[need.ravel()]))
+                    took = _accepts(norm_try, norm[part][:, None], bar, sizes[i:i + per][:, None])
                 hit = ok[i:i + per] = took.any(axis=1)
                 row = (np.arange(part.size) * k + np.argmax(took, axis=1))[hit]
                 lane = part[hit]
                 Z[lane], R[lane], J[lane], norm[lane] = (Z_try[row], R_try[row], J_try[row],
-                                                         norm_try[row])
-            lanes, steps = lanes[~ok], steps[~ok]
+                                                         norm_try.ravel()[row])
+            lanes, steps, sizes = lanes[~ok], steps[~ok], sizes[~ok]
         _retire(lanes, "line_search_failed", it, active, iterations, stop)
     stop[active & (norm <= tol)] = STOP_REASONS.index("converged")
     return NewtonResult(Z, norm, iterations, stop, J)
@@ -265,22 +289,39 @@ def dedup_points(points, radius):
     later point within ``radius`` of it.  Points come in ascending first
     coordinate, and a later point more than 2 * radius above in it is more
     than radius away even rounded, so it is not measured.
+
+    One stacked pass measures the pairs of the windows of at most
+    ``_DEDUP_PAIRS`` later points.  A point with no neighbour within
+    ``radius`` there, and in no larger window, is kept and drops nothing, so
+    the greedy loop visits only the kept points of the clusters.
     """
     pts = np.asarray(points, dtype=float)
     if len(pts) == 0:
         return []
     order = np.lexsort(pts.T[::-1])
-    first = pts[order, 0]
-    ends = np.searchsorted(first, first + 2 * radius, side="right")
-    dropped = np.zeros(len(order) + 1, dtype=bool)      # the last entry stops the scan
-    kept: list[int] = []
-    j = 0
-    while j < len(order):
-        kept.append(int(order[j]))
+    pts = pts[order]
+    n = len(pts)
+    ends = np.searchsorted(pts[:, 0], pts[:, 0] + 2 * radius, side="right")
+    counts = np.maximum(ends - np.arange(n) - 1, 0)
+    # a larger window goes to the loop whole, with its point
+    wide = counts > _DEDUP_PAIRS
+    c = np.where(wide, 0, counts)
+    a = np.repeat(np.arange(n), c)
+    b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(c) - c, c)
+    near = ~(np.linalg.norm(pts[b] - pts[a], axis=1) > radius)
+    cover = (np.bincount(np.flatnonzero(wide) + 1, minlength=n + 1)
+             - np.bincount(ends[wide], minlength=n + 1))
+    clustered = wide | (np.cumsum(cover[:n]) > 0)
+    clustered[a[near]] = clustered[b[near]] = True
+    kept = ~clustered
+    dropped = np.append(kept, False)        # the last entry stops the scan
+    j = int(np.argmin(dropped))
+    while j < n:
+        kept[j] = True
         near = slice(j + 1, ends[j])
-        dropped[near] |= ~(np.linalg.norm(pts[order[near]] - pts[order[j]], axis=1) > radius)
+        dropped[near] |= ~(np.linalg.norm(pts[near] - pts[j], axis=1) > radius)
         j += 1 + int(np.argmin(dropped[j + 1:]))
-    return kept
+    return order[kept].tolist()
 
 
 def census(starts, out: NewtonResult, N, radius, hits=True):

@@ -145,7 +145,9 @@ def reference_newton(residual_fn, jacobian_fn, z0, tol=1e-12, max_iter=60):
     """Damped Newton on one system, one point at a time: the scalar loop
     ``newton_batch`` replaced.  Each step is ``np.linalg.lstsq``'s
     minimal-norm solution, halved up to ``LINE_SEARCH_HALVINGS`` times until
-    the trial's max-norm residual is below the current one."""
+    the trial's max-norm residual is below the current one, or else the
+    max-norm of its simplified Newton correction, ``lstsq`` of the current
+    Jacobian against the trial's residual, is below the step's."""
     z = np.asarray(z0, dtype=float).copy()
     res = np.asarray(residual_fn(z), dtype=float)
     norm = float(np.max(np.abs(res))) if res.size else 0.0
@@ -166,12 +168,38 @@ def reference_newton(residual_fn, jacobian_fn, z0, tol=1e-12, max_iter=60):
             norm_try = float(np.max(np.abs(res_try)))
             if norm_try < norm:
                 break
+            if np.isfinite(norm_try):
+                bar = np.linalg.lstsq(J, res_try, rcond=None)[0]
+                if np.max(np.abs(bar)) < np.max(np.abs(step)):
+                    break
             scale *= 0.5
         else:
             return NewtonResult(z, norm, it, STOP_REASONS.index("line_search_failed"))
         z, res, norm = z_try, res_try, norm_try
     return NewtonResult(z, norm, max_iter,
                         STOP_REASONS.index("converged" if norm <= tol else "iteration_cap"))
+
+
+def reference_dedup(points, radius):
+    """``dedup_points`` by the greedy loop over every kept point: each one
+    measures the later points of its window of 2 * radius in the first
+    coordinate and drops those within ``radius``.  The loop the stacked pass
+    over the window's pairs replaced."""
+    pts = np.asarray(points, dtype=float)
+    if len(pts) == 0:
+        return []
+    order = np.lexsort(pts.T[::-1])
+    first = pts[order, 0]
+    ends = np.searchsorted(first, first + 2 * radius, side="right")
+    dropped = np.zeros(len(order) + 1, dtype=bool)      # the last entry stops the scan
+    kept = []
+    j = 0
+    while j < len(order):
+        kept.append(int(order[j]))
+        near = slice(j + 1, ends[j])
+        dropped[near] |= ~(np.linalg.norm(pts[order[near]] - pts[order[j]], axis=1) > radius)
+        j += 1 + int(np.argmin(dropped[j + 1:]))
+    return kept
 
 
 def reference_stratum_point(S, x, u, mu, system=None, K=None):

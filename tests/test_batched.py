@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from morinchi import _numeric, continuation
 from morinchi import expr as ex
 from morinchi._numeric import (
+    LINE_SEARCH_HALVINGS,
     STOP_REASONS,
     _HALVING_ROUNDS,
     _accepts,
@@ -62,6 +63,7 @@ from tests.conftest import (
     einsum_initial_nu,
     einsum_reduced_hessian,
     reference_curve_tangent,
+    reference_dedup,
     reference_degenerate_direction,
     reference_newton,
     reference_points_from_solutions,
@@ -462,6 +464,130 @@ def test_trial_test_refuses_nan_and_inf_on_floats_and_stacks():
     assert [bool(_accepts(x, 1.0)) for x in tries] == [False, False, False, True]
     assert _accepts(np.array(tries), np.ones(4)).tolist() == [False, False, False, True]
     assert not _accepts(np.inf, np.inf)
+
+
+
+def _scaled_parabola(z):
+    # F = (x, 1000 (y - x^2)): two rows in units three orders apart
+    x, y = z[..., 0], z[..., 1]
+    J = np.zeros(z.shape[:-1] + (2, 2))
+    J[..., 0, 0], J[..., 1, 0], J[..., 1, 1] = 1.0, -2000.0 * x, 1000.0
+    return np.stack([x, 1000.0 * (y - x ** 2)], axis=-1), J
+
+
+def test_a_full_step_that_raises_the_residual_but_shrinks_the_correction_is_taken():
+    # from (1, 1) the Newton step is (-1, -2); at (0, -1) the residual is
+    # 1000 against 1, yet the simplified correction (0, -1) is half the step,
+    # so the lane takes scale 1 and lands on the root with its next step;
+    # the residual test alone would first accept scale 1/64
+    z0 = np.array([1.0, 1.0])
+    R0, J0 = _scaled_parabola(z0)
+    step = np.linalg.solve(J0, -R0)
+    R1 = _scaled_parabola(z0 + step)[0]
+    norm0, norm1 = np.max(np.abs(R0)), np.max(np.abs(R1))
+    assert (norm0, norm1, step.tolist()) == (1.0, 1000.0, [-1.0, -2.0])
+    assert not _accepts(norm1, norm0)
+    assert _accepts(norm1, norm0, np.max(np.abs(np.linalg.solve(J0, R1))), np.max(np.abs(step)))
+    assert newton_batch(_scaled_parabola, z0, max_iter=1).z[0].tolist() == [0.0, -1.0]
+    out = _agree_lane_by_lane(_scaled_parabola, z0[None], 1e-12, 20)
+    assert out.converged[0] and out.iterations[0] == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_nan_or_inf_trial_is_refused_by_both_tests(bad, monkeypatch):
+    assert not _accepts(bad, 1.0, bad, 1.0)
+    assert not _accepts(np.full(3, bad), np.ones(3), np.full(3, bad), np.ones(3)).any()
+
+    # F = z - 1 is not finite above 0.8: from 0 the full step to the root is
+    # refused, its half taken; no correction is solved for a bad trial
+    def F(Z):
+        return np.where(Z > 0.8, bad, Z - 1.0), np.ones(Z.shape + (1,))
+
+    sides = []
+
+    def spy(A, b):
+        sides.append(np.asarray(b))
+        return min_norm_solve(A, b)
+
+    monkeypatch.setattr(_numeric, "min_norm_solve", spy)
+    assert newton_batch(F, [[0.0]], max_iter=1).z.tolist() == [[0.5]]
+    assert sides and all(np.isfinite(b).all() for b in sides)
+    out = _agree_lane_by_lane(F, np.array([[0.0], [0.5]]), 1e-12, 6)
+    assert [STOP_REASONS[k] for k in out.stop] == ["iteration_cap"] * 2
+
+
+def test_the_rounds_take_the_scale_that_trying_one_at_a_time_takes(torus_k0):
+    # one iteration of the k=0 census of torus-height against the scales
+    # tried one by one, each by both tests; lanes are taken by either test,
+    # and in more than one round
+    S, sys0, Z0 = torus_k0
+    R, J = sys0.evaluate(Z0)
+    steps = min_norm_solve(J, -R)
+    norm, sizes = np.max(np.abs(R), axis=1), np.max(np.abs(steps), axis=1)
+    want, taken = Z0.copy(), []
+    for i in np.flatnonzero(norm > S.tolerances.residual):
+        for scale in 0.5 ** np.arange(LINE_SEARCH_HALVINGS):
+            z = Z0[i] + scale * steps[i]
+            R_try = sys0.evaluate(z)[0]
+            norm_try = np.max(np.abs(R_try))
+            bar = np.max(np.abs(min_norm_solve(J[i], R_try))) if np.isfinite(norm_try) else np.nan
+            if _accepts(norm_try, norm[i], bar, sizes[i]):
+                want[i] = z
+                taken.append((scale, bool(norm_try < norm[i])))
+                break
+    got = newton_batch(sys0.evaluate, Z0, S.tolerances.residual, 1).z
+    assert np.array_equal(got, want)
+    rounds = {next(k for k, r in enumerate(_HALVING_ROUNDS) if scale in r) for scale, _ in taken}
+    assert len(rounds) >= 3
+    assert {residual for _, residual in taken} == {True, False}
+
+
+def _dedup_clouds(rng, radius):
+    # spread points, clusters of exact and near duplicates larger and smaller
+    # than the windows measured pair by pair, chains spaced one radius apart
+    # along the first coordinate, and points one radius apart across it
+    spread = rng.uniform(-1, 1, (300, 3))
+    centers = rng.uniform(-1, 1, (6, 3))
+    sizes = rng.integers(1, 3 * _numeric._DEDUP_PAIRS, 6)
+    clusters = np.concatenate([c + radius * rng.uniform(-1, 1, (k, 3)) * rng.integers(0, 2, (k, 1))
+                               for c, k in zip(centers, sizes)])
+    chain = np.array([[i * radius, 0.0, 0.5] for i in range(20)])
+    across = np.array([[0.5, i * radius, j * radius] for i in range(4) for j in range(4)])
+    mixed = np.concatenate([spread, clusters, chain, across])
+    return [spread, clusters, chain, across, mixed[rng.permutation(len(mixed))]]
+
+
+def test_dedup_points_matches_the_window_loop():
+    rng = np.random.default_rng(14)
+    for radius in (0.25, 0.1, 1e-3, np.nextafter(0.1, 0.0)):
+        for pts in _dedup_clouds(rng, radius):
+            assert dedup_points(pts, radius) == reference_dedup(pts, radius), radius
+    assert dedup_points(np.zeros((0, 3)), 0.25) == reference_dedup(np.zeros((0, 3)), 0.25) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(centers=st.lists(st.tuples(*[st.integers(-6, 6)] * 3), min_size=1, max_size=6),
+       offsets=st.lists(st.tuples(st.integers(0, 5), *[st.floats(-1.0, 1.0)] * 3),
+                        max_size=60),
+       spread=st.lists(st.tuples(*[st.floats(-2.0, 2.0)] * 3), max_size=30),
+       radius=st.sampled_from([0.25, 0.1, 1e-3]))
+def test_dedup_points_matches_the_window_loop_on_clusters(centers, offsets, spread, radius):
+    C = radius * np.array(centers, dtype=float)
+    pts = np.array([C[i % len(C)] + radius * np.array(o) for i, *o in offsets]).reshape(-1, 3)
+    pts = np.concatenate([C, pts, np.array(spread, dtype=float).reshape(-1, 3)])
+    assert dedup_points(pts, radius) == reference_dedup(pts, radius)
+
+
+def test_dedup_points_matches_the_window_loop_on_census_clouds(s4_proj_polish):
+    # the s4-proj depth-1 cloud keeps all its 600 points, its fold-surface
+    # polish collapses to 2 roots
+    S, sysc, W0 = s4_proj_polish
+    radius = S.tolerances.dedup_radius
+    out = newton_batch(sysc.evaluate, W0, tol=S.tolerances.residual)
+    for pts, count in ((W0[:, :S.N], 600), (out.z[out.converged, :S.N], 2)):
+        kept = dedup_points(pts, radius)
+        assert kept == reference_dedup(pts, radius)
+        assert len(kept) == count
 
 
 # -- stacked kernel geometry ------------------------------------------------------

@@ -421,13 +421,13 @@ def test_negative_root_seed_in_a_scenario_exits_64(tmp_path, capsys):
 # the default-seed hits of every bundled scenario: depth-1 hits are reported
 # for n = 1 only, k=0 hits always, surface hits for n = 3
 DEFAULT_HITS = {
-    "s2-height": {"depth1": [101, 97], "k0": [204, 195]},
-    "torus-height": {"depth1": [35, 29, 3, 3], "k0": [64, 38, 7, 5]},
+    "s2-height": {"depth1": [101, 98], "k0": [204, 195]},
+    "torus-height": {"depth1": [85, 60, 20, 15], "k0": [161, 159, 38, 18]},
     "s4-height": {"depth1": [60, 47, 27, 17, 14, 12, 8, 8, 6, 1],
                   "k0": [97, 69, 52, 51, 51, 46, 18, 9, 4, 3]},
-    "s3-proj": {"k0": [314, 284]},
-    "s3-cusps": {"k0": [271, 202, 52, 43]},
-    "s4-proj": {"k0": [432, 363], "surface": [315, 272]},
+    "s3-proj": {"k0": [315, 285]},
+    "s3-cusps": {"k0": [265, 235, 52, 43]},
+    "s4-proj": {"k0": [434, 366], "surface": [320, 280]},
 }
 
 
