@@ -67,6 +67,10 @@ def vecmat(v, A):
 def min_norm_solve(A, b):
     """Minimal-norm least-squares solution of A x = b over leading stack axes.
 
+    ``b`` holds one right side per matrix, (..., r), and x is (..., d); or
+    several, (..., k, r), which share their matrix's inverse or SVD, and x
+    is (..., k, d).
+
     Singular values at or below ``np.linalg.lstsq``'s default cutoff,
     eps * max(rows, cols) times the largest one, count as zero, so a stack
     gives what ``lstsq`` gives lane by lane.
@@ -91,11 +95,13 @@ def min_norm_solve(A, b):
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     lead, (r, d) = A.shape[:-2], A.shape[-2:]
-    A, b = A.reshape(-1, r, d), b.reshape(-1, r)
+    shape = b.shape[:-1] + (d,)
+    A, b = A.reshape(-1, r, d), b.reshape(-1, int(np.prod(b.shape[len(lead):-1])), r)
     s = min(r, d)
     if s == 0:
-        return _svd_solve(A, b).reshape(lead + (d,))
+        return _svd_solve(A, b).reshape(shape)
     At = np.swapaxes(A, -1, -2)
+    bt = np.swapaxes(b, -1, -2)
     G = A @ At if r < d else At @ A if r > d else A
     try:
         inv = np.linalg.inv(G)
@@ -105,15 +111,15 @@ def min_norm_solve(A, b):
         singular = ~(np.abs(np.linalg.det(G)) > 0)
         inv = np.full_like(G, np.nan)
         inv[~singular] = np.linalg.inv(G[~singular])
-    x = inv @ (At @ b[..., None] if r > d else b[..., None])
-    x = (At @ x if r < d else x)[..., 0]
+    x = inv @ (At @ bt if r > d else bt)
+    x = np.swapaxes(At @ x if r < d else x, -1, -2)
     eps = np.finfo(float).eps
     bound = 1.0 / (eps * s) if r == d else eps ** -0.5
     # NaN or inf in kappa fails the test too
     svd = ~(s * _norm1(G) * _norm1(inv) < bound)
     if svd.any():
         x[svd] = _svd_solve(A[svd], b[svd])
-    return x.reshape(lead + (d,))
+    return x.reshape(shape)
 
 
 def _norm1(A):
@@ -121,16 +127,17 @@ def _norm1(A):
 
 
 def _svd_solve(A, b):
-    """``min_norm_solve`` of a (k, r, d) stack by its SVD."""
+    """``min_norm_solve`` of an (m, r, d) stack, with right sides (m, k, r),
+    by its SVD."""
     try:
         u, s, vt = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError:
         if len(A) == 1:
-            return np.full((1, A.shape[-1]), np.nan)
+            return np.full(b.shape[:-1] + A.shape[-1:], np.nan)
         return np.concatenate([_svd_solve(A[i:i + 1], b[i:i + 1]) for i in range(len(A))])
     large = s > np.finfo(float).eps * max(A.shape[-2:]) * s[..., :1]
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=large)
-    return vecmat(vecmat(b, u) * inv, vt)
+    return ((b @ u) * inv[:, None, :]) @ vt
 
 
 def batch_width(d):
@@ -214,12 +221,15 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60, indexed=False):
                 norm_try = _max_abs(R_try).reshape(-1, k)
                 took = _accepts(norm_try, norm[part][:, None])
                 # the natural test, on the finite trials before a lane's first
-                # residual drop of the round
+                # residual drop of the round; a lane's trials share one solve
+                # of its Jacobian, and those not in need solve zeros
                 need = ~np.logical_or.accumulate(took, axis=1) & np.isfinite(norm_try)
                 if need.any():
+                    some = need.any(axis=1)
+                    sides = np.where(need[:, :, None], R_try.reshape(need.shape + (-1,)), 0.0)
                     bar = np.full(took.shape, np.nan)
-                    bar[need] = _max_abs(min_norm_solve(J[part[np.nonzero(need)[0]]],
-                                                        R_try[need.ravel()]))
+                    bar[some] = np.max(np.abs(min_norm_solve(J[part[some]], sides[some])), axis=-1)
+                    bar[~need] = np.nan
                     took = _accepts(norm_try, norm[part][:, None], bar, sizes[i:i + per][:, None])
                 hit = ok[i:i + per] = took.any(axis=1)
                 row = (np.arange(part.size) * k + np.argmax(took, axis=1))[hit]

@@ -441,6 +441,26 @@ def test_min_norm_solve_matches_lstsq_lane_by_lane(monkeypatch):
     assert ranks == [d - 1] * 3 + [d - 2] * 3 + ([4] * 6 + [2] * 3) * 2   # the cutoff is exercised
 
 
+def test_min_norm_solve_shares_each_matrix_across_several_right_sides():
+    # (m, k, r) right sides against (m, r, d) matrices give what lstsq gives
+    # side by side, through the inverse and through the SVD (a rank-deficient
+    # and an exactly singular lane), square, wide and tall
+    rng = np.random.default_rng(15)
+    for r, d in ((5, 5), (3, 6), (6, 3)):
+        A = rng.standard_normal((6, r, d))
+        A[4] = rng.standard_normal((r, 2)) @ rng.standard_normal((2, d))
+        A[5, 1] = 0.0
+        b = rng.standard_normal((6, 4, r))
+        got = min_norm_solve(A, b)
+        assert got.shape == (6, 4, d)
+        for Ai, bi, xi in zip(A, b, got):
+            for bj, xj in zip(bi, xi):
+                want = np.linalg.lstsq(Ai, bj, rcond=None)[0]
+                assert np.max(np.abs(xj - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
+        assert min_norm_solve(A[0], b[0]).shape == (4, d)
+        assert min_norm_solve(A[:0], b[:0]).shape == (0, 4, d)
+
+
 def test_newton_batch_stops_failing_lanes_like_newton():
     # a start on the root takes no step; a start with a NaN fails at once
     def residual(z):

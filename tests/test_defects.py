@@ -8,11 +8,13 @@ exact ``Fraction`` factors and without ``chi_expected``:
   ``(* 1/1000 ...)``;
 - *sphere 1000*: s2-height on the sphere of radius 1000, with the bundled
   seeds and ``sample_halfwidth`` (default seeds) or with both multiplied by
-  1000 (scaled seeds).
+  1000 (scaled seeds);
+- *sphere 1/1000*: the same on the sphere of radius 1/1000.
 
 A damped Newton that accepted a trial step only on a drop of its max-norm
-residual let most k=0 starts crawl on these, and each ended in ``all_ok``
-with chi 1.
+residual let most k=0 starts crawl on these.  The first four ended in
+``all_ok`` with chi 1; on the small sphere every covector left the pole
+(0, 0, -1/1000) unmatched, and the run was refused (exit 2).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ def f_scaled(name, factor):
 
 
 def sphere(radius, scaled_seeds):
-    """s2-height on the sphere of ``radius`` (an integer), its seeds and
+    """s2-height on the sphere of ``radius`` (a ``Fraction``), its seeds and
     ``sample_halfwidth`` multiplied by it when ``scaled_seeds``."""
     data = _data("s2-height")
     data["constraints"] = [f"(+ (^ x0 2) (^ x1 2) (^ x2 2) -{radius ** 2})"]
@@ -63,6 +65,8 @@ PROBES = {
     "s2-height-f-over-1000": (lambda: f_scaled("s2-height", 1 / R), 2),
     "sphere-1000-scaled-seeds": (lambda: sphere(R, True), 2),
     "sphere-1000-default-seeds": (lambda: sphere(R, False), 2),
+    "sphere-1-over-1000-scaled-seeds": (lambda: sphere(1 / R, True), 2),
+    "sphere-1-over-1000-default-seeds": (lambda: sphere(1 / R, False), 2),
 }
 
 
@@ -82,6 +86,7 @@ def test_the_probes_are_the_bundled_problems_times_exact_factors():
     M = load_scenario(sphere(R, True)).manifold
     assert M.sample_seeds == ((1000.0, 0.0, 0.0), (0.0, 0.0, 1000.0))
     assert M.sample_halfwidth == 1500.0
+    assert sphere(1 / R, False)["constraints"] == ["(+ (^ x0 2) (^ x1 2) (^ x2 2) -1/1000000)"]
 
 
 # -- census guard ---------------------------------------------------------------
