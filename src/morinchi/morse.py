@@ -31,7 +31,7 @@ from ._numeric import (
     newton,  # noqa: F401  (stays bound here for perfbench)
     newton_batch,
 )
-from .continuation import audit_nullity, bisect_on_curve, correct_in_planes, curve_tangents
+from .continuation import audit_nullity, correct_in_planes
 from .manifold import tangent_frame, tangent_frames
 from .scenario import BlockChart, MorinnessError, MorinScenario, StratificationError
 from .strata import SingularSystem, Stratification, multistart_starts, stratum_points
@@ -260,43 +260,32 @@ def _cusp_near(S, cusps, x):
 
 
 def _critical_points_on_curves(S, a: Covector, strat: Stratification):
-    """Zeros of dh/ds on every traced curve, as records, and the set of the
-    indices of the cusps they hit.
+    """Critical points of h on every traced curve, as records, and the set of
+    the indices of the cusps they hit.
 
-    The zeros away from every cusp are polished in one batched solve.  The
-    cusp itself solves the augmented system, so a polish that slid into it
-    is a cusp hit, not an interior critical point.
+    Each sign change of dh/ds between nodes b and b + 1 of a curve is one
+    start: the secant point (1 - lam) z_b + lam z_{b+1} where the linear
+    interpolant of dh/ds vanishes.  All starts polish in one batched solve
+    (``_polish_stratum_critical``).  A cusp solves the augmented system too,
+    so a root near a located cusp (``_cusp_near``) is a cusp hit, not an
+    interior critical point.
     """
-    system = SingularSystem(S)
-    zeros = [np.zeros((0, system.dim_z))]
-
-    def dh_ds(Z, chords):
-        T = curve_tangents(system, Z, prev=chords)
-        return np.einsum("l,kli,ki->k", a.a, S.Df(Z[:, :S.N]), T[:, :S.N])
-
+    starts = [np.zeros((0, SingularSystem(S).dim_z))]
     for curve in strat.curves:
         phis = _curve_phi_values(S, a.a, curve)
         if np.any(phis == 0.0):
             raise GenericityFailure("exact zero derivative at a trace node")
-        brackets = np.flatnonzero(~(phis * np.roll(phis, -1) > 0))
-        zeros.append(bisect_on_curve(system, curve.nodes[brackets],
-                                     curve.nodes[(brackets + 1) % len(phis)],
-                                     phis[brackets], dh_ds, gap=1e-13)[0])
-    Z = np.concatenate(zeros)
-    hits = [_cusp_near(S, strat.cusps, z[:S.N]) for z in Z]
-    cusp_hits = {hit for hit in hits if hit is not None}
-    sysc, out = _polish_stratum_critical(S, a.a, Z[[hit is None for hit in hits]])
+        b = np.flatnonzero(~(phis * np.roll(phis, -1) > 0))
+        c = (b + 1) % len(phis)
+        lam = (phis[b] / (phis[b] - phis[c]))[:, None]
+        starts.append((1 - lam) * curve.nodes[b] + lam * curve.nodes[c])
+    sysc, out = _polish_stratum_critical(S, a.a, np.concatenate(starts))
     if not out.converged.all():
         raise GenericityFailure("stratum critical point failed to polish")
-    fold = []
-    for j, w in enumerate(out.z):
-        hit = _cusp_near(S, strat.cusps, w[:S.N])
-        if hit is None:
-            fold.append(j)
-        else:
-            cusp_hits.add(hit)
+    hits = [_cusp_near(S, strat.cusps, w[:S.N]) for w in out.z]
+    fold = [j for j, hit in enumerate(hits) if hit is None]
     kept = [fold[i] for i in dedup_points(out.z[fold, :S.N], S.tolerances.dedup_radius)]
-    return _stratum_records(S, out.z[kept], sysc), cusp_hits
+    return _stratum_records(S, out.z[kept], sysc), {hit for hit in hits if hit is not None}
 
 
 def _critical_points_on_surface(S, a: Covector, strat: Stratification, stats=None):

@@ -524,8 +524,7 @@ def test_located_cusps_are_not_landed_again(s3_cusps, monkeypatch):
 
     for module in (strata, morse, continuation):
         monkeypatch.setattr(module, "newton_batch", counted)
-    for module in (strata, morse):
-        monkeypatch.setattr(module, "bisect_on_curve", marked)
+    monkeypatch.setattr(strata, "bisect_on_curve", marked)
     strat = compute_stratification(s3_cusps)
     # the one curve's cusp landing, with no lane
     assert landed == [0] and len(strat.curves) == 1 and len(strat.cusps) == 2
@@ -533,3 +532,27 @@ def test_located_cusps_are_not_landed_again(s3_cusps, monkeypatch):
     a, data, audit, hist = run_with_genericity(s3_cusps, strat)
     assert audit.ok and len(data.boundary_records) == 2
     assert landed == []
+
+
+def test_the_walk_along_the_curves_is_one_polish(s3_cusps, monkeypatch):
+    # every sign change of dh/ds between two nodes is one start of a single
+    # batched polish, and the polished roots hit both cusps
+    S = s3_cusps
+    strat = compute_stratification(S)
+    a = sample_covector(S.n, [S.seed, 0])
+    brackets = 0
+    for curve in strat.curves:
+        phis = morse._curve_phi_values(S, a.a, curve)
+        brackets += int(np.sum(phis * np.roll(phis, -1) < 0))
+    calls = []
+    newton_batch = continuation.newton_batch
+
+    def counted(F, Z0, **kwargs):
+        calls.append(len(Z0))
+        return newton_batch(F, Z0, **kwargs)
+
+    for module in (morse, continuation):
+        monkeypatch.setattr(module, "newton_batch", counted)
+    records, cusp_hits = morse._critical_points_on_curves(S, a, strat)
+    assert calls == [brackets] and brackets >= len(records) + 2
+    assert cusp_hits == {0, 1} and len(strat.cusps) == 2
