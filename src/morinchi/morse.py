@@ -34,7 +34,7 @@ from ._numeric import (
 from .continuation import audit_nullity, correct_in_planes
 from .manifold import tangent_frame, tangent_frames
 from .scenario import BlockChart, MorinnessError, MorinScenario, StratificationError
-from .strata import SingularSystem, Stratification, multistart_starts, stratum_points
+from .strata import SingularSystem, Stratification, cusp_near, multistart_starts, stratum_points
 
 
 class GenericityFailure(RuntimeError):
@@ -252,13 +252,6 @@ def _curve_phi_values(S, a, curve):
     return np.einsum("l,kli,ki->k", a, Df, curve.tangents[:, :S.N])
 
 
-def _cusp_near(S, cusps, x):
-    """Index of the first cusp close enough to x to count as a hit, or None."""
-    radius = max(10 * S.tolerances.dedup_radius, 1e-5)
-    return next((ci for ci, cp in enumerate(cusps) if np.linalg.norm(cp.x - x) < radius),
-                None)
-
-
 def _critical_points_on_curves(S, a: Covector, strat: Stratification):
     """Critical points of h on every traced curve, as records, and the set of
     the indices of the cusps they hit.
@@ -267,7 +260,7 @@ def _critical_points_on_curves(S, a: Covector, strat: Stratification):
     start: the secant point (1 - lam) z_b + lam z_{b+1} where the linear
     interpolant of dh/ds vanishes.  All starts polish in one batched solve
     (``_polish_stratum_critical``).  A cusp solves the augmented system too,
-    so a root near a located cusp (``_cusp_near``) is a cusp hit, not an
+    so a root near a located cusp (``cusp_near``) is a cusp hit, not an
     interior critical point.
     """
     starts = [np.zeros((0, SingularSystem(S).dim_z))]
@@ -282,7 +275,7 @@ def _critical_points_on_curves(S, a: Covector, strat: Stratification):
     sysc, out = _polish_stratum_critical(S, a.a, np.concatenate(starts))
     if not out.converged.all():
         raise GenericityFailure("stratum critical point failed to polish")
-    hits = [_cusp_near(S, strat.cusps, w[:S.N]) for w in out.z]
+    hits = [cusp_near(S, strat.cusps, w[:S.N]) for w in out.z]
     fold = [j for j, hit in enumerate(hits) if hit is None]
     kept = [fold[i] for i in dedup_points(out.z[fold, :S.N], S.tolerances.dedup_radius)]
     return _stratum_records(S, out.z[kept], sysc), {hit for hit in hits if hit is not None}
@@ -604,10 +597,9 @@ def validate_genericity(S: MorinScenario, a: Covector, strat: Stratification,
             f"{sep.unmatched_k1}"
         )
     for rec in data.k0_records:
-        for cusp in strat.cusps:
-            if np.linalg.norm(rec.x - cusp.x) < 10 * S.tolerances.dedup_radius:
-                failures.append("critical point of h collides with a cusp at "
-                                f"{tuple(map(float, rec.x))}")
+        if cusp_near(S, strat.cusps, rec.x) is not None:
+            failures.append("critical point of h collides with a cusp at "
+                            f"{tuple(map(float, rec.x))}")
     parity = data.audits["parity"]
     if parity is not None and not parity.ok:
         failures.append(f"index parity: {parity.violations}")

@@ -842,13 +842,19 @@ def _trace_all_curves(S, points):
     return curves
 
 
+def cusp_near(S, cusps, x):
+    """Index of the first of ``cusps`` within 10 ``dedup_radius`` of x, or
+    None: the one rule for a point that sits at a located cusp."""
+    radius = 10 * S.tolerances.dedup_radius
+    return next((i for i, p in enumerate(cusps) if np.linalg.norm(p.x - x) < radius), None)
+
+
 def _classify_cloud(S, points, cusps):
     # nondegenerate points already carry depth 1 and their sign (stratum_points)
     for p in points:
         if p.signature.n_zero != 0:
             # a multistart point that landed on (or next to) a cusp
-            near = min((float(np.linalg.norm(p.x - q.x)) for q in cusps), default=np.inf)
-            if near > 10 * S.tolerances.dedup_radius:
+            if cusp_near(S, cusps, p.x) is None:
                 raise MorinnessError(
                     f"degenerate stratum point at {p.x} away from every detected cusp"
                 )

@@ -30,6 +30,7 @@ from morinchi.strata import (
     _kernel_lanes,
     _node_metrics,
     compute_stratification,
+    cusp_near,
     solve_stratum1,
     stratum_points,
 )
@@ -877,6 +878,17 @@ def test_lockstep_bisection_is_the_bracket_loop_on_s3_cusps(s3_cusps, monkeypatc
     assert len(det_call[1]) == len(strat.cusps) == 2
     _, steps = _assert_lockstep_is_the_loop(*det_call, det)
     assert np.all(steps > 1)
+
+
+def test_cusp_near_is_ten_dedup_radii():
+    # one radius for the cloud's degenerate points, the walk's cusp hits and
+    # the genericity audit's collisions, whatever the dedup radius
+    for radius in (1e-6, 1e-9):
+        S = SimpleNamespace(tolerances=SimpleNamespace(dedup_radius=radius))
+        cusps = [SimpleNamespace(x=np.array([1.0, 0.0])), SimpleNamespace(x=np.array([0.0, 1.0]))]
+        assert cusp_near(S, cusps, np.array([0.0, 1.0 + 9.9 * radius])) == 1
+        assert cusp_near(S, cusps, np.array([0.0, 1.0 + 10.1 * radius])) is None
+        assert cusp_near(S, [], np.zeros(2)) is None
 
 
 def test_open_curve_does_not_close(flat_cusp_sparse, monkeypatch):
