@@ -157,10 +157,10 @@ def bisect_on_curve(system, ZA, ZB, FA, value, gap):
 
     Bracket i runs from ZA[i] to ZB[i], and FA[i] is the value at ZA[i].
     Each round lands the midpoints of the open brackets with one
-    ``newton_batch`` and evaluates ``value(Z, chords)`` there, ``chords``
-    being the current brackets ZB - ZA.  A bracket stops at a landed
-    midpoint whose value is exactly zero or whose bracket is shorter than
-    ``gap``, and returns its bracket midpoint, unlanded, after 60 halvings.
+    ``newton_batch`` and evaluates ``value(Z)`` there.  A bracket stops at a
+    landed midpoint whose value is exactly zero or whose chord ZB - ZA is
+    shorter than ``gap``, and returns its bracket midpoint, unlanded, after
+    60 halvings.
     Returns the points (k, dim_z) and the number of midpoints landed per
     bracket.
     """
@@ -176,10 +176,9 @@ def bisect_on_curve(system, ZA, ZB, FA, value, gap):
                            tol=system.tol, max_iter=60)
         if not mid.converged.all():
             raise StratificationError("bisection lost the curve")
-        chords = ZB[live] - ZA[live]
-        fm = value(mid.z, chords)
+        fm = value(mid.z)
         steps[live] = step
-        done = (fm == 0.0) | (np.linalg.norm(chords, axis=1) < gap)
+        done = (fm == 0.0) | (np.linalg.norm(ZB[live] - ZA[live], axis=1) < gap)
         Z[live[done]] = mid.z[done]
         right = ~done & (FA[live] * fm < 0)
         left = ~done & ~right

@@ -636,7 +636,7 @@ def _locate_cusps(S, system, curve: FoldCurve):
     brackets = np.flatnonzero(~(dets * np.roll(dets, -1) > 0))
     Z, steps = bisect_on_curve(system, curve.nodes[brackets],
                                curve.nodes[(brackets + 1) % len(dets)], dets[brackets],
-                               lambda Z, chords: _node_metrics(S, system, Z)[0], gap=1e-14)
+                               lambda Z: _node_metrics(S, system, Z)[0], gap=1e-14)
     # after all 60 halvings the bisection may return its unlanded bracket
     # midpoint; a bracket that stopped sooner returns a landed midpoint
     full = steps == 60

@@ -49,7 +49,6 @@ def test_curve_tangents_are_the_circle_tangents():
 
 def test_bisect_on_curve_finds_where_x_changes_sign():
     ZA, ZB = _on_circle(np.array([1.2, -1.2])), _on_circle(np.array([1.9, -1.9]))
-    Z, steps = bisect_on_curve(Circle(), ZA, ZB, ZA[:, 0], lambda Z, chords: Z[:, 0],
-                               gap=1e-13)
+    Z, steps = bisect_on_curve(Circle(), ZA, ZB, ZA[:, 0], lambda Z: Z[:, 0], gap=1e-13)
     assert np.max(np.abs(Z - [[0.0, 1.0], [0.0, -1.0]])) <= 1e-12
     assert np.all(steps > 1)

@@ -616,13 +616,13 @@ class Lost(Line):
 def _bisect_loop(system, za, zb, fa, value, gap):
     """The bisection of one bracket that ``bisect_on_curve`` runs for all
     brackets in lockstep, each midpoint landed by the scalar reference loop,
-    with a scalar ``value(z, chord)``."""
+    with a scalar ``value(z)``."""
     for steps in range(1, 61):
         mid = reference_newton(lambda z: system.evaluate(z)[0], lambda z: system.evaluate(z)[1],
                                0.5 * (za + zb), tol=system.tol, max_iter=60)
         if not mid.converged:
             raise StratificationError("bisection lost the curve")
-        fm = value(mid.z, zb - za)
+        fm = value(mid.z)
         if fm == 0.0 or np.linalg.norm(zb - za) < gap:
             return mid.z, steps
         if fa * fm < 0:
@@ -643,7 +643,7 @@ def _assert_lockstep_is_the_loop(system, ZA, ZB, FA, value, gap, scalar_value):
 
 
 def _linear(target):
-    return lambda Z, chords: Z[:, 0] - target
+    return lambda Z: Z[:, 0] - target
 
 
 def _cloud(rng, n, d, N, h, scale):
@@ -828,7 +828,7 @@ def test_bisect_on_curve_stops_like_the_loops_it_replaced():
     assert abs(Z[0, 0] - 0.3) < 1e-13 and steps[0] < 60
     # a value that is never exactly zero runs all 60 halvings
     Z, steps = bisect_on_curve(Line(), za, zb, [-1.0],
-                               lambda Z, chords: np.where(Z[:, 0] >= 0.3, 1.0, -1.0), gap=0.0)
+                               lambda Z: np.where(Z[:, 0] >= 0.3, 1.0, -1.0), gap=0.0)
     assert steps[0] == 60 and abs(Z[0, 0] - 0.3) < 1e-15    # the bracket midpoint
     with pytest.raises(StratificationError, match="lost the curve"):
         bisect_on_curve(Lost(), za, zb, [-0.3], _linear(0.3), gap=1e-13)
@@ -842,13 +842,13 @@ def test_lockstep_bisection_is_the_bracket_loop_on_lines():
     # the first midpoint, a linear value, and a step that is never zero
     targets = np.array([0.5, 10.3, 20.3])
 
-    def value(Z, chords):
+    def value(Z):
         k = (Z[:, 0] // 10).astype(int)
         v = Z[:, 0] - targets[k]
         return np.where(k == 2, np.where(v >= 0, 1.0, -1.0), v)
 
-    def scalar(z, chord):
-        return float(value(z[None], chord[None])[0])
+    def scalar(z):
+        return float(value(z[None])[0])
 
     ZA, ZB = np.array([[0.0], [10.0], [20.0]]), np.array([[1.0], [11.0], [21.0]])
     for gap in (1e-13, 0.0):
@@ -871,7 +871,7 @@ def test_lockstep_bisection_is_the_bracket_loop_on_s3_cusps(s3_cusps, monkeypatc
     strat = compute_stratification(S)
     system = SingularSystem(S)
 
-    def det(z, chord):
+    def det(z):
         return _node_metrics(S, system, z[None])[0][0]
 
     (det_call,) = calls
