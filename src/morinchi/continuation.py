@@ -29,8 +29,10 @@ flips where a chain of steps passes a bifurcation point.
 A system is anything with ``evaluate(Z) -> (R, J)`` on a stack Z
 (B, dim_z), its ``dim_z`` and ``tol``, the residual tolerance its solves
 stop at; its solution set near the points given is a smooth curve.  The
-fold-curve trace and cusp search in ``strata`` and the Morse walk along the
-fold curves in ``morse`` are its clients.
+fold-curve trace, the cusp search and the cusp charts in ``strata`` and
+the cusp partners in ``morse`` are its clients; ``bisect_on_curve`` serves
+the cusp search only, since the Morse walk along the fold curves polishes
+each critical point from its bracket instead.
 """
 
 from __future__ import annotations
