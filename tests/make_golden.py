@@ -24,7 +24,6 @@ import contextlib
 import csv
 import io
 import json
-import sys
 import tempfile
 from importlib.resources import files
 from pathlib import Path
@@ -78,9 +77,9 @@ def run_integers(run_id, workdir):
     if (out / "report.json").is_file():
         record["report"] = integer_leaves(json.loads((out / "report.json").read_text()))
         rows = {}
-        for name in CSVS:
-            with open(out / name, newline="") as fh:
-                rows[name] = sum(1 for _ in csv.reader(fh)) - 1
+        for csv_name in CSVS:
+            with open(out / csv_name, newline="") as fh:
+                rows[csv_name] = sum(1 for _ in csv.reader(fh)) - 1
         record["csv_rows"] = rows
     return record
 
@@ -96,4 +95,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

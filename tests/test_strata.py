@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from morinchi import continuation, morse, strata
+from morinchi import continuation, strata
 from morinchi import expr as ex
 from morinchi._numeric import STOP_REASONS, eig_sign_counts
 from morinchi.continuation import (
