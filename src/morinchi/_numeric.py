@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +65,22 @@ def vecmat(v, A):
     return (v[..., None, :] @ A)[..., 0, :]
 
 
+class MinNormFactor(NamedTuple):
+    """What ``min_norm_solve`` keeps of a stack of matrices for its right
+    sides (``min_norm_factor``)."""
+
+    A: np.ndarray       # the matrices, (..., r, d)
+    inv: np.ndarray     # the inverse of each one's G, (..., s, s)
+    svd: np.ndarray     # bool (...): the lanes that take the SVD
+
+    def take(self, lanes):
+        """The factor of ``lanes`` of a one-axis stack."""
+        return MinNormFactor(self.A[lanes], self.inv[lanes], self.svd[lanes])
+
+
 def min_norm_solve(A, b):
-    """Minimal-norm least-squares solution of A x = b over leading stack axes.
+    """Minimal-norm least-squares solution of A x = b over leading stack axes:
+    ``min_norm_apply(min_norm_factor(A), b)``.
 
     ``b`` holds one right side per matrix, (..., r), and x is (..., d); or
     several, (..., k, r), which share their matrix's inverse or SVD, and x
@@ -74,6 +89,13 @@ def min_norm_solve(A, b):
     Singular values at or below ``np.linalg.lstsq``'s default cutoff,
     eps * max(rows, cols) times the largest one, count as zero, so a stack
     gives what ``lstsq`` gives lane by lane.
+    """
+    return min_norm_apply(min_norm_factor(A), b)
+
+
+def min_norm_factor(A):
+    """The inverses and the SVD gate of ``min_norm_solve`` for a stack of
+    matrices A (..., r, d), made once for any number of right sides.
 
     Each lane is solved through the inverse of one s x s matrix G, s the
     smaller side of A: G = A itself when A is square (x = A^-1 b), the Gram
@@ -90,19 +112,18 @@ def min_norm_solve(A, b):
       below sqrt(eps).
 
     The other lanes, and the lanes whose G is exactly singular (``inv``
-    raises), take the SVD.  A lane whose SVD does not converge gets NaN.
+    raises), take the SVD in ``min_norm_apply``.  Each matrix of a stack is
+    inverted on its own, so a lane's factor does not depend on its
+    neighbours, and ``take`` keeps the factors of some lanes.
     """
     A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
     lead, (r, d) = A.shape[:-2], A.shape[-2:]
-    shape = b.shape[:-1] + (d,)
-    A, b = A.reshape(-1, r, d), b.reshape(-1, int(np.prod(b.shape[len(lead):-1])), r)
     s = min(r, d)
     if s == 0:
-        return _svd_solve(A, b).reshape(shape)
-    At = np.swapaxes(A, -1, -2)
-    bt = np.swapaxes(b, -1, -2)
-    G = A @ At if r < d else At @ A if r > d else A
+        return MinNormFactor(A, np.zeros(lead + (0, 0)), np.ones(lead, dtype=bool))
+    flat = A.reshape(-1, r, d)
+    At = np.swapaxes(flat, -1, -2)
+    G = flat @ At if r < d else At @ flat if r > d else flat
     try:
         inv = np.linalg.inv(G)
     except np.linalg.LinAlgError:
@@ -111,12 +132,30 @@ def min_norm_solve(A, b):
         singular = ~(np.abs(np.linalg.det(G)) > 0)
         inv = np.full_like(G, np.nan)
         inv[~singular] = np.linalg.inv(G[~singular])
-    x = inv @ (At @ bt if r > d else bt)
-    x = np.swapaxes(At @ x if r < d else x, -1, -2)
     eps = np.finfo(float).eps
     bound = 1.0 / (eps * s) if r == d else eps ** -0.5
     # NaN or inf in kappa fails the test too
     svd = ~(s * _norm1(G) * _norm1(inv) < bound)
+    return MinNormFactor(A, inv.reshape(lead + (s, s)), svd.reshape(lead))
+
+
+def min_norm_apply(factor, b):
+    """``min_norm_solve`` of the matrices of ``factor`` (``min_norm_factor``)
+    against ``b``, one right side per matrix (..., r) or several (..., k, r):
+    the kept inverses, and the SVD on the lanes that fail the gate."""
+    A, inv, svd = factor
+    b = np.asarray(b, dtype=float)
+    lead, (r, d) = A.shape[:-2], A.shape[-2:]
+    shape = b.shape[:-1] + (d,)
+    m, k = int(np.prod(lead)), int(np.prod(b.shape[len(lead):-1]))
+    A, b = A.reshape(m, r, d), b.reshape(m, k, r)
+    if min(r, d) == 0:
+        return _svd_solve(A, b).reshape(shape)
+    inv, svd = inv.reshape(m, *inv.shape[-2:]), svd.reshape(m)
+    At = np.swapaxes(A, -1, -2)
+    bt = np.swapaxes(b, -1, -2)
+    x = inv @ (At @ bt if r > d else bt)
+    x = np.swapaxes(At @ x if r < d else x, -1, -2)
     if svd.any():
         x[svd] = _svd_solve(A[svd], b[svd])
     return x.reshape(shape)
@@ -163,9 +202,14 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60, indexed=False):
     tries each of its scales on every lane still searching.  A trial whose
     residual is not below the current one, at its scale and at every larger
     scale of its round, then takes the natural test: its simplified Newton
-    correction, ``min_norm_solve`` of the current Jacobian against the
-    trial's residual, must be smaller in max norm than the step.  A lane
-    whose residual drops at full step solves nothing more.
+    correction, the minimal-norm solution of the current Jacobian against
+    the trial's residual, must be smaller in max norm than the step.
+    Each iteration factors a lane's Jacobian once (``min_norm_factor``), for
+    its step, and every correction of the iteration applies that factor
+    (``min_norm_apply``): the Jacobian does not change while the lane
+    searches.  The step solve and the full-step round run together, chunk by
+    chunk, and only the lanes that the full step did not satisfy keep their
+    factor for the later rounds.
     Lanes only share the calls to ``F`` and the stacked step solves: each
     iteration, and each round of it, pools the lanes still at work across
     the whole stack into calls of at most ``batch_width(d)`` rows.
@@ -176,7 +220,7 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60, indexed=False):
     Z = np.array(Z0, dtype=float, ndmin=2)
     B, d = Z.shape
     width = batch_width(d)
-    rounds = _rounds(width)
+    first, *rounds = _rounds(width)
     rows = np.arange(B)
     call = F if indexed else (lambda Z_part, part: F(Z_part))
     iterations = np.full(B, max_iter, dtype=int)
@@ -197,49 +241,67 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60, indexed=False):
         lanes = np.flatnonzero(active)
         if lanes.size == 0:
             break
-        steps = np.full((lanes.size, d), np.nan)
+        searching = []
         for i in range(0, lanes.size, width):
             part = lanes[i:i + width]
             finite = np.isfinite(R[part]).all(axis=1) & np.isfinite(J[part]).all(axis=(1, 2))
-            steps[i:i + width][finite] = min_norm_solve(J[part[finite]], -R[part[finite]])
-        good = np.isfinite(steps).all(axis=1)
-        _retire(lanes[~good], "nonfinite_step", it, active, iterations, stop)
-        lanes, steps = lanes[good], steps[good]
-        sizes = _max_abs(steps)
+            factor = min_norm_factor(J[part[finite]])
+            steps = np.full((part.size, d), np.nan)
+            steps[finite] = min_norm_apply(factor, -R[part[finite]])
+            good = np.isfinite(steps).all(axis=1)
+            _retire(part[~good], "nonfinite_step", it, active, iterations, stop)
+            part, steps, factor = part[good], steps[good], factor.take(good[finite])
+            sizes = _max_abs(steps)
+            hit = _try_round(call, Z, R, J, norm, part, steps, sizes, factor, first)
+            searching.append((part[~hit], steps[~hit], sizes[~hit], *factor.take(~hit)))
+        lanes, steps, sizes, *kept = map(np.concatenate, zip(*searching))
+        factor = MinNormFactor(*kept)
         for scales in rounds:
             if lanes.size == 0:
                 break
-            # lane j of a call tries its scales in rows j*k .. j*k + k - 1
-            k = scales.size
-            per = width // k
+            per = width // scales.size
             ok = np.zeros(lanes.size, dtype=bool)
             for i in range(0, lanes.size, per):
-                part = lanes[i:i + per]
-                Z_try = (Z[part][:, None, :]
-                         + scales[:, None] * steps[i:i + per][:, None, :]).reshape(-1, d)
-                R_try, J_try = call(Z_try, np.repeat(part, k))
-                norm_try = _max_abs(R_try).reshape(-1, k)
-                took = _accepts(norm_try, norm[part][:, None])
-                # the natural test, on the finite trials before a lane's first
-                # residual drop of the round; a lane's trials share one solve
-                # of its Jacobian, and those not in need solve zeros
-                need = ~np.logical_or.accumulate(took, axis=1) & np.isfinite(norm_try)
-                if need.any():
-                    some = need.any(axis=1)
-                    sides = np.where(need[:, :, None], R_try.reshape(need.shape + (-1,)), 0.0)
-                    bar = np.full(took.shape, np.nan)
-                    bar[some] = np.max(np.abs(min_norm_solve(J[part[some]], sides[some])), axis=-1)
-                    bar[~need] = np.nan
-                    took = _accepts(norm_try, norm[part][:, None], bar, sizes[i:i + per][:, None])
-                hit = ok[i:i + per] = took.any(axis=1)
-                row = (np.arange(part.size) * k + np.argmax(took, axis=1))[hit]
-                lane = part[hit]
-                Z[lane], R[lane], J[lane], norm[lane] = (Z_try[row], R_try[row], J_try[row],
-                                                         norm_try.ravel()[row])
-            lanes, steps, sizes = lanes[~ok], steps[~ok], sizes[~ok]
+                chunk = slice(i, i + per)
+                ok[chunk] = _try_round(call, Z, R, J, norm, lanes[chunk], steps[chunk],
+                                       sizes[chunk], factor.take(chunk), scales)
+            lanes, steps, sizes, factor = lanes[~ok], steps[~ok], sizes[~ok], factor.take(~ok)
         _retire(lanes, "line_search_failed", it, active, iterations, stop)
     stop[active & (norm <= tol)] = STOP_REASONS.index("converged")
     return NewtonResult(Z, norm, iterations, stop, J)
+
+
+def _try_round(call, Z, R, J, norm, part, steps, sizes, factor, scales):
+    """One halving round of ``newton_batch`` on the lanes ``part``, with
+    their ``steps``, the steps' max norms ``sizes`` and the ``factor`` of
+    their Jacobians: every lane tries each of ``scales`` in one call of F
+    and takes the largest accepted trial, whose z, residual, Jacobian and
+    norm it writes to Z, R, J and norm.  Returns the lanes that took one."""
+    if part.size == 0:
+        return np.zeros(0, dtype=bool)
+    # lane j tries its scales in rows j*k .. j*k + k - 1
+    k, d = scales.size, Z.shape[1]
+    Z_try = (Z[part][:, None, :] + scales[:, None] * steps[:, None, :]).reshape(-1, d)
+    R_try, J_try = call(Z_try, np.repeat(part, k))
+    norm_try = _max_abs(R_try).reshape(-1, k)
+    took = _accepts(norm_try, norm[part][:, None])
+    # the natural test, on the finite trials before a lane's first residual
+    # drop of the round; a lane's trials share one application of its
+    # factor, and those not in need solve zeros
+    need = ~np.logical_or.accumulate(took, axis=1) & np.isfinite(norm_try)
+    if need.any():
+        some = need.any(axis=1)
+        sides = np.where(need[:, :, None], R_try.reshape(need.shape + (-1,)), 0.0)
+        bar = np.full(took.shape, np.nan)
+        bar[some] = np.max(np.abs(min_norm_apply(factor.take(some), sides[some])), axis=-1)
+        bar[~need] = np.nan
+        took = _accepts(norm_try, norm[part][:, None], bar, sizes[:, None])
+    hit = took.any(axis=1)
+    row = (np.arange(part.size) * k + np.argmax(took, axis=1))[hit]
+    lane = part[hit]
+    Z[lane], R[lane], J[lane], norm[lane] = (Z_try[row], R_try[row], J_try[row],
+                                             norm_try.ravel()[row])
+    return hit
 
 
 @lru_cache(maxsize=None)

@@ -27,6 +27,8 @@ from morinchi._numeric import (
     batch_width,
     dedup_points,
     eig_sign_counts,
+    min_norm_apply,
+    min_norm_factor,
     min_norm_solve,
     newton,
     newton_batch,
@@ -245,6 +247,29 @@ def test_newton_batch_pools_lanes_within_the_batch_width(s4_proj_polish):
     assert out.converged.sum() > len(W0) // 2
 
 
+def test_newton_batch_factors_each_jacobian_once_per_iteration(s4_proj_polish, monkeypatch):
+    # every iteration of a lane inverts its G once, for the step, and its
+    # simplified corrections reuse that inverse: 4,187 lanes inverted, where
+    # inverting again for each halving round's corrections took 5,410; the
+    # calls of F stay those of one call per round and chunk
+    S, sysc, W0 = s4_proj_polish
+    inverted, calls = [], []
+    inv = np.linalg.inv
+
+    def spy(G):
+        inverted.append(len(G))
+        return inv(G)
+
+    def F(W):
+        calls.append(len(W))
+        return sysc.evaluate(W)
+
+    monkeypatch.setattr(np.linalg, "inv", spy)
+    out = newton_batch(F, W0, tol=S.tolerances.residual)
+    assert sum(inverted) == out.iterations.sum() == 4187
+    assert len(calls) == 104
+
+
 def test_newton_batch_lanes_do_not_depend_on_their_order(s4_proj_polish):
     S, sysc, W0 = s4_proj_polish
     out = newton_batch(sysc.evaluate, W0, tol=S.tolerances.residual)
@@ -429,6 +454,7 @@ def test_min_norm_solve_matches_lstsq_lane_by_lane(monkeypatch):
         b = rng.standard_normal(A.shape[:2])
         svd_lanes.clear()
         got = min_norm_solve(A, b)
+        _assert_factor_applies_bit_for_bit(A, b, got)
         assert [any(np.array_equal(Ai, S) for S in svd_lanes) for Ai in A] == by_svd
         assert got.shape == (len(A), A.shape[2])
         for Ai, bi, x in zip(A, b, got):
@@ -439,6 +465,27 @@ def test_min_norm_solve_matches_lstsq_lane_by_lane(monkeypatch):
     ranks = [np.linalg.lstsq(Ai, np.ones(len(Ai)), rcond=None)[2]
              for Ai in (*near, *deficient, *wide[3:], *np.swapaxes(wide[3:], 1, 2))]
     assert ranks == [d - 1] * 3 + [d - 2] * 3 + ([4] * 6 + [2] * 3) * 2   # the cutoff is exercised
+    # stacks with no rows or no columns, and stacks with NaN lanes
+    nan, wide_nan = well[:3].copy(), wide[:3].copy()
+    nan[1], nan[2, 0, 0], wide_nan[0, 1, 2] = np.nan, np.nan, np.nan
+    for A in (np.zeros((3, 0, 4)), np.zeros((3, 4, 0)), nan, wide_nan,
+              np.swapaxes(wide_nan, 1, 2)):
+        _assert_factor_applies_bit_for_bit(A, rng.standard_normal(A.shape[:2]))
+
+
+def _assert_factor_applies_bit_for_bit(A, b, got=None):
+    # a stack's factor applied gives min_norm_solve's bits, whole and on
+    # every lane, and so does the factor of any of its lanes that ``take``
+    # keeps, as newton_batch keeps them for its corrections
+    factor = min_norm_factor(A)
+    got = min_norm_solve(A, b) if got is None else got
+    assert np.array_equal(min_norm_apply(factor, b), got, equal_nan=True)
+    for i in range(len(A)):
+        assert np.array_equal(min_norm_apply(factor.take([i]), b[i:i + 1]), got[i:i + 1],
+                              equal_nan=True)
+    keep = np.arange(len(A))[::-2]
+    assert np.array_equal(min_norm_apply(factor.take(keep), b[keep]), min_norm_solve(A[keep], b[keep]),
+                          equal_nan=True)
 
 
 def test_min_norm_solve_shares_each_matrix_across_several_right_sides():
@@ -525,15 +572,40 @@ def test_a_nan_or_inf_trial_is_refused_by_both_tests(bad, monkeypatch):
 
     sides = []
 
-    def spy(A, b):
+    def spy(factor, b):
         sides.append(np.asarray(b))
-        return min_norm_solve(A, b)
+        return min_norm_apply(factor, b)
 
-    monkeypatch.setattr(_numeric, "min_norm_solve", spy)
+    monkeypatch.setattr(_numeric, "min_norm_apply", spy)
     assert newton_batch(F, [[0.0]], max_iter=1).z.tolist() == [[0.5]]
     assert sides and all(np.isfinite(b).all() for b in sides)
     out = _agree_lane_by_lane(F, np.array([[0.0], [0.5]]), 1e-12, 6)
     assert [STOP_REASONS[k] for k in out.stop] == ["iteration_cap"] * 2
+
+
+def _one_iteration_one_scale_at_a_time(evaluate, Z0, tol):
+    """One Newton iteration from Z0 with the scales tried one by one, each by
+    both tests and each correction solved on its own: the iterates, and the
+    (scale, residual test passed) of every lane that took a trial."""
+    R, J = evaluate(Z0)
+    steps = min_norm_solve(J, -R)
+    norm, sizes = np.max(np.abs(R), axis=1), np.max(np.abs(steps), axis=1)
+    want, taken = Z0.copy(), []
+    for i in np.flatnonzero(norm > tol):
+        for scale in 0.5 ** np.arange(LINE_SEARCH_HALVINGS):
+            z = Z0[i] + scale * steps[i]
+            R_try = evaluate(z)[0]
+            norm_try = np.max(np.abs(R_try))
+            bar = np.max(np.abs(min_norm_solve(J[i], R_try))) if np.isfinite(norm_try) else np.nan
+            if _accepts(norm_try, norm[i], bar, sizes[i]):
+                want[i] = z
+                taken.append((scale, bool(norm_try < norm[i])))
+                break
+    return want, taken
+
+
+def _rounds_of(taken):
+    return {next(k for k, r in enumerate(_HALVING_ROUNDS) if scale in r) for scale, _ in taken}
 
 
 def test_the_rounds_take_the_scale_that_trying_one_at_a_time_takes(torus_k0):
@@ -541,25 +613,70 @@ def test_the_rounds_take_the_scale_that_trying_one_at_a_time_takes(torus_k0):
     # tried one by one, each by both tests; lanes are taken by either test,
     # and in more than one round
     S, sys0, Z0 = torus_k0
-    R, J = sys0.evaluate(Z0)
-    steps = min_norm_solve(J, -R)
-    norm, sizes = np.max(np.abs(R), axis=1), np.max(np.abs(steps), axis=1)
-    want, taken = Z0.copy(), []
-    for i in np.flatnonzero(norm > S.tolerances.residual):
-        for scale in 0.5 ** np.arange(LINE_SEARCH_HALVINGS):
-            z = Z0[i] + scale * steps[i]
-            R_try = sys0.evaluate(z)[0]
-            norm_try = np.max(np.abs(R_try))
-            bar = np.max(np.abs(min_norm_solve(J[i], R_try))) if np.isfinite(norm_try) else np.nan
-            if _accepts(norm_try, norm[i], bar, sizes[i]):
-                want[i] = z
-                taken.append((scale, bool(norm_try < norm[i])))
-                break
+    want, taken = _one_iteration_one_scale_at_a_time(sys0.evaluate, Z0, S.tolerances.residual)
     got = newton_batch(sys0.evaluate, Z0, S.tolerances.residual, 1).z
     assert np.array_equal(got, want)
-    rounds = {next(k for k, r in enumerate(_HALVING_ROUNDS) if scale in r) for scale, _ in taken}
-    assert len(rounds) >= 3
+    assert len(_rounds_of(taken)) >= 3
     assert {residual for _, residual in taken} == {True, False}
+
+
+def test_the_kept_gram_inverse_takes_the_scale_that_trying_one_at_a_time_takes():
+    # the depth-1 system of s3-cusps has wide 6 x 7 Jacobians, solved through
+    # the inverse of their Gram matrices, which the later rounds reuse
+    S = bundled("s3-cusps")
+    system = SingularSystem(S)
+    _, Z0 = multistart_starts(S, system, S.tolerances.multistart_density * S.n, tag=1)
+    assert system.evaluate(Z0[:1])[1].shape == (1, 6, 7)
+    want, taken = _one_iteration_one_scale_at_a_time(system.evaluate, Z0, S.tolerances.residual)
+    got = newton_batch(system.evaluate, Z0, S.tolerances.residual, 1).z
+    assert np.array_equal(got, want)
+    assert len(_rounds_of(taken) - {0}) >= 2
+    assert {residual for scale, residual in taken if scale < 1} == {True, False}
+
+
+def _cubic_with_a_tiny_row(z):
+    # F = (x^3 - 1, 1e-17 y): from |x| in [0.1, 0.3] the full step
+    # overshoots far past the root, and the residual first drops at a scale
+    # of round 2 or 3
+    x, y = z[..., 0], z[..., 1]
+    J = np.zeros(z.shape[:-1] + (2, 2))
+    J[..., 0, 0], J[..., 1, 1] = 3.0 * x ** 2, 1e-17
+    return np.stack([x ** 3 - 1.0, 1e-17 * y], axis=-1), J
+
+
+def _scaled_parabola_with_a_tiny_row(z):
+    # (_scaled_parabola, 1e-17 w): the natural test takes the full step
+    R, J2 = _scaled_parabola(z[..., :2])
+    J = np.zeros(z.shape[:-1] + (3, 3))
+    J[..., :2, :2], J[..., 2, 2] = J2, 1e-17
+    return np.concatenate([R, 1e-17 * z[..., 2:]], axis=-1), J
+
+
+@pytest.mark.parametrize("evaluate, Z0, scales, residual", [
+    (_cubic_with_a_tiny_row, [[0.1, 0.0], [0.2, 5.0], [-0.3, 1.0]], [1 / 32, 1 / 8, 1 / 4], True),
+    (_scaled_parabola_with_a_tiny_row, [[1.0, 1.0, 0.0], [1.0, 1.0, 2.0]], [1.0, 1.0], False),
+])
+def test_a_kept_factor_past_the_gate_takes_the_scale_that_trying_one_at_a_time_takes(
+        evaluate, Z0, scales, residual, monkeypatch):
+    # square lanes whose kappa_1 fails the gate take the SVD for their step
+    # and for every correction; their full step raises the residual
+    Z0 = np.array(Z0)
+    R, J = evaluate(Z0)
+    assert min_norm_factor(J).svd.all()
+    steps = min_norm_solve(J, -R)
+    assert np.all(np.max(np.abs(evaluate(Z0 + steps)[0]), axis=1) > np.max(np.abs(R), axis=1))
+    want, taken = _one_iteration_one_scale_at_a_time(evaluate, Z0, 1e-12)
+    assert taken == [(scale, residual) for scale in scales]
+    svd_sides = []
+
+    def svd_solve(A, b):
+        svd_sides.append(b.shape[1])
+        return _svd_solve(A, b)
+
+    monkeypatch.setattr(_numeric, "_svd_solve", svd_solve)
+    got = newton_batch(evaluate, Z0, 1e-12, 1).z
+    assert np.array_equal(got, want)
+    assert len(svd_sides) > 1                   # the step and the corrections
 
 
 def _dedup_clouds(rng, radius):
