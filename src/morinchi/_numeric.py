@@ -66,21 +66,20 @@ def vecmat(v, A):
 
 
 class MinNormFactor(NamedTuple):
-    """What ``min_norm_solve`` keeps of a stack of matrices for its right
-    sides (``min_norm_factor``)."""
+    """What ``min_norm_factor`` keeps of a stack of matrices (..., r, d) for
+    ``min_norm_apply``."""
 
-    A: np.ndarray       # the matrices, (..., r, d)
     inv: np.ndarray     # the inverse of each one's G, (..., s, s)
     svd: np.ndarray     # bool (...): the lanes that take the SVD
 
     def take(self, lanes):
         """The factor of ``lanes`` of a one-axis stack."""
-        return MinNormFactor(self.A[lanes], self.inv[lanes], self.svd[lanes])
+        return MinNormFactor(self.inv[lanes], self.svd[lanes])
 
 
 def min_norm_solve(A, b):
     """Minimal-norm least-squares solution of A x = b over leading stack axes:
-    ``min_norm_apply(min_norm_factor(A), b)``.
+    ``min_norm_apply(A, min_norm_factor(A), b)``.
 
     ``b`` holds one right side per matrix, (..., r), and x is (..., d); or
     several, (..., k, r), which share their matrix's inverse or SVD, and x
@@ -90,7 +89,7 @@ def min_norm_solve(A, b):
     eps * max(rows, cols) times the largest one, count as zero, so a stack
     gives what ``lstsq`` gives lane by lane.
     """
-    return min_norm_apply(min_norm_factor(A), b)
+    return min_norm_apply(A, min_norm_factor(A), b)
 
 
 def min_norm_factor(A):
@@ -120,7 +119,7 @@ def min_norm_factor(A):
     lead, (r, d) = A.shape[:-2], A.shape[-2:]
     s = min(r, d)
     if s == 0:
-        return MinNormFactor(A, np.zeros(lead + (0, 0)), np.ones(lead, dtype=bool))
+        return MinNormFactor(np.zeros(lead + (0, 0)), np.ones(lead, dtype=bool))
     flat = A.reshape(-1, r, d)
     At = np.swapaxes(flat, -1, -2)
     G = flat @ At if r < d else At @ flat if r > d else flat
@@ -136,14 +135,16 @@ def min_norm_factor(A):
     bound = 1.0 / (eps * s) if r == d else eps ** -0.5
     # NaN or inf in kappa fails the test too
     svd = ~(s * _norm1(G) * _norm1(inv) < bound)
-    return MinNormFactor(A, inv.reshape(lead + (s, s)), svd.reshape(lead))
+    return MinNormFactor(inv.reshape(lead + (s, s)), svd.reshape(lead))
 
 
-def min_norm_apply(factor, b):
-    """``min_norm_solve`` of the matrices of ``factor`` (``min_norm_factor``)
-    against ``b``, one right side per matrix (..., r) or several (..., k, r):
-    the kept inverses, and the SVD on the lanes that fail the gate."""
-    A, inv, svd = factor
+def min_norm_apply(A, factor, b):
+    """``min_norm_solve`` of A (..., r, d) against ``b``, one right side per
+    matrix (..., r) or several (..., k, r), with the ``factor`` that
+    ``min_norm_factor`` made of A: its inverses, and the SVD on the lanes
+    that fail the gate.  A lane whose SVD does not converge gets NaN."""
+    inv, svd = factor
+    A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     lead, (r, d) = A.shape[:-2], A.shape[-2:]
     shape = b.shape[:-1] + (d,)
@@ -235,27 +236,35 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60, indexed=False):
             J = np.empty((B,) + np.shape(J_i)[1:])
         R[i:i + width], J[i:i + width] = R_i, J_i
     norm = _max_abs(R)
+    s = min(R.shape[1], d)
     active = np.ones(B, dtype=bool)
     for it in range(1, max_iter + 1):
         _retire(active & (norm <= tol), "converged", it - 1, active, iterations, stop)
         lanes = np.flatnonzero(active)
         if lanes.size == 0:
             break
+        # the factors of the lanes still searching, packed as their chunks
+        # end: a concatenation of the chunks' factors would hold them twice
+        kept, n = MinNormFactor(np.empty((lanes.size, s, s)), np.empty(lanes.size, dtype=bool)), 0
         searching = []
         for i in range(0, lanes.size, width):
             part = lanes[i:i + width]
             finite = np.isfinite(R[part]).all(axis=1) & np.isfinite(J[part]).all(axis=(1, 2))
-            factor = min_norm_factor(J[part[finite]])
+            A = J[part[finite]]
+            factor = min_norm_factor(A)
             steps = np.full((part.size, d), np.nan)
-            steps[finite] = min_norm_apply(factor, -R[part[finite]])
+            steps[finite] = min_norm_apply(A, factor, -R[part[finite]])
             good = np.isfinite(steps).all(axis=1)
             _retire(part[~good], "nonfinite_step", it, active, iterations, stop)
             part, steps, factor = part[good], steps[good], factor.take(good[finite])
             sizes = _max_abs(steps)
             hit = _try_round(call, Z, R, J, norm, part, steps, sizes, factor, first)
-            searching.append((part[~hit], steps[~hit], sizes[~hit], *factor.take(~hit)))
-        lanes, steps, sizes, *kept = map(np.concatenate, zip(*searching))
-        factor = MinNormFactor(*kept)
+            searching.append((part[~hit], steps[~hit], sizes[~hit]))
+            m = part.size - np.count_nonzero(hit)
+            kept.inv[n:n + m], kept.svd[n:n + m] = factor.take(~hit)
+            n += m
+        lanes, steps, sizes = map(np.concatenate, zip(*searching))
+        factor = kept.take(slice(n))
         for scales in rounds:
             if lanes.size == 0:
                 break
@@ -274,9 +283,10 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60, indexed=False):
 def _try_round(call, Z, R, J, norm, part, steps, sizes, factor, scales):
     """One halving round of ``newton_batch`` on the lanes ``part``, with
     their ``steps``, the steps' max norms ``sizes`` and the ``factor`` of
-    their Jacobians: every lane tries each of ``scales`` in one call of F
-    and takes the largest accepted trial, whose z, residual, Jacobian and
-    norm it writes to Z, R, J and norm.  Returns the lanes that took one."""
+    their Jacobians J[part]: every lane tries each of ``scales`` in one call
+    of F and takes the largest accepted trial, whose z, residual, Jacobian
+    and norm it writes to Z, R, J and norm.  Returns the lanes that took
+    one."""
     if part.size == 0:
         return np.zeros(0, dtype=bool)
     # lane j tries its scales in rows j*k .. j*k + k - 1
@@ -293,7 +303,8 @@ def _try_round(call, Z, R, J, norm, part, steps, sizes, factor, scales):
         some = need.any(axis=1)
         sides = np.where(need[:, :, None], R_try.reshape(need.shape + (-1,)), 0.0)
         bar = np.full(took.shape, np.nan)
-        bar[some] = np.max(np.abs(min_norm_apply(factor.take(some), sides[some])), axis=-1)
+        bar[some] = np.max(np.abs(min_norm_apply(J[part[some]], factor.take(some), sides[some])),
+                           axis=-1)
         bar[~need] = np.nan
         took = _accepts(norm_try, norm[part][:, None], bar, sizes[:, None])
     hit = took.any(axis=1)

@@ -454,7 +454,7 @@ def test_min_norm_solve_matches_lstsq_lane_by_lane(monkeypatch):
         b = rng.standard_normal(A.shape[:2])
         svd_lanes.clear()
         got = min_norm_solve(A, b)
-        _assert_factor_applies_bit_for_bit(A, b, got)
+        _assert_factor_applies_bit_for_bit(A, b)
         assert [any(np.array_equal(Ai, S) for S in svd_lanes) for Ai in A] == by_svd
         assert got.shape == (len(A), A.shape[2])
         for Ai, bi, x in zip(A, b, got):
@@ -473,19 +473,18 @@ def test_min_norm_solve_matches_lstsq_lane_by_lane(monkeypatch):
         _assert_factor_applies_bit_for_bit(A, rng.standard_normal(A.shape[:2]))
 
 
-def _assert_factor_applies_bit_for_bit(A, b, got=None):
+def _assert_factor_applies_bit_for_bit(A, b):
     # a stack's factor applied gives min_norm_solve's bits, whole and on
     # every lane, and so does the factor of any of its lanes that ``take``
     # keeps, as newton_batch keeps them for its corrections
-    factor = min_norm_factor(A)
-    got = min_norm_solve(A, b) if got is None else got
-    assert np.array_equal(min_norm_apply(factor, b), got, equal_nan=True)
+    factor, got = min_norm_factor(A), min_norm_solve(A, b)
+    assert np.array_equal(min_norm_apply(A, factor, b), got, equal_nan=True)
     for i in range(len(A)):
-        assert np.array_equal(min_norm_apply(factor.take([i]), b[i:i + 1]), got[i:i + 1],
-                              equal_nan=True)
+        assert np.array_equal(min_norm_apply(A[i:i + 1], factor.take([i]), b[i:i + 1]),
+                              got[i:i + 1], equal_nan=True)
     keep = np.arange(len(A))[::-2]
-    assert np.array_equal(min_norm_apply(factor.take(keep), b[keep]), min_norm_solve(A[keep], b[keep]),
-                          equal_nan=True)
+    assert np.array_equal(min_norm_apply(A[keep], factor.take(keep), b[keep]),
+                          min_norm_solve(A[keep], b[keep]), equal_nan=True)
 
 
 def test_min_norm_solve_shares_each_matrix_across_several_right_sides():
@@ -572,9 +571,9 @@ def test_a_nan_or_inf_trial_is_refused_by_both_tests(bad, monkeypatch):
 
     sides = []
 
-    def spy(factor, b):
+    def spy(A, factor, b):
         sides.append(np.asarray(b))
-        return min_norm_apply(factor, b)
+        return min_norm_apply(A, factor, b)
 
     monkeypatch.setattr(_numeric, "min_norm_apply", spy)
     assert newton_batch(F, [[0.0]], max_iter=1).z.tolist() == [[0.5]]
@@ -667,16 +666,16 @@ def test_a_kept_factor_past_the_gate_takes_the_scale_that_trying_one_at_a_time_t
     assert np.all(np.max(np.abs(evaluate(Z0 + steps)[0]), axis=1) > np.max(np.abs(R), axis=1))
     want, taken = _one_iteration_one_scale_at_a_time(evaluate, Z0, 1e-12)
     assert taken == [(scale, residual) for scale in scales]
-    svd_sides = []
+    svd_calls = []
 
     def svd_solve(A, b):
-        svd_sides.append(b.shape[1])
+        svd_calls.append(len(A))
         return _svd_solve(A, b)
 
     monkeypatch.setattr(_numeric, "_svd_solve", svd_solve)
     got = newton_batch(evaluate, Z0, 1e-12, 1).z
     assert np.array_equal(got, want)
-    assert len(svd_sides) > 1                   # the step and the corrections
+    assert len(svd_calls) > 1                   # the step and the corrections
 
 
 def _dedup_clouds(rng, radius):
