@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 from typing import NamedTuple
 
 import numpy as np
@@ -148,7 +149,7 @@ def min_norm_apply(A, factor, b):
     b = np.asarray(b, dtype=float)
     lead, (r, d) = A.shape[:-2], A.shape[-2:]
     shape = b.shape[:-1] + (d,)
-    m, k = int(np.prod(lead)), int(np.prod(b.shape[len(lead):-1]))
+    m, k = prod(lead), prod(b.shape[len(lead):-1])
     A, b = A.reshape(m, r, d), b.reshape(m, k, r)
     if min(r, d) == 0:
         return _svd_solve(A, b).reshape(shape)
@@ -255,14 +256,18 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60, indexed=False):
             steps = np.full((part.size, d), np.nan)
             steps[finite] = min_norm_apply(A, factor, -R[part[finite]])
             good = np.isfinite(steps).all(axis=1)
-            _retire(part[~good], "nonfinite_step", it, active, iterations, stop)
-            part, steps, factor = part[good], steps[good], factor.take(good[finite])
+            if not good.all():
+                _retire(part[~good], "nonfinite_step", it, active, iterations, stop)
+                part, steps, factor = part[good], steps[good], factor.take(good[finite])
             sizes = _max_abs(steps)
-            hit = _try_round(call, Z, R, J, norm, part, steps, sizes, factor, first)
-            searching.append((part[~hit], steps[~hit], sizes[~hit]))
-            m = part.size - np.count_nonzero(hit)
-            kept.inv[n:n + m], kept.svd[n:n + m] = factor.take(~hit)
-            n += m
+            miss = ~_try_round(call, Z, R, J, norm, part, steps, sizes, factor, first)
+            if miss.any():
+                searching.append((part[miss], steps[miss], sizes[miss]))
+                m = searching[-1][0].size
+                kept.inv[n:n + m], kept.svd[n:n + m] = factor.take(miss)
+                n += m
+        if not searching:
+            continue
         lanes, steps, sizes = map(np.concatenate, zip(*searching))
         factor = kept.take(slice(n))
         for scales in rounds:
