@@ -260,7 +260,7 @@ def explain(report_path) -> str:
         lines.append(f"  curve {i}: {c['nodes']} nodes in {c['segments']} segments, "
                      f"{c['lane_steps']} lane steps, "
                      f"{c['corrector_iterations']} corrector iterations, {c['half_steps']} "
-                     f"half-step fallbacks, {c['bisection_steps']} cusp-bisection steps")
+                     f"half-step fallbacks, {c['cusp_iterations']} cusp polish iterations")
         lines.append("    stops: " + ", ".join(f"{k} {reason.replace('_', ' ')}"
                                                for reason, k in c["stops"].items()))
     gen = audits.get("genericity", {})

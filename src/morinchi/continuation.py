@@ -3,13 +3,11 @@
 A predictor-corrector layout after Allgower & Georg, Introduction to
 Numerical Continuation Methods (SIAM 2003): a step along the tangent t,
 then Newton back to the curve inside the plane normal to t.  Every routine
-takes a stack of points and every solve is ``newton_batch`` with its
-minimal-norm step: landing (the midpoints of ``bisect_on_curve``, all
-brackets at once) solves the rectangular curve equations, the corrector
-(``correct_in_planes``) the curve equations bordered by each start's plane
-row.  The bordered matrix [J; t] is square, and nonsingular wherever the
-curve is smooth and t is not normal to it; there its inverse gives the
-step.  Along a chain of steps the next tangent is the one [J(z_new); t]
+takes a stack of points, and the corrector (``correct_in_planes``) is one
+``newton_batch`` with its minimal-norm step on the curve equations
+bordered by each start's plane row.  The bordered matrix [J; t] is
+square, and nonsingular wherever the curve is smooth and t is not normal
+to it; there its inverse gives the step.  Along a chain of steps the next tangent is the one [J(z_new); t]
 induces (``chain_tangents``: the solution of [J; t] tau = e_last,
 normalized), oriented along t since t . tau = 1; a point with no
 predecessor, and an exactly singular bordered stack, take it from the null
@@ -29,10 +27,11 @@ flips where a chain of steps passes a bifurcation point.
 A system is anything with ``evaluate(Z) -> (R, J)`` on a stack Z
 (B, dim_z), its ``dim_z`` and ``tol``, the residual tolerance its solves
 stop at; its solution set near the points given is a smooth curve.  The
-fold-curve trace, the cusp search and the cusp charts in ``strata`` and
-the cusp partners in ``morse`` are its clients; ``bisect_on_curve`` serves
-the cusp search only, since the Morse walk along the fold curves polishes
-each critical point from its bracket instead.
+fold-curve trace and the cusp charts in ``strata`` and the cusp partners
+in ``morse`` are its clients.  Nothing here locates a point on the curve
+where a scalar changes sign: the cusp search and the Morse walk along the
+fold curves polish each such point from its bracket on the augmented
+system of ``strata.StratumCriticalSystem`` instead.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._numeric import batch_width, newton_batch, sign_normalize
-from .scenario import MorinnessError, StratificationError
+from .scenario import MorinnessError
 
 
 def correct_in_planes(system, Z, anchors, normals):
@@ -151,41 +150,3 @@ def curve_tangents(system, Z, prev=None):
     if prev is None:
         return sign_normalize(T)
     return np.where((np.sum(T * prev, axis=1) < 0)[:, None], -T, T)
-
-
-def bisect_on_curve(system, ZA, ZB, FA, value, gap):
-    """Bisect sign changes of a scalar along the curve, all brackets in
-    lockstep.
-
-    Bracket i runs from ZA[i] to ZB[i], and FA[i] is the value at ZA[i].
-    Each round lands the midpoints of the open brackets with one
-    ``newton_batch`` and evaluates ``value(Z)`` there.  A bracket stops at a
-    landed midpoint whose value is exactly zero or whose chord ZB - ZA is
-    shorter than ``gap``, and returns its bracket midpoint, unlanded, after
-    60 halvings.
-    Returns the points (k, dim_z) and the number of midpoints landed per
-    bracket.
-    """
-    ZA, ZB = np.array(ZA, dtype=float), np.array(ZB, dtype=float)
-    FA = np.array(FA, dtype=float)
-    Z = np.empty_like(ZA)
-    steps = np.zeros(len(ZA), dtype=int)
-    live = np.arange(len(ZA))
-    for step in range(1, 61):
-        if live.size == 0:
-            break
-        mid = newton_batch(system.evaluate, 0.5 * (ZA[live] + ZB[live]),
-                           tol=system.tol, max_iter=60)
-        if not mid.converged.all():
-            raise StratificationError("bisection lost the curve")
-        fm = value(mid.z)
-        steps[live] = step
-        done = (fm == 0.0) | (np.linalg.norm(ZB[live] - ZA[live], axis=1) < gap)
-        Z[live[done]] = mid.z[done]
-        right = ~done & (FA[live] * fm < 0)
-        left = ~done & ~right
-        ZB[live[right]] = mid.z[right]
-        ZA[live[left]], FA[live[left]] = mid.z[left], fm[left]
-        live = live[~done]
-    Z[live] = 0.5 * (ZA[live] + ZB[live])
-    return Z, steps

@@ -27,14 +27,21 @@ from ._numeric import (
     census,
     dedup_points,
     eig_sign_counts,
-    min_norm_solve,
     newton,  # noqa: F401  (stays bound here for perfbench)
     newton_batch,
 )
-from .continuation import audit_nullity, correct_in_planes
+from .continuation import correct_in_planes
 from .manifold import tangent_frame, tangent_frames
-from .scenario import BlockChart, MorinnessError, MorinScenario, StratificationError
-from .strata import SingularSystem, Stratification, cusp_near, multistart_starts, stratum_points
+from .scenario import MorinnessError, MorinScenario, StratificationError
+from .strata import (
+    SingularSystem,
+    Stratification,
+    StratumCriticalSystem,
+    cusp_near,
+    multistart_starts,
+    secant_starts,
+    stratum_points,
+)
 
 
 class GenericityFailure(RuntimeError):
@@ -171,57 +178,12 @@ def _records(S, system, Z, index, failures, flat) -> list:
 # -- on-stratum critical points: the augmented Lagrange system -------------------
 
 
-class StratumCriticalSystem(BlockChart):
-    """Critical points of h(z) = <a, f(x)> on the singular solution manifold.
-
-    Unknowns w = (z, nu) where z solves the singular system F(z) = 0 and nu
-    are the multipliers of the stationarity condition grad h = DF^T nu.
-    Residual and exact Jacobian are one call of the scenario's
-    ``augmented_block`` with a in its covector slots.  Every method takes
-    one point or a stack of them but ``reduced_hessian``, which takes a
-    stack.
-    """
-
-    def __init__(self, S: MorinScenario, a):
-        self.S = S
-        self.base = SingularSystem(S)
-        if self.base.reduced:
-            raise StratificationError("augmented system needs target dimension >= 2")
-        self.D = self.base.dim_z
-        self.E = self.base.n_eqs
-        super().__init__(S.augmented_block, self.D + self.E, S.tolerances.residual,
-                         fixed=a, at=self.D + self.E)
-
-    def initial_nu(self, z):
-        """Least-squares nu of grad h = DF^T nu at z, from the block at nu = 0
-        (where the stationarity rows are grad h), ``batch_width`` lanes a call."""
-        E, D = self.E, self.D
-        W = np.concatenate([z, np.zeros(np.shape(z)[:-1] + (E,))], axis=-1)
-        flat, width = W.reshape(-1, D + E), batch_width(D + E)
-        nu = np.empty((len(flat), E))
-        for i in range(0, len(flat), width):
-            R, J = self.evaluate(flat[i:i + width])
-            nu[i:i + width] = min_norm_solve(np.swapaxes(J[:, :E, :D], -1, -2), R[:, E:])
-        return nu.reshape(W.shape[:-1] + (E,))
-
-    def reduced_hessian(self, W):
-        """The Hessians of the Lagrangian, J[E:, :D], on the kernels of DF at
-        a stack W (B, D + E), in the null space bases of ``audit_nullity``:
-        a point where DF has a nullity other than n - 1, so that the
-        solution set is not a smooth (n - 1)-manifold there, is refused."""
-        J = self.evaluate(W)[1]
-        k = self.S.n - 1
-        V = audit_nullity(J[:, :self.E, :self.D], dim=k, k=k)
-        return V @ J[:, self.E:, :self.D] @ np.swapaxes(V, -1, -2)
-
-
 def _polish_stratum_critical(S, a, Z):
     """Newton on the augmented system of h = <a, f> from a stack Z (B, dim_z)
     of points of the depth-1 set, each with its least-squares nu, as one
     batched solve.  Returns the system and the ``newton_batch`` result."""
     sysc = StratumCriticalSystem(S, a)
-    out = newton_batch(sysc.evaluate, np.concatenate([Z, sysc.initial_nu(Z)], axis=1),
-                       tol=S.tolerances.residual)
+    out = newton_batch(sysc.evaluate, sysc.start(Z), tol=S.tolerances.residual)
     return sysc, out
 
 
@@ -257,8 +219,8 @@ def _critical_points_on_curves(S, a: Covector, strat: Stratification):
     the indices of the cusps they hit.
 
     Each sign change of dh/ds between nodes b and b + 1 of a curve is one
-    start: the secant point (1 - lam) z_b + lam z_{b+1} where the linear
-    interpolant of dh/ds vanishes.  All starts polish in one batched solve
+    start: the secant point where the linear interpolant of dh/ds vanishes
+    (``secant_starts``).  All starts polish in one batched solve
     (``_polish_stratum_critical``).  A cusp solves the augmented system too,
     so a root near a located cusp (``cusp_near``) is a cusp hit, not an
     interior critical point.
@@ -268,10 +230,7 @@ def _critical_points_on_curves(S, a: Covector, strat: Stratification):
         phis = _curve_phi_values(S, a.a, curve)
         if np.any(phis == 0.0):
             raise GenericityFailure("exact zero derivative at a trace node")
-        b = np.flatnonzero(~(phis * np.roll(phis, -1) > 0))
-        c = (b + 1) % len(phis)
-        lam = (phis[b] / (phis[b] - phis[c]))[:, None]
-        starts.append((1 - lam) * curve.nodes[b] + lam * curve.nodes[c])
+        starts.append(secant_starts(curve, phis)[1])
     sysc, out = _polish_stratum_critical(S, a.a, np.concatenate(starts))
     if not out.converged.all():
         raise GenericityFailure("stratum critical point failed to polish")

@@ -212,7 +212,7 @@ class MorinScenario:
 
     @property
     def augmented_block(self):
-        """The system of ``morse.StratumCriticalSystem`` as one ExprBlock over
+        """The system of ``strata.StratumCriticalSystem`` as one ExprBlock over
         w = (x, u, mu, nu) followed by the covector a, built on first use: the
         singular rows F(z), the z-gradient of <a, f> - <nu, F>, then their
         nonzero partials in w, as in ``singular_block``."""

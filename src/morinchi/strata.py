@@ -9,10 +9,13 @@ multipliers.  Every reading of it takes the spectra of one stacked
 ``_numeric.sign_counts``.  For two-dimensional targets the depth-1 set is a
 union of closed curves, traced in lockstep lanes by the routines of
 ``continuation``; cusps are bracketed by the sign of the kernel-Hessian
-determinant and refined by bisection.  Each located cusp gets its chart,
-from one two-sided sample of the curve per cusp and one spectra pass over
-the samples and the cusp: the tangent into the plus arc, the two arc
-samples, the degenerate kernel direction and the slope of the flattening
+determinant, and each is polished from its bracket as a critical point on
+the curve (``StratumCriticalSystem``, the augmented system of the critical
+points of h = <a, f> on the singular set, which ``morse`` polishes for
+every covector too).  Each located cusp gets its chart, from one
+two-sided sample of the curve per cusp and one spectra pass over the
+samples and the cusp: the tangent into the plus arc, the two arc samples,
+the degenerate kernel direction and the slope of the flattening
 eigenvalue, which certifies depth 2.  Every curve operation takes a stack
 of points.  The scenario types come from ``scenario``.  ``load_scenario``,
 ``Tolerances``, ``newton`` and ``project_to_manifold`` stay bound here,
@@ -41,7 +44,7 @@ from ._numeric import (
 )
 from .continuation import (
     audit_bordered,
-    bisect_on_curve,
+    audit_nullity,
     chain_tangents,
     correct_in_planes,
     curve_tangents,
@@ -136,6 +139,54 @@ class SingularSystem(BlockChart):
         if self.reduced:
             return z[..., :N], self.cokernel, z[..., N:]
         return z[..., :N], z[..., N:N + n], z[..., N + n:]
+
+
+class StratumCriticalSystem(BlockChart):
+    """Critical points of h(z) = <a, f(x)> on the singular solution manifold.
+
+    Unknowns w = (z, nu) where z solves the singular system F(z) = 0 and nu
+    are the multipliers of the stationarity condition grad h = DF^T nu.
+    Residual and exact Jacobian are one call of the scenario's
+    ``augmented_block`` with a in its covector slots.  Every method takes
+    one point or a stack of them but ``reduced_hessian``, which takes a
+    stack.
+    """
+
+    def __init__(self, S: MorinScenario, a):
+        self.S = S
+        self.base = SingularSystem(S)
+        if self.base.reduced:
+            raise StratificationError("augmented system needs target dimension >= 2")
+        self.D = self.base.dim_z
+        self.E = self.base.n_eqs
+        super().__init__(S.augmented_block, self.D + self.E, S.tolerances.residual,
+                         fixed=a, at=self.D + self.E)
+
+    def initial_nu(self, z):
+        """Least-squares nu of grad h = DF^T nu at z, from the block at nu = 0
+        (where the stationarity rows are grad h), ``batch_width`` lanes a call."""
+        E, D = self.E, self.D
+        W = np.concatenate([z, np.zeros(np.shape(z)[:-1] + (E,))], axis=-1)
+        flat, width = W.reshape(-1, D + E), batch_width(D + E)
+        nu = np.empty((len(flat), E))
+        for i in range(0, len(flat), width):
+            R, J = self.evaluate(flat[i:i + width])
+            nu[i:i + width] = min_norm_solve(np.swapaxes(J[:, :E, :D], -1, -2), R[:, E:])
+        return nu.reshape(W.shape[:-1] + (E,))
+
+    def start(self, z):
+        """The polish start w0 = (z, nu0) at z, nu0 its ``initial_nu``."""
+        return np.concatenate([z, self.initial_nu(z)], axis=-1)
+
+    def reduced_hessian(self, W):
+        """The Hessians of the Lagrangian, J[E:, :D], on the kernels of DF at
+        a stack W (B, D + E), in the null space bases of ``audit_nullity``:
+        a point where DF has a nullity other than n - 1, so that the
+        solution set is not a smooth (n - 1)-manifold there, is refused."""
+        J = self.evaluate(W)[1]
+        k = self.S.n - 1
+        V = audit_nullity(J[:, :self.E, :self.D], dim=k, k=k)
+        return V @ J[:, self.E:, :self.D] @ np.swapaxes(V, -1, -2)
 
 
 # -- pointwise stratum data ---------------------------------------------------
@@ -629,21 +680,46 @@ class _Lanes:
         return np.r_[x, y], np.r_[y, x], np.r_[f, f].astype(bool)
 
 
+def secant_starts(curve, values):
+    """The node b of each sign change of ``values``, one nonzero value per
+    node of a traced curve, between the cyclically adjacent nodes b and
+    b + 1, and the secant point of each, where the linear interpolant of the
+    values vanishes: the start of the polish of a critical point there."""
+    b = np.flatnonzero(~(values * np.roll(values, -1) > 0))
+    c = (b + 1) % len(values)
+    lam = (values[b] / (values[b] - values[c]))[:, None]
+    return b, (1 - lam) * curve.nodes[b] + lam * curve.nodes[c]
+
+
 def _locate_cusps(S, system, curve: FoldCurve):
+    """The cusps of a traced curve, in node order, each by one polish from
+    its determinant bracket.
+
+    Each sign change of the kernel-Hessian determinant between nodes b and
+    b + 1 is one start: the secant point where the linear interpolant of
+    the determinant vanishes (``secant_starts``).  Along a fold curve Df t is parallel to u⊥,
+    the covector orthogonal to the cokernel u, and Df t vanishes at a cusp;
+    so h = <u⊥, f>, u⊥ = (-u_2, u_1)/|u| at the start, has a nondegenerate
+    critical point on the curve there and no other one nearby (with a = u
+    it would be degenerate).  The start polishes on the augmented system of
+    that h (``StratumCriticalSystem``), one ``newton_batch`` per cusp, whose
+    iterations add up to the curve's ``cusp_iterations``.
+    """
     dets = curve.det_values
     if np.any(dets == 0.0):
         raise StratificationError("exact zero determinant at a trace node")
-    brackets = np.flatnonzero(~(dets * np.roll(dets, -1) > 0))
-    Z, steps = bisect_on_curve(system, curve.nodes[brackets],
-                               curve.nodes[(brackets + 1) % len(dets)], dets[brackets],
-                               lambda Z: _node_metrics(S, system, Z)[0], gap=1e-14)
-    # after all 60 halvings the bisection may return its unlanded bracket
-    # midpoint; a bracket that stopped sooner returns a landed midpoint
-    full = steps == 60
-    landed = newton_batch(system.evaluate, Z[full], tol=S.tolerances.residual, max_iter=60)
-    if not landed.converged.all():
-        raise StratificationError("could not land on the singular curve at a cusp")
-    Z[full] = landed.z
+    brackets, starts = secant_starts(curve, dets)
+    Z = np.empty_like(starts)
+    iterations = 0
+    for j, z in enumerate(starts):
+        u = system.unpack(z)[1]
+        sysc = StratumCriticalSystem(S, np.array([-u[1], u[0]]) / np.linalg.norm(u))
+        out = newton_batch(sysc.evaluate, sysc.start(z[None]), tol=S.tolerances.residual)
+        if not out.converged[0]:
+            raise StratificationError(
+                f"could not polish the cusp in the determinant bracket after node {brackets[j]}")
+        Z[j] = out.z[0, :system.dim_z]
+        iterations += int(out.iterations[0])
     points, failures = stratum_points(S, system, Z)
     for j, p in enumerate(points):
         if j in failures:
@@ -653,7 +729,7 @@ def _locate_cusps(S, system, curve: FoldCurve):
             raise MorinnessError(f"inconsistent degeneracy at cusp candidate {p.x}")
     _chart_cusps(S, system, points)
     curve.cusps, curve.cusp_positions = points, (brackets + 0.5).tolist()
-    curve.solver["bisection_steps"] = int(np.sum(steps))
+    curve.solver["cusp_iterations"] = iterations
     # a cokernel that returns to minus itself makes the trace cover the base
     # curve twice; cusp bookkeeping would then double-count, so fail loudly
     for i in range(len(curve.cusps)):

@@ -180,6 +180,28 @@ def reference_newton(residual_fn, jacobian_fn, z0, tol=1e-12, max_iter=60):
                         STOP_REASONS.index("converged" if norm <= tol else "iteration_cap"))
 
 
+def reference_bisect(system, za, zb, fa, value, gap):
+    """Bisection of a sign change of a scalar ``value(z)`` along the curve of
+    ``system`` from za, where it is fa, to zb, each midpoint landed by
+    ``reference_newton``: it stops at a landed midpoint whose value is
+    exactly zero or whose chord zb - za is shorter than ``gap``, and returns
+    the bracket midpoint, unlanded, after 60 halvings.  Returns the point
+    and the number of midpoints landed."""
+    for steps in range(1, 61):
+        mid = reference_newton(lambda z: system.evaluate(z)[0], lambda z: system.evaluate(z)[1],
+                               0.5 * (za + zb), tol=system.tol, max_iter=60)
+        if not mid.converged:
+            raise StratificationError("bisection lost the curve")
+        fm = value(mid.z)
+        if fm == 0.0 or np.linalg.norm(zb - za) < gap:
+            return mid.z, steps
+        if fa * fm < 0:
+            zb = mid.z
+        else:
+            za, fa = mid.z, fm
+    return 0.5 * (za + zb), steps
+
+
 def reference_dedup(points, radius):
     """``dedup_points`` by the greedy loop over every kept point: each one
     measures the later points of its window of 2 * radius in the first

@@ -486,19 +486,19 @@ def test_report_counts_curve_tracing_work(tmp_path):
                                             for i in range(len(curves))]
     (c,) = curves
     assert set(c) == {"nodes", "segments", "lane_steps", "half_steps", "corrector_iterations",
-                      "stops", "bisection_steps"}
+                      "stops", "cusp_iterations"}
     # every node but a segment's seed needs a corrector iteration; each of the
-    # two cusps is bisected; the lanes step each node once
+    # two cusps is polished from a start off it; the lanes step each node once
     assert c["corrector_iterations"] >= c["nodes"] - c["segments"] > 0
     assert 0 < c["lane_steps"] <= c["nodes"]
-    assert c["bisection_steps"] >= 2
+    assert c["cusp_iterations"] >= 2
     assert list(c["stops"]) == list(STOP_REASONS)
     assert c["stops"]["converged"] == sum(c["stops"].values()) > c["segments"]
     text = explain(d1 / "report.json")
     assert (f"curve 0: {c['nodes']} nodes in {c['segments']} segments, "
             f"{c['lane_steps']} lane steps, "
             f"{c['corrector_iterations']} corrector iterations, {c['half_steps']} half-step "
-            f"fallbacks, {c['bisection_steps']} cusp-bisection steps\n"
+            f"fallbacks, {c['cusp_iterations']} cusp polish iterations\n"
             f"    stops: {c['stops']['converged']} converged, 0 nonfinite step, "
             f"0 line search failed, 0 iteration cap") in text
 

@@ -475,63 +475,69 @@ def test_seed_changes_covector_but_not_results(s2_height):
     assert outcomes[0] == outcomes[1] == [0, 2]
 
 
-def test_unconverged_landing_is_a_stratification_error(flat_cusp, monkeypatch):
+def test_a_stalled_cusp_polish_is_a_stratification_error(flat_cusp, monkeypatch):
     S = flat_cusp
     p = reference_stratum_point(S, np.zeros(4), np.array([0.0, 1.0]), np.array([0.0]))
     system = SingularSystem(S)
     z = system.pack(p.x, p.cokernel, p.multiplier)
 
-    def stalled(F, Z0, tol, max_iter):
+    def stalled(F, Z0, tol=1e-12, max_iter=60):
         Z0 = np.array(Z0, dtype=float)
         return NewtonResult(Z0, np.ones(len(Z0)), np.full(len(Z0), max_iter),
                             np.full(len(Z0), STOP_REASONS.index("iteration_cap")))
 
-    # a cusp bracket that used all 60 halvings returns its bracket midpoint,
-    # which is landed; the landing stalls
-    monkeypatch.setattr(strata, "bisect_on_curve",
-                        lambda system, ZA, ZB, FA, value, gap: (0.5 * (ZA + ZB),
-                                                                np.full(len(ZA), 60)))
+    # each determinant bracket starts one polish on the augmented system,
+    # and the polish stalls
     monkeypatch.setattr(strata, "newton_batch", stalled)
     curve = FoldCurve(nodes=np.array([z, z + 0.01]), closure_error=0.0,
                       det_values=np.array([1.0, -1.0]), parities=np.array([0, 1]),
                       tangents=np.zeros((2, len(z))))
-    with pytest.raises(StratificationError, match="land"):
+    with pytest.raises(StratificationError, match="could not polish the cusp"):
         strata._locate_cusps(S, system, curve)
 
 
-def test_located_cusps_are_not_landed_again(s3_cusps, monkeypatch):
-    # the trace starts from the depth-1 cloud, already on the curve; the
-    # bisection returns every cusp as a landed midpoint before 60 halvings,
-    # so the landing of the cusps gets no lane; the correctness check and
-    # the arc samples start from the located cusp.  A landing is a Newton
-    # on the curve equations alone that does not land a bisection midpoint.
-    landed, bisecting = [], []
-    newton_batch, bisect = strata.newton_batch, strata.bisect_on_curve
+def test_each_cusp_is_one_polish_with_a_covector_normal_to_its_cokernel(s3_cusps,
+                                                                         monkeypatch):
+    # the cusp search lands nothing on the curve equations: each determinant
+    # bracket is one newton_batch, of one lane, on the augmented system of
+    # h = <a, f> with a the unit covector normal to the start's cokernel
+    S = s3_cusps
+    polishes, landings, locating = [], [], []
+    newton_batch, locate = strata.newton_batch, strata._locate_cusps
 
-    def counted(F, Z0, tol=1e-12, max_iter=60, indexed=False):
+    def counted(F, Z0, **kwargs):
+        out = newton_batch(F, Z0, **kwargs)
         system = getattr(F, "__self__", None)
-        if (isinstance(system, SingularSystem) and not system.reduced and max_iter == 60
-                and not bisecting):
-            landed.append(len(Z0))
-        return newton_batch(F, Z0, tol=tol, max_iter=max_iter, indexed=indexed)
+        if locating and isinstance(system, StratumCriticalSystem):
+            polishes.append((system.fixed, np.array(Z0), out))
+        elif locating and isinstance(system, SingularSystem):
+            landings.append(len(Z0))
+        return out
 
-    def marked(*args, **kwargs):
-        bisecting.append(True)
+    def marked(*args):
+        locating.append(True)
         try:
-            return bisect(*args, **kwargs)
+            return locate(*args)
         finally:
-            bisecting.pop()
+            locating.pop()
 
     for module in (strata, morse, continuation):
         monkeypatch.setattr(module, "newton_batch", counted)
-    monkeypatch.setattr(strata, "bisect_on_curve", marked)
-    strat = compute_stratification(s3_cusps)
-    # the one curve's cusp landing, with no lane
-    assert landed == [0] and len(strat.curves) == 1 and len(strat.cusps) == 2
-    landed.clear()
-    a, data, audit, hist = run_with_genericity(s3_cusps, strat)
+    monkeypatch.setattr(strata, "_locate_cusps", marked)
+    strat = compute_stratification(S)
+    (curve,) = strat.curves
+    assert landings == [] and len(polishes) == len(curve.cusps) == 2
+    for a, W0, out in polishes:
+        u = W0[:, S.N:S.N + S.n]
+        assert W0.shape[0] == 1 and out.converged.all()
+        assert abs(np.linalg.norm(a) - 1.0) <= 1e-15 and abs(float(u[0] @ a)) <= 1e-15
+    assert curve.solver["cusp_iterations"] == sum(int(out.iterations.sum())
+                                                 for _, _, out in polishes) >= 2
+    # the polished roots are the cusps, which the rest of the pipeline reads
+    for (_, _, out), p in zip(polishes, curve.cusps):
+        assert np.max(np.abs(out.z[0, :S.N] - p.x)) == 0.0
+    a, data, audit, hist = run_with_genericity(S, strat)
     assert audit.ok and len(data.boundary_records) == 2
-    assert landed == []
 
 
 def test_the_walk_along_the_curves_is_one_polish(s3_cusps, monkeypatch):

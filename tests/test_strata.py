@@ -12,7 +12,6 @@ from morinchi._numeric import STOP_REASONS, eig_sign_counts
 from morinchi.continuation import (
     audit_bordered,
     audit_nullity,
-    bisect_on_curve,
     correct_in_planes,
     nullities,
 )
@@ -37,6 +36,7 @@ from morinchi.strata import (
 from tests.conftest import (
     bundled,
     fd_jacobian,
+    reference_bisect,
     reference_meetings,
     reference_newton,
     reference_stratum_point,
@@ -597,55 +597,6 @@ def test_a_lane_whose_det_sign_flips_is_refused(s3_proj_sparse, monkeypatch, edi
     assert lanes.count == 4 and "np.float64(" not in str(info.value)
 
 
-class Line:
-    """A flat "curve" every point lies on, so each landing is the point itself."""
-
-    dim_z, tol = 1, 1e-12
-
-    def evaluate(self, z):
-        lead = np.shape(z)[:-1]
-        return np.zeros(lead + (1,)), np.zeros(lead + (1, 1))
-
-
-class Lost(Line):
-    def evaluate(self, z):
-        R, J = super().evaluate(z)
-        return R + 1.0, J
-
-
-def _bisect_loop(system, za, zb, fa, value, gap):
-    """The bisection of one bracket that ``bisect_on_curve`` runs for all
-    brackets in lockstep, each midpoint landed by the scalar reference loop,
-    with a scalar ``value(z)``."""
-    for steps in range(1, 61):
-        mid = reference_newton(lambda z: system.evaluate(z)[0], lambda z: system.evaluate(z)[1],
-                               0.5 * (za + zb), tol=system.tol, max_iter=60)
-        if not mid.converged:
-            raise StratificationError("bisection lost the curve")
-        fm = value(mid.z)
-        if fm == 0.0 or np.linalg.norm(zb - za) < gap:
-            return mid.z, steps
-        if fa * fm < 0:
-            zb = mid.z
-        else:
-            za, fa = mid.z, fm
-    return 0.5 * (za + zb), steps
-
-
-def _assert_lockstep_is_the_loop(system, ZA, ZB, FA, value, gap, scalar_value):
-    Z, steps = bisect_on_curve(system, ZA, ZB, FA, value, gap)
-    assert Z.shape == np.shape(ZA) and steps.shape == (len(ZA),)
-    for z, n, za, zb, fa in zip(Z, steps, ZA, ZB, FA):
-        want, m = _bisect_loop(system, za, zb, fa, scalar_value, gap)
-        assert n == m
-        assert np.max(np.abs(z - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
-    return Z, steps
-
-
-def _linear(target):
-    return lambda Z: Z[:, 0] - target
-
-
 def _cloud(rng, n, d, N, h, scale):
     """A fake lane state: n lanes at z in a box of sides ``scale`` (per
     coordinate), each stepping about h along a random unit tangent t that
@@ -818,66 +769,32 @@ def test_audit_bordered_is_the_rank_rule(ratios, edit, raises):
     assert got == want and (got is not None) == raises
 
 
-def test_bisect_on_curve_stops_like_the_loops_it_replaced():
-    za, zb = np.array([[0.0]]), np.array([[1.0]])
-    # the first midpoint is an exact zero
-    Z, steps = bisect_on_curve(Line(), za, zb, [-0.5], _linear(0.5), gap=1e-13)
-    assert Z.tolist() == [[0.5]] and steps.tolist() == [1]
-    # stops once the bracket is below the gap
-    Z, steps = bisect_on_curve(Line(), za, zb, [-0.3], _linear(0.3), gap=1e-13)
-    assert abs(Z[0, 0] - 0.3) < 1e-13 and steps[0] < 60
-    # a value that is never exactly zero runs all 60 halvings
-    Z, steps = bisect_on_curve(Line(), za, zb, [-1.0],
-                               lambda Z: np.where(Z[:, 0] >= 0.3, 1.0, -1.0), gap=0.0)
-    assert steps[0] == 60 and abs(Z[0, 0] - 0.3) < 1e-15    # the bracket midpoint
-    with pytest.raises(StratificationError, match="lost the curve"):
-        bisect_on_curve(Lost(), za, zb, [-0.3], _linear(0.3), gap=1e-13)
-    # no bracket lands nothing
-    Z, steps = bisect_on_curve(Lost(), za[:0], zb[:0], [], _linear(0.3), gap=1e-13)
-    assert Z.shape == (0, 1) and steps.shape == (0,)
-
-
-def test_lockstep_bisection_is_the_bracket_loop_on_lines():
-    # the three stopping rules at once, one bracket each: an exact zero at
-    # the first midpoint, a linear value, and a step that is never zero
-    targets = np.array([0.5, 10.3, 20.3])
-
-    def value(Z):
-        k = (Z[:, 0] // 10).astype(int)
-        v = Z[:, 0] - targets[k]
-        return np.where(k == 2, np.where(v >= 0, 1.0, -1.0), v)
-
-    def scalar(z):
-        return float(value(z[None])[0])
-
-    ZA, ZB = np.array([[0.0], [10.0], [20.0]]), np.array([[1.0], [11.0], [21.0]])
-    for gap in (1e-13, 0.0):
-        _, steps = _assert_lockstep_is_the_loop(Line(), ZA, ZB, [-0.5, -0.3, -1.0], value,
-                                                gap, scalar)
-        assert steps[0] == 1 and min(steps[1:]) > 1
-    assert steps[2] == 60
-
-
-def test_lockstep_bisection_is_the_bracket_loop_on_s3_cusps(s3_cusps, monkeypatch):
-    # the determinant brackets of the cusp search, as the pipeline bisects them
-    calls = []
-
-    def recording(system, ZA, ZB, FA, value, gap):
-        calls.append((system, ZA, ZB, FA, value, gap))
-        return bisect_on_curve(system, ZA, ZB, FA, value, gap)
-
-    monkeypatch.setattr(strata, "bisect_on_curve", recording)
-    S = s3_cusps
+@pytest.mark.parametrize("step, seed", [(None, 0), (None, 1), (2.5e-3, 0), (2.5e-3, 1)],
+                         ids=["seed-0", "seed-1", "seed-0@2.5e-3", "seed-1@2.5e-3"])
+def test_polished_cusps_are_the_reference_bisection_on_s3_cusps(seed, step):
+    # each cusp polished from its determinant bracket is where the scalar
+    # reference bisection of the kernel-Hessian determinant ends
+    S = bundled("s3-cusps")
+    S.seed = seed
+    if step is not None:
+        S.tolerances = dataclasses.replace(S.tolerances, curve_step=step)
     strat = compute_stratification(S)
     system = SingularSystem(S)
 
     def det(z):
         return _node_metrics(S, system, z[None])[0][0]
 
-    (det_call,) = calls
-    assert len(det_call[1]) == len(strat.cusps) == 2
-    _, steps = _assert_lockstep_is_the_loop(*det_call, det)
-    assert np.all(steps > 1)
+    (curve,) = strat.curves
+    dets = curve.det_values
+    brackets = np.flatnonzero(dets * np.roll(dets, -1) < 0)
+    assert len(brackets) == len(curve.cusps) == 2
+    for b, p in zip(brackets, curve.cusps):
+        z, steps = reference_bisect(system, curve.nodes[b], curve.nodes[(b + 1) % len(dets)],
+                                    dets[b], det, gap=1e-14)
+        x, u, _ = system.unpack(z)
+        assert 1 < steps < 60
+        assert np.max(np.abs(p.x - x)) <= 1e-10
+        assert np.max(np.abs(p.cokernel - np.sign(p.cokernel @ u) * u)) <= 1e-10
 
 
 def test_cusp_near_is_ten_dedup_radii():
