@@ -31,6 +31,12 @@ _DEDUP_PAIRS = 8
 
 # why a Newton solve stopped, indexed by ``NewtonResult.stop``
 STOP_REASONS = ("converged", "nonfinite_step", "line_search_failed", "iteration_cap")
+_CONVERGED, _NONFINITE_STEP, _LINE_SEARCH_FAILED, _ITERATION_CAP = range(len(STOP_REASONS))
+
+_EPS = float(np.finfo(float).eps)
+# ``min_norm_factor``'s bound on s * kappa_1 of a rectangular matrix's Gram
+# matrix; a square s x s matrix's is 1 / (_EPS * s)
+_GRAM_BOUND = _EPS ** -0.5
 
 
 @dataclass
@@ -114,16 +120,19 @@ def min_norm_factor(A):
     The other lanes, and the lanes whose G is exactly singular (``inv``
     raises), take the SVD in ``min_norm_apply``.  Each matrix of a stack is
     inverted on its own, so a lane's factor does not depend on its
-    neighbours, and ``take`` keeps the factors of some lanes.
+    neighbours, and ``take`` keeps the factors of some lanes.  A plain stack
+    (B, r, d) is factored as it is; other shapes are flattened to one first.
     """
     A = np.asarray(A, dtype=float)
-    lead, (r, d) = A.shape[:-2], A.shape[-2:]
+    if A.ndim != 3:
+        lead = A.shape[:-2]
+        inv, svd = min_norm_factor(A.reshape((-1,) + A.shape[-2:]))
+        return MinNormFactor(inv.reshape(lead + inv.shape[1:]), svd.reshape(lead))
+    B, r, d = A.shape
     s = min(r, d)
     if s == 0:
-        return MinNormFactor(np.zeros(lead + (0, 0)), np.ones(lead, dtype=bool))
-    flat = A.reshape(-1, r, d)
-    At = np.swapaxes(flat, -1, -2)
-    G = flat @ At if r < d else At @ flat if r > d else flat
+        return MinNormFactor(np.zeros((B, 0, 0)), np.ones(B, dtype=bool))
+    G = A @ A.swapaxes(1, 2) if r < d else A.swapaxes(1, 2) @ A if r > d else A
     try:
         inv = np.linalg.inv(G)
     except np.linalg.LinAlgError:
@@ -132,39 +141,53 @@ def min_norm_factor(A):
         singular = ~(np.abs(np.linalg.det(G)) > 0)
         inv = np.full_like(G, np.nan)
         inv[~singular] = np.linalg.inv(G[~singular])
-    eps = np.finfo(float).eps
-    bound = 1.0 / (eps * s) if r == d else eps ** -0.5
+    bound = 1.0 / (_EPS * s) if r == d else _GRAM_BOUND
     # NaN or inf in kappa fails the test too
     svd = ~(s * _norm1(G) * _norm1(inv) < bound)
-    return MinNormFactor(inv.reshape(lead + (s, s)), svd.reshape(lead))
+    return MinNormFactor(inv, svd)
 
 
 def min_norm_apply(A, factor, b):
     """``min_norm_solve`` of A (..., r, d) against ``b``, one right side per
     matrix (..., r) or several (..., k, r), with the ``factor`` that
     ``min_norm_factor`` made of A: its inverses, and the SVD on the lanes
-    that fail the gate.  A lane whose SVD does not converge gets NaN."""
+    that fail the gate.  A lane whose SVD does not converge gets NaN.
+
+    A plain stack (B, r, d) with one right side per lane, (B, r), the shape
+    of every Newton step and full-step correction, is applied as it is;
+    other shapes are flattened to (m, r, d) and (m, k, r) first.  Both make
+    the same products on the same (s, s) @ (s, k) shapes, so a lane's bits
+    do not depend on the path.
+    """
     inv, svd = factor
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    lead, (r, d) = A.shape[:-2], A.shape[-2:]
+    r, d = A.shape[-2:]
+    if A.ndim == 3 and b.ndim == 2 and min(r, d):
+        At = A.swapaxes(1, 2)
+        x = inv @ (At @ b[:, :, None] if r > d else b[:, :, None])
+        x = (At @ x if r < d else x)[:, :, 0]
+        if svd.any():
+            x[svd] = _svd_solve(A[svd], b[svd][:, None, :])[:, 0]
+        return x
+    lead = A.shape[:-2]
     shape = b.shape[:-1] + (d,)
     m, k = prod(lead), prod(b.shape[len(lead):-1])
     A, b = A.reshape(m, r, d), b.reshape(m, k, r)
     if min(r, d) == 0:
         return _svd_solve(A, b).reshape(shape)
     inv, svd = inv.reshape(m, *inv.shape[-2:]), svd.reshape(m)
-    At = np.swapaxes(A, -1, -2)
-    bt = np.swapaxes(b, -1, -2)
+    At = A.swapaxes(1, 2)
+    bt = b.swapaxes(1, 2)
     x = inv @ (At @ bt if r > d else bt)
-    x = np.swapaxes(At @ x if r < d else x, -1, -2)
+    x = (At @ x if r < d else x).swapaxes(1, 2)
     if svd.any():
         x[svd] = _svd_solve(A[svd], b[svd])
     return x.reshape(shape)
 
 
 def _norm1(A):
-    return np.max(np.sum(np.abs(A), axis=-2), axis=-1)
+    return np.abs(A).sum(axis=-2).max(axis=-1)
 
 
 def _svd_solve(A, b):
@@ -176,7 +199,7 @@ def _svd_solve(A, b):
         if len(A) == 1:
             return np.full(b.shape[:-1] + A.shape[-1:], np.nan)
         return np.concatenate([_svd_solve(A[i:i + 1], b[i:i + 1]) for i in range(len(A))])
-    large = s > np.finfo(float).eps * max(A.shape[-2:]) * s[..., :1]
+    large = s > _EPS * max(A.shape[-2:]) * s[..., :1]
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=large)
     return ((b @ u) * inv[:, None, :]) @ vt
 
@@ -209,9 +232,15 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60, indexed=False):
     Each iteration factors a lane's Jacobian once (``min_norm_factor``), for
     its step, and every correction of the iteration applies that factor
     (``min_norm_apply``): the Jacobian does not change while the lane
-    searches.  The step solve and the full-step round run together, chunk by
-    chunk, and only the lanes that the full step did not satisfy keep their
-    factor for the later rounds.
+    searches.  The step solve and the full-step round (``_full_step``) run
+    together, chunk by chunk, and only the lanes that the full step did not
+    satisfy keep their factor for the later rounds (``_try_round``), in a
+    buffer made only in an iteration where some lane still searches.
+    The working set is kept, not recomputed: the index of the lanes still
+    at work loses a lane where it stops; a residual is finite exactly when
+    its max norm is, and a flag per lane, set wherever its Jacobian rows are
+    written, says whether the Jacobian is; a chunk whose lanes are all
+    finite is solved without masks.
     Lanes only share the calls to ``F`` and the stacked step solves: each
     iteration, and each round of it, pools the lanes still at work across
     the whole stack into calls of at most ``batch_width(d)`` rows.
@@ -222,11 +251,11 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60, indexed=False):
     Z = np.array(Z0, dtype=float, ndmin=2)
     B, d = Z.shape
     width = batch_width(d)
-    first, *rounds = _rounds(width)
+    rounds = _rounds(width)[1:]
     rows = np.arange(B)
     call = F if indexed else (lambda Z_part, part: F(Z_part))
     iterations = np.full(B, max_iter, dtype=int)
-    stop = np.full(B, STOP_REASONS.index("iteration_cap"))
+    stop = np.full(B, _ITERATION_CAP)
     if B == 0:
         return NewtonResult(Z, np.zeros(0), iterations, stop)
     R = J = None
@@ -237,69 +266,108 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60, indexed=False):
             J = np.empty((B,) + np.shape(J_i)[1:])
         R[i:i + width], J[i:i + width] = R_i, J_i
     norm = _max_abs(R)
+    finite_J = np.isfinite(J).all(axis=(1, 2))
     s = min(R.shape[1], d)
-    active = np.ones(B, dtype=bool)
+    lanes, active = rows, np.ones(B, dtype=bool)
     for it in range(1, max_iter + 1):
-        _retire(active & (norm <= tol), "converged", it - 1, active, iterations, stop)
-        lanes = np.flatnonzero(active)
+        done = norm[lanes] <= tol
+        if done.any():
+            _retire(lanes[done], _CONVERGED, it - 1, active, iterations, stop)
+            lanes = lanes[~done]
         if lanes.size == 0:
             break
         # the factors of the lanes still searching, packed as their chunks
         # end: a concatenation of the chunks' factors would hold them twice
-        kept, n = MinNormFactor(np.empty((lanes.size, s, s)), np.empty(lanes.size, dtype=bool)), 0
-        searching = []
+        kept, n, missed, retired = None, 0, [], False
         for i in range(0, lanes.size, width):
             part = lanes[i:i + width]
-            finite = np.isfinite(R[part]).all(axis=1) & np.isfinite(J[part]).all(axis=(1, 2))
-            A = J[part[finite]]
+            finite = np.isfinite(norm[part]) & finite_J[part]
+            if not finite.all():
+                _retire(part[~finite], _NONFINITE_STEP, it, active, iterations, stop)
+                part, retired = part[finite], True
+            A = J[part]
             factor = min_norm_factor(A)
-            steps = np.full((part.size, d), np.nan)
-            steps[finite] = min_norm_apply(A, factor, -R[part[finite]])
-            good = np.isfinite(steps).all(axis=1)
-            if not good.all():
-                _retire(part[~good], "nonfinite_step", it, active, iterations, stop)
-                part, steps, factor = part[good], steps[good], factor.take(good[finite])
+            steps = min_norm_apply(A, factor, -R[part])
             sizes = _max_abs(steps)
-            miss = ~_try_round(call, Z, R, J, norm, part, steps, sizes, factor, first)
+            good = np.isfinite(sizes)
+            if not good.all():
+                _retire(part[~good], _NONFINITE_STEP, it, active, iterations, stop)
+                part, steps, sizes, factor = part[good], steps[good], sizes[good], factor.take(good)
+                retired = True
+            miss = ~_full_step(call, Z, R, J, norm, finite_J, part, steps, sizes, factor)
             if miss.any():
-                searching.append((part[miss], steps[miss], sizes[miss]))
-                m = searching[-1][0].size
+                if kept is None:
+                    kept = MinNormFactor(np.empty((lanes.size - i, s, s)),
+                                         np.empty(lanes.size - i, dtype=bool))
+                missed.append((part[miss], steps[miss], sizes[miss]))
+                m = missed[-1][0].size
                 kept.inv[n:n + m], kept.svd[n:n + m] = factor.take(miss)
                 n += m
-        if not searching:
-            continue
-        lanes, steps, sizes = map(np.concatenate, zip(*searching))
-        factor = kept.take(slice(n))
-        for scales in rounds:
-            if lanes.size == 0:
-                break
-            per = width // scales.size
-            ok = np.zeros(lanes.size, dtype=bool)
-            for i in range(0, lanes.size, per):
-                chunk = slice(i, i + per)
-                ok[chunk] = _try_round(call, Z, R, J, norm, lanes[chunk], steps[chunk],
-                                       sizes[chunk], factor.take(chunk), scales)
-            lanes, steps, sizes, factor = lanes[~ok], steps[~ok], sizes[~ok], factor.take(~ok)
-        _retire(lanes, "line_search_failed", it, active, iterations, stop)
-    stop[active & (norm <= tol)] = STOP_REASONS.index("converged")
+        if missed:
+            searching, steps, sizes = (missed[0] if len(missed) == 1
+                                       else map(np.concatenate, zip(*missed)))
+            factor = kept.take(slice(n))
+            for scales in rounds:
+                per = width // scales.size
+                ok = np.zeros(searching.size, dtype=bool)
+                for i in range(0, searching.size, per):
+                    chunk = slice(i, i + per)
+                    ok[chunk] = _try_round(call, Z, R, J, norm, finite_J, searching[chunk],
+                                           steps[chunk], sizes[chunk], factor.take(chunk), scales)
+                if ok.all():
+                    break
+                if ok.any():
+                    searching, steps, sizes, factor = (searching[~ok], steps[~ok],
+                                                       sizes[~ok], factor.take(~ok))
+            else:
+                _retire(searching, _LINE_SEARCH_FAILED, it, active, iterations, stop)
+                retired = True
+        if retired:
+            lanes = lanes[active[lanes]]
+    stop[lanes[norm[lanes] <= tol]] = _CONVERGED
     return NewtonResult(Z, norm, iterations, stop, J)
 
 
-def _try_round(call, Z, R, J, norm, part, steps, sizes, factor, scales):
+def _full_step(call, Z, R, J, norm, finite_J, part, steps, sizes, factor):
+    """The first halving round of ``newton_batch``, scale 1, on the lanes
+    ``part``: ``_try_round`` of one scale, with the trials Z[part] + steps
+    in the lanes' own rows, and whole-array writes when every lane takes
+    its trial.  Returns the lanes that took it."""
+    if part.size == 0:
+        return np.zeros(0, dtype=bool)
+    Z_try = Z[part] + steps
+    R_try, J_try = call(Z_try, part)
+    norm_try = _max_abs(R_try)
+    took = norm_try < norm[part]
+    # the natural test, on the finite trials whose residual did not drop
+    need = ~took & np.isfinite(norm_try)
+    if need.any():
+        bar = np.abs(min_norm_apply(J[part[need]], factor.take(need), R_try[need])).max(axis=1)
+        took[need] = bar < sizes[need]
+    if took.all():
+        Z[part], R[part], J[part], norm[part] = Z_try, R_try, J_try, norm_try
+        finite_J[part] = np.isfinite(J_try).all(axis=(1, 2))
+    elif took.any():
+        lane, J_took = part[took], J_try[took]
+        Z[lane], R[lane], J[lane], norm[lane] = Z_try[took], R_try[took], J_took, norm_try[took]
+        finite_J[lane] = np.isfinite(J_took).all(axis=(1, 2))
+    return took
+
+
+def _try_round(call, Z, R, J, norm, finite_J, part, steps, sizes, factor, scales):
     """One halving round of ``newton_batch`` on the lanes ``part``, with
     their ``steps``, the steps' max norms ``sizes`` and the ``factor`` of
     their Jacobians J[part]: every lane tries each of ``scales`` in one call
-    of F and takes the largest accepted trial, whose z, residual, Jacobian
-    and norm it writes to Z, R, J and norm.  Returns the lanes that took
-    one."""
-    if part.size == 0:
-        return np.zeros(0, dtype=bool)
+    of F and takes the largest accepted trial, whose z, residual, Jacobian,
+    norm and Jacobian finiteness it writes to Z, R, J, norm and finite_J.
+    Returns the lanes that took one."""
     # lane j tries its scales in rows j*k .. j*k + k - 1
     k, d = scales.size, Z.shape[1]
     Z_try = (Z[part][:, None, :] + scales[:, None] * steps[:, None, :]).reshape(-1, d)
     R_try, J_try = call(Z_try, np.repeat(part, k))
     norm_try = _max_abs(R_try).reshape(-1, k)
-    took = _accepts(norm_try, norm[part][:, None])
+    current = norm[part][:, None]
+    took = _accepts(norm_try, current)
     # the natural test, on the finite trials before a lane's first residual
     # drop of the round; a lane's trials share one application of its
     # factor, and those not in need solve zeros
@@ -308,15 +376,15 @@ def _try_round(call, Z, R, J, norm, part, steps, sizes, factor, scales):
         some = need.any(axis=1)
         sides = np.where(need[:, :, None], R_try.reshape(need.shape + (-1,)), 0.0)
         bar = np.full(took.shape, np.nan)
-        bar[some] = np.max(np.abs(min_norm_apply(J[part[some]], factor.take(some), sides[some])),
-                           axis=-1)
+        bar[some] = np.abs(min_norm_apply(J[part[some]], factor.take(some),
+                                          sides[some])).max(axis=-1)
         bar[~need] = np.nan
-        took = _accepts(norm_try, norm[part][:, None], bar, sizes[:, None])
+        took = _accepts(norm_try, current, bar, sizes[:, None])
     hit = took.any(axis=1)
-    row = (np.arange(part.size) * k + np.argmax(took, axis=1))[hit]
-    lane = part[hit]
-    Z[lane], R[lane], J[lane], norm[lane] = (Z_try[row], R_try[row], J_try[row],
-                                             norm_try.ravel()[row])
+    row = (np.arange(part.size) * k + took.argmax(axis=1))[hit]
+    lane, J_took = part[hit], J_try[row]
+    Z[lane], R[lane], J[lane], norm[lane] = Z_try[row], R_try[row], J_took, norm_try.ravel()[row]
+    finite_J[lane] = np.isfinite(J_took).all(axis=(1, 2))
     return hit
 
 
@@ -335,11 +403,11 @@ def _rounds(width):
 def _retire(lanes, reason, it, active, iterations, stop):
     iterations[lanes] = it
     active[lanes] = False
-    stop[lanes] = STOP_REASONS.index(reason)
+    stop[lanes] = reason
 
 
 def _max_abs(R):
-    return np.max(np.abs(R), axis=1) if R.shape[1] else np.zeros(R.shape[0])
+    return np.abs(R).max(axis=1) if R.shape[1] else np.zeros(R.shape[0])
 
 
 def newton(residual_fn, jacobian_fn, z0, tol=1e-12, max_iter=60):
@@ -367,6 +435,16 @@ def sign_normalize(v, tol=1e-12):
     big = np.abs(v) > tol
     lead = np.take_along_axis(v, np.argmax(big, axis=-1)[..., None], axis=-1)[..., 0]
     return np.where((big.any(axis=-1) & (lead < 0))[..., None], -v, v)
+
+
+def sorted_by_x(items, decimals=9):
+    """``items``, objects with a point ``x``, sorted by ``tuple(np.round(x,
+    decimals))``: one stacked ``np.round`` and one stable ``np.lexsort``,
+    the order of that key sort."""
+    if len(items) < 2:
+        return list(items)
+    X = np.round(np.array([p.x for p in items], dtype=float), decimals)
+    return [items[i] for i in np.lexsort(X.T[::-1])]
 
 
 def dedup_points(points, radius):

@@ -29,6 +29,7 @@ from ._numeric import (
     eig_sign_counts,
     newton,  # noqa: F401  (stays bound here for perfbench)
     newton_batch,
+    sorted_by_x,
 )
 from .continuation import correct_in_planes
 from .manifold import tangent_frame, tangent_frames
@@ -171,8 +172,7 @@ def _records(S, system, Z, index, failures, flat) -> list:
         if error is not None:
             raise error
         records.append(CriticalRecord(x=p.x, morse_index=int(index[j]), fold_sign=p.sign))
-    records.sort(key=lambda r: tuple(np.round(r.x, 9)))
-    return records
+    return sorted_by_x(records)
 
 
 # -- on-stratum critical points: the augmented Lagrange system -------------------

@@ -39,6 +39,7 @@ from ._numeric import (
     newton,  # noqa: F401  (stays bound here for perfbench)
     newton_batch,
     sign_counts,
+    sorted_by_x,
     sign_normalize,
     vecmat,
 )
@@ -318,9 +319,7 @@ def _points_from_solutions(S, system, Z) -> list[StratumPoint]:
     for lane in sorted(failures):
         if not isinstance(failures[lane], (StratificationError, RegularityError)):
             raise failures[lane]
-    points = [p for p in points if p is not None]
-    points.sort(key=lambda p: tuple(np.round(p.x, 9)))
-    return points
+    return sorted_by_x([p for p in points if p is not None])
 
 
 def stratum_points(S, system, Z):
@@ -363,16 +362,16 @@ def _stratum_lanes(S, system, Z):
     K, _, vals, failures = _kernel_spectra(S, x, u, mu)
     counts = _signature_counts(S, vals, x, failures)
     points = []
-    for j in range(len(Z)):
+    for j, (count, r) in enumerate(zip(counts.tolist(), res.tolist())):
         if j in failures:
             points.append(None)
             continue
-        sig = QuadraticSignature(*map(int, counts[j]))
+        sig = QuadraticSignature(*count)
         # a nondegenerate kernel form already certifies depth 1 and its sign
         sign = "unsigned" if sig.n_zero else ("plus", "minus")[sig.n_minus % 2]
         points.append(StratumPoint(x=x[j], depth=1, cokernel=u[j], multiplier=mu[j],
                                    kernel_basis=K[j], signature=sig, sign=sign,
-                                   residuals={"system": float(res[j])}))
+                                   residuals={"system": r}))
     return points, failures
 
 
@@ -871,7 +870,7 @@ def compute_stratification(S: MorinScenario) -> Stratification:
         curves = _trace_all_curves(S, points)
         for curve in curves:
             cusps.extend(curve.cusps)
-        cusps.sort(key=lambda p: tuple(np.round(p.x, 9)))
+        cusps = sorted_by_x(cusps)
         _classify_cloud(S, points, cusps)
         audits["solver"]["curves"] = [curve.solver for curve in curves]
         audits["curve_count"] = len(curves)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from importlib.resources import files
+from math import prod
 
 import numpy as np
 import pytest
@@ -10,7 +11,10 @@ from morinchi._numeric import (
     BATCH_ENTRIES,
     LINE_SEARCH_HALVINGS,
     STOP_REASONS,
+    MinNormFactor,
     NewtonResult,
+    _accepts,
+    _rounds,
     batch_width,
     eig_sign_counts,
     min_norm_solve,
@@ -178,6 +182,187 @@ def reference_newton(residual_fn, jacobian_fn, z0, tol=1e-12, max_iter=60):
         z, res, norm = z_try, res_try, norm_try
     return NewtonResult(z, norm, max_iter,
                         STOP_REASONS.index("converged" if norm <= tol else "iteration_cap"))
+
+
+def reference_newton_batch(F, Z0, tol=1e-12, max_iter=60, indexed=False):
+    """``newton_batch`` as it was before it kept its working set instead of
+    recomputing it each iteration: the same code, its helpers renamed and
+    these docstrings short.  The lean loop must give its bits (z, residual,
+    iterations, stop and Jacobians) on every stack."""
+    Z = np.array(Z0, dtype=float, ndmin=2)
+    B, d = Z.shape
+    width = batch_width(d)
+    first, *rounds = _rounds(width)
+    rows = np.arange(B)
+    call = F if indexed else (lambda Z_part, part: F(Z_part))
+    iterations = np.full(B, max_iter, dtype=int)
+    stop = np.full(B, STOP_REASONS.index("iteration_cap"))
+    if B == 0:
+        return NewtonResult(Z, np.zeros(0), iterations, stop)
+    R = J = None
+    for i in range(0, B, width):
+        R_i, J_i = call(Z[i:i + width], rows[i:i + width])
+        if R is None:
+            R = np.empty((B,) + np.shape(R_i)[1:])
+            J = np.empty((B,) + np.shape(J_i)[1:])
+        R[i:i + width], J[i:i + width] = R_i, J_i
+    norm = _reference_max_abs(R)
+    s = min(R.shape[1], d)
+    active = np.ones(B, dtype=bool)
+    for it in range(1, max_iter + 1):
+        _reference_retire(active & (norm <= tol), "converged", it - 1, active, iterations, stop)
+        lanes = np.flatnonzero(active)
+        if lanes.size == 0:
+            break
+        # the factors of the lanes still searching, packed as their chunks
+        # end: a concatenation of the chunks' factors would hold them twice
+        kept, n = MinNormFactor(np.empty((lanes.size, s, s)), np.empty(lanes.size, dtype=bool)), 0
+        searching = []
+        for i in range(0, lanes.size, width):
+            part = lanes[i:i + width]
+            finite = np.isfinite(R[part]).all(axis=1) & np.isfinite(J[part]).all(axis=(1, 2))
+            A = J[part[finite]]
+            factor = _reference_min_norm_factor(A)
+            steps = np.full((part.size, d), np.nan)
+            steps[finite] = _reference_min_norm_apply(A, factor, -R[part[finite]])
+            good = np.isfinite(steps).all(axis=1)
+            if not good.all():
+                _reference_retire(part[~good], "nonfinite_step", it, active, iterations, stop)
+                part, steps, factor = part[good], steps[good], factor.take(good[finite])
+            sizes = _reference_max_abs(steps)
+            miss = ~_reference_try_round(call, Z, R, J, norm, part, steps, sizes, factor,
+                                         first)
+            if miss.any():
+                searching.append((part[miss], steps[miss], sizes[miss]))
+                m = searching[-1][0].size
+                kept.inv[n:n + m], kept.svd[n:n + m] = factor.take(miss)
+                n += m
+        if not searching:
+            continue
+        lanes, steps, sizes = map(np.concatenate, zip(*searching))
+        factor = kept.take(slice(n))
+        for scales in rounds:
+            if lanes.size == 0:
+                break
+            per = width // scales.size
+            ok = np.zeros(lanes.size, dtype=bool)
+            for i in range(0, lanes.size, per):
+                chunk = slice(i, i + per)
+                ok[chunk] = _reference_try_round(call, Z, R, J, norm, lanes[chunk],
+                                                 steps[chunk], sizes[chunk], factor.take(chunk),
+                                                 scales)
+            lanes, steps, sizes, factor = lanes[~ok], steps[~ok], sizes[~ok], factor.take(~ok)
+        _reference_retire(lanes, "line_search_failed", it, active, iterations, stop)
+    stop[active & (norm <= tol)] = STOP_REASONS.index("converged")
+    return NewtonResult(Z, norm, iterations, stop, J)
+
+
+def _reference_try_round(call, Z, R, J, norm, part, steps, sizes, factor, scales):
+    """The halving round of ``reference_newton_batch``, every round the
+    full step included."""
+    if part.size == 0:
+        return np.zeros(0, dtype=bool)
+    # lane j tries its scales in rows j*k .. j*k + k - 1
+    k, d = scales.size, Z.shape[1]
+    Z_try = (Z[part][:, None, :] + scales[:, None] * steps[:, None, :]).reshape(-1, d)
+    R_try, J_try = call(Z_try, np.repeat(part, k))
+    norm_try = _reference_max_abs(R_try).reshape(-1, k)
+    took = _accepts(norm_try, norm[part][:, None])
+    # the natural test, on the finite trials before a lane's first residual
+    # drop of the round; a lane's trials share one application of its
+    # factor, and those not in need solve zeros
+    need = ~np.logical_or.accumulate(took, axis=1) & np.isfinite(norm_try)
+    if need.any():
+        some = need.any(axis=1)
+        sides = np.where(need[:, :, None], R_try.reshape(need.shape + (-1,)), 0.0)
+        bar = np.full(took.shape, np.nan)
+        bar[some] = np.max(np.abs(_reference_min_norm_apply(J[part[some]], factor.take(some),
+                                                            sides[some])), axis=-1)
+        bar[~need] = np.nan
+        took = _accepts(norm_try, norm[part][:, None], bar, sizes[:, None])
+    hit = took.any(axis=1)
+    row = (np.arange(part.size) * k + np.argmax(took, axis=1))[hit]
+    lane = part[hit]
+    Z[lane], R[lane], J[lane], norm[lane] = (Z_try[row], R_try[row], J_try[row],
+                                             norm_try.ravel()[row])
+    return hit
+
+
+def _reference_retire(lanes, reason, it, active, iterations, stop):
+    iterations[lanes] = it
+    active[lanes] = False
+    stop[lanes] = STOP_REASONS.index(reason)
+
+
+def _reference_max_abs(R):
+    return np.max(np.abs(R), axis=1) if R.shape[1] else np.zeros(R.shape[0])
+
+
+def _reference_min_norm_factor(A):
+    """``min_norm_factor`` before the plain-stack path and the zero-row
+    screen: every stack is flattened, and a singular lane is found
+    by ``inv`` raising."""
+    A = np.asarray(A, dtype=float)
+    lead, (r, d) = A.shape[:-2], A.shape[-2:]
+    s = min(r, d)
+    if s == 0:
+        return MinNormFactor(np.zeros(lead + (0, 0)), np.ones(lead, dtype=bool))
+    flat = A.reshape(-1, r, d)
+    At = np.swapaxes(flat, -1, -2)
+    G = flat @ At if r < d else At @ flat if r > d else flat
+    try:
+        inv = np.linalg.inv(G)
+    except np.linalg.LinAlgError:
+        # getrf met an exactly zero pivot: those lanes, the ones of zero (or
+        # non-finite) determinant, take the SVD through the gate below
+        singular = ~(np.abs(np.linalg.det(G)) > 0)
+        inv = np.full_like(G, np.nan)
+        inv[~singular] = np.linalg.inv(G[~singular])
+    eps = np.finfo(float).eps
+    bound = 1.0 / (eps * s) if r == d else eps ** -0.5
+    # NaN or inf in kappa fails the test too
+    svd = ~(s * _reference_norm1(G) * _reference_norm1(inv) < bound)
+    return MinNormFactor(inv.reshape(lead + (s, s)), svd.reshape(lead))
+
+
+def _reference_min_norm_apply(A, factor, b):
+    """``min_norm_apply`` before the plain-stack path: every stack and
+    right side is flattened and transposed."""
+    inv, svd = factor
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    lead, (r, d) = A.shape[:-2], A.shape[-2:]
+    shape = b.shape[:-1] + (d,)
+    m, k = prod(lead), prod(b.shape[len(lead):-1])
+    A, b = A.reshape(m, r, d), b.reshape(m, k, r)
+    if min(r, d) == 0:
+        return _reference_svd_solve(A, b).reshape(shape)
+    inv, svd = inv.reshape(m, *inv.shape[-2:]), svd.reshape(m)
+    At = np.swapaxes(A, -1, -2)
+    bt = np.swapaxes(b, -1, -2)
+    x = inv @ (At @ bt if r > d else bt)
+    x = np.swapaxes(At @ x if r < d else x, -1, -2)
+    if svd.any():
+        x[svd] = _reference_svd_solve(A[svd], b[svd])
+    return x.reshape(shape)
+
+
+def _reference_norm1(A):
+    return np.max(np.sum(np.abs(A), axis=-2), axis=-1)
+
+
+def _reference_svd_solve(A, b):
+    """``_numeric._svd_solve`` as it was, for the two above."""
+    try:
+        u, s, vt = np.linalg.svd(A, full_matrices=False)
+    except np.linalg.LinAlgError:
+        if len(A) == 1:
+            return np.full(b.shape[:-1] + A.shape[-1:], np.nan)
+        return np.concatenate([_reference_svd_solve(A[i:i + 1], b[i:i + 1])
+                               for i in range(len(A))])
+    large = s > np.finfo(float).eps * max(A.shape[-2:]) * s[..., :1]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=large)
+    return ((b @ u) * inv[:, None, :]) @ vt
 
 
 def reference_bisect(system, za, zb, fa, value, gap):

@@ -16,10 +16,21 @@ at the benchmark's curve step 2.5e-3 at seeds 0-4, and s4-height at seed
     PYTHONPATH=src python3 tests/make_golden.py      # rewrite tests/golden.json
 
 The ``golden`` tests (``tests/test_golden.py``) compare fresh runs with it.
+
+With ``--artifacts DIR`` the script leaves ``tests/golden.json`` alone and
+writes, for each run, its exit code (``exit_code``), ``report.json`` and the
+three CSVs under ``DIR/<run id>/``.  Run it once with ``PYTHONPATH`` set to
+each of two checkouts' ``src``; ``diff -r`` of the two directories then
+checks that every exit code and every artifact is byte-identical:
+
+    PYTHONPATH=../before/src python3 tests/make_golden.py --artifacts /tmp/before
+    PYTHONPATH=src python3 tests/make_golden.py --artifacts /tmp/after
+    diff -r /tmp/before /tmp/after
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import io
@@ -59,9 +70,10 @@ def integer_leaves(node, path=""):
     return out
 
 
-def run_integers(run_id, workdir):
-    """Run ``run_id`` of ``RUNS`` with artifacts under ``workdir`` (a
-    directory that exists) and return its record."""
+def run_integers(run_id, workdir, out=None):
+    """Run ``run_id`` of ``RUNS`` with its scratch files under ``workdir`` (a
+    directory that exists) and its artifacts in ``out`` (``workdir/out`` by
+    default), and return its record."""
     name, step, seed, max_resamples = RUNS[run_id]
     scenario = files("morinchi").joinpath(f"scenarios/{name}.json")
     if step is not None:
@@ -69,7 +81,7 @@ def run_integers(run_id, workdir):
         data["tolerances"] = {**data.get("tolerances", {}), "curve_step": step}
         scenario = Path(workdir) / f"{name}-{step}.json"
         scenario.write_text(json.dumps(data))
-    out = Path(workdir) / "out"
+    out = Path(workdir) / "out" if out is None else Path(out)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = run(RunConfig(scenario=str(scenario), seed=seed, out_dir=str(out),
                              max_resamples=max_resamples))
@@ -84,11 +96,23 @@ def run_integers(run_id, workdir):
     return record
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--artifacts", metavar="DIR",
+                        help="write each run's exit code, report.json and CSVs under "
+                             "DIR/<run id>/ instead of rewriting tests/golden.json")
+    args = parser.parse_args(argv)
     golden = {}
     for run_id in RUNS:
+        out = None if args.artifacts is None else Path(args.artifacts) / run_id
         with tempfile.TemporaryDirectory() as workdir:
-            golden[run_id] = run_integers(run_id, workdir)
+            golden[run_id] = run_integers(run_id, workdir, out)
+        if out is not None:
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "exit_code").write_text(f"{golden[run_id]['exit']}\n")
+    if args.artifacts is not None:
+        print(f"{args.artifacts}: artifacts of {len(golden)} runs")
+        return
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     leaves = sum(len(r.get("report", {})) for r in golden.values())
     print(f"{GOLDEN.name}: {len(golden)} runs, {leaves} report leaves")

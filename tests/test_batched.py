@@ -9,14 +9,16 @@ summation order.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morinchi import _numeric, continuation
+from morinchi import _numeric, continuation, manifold
 from morinchi import expr as ex
 from morinchi._numeric import (
     LINE_SEARCH_HALVINGS,
@@ -32,6 +34,7 @@ from morinchi._numeric import (
     min_norm_solve,
     newton,
     newton_batch,
+    sorted_by_x,
 )
 from morinchi.manifold import (
     ImplicitManifold,
@@ -51,6 +54,7 @@ from morinchi.scenario import MorinnessError, StratificationError, load_scenario
 from morinchi.strata import (
     SingularSystem,
     _kernel_lanes,
+    _multistart_seeds,
     _node_metrics,
     _points_from_solutions,
     compute_stratification,
@@ -68,9 +72,11 @@ from tests.conftest import (
     reference_dedup,
     reference_degenerate_direction,
     reference_newton,
+    reference_newton_batch,
     reference_points_from_solutions,
     reference_stratum_point,
     reversed_nodes,
+    scenario_path,
 )
 
 ALL_SCENARIOS = ["s2-height", "torus-height", "s3-proj", "s4-height",
@@ -525,6 +531,89 @@ def test_newton_batch_stops_failing_lanes_like_newton():
     assert out.iterations[1] == 0
 
 
+def _assert_reference_bits(F, Z0, tol=1e-12, max_iter=60, indexed=False):
+    """``newton_batch`` of one stack gives ``reference_newton_batch``'s bits:
+    the same z, residual, iterations, stop and Jacobian arrays."""
+    got = newton_batch(F, Z0, tol, max_iter, indexed)
+    want = reference_newton_batch(F, Z0, tol, max_iter, indexed)
+    for name in ("z", "residual", "iterations", "stop", "jacobian"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    return got
+
+
+def _spying(monkeypatch, module):
+    """Route ``module``'s calls of ``newton_batch`` through
+    ``_assert_reference_bits``; returns the list of their ``indexed`` flags."""
+    seen = []
+
+    def both(F, Z0, tol=1e-12, max_iter=60, indexed=False):
+        seen.append(indexed)
+        return _assert_reference_bits(F, Z0, tol, max_iter, indexed)
+
+    monkeypatch.setattr(module, "newton_batch", both)
+    return seen
+
+
+def test_newton_batch_gives_the_reference_bits_on_the_census_and_polish_stacks(
+        torus_k0, s4_proj_polish):
+    # the k=0 census of torus-height, the s4-height depth-1 system and the
+    # fold-surface polish of s4-proj (ten chunks of lanes per iteration)
+    S, sys0, Z0 = torus_k0
+    out = _assert_reference_bits(sys0.evaluate, Z0, S.tolerances.residual, 30)
+    assert {STOP_REASONS[k] for k in out.stop} >= {"converged", "line_search_failed"}
+    S = bundled("s4-height")
+    system = SingularSystem(S)
+    _, Z0 = multistart_starts(S, system, S.tolerances.multistart_density * S.n, tag=1)
+    _assert_reference_bits(system.evaluate, Z0, S.tolerances.residual, 30)
+    S, sysc, W0 = s4_proj_polish
+    assert len(W0) > 2 * batch_width(W0.shape[1])
+    _assert_reference_bits(sysc.evaluate, W0, S.tolerances.residual)
+
+
+def test_newton_batch_gives_the_reference_bits_on_projections_and_corrector_stacks(monkeypatch):
+    # a project_points stack of torus-height, and every corrector stack of an
+    # s3-cusps stratification at the benchmark's curve step, whose lanes each
+    # see their own plane row (indexed)
+    S = bundled("torus-height")
+    projected = _spying(monkeypatch, manifold)
+    project_points(S.manifold, _multistart_seeds(S, 400, tag=2))
+    assert projected == [False]
+    data = json.loads(scenario_path("s3-cusps").read_text())
+    S = load_scenario(dict(data, tolerances={**data.get("tolerances", {}), "curve_step": 2.5e-3}))
+    corrected = _spying(monkeypatch, continuation)
+    compute_stratification(S)
+    assert len(corrected) > 100 and all(corrected)
+
+
+def _square_with_flat_rows(z):
+    # F = (x^2 - 1, y^2 - 4 + x w, w^3 - y); J's first row (2x, 0, 0) is zero
+    # at x = 0 and tiny at x = 1e-17, and a start with x > 5 gets an infinite
+    # Jacobian beside a finite residual
+    x, y, w = z[..., 0], z[..., 1], z[..., 2]
+    J = np.zeros(z.shape[:-1] + (3, 3))
+    J[..., 0, 0] = np.where(x > 5, np.inf, 2 * x)
+    J[..., 1, 0], J[..., 1, 1], J[..., 1, 2] = w, 2 * y, x
+    J[..., 2, 1], J[..., 2, 2] = -1.0, 3 * w ** 2
+    return np.stack([x ** 2 - 1, y ** 2 - 4 + x * w, w ** 3 - y], axis=-1), J
+
+
+def test_newton_batch_gives_the_reference_bits_on_failing_lanes():
+    # a NaN lane, an exactly singular lane (a zero row of J: inv raises and
+    # the chunk takes the determinant fallback), a lane past the kappa_1 gate, a lane with a finite residual and
+    # an infinite Jacobian, one whose accepted full step has an infinite
+    # Jacobian, and lanes that converge beside them
+    Z0 = np.array([[0.5, 1.0, 1.0], [np.nan, 1.0, 1.0], [0.0, 1.0, 1.0], [1e-17, 1.0, 1.0],
+                   [6.0, 1.0, 1.0], [0.1, 100.0, 1.0], [-2.0, 1.5, 0.5], [1.0, 2.0, 0.0]])
+    R, J = _square_with_flat_rows(Z0)
+    factor = min_norm_factor(J[[0, 2, 3]])
+    assert factor.svd.tolist() == [False, True, True]
+    out = _assert_reference_bits(_square_with_flat_rows, Z0, 1e-12, 30)
+    assert [STOP_REASONS[k] for k in out.stop[[1, 4, 5]]] == ["nonfinite_step"] * 3
+    assert out.iterations[[1, 4, 5]].tolist() == [1, 1, 2]
+    assert out.converged[[0, 6, 7]].all()
+
+
 def test_trial_test_refuses_nan_and_inf_on_floats_and_stacks():
     tries = [np.nan, np.inf, 1.0, 0.5]
     assert [bool(_accepts(x, 1.0)) for x in tries] == [False, False, False, True]
@@ -724,6 +813,20 @@ def test_dedup_points_matches_the_window_loop_on_census_clouds(s4_proj_polish):
         kept = dedup_points(pts, radius)
         assert kept == reference_dedup(pts, radius)
         assert len(kept) == count
+
+
+def test_sorted_by_x_is_the_rounded_key_sort(s4_proj_polish):
+    # the s4-proj depth-1 cloud, shuffled, and a grid whose points tie once
+    # rounded to 9 decimals (a stable sort keeps their order), in negative
+    # zeros too
+    S, _, W0 = s4_proj_polish
+    rng = np.random.default_rng(16)
+    grid = rng.integers(-2, 3, (300, 3)) * 0.5 + rng.choice([0.0, -0.0, 1e-11, 4e-10], (300, 3))
+    for X in (W0[rng.permutation(len(W0)), :S.N], grid):
+        points = [SimpleNamespace(x=x) for x in X]
+        want = sorted(points, key=lambda p: tuple(np.round(p.x, 9)))
+        assert [id(p) for p in sorted_by_x(points)] == [id(p) for p in want]
+    assert sorted_by_x([]) == [] and sorted_by_x(points[:1]) == points[:1]
 
 
 # -- stacked kernel geometry ------------------------------------------------------
