@@ -39,8 +39,8 @@ from ._numeric import (
     newton,  # noqa: F401  (stays bound here for perfbench)
     newton_batch,
     sign_counts,
-    sorted_by_x,
     sign_normalize,
+    sorted_by_x,
     vecmat,
 )
 from .continuation import (
