@@ -120,19 +120,16 @@ def min_norm_factor(A):
     The other lanes, and the lanes whose G is exactly singular (``inv``
     raises), take the SVD in ``min_norm_apply``.  Each matrix of a stack is
     inverted on its own, so a lane's factor does not depend on its
-    neighbours, and ``take`` keeps the factors of some lanes.  A plain stack
-    (B, r, d) is factored as it is; other shapes are flattened to one first.
+    neighbours, and ``take`` keeps the factors of some lanes.
     """
     A = np.asarray(A, dtype=float)
-    if A.ndim != 3:
-        lead = A.shape[:-2]
-        inv, svd = min_norm_factor(A.reshape((-1,) + A.shape[-2:]))
-        return MinNormFactor(inv.reshape(lead + inv.shape[1:]), svd.reshape(lead))
-    B, r, d = A.shape
+    lead, (r, d) = A.shape[:-2], A.shape[-2:]
     s = min(r, d)
     if s == 0:
-        return MinNormFactor(np.zeros((B, 0, 0)), np.ones(B, dtype=bool))
-    G = A @ A.swapaxes(1, 2) if r < d else A.swapaxes(1, 2) @ A if r > d else A
+        return MinNormFactor(np.zeros(lead + (0, 0)), np.ones(lead, dtype=bool))
+    flat = A.reshape(-1, r, d)
+    At = flat.swapaxes(1, 2)
+    G = flat @ At if r < d else At @ flat if r > d else flat
     try:
         inv = np.linalg.inv(G)
     except np.linalg.LinAlgError:
@@ -144,32 +141,18 @@ def min_norm_factor(A):
     bound = 1.0 / (_EPS * s) if r == d else _GRAM_BOUND
     # NaN or inf in kappa fails the test too
     svd = ~(s * _norm1(G) * _norm1(inv) < bound)
-    return MinNormFactor(inv, svd)
+    return MinNormFactor(inv.reshape(lead + (s, s)), svd.reshape(lead))
 
 
 def min_norm_apply(A, factor, b):
     """``min_norm_solve`` of A (..., r, d) against ``b``, one right side per
     matrix (..., r) or several (..., k, r), with the ``factor`` that
     ``min_norm_factor`` made of A: its inverses, and the SVD on the lanes
-    that fail the gate.  A lane whose SVD does not converge gets NaN.
-
-    A plain stack (B, r, d) with one right side per lane, (B, r), the shape
-    of every Newton step and full-step correction, is applied as it is;
-    other shapes are flattened to (m, r, d) and (m, k, r) first.  Both make
-    the same products on the same (s, s) @ (s, k) shapes, so a lane's bits
-    do not depend on the path.
-    """
+    that fail the gate.  A lane whose SVD does not converge gets NaN."""
     inv, svd = factor
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     r, d = A.shape[-2:]
-    if A.ndim == 3 and b.ndim == 2 and min(r, d):
-        At = A.swapaxes(1, 2)
-        x = inv @ (At @ b[:, :, None] if r > d else b[:, :, None])
-        x = (At @ x if r < d else x)[:, :, 0]
-        if svd.any():
-            x[svd] = _svd_solve(A[svd], b[svd][:, None, :])[:, 0]
-        return x
     lead = A.shape[:-2]
     shape = b.shape[:-1] + (d,)
     m, k = prod(lead), prod(b.shape[len(lead):-1])
@@ -232,10 +215,10 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60, indexed=False):
     Each iteration factors a lane's Jacobian once (``min_norm_factor``), for
     its step, and every correction of the iteration applies that factor
     (``min_norm_apply``): the Jacobian does not change while the lane
-    searches.  The step solve and the full-step round (``_full_step``) run
-    together, chunk by chunk, and only the lanes that the full step did not
-    satisfy keep their factor for the later rounds (``_try_round``), in a
-    buffer made only in an iteration where some lane still searches.
+    searches.  The step solve and the full-step round run together, chunk
+    by chunk, and only the lanes that the full step did not satisfy keep
+    their factor for the later rounds, in a buffer made only in an
+    iteration where some lane still searches.
     The working set is kept, not recomputed: the index of the lanes still
     at work loses a lane where it stops; a residual is finite exactly when
     its max norm is, and a flag per lane, set wherever its Jacobian rows are
@@ -251,7 +234,7 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60, indexed=False):
     Z = np.array(Z0, dtype=float, ndmin=2)
     B, d = Z.shape
     width = batch_width(d)
-    rounds = _rounds(width)[1:]
+    first, *rounds = _rounds(width)
     rows = np.arange(B)
     call = F if indexed else (lambda Z_part, part: F(Z_part))
     iterations = np.full(B, max_iter, dtype=int)
@@ -294,7 +277,8 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60, indexed=False):
                 _retire(part[~good], _NONFINITE_STEP, it, active, iterations, stop)
                 part, steps, sizes, factor = part[good], steps[good], sizes[good], factor.take(good)
                 retired = True
-            miss = ~_full_step(call, Z, R, J, norm, finite_J, part, steps, sizes, factor)
+            miss = ~_try_round(call, Z, R, J, norm, finite_J, part, steps, sizes, factor,
+                               first)
             if miss.any():
                 if kept is None:
                     kept = MinNormFactor(np.empty((lanes.size - i, s, s)),
@@ -328,39 +312,16 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60, indexed=False):
     return NewtonResult(Z, norm, iterations, stop, J)
 
 
-def _full_step(call, Z, R, J, norm, finite_J, part, steps, sizes, factor):
-    """The first halving round of ``newton_batch``, scale 1, on the lanes
-    ``part``: ``_try_round`` of one scale, with the trials Z[part] + steps
-    in the lanes' own rows, and whole-array writes when every lane takes
-    its trial.  Returns the lanes that took it."""
-    if part.size == 0:
-        return np.zeros(0, dtype=bool)
-    Z_try = Z[part] + steps
-    R_try, J_try = call(Z_try, part)
-    norm_try = _max_abs(R_try)
-    took = norm_try < norm[part]
-    # the natural test, on the finite trials whose residual did not drop
-    need = ~took & np.isfinite(norm_try)
-    if need.any():
-        bar = np.abs(min_norm_apply(J[part[need]], factor.take(need), R_try[need])).max(axis=1)
-        took[need] = bar < sizes[need]
-    if took.all():
-        Z[part], R[part], J[part], norm[part] = Z_try, R_try, J_try, norm_try
-        finite_J[part] = np.isfinite(J_try).all(axis=(1, 2))
-    elif took.any():
-        lane, J_took = part[took], J_try[took]
-        Z[lane], R[lane], J[lane], norm[lane] = Z_try[took], R_try[took], J_took, norm_try[took]
-        finite_J[lane] = np.isfinite(J_took).all(axis=(1, 2))
-    return took
-
-
 def _try_round(call, Z, R, J, norm, finite_J, part, steps, sizes, factor, scales):
     """One halving round of ``newton_batch`` on the lanes ``part``, with
     their ``steps``, the steps' max norms ``sizes`` and the ``factor`` of
     their Jacobians J[part]: every lane tries each of ``scales`` in one call
     of F and takes the largest accepted trial, whose z, residual, Jacobian,
     norm and Jacobian finiteness it writes to Z, R, J, norm and finite_J.
-    Returns the lanes that took one."""
+    Returns the lanes that took one; when all do, the writes go to the
+    rows ``part`` without a mask."""
+    if part.size == 0:
+        return np.zeros(0, dtype=bool)
     # lane j tries its scales in rows j*k .. j*k + k - 1
     k, d = scales.size, Z.shape[1]
     Z_try = (Z[part][:, None, :] + scales[:, None] * steps[:, None, :]).reshape(-1, d)
@@ -381,10 +342,12 @@ def _try_round(call, Z, R, J, norm, finite_J, part, steps, sizes, factor, scales
         bar[~need] = np.nan
         took = _accepts(norm_try, current, bar, sizes[:, None])
     hit = took.any(axis=1)
-    row = (np.arange(part.size) * k + took.argmax(axis=1))[hit]
-    lane, J_took = part[hit], J_try[row]
-    Z[lane], R[lane], J[lane], norm[lane] = Z_try[row], R_try[row], J_took, norm_try.ravel()[row]
-    finite_J[lane] = np.isfinite(J_took).all(axis=(1, 2))
+    row = np.arange(part.size) * k + took.argmax(axis=1)
+    if not hit.all():
+        part, row = part[hit], row[hit]
+    J_took = J_try[row]
+    Z[part], R[part], J[part], norm[part] = Z_try[row], R_try[row], J_took, norm_try.ravel()[row]
+    finite_J[part] = np.isfinite(J_took).all(axis=(1, 2))
     return hit
 
 
@@ -437,13 +400,13 @@ def sign_normalize(v, tol=1e-12):
     return np.where((big.any(axis=-1) & (lead < 0))[..., None], -v, v)
 
 
-def sorted_by_x(items, decimals=9):
+def sorted_by_x(items):
     """``items``, objects with a point ``x``, sorted by ``tuple(np.round(x,
-    decimals))``: one stacked ``np.round`` and one stable ``np.lexsort``,
-    the order of that key sort."""
+    9))``: one stacked ``np.round`` and one stable ``np.lexsort``, the order
+    of that key sort."""
     if len(items) < 2:
         return list(items)
-    X = np.round(np.array([p.x for p in items], dtype=float), decimals)
+    X = np.round(np.array([p.x for p in items], dtype=float), 9)
     return [items[i] for i in np.lexsort(X.T[::-1])]
 
 

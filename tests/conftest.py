@@ -299,9 +299,8 @@ def _reference_max_abs(R):
 
 
 def _reference_min_norm_factor(A):
-    """``min_norm_factor`` before the plain-stack path and the zero-row
-    screen: every stack is flattened, and a singular lane is found
-    by ``inv`` raising."""
+    """``min_norm_factor`` with the constants computed in place; a singular
+    lane is found by ``inv`` raising."""
     A = np.asarray(A, dtype=float)
     lead, (r, d) = A.shape[:-2], A.shape[-2:]
     s = min(r, d)

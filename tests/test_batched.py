@@ -477,6 +477,11 @@ def test_min_norm_solve_matches_lstsq_lane_by_lane(monkeypatch):
     for A in (np.zeros((3, 0, 4)), np.zeros((3, 4, 0)), nan, wide_nan,
               np.swapaxes(wide_nan, 1, 2)):
         _assert_factor_applies_bit_for_bit(A, rng.standard_normal(A.shape[:2]))
+    # a single matrix and a (2, 3) stack with no columns: empty solutions
+    for A in (np.zeros((3, 0)), np.zeros((2, 3, 4, 0))):
+        b = rng.standard_normal(A.shape[:-1])
+        assert min_norm_factor(A).svd.shape == A.shape[:-2]
+        assert min_norm_solve(A, b).shape == A.shape[:-2] + (0,)
 
 
 def _assert_factor_applies_bit_for_bit(A, b):
