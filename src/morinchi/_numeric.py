@@ -152,8 +152,7 @@ def min_norm_apply(A, factor, b):
     inv, svd = factor
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    r, d = A.shape[-2:]
-    lead = A.shape[:-2]
+    lead, (r, d) = A.shape[:-2], A.shape[-2:]
     shape = b.shape[:-1] + (d,)
     m, k = prod(lead), prod(b.shape[len(lead):-1])
     A, b = A.reshape(m, r, d), b.reshape(m, k, r)
