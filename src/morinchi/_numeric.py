@@ -214,10 +214,10 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60, indexed=False):
     Each iteration factors a lane's Jacobian once (``min_norm_factor``), for
     its step, and every correction of the iteration applies that factor
     (``min_norm_apply``): the Jacobian does not change while the lane
-    searches.  The step solve and the full-step round run together, chunk
-    by chunk, and only the lanes that the full step did not satisfy keep
-    their factor for the later rounds, in a buffer made only in an
-    iteration where some lane still searches.
+    searches.  The step solve and the full-step round (``_full_step``) run
+    together, chunk by chunk, and only the lanes that the full step did not
+    satisfy keep their factor for the later rounds (``_try_round``), in a
+    buffer made only in an iteration where some lane still searches.
     The working set is kept, not recomputed: the index of the lanes still
     at work loses a lane where it stops; a residual is finite exactly when
     its max norm is, and a flag per lane, set wherever its Jacobian rows are
@@ -233,7 +233,7 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60, indexed=False):
     Z = np.array(Z0, dtype=float, ndmin=2)
     B, d = Z.shape
     width = batch_width(d)
-    first, *rounds = _rounds(width)
+    rounds = _rounds(width)[1:]
     rows = np.arange(B)
     call = F if indexed else (lambda Z_part, part: F(Z_part))
     iterations = np.full(B, max_iter, dtype=int)
@@ -276,8 +276,7 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60, indexed=False):
                 _retire(part[~good], _NONFINITE_STEP, it, active, iterations, stop)
                 part, steps, sizes, factor = part[good], steps[good], sizes[good], factor.take(good)
                 retired = True
-            miss = ~_try_round(call, Z, R, J, norm, finite_J, part, steps, sizes, factor,
-                               first)
+            miss = ~_full_step(call, Z, R, J, norm, finite_J, part, steps, sizes, factor)
             if miss.any():
                 if kept is None:
                     kept = MinNormFactor(np.empty((lanes.size - i, s, s)),
@@ -309,6 +308,32 @@ def newton_batch(F, Z0, tol=1e-12, max_iter=60, indexed=False):
             lanes = lanes[active[lanes]]
     stop[lanes[norm[lanes] <= tol]] = _CONVERGED
     return NewtonResult(Z, norm, iterations, stop, J)
+
+
+def _full_step(call, Z, R, J, norm, finite_J, part, steps, sizes, factor):
+    """The first halving round of ``newton_batch``, scale 1, on the lanes
+    ``part``: ``_try_round`` of the one scale with its trials Z[part] +
+    steps in the lanes' own rows, so with no ``repeat``, reshape or
+    per-row pick: measurably faster than ``_try_round`` on fold-census and
+    fold-surface (the "full-step round" of ``BENCH_lean_iteration.json``).
+    Returns the lanes that took their full step."""
+    if part.size == 0:
+        return np.zeros(0, dtype=bool)
+    Z_try = Z[part] + steps
+    R_try, J_try = call(Z_try, part)
+    norm_try = _max_abs(R_try)
+    took = norm_try < norm[part]
+    # the natural test, on the finite trials whose residual did not drop
+    need = ~took & np.isfinite(norm_try)
+    if need.any():
+        bar = np.abs(min_norm_apply(J[part[need]], factor.take(need), R_try[need])).max(axis=1)
+        took[need] = bar < sizes[need]
+    if not took.all():
+        part, Z_try, R_try, J_try, norm_try = (part[took], Z_try[took], R_try[took],
+                                               J_try[took], norm_try[took])
+    Z[part], R[part], J[part], norm[part] = Z_try, R_try, J_try, norm_try
+    finite_J[part] = np.isfinite(J_try).all(axis=(1, 2))
+    return took
 
 
 def _try_round(call, Z, R, J, norm, finite_J, part, steps, sizes, factor, scales):
