@@ -49,8 +49,8 @@ def correct_in_planes(system, Z, anchors, normals):
     see their own plane row."""
     def bordered(W, rows):
         R, J = system.evaluate(W)
-        t = normals[rows]
-        plane = np.sum((W - anchors[rows]) * t, axis=1)
+        t = normals.take(rows, axis=0)
+        plane = ((W - anchors.take(rows, axis=0)) * t).sum(axis=1)
         return (np.concatenate((R, plane[:, None]), axis=1),
                 np.concatenate((J, t[:, None, :]), axis=1))
 

@@ -241,15 +241,18 @@ class ExprBlock:
                 C[r, index[m]] = float(c)
         self.nvars = nvars
         self.coeffs = C
-        self._max_exp = max((e for m in basis for e in m), default=0)
+        # the table has a row of first powers even for a constant family:
+        # the points are written there
+        self._max_exp = max([1] + [e for m in basis for e in m])
         # a monomial multiplies the powers of the variables it uses, by flat
         # index into the (max_exp + 1, nvars) power table, in variable order
         # and padded with entry 0 (x0^0 = 1), at least one factor each
         width = max([1] + [sum(e > 0 for e in m) for m in basis])
-        self._factors = np.zeros((len(basis), width), dtype=np.int64)
+        factors = np.zeros((len(basis), width), dtype=np.int64)
         for i, m in enumerate(basis):
             used = [e * nvars + j for j, e in enumerate(m) if e]
-            self._factors[i, :len(used)] = used
+            factors[i, :len(used)] = used
+        self._factors = [column.copy() for column in factors.T]
 
     def __call__(self, x) -> np.ndarray:
         # each monomial's factors are multiplied left to right, as np.prod would
@@ -261,17 +264,20 @@ class ExprBlock:
         # last full block, both of which round differently, and a lane's
         # values must not depend on its neighbours
         k = X.shape[1]
-        pad = -k % _ROW_BLOCK
-        if pad:
-            X = np.concatenate((X, np.repeat(X[:, -1:], pad, axis=1)), axis=1)
-        table = np.ones((self._max_exp + 1,) + X.shape)
-        for e in range(1, self._max_exp + 1):
-            table[e] = table[e - 1] * X
-        table = table.reshape((self._max_exp + 1) * self.nvars, X.shape[1])
-        factors = self._factors.T
-        powers = table[factors[0]]
-        for column in factors[1:]:
-            powers *= table[column]
+        width = k + -k % _ROW_BLOCK
+        # the power table is written in place, the points as its row of
+        # first powers, padded there
+        table = np.empty((self._max_exp + 1, self.nvars, width))
+        table[0] = 1.0
+        table[1, :, :k] = X
+        table[1, :, k:] = X[:, -1:]
+        for e in range(2, self._max_exp + 1):
+            np.multiply(table[e - 1], table[1], out=table[e])
+        table = table.reshape((self._max_exp + 1) * self.nvars, width)
+        first, *rest = self._factors
+        powers = table.take(first, axis=0)
+        for column in rest:
+            powers *= table.take(column, axis=0)
         values = powers.T @ self.coeffs.T
         return values[:k].reshape(x.shape[:-1] + (len(self.coeffs),))
 

@@ -423,8 +423,8 @@ def trace_fold_curve(lanes, q) -> FoldCurve:
 
     Each seed starts two lanes, along +t and -t, and two lanes that walk one
     arc toward each other stop where they meet.  The first curve read from a
-    run steps it, every lane until it has met another (``_Lanes.run``), so
-    later curves only read it.  The curve is the cycle of lane pieces from
+    run steps it, every lane until it has met another, and then snaps every
+    meeting in one call (``_Lanes.run``), so later curves only read it.  The curve is the cycle of lane pieces from
     seed q along its sign-normalized tangent, a lane forward from its seed,
     then the lane it met reversed back to that lane's seed, until the full
     (x, u, mu) state closes.  The cokernel may return to minus itself after
@@ -468,9 +468,14 @@ class _Lanes:
     either sheet of the lifted curve.  A meeting stops both lanes in the
     same step; their steps are not nodes, and each is snapped onto the
     normal plane of the other lane's last node, which stays in the curve.
+    The step only records each snap's start, anchor and normal
+    (``snaps``); nothing in a later step reads a snap.
 
-    ``run`` steps until every lane has met another, then indexes the nodes
-    by lane and drops the per-step history.  ``cycle`` reads a curve off the
+    ``run`` steps until every lane has met another, then corrects every
+    snap in one call, indexes the nodes by lane and drops the per-step
+    history.  A lane gets the same bits in that call as in a call of its
+    step's snaps alone, since a lane's bits do not depend on the lanes
+    that share its call (``expr.ExprBlock``).  ``cycle`` reads a curve off the
     meetings as (lane, flip, reversed) pieces, flip meaning the lane enters
     it as its sheet image: a lane forward from its seed, the lane it met
     reversed back to that lane's seed, then that lane's sibling out of the
@@ -496,12 +501,14 @@ class _Lanes:
         self.half_steps = np.zeros(lanes, dtype=int)
         self.stops = np.zeros((lanes, len(STOP_REASONS)), dtype=int)
         self.history = [(np.arange(lanes), self.z.copy(), self.t.copy())]
+        self.snaps = []     # (lanes, starts, anchors, normals) of each step's meetings
 
     def run(self):
         """Step until every lane has met another, at most
-        ``MAX_LOCKSTEP_STEPS`` steps, then index the nodes and tangents of
-        the steps by lane: ``rows[bounds[i]:bounds[i + 1]]`` are lane i's
-        rows of Z and T, in step order.  Once run, it does nothing."""
+        ``MAX_LOCKSTEP_STEPS`` steps, snap every meeting in one corrector
+        call, then index the nodes and tangents of the steps by lane:
+        ``rows[bounds[i]:bounds[i + 1]]`` are lane i's rows of Z and T, in
+        step order.  Once run, it does nothing."""
         if self.history is None:
             return
         while self.active.any():
@@ -509,6 +516,11 @@ class _Lanes:
                 raise StratificationError(
                     "trace did not close (open curve or step budget hit)")
             self.step()
+        if self.snaps:
+            lanes, Z, P, normals = map(np.concatenate, zip(*self.snaps))
+            snap = self._correct(lanes, Z, P, normals)
+            self.snap_error[lanes] = np.where(
+                snap.converged, np.linalg.norm(snap.z - P, axis=1), np.inf)
         ids = np.concatenate([lanes for lanes, _, _ in self.history])
         self.Z = np.concatenate([z for _, z, _ in self.history])
         self.T = np.concatenate([t for _, _, t in self.history])
@@ -596,10 +608,7 @@ class _Lanes:
         a, b, flip = self._meetings(A, z, t, z_new)
         if a.size:
             sheet = np.where(flip[:, None], self.sigma, 1.0)
-            P = z[b] * sheet
-            snap = self._correct(A[a], z_new[a], P, t[b] * sheet)
-            self.snap_error[A[a]] = np.where(
-                snap.converged, np.linalg.norm(snap.z - P, axis=1), np.inf)
+            self.snaps.append((A[a], z_new[a], z[b] * sheet, t[b] * sheet))
             self.partner[A[a]], self.flip[A[a]] = A[b], flip
             self.active[A[a]] = False
             going = self.active[A]
@@ -625,58 +634,78 @@ class _Lanes:
 
         A gap below r = 2h puts z[i] within r of z[j] in x, and a node and
         its sheet image share x, so the search runs over base points.  A
-        pair within r is within r in every coordinate, so only the nodes
-        within 2r of z[i] in the coordinate of largest spread, a window of
-        the nodes sorted by it, are candidates; they are the same pairs as
-        over all nodes.  The candidates' distances are taken
-        ``BATCH_ENTRIES`` at a time, summed coordinate by coordinate.
+        pair within r is within r in every coordinate, so with the nodes
+        sorted by the coordinate of largest spread, a node's candidates are
+        the later nodes within r of it there: each pair is one candidate,
+        and a rounded distance below r is inside the rounded window, so they
+        are the same pairs as over all nodes.  Their x-distances are taken
+        ``BATCH_ENTRIES`` at a time, summed coordinate by coordinate.  A
+        pair within r is then tested both ways round, from one difference:
+        j's from i is exactly -sigma (or -1) times i's from j.  The mutual
+        pairs are taken at once; only the lanes whose choice is not mutual,
+        rare in a trace, go through the loop.
         """
         r, N, n = 2 * self.h, self.system.S.N, len(A)
-        c = int(np.argmax(np.ptp(z[:, :N], axis=0)))
-        order = np.argsort(z[:, c], kind="stable")
-        keys = z[order, c]
-        lo = np.searchsorted(keys, z[:, c] - 2 * r)
-        hi = np.searchsorted(keys, z[:, c] + 2 * r, side="right")
-        ends = np.cumsum(hi - lo)                   # candidates up to each lane's last
-        lanes, targets = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-        for e in range(0, int(ends[-1]), BATCH_ENTRIES):
-            entry = np.arange(e, min(e + BATCH_ENTRIES, int(ends[-1])))
-            lane = np.searchsorted(ends, entry, side="right")
-            q = order[hi[lane] - ends[lane] + entry]
+        x = z[:, :N]
+        c = int(np.argmax(x.max(axis=0) - x.min(axis=0)))
+        order = np.argsort(x[:, c], kind="stable")
+        keys = x[order, c]
+        counts = np.searchsorted(keys, keys + r, side="right") - np.arange(1, n + 1)
+        ends = np.cumsum(counts)            # candidates up to each node's last
+        starts = ends - counts
+        total = int(ends[-1])
+        if not total:
+            return ends[:0], ends[:0], ends[:0].astype(bool)
+        columns = x[order].T
+        pairs = []
+        for e in range(0, total, BATCH_ENTRIES):
+            entry = np.arange(e, min(e + BATCH_ENTRIES, total))
+            a = np.searchsorted(ends, entry, side="right")
+            b = entry + a + 1 - starts[a]       # node a's candidates follow it
             near = 0.0
-            for j in range(N):
-                d = z[q, j] - z[lane, j]
+            for column in columns:
+                d = column[b] - column[a]
                 near = near + d * d
-            hit = (near < r ** 2) & (q != lane)
-            lanes.append(lane[hit])
-            targets.append(q[hit])
-        lane, q = np.concatenate(lanes), np.concatenate(targets)
-        if not lane.size:
-            return lane, lane, lane.astype(bool)
-        # of a node and its sheet image, the one nearer z[i] in (u, mu)
-        flip = np.sum(z[lane, N:] * z[q, N:], axis=1) < 0
+            hit = near < r ** 2
+            pairs += [a[hit], b[hit]]
+        a, b = order[np.concatenate(pairs[0::2])], order[np.concatenate(pairs[1::2])]
+        # of a node and its sheet image, the one nearer the other node in (u, mu)
+        flip = (z[a, N:] * z[b, N:]).sum(axis=1) < 0
         sheet = np.where(flip[:, None], self.sigma, 1.0)
-        before, after = z[lane] - z[q] * sheet, z_new[lane] - z_new[q] * sheet
-        T = t[q] * sheet
-        d0, d1 = np.sum(before * T, axis=1), np.sum(after * T, axis=1)
-        met = (np.linalg.norm(before, axis=1) < r) & (d0 > 0) & (d1 <= 0)
+        before = z[a] - z[b] * sheet
+        close = np.linalg.norm(before, axis=1) < r
+        if not close.any():
+            return a[:0], a[:0], flip[:0]
+        a, b, flip, sheet, before = a[close], b[close], flip[close], sheet[close], before[close]
+        after = z_new[a] - z_new[b] * sheet
+        # b's differences from a are exactly -sheet times a's from b, so its
+        # products with a's tangent on b's sheet are minus those with t[a]
+        T = t[b] * sheet
+        d0 = np.concatenate(((before * T).sum(axis=1), -(before * t[a]).sum(axis=1)))
+        d1 = np.concatenate(((after * T).sum(axis=1), -(after * t[a]).sum(axis=1)))
+        lane, q, flip = np.concatenate((a, b)), np.concatenate((b, a)), np.concatenate((flip, flip))
+        met = (d0 > 0) & (d1 <= 0)
         lane, q, flip, d0, d1 = lane[met], q[met], flip[met], d0[met], d1[met]
         # the first passing along the step; ties go to the lower target
         order = np.lexsort((q, d0 / (d0 - d1), lane))
         lane, q, flip = lane[order], q[order], flip[order]
-        first = np.diff(lane, prepend=-1) != 0
+        first = np.ones(lane.size, dtype=bool)
+        first[1:] = lane[1:] != lane[:-1]
         lane, q, flip = lane[first], q[first], flip[first]
         choice = np.full(n, -1)
         choice[lane] = q
+        mutual = choice[q] == lane
         free = np.ones(n, dtype=bool)
-        pairs = []
-        for i in np.lexsort((lane, choice[q] != lane)):
-            x, y = lane[i], q[i]
-            if free[x] and free[y]:
-                free[x] = free[y] = False
-                pairs.append((x, y, flip[i]))
-        x, y, f = np.array(pairs, dtype=int).reshape(-1, 3).T
-        return np.r_[x, y], np.r_[y, x], np.r_[f, f].astype(bool)
+        free[lane[mutual]] = False
+        # a lane whose choice is not mutual is in no mutual pair
+        later = np.zeros(lane.size, dtype=bool)
+        for i in np.flatnonzero(~mutual):
+            if free[lane[i]] and free[q[i]]:
+                free[lane[i]] = free[q[i]] = False
+                later[i] = True
+        kept = np.concatenate((np.flatnonzero(mutual & (lane < q)), np.flatnonzero(later)))
+        x, y, f = lane[kept], q[kept], flip[kept]
+        return np.concatenate((x, y)), np.concatenate((y, x)), np.concatenate((f, f))
 
 
 def secant_starts(curve, values):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from importlib.resources import files
 from math import prod
@@ -31,6 +32,7 @@ from morinchi.strata import (
     _kernel_form,
     _kernel_lanes,
     _Lanes,
+    solve_stratum1,
     trace_fold_curve,
 )
 
@@ -62,6 +64,18 @@ def trace(S, seeds):
     landed = newton_batch(system.evaluate, seeds, tol=S.tolerances.residual, max_iter=60)
     assert landed.converged.all()
     return trace_fold_curve(_Lanes(system, landed.z), 0)
+
+
+def fine_cloud(name, seed):
+    """A bundled n = 2 scenario at the benchmark's curve step 2.5e-3 and
+    root seed ``seed``, its singular system and its depth-1 cloud packed as
+    z = (x, u, mu): the seeds of a trace."""
+    S = bundled(name)
+    S.seed = seed
+    S.tolerances = dataclasses.replace(S.tolerances, curve_step=2.5e-3)
+    system = SingularSystem(S)
+    return S, system, np.array([system.pack(p.x, p.cokernel, p.multiplier)
+                                for p in solve_stratum1(S)])
 
 
 def nullspace(A, rtol=1e-9):

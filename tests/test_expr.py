@@ -168,3 +168,5 @@ def test_expr_block_matches_evaluate():
     e = parse_prefix("(+ (* 3 (^ x0 2) x1) (* -1/2 x2) 4)", 3)
     pt = (0.3, -1.2, 2.5)
     assert ExprBlock([e], 3)(pt)[0] == pytest.approx(float(evaluate(e, pt)), rel=1e-14)
+    # a family of constants has no power above 0
+    assert ExprBlock([Expr.constant(4, 3), Expr(3, {})], 3)(pt).tolist() == [4.0, 0.0]

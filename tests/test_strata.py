@@ -36,6 +36,7 @@ from morinchi.strata import (
 from tests.conftest import (
     bundled,
     fd_jacobian,
+    fine_cloud,
     reference_bisect,
     reference_meetings,
     reference_newton,
@@ -667,6 +668,71 @@ def test_lanes_head_on_at_a_gap_just_above_h_meet():
     for got in (strata._Lanes._meetings(lanes, A, z, t, z_new),
                 reference_meetings(lanes, A, z, t, z_new)):
         assert [g.tolist() for g in got] == [[0, 1], [1, 0], [False, False]]
+
+
+def test_mutual_pairs_meet_first_then_the_others_in_lane_order():
+    # lanes 1 and 2 pass each other head on along x0 and take each other;
+    # lane 0 crosses their path and takes lane 2, which lane 2 passes only
+    # later in its step; lane 3 takes lane 0, which takes lane 2.  Mutual
+    # pairs meet first, so lane 2 meets lane 1, lane 0 is free, and lane 3
+    # meets it; in plain lane order lane 0 would take lane 2 instead
+    h, d, N = 0.01, 7, 4
+    lanes = SimpleNamespace(h=h, sigma=np.where(np.arange(d) < N, 1.0, -1.0),
+                            system=SimpleNamespace(S=SimpleNamespace(N=N)))
+    z, z_new, t = np.zeros((4, d)), np.zeros((4, d)), np.zeros((4, d))
+    z[:, 4] = z_new[:, 4] = 1.0
+    z[:, :2] = [0.008, -0.005], [0.002, 0.0], [0.01, 0.0], [0.012, 0.0]
+    z_new[:, :2] = [0.008, 0.005], [0.012, 0.0], [0.0, 0.0], [0.022, 0.0]
+    t[:, :2] = [0.0, 1.0], [1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]
+    A = np.arange(4)
+    for got in (strata._Lanes._meetings(lanes, A, z, t, z_new),
+                reference_meetings(lanes, A, z, t, z_new)):
+        assert [g.tolist() for g in got] == [[1, 3, 2, 0], [2, 0, 1, 3], [False] * 4]
+
+
+def test_a_run_snaps_every_meeting_in_one_call(monkeypatch):
+    # one corrector call per lockstep step, one per step with a half-step
+    # retry, and after the last step one call for every meeting's snap, whose
+    # lanes get the bits of a call of their own step's snaps alone
+    S, system, Z = fine_cloud("s3-cusps", 11)
+    correct, calls, retried = strata._Lanes._correct, [], []
+
+    def spied(self, lanes, Z, anchors, normals):
+        out = correct(self, lanes, Z, anchors, normals)
+        calls.append((lanes.copy(), out))
+        return out
+
+    step = strata._Lanes.step
+
+    def counted(self):
+        half = int(self.half_steps.sum())
+        step(self)
+        retried.append(int(self.half_steps.sum()) > half)
+
+    monkeypatch.setattr(strata._Lanes, "_correct", spied)
+    monkeypatch.setattr(strata._Lanes, "step", counted)
+    lanes = strata._Lanes(system, Z)
+    lanes.run()
+    assert len(calls) == lanes.count + sum(retried) + 1 and len(lanes.snaps) > 20
+    iterations = np.zeros_like(lanes.iterations)
+    stops = np.zeros_like(lanes.stops)
+    for met, out in calls[:-1]:
+        iterations[met] += out.iterations
+        np.add.at(stops, (met, out.stop), 1)
+    merged, snapped = calls[-1][1], 0
+    for met, starts, anchors, normals in lanes.snaps:
+        alone = correct_in_planes(system, starts, anchors, normals)
+        rows = slice(snapped, snapped + len(met))
+        snapped += len(met)
+        for name in ("z", "residual", "iterations", "stop"):
+            assert getattr(merged, name)[rows].tobytes() == getattr(alone, name).tobytes(), name
+        error = np.where(alone.converged, np.linalg.norm(alone.z - anchors, axis=1), np.inf)
+        assert lanes.snap_error[met].tobytes() == error.tobytes()
+        iterations[met] += alone.iterations
+        np.add.at(stops, (met, alone.stop), 1)
+    assert snapped == len(calls[-1][0]) == int((lanes.partner >= 0).sum())
+    assert lanes.iterations.tobytes() == iterations.tobytes()
+    assert lanes.stops.tobytes() == stops.tobytes()
 
 
 def test_s3_cusps_seed_21_is_one_curve_traced_once():
