@@ -24,6 +24,7 @@ import argparse
 import json
 import os
 import platform
+import shlex
 import shutil
 import statistics
 import subprocess
@@ -109,6 +110,9 @@ def main(argv=None):
     parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS))
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--label", default="final")
+    parser.add_argument("--claim", default="", help="the gain the change claims, if any")
+    parser.add_argument("--note", default="", help="what the round measured")
+    argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -134,8 +138,7 @@ def main(argv=None):
         "what": "perfbench, parent commit against this change: alternating pairs per workload",
         "command": "python3 perfbench/run.py --workload <name> --seed <seed> "
                    f"--seconds {args.seconds:g} --trace 0",
-        "script": "python3 tools/bench_pairs.py " + " ".join(
-            argv if argv is not None else sys.argv[1:]),
+        "script": "python3 tools/bench_pairs.py " + " ".join(map(shlex.quote, argv)),
         "units": {**{name: "reference s" for name in WALL}, "peak_rss_mb": "MB",
                   **{f"wall_{name}": "wall s" for name in WALL}},
         "quartiles": "statistics.quantiles(n=4, method='inclusive') over the runs of each side",
@@ -147,7 +150,8 @@ def main(argv=None):
         "machine": {"cpu": cpu(), "vcpus": os.cpu_count(),
                     "python": platform.python_version(), "numpy": np.__version__,
                     "blas_threads": 1},
-        "rounds": [{"label": args.label,
+        "claim": args.claim,
+        "rounds": [{"label": args.label, "note": args.note,
                     "seeds": f"{args.seed}+100*workload+pair", "workloads": workloads}],
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
