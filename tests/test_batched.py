@@ -134,7 +134,7 @@ def test_stacked_jets_match_exact_derivatives(name):
         _assert_close(got, want)
 
 
-@pytest.mark.parametrize("name", ["torus-height", "s4-proj"])
+@pytest.mark.parametrize("name", ["torus-height", "s4-proj", "s3-cusps"])
 def test_one_point_values_equal_its_row_of_a_stack_bit_for_bit(name):
     # a point, a stack of a few points and a row of a larger stack round
     # alike, so a Newton lane's values do not depend on the lanes that share
@@ -153,33 +153,18 @@ def test_one_point_values_equal_its_row_of_a_stack_bit_for_bit(name):
         stacked = evaluate(Z)
         for i in range(len(Z)):
             assert np.array_equal(evaluate(Z[i]), stacked[i]), (name, i)
-            for k in (1, 2, 3, 5):
+            for k in (1, 2, 3, 5, 17, 37):
                 assert np.array_equal(evaluate(Z[i:i + k]), stacked[i:i + k]), (name, i, k)
 
 
-def _rows_of_stacks(run, stack, sizes):
-    """Each row of ``run(stack)`` against the same row of ``run`` on a
-    stack of its own, cut from ``stack`` in pieces of each of ``sizes``
-    rows, byte for byte; ``run`` returns a tuple of per-row arrays."""
-    whole = run(stack)
-    for size in sizes:
-        for i in range(0, len(stack), size):
-            part = run(stack[i:i + size])
-            for a, b in zip(part, whole):
-                assert a.tobytes() == b[i:i + size].tobytes(), (size, i)
-
-
-def test_a_lane_gets_the_same_bits_alone_in_its_own_stack_and_in_a_merged_one(monkeypatch):
-    # what one call for all snaps of a trace rests on: the singular block's
-    # values, and a corrector lane's z, residual, iterations, stop and
-    # Jacobian, do not depend on the lanes that share the call, at stack
-    # sizes on and off the block of 16 rows.  The stacks are the corrector
-    # stacks of an s3-cusps trace, merged into one
+def test_a_corrector_lane_gets_the_same_bits_alone_in_its_own_stack_and_in_a_merged_one(
+        monkeypatch):
+    # what one call for all snaps of a trace rests on, as the block values
+    # above: a corrector lane's z, residual, iterations, stop and Jacobian
+    # do not depend on the lanes that share its call, at stack sizes on and
+    # off the block of 16 rows.  The stacks are the corrector stacks of an
+    # s3-cusps trace, merged into one
     S, system, Z = fine_cloud("s3-cusps", 11)
-    block = S.singular_block[0]
-    rng = np.random.default_rng(11)
-    points = np.repeat(Z, 2, axis=0)[:150] + 1e-3 * rng.normal(size=(150, Z.shape[1]))
-    _rows_of_stacks(lambda P: (block(P),), points, (1, 5, 16, 17, 37, 64))
     stacks, correct = [], strata._Lanes._correct
 
     def kept(self, lanes, Z, anchors, normals):
@@ -197,7 +182,11 @@ def test_a_lane_gets_the_same_bits_alone_in_its_own_stack_and_in_a_merged_one(mo
         return out.z, out.residual, out.iterations, out.stop, out.jacobian
 
     assert len(Zs) > 300 and len(Zs) % 16
-    _rows_of_stacks(corrected, np.arange(len(Zs)), (1, 3, 17, 100))
+    merged = corrected(slice(None))
+    for size in (1, 3, 17, 100):
+        for i in range(0, len(Zs), size):
+            for a, b in zip(corrected(slice(i, i + size)), merged):
+                assert a.tobytes() == b[i:i + size].tobytes(), (size, i)
 
 
 def _agree_lane_by_lane(evaluate, Z0, tol, max_iter):
