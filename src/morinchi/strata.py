@@ -473,13 +473,14 @@ class _Lanes:
 
     ``run`` steps until every lane has met another, then corrects every
     snap in one call, indexes the nodes by lane and drops the per-step
-    history.  A lane gets the same bits in that call as in a call of its
-    step's snaps alone, since a lane's bits do not depend on the lanes
-    that share its call (``expr.ExprBlock``).  ``cycle`` reads a curve off the
-    meetings as (lane, flip, reversed) pieces, flip meaning the lane enters
-    it as its sheet image: a lane forward from its seed, the lane it met
-    reversed back to that lane's seed, then that lane's sibling out of the
-    same seed, until it is back at its first lane on its own sheet.
+    history and snap rows.  A lane gets the same bits in that call as in a
+    call of its step's snaps alone, since a lane's bits do not depend on
+    the lanes that share its call (``expr.ExprBlock``).  ``cycle`` reads a
+    curve off the meetings as (lane, flip, reversed) pieces, flip meaning
+    the lane enters it as its sheet image: a lane forward from its seed,
+    the lane it met reversed back to that lane's seed, then that lane's
+    sibling out of the same seed, until it is back at its first lane on its
+    own sheet.
     """
 
     def __init__(self, system, seeds):
@@ -521,6 +522,7 @@ class _Lanes:
             snap = self._correct(lanes, Z, P, normals)
             self.snap_error[lanes] = np.where(
                 snap.converged, np.linalg.norm(snap.z - P, axis=1), np.inf)
+        self.snaps = None
         ids = np.concatenate([lanes for lanes, _, _ in self.history])
         self.Z = np.concatenate([z for _, z, _ in self.history])
         self.T = np.concatenate([t for _, _, t in self.history])

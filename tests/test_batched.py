@@ -612,8 +612,9 @@ def test_newton_batch_gives_the_reference_bits_on_the_census_and_polish_stacks(
 def test_newton_batch_gives_the_reference_bits_on_projections_and_corrector_stacks(monkeypatch):
     # a project_points stack of torus-height, and every corrector stack of an
     # s3-cusps stratification at the benchmark's curve step, whose lanes each
-    # see their own plane row (indexed): one per lockstep step, and one of
-    # all the snaps, of 800 rows
+    # see their own plane row (indexed): one per lockstep step, one per
+    # half-step retry, one of all the snaps, of 800 rows, and one of the arc
+    # samples of each curve's cusps
     S = bundled("torus-height")
     projected = _spying(monkeypatch, manifold)
     project_points(S.manifold, _multistart_seeds(S, 400, tag=2))
@@ -621,8 +622,19 @@ def test_newton_batch_gives_the_reference_bits_on_projections_and_corrector_stac
     data = json.loads(scenario_path("s3-cusps").read_text())
     S = load_scenario(dict(data, tolerances={**data.get("tolerances", {}), "curve_step": 2.5e-3}))
     corrected = _spying(monkeypatch, continuation)
-    compute_stratification(S)
-    assert len(corrected) > 80 and all(corrected)
+    step, steps, retries = strata._Lanes.step, [], []
+
+    def counted(self):
+        half = int(self.half_steps.sum())
+        step(self)
+        steps.append(self)
+        retries.append(int(self.half_steps.sum()) > half)
+
+    monkeypatch.setattr(strata._Lanes, "step", counted)
+    strat = compute_stratification(S)
+    charted = sum(bool(curve.cusps) for curve in strat.curves)
+    assert len(set(map(id, steps))) == 1 and charted == 1
+    assert len(corrected) == len(steps) + sum(retries) + 1 + charted and all(corrected)
 
 
 def _square_with_flat_rows(z):

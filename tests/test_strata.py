@@ -695,42 +695,43 @@ def test_a_run_snaps_every_meeting_in_one_call(monkeypatch):
     # retry, and after the last step one call for every meeting's snap, whose
     # lanes get the bits of a call of their own step's snaps alone
     S, system, Z = fine_cloud("s3-cusps", 11)
-    correct, calls, retried = strata._Lanes._correct, [], []
+    correct, calls, retried, met = strata._Lanes._correct, [], [], []
 
     def spied(self, lanes, Z, anchors, normals):
         out = correct(self, lanes, Z, anchors, normals)
-        calls.append((lanes.copy(), out))
+        calls.append((lanes.copy(), Z.copy(), anchors.copy(), normals.copy(), out))
         return out
 
     step = strata._Lanes.step
 
     def counted(self):
-        half = int(self.half_steps.sum())
+        half, active = int(self.half_steps.sum()), int(self.active.sum())
         step(self)
         retried.append(int(self.half_steps.sum()) > half)
+        met.append(active - int(self.active.sum()))
 
     monkeypatch.setattr(strata._Lanes, "_correct", spied)
     monkeypatch.setattr(strata._Lanes, "step", counted)
     lanes = strata._Lanes(system, Z)
     lanes.run()
-    assert len(calls) == lanes.count + sum(retried) + 1 and len(lanes.snaps) > 20
+    assert len(calls) == lanes.count + sum(retried) + 1
     iterations = np.zeros_like(lanes.iterations)
     stops = np.zeros_like(lanes.stops)
-    for met, out in calls[:-1]:
-        iterations[met] += out.iterations
-        np.add.at(stops, (met, out.stop), 1)
-    merged, snapped = calls[-1][1], 0
-    for met, starts, anchors, normals in lanes.snaps:
-        alone = correct_in_planes(system, starts, anchors, normals)
-        rows = slice(snapped, snapped + len(met))
-        snapped += len(met)
+    for ids, *_, out in calls[:-1]:
+        iterations[ids] += out.iterations
+        np.add.at(stops, (ids, out.stop), 1)
+    snapped, starts, anchors, normals, merged = calls[-1]
+    bounds = np.cumsum([0] + [m for m in met if m])
+    assert len(bounds) > 21 and bounds[-1] == len(snapped) == int((lanes.partner >= 0).sum())
+    for rows in map(slice, bounds[:-1], bounds[1:]):
+        alone = correct_in_planes(system, starts[rows], anchors[rows], normals[rows])
         for name in ("z", "residual", "iterations", "stop"):
             assert getattr(merged, name)[rows].tobytes() == getattr(alone, name).tobytes(), name
-        error = np.where(alone.converged, np.linalg.norm(alone.z - anchors, axis=1), np.inf)
-        assert lanes.snap_error[met].tobytes() == error.tobytes()
-        iterations[met] += alone.iterations
-        np.add.at(stops, (met, alone.stop), 1)
-    assert snapped == len(calls[-1][0]) == int((lanes.partner >= 0).sum())
+        error = np.where(alone.converged, np.linalg.norm(alone.z - anchors[rows], axis=1),
+                         np.inf)
+        assert lanes.snap_error[snapped[rows]].tobytes() == error.tobytes()
+        iterations[snapped[rows]] += alone.iterations
+        np.add.at(stops, (snapped[rows], alone.stop), 1)
     assert lanes.iterations.tobytes() == iterations.tobytes()
     assert lanes.stops.tobytes() == stops.tobytes()
 

@@ -5,10 +5,10 @@
 Run from the root of a git checkout.  Both sides run from their own copy of
 committed files (``git archive`` of ``--parent`` and of ``--change``, HEAD by
 default) with the same perfbench, the change side's, so the two sides differ
-in ``src/`` only.  For each workload, pair i runs ``perfbench/run.py
---workload W --seed S --seconds 30 --trace 0`` on both sides, the parent
-first when i is even and the change first when i is odd; S is ``--seed``
-plus 100 times the workload's position plus i.  Each side's end-to-end
+in ``src/`` only.  For each workload, each of ten pairs i runs
+``perfbench/run.py --workload W --seed S --seconds 30 --trace 0`` on both
+sides, the parent first when i is even and the change first when i is odd;
+S is ``--seed`` plus 100 times the workload's position plus i.  Each side's end-to-end
 metrics are kept in reference seconds (the result line) and in wall seconds
 (the "wall times" line): the reference conversion times a fixed kernel
 while the pipeline runs, so a change can move it, and wall seconds show the
@@ -37,6 +37,8 @@ from pathlib import Path
 WORKLOADS = ("fold-census", "fold-curves", "fold-surface")
 METRICS = ("verify_s", "slowest_verify_s", "setup_s", "peak_rss_mb")
 WALL = ("verify_s", "slowest_verify_s", "setup_s")
+PAIRS = 10
+SECONDS = 30    # perfbench's run length
 
 
 def export(rev, into: Path, perfbench_rev=None):
@@ -46,7 +48,12 @@ def export(rev, into: Path, perfbench_rev=None):
         data = subprocess.run(["git", "archive", tree, *paths], check=True,
                               capture_output=True).stdout
         with tarfile.open(fileobj=BytesIO(data)) as tar:
-            tar.extractall(into, filter="data")
+            # the data filter exists from Python 3.10.12 and 3.11.4; git
+            # archive output of the local repository is trusted either way
+            if hasattr(tarfile, "data_filter"):
+                tar.extractall(into, filter="data")
+            else:
+                tar.extractall(into)
     unpack(rev)
     if perfbench_rev is not None:
         shutil.rmtree(into / "perfbench")
@@ -68,10 +75,10 @@ def sha(rev):
                           text=True).stdout.strip()
 
 
-def run_once(root: Path, workload, seed, seconds):
+def run_once(root: Path, workload, seed):
     """One perfbench run: its metrics in reference and wall units."""
     out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                          "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
                          cwd=root, check=True, capture_output=True, text=True).stdout
     lines = out.splitlines()
     result = json.loads(lines[-1])
@@ -105,11 +112,7 @@ def main(argv=None):
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
     parser.add_argument("--change", default="HEAD", help="git revision of the change side")
     parser.add_argument("--seed", type=int, required=True, help="first seed of the first workload")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30)
-    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS))
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--label", default="final")
     parser.add_argument("--claim", default="", help="the gain the change claims, if any")
     parser.add_argument("--note", default="", help="what the round measured")
     argv = sys.argv[1:] if argv is None else argv
@@ -120,14 +123,14 @@ def main(argv=None):
         export(args.change, roots["change"])
         export(args.parent, roots["parent"], perfbench_rev=args.change)
         workloads = {}
-        for w, workload in enumerate(args.workloads):
+        for w, workload in enumerate(WORKLOADS):
             pairs = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 seed = args.seed + 100 * w + i
                 first = "parent" if i % 2 == 0 else "change"
                 pair = {"seed": seed, "first": first}
                 for side in (first, "change" if first == "parent" else "parent"):
-                    pair[side] = run_once(roots[side], workload, seed, args.seconds)
+                    pair[side] = run_once(roots[side], workload, seed)
                 pairs.append(pair)
                 print(f"{workload} seed {seed}: verify_s {pair['parent']['verify_s']} -> "
                       f"{pair['change']['verify_s']}", file=sys.stderr)
@@ -137,7 +140,7 @@ def main(argv=None):
     doc = {
         "what": "perfbench, parent commit against this change: alternating pairs per workload",
         "command": "python3 perfbench/run.py --workload <name> --seed <seed> "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {SECONDS} --trace 0",
         "script": "python3 tools/bench_pairs.py " + " ".join(map(shlex.quote, argv)),
         "units": {**{name: "reference s" for name in WALL}, "peak_rss_mb": "MB",
                   **{f"wall_{name}": "wall s" for name in WALL}},
@@ -151,7 +154,7 @@ def main(argv=None):
                     "python": platform.python_version(), "numpy": np.__version__,
                     "blas_threads": 1},
         "claim": args.claim,
-        "rounds": [{"label": args.label, "note": args.note,
+        "rounds": [{"label": "final", "note": args.note,
                     "seeds": f"{args.seed}+100*workload+pair", "workloads": workloads}],
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
