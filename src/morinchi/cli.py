@@ -22,7 +22,8 @@ from importlib.resources import files
 from pathlib import Path
 
 from .euler import EulerReport, build_report
-from .manifold import ProjectionError, RegularityError
+# ProjectionError and RegularityError stay bound here for perfbench
+from .manifold import ManifoldError, ProjectionError, RegularityError  # noqa: F401
 from .morse import GenericityExhausted, MorseAuditError, run_with_genericity
 from .scenario import (
     MorinnessError,
@@ -83,7 +84,7 @@ def run(config: RunConfig) -> int:
         return EXIT_FORMAT
     try:
         report, strat, data = run_pipeline(S)
-    except (RegularityError, ProjectionError) as exc:
+    except ManifoldError as exc:
         print(f"regularity failure: {exc}", file=sys.stderr)
         return EXIT_REGULARITY
     except (MorinnessError, StratificationError) as exc:
@@ -148,7 +149,7 @@ def _write_curves_csv(path, S, strat):
             for ni, z in enumerate(curve.nodes):
                 w.writerow([ci, ni] + [repr(float(c)) for c in z[:S.N]]
                            + [repr(float(curve.det_values[ni])),
-                              int(curve.parities[ni])])
+                              int(curve.det_values[ni] < 0)])
 
 
 def bundled_scenarios():

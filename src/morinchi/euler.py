@@ -44,10 +44,9 @@ def _oracle_cells(strat, sign):
     arcs = circles = 0
     for curve in strat.curves:
         if not curve.cusps:
-            if curve.arcs[0].sign == sign:
-                circles += 1
+            circles += curve.arcs[0] == sign
         else:
-            arcs += sum(1 for a in curve.arcs if a.sign == sign)
+            arcs += curve.arcs.count(sign)
     return arcs, circles
 
 

@@ -208,7 +208,7 @@ def _stratum_records(S, W, sysc) -> list:
 
 def _curve_phi_values(S, a, curve):
     """Derivative of h along the curve at every node, in the trace's orientation."""
-    X = curve.x_nodes(S.N)
+    X = curve.nodes[:, :S.N]
     width = batch_width(curve.nodes.shape[1])
     Df = np.concatenate([S.Df(X[i:i + width]) for i in range(0, len(X), width)])
     return np.einsum("l,kli,ki->k", a, Df, curve.tangents[:, :S.N])

@@ -25,7 +25,6 @@ though nothing here calls them, because the benchmark's tracer
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +34,7 @@ from ._numeric import (
     STOP_REASONS,
     batch_width,
     census,
+    dedup_points,
     min_norm_solve,
     newton,  # noqa: F401  (stays bound here for perfbench)
     newton_batch,
@@ -379,39 +379,29 @@ def _stratum_lanes(S, system, Z):
 
 
 @dataclass
-class Arc:
-    sign: str
-
-
-@dataclass
 class FoldCurve:
     nodes: np.ndarray               # (K, dim_z) ordered along the curve
     closure_error: float
-    det_values: np.ndarray          # det of kernel Hessian per node
-    parities: np.ndarray            # negative-eigenvalue parity per node (0/1)
+    det_values: np.ndarray          # det of kernel Hessian per node: plus where > 0
     tangents: np.ndarray            # (K, dim_z) unit tangents, one orientation
     cusps: list = field(default_factory=list)       # StratumPoint, depth 2
-    cusp_positions: list = field(default_factory=list)  # fractional node index
-    arcs: list = field(default_factory=list)
+    arcs: list = field(default_factory=list)        # "plus"/"minus", from each cusp on
     solver: dict = field(default_factory=dict)      # deterministic tracing counters
     segments: np.ndarray | None = None  # node index of each segment's seed
     meetings: np.ndarray | None = None  # node index where each segment's reversed piece starts
     members: np.ndarray | None = None   # the trace's seeds this curve passes
 
-    def x_nodes(self, N):
-        return self.nodes[:, :N]
-
 
 def _node_metrics(S, system, Z):
-    """Determinant and negative-eigenvalue parity of the kernel Hessian at
-    each node of a stack Z (B, dim_z).  A failing lane raises, the first
-    one's error first, as a loop over the nodes would."""
+    """Determinant of the kernel Hessian at each node of a stack Z
+    (B, dim_z).  A failing lane raises, the first one's error first, as a
+    loop over the nodes would.  For a nonzero determinant its sign is
+    (-1) to the number of negative eigenvalues, so it carries the node's
+    fold sign: plus where it is positive."""
     _, _, vals, failures = _kernel_spectra(S, *system.unpack(Z))
     if failures:
         raise failures[min(failures)]
-    # strict sign count: near a cusp the crossing eigenvalue must contribute
-    # its side's sign rather than falling into the zero bucket
-    return np.prod(vals, axis=-1), np.sum(vals < 0, axis=-1) % 2
+    return np.prod(vals, axis=-1)
 
 
 MAX_LOCKSTEP_STEPS = 200000     # the lanes' step budget, the backstop for an open curve
@@ -440,12 +430,9 @@ def trace_fold_curve(lanes, q) -> FoldCurve:
     fields = lanes.cycle(q)
     nodes = fields["nodes"]
     width = batch_width(system.dim_z)
-    metrics = [_node_metrics(S, system, nodes[i:i + width])
-               for i in range(0, len(nodes), width)]
-    curve = FoldCurve(det_values=np.concatenate([det for det, _ in metrics]),
-                      parities=np.concatenate([par for _, par in metrics]), **fields)
+    dets = [_node_metrics(S, system, nodes[i:i + width]) for i in range(0, len(nodes), width)]
+    curve = FoldCurve(det_values=np.concatenate(dets), **fields)
     _locate_cusps(S, system, curve)
-    _build_arcs(curve)
     return curve
 
 
@@ -734,6 +721,12 @@ def _locate_cusps(S, system, curve: FoldCurve):
     it would be degenerate).  The start polishes on the augmented system of
     that h (``StratumCriticalSystem``), one ``newton_batch`` per cusp, whose
     iterations add up to the curve's ``cusp_iterations``.
+
+    The brackets are every sign change of the determinant, so its sign, the
+    fold sign of a node, is constant from one bracket to the next: the
+    curve's arcs, in node order from the first cusp on, take the sign of the
+    node after each bracket, and a curve without cusps is one arc of the
+    sign of node 0.
     """
     dets = curve.det_values
     if np.any(dets == 0.0):
@@ -758,17 +751,17 @@ def _locate_cusps(S, system, curve: FoldCurve):
             # determinant changed sign yet no flat direction: conditioning issue
             raise MorinnessError(f"inconsistent degeneracy at cusp candidate {p.x}")
     _chart_cusps(S, system, points)
-    curve.cusps, curve.cusp_positions = points, (brackets + 0.5).tolist()
+    first = (brackets + 1) % len(dets) if len(brackets) else [0]
+    curve.cusps = points
+    curve.arcs = ["plus" if d > 0 else "minus" for d in dets[first]]
     curve.solver["cusp_iterations"] = iterations
     # a cokernel that returns to minus itself makes the trace cover the base
     # curve twice; cusp bookkeeping would then double-count, so fail loudly
-    for i in range(len(curve.cusps)):
-        for j in range(i + 1, len(curve.cusps)):
-            if np.linalg.norm(curve.cusps[i].x - curve.cusps[j].x) < S.tolerances.dedup_radius:
-                raise StratificationError(
-                    "singular curve is doubly covered by its cokernel lift; "
-                    "this configuration is not supported"
-                )
+    if len(dedup_points([p.x for p in points], S.tolerances.dedup_radius)) < len(points):
+        raise StratificationError(
+            "singular curve is doubly covered by its cokernel lift; "
+            "this configuration is not supported"
+        )
 
 
 def _chart_cusps(S, system, cusps):
@@ -840,32 +833,6 @@ def _chart_cusps(S, system, cusps):
             raise MorinnessError(f"arcs adjacent to the cusp at {p.x} carry equal signs")
         p.depth, p.eig_slope, p.degenerate_direction = 2, float(slope), directions[j]
         p.arc_tangent, p.arc_samples = (t, pair) if plus == 0 else (-t, pair[::-1])
-
-
-def _build_arcs(curve: FoldCurve):
-    """The arcs between cyclically adjacent cusps, which ``_locate_cusps``
-    lists in node order, or the whole circle of a curve without cusps; each
-    takes the sign of the kernel-index parity that must be constant on it."""
-    K, positions = len(curve.nodes), curve.cusp_positions
-    if not positions:
-        if len(set(curve.parities.tolist())) != 1:
-            raise MorinnessError("kernel index parity changed without a cusp")
-        curve.arcs.append(Arc(sign="plus" if curve.parities[0] == 0 else "minus"))
-        return
-    for start, end in zip(positions, positions[1:] + positions[:1]):
-        node_ids = _nodes_between(K, start, end)
-        if not node_ids:
-            raise StratificationError("empty arc between adjacent cusps")
-        par = {int(curve.parities[i]) for i in node_ids}
-        if len(par) != 1:
-            raise MorinnessError("parity not constant along an arc between cusps")
-        curve.arcs.append(Arc(sign="plus" if par.pop() == 0 else "minus"))
-
-
-def _nodes_between(K, start, end):
-    """Integer node positions strictly between two cyclic fractional positions."""
-    end = end if end > start else end + K
-    return [i % K for i in range(math.ceil(start), math.ceil(end))]
 
 
 # -- bundle ---------------------------------------------------------------------
@@ -970,7 +937,7 @@ def _classify_cloud(S, points, cusps):
 
 def _alternation_violations(curves):
     """Cyclically adjacent arcs of one sign, over every curve of two or more arcs."""
-    return sum(a.sign == b.sign for c in curves if len(c.arcs) > 1
+    return sum(a == b for c in curves if len(c.arcs) > 1
                for a, b in zip(c.arcs, c.arcs[1:] + c.arcs[:1]))
 
 

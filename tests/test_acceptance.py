@@ -236,9 +236,9 @@ def test_reports_do_not_depend_on_the_tangent_basis(monkeypatch, name):
                report.all_ok, table)
         points = [(p.depth, p.sign) for p in strat.points]
         indices = [r.morse_index for r in data.k0_records]
-        parities = [list(c.parities) for c in strat.curves]
+        arcs = [c.arcs for c in strat.curves]
         dets = np.concatenate([c.det_values for c in strat.curves] or [np.zeros(0)])
-        return S, chi, points, indices, parities, dets
+        return S, chi, points, indices, arcs, dets
 
     S, *want = summary()
     q = np.linalg.qr(np.random.default_rng(11).standard_normal((S.m, S.m)))[0]

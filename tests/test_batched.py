@@ -9,6 +9,7 @@ summation order.
 
 from __future__ import annotations
 
+import csv
 import json
 from fractions import Fraction
 from types import SimpleNamespace
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from morinchi import _numeric, continuation, manifold, strata
 from morinchi import expr as ex
+from morinchi.cli import _write_curves_csv
 from morinchi._numeric import (
     LINE_SEARCH_HALVINGS,
     STOP_REASONS,
@@ -54,6 +56,7 @@ from morinchi.scenario import MorinnessError, StratificationError, load_scenario
 from morinchi.strata import (
     SingularSystem,
     _kernel_lanes,
+    _kernel_spectra,
     _multistart_seeds,
     _node_metrics,
     _points_from_solutions,
@@ -967,13 +970,50 @@ def test_stacked_node_metrics_match_the_node_loop(fold_curves, name):
     S, curves = fold_curves[name]
     system = SingularSystem(S)
     for curve in curves:
-        det, parity = _node_metrics(S, system, curve.nodes)
-        loop = [_node_metrics(S, system, z[None]) for z in curve.nodes]
-        want = np.concatenate([d for d, _ in loop])
-        assert parity.tolist() == [int(p[0]) for _, p in loop] == curve.parities.tolist()
+        det = _node_metrics(S, system, curve.nodes)
+        want = np.concatenate([_node_metrics(S, system, z[None]) for z in curve.nodes])
         for got in (det, curve.det_values):
             assert np.array_equal(np.sign(got), np.sign(want))
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["s3-proj", "s3-cusps"])
+def test_each_arc_has_the_determinant_sign_at_every_node_and_arcs_alternate(fold_curves,
+                                                                            name):
+    # an arc runs from the node after one determinant bracket through the
+    # node of the next one; a curve without a bracket is one arc
+    _, curves = fold_curves[name]
+    for curve in curves:
+        dets = curve.det_values
+        K = len(dets)
+        brackets = np.flatnonzero(dets * np.roll(dets, -1) < 0)
+        assert len(curve.cusps) == len(brackets) and len(curve.arcs) == max(len(brackets), 1)
+        ends = brackets if len(brackets) else [K - 1]
+        runs = [np.arange(e + 1, e + 1 + (f - e - 1) % K + 1) % K
+                for e, f in zip(np.roll(ends, 1), ends)]
+        runs = runs[1:] + runs[:1]      # the first arc starts after the first bracket
+        assert np.array_equal(np.sort(np.concatenate(runs)), np.arange(K))
+        for arc, nodes in zip(curve.arcs, runs):
+            assert np.all(np.sign(dets[nodes]) == (1 if arc == "plus" else -1)), arc
+        if len(curve.arcs) > 1:
+            assert all(a != b for a, b in zip(curve.arcs, curve.arcs[1:] + curve.arcs[:1]))
+
+
+@pytest.mark.parametrize("name", ["s3-proj", "s3-cusps"])
+def test_the_parity_column_is_the_negative_eigenvalue_parity_at_every_node(fold_curves, name,
+                                                                           tmp_path):
+    # the reference: the kernel spectra's negative count, taken strictly so
+    # that near a cusp the crossing eigenvalue keeps its side's sign
+    S, curves = fold_curves[name]
+    system = SingularSystem(S)
+    want = []
+    for curve in curves:
+        _, _, vals, failures = _kernel_spectra(S, *system.unpack(curve.nodes))
+        assert not failures
+        want += (np.sum(vals < 0, axis=-1) % 2).tolist()
+    _write_curves_csv(tmp_path / "curves.csv", S, SimpleNamespace(curves=curves))
+    with open(tmp_path / "curves.csv", newline="") as fh:
+        assert [int(row["parity"]) for row in csv.DictReader(fh)] == want
 
 
 def _phi(S, a, z, t):

@@ -356,6 +356,23 @@ def test_tolerance_override_roundtrip(tmp_path):
     assert report["tolerances"]["max_resamples"] == 8
 
 
+@pytest.mark.parametrize("source", ["option", "scenario"])
+@pytest.mark.parametrize("name", ["s2-height", "s3-cusps", "s4-proj"])
+def test_a_loose_residual_tolerance_exits_65_with_its_message(tmp_path, capsys, name, source):
+    # the tangent frames refuse a point whose residual is above 1e-8; a
+    # residual tolerance looser than that ended in an untyped ManifoldError
+    args = ["run", "--out", str(tmp_path / "out")]
+    if source == "option":
+        args += ["--scenario", str(scenario_path(name)), "--tol-residual", "1e-6"]
+    else:
+        data = json.loads(Path(str(scenario_path(name))).read_text())
+        data["tolerances"] = {**data.get("tolerances", {}), "residual": 1e-6}
+        args += ["--scenario", str(write_scenario(tmp_path, data))]
+    assert main(args) == EXIT_REGULARITY
+    err = capsys.readouterr().err
+    assert "point off the manifold" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("tolerances", [
     {"residual": "abc"},
     {"residual": None},

@@ -490,8 +490,7 @@ def test_a_stalled_cusp_polish_is_a_stratification_error(flat_cusp, monkeypatch)
     # and the polish stalls
     monkeypatch.setattr(strata, "newton_batch", stalled)
     curve = FoldCurve(nodes=np.array([z, z + 0.01]), closure_error=0.0,
-                      det_values=np.array([1.0, -1.0]), parities=np.array([0, 1]),
-                      tangents=np.zeros((2, len(z))))
+                      det_values=np.array([1.0, -1.0]), tangents=np.zeros((2, len(z))))
     with pytest.raises(StratificationError, match="could not polish the cusp"):
         strata._locate_cusps(S, system, curve)
 

@@ -353,12 +353,12 @@ def test_s3_projection_single_closed_curve(s3_strat, s3_proj):
     assert len(s3_strat.curves) == 1
     curve = s3_strat.curves[0]
     assert curve.closure_error <= 1e-6
-    x = curve.x_nodes(s3_proj.N)
+    x = curve.nodes[:, :s3_proj.N]
     assert float(np.max(np.abs(x[:, 2:]))) < 1e-10
     assert np.allclose(np.linalg.norm(x[:, :2], axis=1), 1.0, atol=1e-10)
     assert len(curve.cusps) == 0
     assert len(curve.arcs) == 1
-    assert curve.arcs[0].sign == "plus"
+    assert curve.arcs == ["plus"]
 
 
 @pytest.fixture(scope="module")
@@ -426,7 +426,7 @@ def test_cloud_trace_matches_the_one_seed_trace(fine_traces, name):
     assert len(curve.cusps) == len(single.cusps)
     for p, q in zip(curve.cusps, single.cusps):
         assert np.max(np.abs(p.x - q.x)) <= 1e-10
-    assert [a.sign for a in curve.arcs] == [a.sign for a in single.arcs]
+    assert curve.arcs == single.arcs
     assert max(curve.closure_error, single.closure_error) <= 1e-10
     # every node lies on the curve, and no gap, the junctions at the seeds
     # and the closing one included, is longer than 2 h
@@ -496,7 +496,7 @@ def test_seeds_closer_than_half_a_step_meet_at_once(fine_traces, name):
     assert len(curve.cusps) == len(single.cusps)
     for p, q in zip(curve.cusps, single.cusps):
         assert np.max(np.abs(p.x - q.x)) <= 1e-10
-    assert [a.sign for a in curve.arcs] == [a.sign for a in single.arcs]
+    assert curve.arcs == single.arcs
 
 
 def test_correct_in_planes_on_a_singular_border_takes_the_minimal_norm_step(s3_proj_sparse):
@@ -849,7 +849,7 @@ def test_polished_cusps_are_the_reference_bisection_on_s3_cusps(seed, step):
     system = SingularSystem(S)
 
     def det(z):
-        return _node_metrics(S, system, z[None])[0][0]
+        return _node_metrics(S, system, z[None])[0]
 
     (curve,) = strat.curves
     dets = curve.det_values
@@ -913,10 +913,10 @@ def test_two_fold_circles_take_one_trace_each(monkeypatch):
     assert sum(stepped) == sum(lane_steps) + 2 * len(strat.points)
     assert all(0 < k <= c.solver["nodes"] for k, c in zip(lane_steps, strat.curves))
     for curve, centre in zip(strat.curves, (-2.0, 2.0)):
-        x = curve.x_nodes(S.N)
+        x = curve.nodes[:, :S.N]
         assert np.max(np.abs(x[:, 0] - centre)) < 1e-10
         assert np.max(np.abs(np.linalg.norm(x[:, 1:3], axis=1) - 1.0)) < 1e-10
-        assert curve.closure_error <= 1e-10 and [a.sign for a in curve.arcs] == ["plus"]
+        assert curve.closure_error <= 1e-10 and curve.arcs == ["plus"]
 
 
 def test_a_lane_whose_corrector_fails_ends_the_trace(s3_proj_sparse, monkeypatch):
@@ -957,7 +957,7 @@ def test_cusp_scenario_two_cusps_alternating(cusp_strat, s3_cusps):
     assert len(cusp_strat.cusps) == 2
     curve = cusp_strat.curves[0]
     assert len(curve.arcs) == 2
-    assert {a.sign for a in curve.arcs} == {"plus", "minus"}
+    assert set(curve.arcs) == {"plus", "minus"}
     assert cusp_strat.audits["alternation_violations"] == 0
     for p in cusp_strat.cusps:
         assert p.depth == 2
