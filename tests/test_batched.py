@@ -980,21 +980,16 @@ def test_stacked_node_metrics_match_the_node_loop(fold_curves, name):
 @pytest.mark.parametrize("name", ["s3-proj", "s3-cusps"])
 def test_each_arc_has_the_determinant_sign_at_every_node_and_arcs_alternate(fold_curves,
                                                                             name):
-    # an arc runs from the node after one determinant bracket through the
-    # node of the next one; a curve without a bracket is one arc
+    # arc j runs from the node after bracket j through the node of bracket
+    # j + 1, cyclically; a curve without a bracket is one arc
     _, curves = fold_curves[name]
     for curve in curves:
         dets = curve.det_values
-        K = len(dets)
         brackets = np.flatnonzero(dets * np.roll(dets, -1) < 0)
         assert len(curve.cusps) == len(brackets) and len(curve.arcs) == max(len(brackets), 1)
-        ends = brackets if len(brackets) else [K - 1]
-        runs = [np.arange(e + 1, e + 1 + (f - e - 1) % K + 1) % K
-                for e, f in zip(np.roll(ends, 1), ends)]
-        runs = runs[1:] + runs[:1]      # the first arc starts after the first bracket
-        assert np.array_equal(np.sort(np.concatenate(runs)), np.arange(K))
-        for arc, nodes in zip(curve.arcs, runs):
-            assert np.all(np.sign(dets[nodes]) == (1 if arc == "plus" else -1)), arc
+        arc = (np.searchsorted(brackets, np.arange(len(dets))) - 1) % len(curve.arcs)
+        signs = np.where(np.array(curve.arcs) == "plus", 1.0, -1.0)
+        assert np.array_equal(np.sign(dets), signs[arc])
         if len(curve.arcs) > 1:
             assert all(a != b for a, b in zip(curve.arcs, curve.arcs[1:] + curve.arcs[:1]))
 
