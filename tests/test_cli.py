@@ -369,8 +369,7 @@ def test_a_loose_residual_tolerance_exits_65_with_its_message(tmp_path, capsys, 
         data["tolerances"] = {**data.get("tolerances", {}), "residual": 1e-6}
         args += ["--scenario", str(write_scenario(tmp_path, data))]
     assert main(args) == EXIT_REGULARITY
-    err = capsys.readouterr().err
-    assert "point off the manifold" in err and "Traceback" not in err
+    assert "point off the manifold" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tolerances", [
