@@ -40,13 +40,13 @@ def chi_signed_closure(data: MorseData, sign: str) -> int:
 
 
 def _oracle_cells(strat, sign):
-    """(arcs, circles) of the traced curves of the given sign."""
-    arcs = circles = 0
-    for curve in strat.curves:
-        if not curve.cusps:
-            circles += curve.arcs[0] == sign
-        else:
-            arcs += curve.arcs.count(sign)
+    """(arcs, circles) of the traced curves of the given sign.  The cusps of
+    a closed curve bracket every sign change of its determinant, so k cusps
+    bound k/2 arcs of each sign, and a curve without cusps is one circle of
+    the sign of its determinant."""
+    arcs = sum(len(c.cusps) // 2 for c in strat.curves)
+    circles = sum(1 for c in strat.curves
+                  if not c.cusps and ("plus" if c.det_values[0] > 0 else "minus") == sign)
     return arcs, circles
 
 

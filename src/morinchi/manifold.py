@@ -48,7 +48,7 @@ class ImplicitManifold:
     """
 
     def __init__(self, ambient_dim, constraints, intrinsic_dim, sample_seeds=(),
-                 chi_expected=None, compact=True, sample_halfwidth=1.5):
+                 compact=True, sample_halfwidth=1.5):
         constraints = tuple(c.with_nvars(ambient_dim) for c in constraints)
         if intrinsic_dim < 1:
             raise ManifoldError("intrinsic dimension must be at least 1")
@@ -62,7 +62,6 @@ class ImplicitManifold:
         self.intrinsic_dim = int(intrinsic_dim)
         self.constraints = constraints
         self.sample_seeds = tuple(tuple(float(c) for c in s) for s in sample_seeds)
-        self.chi_expected = chi_expected
         self.compact = bool(compact)
         self.sample_halfwidth = float(sample_halfwidth)
         self._jet = ex.Jet(constraints, ambient_dim)
@@ -180,50 +179,3 @@ def validate_regularity(M: ImplicitManifold, count: int, seed: int) -> Regularit
         min_singular_value=float(sv.min()),
         failures=tuple(failures),
     )
-
-
-def standard_manifold(name: str, **params) -> ImplicitManifold:
-    """Library of scenario manifolds with known Euler characteristic metadata.
-
-    Names: ``sphere`` (param m), ``torus``, ``product_of_spheres`` (params a, b),
-    and ``custom`` (ambient_dim, constraints as prefix strings, intrinsic_dim,
-    optional chi_expected / compact / sample_seeds).
-    """
-    if name == "sphere":
-        m = int(params["m"])
-        n_amb = m + 1
-        g = sum((ex.Expr.variable(i, n_amb) ** 2 for i in range(n_amb)),
-                ex.Expr.constant(-1, n_amb))
-        return ImplicitManifold(n_amb, [g], m, chi_expected=1 + (-1) ** m,
-                                sample_seeds=[(1.0,) + (0.0,) * m])
-    if name == "torus":
-        # (x^2 + y^2 + z^2 + 3)^2 - 16 (x^2 + y^2) = 0, the R=2, r=1 torus
-        v = [ex.Expr.variable(i, 3) for i in range(3)]
-        rad = v[0] ** 2 + v[1] ** 2 + v[2] ** 2 + 3
-        g = rad**2 - 16 * (v[0] ** 2 + v[1] ** 2)
-        return ImplicitManifold(3, [g], 2, chi_expected=0, sample_halfwidth=3.5,
-                                sample_seeds=[(2.0, 0.0, 1.0), (1.0, 0.0, 0.0)])
-    if name == "product_of_spheres":
-        a, b = int(params["a"]), int(params["b"])
-        n_amb = a + b + 2
-        g1 = sum((ex.Expr.variable(i, n_amb) ** 2 for i in range(a + 1)),
-                 ex.Expr.constant(-1, n_amb))
-        g2 = sum((ex.Expr.variable(i, n_amb) ** 2 for i in range(a + 1, n_amb)),
-                 ex.Expr.constant(-1, n_amb))
-        chi = (1 + (-1) ** a) * (1 + (-1) ** b)
-        seed_pt = (1.0,) + (0.0,) * a + (1.0,) + (0.0,) * b
-        return ImplicitManifold(n_amb, [g1, g2], a + b, chi_expected=chi,
-                                sample_seeds=[seed_pt])
-    if name == "custom":
-        constraints = [ex.parse_prefix(s, int(params["ambient_dim"]))
-                       for s in params["constraints"]]
-        return ImplicitManifold(
-            int(params["ambient_dim"]),
-            constraints,
-            int(params["intrinsic_dim"]),
-            sample_seeds=params.get("sample_seeds", ()),
-            chi_expected=params.get("chi_expected"),
-            compact=params.get("compact", True),
-            sample_halfwidth=params.get("sample_halfwidth", 1.5),
-        )
-    raise ManifoldError(f"unknown manifold {name!r}")

@@ -329,8 +329,7 @@ def load_scenario(source) -> MorinScenario:
         raise ScenarioFormatError(f"sample_halfwidth must be positive, got {halfwidth}")
     try:
         manifold = ImplicitManifold(N, constraints, m, sample_seeds=sample_seeds,
-                                    chi_expected=chi, compact=compact,
-                                    sample_halfwidth=halfwidth)
+                                    compact=compact, sample_halfwidth=halfwidth)
     except ManifoldError as exc:
         raise ScenarioFormatError(str(exc)) from exc
     return MorinScenario(

@@ -385,7 +385,6 @@ class FoldCurve:
     det_values: np.ndarray          # det of kernel Hessian per node: plus where > 0
     tangents: np.ndarray            # (K, dim_z) unit tangents, one orientation
     cusps: list = field(default_factory=list)       # StratumPoint, depth 2
-    arcs: list = field(default_factory=list)        # "plus"/"minus", from each cusp on
     solver: dict = field(default_factory=dict)      # deterministic tracing counters
     segments: np.ndarray | None = None  # node index of each segment's seed
     meetings: np.ndarray | None = None  # node index where each segment's reversed piece starts
@@ -422,12 +421,18 @@ def trace_fold_curve(lanes, q) -> FoldCurve:
     geometric point appears once or twice and duplicates are cleaned up by
     the caller via the base-point dedup radius.  ``closure_error`` is the
     largest distance of a snapped arrival from the node it arrived at, and
-    ``members`` lists the seeds the cycle passes.
+    ``members`` lists the seeds the cycle passes.  A trace whose closure
+    error is above the dedup radius, or infinite where a snap failed, did not
+    close and is refused.
     """
     lanes.run()
     system = lanes.system
     S = system.S
     fields = lanes.cycle(q)
+    if not fields["closure_error"] <= S.tolerances.dedup_radius:
+        raise StratificationError(
+            f"trace did not close: a snapped arrival is {fields['closure_error']:.3e} "
+            f"from its node, above the dedup radius {S.tolerances.dedup_radius:.1e}")
     nodes = fields["nodes"]
     width = batch_width(system.dim_z)
     dets = [_node_metrics(S, system, nodes[i:i + width]) for i in range(0, len(nodes), width)]
@@ -722,11 +727,10 @@ def _locate_cusps(S, system, curve: FoldCurve):
     that h (``StratumCriticalSystem``), one ``newton_batch`` per cusp, whose
     iterations add up to the curve's ``cusp_iterations``.
 
-    The brackets are every sign change of the determinant, so its sign, the
-    fold sign of a node, is constant from one bracket to the next: the
-    curve's arcs, in node order from the first cusp on, take the sign of the
-    node after each bracket, and a curve without cusps is one arc of the
-    sign of node 0.
+    The brackets are every cyclic sign change of the determinant, so its
+    sign, the fold sign of a node, is constant from one bracket to the next:
+    a closed curve with k cusps has k arcs of alternating sign, k/2 of each,
+    and a curve without cusps is one circle of the sign of node 0.
     """
     dets = curve.det_values
     if np.any(dets == 0.0):
@@ -751,9 +755,7 @@ def _locate_cusps(S, system, curve: FoldCurve):
             # determinant changed sign yet no flat direction: conditioning issue
             raise MorinnessError(f"inconsistent degeneracy at cusp candidate {p.x}")
     _chart_cusps(S, system, points)
-    first = (brackets + 1) % len(dets) if len(brackets) else [0]
     curve.cusps = points
-    curve.arcs = ["plus" if d > 0 else "minus" for d in dets[first]]
     curve.solver["cusp_iterations"] = iterations
     # a cokernel that returns to minus itself makes the trace cover the base
     # curve twice; cusp bookkeeping would then double-count, so fail loudly
@@ -874,7 +876,9 @@ def compute_stratification(S: MorinScenario) -> Stratification:
         audits["curve_count"] = len(curves)
         audits["closure_errors"] = [c.closure_error for c in curves]
         audits["cusp_count"] = len(cusps)
-        audits["alternation_violations"] = _alternation_violations(curves)
+        # the cusps bracket every sign change of a nonzero determinant, so
+        # the arcs of a closed curve alternate by construction
+        audits["alternation_violations"] = None
     else:
         for p in points:
             if p.signature.n_zero != 0:
@@ -933,12 +937,6 @@ def _classify_cloud(S, points, cusps):
                 )
             p.depth = 2
             p.sign = "unsigned"
-
-
-def _alternation_violations(curves):
-    """Cyclically adjacent arcs of one sign, over every curve of two or more arcs."""
-    return sum(a == b for c in curves if len(c.arcs) > 1
-               for a, b in zip(c.arcs, c.arcs[1:] + c.arcs[:1]))
 
 
 def _dimension_audit(S, points):

@@ -9,7 +9,7 @@ their last digits when a solve changes, while the integers (chi tables,
 counts, indices, signs, verdicts, stop reasons) must not.  A run that
 exits without artifacts records its exit code alone.
 
-The runs: the six bundled scenarios at root seeds 0-4, s3-proj and s3-cusps
+The runs: the seven bundled scenarios at root seeds 0-4, s3-proj and s3-cusps
 at the benchmark's curve step 2.5e-3 at seeds 0-4, and s4-height at seed
 181633 with one covector attempt, a documented refusal (exit 2).
 
@@ -42,7 +42,8 @@ from pathlib import Path
 from morinchi.cli import RunConfig, run
 
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
-BUNDLED = ("s2-height", "s3-cusps", "s3-proj", "s4-height", "s4-proj", "torus-height")
+BUNDLED = ("s2-height", "s2xs2-height", "s3-cusps", "s3-proj", "s4-height", "s4-proj",
+           "torus-height")
 FINE_STEP = 2.5e-3
 CSVS = ("strata.csv", "critical.csv", "curves.csv")
 

@@ -101,14 +101,14 @@ def test_criterion_3_cusp_scenario(base_runs):
         for row in report.strata_table if row["sign"] in ("plus", "minus")
     )
     good = (len(strat.cusps) >= 2
-            and strat.audits["alternation_violations"] == 0
+            and strat.audits["alternation_violations"] is None
             and report.identity_lhs == 0
             and report.identity_ok
             and routes_agree
             and report.route_agreement_ok
             and elapsed < 60.0)
     assert _line("criterion 3 (s3-cusps)", good,
-                 f"cusps={len(strat.cusps)}, alternation violations=0, "
+                 f"cusps={len(strat.cusps)}, arcs alternate by construction, "
                  f"0 = {table[(1, 'plus')]['chi_morse_boundary']} - "
                  f"{table[(1, 'minus')]['chi_morse_boundary']}, "
                  f"oracle agreement={routes_agree}, {elapsed:.1f}s")
@@ -236,9 +236,9 @@ def test_reports_do_not_depend_on_the_tangent_basis(monkeypatch, name):
                report.all_ok, table)
         points = [(p.depth, p.sign) for p in strat.points]
         indices = [r.morse_index for r in data.k0_records]
-        arcs = [c.arcs for c in strat.curves]
+        cusps = [len(c.cusps) for c in strat.curves]
         dets = np.concatenate([c.det_values for c in strat.curves] or [np.zeros(0)])
-        return S, chi, points, indices, arcs, dets
+        return S, chi, points, indices, cusps, dets
 
     S, *want = summary()
     q = np.linalg.qr(np.random.default_rng(11).standard_normal((S.m, S.m)))[0]

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from morinchi import _numeric, continuation, manifold, strata
 from morinchi import expr as ex
 from morinchi.cli import _write_curves_csv
+from morinchi.euler import _oracle_cells
 from morinchi._numeric import (
     LINE_SEARCH_HALVINGS,
     STOP_REASONS,
@@ -978,20 +979,24 @@ def test_stacked_node_metrics_match_the_node_loop(fold_curves, name):
 
 
 @pytest.mark.parametrize("name", ["s3-proj", "s3-cusps"])
-def test_each_arc_has_the_determinant_sign_at_every_node_and_arcs_alternate(fold_curves,
-                                                                            name):
-    # arc j runs from the node after bracket j through the node of bracket
-    # j + 1, cyclically; a curve without a bracket is one arc
+def test_the_oracle_cells_are_the_determinant_sign_runs(fold_curves, name):
+    # the reference: a curve's arcs are its runs of one determinant sign
+    # between cyclically adjacent brackets, read at the node after each
+    # bracket; a curve without a bracket is one circle of node 0's sign
     _, curves = fold_curves[name]
+    arcs, circles = {"plus": 0, "minus": 0}, {"plus": 0, "minus": 0}
     for curve in curves:
         dets = curve.det_values
         brackets = np.flatnonzero(dets * np.roll(dets, -1) < 0)
-        assert len(curve.cusps) == len(brackets) and len(curve.arcs) == max(len(brackets), 1)
-        arc = (np.searchsorted(brackets, np.arange(len(dets))) - 1) % len(curve.arcs)
-        signs = np.where(np.array(curve.arcs) == "plus", 1.0, -1.0)
-        assert np.array_equal(np.sign(dets), signs[arc])
-        if len(curve.arcs) > 1:
-            assert all(a != b for a, b in zip(curve.arcs, curve.arcs[1:] + curve.arcs[:1]))
+        assert len(curve.cusps) == len(brackets)
+        if not len(brackets):
+            circles["plus" if dets[0] > 0 else "minus"] += 1
+        for b in brackets:
+            arcs["plus" if dets[(b + 1) % len(dets)] > 0 else "minus"] += 1
+    for sign in ("plus", "minus"):
+        got = _oracle_cells(SimpleNamespace(curves=curves), sign)
+        assert got == (arcs[sign], circles[sign])
+        assert all(type(n) is int for n in got)
 
 
 @pytest.mark.parametrize("name", ["s3-proj", "s3-cusps"])

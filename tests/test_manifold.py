@@ -11,20 +11,20 @@ from morinchi.manifold import (
     RegularityError,
     project_to_manifold,
     sample_starts,
-    standard_manifold,
     tangent_frame,
     validate_regularity,
 )
+from tests.conftest import bundled
 
 
 @pytest.fixture
 def sphere2():
-    return standard_manifold("sphere", m=2)
+    return bundled("s2-height").manifold
 
 
 @pytest.fixture
 def torus():
-    return standard_manifold("torus")
+    return bundled("torus-height").manifold
 
 
 def test_sphere_regularity_min_singular_value(sphere2):
@@ -85,7 +85,7 @@ def test_tangent_frame_north_pole(sphere2):
 
 
 def test_tangent_frame_s3_pole():
-    M = standard_manifold("sphere", m=3)
+    M = bundled("s3-proj").manifold
     T = tangent_frame(M, (1.0, 0.0, 0.0, 0.0))
     assert T.shape == (3, 4)
     assert np.allclose(T[:, 0], 0, atol=1e-12)
@@ -111,34 +111,16 @@ def test_frame_rejects_off_manifold_point(sphere2):
         tangent_frame(sphere2, (0.0, 0.0, 3.0))
 
 
-def test_standard_manifold_chi_metadata():
-    assert standard_manifold("sphere", m=2).chi_expected == 2
-    assert standard_manifold("sphere", m=3).chi_expected == 0
-    assert standard_manifold("torus").chi_expected == 0
-    assert standard_manifold("product_of_spheres", a=1, b=2).chi_expected == 0
-    assert standard_manifold("product_of_spheres", a=2, b=2).chi_expected == 4
-
-
-def test_standard_manifold_unknown_name():
-    with pytest.raises(ManifoldError):
-        standard_manifold("klein-bottle")
-
-
 def test_custom_manifold_from_prefix():
-    M = standard_manifold(
-        "custom",
-        ambient_dim=2,
-        constraints=["(+ (^ x0 2) (^ x1 2) -1)"],
-        intrinsic_dim=1,
-        chi_expected=0,
-    )
+    M = ImplicitManifold(2, [parse_prefix("(+ (^ x0 2) (^ x1 2) -1)", 2)], 1)
     p = project_to_manifold(M, (2.0, 0.0))
     assert np.allclose(p, (1, 0), atol=1e-12)
 
 
 def test_dimension_bookkeeping():
-    M = standard_manifold("product_of_spheres", a=1, b=2)
-    p = project_to_manifold(M, (1.0, 0.2, 0.9, 0.1, -0.2))
+    M = bundled("s2xs2-height").manifold
+    assert len(M.constraints) == 2
+    p = project_to_manifold(M, (1.0, 0.2, -0.3, 0.9, 0.1, -0.2))
     T = tangent_frame(M, p)
     assert T.shape == (M.intrinsic_dim, M.ambient_dim)
     assert np.allclose(T @ T.T, np.eye(M.intrinsic_dim), atol=1e-12)

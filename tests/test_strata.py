@@ -15,6 +15,7 @@ from morinchi.continuation import (
     correct_in_planes,
     nullities,
 )
+from morinchi.euler import _oracle_cells
 from morinchi.scenario import (
     MorinnessError,
     MorinScenario,
@@ -357,8 +358,7 @@ def test_s3_projection_single_closed_curve(s3_strat, s3_proj):
     assert float(np.max(np.abs(x[:, 2:]))) < 1e-10
     assert np.allclose(np.linalg.norm(x[:, :2], axis=1), 1.0, atol=1e-10)
     assert len(curve.cusps) == 0
-    assert len(curve.arcs) == 1
-    assert curve.arcs == ["plus"]
+    assert np.all(curve.det_values > 0)     # one plus circle
 
 
 @pytest.fixture(scope="module")
@@ -426,7 +426,7 @@ def test_cloud_trace_matches_the_one_seed_trace(fine_traces, name):
     assert len(curve.cusps) == len(single.cusps)
     for p, q in zip(curve.cusps, single.cusps):
         assert np.max(np.abs(p.x - q.x)) <= 1e-10
-    assert curve.arcs == single.arcs
+    assert (curve.det_values[0] > 0) == (single.det_values[0] > 0)
     assert max(curve.closure_error, single.closure_error) <= 1e-10
     # every node lies on the curve, and no gap, the junctions at the seeds
     # and the closing one included, is longer than 2 h
@@ -496,7 +496,7 @@ def test_seeds_closer_than_half_a_step_meet_at_once(fine_traces, name):
     assert len(curve.cusps) == len(single.cusps)
     for p, q in zip(curve.cusps, single.cusps):
         assert np.max(np.abs(p.x - q.x)) <= 1e-10
-    assert curve.arcs == single.arcs
+    assert (curve.det_values[0] > 0) == (single.det_values[0] > 0)
 
 
 def test_correct_in_planes_on_a_singular_border_takes_the_minimal_norm_step(s3_proj_sparse):
@@ -916,7 +916,8 @@ def test_two_fold_circles_take_one_trace_each(monkeypatch):
         x = curve.nodes[:, :S.N]
         assert np.max(np.abs(x[:, 0] - centre)) < 1e-10
         assert np.max(np.abs(np.linalg.norm(x[:, 1:3], axis=1) - 1.0)) < 1e-10
-        assert curve.closure_error <= 1e-10 and curve.arcs == ["plus"]
+        assert curve.closure_error <= 1e-10 and not curve.cusps
+        assert np.all(curve.det_values > 0)     # a plus circle
 
 
 def test_a_lane_whose_corrector_fails_ends_the_trace(s3_proj_sparse, monkeypatch):
@@ -956,9 +957,11 @@ def test_cusp_scenario_two_cusps_alternating(cusp_strat, s3_cusps):
     assert len(cusp_strat.curves) == 1
     assert len(cusp_strat.cusps) == 2
     curve = cusp_strat.curves[0]
-    assert len(curve.arcs) == 2
-    assert set(curve.arcs) == {"plus", "minus"}
-    assert cusp_strat.audits["alternation_violations"] == 0
+    # the determinant changes sign at two brackets: one plus and one minus arc
+    signs = np.sign(curve.det_values)
+    assert np.count_nonzero(signs != np.roll(signs, -1)) == 2
+    assert _oracle_cells(cusp_strat, "plus") == _oracle_cells(cusp_strat, "minus") == (1, 0)
+    assert cusp_strat.audits["alternation_violations"] is None
     for p in cusp_strat.cusps:
         assert p.depth == 2
         assert abs(p.eig_slope) > 1.0
