@@ -2,8 +2,10 @@
 
 Exit codes for ``run``: 0 all identities hold, 2 genericity budget exhausted,
 3 an identity or hard audit failed, 64 scenario parse or hypothesis error,
-65 manifold regularity failure, 66 stratification rejected (the map is not
-Morin at the required depths, or the singular set could not be computed).
+or an output directory that cannot be created (checked before the pipeline
+runs), 65 manifold regularity failure, 66 stratification rejected (the map
+is not Morin at the required depths, or the singular set could not be
+computed).
 
 Reproducibility: one non-negative root seed drives everything.  Derived
 generators use fixed purpose tags (regularity sampling 11, multistart 23,
@@ -82,6 +84,12 @@ def run(config: RunConfig) -> int:
     except ScenarioFormatError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
+    out = Path(config.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"output error: cannot create directory {out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_FORMAT
     try:
         report, strat, data = run_pipeline(S)
     except ManifoldError as exc:
@@ -97,8 +105,6 @@ def run(config: RunConfig) -> int:
         print(f"audit failure: {exc}", file=sys.stderr)
         return EXIT_IDENTITY
 
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report.to_json())
     _write_strata_csv(out / "strata.csv", S, strat)
     _write_critical_csv(out / "critical.csv", S, data)
@@ -212,9 +218,10 @@ def explain(report_path) -> str:
     lines.append("")
     lines.append(f"closed-manifold identity: {data['identity_lhs']} = "
                  f"{data['identity_rhs']} [{ok(data['identity_ok'])}]")
-    lines.append(f"mod-2 congruence of closure characteristics: "
-                 f"[{ok(data['mod2_congruence_ok'])}]")
-    for key, label, why in (("fold_equality_ok", "fold-only equality", "deeper strata present"),
+    implied = "follows from the closed-manifold identity"
+    for key, label, why in (("mod2_congruence_ok",
+                             "mod-2 congruence of closure characteristics", implied),
+                            ("fold_equality_ok", "fold-only equality", implied),
                             ("telescoping_ok", "boundary telescoping",
                              "no depth-3 strata in scope"),
                             ("route_agreement_ok", "route agreement (morse vs cell counting)",

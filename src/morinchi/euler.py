@@ -78,18 +78,6 @@ def _strata_table(S: MorinScenario, strat: Stratification, chi_signed: dict) -> 
     return table
 
 
-def verify_fold_equality(S: MorinScenario, strat: Stratification, chi_m: int,
-                         chi_plus: int, chi_minus: int):
-    """For fold-only maps: chi(M) equals the signed difference at depth 1.
-
-    Returns None when deeper strata are present (the equality only applies
-    to fold-only maps, where open strata and closures coincide).
-    """
-    if strat.cusps:
-        return None
-    return chi_m == chi_plus - chi_minus
-
-
 @dataclass
 class EulerReport:
     scenario: str
@@ -104,8 +92,6 @@ class EulerReport:
     identity_lhs: int
     identity_rhs: int
     identity_ok: bool
-    mod2_congruence_ok: bool
-    fold_equality_ok: bool | None
     # the telescoping of boundary contributions compares the correct boundary
     # terms with signed index sums on the depth-3 strata; in scope every cusp
     # is non-correct and depth 3 is rejected, so the check does not apply
@@ -116,12 +102,18 @@ class EulerReport:
     chi_expected_ok: bool | None
     audits: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
+    # both follow from the closed-manifold identity chi(M) = chi+ - chi- by
+    # arithmetic, so neither can fail on its own: the mod-2 congruence's
+    # closure sum is chi+ + chi-, which has the parity of chi+ - chi-, and
+    # the fold-only equality is the identity itself
+    mod2_congruence_ok = None
+    fold_equality_ok = None
 
     @property
     def all_ok(self) -> bool:
         """Every applicable check holds; a check that reads None does not apply."""
-        checks = [self.identity_ok, self.mod2_congruence_ok, self.fold_equality_ok,
-                  self.telescoping_ok, self.route_agreement_ok, self.chi_expected_ok]
+        checks = [self.identity_ok, self.telescoping_ok, self.route_agreement_ok,
+                  self.chi_expected_ok]
         return all(c for c in checks if c is not None)
 
     def as_dict(self) -> dict:
@@ -162,11 +154,6 @@ def build_report(S: MorinScenario, strat: Stratification, data: MorseData,
     route_ok = (all(row["chi_oracle"] == row["chi_morse_boundary"]
                     for row in table if row["k"] == 1) if S.n == 2 else None)
     rhs = chi_signed["plus"] - chi_signed["minus"]
-    identity_ok = chi_m == rhs
-    # the depth-2 closure's chi is subtracted from the depth-1 closures' and
-    # added back as its own term, so the closure sum is chi+ + chi-
-    mod2_ok = (chi_m - chi_signed["plus"] - chi_signed["minus"]) % 2 == 0
-    fold_eq = verify_fold_equality(S, strat, chi_m, chi_signed["plus"], chi_signed["minus"])
 
     chi_expected_ok = None
     if S.chi_expected is not None:
@@ -202,9 +189,7 @@ def build_report(S: MorinScenario, strat: Stratification, data: MorseData,
         strata_table=table,
         identity_lhs=chi_m,
         identity_rhs=int(rhs),
-        identity_ok=bool(identity_ok),
-        mod2_congruence_ok=bool(mod2_ok),
-        fold_equality_ok=fold_eq,
+        identity_ok=bool(chi_m == rhs),
         telescoping_ok=None,
         route_agreement_ok=route_ok,
         chi_expected_ok=chi_expected_ok,

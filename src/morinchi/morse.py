@@ -335,32 +335,24 @@ class ParityAudit:
         return not self.violations
 
 
-def check_fold_index_parity(S: MorinScenario, a: Covector, k0_records,
-                            stratum_records) -> ParityAudit:
-    """Ambient vs on-stratum Morse index parities at every k = 0 critical point.
+def check_fold_index_parity(pairs) -> ParityAudit:
+    """Ambient vs on-stratum Morse index parities at every matched pair of a
+    k = 0 critical point and its partner on the depth-1 stratum
+    (``SeparationAudit.pairs``).
 
     On the plus side the parities agree, on the minus side they differ by one;
     a violation is a hard failure of either the numerics or the hypotheses.
-    The audit applies for n >= 2: with n = 1 the kernel of d(f|M) is all of
-    T_xM and m is even, so the parities agree by construction.
+    A point without a partner is left to the separation audit.  The audit
+    applies for n >= 2: with n = 1 the kernel of d(f|M) is all of T_xM and m
+    is even, so the parities agree by construction.
     """
-    violations = []
-    for rec in k0_records:
-        partner = min(stratum_records, key=lambda r: float(np.linalg.norm(r.x - rec.x)),
-                      default=None)
-        if partner is None or np.linalg.norm(partner.x - rec.x) > 1e-6:
-            violations.append((tuple(map(float, rec.x)), "no on-stratum partner"))
-            continue
-        on_idx = partner.morse_index
-        if rec.fold_sign == "plus":
-            ok = (rec.morse_index - on_idx) % 2 == 0
-        else:
-            ok = (rec.morse_index - on_idx) % 2 == 1
-        if not ok:
-            violations.append((tuple(map(float, rec.x)),
-                               f"ambient {rec.morse_index} vs stratum {on_idx} "
-                               f"on {rec.fold_sign}"))
-    return ParityAudit(checked=len(k0_records), violations=violations)
+    violations = [(tuple(map(float, rec.x)),
+                   f"ambient {rec.morse_index} vs stratum {partner.morse_index} "
+                   f"on {rec.fold_sign}")
+                  for rec, partner in pairs
+                  if (rec.morse_index - partner.morse_index) % 2
+                  != int(rec.fold_sign != "plus")]
+    return ParityAudit(checked=len(pairs), violations=violations)
 
 
 # -- cusp boundary records and perturbation certificates ----------------------------
@@ -479,8 +471,8 @@ def compute_morse_data(S: MorinScenario, strat: Stratification, a: Covector) -> 
         k1 = critical_points_on_stratum(S, a, 1, strat, stats=surface_solver)
         boundary, certs, eta_checks = [], [], []
     audits["eta_checks"] = eta_checks
-    audits["parity"] = check_fold_index_parity(S, a, k0, k1) if S.n > 1 else None
-    audits["separation"] = _boundary_equivalence_audit(k0, k1)
+    audits["separation"] = sep = _boundary_equivalence_audit(k0, k1)
+    audits["parity"] = check_fold_index_parity(sep.pairs) if S.n > 1 else None
     audits["block_hessian_ok"] = all(c["identity_ok"] for c in eta_checks)
     return MorseData(
         covector=a,
@@ -494,10 +486,18 @@ def compute_morse_data(S: MorinScenario, strat: Stratification, a: Covector) -> 
 
 @dataclass
 class SeparationAudit:
-    matched: int
-    max_distance: float
+    pairs: list                     # (k = 0 record, its depth-1 partner)
     unmatched_k0: list
     unmatched_k1: list
+
+    @property
+    def matched(self):
+        return len(self.pairs)
+
+    @property
+    def max_distance(self):
+        return max((float(np.linalg.norm(r1.x - r0.x)) for r0, r1 in self.pairs),
+                   default=0.0)
 
     @property
     def ok(self):
@@ -506,31 +506,19 @@ class SeparationAudit:
 
 def _boundary_equivalence_audit(k0_records, k1_records) -> SeparationAudit:
     """Critical points of h on M and interior critical points of h on the
-    depth-1 stratum must be the same set, point for point."""
-    used = set()
-    max_d = 0.0
-    unmatched_k0 = []
+    depth-1 stratum must be the same set, point for point.  Each k = 0 point
+    in turn takes the nearest depth-1 point not yet taken, within 1e-6."""
+    free = list(k1_records)
+    pairs, unmatched_k0 = [], []
     for rec in k0_records:
-        best_j, best_d = None, np.inf
-        for j, r1 in enumerate(k1_records):
-            if j in used:
-                continue
-            d = float(np.linalg.norm(r1.x - rec.x))
-            if d < best_d:
-                best_j, best_d = j, d
-        if best_j is None or best_d > 1e-6:
+        d = [float(np.linalg.norm(r1.x - rec.x)) for r1 in free]
+        j = int(np.argmin(d)) if d else None
+        if j is None or d[j] > 1e-6:
             unmatched_k0.append(tuple(map(float, rec.x)))
         else:
-            used.add(best_j)
-            max_d = max(max_d, best_d)
-    unmatched_k1 = [tuple(map(float, r.x))
-                    for j, r in enumerate(k1_records) if j not in used]
-    return SeparationAudit(
-        matched=len(used),
-        max_distance=max_d,
-        unmatched_k0=unmatched_k0,
-        unmatched_k1=unmatched_k1,
-    )
+            pairs.append((rec, free.pop(j)))
+    return SeparationAudit(pairs=pairs, unmatched_k0=unmatched_k0,
+                           unmatched_k1=[tuple(map(float, r.x)) for r in free])
 
 
 @dataclass

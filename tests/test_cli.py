@@ -23,6 +23,7 @@ from morinchi.cli import (
     run,
 )
 import morinchi
+from morinchi import cli
 from morinchi._numeric import STOP_REASONS
 from tests.conftest import scenario_path
 
@@ -220,8 +221,11 @@ def test_explain_passing_report(tmp_path):
     run(RunConfig(scenario=str(scenario_path("s2-height")), out_dir=str(tmp_path)))
     text = explain(tmp_path / "report.json")
     assert "closed-manifold identity: 2 = 2 [ok]" in text
-    assert "mod-2 congruence" in text
-    assert "fold-only equality: [ok]" in text
+    # both follow from the checked identity by arithmetic and read null
+    implied = "not applicable (follows from the closed-manifold identity)"
+    assert f"mod-2 congruence of closure characteristics: {implied}" in text
+    assert f"fold-only equality: {implied}" in text
+    assert "VIOLATED" not in text
     assert "boundary telescoping: not applicable (no depth-3 strata in scope)" in text
     # with n = 1 both routes count the same points, and the parities agree by construction
     assert "route agreement (morse vs cell counting): not applicable" in text
@@ -232,7 +236,7 @@ def test_explain_cusp_report(tmp_path):
     run(RunConfig(scenario=str(scenario_path("s3-cusps")), out_dir=str(tmp_path)))
     text = explain(tmp_path / "report.json")
     assert "closed-manifold identity: 0 = 0 [ok]" in text
-    assert "fold-only equality: not applicable" in text
+    assert "fold-only equality: not applicable (follows from" in text
     assert "route agreement (morse vs cell counting): [ok]" in text
     assert "index-parity audit: ok (" in text
     # the depth-1 starts sample a curve, so their single hits raise no warning
@@ -540,3 +544,20 @@ def test_bad_max_resamples_rejected(tmp_path, capsys):
                  "--max-resamples", "0"]) == EXIT_FORMAT
     assert "max_resamples" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_an_output_directory_that_cannot_be_made_exits_64_before_the_pipeline(
+        tmp_path, capsys, monkeypatch, sub):
+    # --out an existing file, or a directory below one: refused before any
+    # stratification, with one line and no artifact
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    monkeypatch.setattr(cli, "run_pipeline", lambda S: pytest.fail("the pipeline ran"))
+    code = main(["run", "--scenario", str(scenario_path("s2-height")),
+                 "--out", str(blocker / sub)])
+    err = capsys.readouterr().err
+    assert code == EXIT_FORMAT
+    assert err.startswith(f"output error: cannot create directory {blocker / sub}")
+    assert err.count("\n") == 1
+    assert blocker.read_text() == "not a directory\n"

@@ -365,10 +365,41 @@ def test_parity_audit_all_scenarios(s2_ctx, torus_ctx, s3_ctx, cusp_ctx):
 def test_parity_audit_detects_violation(s3_ctx):
     S, strat, a, data, audit = s3_ctx
     import copy
-    broken = copy.deepcopy(data.k0_records)
-    broken[0].morse_index += 1
-    parity = check_fold_index_parity(S, a, broken, data.k1_records)
-    assert not parity.ok
+    pairs = copy.deepcopy(data.audits["separation"].pairs)
+    rec, partner = pairs[0]
+    rec.morse_index += 1
+    parity = check_fold_index_parity(pairs)
+    assert parity.checked == len(pairs)
+    assert parity.violations == [(tuple(map(float, rec.x)),
+                                  f"ambient {rec.morse_index} vs stratum "
+                                  f"{partner.morse_index} on {rec.fold_sign}")]
+
+
+def test_a_point_off_its_partner_is_named_by_separation_and_skipped_by_parity(
+        s3_ctx, monkeypatch):
+    # the parity audit reads the separation audit's pairs: a k=0 point moved
+    # off its depth-1 partner is unmatched, and the parity audit checks the
+    # other pairs only
+    S, strat, a, data, audit = s3_ctx
+    original = morse.critical_points_on_stratum
+
+    def moved(S, a, k, *args, **kwargs):
+        records = original(S, a, k, *args, **kwargs)
+        if k == 0:
+            records[0] = dataclasses.replace(records[0], x=records[0].x + 1e-3)
+        return records
+
+    monkeypatch.setattr(morse, "critical_points_on_stratum", moved)
+    broken = compute_morse_data(S, strat, a)
+    sep, parity = broken.audits["separation"], broken.audits["parity"]
+    k0 = broken.k0_records
+    assert parity.ok, parity.violations
+    assert parity.checked == len(k0) - 1
+    assert sep.unmatched_k0 == [tuple(map(float, k0[0].x))]
+    assert len(sep.unmatched_k1) == 1 and sep.matched == len(k0) - 1
+    assert [r0 for r0, _ in sep.pairs] == k0[1:]
+    failures = validate_genericity(S, a, strat, broken).failures
+    assert len(failures) == 1 and "boundary-criticality equivalence" in failures[0]
 
 
 def test_separation_audit(s3_ctx):
@@ -397,9 +428,11 @@ def test_audit_messages_print_points_as_plain_floats(cusp_ctx):
     import copy
     broken = copy.deepcopy(data)
     broken.k0_records[0].x = strat.cusps[0].x.copy()       # on a cusp, unmatched
-    broken.audits["parity"] = check_fold_index_parity(S, a, broken.k0_records, [])
     broken.audits["separation"] = morse._boundary_equivalence_audit(
         broken.k0_records, data.k1_records)
+    pairs = broken.audits["separation"].pairs
+    pairs[0][0].morse_index += 1                            # a matched pair, flipped
+    broken.audits["parity"] = check_fold_index_parity(pairs)
     broken.certificates[0].cancels = False
     bad = validate_genericity(S, a, strat, broken)
     kinds = ("boundary-criticality equivalence", "collides with a cusp", "index parity",
