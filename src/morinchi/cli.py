@@ -2,10 +2,10 @@
 
 Exit codes for ``run``: 0 all identities hold, 2 genericity budget exhausted,
 3 an identity or hard audit failed, 64 scenario parse or hypothesis error,
-or an output directory that cannot be created (checked before the pipeline
-runs), 65 manifold regularity failure, 66 stratification rejected (the map
-is not Morin at the required depths, or the singular set could not be
-computed).
+an output directory that cannot be created (checked before the pipeline
+runs) or an artifact that cannot be written, 65 manifold regularity
+failure, 66 stratification rejected (the map is not Morin at the required
+depths, or the singular set could not be computed).
 
 Reproducibility: one non-negative root seed drives everything.  Derived
 generators use fixed purpose tags (regularity sampling 11, multistart 23,
@@ -105,10 +105,19 @@ def run(config: RunConfig) -> int:
         print(f"audit failure: {exc}", file=sys.stderr)
         return EXIT_IDENTITY
 
-    (out / "report.json").write_text(report.to_json())
-    _write_strata_csv(out / "strata.csv", S, strat)
-    _write_critical_csv(out / "critical.csv", S, data)
-    _write_curves_csv(out / "curves.csv", S, strat)
+    artifacts = (
+        ("report.json", lambda path: path.write_text(report.to_json())),
+        ("strata.csv", lambda path: _write_strata_csv(path, S, strat)),
+        ("critical.csv", lambda path: _write_critical_csv(path, S, data)),
+        ("curves.csv", lambda path: _write_curves_csv(path, S, strat)),
+    )
+    for name, write in artifacts:
+        try:
+            write(out / name)
+        except OSError as exc:
+            print(f"output error: cannot write {out / name}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return EXIT_FORMAT
 
     print(_verdict_line(report))
     return EXIT_OK if report.all_ok else EXIT_IDENTITY

@@ -47,6 +47,11 @@ class Expr:
 
     ``terms`` maps a dense exponent tuple of length ``nvars`` to a nonzero
     Fraction coefficient.  Instances are hashable and safe to share.
+
+    The constructor validates its terms, since they come from outside (the
+    parser, ``constant``, ``variable`` and user code).  The algebra's own
+    results are clean by construction and go through ``_trusted``: each
+    operation drops the terms that it cancels.
     """
 
     __slots__ = ("nvars", "terms", "_hash")
@@ -64,6 +69,16 @@ class Expr:
         object.__setattr__(self, "nvars", int(nvars))
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict) -> "Expr":
+        """An Expr over terms that are already clean: nonzero Fraction
+        coefficients of int-tuple monomials of length ``nvars``."""
+        e = object.__new__(cls)
+        object.__setattr__(e, "nvars", nvars)
+        object.__setattr__(e, "terms", terms)
+        object.__setattr__(e, "_hash", None)
+        return e
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr is immutable")
@@ -87,12 +102,16 @@ class Expr:
 
     def with_nvars(self, nvars: int) -> "Expr":
         """Pad to a larger ambient dimension (new variables appear with power 0)."""
+        if nvars == self.nvars:
+            return self
+        if nvars < 0:
+            raise ExprError(f"bad ambient dimension {nvars}")
         if nvars < self.nvars:
             if any(any(m[j] for j in range(nvars, self.nvars)) for m in self.terms):
                 raise ExprError("cannot shrink ambient dimension below used variables")
-            return Expr(nvars, {m[:nvars]: c for m, c in self.terms.items()})
+            return Expr._trusted(nvars, {m[:nvars]: c for m, c in self.terms.items()})
         pad = (0,) * (nvars - self.nvars)
-        return Expr(nvars, {m + pad: c for m, c in self.terms.items()})
+        return Expr._trusted(nvars, {m + pad: c for m, c in self.terms.items()})
 
     # -- algebra -----------------------------------------------------------
 
@@ -110,13 +129,18 @@ class Expr:
         left = self._aligned(other)
         terms = dict(left.terms)
         for mono, coeff in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
-        return Expr(left.nvars, terms)
+            acc = terms.get(mono)
+            total = coeff if acc is None else acc + coeff
+            if total:
+                terms[mono] = total
+            else:
+                del terms[mono]
+        return Expr._trusted(left.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Expr(self.nvars, {m: -c for m, c in self.terms.items()})
+        return Expr._trusted(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -133,7 +157,7 @@ class Expr:
                 mono = tuple(a + b for a, b in zip(m1, m2))
                 acc = terms.get(mono)
                 terms[mono] = c1 * c2 if acc is None else acc + c1 * c2
-        return Expr(left.nvars, terms)
+        return Expr._trusted(left.nvars, {m: c for m, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -206,9 +230,9 @@ def differentiate(e: Expr, i: int) -> Expr:
         ei = mono[i]
         if ei == 0:
             continue
-        new = mono[:i] + (ei - 1,) + mono[i + 1 :]
-        terms[new] = terms.get(new, Fraction(0)) + coeff * ei
-    return Expr(e.nvars, terms)
+        # one to one: the monomials that use x_i keep their other exponents
+        terms[mono[:i] + (ei - 1,) + mono[i + 1 :]] = coeff * ei
+    return Expr._trusted(e.nvars, terms)
 
 
 def gradient(e: Expr) -> tuple:
@@ -352,6 +376,8 @@ def _parse(tokens: list, pos: int):
     if tok != "(":
         kind, val = _parse_atom(tok)
         return (kind, val), pos + 1
+    if pos + 1 >= len(tokens):
+        raise ExprError("unexpected end of expression")
     op = tokens[pos + 1]
     if op not in ("+", "*", "-", "^"):
         raise ExprError(f"unknown operator {op!r}")

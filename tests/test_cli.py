@@ -561,3 +561,25 @@ def test_an_output_directory_that_cannot_be_made_exits_64_before_the_pipeline(
     assert err.startswith(f"output error: cannot create directory {blocker / sub}")
     assert err.count("\n") == 1
     assert blocker.read_text() == "not a directory\n"
+
+
+def test_an_unclosed_paren_in_a_scenario_exits_64(tmp_path, capsys):
+    # the parser's "unexpected end of expression", not an IndexError
+    data = json.loads(scenario_path("s2-height").read_text())
+    data["constraints"] = ["("]
+    path = write_scenario(tmp_path, data)
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error:") and "unexpected end of expression" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_an_artifact_that_cannot_be_written_exits_64(tmp_path, capsys):
+    # the directory exists, but report.json in it is a directory
+    (tmp_path / "report.json").mkdir()
+    code = main(["run", "--scenario", str(scenario_path("s2-height")), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_FORMAT
+    assert err.startswith(f"output error: cannot write {tmp_path / 'report.json'}: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err

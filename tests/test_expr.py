@@ -149,6 +149,10 @@ def test_parse_prefix_examples():
 def test_parse_errors():
     with pytest.raises(ExprError):
         parse_prefix("(+ x0")
+    # an unclosed '(' with no operator after it
+    for text in ("(", "( "):
+        with pytest.raises(ExprError, match="unexpected end of expression"):
+            parse_prefix(text)
     with pytest.raises(ExprError):
         parse_prefix("(^ x0 1/2)")
     with pytest.raises(ExprError):
@@ -157,11 +161,62 @@ def test_parse_errors():
         parse_prefix("(+ x0 x5)", nvars=2)
 
 
+def _assert_clean(e):
+    # what the validating constructor guarantees: nonzero Fraction
+    # coefficients of int-tuple monomials of length nvars
+    for mono, coeff in e.terms.items():
+        assert type(coeff) is Fraction and coeff != 0
+        assert type(mono) is tuple and len(mono) == e.nvars
+        assert all(type(k) is int and k >= 0 for k in mono)
+    assert Expr(e.nvars, e.terms).terms == e.terms
+
+
+@given(polys(), polys(), st.integers(0, 3), st.integers(0, 2))
+@settings(max_examples=60, deadline=None)
+def test_algebra_results_are_clean(a, b, k, i):
+    for r in (a + b, a - b, a * b, a ** k, -a, differentiate(a, i), a.with_nvars(a.nvars + 2),
+              a + 1, 1 - a, Fraction(1, 3) * a):
+        _assert_clean(r)
+        assert r == Expr(r.nvars, r.terms)
+
+
+@given(polys())
+@settings(max_examples=40, deadline=None)
+def test_cancellation_leaves_no_terms(e):
+    assert (e - e).terms == {}
+    assert (e + (-e)).terms == {}
+    assert (e * 0).terms == {}
+    assert e.with_nvars(e.nvars) is e
+
+
+def test_product_cancels_its_cross_terms():
+    n = 2
+    e = (x(0, n) + x(1, n)) * (x(0, n) - x(1, n))
+    assert (1, 1) not in e.terms
+    assert e.terms == {(2, 0): 1, (0, 2): -1}
+    _assert_clean(e)
+
+
 def test_float_coefficients_rejected():
     with pytest.raises(ExprError):
         Expr.constant(0.5)  # type: ignore[arg-type]
     with pytest.raises(ExprError):
         x(0, 1) * 0.5  # type: ignore[operator]
+
+
+def test_outside_terms_are_validated():
+    for bad in (0.5, True):
+        with pytest.raises(ExprError):
+            Expr(1, {(1,): bad})
+        with pytest.raises(ExprError):
+            Expr.constant(bad)  # type: ignore[arg-type]
+    for mono in ((1,), (1, -1), (1, 2, 0)):
+        with pytest.raises(ExprError):
+            Expr(2, {mono: 1})
+    with pytest.raises(ExprError):
+        parse_prefix("(+ x0 0.5)")
+    with pytest.raises(ExprError):
+        Expr.constant(1, 2).with_nvars(-1)
 
 
 def test_expr_block_matches_evaluate():
