@@ -1,4 +1,5 @@
-"""Command line entry points: run a scenario, list bundled ones, explain a report.
+"""Command line entry points: run a scenario, list bundled ones, explain a
+report, check a run's artifacts.
 
 Exit codes for ``run``: 0 all identities hold, 2 genericity budget exhausted,
 3 an identity or hard audit failed, 64 scenario parse or hypothesis error,
@@ -6,6 +7,11 @@ an output directory that cannot be created (checked before the pipeline
 runs) or an artifact that cannot be written, 65 manifold regularity
 failure, 66 stratification rejected (the map is not Morin at the required
 depths, or the singular set could not be computed).
+
+Exit codes for ``check``, which reads the artifacts of finished runs: 0
+every relation between them holds (see ``check``), 4 one fails, a code that
+``run`` never returns, 64 a ``report.json`` or CSV that cannot be read or a
+report that lacks a field.
 
 Reproducibility: one non-negative root seed drives everything.  Derived
 generators use fixed purpose tags (regularity sampling 11, multistart 23,
@@ -39,6 +45,7 @@ from .strata import compute_stratification
 EXIT_OK = 0
 EXIT_GENERICITY = 2
 EXIT_IDENTITY = 3
+EXIT_CHECK = 4
 EXIT_FORMAT = 64
 EXIT_REGULARITY = 65
 EXIT_MORIN = 66
@@ -179,12 +186,15 @@ def bundled_scenarios():
 def list_scenarios(extra_dir=None) -> str:
     """Table of bundled (and optionally user-supplied) scenarios.
 
-    A file that is not a scenario (unreadable, not JSON, or without its
-    dimensions) raises ScenarioFormatError.
+    A directory that does not exist, or a file in it that is not a scenario
+    (unreadable, not JSON, or without its dimensions), raises
+    ScenarioFormatError.
     """
     rows = []
     sources = list(bundled_scenarios())
     if extra_dir:
+        if not Path(extra_dir).is_dir():
+            raise ScenarioFormatError(f"{extra_dir} is not a directory")
         sources += sorted(Path(extra_dir).glob("*.json"))
     for src in sources:
         try:
@@ -205,12 +215,124 @@ def list_scenarios(extra_dir=None) -> str:
     return "\n".join(lines)
 
 
+def _read_report(report_path):
+    try:
+        return json.loads(Path(report_path).read_text())
+    except (OSError, ValueError) as exc:
+        raise FileNotFoundError(f"cannot read report: {exc}") from exc
+
+
+def _data_rows(csv_path) -> int:
+    try:
+        with open(csv_path, newline="") as fh:
+            return sum(1 for _ in csv.reader(fh)) - 1
+    except (OSError, ValueError, csv.Error) as exc:
+        raise FileNotFoundError(f"cannot read {csv_path}: {exc}") from exc
+
+
+def check(out_dir) -> list:
+    """The relations between the artifacts of a run in ``out_dir`` that fail,
+    one line each; an empty list when every one holds.
+
+    Every node of a traced curve but a segment's seed is corrected, so it
+    costs a corrector iteration, and every corrector solve converges, more
+    of them than the curve has segments; the lanes step each arc once, so a
+    curve's lane steps are at least one and at most its nodes.  In every
+    census (the depth-1 solve, the k=0 census and the fold-surface polish)
+    no more starts are projected than made, each projected start stops for
+    one reason, and every converged start that the census counts hits
+    exactly one of the distinct roots; the fold-surface polish starts once
+    from each depth-1 point and its distinct roots are the depth-1 critical
+    points.  strata.csv holds one row per depth-1 point and per cusp,
+    critical.csv one per critical point on M, on the depth-1 stratum and at
+    a cusp, and curves.csv one per traced node.  Every cusp has its eta check, and its
+    polish from a start off it takes at least one Newton iteration; every
+    eta identity holds and every certificate cancels.  Every traced curve
+    closes within 1e-10, every cusp satisfies the depth-1 system within
+    1e-9, and for n >= 3 the sampled depth-1 points have nullity n - 1 and
+    no other.
+
+    A report or CSV that cannot be read raises FileNotFoundError; a report
+    that lacks a field raises KeyError or TypeError.
+    """
+    out = Path(out_dir)
+    report = _read_report(out / "report.json")
+    audits = report["audits"]
+    solver = audits["solver"]
+    curves = solver.get("curves", [])
+    cusps = audits.get("cusp_count", 0)
+    eta = audits["eta_checks"]
+    failed = []
+
+    def need(holds, relation):
+        if not holds:
+            failed.append(relation)
+
+    closure = max(audits.get("closure_errors") or [0.0])
+    need(closure <= 1e-10, f"closure error {closure!r} above 1e-10")
+    nesting = audits["nesting_max_residual"]
+    need(nesting <= 1e-9, f"nesting residual {nesting!r} above 1e-9")
+    if report["n"] >= 3:
+        need(audits["dimension_nullity"] == [report["n"] - 1],
+             f"dimension nullity {audits['dimension_nullity']} is not [n - 1] = "
+             f"[{report['n'] - 1}]")
+    for name, want, per in (
+            ("strata.csv", audits["stratum1_count"] + cusps, "depth-1 point and cusp"),
+            ("critical.csv", audits["k0_count"] + audits["stratum1_critical_count"] + cusps,
+             "critical point"),
+            ("curves.csv", sum(c["nodes"] for c in curves), "traced node")):
+        rows = _data_rows(out / name)
+        need(rows == want, f"{name} has {rows} rows for {want}, one per {per}")
+    if "cusp_count" in audits:
+        need(len(eta) == cusps, f"{len(eta)} eta checks for {cusps} cusps")
+        iterations = sum(c["cusp_iterations"] for c in curves)
+        need(iterations >= cusps, f"{iterations} cusp iterations for {cusps} cusps")
+    need(all(c["identity_ok"] is True for c in eta), "an eta identity fails")
+    need(audits["certificates_cancel"] is True, "the certificates do not cancel")
+    for i, c in enumerate(curves):
+        stops = sum(c["stops"].values())
+        need(c["corrector_iterations"] >= c["nodes"] - c["segments"] > 0,
+             f"curve {i}: corrector iterations {c['corrector_iterations']} not >= nodes "
+             f"{c['nodes']} - segments {c['segments']} > 0")
+        need(0 < c["lane_steps"] <= c["nodes"],
+             f"curve {i}: lane steps {c['lane_steps']} not in (0, nodes {c['nodes']}]")
+        need(c["stops"]["converged"] == stops,
+             f"curve {i}: {c['stops']['converged']} converged stops of {stops} stops")
+        need(c["stops"]["converged"] > c["segments"],
+             f"curve {i}: {c['stops']['converged']} converged stops, not more than "
+             f"{c['segments']} segments")
+    for stage in ("depth1", "k0", "surface"):
+        c = solver.get(stage)
+        if not c:
+            continue
+        # projected >= converged follows from the two stop relations
+        stops = sum(c["stops"].values())
+        need(c["starts"] >= c["projected"],
+             f"{stage}: {c['starts']} starts for {c['projected']} projected")
+        need(stops == c["projected"], f"{stage}: {stops} stops for {c['projected']} projected")
+        need(c["stops"]["converged"] == c["converged"],
+             f"{stage}: {c['stops']['converged']} converged stops for {c['converged']} "
+             f"converged")
+        # only the depth-1 solve for n >= 2 reports no hits
+        if stage != "depth1" or "hits" in c:
+            need(sum(c["hits"]) == c["converged"],
+                 f"{stage}: {sum(c['hits'])} hits for {c['converged']} converged")
+            need(len(c["hits"]) == c["distinct"],
+                 f"{stage}: {len(c['hits'])} hit counts for {c['distinct']} distinct roots")
+    surface = solver.get("surface")
+    if surface:
+        need(surface["starts"] == audits["stratum1_count"],
+             f"surface: {surface['starts']} starts for {audits['stratum1_count']} "
+             f"depth-1 points")
+        need(surface["distinct"] == audits["stratum1_critical_count"],
+             f"surface: {surface['distinct']} distinct roots for "
+             f"{audits['stratum1_critical_count']} depth-1 critical points")
+    return failed
+
+
 def explain(report_path) -> str:
     """Human-readable digest of a run report."""
-    try:
-        data = json.loads(Path(report_path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FileNotFoundError(f"cannot read report: {exc}") from exc
+    data = _read_report(report_path)
     lines = []
     ok = lambda flag: "ok" if flag else "VIOLATED"  # noqa: E731
     lines.append(f"scenario {data['scenario']} (m={data['m']}, n={data['n']}, "
@@ -309,6 +431,10 @@ def main(argv=None) -> int:
     p_explain = sub.add_parser("explain", help="pretty-print a run report")
     p_explain.add_argument("report", help="path to report.json")
 
+    p_check = sub.add_parser("check", help="check the relations between a run's artifacts")
+    p_check.add_argument("out_dirs", nargs="+", metavar="OUT_DIR",
+                         help="directory with a run's report.json and CSVs")
+
     args = parser.parse_args(argv)
     if args.command == "run":
         return run(RunConfig(
@@ -325,18 +451,21 @@ def main(argv=None) -> int:
             print(f"scenario error: {exc}", file=sys.stderr)
             return EXIT_FORMAT
         return EXIT_OK
-    if args.command == "explain":
-        try:
+    try:
+        if args.command == "explain":
             print(explain(args.report))
-        except FileNotFoundError as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_FORMAT
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            # valid JSON that lacks or mistypes a report field
-            print(f"not a morinchi report: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return EXIT_FORMAT
-        return EXIT_OK
-    return EXIT_FORMAT
+            return EXIT_OK
+        failed = {out: check(out) for out in args.out_dirs}
+    except FileNotFoundError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_FORMAT
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # valid JSON that lacks or mistypes a report field
+        print(f"not a morinchi report: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_FORMAT
+    for out, lines in failed.items():
+        print("\n".join(f"{out}: {line}" for line in lines) or f"{out}: every relation holds")
+    return EXIT_CHECK if any(failed.values()) else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -32,14 +32,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
 import json
 import tempfile
 from importlib.resources import files
 from pathlib import Path
 
-from morinchi.cli import RunConfig, run
+from morinchi.cli import RunConfig, _data_rows, run
 
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
 BUNDLED = ("s2-height", "s2xs2-height", "s3-cusps", "s3-proj", "s4-height", "s4-proj",
@@ -89,11 +88,7 @@ def run_integers(run_id, workdir, out=None):
     record = {"exit": code}
     if (out / "report.json").is_file():
         record["report"] = integer_leaves(json.loads((out / "report.json").read_text()))
-        rows = {}
-        for csv_name in CSVS:
-            with open(out / csv_name, newline="") as fh:
-                rows[csv_name] = sum(1 for _ in csv.reader(fh)) - 1
-        record["csv_rows"] = rows
+        record["csv_rows"] = {csv_name: _data_rows(out / csv_name) for csv_name in CSVS}
     return record
 
 

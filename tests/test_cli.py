@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,12 +12,14 @@ from pathlib import Path
 import pytest
 
 from morinchi.cli import (
+    EXIT_CHECK,
     EXIT_FORMAT,
     EXIT_GENERICITY,
     EXIT_MORIN,
     EXIT_OK,
     EXIT_REGULARITY,
     RunConfig,
+    check,
     explain,
     list_scenarios,
     main,
@@ -168,8 +171,8 @@ def test_module_run_writes_nothing_to_stderr():
 
 def test_exit_codes_documented():
     from morinchi import cli
-    assert (cli.EXIT_OK, cli.EXIT_GENERICITY, cli.EXIT_IDENTITY,
-            cli.EXIT_FORMAT, cli.EXIT_REGULARITY, cli.EXIT_MORIN) == (0, 2, 3, 64, 65, 66)
+    assert (cli.EXIT_OK, cli.EXIT_GENERICITY, cli.EXIT_IDENTITY, cli.EXIT_CHECK,
+            cli.EXIT_FORMAT, cli.EXIT_REGULARITY, cli.EXIT_MORIN) == (0, 2, 3, 4, 64, 65, 66)
 
 
 def test_exit_identity_on_wrong_expected_chi(tmp_path):
@@ -215,6 +218,15 @@ def test_list_scenarios_table():
 def test_list_scenarios_with_empty_custom_dir(tmp_path):
     table = list_scenarios(str(tmp_path))
     assert "s2-height" in table
+
+
+def test_list_of_a_missing_dir_exits_64(tmp_path, capsys):
+    # a mistyped --dir listed the bundled table alone and exited 0
+    missing = tmp_path / "missing"
+    assert main(["list", "--dir", str(missing)]) == EXIT_FORMAT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"scenario error: {missing} is not a directory\n"
 
 
 def test_explain_passing_report(tmp_path):
@@ -479,12 +491,8 @@ def test_explain_prints_solver_counters(tmp_path):
     # on s4-height one fold point is reached by a single depth-1 start
     assert run(RunConfig(scenario=str(scenario_path("s4-height")), out_dir=str(tmp_path))) == EXIT_OK
     report = json.loads((tmp_path / "report.json").read_text())
-    solver = report["audits"]["solver"]
-    assert set(solver) == {"depth1", "k0"}
-    for counters in solver.values():
-        assert counters["starts"] >= counters["projected"] >= counters["converged"]
-        assert sum(counters["hits"]) == counters["converged"]
-        assert len(counters["hits"]) == counters["distinct"]
+    assert set(report["audits"]["solver"]) == {"depth1", "k0"}
+    assert check(tmp_path) == []
     text = explain(tmp_path / "report.json")
     assert "depth-1 system: 200 starts, 200 projected, 200 converged" in text
     assert "k=0 census: 400 starts" in text
@@ -498,12 +506,8 @@ def test_explain_prints_fold_surface_counters_and_stop_reasons(tmp_path):
     assert set(solver) == {"depth1", "k0", "surface"}
     # the depth-1 solutions of n = 3 form a surface, so there are no hits to count
     assert "hits" not in solver["depth1"] and "hits" in solver["surface"]
-    for counters in solver.values():
-        assert sum(counters["stops"].values()) == counters["projected"]
-        assert counters["stops"]["converged"] == counters["converged"]
+    assert check(tmp_path) == []
     surface = solver["surface"]
-    assert surface["starts"] == report["audits"]["stratum1_count"]
-    assert surface["distinct"] == report["audits"]["stratum1_critical_count"]
     text = explain(tmp_path / "report.json")
     assert f"fold-surface polish: {surface['starts']} starts" in text
     assert f"    stops: {surface['stops']['converged']} converged, " in text
@@ -515,21 +519,11 @@ def test_report_counts_curve_tracing_work(tmp_path):
     for d in (d1, d2):
         assert run(RunConfig(scenario=str(scenario_path("s3-cusps")), out_dir=str(d))) == EXIT_OK
     assert (d1 / "report.json").read_bytes() == (d2 / "report.json").read_bytes()
-    curves = json.loads((d1 / "report.json").read_text())["audits"]["solver"]["curves"]
-    with open(d1 / "curves.csv") as fh:
-        rows = list(csv.reader(fh))[1:]
-    assert [c["nodes"] for c in curves] == [sum(r[0] == str(i) for r in rows)
-                                            for i in range(len(curves))]
-    (c,) = curves
+    (c,) = json.loads((d1 / "report.json").read_text())["audits"]["solver"]["curves"]
     assert set(c) == {"nodes", "segments", "lane_steps", "half_steps", "corrector_iterations",
                       "stops", "cusp_iterations"}
-    # every node but a segment's seed needs a corrector iteration; each of the
-    # two cusps is polished from a start off it; the lanes step each node once
-    assert c["corrector_iterations"] >= c["nodes"] - c["segments"] > 0
-    assert 0 < c["lane_steps"] <= c["nodes"]
-    assert c["cusp_iterations"] >= 2
     assert list(c["stops"]) == list(STOP_REASONS)
-    assert c["stops"]["converged"] == sum(c["stops"].values()) > c["segments"]
+    assert check(d1) == []
     text = explain(d1 / "report.json")
     assert (f"curve 0: {c['nodes']} nodes in {c['segments']} segments, "
             f"{c['lane_steps']} lane steps, "
@@ -583,3 +577,118 @@ def test_an_artifact_that_cannot_be_written_exits_64(tmp_path, capsys):
     assert err.startswith(f"output error: cannot write {tmp_path / 'report.json'}: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def good_runs(tmp_path_factory):
+    """The artifacts of s3-cusps (a curve with two cusps) and s4-proj (a fold
+    surface), which between them meet every relation of ``check``."""
+    out = {}
+    for name in ("s3-cusps", "s4-proj"):
+        out[name] = tmp_path_factory.mktemp(name)
+        assert run(RunConfig(scenario=str(scenario_path(name)), out_dir=str(out[name]))) == EXIT_OK
+    return out
+
+
+def _edit_audits(out, path, change):
+    report = json.loads((out / "report.json").read_text())
+    *keys, last = [int(k) if k.isdigit() else k for k in path.split("/")]
+    node = report["audits"]
+    for key in keys:
+        node = node[key]
+    node[last] = change(node[last])
+    (out / "report.json").write_text(json.dumps(report, indent=2))
+
+
+def _drop_last_row(path):
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+
+
+# each edit breaks one relation of check and no other: a path under "audits"
+# and the change of its value, or a CSV that loses its last row
+BROKEN_RELATIONS = [
+    pytest.param("s3-cusps", "closure_errors/0", lambda v: 1e-9, "closure error 1e-09 above 1e-10",
+                 id="closure"),
+    pytest.param("s3-cusps", "nesting_max_residual", lambda v: 1e-8, "nesting residual",
+                 id="nesting"),
+    pytest.param("s4-proj", "dimension_nullity", lambda v: [1], "dimension nullity",
+                 id="nullity"),
+    pytest.param("s3-cusps", "strata.csv", None, "strata.csv has", id="strata-rows"),
+    pytest.param("s3-cusps", "critical.csv", None, "critical.csv has", id="critical-rows"),
+    pytest.param("s3-cusps", "curves.csv", None, "curves.csv has", id="curves-rows"),
+    pytest.param("s3-cusps", "eta_checks", lambda v: v[1:], "1 eta checks for 2 cusps",
+                 id="eta-per-cusp"),
+    pytest.param("s3-cusps", "solver/curves/0/cusp_iterations", lambda v: 1,
+                 "1 cusp iterations for 2 cusps", id="cusp-iterations"),
+    pytest.param("s3-cusps", "eta_checks/0/identity_ok", lambda v: False,
+                 "an eta identity fails", id="eta-identity"),
+    pytest.param("s3-cusps", "certificates_cancel", lambda v: False,
+                 "the certificates do not cancel", id="certificates"),
+    pytest.param("s3-cusps", "solver/curves/0/corrector_iterations", lambda v: 0,
+                 "curve 0: corrector iterations 0 not >= nodes", id="corrector"),
+    pytest.param("s3-cusps", "solver/curves/0/lane_steps", lambda v: 10 ** 9,
+                 "curve 0: lane steps 1000000000 not in", id="lane-steps-above-nodes"),
+    pytest.param("s3-cusps", "solver/curves/0/lane_steps", lambda v: 0,
+                 "curve 0: lane steps 0 not in", id="no-lane-steps"),
+    pytest.param("s3-cusps", "solver/curves/0/stops/iteration_cap", lambda v: v + 1,
+                 "curve 0: 2612 converged stops of 2613 stops", id="curve-stops"),
+    pytest.param("s3-cusps", "solver/curves/0/stops", lambda v: dict.fromkeys(v, 0),
+                 "curve 0: 0 converged stops, not more than", id="curve-stops-above-segments"),
+    pytest.param("s3-cusps", "solver/k0/starts", lambda v: 0, "k0: 0 starts for",
+                 id="starts-below-projected"),
+    pytest.param("s3-cusps", "solver/k0/stops/iteration_cap", lambda v: v + 1,
+                 "k0: 601 stops for 600 projected", id="census-stops"),
+    pytest.param("s3-cusps", "solver/k0/stops",
+                 lambda v: {**v, "converged": v["converged"] - 1,
+                            "line_search_failed": v["line_search_failed"] + 1},
+                 "k0: 594 converged stops for 595 converged", id="census-converged-stops"),
+    pytest.param("s3-cusps", "solver/k0/hits/0", lambda v: v + 1,
+                 "k0: 596 hits for 595 converged", id="hits-sum"),
+    pytest.param("s3-cusps", "solver/k0/distinct", lambda v: v + 1,
+                 "k0: 4 hit counts for 5 distinct roots", id="hits-per-root"),
+    pytest.param("s4-proj", "solver/surface/starts", lambda v: v + 1,
+                 "surface: 601 starts for 600 depth-1 points", id="surface-starts"),
+    pytest.param("s4-proj", "solver/surface",
+                 lambda c: {**c, "distinct": c["distinct"] + 1,
+                            "hits": c["hits"][:-1] + [c["hits"][-1] - 1, 1]},
+                 "surface: 3 distinct roots for 2 depth-1 critical points",
+                 id="surface-distinct"),
+]
+
+
+@pytest.mark.parametrize("name, target, change, relation", BROKEN_RELATIONS)
+def test_check_names_the_one_broken_relation_and_exits_4(
+        good_runs, tmp_path, capsys, name, target, change, relation):
+    out = tmp_path / "run"
+    shutil.copytree(good_runs[name], out)
+    if change is None:
+        _drop_last_row(out / target)
+    else:
+        _edit_audits(out, target, change)
+    failed = check(out)
+    assert len(failed) == 1 and relation in failed[0], failed
+    assert main(["check", str(good_runs[name]), str(out)]) == EXIT_CHECK
+    assert capsys.readouterr().out == (f"{good_runs[name]}: every relation holds\n"
+                                       f"{out}: {failed[0]}\n")
+
+
+def test_check_of_a_good_run_changes_nothing(good_runs, capsys):
+    for out in good_runs.values():
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        text = explain(out / "report.json")
+        assert main(["check", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == f"{out}: every relation holds\n"
+        assert explain(out / "report.json") == text
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("artifact", ["report.json", "strata.csv", "curves.csv"])
+def test_check_of_a_missing_artifact_exits_64(good_runs, tmp_path, capsys, artifact):
+    out = tmp_path / "run"
+    shutil.copytree(good_runs["s3-cusps"], out)
+    (out / artifact).unlink()
+    assert main(["check", str(out)]) == EXIT_FORMAT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot read ") and str(out / artifact) in captured.err
+    assert captured.err.count("\n") == 1

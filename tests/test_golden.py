@@ -1,7 +1,8 @@
 """Fresh comparison runs against the integers in ``tests/golden.json``
 (``tests/make_golden.py``): a change that is meant to keep every report the
-same keeps every recorded leaf, exit code and CSV row count.  About 10 s for
-all runs; deselected by default, selected with ``-m golden``."""
+same keeps every recorded leaf, exit code and CSV row count, and every run
+that writes artifacts passes ``morinchi check``.  About 10 s for all runs;
+deselected by default, selected with ``-m golden``."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import json
 
 import pytest
 
+from morinchi.cli import check
 from tests.make_golden import GOLDEN, RUNS, run_integers
 
 
@@ -34,3 +36,5 @@ def test_run_keeps_its_golden_integers(golden, run_id, tmp_path):
               if path not in fresh or path not in kept
               or (type(fresh[path]), fresh[path]) != (type(kept[path]), kept[path])}
     assert not differ, differ
+    if "report" in got:
+        assert check(tmp_path / "out") == []
