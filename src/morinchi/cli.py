@@ -15,7 +15,8 @@ report that lacks a field.
 
 Reproducibility: one non-negative root seed drives everything.  Derived
 generators use fixed purpose tags (regularity sampling 11, multistart 23,
-covectors 7 with the resample attempt appended), so a report is
+covectors 7 with the resample attempt appended, slices of an n = 3 target 29
+with the slice appended), so a report is
 byte-identical across runs for the same scenario, seed, and tolerances.
 """
 
@@ -238,10 +239,10 @@ def check(out_dir) -> list:
     costs a corrector iteration, and every corrector solve converges, more
     of them than the curve has segments; the lanes step each arc once, so a
     curve's lane steps are at least one and at most its nodes.  In every
-    census (the depth-1 solve, the k=0 census and the fold-surface polish)
+    census (the depth-1 solve, the k=0 census and the fold-surface census)
     no more starts are projected than made, each projected start stops for
     one reason, and every converged start that the census counts hits
-    exactly one of the distinct roots; the fold-surface polish starts once
+    exactly one of the distinct roots; the fold-surface census starts once
     from each depth-1 point and its distinct roots are the depth-1 critical
     points.  strata.csv holds one row per depth-1 point and per cusp,
     critical.csv one per critical point on M, on the depth-1 stratum and at
@@ -379,7 +380,7 @@ def explain(report_path) -> str:
     # hits are reported only where the roots are isolated: the depth-1
     # solutions form a curve or surface when n >= 2
     for stage, label in (("depth1", "depth-1 system"), ("k0", "k=0 census"),
-                         ("surface", "fold-surface polish")):
+                         ("surface", "fold-surface census")):
         c = solver.get(stage)
         if not c:
             continue

@@ -38,6 +38,7 @@ from .strata import (
     SingularSystem,
     Stratification,
     StratumCriticalSystem,
+    chart_starts,
     cusp_near,
     multistart_starts,
     secant_starts,
@@ -193,7 +194,8 @@ def _stratum_records(S, W, sysc) -> list:
 
     A point whose kernel form is flat is a depth-2 point away from every
     located cusp: the walk along a fold curve takes the points near a cusp
-    as cusp hits, and for n >= 3 no cusp curve is located.
+    as cusp hits, and for n = 3 the stratification's slices locate no cusp
+    (``strata._refuse_cusp_curves``).
     """
     Z = W[:, :sysc.D]
     _, index, flat = eig_sign_counts(sysc.reduced_hessian(W), S.tolerances.eigen_zero)
@@ -241,21 +243,35 @@ def _critical_points_on_curves(S, a: Covector, strat: Stratification):
 
 
 def _critical_points_on_surface(S, a: Covector, strat: Stratification, stats=None):
-    """Multistart solve on a stratum of dimension >= 2, seeded by the point cloud.
+    """Critical records of h on a fold surface (n >= 3), from a multistart of
+    the square system of the critical points of h on M.
 
-    Every point of the cloud is polished at once (``_polish_stratum_critical``).
-    ``stats``, a dict when given, receives the counters of the polish.
+    At a fold point h|Sigma is critical exactly where h|M is (the fold
+    normal form), so the multistart solves ``SingularSystem(S, a)`` in
+    (x, lam), one lane from each depth-1 point with its least-squares lam
+    (``chart_starts``).  Its starts are points on Sigma, not the random
+    points on M of the k=0 census, so the separation audit still compares two
+    censuses.  ``stats``, a dict when given, receives the counters of the
+    ``census``.  Each distinct root, packed with cokernel a, is one lane of
+    ``_polish_stratum_critical``, whose reduced Hessian gives its index on
+    the stratum.
     """
-    system = SingularSystem(S)
-    Z = np.array([system.pack(p.x, p.cokernel, p.multiplier)
-                  for p in strat.points]).reshape(-1, system.dim_z)
-    sysc, out = _polish_stratum_critical(S, a.a, Z)
-    roots, counters = census(len(Z), out, S.N, S.tolerances.dedup_radius)
+    sys0 = SingularSystem(S, a.a)
+    x = np.array([p.x for p in strat.points]).reshape(-1, S.N)
+    out = newton_batch(sys0.evaluate, chart_starts(S, sys0, x), tol=S.tolerances.residual,
+                       max_iter=30)
+    roots, counters = census(len(x), out, S.N, S.tolerances.dedup_radius)
     if stats is not None:
         stats.update(counters)
     if not len(roots):
         raise GenericityFailure("no critical points found on the singular surface")
-    return _stratum_records(S, roots, sysc)
+    system = SingularSystem(S)
+    x, _, lam = sys0.unpack(roots)
+    sysc, polished = _polish_stratum_critical(
+        S, a.a, system.pack(x, np.broadcast_to(a.a, (len(x), S.n)), lam))
+    if not polished.converged.all():
+        raise GenericityFailure("stratum critical point failed to polish")
+    return _stratum_records(S, polished.z, sysc)
 
 
 def critical_points_on_stratum(S: MorinScenario, a: Covector, k: int,
@@ -263,7 +279,8 @@ def critical_points_on_stratum(S: MorinScenario, a: Covector, k: int,
     """Critical records of h on the depth-k stratum (k = 0 means M itself).
 
     ``stats`` (a dict, when given) receives the counters of the k=0 census
-    or, for n >= 3, of the polish on the fold surface.
+    or, for n >= 3, of the census on the fold surface
+    (``_critical_points_on_surface``).
     k = 1 with n = 2 is refused: ``_critical_points_on_curves`` walks the
     fold curves for it and also returns the cusp hits.
     """

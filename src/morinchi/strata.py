@@ -17,15 +17,19 @@ two-sided sample of the curve per cusp and one spectra pass over the
 samples and the cusp: the tangent into the plus arc, the two arc samples,
 the degenerate kernel direction and the slope of the flattening
 eigenvalue, which certifies depth 2.  Every curve operation takes a stack
-of points.  The scenario types come from ``scenario``.  ``load_scenario``,
-``Tolerances``, ``newton`` and ``project_to_manifold`` stay bound here,
-though nothing here calls them, because the benchmark's tracer
-(``perfbench/tracing.py``) rebinds or reads them in this module.
+of points.  For three-dimensional targets, slices of the target through
+cloud points of the minority sign, each an n = 2 scenario stratified the
+same way, look for cusp curves on the fold surface
+(``_refuse_cusp_curves``).  The scenario types come from ``scenario``.
+``load_scenario``, ``Tolerances``, ``newton`` and ``project_to_manifold``
+stay bound here, though nothing here calls them, because the benchmark's
+tracer (``perfbench/tracing.py``) rebinds or reads them in this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -51,7 +55,10 @@ from .continuation import (
     curve_tangents,
     nullities,
 )
+from .expr import to_prefix
 from .manifold import (  # noqa: F401  (project_to_manifold stays bound here for perfbench)
+    ImplicitManifold,
+    ManifoldError,
     RegularityError,
     project_points,
     project_to_manifold,
@@ -261,10 +268,9 @@ def multistart_starts(S: MorinScenario, system: SingularSystem, count, tag):
 
     The seeds come from ``_multistart_seeds``.  A seed whose projection
     fails, or where ``tangent_frames`` refuses (Dg rank-deficient), is
-    dropped.  u is the fixed cokernel of a reduced chart, else the smallest
-    left singular vector of Df restricted to the tangent space,
-    sign-normalized, which does not depend on the tangent basis; mu is the
-    least-squares multiplier of the stationarity equation for that u.
+    dropped; (u, mu) at the others come from ``chart_starts``.  The smallest
+    left singular vector of Df on the tangent space does not depend on the
+    tangent basis.
     """
     X0 = _multistart_seeds(S, count, tag)
     proj = project_points(S.manifold, X0)
@@ -272,14 +278,22 @@ def multistart_starts(S: MorinScenario, system: SingularSystem, count, tag):
     tangent, failures = tangent_frames(S.manifold, x)
     regular = np.ones(len(x), dtype=bool)
     regular[list(failures)] = False
-    x, tangent = x[regular], tangent[regular]
+    return len(X0), chart_starts(S, system, x[regular], tangent[regular])
+
+
+def chart_starts(S: MorinScenario, system: SingularSystem, x, tangent=None):
+    """Starts (x, u, mu) in the chart of ``system`` at a stack x (B, N) of
+    points on M: u is the fixed cokernel of a reduced chart, else the
+    smallest left singular vector of Df on the tangent frames ``tangent``,
+    sign-normalized; mu is the least-squares multiplier of the stationarity
+    equation Df^T u = Dg^T mu for that u."""
     Df, Dg = np.split(S.jet(x)[1], [S.n], axis=1)
     if system.reduced:
         u = system.cokernel
     else:
         u = sign_normalize(np.linalg.svd(Df @ np.swapaxes(tangent, -1, -2))[0][:, :, S.n - 1])
     mu = min_norm_solve(np.swapaxes(Dg, -1, -2), vecmat(u, Df))
-    return len(X0), system.pack(x, u, mu)
+    return system.pack(x, u, mu)
 
 
 def solve_stratum1(S: MorinScenario, stats=None) -> list[StratumPoint]:
@@ -850,7 +864,8 @@ class Stratification:
 
 
 def compute_stratification(S: MorinScenario) -> Stratification:
-    """Full stratification pipeline: regularity, depth-1 solve, tracing, audits."""
+    """Full stratification pipeline: regularity, depth-1 solve, tracing,
+    audits, and for n = 3 the slices that look for cusp curves."""
     report = validate_regularity(S.manifold, count=20, seed=S.seed)
     if not report.ok:
         raise RegularityError(
@@ -894,6 +909,8 @@ def compute_stratification(S: MorinScenario) -> Stratification:
                 f"singular-set dimension audit failed: nullities {nullities}, "
                 f"expected [{S.n - 1}]"
             )
+    if S.n == 3:
+        _refuse_cusp_curves(S, points)
 
     # depth-2 points must satisfy the depth-1 system: the largest full-chart
     # residual stratum_points recorded at a cusp
@@ -943,3 +960,70 @@ def _dimension_audit(S, points):
     system = SingularSystem(S)
     Z = [system.pack(p.x, p.cokernel, p.multiplier) for p in points[:10]]
     return sorted(set(nullities(system.evaluate(np.array(Z))[1]).tolist())) if Z else []
+
+
+# -- slices of the target (n = 3) -------------------------------------------------
+
+
+SLICES = 3      # the slices drawn through the minority sign of an n = 3 cloud
+
+
+def _slice(S: MorinScenario, k, minority):
+    """Slice k of an n = 3 scenario through a point p of ``minority``: the
+    scenario of f on M' = M cut by <b, f> = c, an n = 2 map, and p.
+
+    b is a unit vector rounded to 1/64 and p is drawn from ``minority``,
+    both from the generator keyed by the scenario seed, 29 and k; c is
+    <b, f(p)> rounded to 2^-20.  So the constraint <b, f> - c is exact, and
+    the slice's own regularity audit checks that it cuts M transversally.
+    The slice keeps the two components of f other than the one of largest
+    |b_i|, and p is its sample seed.
+    """
+    rng = np.random.default_rng([S.seed, 29, k])
+    v = rng.standard_normal(S.n)
+    b = [Fraction(round(64 * t), 64) for t in v / np.linalg.norm(v)]
+    p = minority[int(rng.integers(len(minority)))]
+    c = Fraction(round(float(np.array(b, dtype=float) @ S.f(p.x)) * 2 ** 20), 2 ** 20)
+    level = sum(bi * fi for bi, fi in zip(b, S.components)) - c
+    drop = max(range(S.n), key=lambda i: abs(b[i]))
+    M = S.manifold
+    cut = ImplicitManifold(S.N, M.constraints + (level,), S.m - 1, sample_seeds=[p.x],
+                           compact=M.compact, sample_halfwidth=M.sample_halfwidth)
+    keep = [f for i, f in enumerate(S.components) if i != drop]
+    return MorinScenario(f"{S.name}-slice-{k}", cut, S.n - 1, keep, seed=S.seed,
+                         tolerances=S.tolerances), p
+
+
+def _refuse_cusp_curves(S: MorinScenario, points):
+    """Refuse an n = 3 map when a slice of its target finds a cusp curve.
+
+    A hyperplane <b, y> = c transverse to f cuts M in a compact M' on which
+    f is an n = 2 map, whose singular set is the fold set cut by M' and
+    whose cusps are the points where M' meets the cusp curves of f.  A cusp
+    curve separates the plus and minus parts of the fold surface, so a
+    slice through a point of the minority sign crosses one unless its fold
+    curve stays in that sign.  When the depth-1 cloud carries both signs,
+    up to ``SLICES`` slices (``_slice``) run through ``compute_stratification``;
+    the first that locates a cusp raises ``MorinnessError`` naming it.  A
+    slice that refuses for any other reason is no evidence either way, and
+    the next one runs.  A cloud of one sign takes no slice, so a cusp curve
+    whose minority region no cloud point reaches goes undetected.
+    """
+    minus = [p for p in points if p.sign == "minus"]
+    plus = [p for p in points if p.sign == "plus"]
+    if not minus or not plus:
+        return
+    minority = minus if len(minus) <= len(plus) else plus
+    for k in range(SLICES):
+        try:
+            cut, p = _slice(S, k, minority)
+            cusps = compute_stratification(cut).cusps
+        except (ManifoldError, MorinnessError, StratificationError):
+            continue
+        if cusps:
+            raise MorinnessError(
+                f"the fold surface carries a cusp curve: the slice "
+                f"{to_prefix(cut.manifold.constraints[-1])} = 0 through the depth-1 point "
+                f"{(np.round(p.x, 6) + 0.0).tolist()} has a cusp at "
+                f"{(np.round(cusps[0].x, 6) + 0.0).tolist()}; cusp curves for n = 3 are not "
+                f"supported")

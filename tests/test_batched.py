@@ -261,8 +261,9 @@ def test_newton_batch_matches_newton_on_the_s4_height_depth1_system():
 
 @pytest.fixture(scope="module")
 def s4_proj_polish():
-    """The augmented system and the starts of the fold-surface polish of s4-proj
-    for the first covector of its default seed."""
+    """The augmented system of s4-proj for the first covector of its default
+    seed, and a start at every point of its depth-1 cloud: a stack of 600
+    lanes that mostly converge, in ten chunks per iteration."""
     S = bundled("s4-proj")
     sysc = StratumCriticalSystem(S, sample_covector(S.n, [S.seed, 0]).a)
     Z = np.array([sysc.base.pack(p.x, p.cokernel, p.multiplier) for p in solve_stratum1(S)])
@@ -600,7 +601,8 @@ def _spying(monkeypatch, module):
 def test_newton_batch_gives_the_reference_bits_on_the_census_and_polish_stacks(
         torus_k0, s4_proj_polish):
     # the k=0 census of torus-height, the s4-height depth-1 system and the
-    # fold-surface polish of s4-proj (ten chunks of lanes per iteration)
+    # augmented system of s4-proj from its depth-1 cloud (ten chunks of lanes
+    # per iteration)
     S, sys0, Z0 = torus_k0
     out = _assert_reference_bits(sys0.evaluate, Z0, S.tolerances.residual, 30)
     assert {STOP_REASONS[k] for k in out.stop} >= {"converged", "line_search_failed"}

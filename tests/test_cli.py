@@ -135,7 +135,7 @@ def test_equal_arc_signs_at_a_cusp_exit_66_before_any_covector(tmp_path, capsys,
 
 
 # S^4 in R^5 with the map of s3-cusps suspended by x3: its fold surface
-# carries a cusp curve, which no stage of the pipeline locates
+# carries a cusp curve, which a slice of the target finds
 CUSP_CURVE_PROBE = {
     "name": "s4-cusp-curve", "ambient_dim": 5, "intrinsic_dim": 4,
     "constraints": ["(+ (^ x0 2) (^ x1 2) (^ x2 2) (^ x3 2) (^ x4 2) -1)"],
@@ -146,16 +146,27 @@ CUSP_CURVE_PROBE = {
 }
 
 
-def test_a_surface_polish_on_a_cusp_curve_exits_66(tmp_path, capsys):
-    # with seed 0 the first covector's polish lands on the cusp curve; the
-    # point's kernel form is flat, so it is refused, not counted unsigned
+def test_a_slice_finds_the_cusp_curve_and_exits_66(tmp_path, capsys, monkeypatch):
+    # the fold surface carries both signs, so slices through minority points
+    # run as n = 2 maps; a slice's cusp is a point of the cusp curve, and the
+    # map is refused in its stratification, before any census on the fold
+    # surface (which at seed 2 never landed on the curve, and the run ended
+    # in all_ok)
+    from morinchi import morse
+    census, surveyed = morse._critical_points_on_surface, []
+    monkeypatch.setattr(morse, "_critical_points_on_surface",
+                        lambda *args: surveyed.append(args) or census(*args))
     path = write_scenario(tmp_path, CUSP_CURVE_PROBE)
-    code = main(["run", "--scenario", str(path), "--seed", "0", "--out", str(tmp_path)])
-    err = capsys.readouterr().err
-    assert code == EXIT_MORIN
-    assert re.search(r"critical point of the functional at \[[-0-9. ]+\] is a depth-2 point "
-                     r"away from every located cusp", err), err
-    assert "genericity" not in err
+    point = r"\[-?[0-9.]+(, -?[0-9.]+){4}\]"
+    for seed in range(5):
+        code = main(["run", "--scenario", str(path), "--seed", str(seed),
+                     "--out", str(tmp_path / str(seed))])
+        err = capsys.readouterr().err
+        assert code == EXIT_MORIN and surveyed == [], (seed, err)
+        assert re.fullmatch(
+            rf"stratification rejected: the fold surface carries a cusp curve: the slice "
+            rf"\(.*\) = 0 through the depth-1 point {point} has a cusp at {point}; cusp "
+            rf"curves for n = 3 are not supported\n", err), err
 
 
 def test_module_run_writes_nothing_to_stderr():
@@ -509,7 +520,7 @@ def test_explain_prints_fold_surface_counters_and_stop_reasons(tmp_path):
     assert check(tmp_path) == []
     surface = solver["surface"]
     text = explain(tmp_path / "report.json")
-    assert f"fold-surface polish: {surface['starts']} starts" in text
+    assert f"fold-surface census: {surface['starts']} starts" in text
     assert f"    stops: {surface['stops']['converged']} converged, " in text
     assert "warning" not in text
 

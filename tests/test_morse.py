@@ -162,6 +162,36 @@ def test_surface_critical_points_s4_proj(s4_proj):
     assert all(r.fold_sign == "plus" for r in k1)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_the_surface_census_polishes_one_lane_per_root_on_s4_proj(seed, monkeypatch):
+    # the fold-surface census solves h's square Lagrange system on M from the
+    # depth-1 cloud, and each distinct root is one lane of the augmented
+    # polish, already at its root (where 600 lanes from the cloud took about
+    # 4,100 iterations); its roots are the k=0 roots, and a cloud of one sign
+    # takes no slice
+    polished, sliced = [], []
+    polish, cut = morse._polish_stratum_critical, strata._slice
+
+    def spy(S, a, Z):
+        sysc, out = polish(S, a, Z)
+        polished.append(out)
+        return sysc, out
+
+    monkeypatch.setattr(morse, "_polish_stratum_critical", spy)
+    monkeypatch.setattr(strata, "_slice", lambda *args: sliced.append(args) or cut(*args))
+    S = bundled("s4-proj")
+    S.seed = seed
+    strat = compute_stratification(S)
+    a, data, audit, _ = run_with_genericity(S, strat)
+    assert sliced == [] and len(polished) == audit.attempt + 1
+    out = polished[-1]
+    assert len(out.z) == data.audits["surface_solver"]["distinct"] == len(data.k1_records) == 2
+    assert out.converged.all() and out.iterations.max() <= 1
+    sep = data.audits["separation"]
+    assert sep.ok and sep.matched == len(data.k0_records) == 2
+    assert sep.max_distance <= 1e-6
+
+
 # -- correctness, eta, certificates -------------------------------------------------
 
 
