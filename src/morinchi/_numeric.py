@@ -424,6 +424,13 @@ def sign_normalize(v, tol=1e-12):
     return np.where((big.any(axis=-1) & (lead < 0))[..., None], -v, v)
 
 
+def plain_point(x):
+    """A point as a list of floats rounded to 6 decimals, with -0.0 as 0.0:
+    the form in which every refusal prints a point, one that
+    ``ast.literal_eval`` reads back."""
+    return (np.round(x, 6) + 0.0).tolist()
+
+
 def sorted_by_x(items):
     """``items``, objects with a point ``x``, sorted by ``tuple(np.round(x,
     9))``: one stacked ``np.round`` and one stable ``np.lexsort``, the order

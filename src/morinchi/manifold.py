@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from ._numeric import newton_batch, sign_normalize
+from ._numeric import newton_batch, plain_point, sign_normalize
 
 RANK_TOL = 1e-8
 
@@ -127,23 +127,29 @@ def tangent_frames(M: ImplicitManifold, X):
     residual = np.max(np.abs(M.g(X)), axis=-1).reshape(-1)
     J = M.jacobian(X).reshape(-1, N - m, N)
     X = X.reshape(-1, N)
-    failures = {}
-
-    def fail(lanes, error):
-        for i in np.flatnonzero(lanes):
-            failures.setdefault(int(i), error(int(i)))
-
-    off = ~(residual <= 1e-8)
-    fail(off, lambda i: ManifoldError(f"point off the manifold (residual {residual[i]:.3e})"))
-    J = np.where(off[:, None, None], np.eye(N - m, N), J)
+    J = np.where(~(residual <= 1e-8)[:, None, None], np.eye(N - m, N), J)
     _, s, vt = np.linalg.svd(J)
-    fail(s[:, -1] < RANK_TOL, lambda i: RegularityError(
-        f"constraint Jacobian rank-deficient at {X[i]}"))
+    failures = regularity_failures(X, residual, s[:, -1])
     tangent = sign_normalize(vt[:, N - m:])
     test = np.max(np.abs(J @ np.swapaxes(tangent, -1, -2)), axis=(-2, -1))
-    fail(test > 1e-6, lambda i: RegularityError(
-        "tangent basis fails the constraint Jacobian test"))
+    for i in np.flatnonzero(test > 1e-6):
+        failures.setdefault(int(i), RegularityError(
+            "tangent basis fails the constraint Jacobian test"))
     return tangent, failures
+
+
+def regularity_failures(X, residual, smallest):
+    """A dict from each failing lane of a stack X (B, N) to its first error:
+    ``ManifoldError`` where the max-norm constraint residual is above 1e-8,
+    else ``RegularityError`` where ``smallest``, the smallest singular value
+    of Dg, is below ``RANK_TOL``."""
+    failures = {}
+    for i in np.flatnonzero(~(residual <= 1e-8)):
+        failures[int(i)] = ManifoldError(f"point off the manifold (residual {residual[i]:.3e})")
+    for i in np.flatnonzero(smallest < RANK_TOL):
+        failures.setdefault(int(i), RegularityError(
+            f"constraint Jacobian rank-deficient at {plain_point(X[i])}"))
+    return failures
 
 
 def sample_starts(M: ImplicitManifold, count, key):

@@ -29,6 +29,7 @@ from ._numeric import (
     eig_sign_counts,
     newton,  # noqa: F401  (stays bound here for perfbench)
     newton_batch,
+    plain_point,
     sorted_by_x,
 )
 from .continuation import correct_in_planes
@@ -149,10 +150,10 @@ def _k0_records(S: MorinScenario, a: Covector, stats=None) -> list:
         T @ S.lagrangian_hessian(x, a.a, lam) @ np.swapaxes(T, -1, -2), tol.eigen_zero)
     for j in np.flatnonzero(flat):
         failures.setdefault(int(j), GenericityFailure(
-            f"degenerate reduced Hessian at k=0 point {np.round(x[j], 6)}"))
+            f"degenerate reduced Hessian at k=0 point {plain_point(x[j])}"))
     # every critical point of h lies on the depth-1 stratum with cokernel a
     return _records(S, sys0, Z, index, failures, lambda x: GenericityFailure(
-        f"critical point of the functional sits on the depth-2 closure at {x}"))
+        f"critical point of the functional sits on the depth-2 closure at {plain_point(x)}"))
 
 
 def _records(S, system, Z, index, failures, flat) -> list:
@@ -200,10 +201,10 @@ def _stratum_records(S, W, sysc) -> list:
     Z = W[:, :sysc.D]
     _, index, flat = eig_sign_counts(sysc.reduced_hessian(W), S.tolerances.eigen_zero)
     failures = {int(j): GenericityFailure(
-        f"degenerate reduced Hessian at stratum critical point {np.round(Z[j, :S.N], 6)}")
+        f"degenerate reduced Hessian at stratum critical point {plain_point(Z[j, :S.N])}")
         for j in np.flatnonzero(flat)}
     return _records(S, sysc.base, Z, index, failures, lambda x: MorinnessError(
-        f"critical point of the functional at {np.round(x, 6)} is a depth-2 point away "
+        f"critical point of the functional at {plain_point(x)} is a depth-2 point away "
         f"from every located cusp" + ("; cusp curves for n = 3 are not supported"
                                      if S.n == 3 else "")))
 
@@ -328,13 +329,13 @@ def eta_sign(S: MorinScenario, a: Covector, p) -> int:
     w_d = T.T @ (T @ (W @ v))
     nl, nd = np.linalg.norm(w_l), np.linalg.norm(w_d)
     if nl < 1e-10 or nd < 1e-10:
-        raise MorseAuditError(f"vanishing gradient in the eta comparison at {x}")
+        raise MorseAuditError(f"vanishing gradient in the eta comparison at {plain_point(x)}")
     cosang = float(w_l @ w_d) / (nl * nd)
     angle = float(np.arccos(np.clip(abs(cosang), -1.0, 1.0)))
     if angle > 1e-4:
         raise MorseAuditError(
             f"closure gradient and degeneracy gradient not parallel at "
-            f"{np.round(x, 6)} (angle {angle:.2e} rad)"
+            f"{plain_point(x)} (angle {angle:.2e} rad)"
         )
     return int(np.sign(cosang) * np.sign(p.eig_slope))
 
@@ -392,7 +393,7 @@ def perturbation_certificate(S: MorinScenario, a: Covector, p) -> PerturbationCe
     h2 = (h[0] - 2 * h[1] + h[2]) / (S.tolerances.curve_step / 2) ** 2
     thr = S.tolerances.correctness * _gradient_scale(S, a.a, p.x)
     if abs(h2) < thr:
-        raise GenericityFailure(f"degenerate closure Hessian at the cusp {p.x}")
+        raise GenericityFailure(f"degenerate closure Hessian at the cusp {plain_point(p.x)}")
     interior_index = 1 if h2 < 0 else 0
     # eps halved up to seven times; the first candidate that converges and
     # is separated from the cusp is the partner
@@ -402,7 +403,7 @@ def perturbation_certificate(S: MorinScenario, a: Covector, p) -> PerturbationCe
     separated = out.converged & (np.linalg.norm(out.z[:, :S.N] - p.x, axis=1)
                                  > S.tolerances.dedup_radius)
     if not separated.any():
-        raise StratificationError(f"no separated interior partner at the cusp {p.x}")
+        raise StratificationError(f"no separated interior partner at the cusp {plain_point(p.x)}")
     k = int(np.argmax(separated))
     tilde, eps = out.z[k], float(eps[k])
     x_t = tilde[:S.N]
@@ -426,7 +427,7 @@ def perturbation_certificate(S: MorinScenario, a: Covector, p) -> PerturbationCe
 
 def _dichotomy_violation(x, grad_norm, thr, expected):
     return MorseAuditError(
-        f"correctness dichotomy violated at {np.round(x, 6)}: numeric "
+        f"correctness dichotomy violated at {plain_point(x)}: numeric "
         f"gradient {grad_norm:.3e} vs threshold {thr:.3e}, expected {expected}"
     )
 
@@ -448,7 +449,7 @@ def _boundary_records(S, a: Covector, strat: Stratification, cusp_hits):
     for ci, p in enumerate(strat.cusps):
         if ci not in cusp_hits:
             raise MorseAuditError(
-                f"cusp at {np.round(p.x, 6)} is not a critical point of the "
+                f"cusp at {plain_point(p.x)} is not a critical point of the "
                 f"restricted functional (boundary-criticality equivalence fails)"
             )
         cert = perturbation_certificate(S, a, p)

@@ -4,18 +4,19 @@ A point is singular when some unit covector u annihilates the image of the
 restricted differential; the solution set of the resulting Lagrange-type
 system is the depth-1 closure.  Depth and the plus/minus split of odd-depth
 strata are read off the kernel Hessian of <u, f> corrected by the constraint
-multipliers.  Every reading of it takes the spectra of one stacked
+multipliers.  Every reading of its spectrum takes the spectra of one stacked
 ``eigvalsh`` (``_kernel_spectra``), split by sign with the one counting rule
 ``_numeric.sign_counts``.  For two-dimensional targets the depth-1 set is a
 union of closed curves, traced in lockstep lanes by the routines of
 ``continuation``; cusps are bracketed by the sign of the kernel-Hessian
-determinant, and each is polished from its bracket as a critical point on
-the curve (``StratumCriticalSystem``, the augmented system of the critical
-points of h = <a, f> on the singular set, which ``morse`` polishes for
-every covector too).  Each located cusp gets its chart, from one
-two-sided sample of the curve per cusp and one spectra pass over the
-samples and the cusp: the tangent into the plus arc, the two arc samples,
-the degenerate kernel direction and the slope of the flattening
+determinant, which a trace node takes from a bordered determinant with no
+kernel basis (``_node_metrics``), and each is polished from its bracket as
+a critical point on the curve (``StratumCriticalSystem``, the augmented
+system of the critical points of h = <a, f> on the singular set, which
+``morse`` polishes for every covector too).  Each located cusp gets its
+chart, from one two-sided sample of the curve per cusp and one spectra pass
+over the samples and the cusp: the tangent into the plus arc, the two arc
+samples, the degenerate kernel direction and the slope of the flattening
 eigenvalue, which certifies depth 2.  Every curve operation takes a stack
 of points.  For three-dimensional targets, slices of the target through
 cloud points of the minority sign, each an n = 2 scenario stratified the
@@ -42,6 +43,7 @@ from ._numeric import (
     min_norm_solve,
     newton,  # noqa: F401  (stays bound here for perfbench)
     newton_batch,
+    plain_point,
     sign_counts,
     sign_normalize,
     sorted_by_x,
@@ -62,6 +64,7 @@ from .manifold import (  # noqa: F401  (project_to_manifold stays bound here for
     RegularityError,
     project_points,
     project_to_manifold,
+    regularity_failures,
     sample_starts,
     tangent_frames,
     validate_regularity,
@@ -210,6 +213,19 @@ def _kernel_lanes(S: MorinScenario, x):
     # with full_matrices the trailing right-singular vectors span the null
     # space of the rank-(n-1) map: the kernel in frame coordinates
     _, svals, vt = np.linalg.svd(A, full_matrices=True)
+    _corank_failures(np.reshape(x, (-1, S.N)), svals, failures)
+    K = np.swapaxes(T, -1, -2) @ np.swapaxes(vt[:, S.n - 1:], -1, -2)
+    # deterministic column signs
+    K = np.swapaxes(sign_normalize(np.swapaxes(K, -1, -2)), -1, -2)
+    return K, failures
+
+
+def _corank_failures(x, svals, failures):
+    """Add to ``failures`` the refusal of each lane of a stack x (B, N)
+    whose differential on T_xM, with the descending singular values
+    ``svals`` (B, n), is not of corank 1, unless the lane failed before: a
+    value counts as zero below 1e-7 times the largest one or 1, whichever is
+    larger."""
     scale = np.maximum(svals[:, 0], 1.0)
     corank = np.sum(svals < 1e-7 * scale[:, None], axis=1)
     for i in np.flatnonzero(corank == 0):
@@ -217,11 +233,7 @@ def _kernel_lanes(S: MorinScenario, x):
             "point is not singular (full-rank differential)"))
     for i in np.flatnonzero(corank > 1):
         failures.setdefault(int(i), MorinnessError(
-            f"corank {corank[i]} > 1 at {np.reshape(x, (-1, S.N))[i]}: map is not Morin there"))
-    K = np.swapaxes(T, -1, -2) @ np.swapaxes(vt[:, S.n - 1:], -1, -2)
-    # deterministic column signs
-    K = np.swapaxes(sign_normalize(np.swapaxes(K, -1, -2)), -1, -2)
-    return K, failures
+            f"corank {corank[i]} > 1 at {plain_point(x[i])}: map is not Morin there"))
 
 
 def _kernel_form(S: MorinScenario, x, u, mu, K):
@@ -249,7 +261,8 @@ def _signature_counts(S: MorinScenario, vals, x, failures):
     counts = np.stack(sign_counts(vals, S.tolerances.eigen_zero), axis=-1)
     for j in np.flatnonzero(counts[:, 2] > 1):
         failures.setdefault(int(j), MorinnessError(
-            f"kernel Hessian has {counts[j, 2]} near-zero eigenvalues at {x[j]}: not Morin"))
+            f"kernel Hessian has {counts[j, 2]} near-zero eigenvalues at "
+            f"{plain_point(x[j])}: not Morin"))
     return counts
 
 
@@ -396,7 +409,7 @@ def _stratum_lanes(S, system, Z):
 class FoldCurve:
     nodes: np.ndarray               # (K, dim_z) ordered along the curve
     closure_error: float
-    det_values: np.ndarray          # det of kernel Hessian per node: plus where > 0
+    det_values: np.ndarray          # det of kernel Hessian per node (bordered): plus where > 0
     tangents: np.ndarray            # (K, dim_z) unit tangents, one orientation
     cusps: list = field(default_factory=list)       # StratumPoint, depth 2
     solver: dict = field(default_factory=dict)      # deterministic tracing counters
@@ -407,14 +420,65 @@ class FoldCurve:
 
 def _node_metrics(S, system, Z):
     """Determinant of the kernel Hessian at each node of a stack Z
-    (B, dim_z).  A failing lane raises, the first one's error first, as a
-    loop over the nodes would.  For a nonzero determinant its sign is
-    (-1) to the number of negative eigenvalues, so it carries the node's
-    fold sign: plus where it is positive."""
-    _, _, vals, failures = _kernel_spectra(S, *system.unpack(Z))
+    (B, dim_z) of an n <= 2 map, from one jet evaluation and no kernel
+    basis.  For a nonzero determinant its sign is (-1) to the number of
+    negative eigenvalues, so it carries the node's fold sign: plus where it
+    is positive.
+
+    Df maps T_xM onto the complement of the cokernel u at a corank-1 node,
+    so the kernel of d(f|M) there is ker C, C = [Dg; u_perp^T Df] with
+    r = c + n - 1 rows, u_perp spanning that complement (no row for n = 1,
+    (-u_2, u_1) for n = 2).  With W the Hessian of <u, f> - <mu, g> and K
+    any orthonormal basis of ker C, the bordered-Hessian identity
+    det [[W, C^T], [C, 0]] = (-1)^r det(C C^T) det(K^T W K) (Debreu,
+    Econometrica 1952) gives the determinant from two stacked LU
+    determinants.
+
+    A node is refused as ``_kernel_lanes`` refuses it, with the same error,
+    and the first failing lane's error raises, as a loop over the nodes
+    would: off M or with Dg rank-deficient (``regularity_failures``), else
+    not of corank 1 (``_corank_failures``).  Dg's smallest singular value is
+    the gradient norm for one constraint and comes from Dg's singular values
+    otherwise, never from a Gram matrix, which keeps half its digits.  The
+    singular values of Df on T_xM are the square roots of the eigenvalues
+    of the n x n Gram matrix of Df's rows projected onto T_xM: their
+    rounding, about 2e-16 of the largest, sits some 50 times below the
+    squared corank cut (1e-14), so the count is the singular values'.  The
+    frame test of ``tangent_frames`` has no counterpart, since no frame is
+    built.
+    """
+    n, c, N = S.n, S.c, S.N
+    x, u, mu = system.unpack(Z)
+    u = np.broadcast_to(u, (len(x), n))
+    values, D, _ = S.jet(x)
+    Df, Dg = D[:, :n], D[:, n:]
+    smallest = (np.linalg.norm(Dg[:, 0], axis=-1) if c == 1
+                else np.linalg.svd(Dg, compute_uv=False)[:, -1])
+    failures = regularity_failures(x, np.max(np.abs(values[:, n:]), axis=-1), smallest)
+    Dg = Dg.copy()
+    Dg[list(failures)] = np.eye(c, N)        # placeholder lanes, already failed
+    # the rows of Df projected onto T_xM, and their Gram's eigenvalues
+    Dgt = np.swapaxes(Dg, -1, -2)
+    P = Df - np.swapaxes(np.linalg.solve(Dg @ Dgt, Dg @ np.swapaxes(Df, -1, -2)), -1, -2) @ Dg
+    G = P @ np.swapaxes(P, -1, -2)
+    if n == 1:
+        lam = G[:, 0]
+    else:
+        # a symmetric 2 x 2 matrix's eigenvalues, in descending order
+        a, b, d = G[:, 0, 0], G[:, 0, 1], G[:, 1, 1]
+        half = np.hypot(0.5 * (a - d), b)
+        lam = 0.5 * (a + d)[:, None] + np.stack([half, -half], axis=-1)
+    _corank_failures(x, np.sqrt(np.maximum(lam, 0.0)), failures)
     if failures:
         raise failures[min(failures)]
-    return np.prod(vals, axis=-1)
+    C = Dg if n == 1 else np.concatenate(
+        [Dg, vecmat(np.stack([-u[:, 1], u[:, 0]], axis=-1), Df)[:, None]], axis=1)
+    r = C.shape[1]
+    B = np.zeros((len(x), N + r, N + r))
+    B[:, :N, :N] = S.lagrangian_hessian(x, u, mu)
+    B[:, N:, :N] = C
+    B[:, :N, N:] = np.swapaxes(C, -1, -2)
+    return (-1) ** r * np.linalg.det(B) / np.linalg.det(C @ np.swapaxes(C, -1, -2))
 
 
 MAX_LOCKSTEP_STEPS = 200000     # the lanes' step budget, the backstop for an open curve
@@ -610,7 +674,7 @@ class _Lanes:
             i, N = crossed[0], self.system.S.N
             raise MorinnessError(
                 f"lane {A[i]} passes a crossing of the singular set between "
-                f"{z[i, :N].tolist()} and {z_new[i, :N].tolist()}: det [J; t] changes "
+                f"{plain_point(z[i, :N])} and {plain_point(z_new[i, :N])}: det [J; t] changes "
                 f"sign, so the singular set is not a fold curve there")
         self.sign[A] = np.where(sign == 0.0, last, sign)
         a, b, flip = self._meetings(A, z, t, z_new)
@@ -767,7 +831,7 @@ def _locate_cusps(S, system, curve: FoldCurve):
             raise failures[j]
         if p.signature.n_zero != 1:
             # determinant changed sign yet no flat direction: conditioning issue
-            raise MorinnessError(f"inconsistent degeneracy at cusp candidate {p.x}")
+            raise MorinnessError(f"inconsistent degeneracy at cusp candidate {plain_point(p.x)}")
     _chart_cusps(S, system, points)
     curve.cusps = points
     curve.solver["cusp_iterations"] = iterations
@@ -829,10 +893,11 @@ def _chart_cusps(S, system, cusps):
         t, pair = T[j], out.z[2 * j:2 * j + 2]
         align = float(t[:S.N] @ directions[j])
         if abs(align) < 1e-3 * np.linalg.norm(t[:S.N]):
-            raise MorinnessError(f"degenerate kernel direction at the cusp {p.x} is not "
-                                 f"tangent to the singular curve")
+            raise MorinnessError(f"degenerate kernel direction at the cusp {plain_point(p.x)} "
+                                 f"is not tangent to the singular curve")
         if not out.converged[2 * j:2 * j + 2].all():
-            raise StratificationError(f"could not sample the two arcs at the cusp {p.x}")
+            raise StratificationError(
+                f"could not sample the two arcs at the cusp {plain_point(p.x)}")
         for lane in (0, 2):
             if 3 * j + lane in failures:
                 raise failures[3 * j + lane]
@@ -841,12 +906,14 @@ def _chart_cusps(S, system, cusps):
         slope = slopes[j] if align > 0 else -slopes[j]
         if not abs(slope) > thr:
             raise MorinnessError(
-                f"degenerate point at {p.x} is not a certified depth-2 point: eigenvalue "
-                f"slope {slope:.3e} and curvature {curvatures[j]:.3e}, slope not above {thr:.1e}")
+                f"degenerate point at {plain_point(p.x)} is not a certified depth-2 point: "
+                f"eigenvalue slope {slope:.3e} and curvature {curvatures[j]:.3e}, slope not "
+                f"above {thr:.1e}")
         # kernel-index parity of the (minus, plus) samples: 0 on a plus arc
         minus, plus = counts[j, [0, 2], 1] % 2
         if minus == plus:
-            raise MorinnessError(f"arcs adjacent to the cusp at {p.x} carry equal signs")
+            raise MorinnessError(
+                f"arcs adjacent to the cusp at {plain_point(p.x)} carry equal signs")
         p.depth, p.eig_slope, p.degenerate_direction = 2, float(slope), directions[j]
         p.arc_tangent, p.arc_samples = (t, pair) if plus == 0 else (-t, pair[::-1])
 
@@ -898,7 +965,7 @@ def compute_stratification(S: MorinScenario) -> Stratification:
         for p in points:
             if p.signature.n_zero != 0:
                 raise MorinnessError(
-                    f"degenerate singular point at {p.x} with n = {S.n}: not Morin "
+                    f"degenerate singular point at {plain_point(p.x)} with n = {S.n}: not Morin "
                     f"or out of certified scope; scenario rejected"
                 )
     if S.n > 2:
@@ -950,7 +1017,7 @@ def _classify_cloud(S, points, cusps):
             # a multistart point that landed on (or next to) a cusp
             if cusp_near(S, cusps, p.x) is None:
                 raise MorinnessError(
-                    f"degenerate stratum point at {p.x} away from every detected cusp"
+                    f"degenerate stratum point at {plain_point(p.x)} away from every detected cusp"
                 )
             p.depth = 2
             p.sign = "unsigned"
@@ -1024,6 +1091,6 @@ def _refuse_cusp_curves(S: MorinScenario, points):
             raise MorinnessError(
                 f"the fold surface carries a cusp curve: the slice "
                 f"{to_prefix(cut.manifold.constraints[-1])} = 0 through the depth-1 point "
-                f"{(np.round(p.x, 6) + 0.0).tolist()} has a cusp at "
-                f"{(np.round(cusps[0].x, 6) + 0.0).tolist()}; cusp curves for n = 3 are not "
+                f"{plain_point(p.x)} has a cusp at "
+                f"{plain_point(cusps[0].x)}; cusp curves for n = 3 are not "
                 f"supported")

@@ -443,7 +443,8 @@ def reference_stratum_point(S, x, u, mu, system=None, K=None):
     n_plus, n_minus, n_zero = eig_sign_counts(HK, S.tolerances.eigen_zero)
     if n_zero > 1:
         raise MorinnessError(
-            f"kernel Hessian has {n_zero} near-zero eigenvalues at {x}: not Morin")
+            f"kernel Hessian has {n_zero} near-zero eigenvalues at "
+            f"{(np.round(x, 6) + 0.0).tolist()}: not Morin")
     p = StratumPoint(x=np.asarray(x, dtype=float), depth=1, cokernel=u, multiplier=mu,
                      kernel_basis=K, residuals={"system": res},
                      signature=QuadraticSignature(n_plus, n_minus, n_zero))

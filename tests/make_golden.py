@@ -26,14 +26,28 @@ checks that every exit code and every artifact is byte-identical:
     PYTHONPATH=../before/src python3 tests/make_golden.py --artifacts /tmp/before
     PYTHONPATH=src python3 tests/make_golden.py --artifacts /tmp/after
     diff -r /tmp/before /tmp/after
+
+A change that is meant to move floats only is checked with ``--compare``
+instead of ``diff -r``:
+
+    python3 tests/make_golden.py --compare /tmp/before /tmp/after
+
+It prints every difference other than a float's (an exit code, an artifact
+or a report leaf present on one side only, an int, bool, str or null leaf,
+a CSV row count, a CSV cell that is not a float) and exits 1 if there is
+one.  For each kind of artifact it prints how many floats moved, with the
+largest absolute and relative change.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import io
 import json
+import math
+import sys
 import tempfile
 from importlib.resources import files
 from pathlib import Path
@@ -56,18 +70,24 @@ RUNS = {
 }
 
 
-def integer_leaves(node, path=""):
-    """The int, bool, str and null leaves of a JSON value, by path."""
+def leaves(node, path=""):
+    """The leaves of a JSON value, by path."""
     if isinstance(node, dict):
         items = node.items()
     elif isinstance(node, list):
         items = enumerate(node)
     else:
-        return {} if isinstance(node, float) else {path: node}
+        return {path: node}
     out = {}
     for key, value in items:
-        out.update(integer_leaves(value, f"{path}/{key}"))
+        out.update(leaves(value, f"{path}/{key}"))
     return out
+
+
+def integer_leaves(node, path=""):
+    """The int, bool, str and null leaves of a JSON value, by path."""
+    return {key: value for key, value in leaves(node, path).items()
+            if not isinstance(value, float)}
 
 
 def run_integers(run_id, workdir, out=None):
@@ -92,12 +112,89 @@ def run_integers(run_id, workdir, out=None):
     return record
 
 
+def _csv_float(cell):
+    """The value of a CSV cell that is a float, else None: the CSVs write
+    floats with ``repr``, which an int's text never parses as."""
+    try:
+        int(cell)
+    except ValueError:
+        try:
+            return float(cell)
+        except ValueError:
+            return None
+    return None
+
+
+def _artifact_values(path):
+    """The values of one artifact file, keyed by place: the exit code, every
+    report leaf by path, every CSV cell by (row, column) with the row count.
+    A float is a float; anything else is its JSON or CSV text."""
+    text = path.read_text()
+    if path.name == "exit_code":
+        return {"code": text.strip()}
+    if path.name == "report.json":
+        return leaves(json.loads(text))
+    rows = list(csv.reader(io.StringIO(text)))
+    cells = {"rows": str(len(rows))}
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row):
+            value = _csv_float(cell)
+            cells[f"{i}:{j}"] = cell if value is None else value
+    return cells
+
+
+def compare(before, after):
+    """The differences other than a float's between two ``--artifacts``
+    directories, as lines, and per kind of artifact the floats that moved:
+    (compared, moved, largest absolute change, largest relative change)."""
+    before, after = Path(before), Path(after)
+    names = {p.relative_to(before) for p in before.rglob("*") if p.is_file()}
+    names |= {p.relative_to(after) for p in after.rglob("*") if p.is_file()}
+    differences, moved = [], {}
+    for name in sorted(names):
+        if not ((before / name).is_file() and (after / name).is_file()):
+            side = "before" if (before / name).is_file() else "after"
+            differences.append(f"{name}: only {side}")
+            continue
+        old, new = _artifact_values(before / name), _artifact_values(after / name)
+        stats = moved.setdefault(name.name, [0, 0, 0.0, 0.0])
+        for key in sorted(set(old) | set(new), key=str):
+            a, b = old.get(key), new.get(key)
+            if isinstance(a, float) and isinstance(b, float):
+                stats[0] += 1
+                if a == b or (math.isnan(a) and math.isnan(b)):
+                    continue
+                change = abs(b - a) if math.isfinite(b - a) else math.inf
+                stats[1] += 1
+                stats[2] = max(stats[2], change)
+                stats[3] = max(stats[3], change / max(abs(a), abs(b))
+                               if math.isfinite(change) else math.inf)
+            elif key not in old or key not in new or (type(a), a) != (type(b), b):
+                differences.append(f"{name}: {key}: {a!r} -> {b!r}")
+    return differences, {kind: tuple(stats) for kind, stats in sorted(moved.items())}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--artifacts", metavar="DIR",
                         help="write each run's exit code, report.json and CSVs under "
                              "DIR/<run id>/ instead of rewriting tests/golden.json")
+    parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
+                        help="compare two --artifacts directories float by float "
+                             "and exit 1 on any other difference")
     args = parser.parse_args(argv)
+    if args.compare is not None:
+        for directory in args.compare:
+            if not Path(directory).is_dir():
+                parser.error(f"{directory} is not a directory")
+        differences, moved = compare(*args.compare)
+        for kind, (count, changed, absolute, relative) in moved.items():
+            print(f"{kind}: {changed} of {count} floats moved, largest change "
+                  f"{absolute:.1e} absolute, {relative:.1e} relative")
+        for line in differences:
+            print(line)
+        print(f"{len(differences)} differences other than a float's")
+        return 1 if differences else 0
     golden = {}
     for run_id in RUNS:
         out = None if args.artifacts is None else Path(args.artifacts) / run_id
@@ -115,4 +212,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

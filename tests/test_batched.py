@@ -10,6 +10,7 @@ summation order.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from fractions import Fraction
 from types import SimpleNamespace
@@ -970,14 +971,62 @@ def fold_curves():
 
 @pytest.mark.parametrize("name", ["s3-proj", "s3-cusps"])
 def test_stacked_node_metrics_match_the_node_loop(fold_curves, name):
+    # a lane's bits do not depend on its neighbours, so the stacked pass, the
+    # one-node calls and the trace's chunks agree bit for bit; the bordered
+    # determinant is the product of the kernel spectrum's eigenvalues
     S, curves = fold_curves[name]
     system = SingularSystem(S)
     for curve in curves:
         det = _node_metrics(S, system, curve.nodes)
-        want = np.concatenate([_node_metrics(S, system, z[None]) for z in curve.nodes])
-        for got in (det, curve.det_values):
-            assert np.array_equal(np.sign(got), np.sign(want))
-            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+        one = np.concatenate([_node_metrics(S, system, z[None]) for z in curve.nodes])
+        assert np.array_equal(det, one) and np.array_equal(det, curve.det_values)
+        _, _, vals, failures = _kernel_spectra(S, *system.unpack(curve.nodes))
+        assert not failures
+        want = np.prod(vals, axis=-1)
+        assert np.all(det != 0.0) and np.array_equal(np.sign(det), np.sign(want))
+        assert np.all(np.abs(det - want) <= 1e-9 * np.abs(want))
+
+
+# two n = 2 maps, each with lanes at which the node pass refuses, or not (key
+# None), every lane with u = (1, 0) and mu = 0
+N2_NODE_LANES = {
+    # S^3 with f = (x0^2, x1^2): Df vanishes at the pole, and x0 = 0 is a
+    # fold of the first component
+    "squares": ({
+        "name": "squares", "ambient_dim": 4, "intrinsic_dim": 3,
+        "constraints": ["(+ (^ x0 2) (^ x1 2) (^ x2 2) (^ x3 2) -1)"],
+        "target_dim": 2, "components": ["(^ x0 2)", "(^ x1 2)"],
+    }, {"corank 2 > 1": [0.0, 0.0, 1.0, 0.0], "off the manifold": [0.0, 0.0, 1.01, 0.0],
+        None: [0.0, 0.6, 0.8, 0.0]}),
+    # the cone x0^2 + x1^2 + x2^2 = x3^2 with f = (x0, x1): its apex is on M,
+    # where Dg vanishes, and its only point of corank > 0
+    "cone": ({
+        "name": "cone", "ambient_dim": 4, "intrinsic_dim": 3,
+        "constraints": ["(+ (^ x0 2) (^ x1 2) (^ x2 2) (* -1 (^ x3 2)))"],
+        "target_dim": 2, "components": ["x0", "x1"], "compact": False,
+    }, {"rank-deficient": [0.0, 0.0, 0.0, 0.0], "off the manifold": [0.0, 0.0, 0.0, 1.0],
+        "not singular": [0.6, 0.0, 0.8, 1.0]}),
+}
+
+
+@pytest.mark.parametrize("name", list(N2_NODE_LANES))
+def test_stacked_node_metrics_refuse_n2_nodes_as_the_kernel_lanes_do(name):
+    # every order of the lanes: the pass raises the first failing lane's
+    # error, the one _kernel_lanes records there, type and message
+    spec, lanes = N2_NODE_LANES[name]
+    S = load_scenario(spec)
+    system = SingularSystem(S)
+    for order in itertools.permutations(lanes):
+        X = np.array([lanes[k] for k in order])
+        _, failures = _kernel_lanes(S, X)
+        first = min(failures)
+        assert order[first] in str(failures[first])
+        Z = system.pack(X, np.tile([1.0, 0.0], (len(X), 1)), np.zeros((len(X), 1)))
+        with pytest.raises(type(failures[first])) as info:
+            _node_metrics(S, system, Z)
+        assert info.type is type(failures[first]) and str(info.value) == str(failures[first])
+        if None in lanes:
+            assert np.isfinite(_node_metrics(S, system, Z[[order.index(None)]])).all()
 
 
 @pytest.mark.parametrize("name", ["s3-proj", "s3-cusps"])
@@ -1192,7 +1241,8 @@ def test_stacked_stratum_points_raise_for_the_first_failing_point(order):
     assert got == want
     assert got[0] is {"two flat": MorinnessError, "off M": ManifoldError}[order[1]]
     if order[1] == "two flat":
-        assert got[1] == "kernel Hessian has 2 near-zero eigenvalues at [0. 0. 0. 0.]: not Morin"
+        assert got[1] == ("kernel Hessian has 2 near-zero eigenvalues at [0.0, 0.0, 0.0, 0.0]: "
+                          "not Morin")
 
 
 def test_stacked_sign_counts_scale_each_matrix_by_its_own_eigenvalues():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import csv
 import json
 import os
@@ -57,6 +58,27 @@ def test_genericity_refusal_prints_points_as_plain_floats(tmp_path, capsys):
     assert code == EXIT_GENERICITY
     assert "genericity exhausted" in err and "unmatched [(-1.0" in err
     assert "np.float64(" not in err
+
+
+@pytest.mark.parametrize("name, tolerance, value, code, before", [
+    ("s3-cusps", "dedup_radius", 0.5, EXIT_MORIN, "no separated interior partner at the cusp "),
+    ("s3-cusps", "depth_slope", 1000.0, EXIT_MORIN, "degenerate point at "),
+    ("s3-proj", "eigen_zero", 0.9, EXIT_GENERICITY,
+     "degenerate reduced Hessian at stratum critical point "),
+])
+def test_refusals_print_points_that_read_back(tmp_path, capsys, name, tolerance, value, code,
+                                              before):
+    # a point in a refusal is a list of plain floats, which pastes back as a
+    # Python literal; numpy's array format has no commas
+    data = json.loads(Path(str(scenario_path(name))).read_text())
+    data["tolerances"] = {**data.get("tolerances", {}), tolerance: value}
+    path = write_scenario(tmp_path, data)
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == code
+    points = re.findall(re.escape(before) + r"(\[[^\]]*\])", capsys.readouterr().err)
+    assert points
+    for point in points:
+        x = ast.literal_eval(point)
+        assert len(x) == 4 and all(type(c) is float for c in x)
 
 
 def test_run_rejects_even_codimension(tmp_path, capsys):
