@@ -59,6 +59,7 @@ from .continuation import (
 )
 from .expr import to_prefix
 from .manifold import (  # noqa: F401  (project_to_manifold stays bound here for perfbench)
+    RANK_TOL,
     ImplicitManifold,
     ManifoldError,
     RegularityError,
@@ -431,8 +432,11 @@ def _node_metrics(S, system, Z):
     (-u_2, u_1) for n = 2).  With W the Hessian of <u, f> - <mu, g> and K
     any orthonormal basis of ker C, the bordered-Hessian identity
     det [[W, C^T], [C, 0]] = (-1)^r det(C C^T) det(K^T W K) (Debreu,
-    Econometrica 1952) gives the determinant from two stacked LU
-    determinants.
+    Econometrica 1952) gives the determinant.  The pass takes C with
+    orthonormal rows of the same span, so that det(C C^T) = 1 and one
+    stacked LU determinant is left: Dg's unit gradient for one constraint,
+    its right singular vectors otherwise, then u_perp^T Df projected onto
+    T_xM and normalized.
 
     A node is refused as ``_kernel_lanes`` refuses it, with the same error,
     and the first failing lane's error raises, as a loop over the nodes
@@ -449,17 +453,19 @@ def _node_metrics(S, system, Z):
     """
     n, c, N = S.n, S.c, S.N
     x, u, mu = system.unpack(Z)
-    u = np.broadcast_to(u, (len(x), n))
     values, D, _ = S.jet(x)
     Df, Dg = D[:, :n], D[:, n:]
-    smallest = (np.linalg.norm(Dg[:, 0], axis=-1) if c == 1
-                else np.linalg.svd(Dg, compute_uv=False)[:, -1])
+    # Q: orthonormal rows spanning Dg's; a rank-deficient lane, which fails,
+    # divides by RANK_TOL, not by 0
+    if c == 1:
+        smallest = np.linalg.norm(Dg[:, 0], axis=-1)
+        Q = Dg / np.maximum(smallest, RANK_TOL)[:, None, None]
+    else:
+        _, sv, Q = np.linalg.svd(Dg, full_matrices=False)
+        smallest = sv[:, -1]
     failures = regularity_failures(x, np.max(np.abs(values[:, n:]), axis=-1), smallest)
-    Dg = Dg.copy()
-    Dg[list(failures)] = np.eye(c, N)        # placeholder lanes, already failed
     # the rows of Df projected onto T_xM, and their Gram's eigenvalues
-    Dgt = np.swapaxes(Dg, -1, -2)
-    P = Df - np.swapaxes(np.linalg.solve(Dg @ Dgt, Dg @ np.swapaxes(Df, -1, -2)), -1, -2) @ Dg
+    P = Df - (Df @ np.swapaxes(Q, -1, -2)) @ Q
     G = P @ np.swapaxes(P, -1, -2)
     if n == 1:
         lam = G[:, 0]
@@ -471,14 +477,15 @@ def _node_metrics(S, system, Z):
     _corank_failures(x, np.sqrt(np.maximum(lam, 0.0)), failures)
     if failures:
         raise failures[min(failures)]
-    C = Dg if n == 1 else np.concatenate(
-        [Dg, vecmat(np.stack([-u[:, 1], u[:, 0]], axis=-1), Df)[:, None]], axis=1)
-    r = C.shape[1]
+    if n == 2:
+        w = vecmat(np.stack([-u[..., 1], u[..., 0]], axis=-1), P)
+        Q = np.concatenate([Q, (w / np.linalg.norm(w, axis=-1, keepdims=True))[:, None]], axis=1)
+    r = Q.shape[1]
     B = np.zeros((len(x), N + r, N + r))
     B[:, :N, :N] = S.lagrangian_hessian(x, u, mu)
-    B[:, N:, :N] = C
-    B[:, :N, N:] = np.swapaxes(C, -1, -2)
-    return (-1) ** r * np.linalg.det(B) / np.linalg.det(C @ np.swapaxes(C, -1, -2))
+    B[:, N:, :N] = Q
+    B[:, :N, N:] = np.swapaxes(Q, -1, -2)
+    return (-1) ** r * np.linalg.det(B)
 
 
 MAX_LOCKSTEP_STEPS = 200000     # the lanes' step budget, the backstop for an open curve

@@ -591,6 +591,17 @@ FLAT_CUSP = {
     "sample_seeds": [[0.0, 0.5, 0.0, 0.0], [-0.75, -0.5, 0.0, 0.0]],
 }
 
+# S^4 in R^5 with the map of s3-cusps suspended by x3: its fold surface
+# carries a cusp curve, which a slice of the target finds
+CUSP_CURVE_PROBE = {
+    "name": "s4-cusp-curve", "ambient_dim": 5, "intrinsic_dim": 4,
+    "constraints": ["(+ (^ x0 2) (^ x1 2) (^ x2 2) (^ x3 2) (^ x4 2) -1)"],
+    "target_dim": 3,
+    "components": ["x0", "(+ x1 (* 4/5 (^ x2 2)) (* 3/10 x0 x2))", "x3"],
+    "sample_seeds": [[1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0],
+                     [0.0, -1.0, 0.0, 0.0, 0.0]],
+}
+
 
 @pytest.fixture(scope="session")
 def flat_cusp():

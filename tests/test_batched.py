@@ -68,6 +68,7 @@ from morinchi.strata import (
     stratum_points,
 )
 from tests.conftest import (
+    CUSP_CURVE_PROBE,
     FLAT_CUSP,
     bundled,
     einsum_augmented,
@@ -969,17 +970,36 @@ def fold_curves():
             for name in ("s3-proj", "s3-cusps")}
 
 
-@pytest.mark.parametrize("name", ["s3-proj", "s3-cusps"])
-def test_stacked_node_metrics_match_the_node_loop(fold_curves, name):
+@pytest.fixture(scope="module")
+def slice_curves():
+    """The traced curves of the first slice of the n = 3 cusp-curve probe
+    through its minority sign (seed 0): an n = 2 map with two constraints."""
+    S = load_scenario(CUSP_CURVE_PROBE)
+    points = solve_stratum1(S)
+    minus = [p for p in points if p.sign == "minus"]
+    plus = [p for p in points if p.sign == "plus"]
+    cut, _ = strata._slice(S, 0, min(minus, plus, key=len))
+    return cut, compute_stratification(cut).curves
+
+
+@pytest.mark.parametrize("name", ["s3-proj", "s3-cusps", "slice"])
+def test_stacked_node_metrics_match_the_node_loop(fold_curves, slice_curves, name):
     # a lane's bits do not depend on its neighbours, so the stacked pass, the
     # one-node calls and the trace's chunks agree bit for bit; the bordered
     # determinant is the product of the kernel spectrum's eigenvalues
-    S, curves = fold_curves[name]
+    S, curves = slice_curves if name == "slice" else fold_curves[name]
+    assert curves and S.c == (2 if name == "slice" else 1)
     system = SingularSystem(S)
     for curve in curves:
         det = _node_metrics(S, system, curve.nodes)
         one = np.concatenate([_node_metrics(S, system, z[None]) for z in curve.nodes])
-        assert np.array_equal(det, one) and np.array_equal(det, curve.det_values)
+        assert np.array_equal(det, curve.det_values)
+        if name == "slice":
+            # with n + c = 4 rows, S.lagrangian_hessian of a one-point stack
+            # can differ from the stacked one in the last bit
+            assert np.all(np.abs(one - det) <= 1e-12 * np.abs(det))
+        else:
+            assert np.array_equal(det, one)
         _, _, vals, failures = _kernel_spectra(S, *system.unpack(curve.nodes))
         assert not failures
         want = np.prod(vals, axis=-1)

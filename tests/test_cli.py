@@ -29,7 +29,7 @@ from morinchi.cli import (
 import morinchi
 from morinchi import cli
 from morinchi._numeric import STOP_REASONS
-from tests.conftest import scenario_path
+from tests.conftest import CUSP_CURVE_PROBE, scenario_path
 
 
 def write_scenario(tmp_path, data, name="scenario.json"):
@@ -154,18 +154,6 @@ def test_equal_arc_signs_at_a_cusp_exit_66_before_any_covector(tmp_path, capsys,
     err = capsys.readouterr().err
     assert code == EXIT_MORIN and sampled == []
     assert "arcs adjacent to the cusp at [" in err and "carry equal signs" in err
-
-
-# S^4 in R^5 with the map of s3-cusps suspended by x3: its fold surface
-# carries a cusp curve, which a slice of the target finds
-CUSP_CURVE_PROBE = {
-    "name": "s4-cusp-curve", "ambient_dim": 5, "intrinsic_dim": 4,
-    "constraints": ["(+ (^ x0 2) (^ x1 2) (^ x2 2) (^ x3 2) (^ x4 2) -1)"],
-    "target_dim": 3,
-    "components": ["x0", "(+ x1 (* 4/5 (^ x2 2)) (* 3/10 x0 x2))", "x3"],
-    "sample_seeds": [[1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0],
-                     [0.0, -1.0, 0.0, 0.0, 0.0]],
-}
 
 
 def test_a_slice_finds_the_cusp_curve_and_exits_66(tmp_path, capsys, monkeypatch):
