@@ -113,8 +113,9 @@ def run_integers(run_id, workdir, out=None):
 
 
 def _csv_float(cell):
-    """The value of a CSV cell that is a float, else None: the CSVs write
-    floats with ``repr``, which an int's text never parses as."""
+    """The value of a CSV cell that holds a float, else None.  The CSVs
+    write floats with ``repr``, so a cell that parses as an int holds an
+    int."""
     try:
         int(cell)
     except ValueError:
@@ -127,8 +128,9 @@ def _csv_float(cell):
 
 def _artifact_values(path):
     """The values of one artifact file, keyed by place: the exit code, every
-    report leaf by path, every CSV cell by (row, column) with the row count.
-    A float is a float; anything else is its JSON or CSV text."""
+    report leaf by path, every CSV cell by "row:column" with the row count.
+    A report leaf is its JSON value, a CSV cell its float or else its text,
+    and the exit code and the row count are text."""
     text = path.read_text()
     if path.name == "exit_code":
         return {"code": text.strip()}
